@@ -11,6 +11,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -18,9 +19,7 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -49,9 +48,8 @@ func main() {
 		workers    = flag.Int("workers", 0, "fleet worker-pool width (0 = GOMAXPROCS); the diagnosis is byte-identical for any value")
 		engineName = flag.String("engine", "bytecode", "execution engine for production runs: bytecode or interp; the diagnosis is byte-identical on either")
 		maxIters   = flag.Int("max-iters", 0, "cap on AsT iterations this process runs (0 = library default); with -checkpoint-dir the boundary state is checkpointed so a later -resume continues")
-		ckptDir    = flag.String("checkpoint-dir", "", "durably checkpoint the campaign to this directory after every AsT iteration (checksummed, generation-numbered); the diagnosis is byte-identical with or without checkpointing")
+		ckptDir    = flag.String("checkpoint-dir", "", "durably checkpoint the campaign to this directory after every AsT iteration (checksummed, generation-numbered), running it under the self-healing supervisor: panic recovery, per-step watchdog, restart from the last good checkpoint, circuit breaker; the diagnosis is byte-identical with or without checkpointing")
 		resume     = flag.Bool("resume", false, "restore the campaign from the newest valid checkpoint generation in -checkpoint-dir instead of starting from discovery, continuing the diagnosis byte-for-byte")
-		supervised = flag.Bool("supervise", false, "run under the self-healing supervisor: panic recovery, per-step watchdog, restart from the last good checkpoint, circuit breaker")
 		ckptFsync  = flag.Bool("ckpt-fsync", true, "fsync checkpoint files and their directory before publishing (false trades durability of the newest generation for speed)")
 		iterDelay  = flag.Duration("iter-delay", 0, "sleep this long between AsT iteration boundaries (widens the kill window for crash-recovery testing)")
 		faultRate  = flag.Float64("fault-rate", 0, "composite fleet fault rate in [0,1] spread across all fault classes (0 = reliable fleet)")
@@ -73,8 +71,6 @@ func main() {
 		workerID  = flag.Int("worker-id", 0, "with -worker: this worker's 1-based id in 1..-shards")
 
 		ingestCacheBytes = flag.Int64("ingest-cache-bytes", 0, "with -serve: sketch LRU cache budget in bytes (0 = default 8 MiB); evicted sketches re-render from the checkpoint store on demand")
-		ingestTaskTTL    = flag.Duration("ingest-task-ttl", 0, "with -serve: how long completed-task idempotency keys are retained for duplicate-upload detection (0 = default 4x lease)")
-		ingestTaskCap    = flag.Int("ingest-task-cap", 0, "with -serve: max completed-task idempotency keys retained (0 = default 65536); live tasks are never evicted")
 
 		tenantRPS    = flag.Float64("tenant-rps", 0, "with -serve: per-tenant submit rate limit in reports/sec, shed with 429 + Retry-After beyond it (0 = unlimited)")
 		tenantBurst  = flag.Int("tenant-burst", 0, "with -serve: per-tenant token-bucket burst size (0 = default 2x -tenant-rps)")
@@ -156,8 +152,6 @@ func main() {
 			PollTimeout:        *pollTimeout,
 			TransportFaultRate: *tfRate,
 			IngestCacheBytes:   *ingestCacheBytes,
-			IngestTaskTTL:      *ingestTaskTTL,
-			IngestTaskCap:      *ingestTaskCap,
 			TenantRPS:          *tenantRPS,
 			TenantBurst:        *tenantBurst,
 			MaxInflight:        *maxInflight,
@@ -306,7 +300,6 @@ func main() {
 	res, err, drained := diagnose(cfg, b.Name, runOpts{
 		ckptDir:   *ckptDir,
 		resume:    *resume,
-		supervise: *supervised,
 		fsync:     *ckptFsync,
 		iterDelay: *iterDelay,
 		tel:       tel,
@@ -365,10 +358,10 @@ func main() {
 
 // runServe runs the diagnosis service until SIGINT/SIGTERM. Checkpoints
 // land on the real filesystem under -state-dir (one subdirectory per
-// tenant), so a restarted server resumes in-flight campaigns from their
-// last durable generation.
+// tenant), so a restarted server resumes a resubmitted report's
+// campaign from its last durable generation.
 //
-// Shutdown mirrors the -supervise drain contract: the first signal
+// Shutdown mirrors the -checkpoint-dir drain contract: the first signal
 // stops admissions (new submits shed with 429) and asks every live
 // campaign to checkpoint at its next iteration boundary, while the
 // listener stays open so in-flight agent uploads land; only once the
@@ -383,8 +376,6 @@ func runServe(f service.ServeFlags, fleet *shard.Flags, fsync bool, drainWait ti
 		PollTimeout:      f.PollTimeout,
 		NoFsync:          !fsync,
 		SketchCacheBytes: f.IngestCacheBytes,
-		DoneTaskTTL:      f.IngestTaskTTL,
-		MaxDoneTasks:     f.IngestTaskCap,
 		TenantRPS:        f.TenantRPS,
 		TenantBurst:      f.TenantBurst,
 		MaxInflight:      f.MaxInflight,
@@ -573,26 +564,25 @@ func runSubmit(f service.AgentFlags, bug string, tfSeed int64, deadline time.Dur
 	fmt.Println(string(sk.Sketch))
 }
 
-// runOpts carries the durability and supervision knobs into diagnose.
+// runOpts carries the durability knobs into diagnose.
 type runOpts struct {
 	ckptDir   string
 	resume    bool
-	supervise bool
 	fsync     bool
 	iterDelay time.Duration
 	tel       *telemetry.Tracer
 }
 
-// diagnose runs the pipeline. With -checkpoint-dir the campaign steps
-// through the durable checkpoint store: after every AsT iteration
-// boundary the snapshot is framed (checksummed), written to a temp
-// file, fsynced, renamed into place, and the directory fsynced — so a
-// kill at any instant leaves either the previous generation or the new
-// one, never a silently torn checkpoint. With -supervise the campaign
-// additionally runs under the self-healing supervisor; SIGINT/SIGTERM
-// drain the campaign to a checkpoint instead of killing it (exit 3).
+// diagnose runs the pipeline. With -checkpoint-dir (or -iter-delay) the
+// campaign runs under the self-healing supervisor, which checkpoints
+// through the durable store: after every AsT iteration boundary the
+// snapshot is framed (checksummed), written to a temp file, fsynced,
+// renamed into place, and the directory fsynced — so a kill at any
+// instant leaves either the previous generation or the new one, never a
+// silently torn checkpoint. SIGINT/SIGTERM drain the campaign to a
+// checkpoint instead of killing it (exit 3).
 func diagnose(cfg core.Config, bugName string, opts runOpts, fatalf func(string, ...any)) (*core.Result, error, bool) {
-	if opts.ckptDir == "" && !opts.supervise && opts.iterDelay == 0 {
+	if opts.ckptDir == "" && opts.iterDelay == 0 {
 		res, err := core.Run(cfg)
 		return res, err, false
 	}
@@ -608,23 +598,44 @@ func diagnose(cfg core.Config, bugName string, opts runOpts, fatalf func(string,
 		if err != nil {
 			fatalf("-checkpoint-dir: %v", err)
 		}
-		for _, q := range st.Quarantined() {
-			fmt.Fprintf(os.Stderr, "gist: checkpoint quarantined: %s: %v\n", q.From, q.Reason)
-		}
 	}
 
-	var camp *core.Campaign
+	// -resume is resume-or-fail; without it the campaign starts from
+	// discovery even when the directory holds older generations.
+	sup := supervise.New(cfg.Workers, supervise.Config{Telemetry: opts.tel})
+	var slot int
+	var err error
 	if opts.resume {
-		camp = restoreFromStore(cfg, bugName, st, fatalf)
+		slot, _, err = sup.Adopt(cfg, st, nil)
 	} else {
-		report, disc, err := core.FirstFailure(cfg)
-		if err != nil {
+		var camp *core.Campaign
+		if camp, err = core.NewCampaign(cfg, nil, 0); err != nil {
 			return nil, err, false
 		}
-		camp, err = core.NewCampaign(cfg, report, disc)
-		if err != nil {
-			fatalf("%v", err)
+		slot, err = sup.Add(cfg, camp, st)
+	}
+	if st != nil {
+		qs := st.Quarantined()
+		for _, q := range qs {
+			fmt.Fprintf(os.Stderr, "gist: checkpoint quarantined: %s: %v\n", q.From, q.Reason)
 		}
+		if errors.Is(err, supervise.ErrNoCheckpoint) {
+			msg := fmt.Sprintf("-resume: no valid checkpoint generation for %q in %s", bugName, st.Dir())
+			if len(qs) > 0 {
+				last := qs[len(qs)-1]
+				msg += fmt.Sprintf(" (newest candidate %s quarantined: %v)", last.From, last.Reason)
+			}
+			fatalf("%s", msg)
+		}
+	}
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if opts.iterDelay > 0 {
+		sup.SetStepFault(slot, func(int) supervise.StepFault {
+			time.Sleep(opts.iterDelay)
+			return supervise.StepNone
+		})
 	}
 
 	// Drain on SIGINT/SIGTERM: the campaign is checkpointed at the next
@@ -633,118 +644,18 @@ func diagnose(cfg core.Config, bugName string, opts runOpts, fatalf func(string,
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigCh)
-
-	saveCkpt := func(c *core.Campaign) {
-		if st == nil {
-			return
-		}
-		snap, err := c.Snapshot()
-		if err != nil {
-			fatalf("checkpoint: %v", err)
-		}
-		data, err := snap.Encode()
-		if err != nil {
-			fatalf("checkpoint: %v", err)
-		}
-		if _, err := st.Save(data); err != nil {
-			// The previous durable generation stands; the diagnosis
-			// keeps running.
-			fmt.Fprintf(os.Stderr, "gist: checkpoint: %v\n", err)
-		}
-	}
-
-	if opts.supervise {
-		sup := supervise.New(cfg.Workers, supervise.Config{Telemetry: opts.tel})
-		slot, err := sup.Add(cfg, camp, st)
-		if err != nil {
-			fatalf("-supervise: %v", err)
-		}
-		if opts.iterDelay > 0 {
-			delay := opts.iterDelay
-			sup.SetStepFault(slot, func(int) supervise.StepFault {
-				time.Sleep(delay)
-				return supervise.StepNone
-			})
-		}
-		go func() {
-			<-sigCh
-			sup.RequestDrain()
-		}()
-		out := sup.Run()[slot]
-		if out.Drained {
-			return nil, nil, true
-		}
-		if out.BreakerTripped {
-			fmt.Fprintf(os.Stderr, "gist: supervisor circuit breaker tripped after %d restarts; serving the last checkpoint as a low-confidence diagnosis\n", out.Restarts)
-		}
-		return out.Result, out.Err, false
-	}
-
-	var drainReq atomic.Bool
 	go func() {
 		<-sigCh
-		drainReq.Store(true)
+		sup.RequestDrain()
 	}()
-	saveCkpt(camp) // enrollment boundary: even a step-zero kill can resume
-	for {
-		done, err := camp.Step()
-		saveCkpt(camp)
-		if done {
-			res, _ := camp.Result()
-			return res, err, false
-		}
-		if drainReq.Load() {
-			return nil, nil, true
-		}
-		if opts.iterDelay > 0 {
-			time.Sleep(opts.iterDelay)
-		}
+	out := sup.Run()[slot]
+	if out.Drained {
+		return nil, nil, true
 	}
-}
-
-// restoreFromStore loads the newest checkpoint generation that decodes,
-// falling back across generations when the newest one's payload fails
-// campaign-level decoding. With no valid generation at all it exits 2,
-// naming the file it wanted and why it was rejected.
-func restoreFromStore(cfg core.Config, bugName string, st *store.Store, fatalf func(string, ...any)) *core.Campaign {
-	if st == nil {
-		fatalf("-resume needs -checkpoint-dir to load the checkpoint from")
+	if out.BreakerTripped {
+		fmt.Fprintf(os.Stderr, "gist: supervisor circuit breaker tripped after %d restarts; serving the last checkpoint as a low-confidence diagnosis\n", out.Restarts)
 	}
-	var snap *core.CampaignSnapshot
-	for snap == nil {
-		latest := st.Latest()
-		if latest == nil {
-			// Legacy layout: a plain <bug>.ckpt.json from before the
-			// generation-numbered store.
-			legacy := filepath.Join(st.Dir(), bugName+".ckpt.json")
-			if data, err := os.ReadFile(legacy); err == nil {
-				s, derr := core.DecodeCampaignSnapshot(data)
-				if derr != nil {
-					fatalf("-resume: %s: %v", legacy, derr)
-				}
-				snap = s
-				break
-			}
-			msg := fmt.Sprintf("-resume: no valid checkpoint generation for %q in %s", bugName, st.Dir())
-			if qs := st.Quarantined(); len(qs) > 0 {
-				last := qs[len(qs)-1]
-				msg += fmt.Sprintf(" (newest candidate %s quarantined: %v)", last.From, last.Reason)
-			}
-			fatalf("%s", msg)
-		}
-		s, err := core.DecodeCampaignSnapshot(latest.Payload)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gist: -resume: %s: %v; falling back to the previous generation\n", latest.Path, err)
-			st.Discard(err)
-			continue
-		}
-		snap = s
-	}
-	camp, err := core.RestoreCampaign(cfg, snap)
-	if err != nil {
-		fatalf("-resume: %v", err)
-	}
-	return camp
+	return out.Result, out.Err, false
 }
 
 func parseFeatures(s string) core.Features {

@@ -164,6 +164,17 @@ func ByName(name string) *Bug {
 	return nil
 }
 
+// ConfigFor maps a bug name to its diagnosis configuration — the
+// default the service and the shard workers share, so their sketches
+// byte-match `gist -bug X -full`.
+func ConfigFor(name string) (core.Config, error) {
+	b := ByName(name)
+	if b == nil {
+		return core.Config{}, fmt.Errorf("unknown bug %q", name)
+	}
+	return b.GistConfig(), nil
+}
+
 // Names returns all bug names in Table 1 order.
 func Names() []string {
 	var names []string

@@ -98,21 +98,25 @@ type iterState struct {
 	fleetSpan telemetry.Span
 }
 
-// NewCampaign prepares a diagnosis for a known failure report: builds
-// the TICFG and the static slice (merging deadlock participants), and
+// NewCampaign prepares a diagnosis for a failure report: builds the
+// TICFG and the static slice (merging deadlock participants), and
 // positions the seed cursor right after the seeds discovery actually
 // consumed — discovery used cfg.SeedBase..cfg.SeedBase+discRuns-1, so
-// production-run seeds start at cfg.SeedBase+discRuns. (The historical
-// loop skipped to cfg.SeedBase+cfg.MaxDiscoveryRuns even when discovery
-// stopped far earlier, wasting the gap; checkpoints store the cursor
-// explicitly, so restored campaigns replay whatever cursor they were
-// saved with.)
+// production-run seeds start at cfg.SeedBase+discRuns. A nil report
+// means none was shipped: discovery (FirstFailure) finds the failure
+// first and discRuns is ignored. (The historical loop skipped to
+// cfg.SeedBase+cfg.MaxDiscoveryRuns even when discovery stopped far
+// earlier, wasting the gap; checkpoints store the cursor explicitly, so
+// restored campaigns replay whatever cursor they were saved with.)
 func NewCampaign(c Config, report *vm.FailureReport, discRuns int) (*Campaign, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	if report == nil {
-		return nil, fmt.Errorf("gist: campaign needs a failure report")
+		var err error
+		if report, discRuns, err = FirstFailure(c); err != nil {
+			return nil, err
+		}
 	}
 	c = c.withDefaults()
 	camp := &Campaign{cfg: c, label: c.Label, report: report}

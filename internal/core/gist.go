@@ -318,20 +318,13 @@ func FirstFailure(cfg Config) (*vm.FailureReport, int, error) {
 // iteration, until the developer oracle is satisfied or the window covers
 // the whole slice.
 func Run(cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	report, discRuns, err := FirstFailure(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return RunFromReport(cfg, report, discRuns)
+	return RunFromReport(cfg, nil, 0)
 }
 
-// RunFromReport performs the pipeline for a known failure report: it is
-// a thin wrapper over the Campaign state machine (campaign.go), which
-// owns the adaptive slice-tracking loop.
+// RunFromReport performs the pipeline for a known failure report (nil
+// means discover one first): it is a thin wrapper over the Campaign
+// state machine (campaign.go), which owns the adaptive slice-tracking
+// loop.
 func RunFromReport(cfg Config, report *vm.FailureReport, discRuns int) (*Result, error) {
 	camp, err := NewCampaign(cfg, report, discRuns)
 	if err != nil {

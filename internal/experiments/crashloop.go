@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/store"
+	"repro/internal/supervise"
 )
 
 // The crashloop experiment is the durability evaluation: a diagnosis is
@@ -143,11 +145,7 @@ func crashloopCell(b *bugs.Bug, pipeRate, diskRate float64, dir string) (Crashlo
 	if pipeRate > 0 {
 		cfg.Faults = faults.Composite(ChaosSeed, pipeRate)
 	}
-	report, disc, err := core.FirstFailure(cfg)
-	if err != nil {
-		return row, fmt.Errorf("discovery: %w", err)
-	}
-	baseline := schedFingerprint(core.RunFromReport(cfg, report, disc))
+	baseline := schedFingerprint(core.Run(cfg))
 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return row, err
@@ -160,24 +158,20 @@ func crashloopCell(b *bugs.Bug, pipeRate, diskRate float64, dir string) (Crashlo
 	if err != nil {
 		return row, err
 	}
-	camp, err := core.NewCampaign(cfg, report, disc)
+	camp, err := core.NewCampaign(cfg, nil, 0)
 	if err != nil {
 		return row, err
 	}
 	save := func(c *core.Campaign) error {
-		snap, err := c.Snapshot()
-		if err != nil {
+		snap, err := supervise.Checkpoint(c, st)
+		switch {
+		case snap == nil:
 			return err
-		}
-		payload, err := snap.Encode()
-		if err != nil {
-			return err
-		}
-		if _, err := st.Save(payload); err != nil {
+		case err != nil:
 			row.SaveErrors++ // previous durable generation stands
-			return nil
+		default:
+			row.Saves++
 		}
-		row.Saves++
 		return nil
 	}
 	if err := save(camp); err != nil {
@@ -210,37 +204,24 @@ func crashloopCell(b *bugs.Bug, pipeRate, diskRate float64, dir string) (Crashlo
 		}
 		// Kill: the in-memory campaign is gone; a fresh process reopens
 		// the store (quarantining anything the crash or disk faults left
-		// torn) and restores the newest generation that decodes, falling
-		// back when the newest does not.
+		// torn) and resumes from the newest generation that restores,
+		// falling back when the newest does not.
 		row.Kills++
 		camp = nil
 		st, err = store.Open(dir, b.Name, store.Options{Faults: dinj})
 		if err != nil {
 			return row, err
 		}
-		row.Quarantined += len(st.Quarantined())
-		var snap *core.CampaignSnapshot
-		for {
-			latest := st.Latest()
-			if latest == nil {
-				break // every generation lost: cold-restart below
-			}
-			snap, err = core.DecodeCampaignSnapshot(latest.Payload)
-			if err == nil {
-				break
-			}
-			snap = nil
-			st.Discard(err)
-			row.Fallbacks++
-		}
-		if snap == nil {
+		scanned := len(st.Quarantined())
+		row.Quarantined += scanned
+		camp, err = supervise.Resume(cfg, st)
+		row.Fallbacks += len(st.Quarantined()) - scanned
+		if errors.Is(err, supervise.ErrNoCheckpoint) {
 			// Disk faults destroyed every durable generation. A fresh
-			// campaign restarts the diagnosis from the same report and
-			// seed cursor, so the answer is still byte-identical.
+			// campaign rediscovers the same report and seed cursor, so
+			// the answer is still byte-identical.
 			row.ColdStarts++
-			camp, err = core.NewCampaign(cfg, report, disc)
-		} else {
-			camp, err = core.RestoreCampaign(cfg, snap)
+			camp, err = core.NewCampaign(cfg, nil, 0)
 		}
 		if err != nil {
 			return row, fmt.Errorf("kill %d: restore: %w", row.Kills, err)

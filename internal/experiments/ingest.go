@@ -17,6 +17,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/service"
 	"repro/internal/service/agent"
+	"repro/internal/stats"
 	"repro/internal/vm"
 )
 
@@ -325,9 +326,9 @@ func ingestOneRate(suite []string, dupPerSig, agentsPerTenant int, rate float64)
 	submitElapsed := lastSubmitDone.Sub(start)
 	stats := &IngestRateStats{
 		FaultRate:     rate,
-		AdmitP50Ms:    percentileOf(latencies, 0.50),
-		AdmitP95Ms:    percentileOf(latencies, 0.95),
-		AdmitP99Ms:    percentileOf(latencies, 0.99),
+		AdmitP50Ms:    stats.Percentile(latencies, 0.50),
+		AdmitP95Ms:    stats.Percentile(latencies, 0.95),
+		AdmitP99Ms:    stats.Percentile(latencies, 0.99),
 		SubmitMS:      float64(submitElapsed.Microseconds()) / 1000,
 		ReportsPerSec: float64(len(latencies)) / submitElapsed.Seconds(),
 	}
@@ -345,15 +346,6 @@ func ingestOneRate(suite []string, dupPerSig, agentsPerTenant int, rate float64)
 	stats.CacheMaxBytes = cache.MaxBytes
 	stats.CacheEntries = cache.Entries
 	return stats, out, nil
-}
-
-// percentileOf reads the p-quantile from a sorted slice.
-func percentileOf(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
 }
 
 // WriteJSON writes the artifact.

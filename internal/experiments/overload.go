@@ -19,6 +19,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/service"
 	"repro/internal/service/agent"
+	"repro/internal/stats"
 	"repro/internal/vm"
 )
 
@@ -527,10 +528,10 @@ func overloadOneMix(opts OverloadOptions, name string, flood float64, slow bool,
 	sort.Float64s(e2eLat)
 	mix.VictimReports = victimAll
 	mix.VictimAdmitted = victimOK
-	mix.AdmitP50Ms = percentileOf(admitLat, 0.50)
-	mix.AdmitP95Ms = percentileOf(admitLat, 0.95)
-	mix.AdmitP99Ms = percentileOf(admitLat, 0.99)
-	mix.E2EP50Ms = percentileOf(e2eLat, 0.50)
+	mix.AdmitP50Ms = stats.Percentile(admitLat, 0.50)
+	mix.AdmitP95Ms = stats.Percentile(admitLat, 0.95)
+	mix.AdmitP99Ms = stats.Percentile(admitLat, 0.99)
+	mix.E2EP50Ms = stats.Percentile(e2eLat, 0.50)
 	if n := len(e2eLat); n > 0 {
 		mix.E2EMaxMs = e2eLat[n-1]
 	}

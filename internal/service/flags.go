@@ -18,8 +18,6 @@ type ServeFlags struct {
 	PollTimeout        time.Duration // -poll-timeout
 	TransportFaultRate float64       // -transport-fault-rate
 	IngestCacheBytes   int64         // -ingest-cache-bytes
-	IngestTaskTTL      time.Duration // -ingest-task-ttl
-	IngestTaskCap      int           // -ingest-task-cap
 	TenantRPS          float64       // -tenant-rps (0 = unlimited)
 	TenantBurst        int           // -tenant-burst (0 = default 2×rps)
 	MaxInflight        int           // -max-inflight (0 = uncapped)
@@ -46,12 +44,6 @@ func (f ServeFlags) Validate() error {
 	}
 	if f.IngestCacheBytes < 0 {
 		return fmt.Errorf("-ingest-cache-bytes %d must be >= 0 (0 = default)", f.IngestCacheBytes)
-	}
-	if f.IngestTaskTTL < 0 {
-		return fmt.Errorf("-ingest-task-ttl %v must be >= 0 (0 = default)", f.IngestTaskTTL)
-	}
-	if f.IngestTaskCap < 0 {
-		return fmt.Errorf("-ingest-task-cap %d must be >= 0 (0 = default)", f.IngestTaskCap)
 	}
 	if f.TenantRPS < 0 {
 		return fmt.Errorf("-tenant-rps %g must be >= 0 (0 = unlimited)", f.TenantRPS)

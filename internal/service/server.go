@@ -6,10 +6,8 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -18,6 +16,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/ingest"
 	"repro/internal/shard"
+	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/supervise"
 	"repro/internal/telemetry"
@@ -67,9 +66,6 @@ type Options struct {
 	// MaxDoneTasks caps retained completed-task keys regardless of age
 	// (default 65536, FIFO by completion).
 	MaxDoneTasks int
-	// MaxSeedsPerSignature bounds each failure signature's recorded seed
-	// evidence (0 = 16, as in core.ClusterConfig).
-	MaxSeedsPerSignature int
 	// Placer, when non-nil, runs the server coordinator-only: submits
 	// are placed on the shard fleet instead of diagnosed in-process, and
 	// worker processes own the campaigns. Backend and StateRoot are
@@ -100,16 +96,12 @@ type Options struct {
 	// durations) is speculatively re-dispatched to a second agent and
 	// the first valid upload wins. 0 disables hedging.
 	HedgeAfter time.Duration
-	// ShedRetryAfter is the Retry-After advertised on a launch-budget
-	// or drain shed (default 1s); rate-limit sheds compute theirs from
-	// the bucket refill instead.
-	ShedRetryAfter time.Duration
 	// Now overrides the server's clock (leases, reaper, heartbeat
 	// cutoff, done-task TTL, token buckets, deadlines); nil means
 	// time.Now. Tests drive lease expiry without sleeping through it.
 	Now func() time.Time
 	// ConfigFor maps a bug name to its campaign configuration; nil
-	// means the registered bug suite's GistConfig.
+	// means bugs.ConfigFor.
 	ConfigFor func(bug string) (core.Config, error)
 	// Telemetry receives service.* counters; nil is fine.
 	Telemetry *telemetry.Tracer
@@ -166,23 +158,23 @@ func (o Options) withDefaults() Options {
 	if o.LaunchBudget <= 0 && o.MaxInflight > 0 {
 		o.LaunchBudget = 4 * o.MaxInflight
 	}
-	if o.ShedRetryAfter <= 0 {
-		o.ShedRetryAfter = time.Second
-	}
 	if o.Now == nil {
 		o.Now = time.Now
 	}
 	if o.ConfigFor == nil {
-		o.ConfigFor = func(bug string) (core.Config, error) {
-			b := bugs.ByName(bug)
-			if b == nil {
-				return core.Config{}, fmt.Errorf("unknown bug %q", bug)
-			}
-			return b.GistConfig(), nil
-		}
+		o.ConfigFor = bugs.ConfigFor
 	}
 	return o
 }
+
+const (
+	// maxSeedsPerSignature bounds each failure signature's recorded seed
+	// evidence, as in core.ClusterConfig.
+	maxSeedsPerSignature = 16
+	// shedRetryAfter is the Retry-After advertised on a launch-budget or
+	// drain shed; rate-limit sheds compute theirs from the bucket refill.
+	shedRetryAfter = time.Second
+)
 
 // task is one dispatched production run in flight between the campaign
 // and the agent fleet. All fields are guarded by the server mutex
@@ -328,7 +320,7 @@ func NewServer(opts Options) *Server {
 	if s.opts.MaxInflight > 0 {
 		s.slotCh = make(chan struct{}, s.opts.MaxInflight)
 	}
-	s.front = ingest.NewFrontend(s.opts.MaxSeedsPerSignature)
+	s.front = ingest.NewFrontend(maxSeedsPerSignature)
 	s.cache = ingest.NewSketchCache(s.opts.SketchCacheBytes)
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathHealthz, s.handleHealthz)
@@ -529,7 +521,7 @@ func (s *Server) handleSubmit(req *SubmitRequest) (*SubmitResponse, error) {
 	if s.draining {
 		s.mu.Unlock()
 		s.metrics.add(func(m *Counters) { m.ShedLaunches++ })
-		return nil, overloaded(s.opts.ShedRetryAfter, "submit: server is draining")
+		return nil, overloaded(shedRetryAfter, "submit: server is draining")
 	}
 	// Gate 2: priority shedding. A recurrence fold is an O(1) cluster
 	// update and always admitted past this point; a novel signature
@@ -547,7 +539,7 @@ func (s *Server) handleSubmit(req *SubmitRequest) (*SubmitResponse, error) {
 		s.mu.Unlock()
 		s.metrics.add(func(m *Counters) { m.ShedLaunches++ })
 		s.opts.Telemetry.AddL(req.Tenant, "service.shed_launches", 1)
-		return nil, overloaded(s.opts.ShedRetryAfter,
+		return nil, overloaded(shedRetryAfter,
 			"submit: launch queue full (%d campaigns in flight, %d queued)", inflight, queued)
 	}
 	dec := s.front.Ingest(req.Tenant, req.Bug, req.Report, req.Seed)
@@ -587,20 +579,26 @@ func (s *Server) handleSubmit(req *SubmitRequest) (*SubmitResponse, error) {
 	s.logf("submit: tenant=%s bug=%s sig=%q deadline_ms=%d", req.Tenant, req.Bug, dec.Key.Sig, req.DeadlineMs)
 	s.wg.Add(1)
 	s.campWG.Add(1)
+	run := func() { s.runCampaign(cs, req.Tenant, req.Bug, key, cfg, req.Report, req.DiscoveryRuns) }
 	if s.opts.Placer != nil {
-		go s.launch(cs, tenantKeyLabel(req.Tenant, key), func() {
+		run = func() {
 			s.placeCampaign(cs, req.Tenant, req.Bug, key, dec.Key.Sig, req.Report, req.DiscoveryRuns)
-		})
-	} else {
-		go s.launch(cs, tenantKeyLabel(req.Tenant, key), func() {
-			s.runCampaign(cs, req.Tenant, req.Bug, key, cfg, req.Report, req.DiscoveryRuns)
-		})
+		}
 	}
+	go s.launch(cs, req.Tenant+"/"+key, run)
 	return resp, nil
 }
 
-// tenantKeyLabel names a campaign for logs.
-func tenantKeyLabel(tenant, key string) string { return tenant + "/" + key }
+// failCampaign ends a campaign in StateFailed with err and wakes its
+// waiters. label is the campaign's tenant/key name.
+func (s *Server) failCampaign(cs *campaignState, label string, err error) {
+	s.mu.Lock()
+	cs.state = StateFailed
+	cs.err = err
+	close(cs.done)
+	s.mu.Unlock()
+	s.logf("campaign failed: %s: %v", label, err)
+}
 
 // launch runs one admitted campaign under the global in-flight cap:
 // park in the bounded launch queue until a slot frees (or the deadline
@@ -609,68 +607,48 @@ func tenantKeyLabel(tenant, key string) string { return tenant + "/" + key }
 func (s *Server) launch(cs *campaignState, label string, run func()) {
 	defer s.wg.Done()
 	defer s.campWG.Done()
+	var shed error
 	if s.slotCh != nil {
 		select {
 		case s.slotCh <- struct{}{}:
+			defer func() { <-s.slotCh }()
 		case <-cs.abort:
-			s.mu.Lock()
-			s.launchQ--
-			cs.state = StateFailed
-			cs.err = fmt.Errorf("deadline exceeded before launch")
-			close(cs.done)
-			s.mu.Unlock()
+			shed = fmt.Errorf("deadline exceeded before launch")
 			s.metrics.add(func(m *Counters) { m.DeadlineExpired++ })
-			s.logf("campaign %s shed from launch queue: deadline exceeded", label)
-			return
 		case <-s.closed:
-			s.mu.Lock()
-			s.launchQ--
-			cs.state = StateFailed
-			cs.err = fmt.Errorf("server closed while queued for launch")
-			close(cs.done)
-			s.mu.Unlock()
-			return
+			shed = fmt.Errorf("server closed while queued for launch")
 		}
-		s.mu.Lock()
+	}
+	s.mu.Lock()
+	if s.slotCh != nil {
 		s.launchQ--
+	}
+	if shed == nil {
 		s.inflight++
 		if cs.state == StateQueued {
 			cs.state = StateRunning
 		}
-		s.mu.Unlock()
-		defer func() {
-			s.mu.Lock()
-			s.inflight--
-			s.mu.Unlock()
-			<-s.slotCh
-		}()
-	} else {
-		s.mu.Lock()
-		s.inflight++
-		s.mu.Unlock()
-		defer func() {
-			s.mu.Lock()
-			s.inflight--
-			s.mu.Unlock()
-		}()
 	}
+	s.mu.Unlock()
+	if shed != nil {
+		s.failCampaign(cs, label, shed)
+		return
+	}
+	defer func() {
+		s.mu.Lock()
+		s.inflight--
+		s.mu.Unlock()
+	}()
 	run()
 }
 
 // placeCampaign is runCampaign's coordinator-mode counterpart: publish
 // the assignment to the shard fleet, then poll for the done record a
 // worker publishes. The worker checkpoints under the server's StateRoot
-// with the same layout runCampaign uses, so sketch fetch and reload are
-// oblivious to which process diagnosed the bug.
+// through the same shard.OpenCampaignStore, so sketch fetch and reload
+// are oblivious to which process diagnosed the bug.
 func (s *Server) placeCampaign(cs *campaignState, tenant, bug, key, sig string, report *vm.FailureReport, discRuns int) {
-	fail := func(err error) {
-		s.mu.Lock()
-		cs.state = StateFailed
-		cs.err = err
-		close(cs.done)
-		s.mu.Unlock()
-		s.logf("campaign failed: tenant=%s key=%s: %v", tenant, key, err)
-	}
+	fail := func(err error) { s.failCampaign(cs, tenant+"/"+key, err) }
 	if _, err := s.opts.Placer.Assign(shard.Assignment{
 		Tenant: tenant, Bug: bug, Key: key, Signature: sig,
 		Report: report, DiscoveryRuns: discRuns,
@@ -768,9 +746,7 @@ func (s *Server) reloadSketch(tenant, bug, key string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	ckpt, err := store.Open(
-		filepath.Join(s.opts.StateRoot, sanitizeLabel(tenant)), sanitizeLabel(key),
-		store.Options{Backend: s.opts.Backend, NoFsync: true, Telemetry: s.opts.Telemetry})
+	ckpt, err := shard.OpenCampaignStore(s.opts.Backend, s.opts.StateRoot, tenant, key, s.opts.NoFsync, s.opts.Telemetry)
 	if err != nil {
 		return nil, err
 	}
@@ -902,21 +878,16 @@ func (s *Server) handleUpload(req *UploadRequest) (*UploadResponse, error) {
 
 // ---- campaign lifecycle ----------------------------------------------
 
-// runCampaign drives one diagnosis stream: obtain the failure report
-// (from the submitted production report, or by server-side discovery),
-// build the campaign, route its fleet through the remote runner, and
-// supervise it to completion with per-tenant durable checkpoints. key
-// is the campaignKey the stream is registered under.
+// runCampaign drives one diagnosis stream through the campaign
+// lifecycle: open the campaign's checkpoint store, resume from its
+// newest valid generation — what a drained or killed predecessor over
+// the same state left behind — or build the campaign from the submitted
+// report (nil: server-side discovery, exactly as core.Run would), route
+// its fleet through the remote runner, and supervise it to completion.
+// key is the campaignKey the stream is registered under.
 func (s *Server) runCampaign(cs *campaignState, tenant, bug, key string, cfg core.Config, report *vm.FailureReport, discRuns int) {
-	fail := func(err error) {
-		s.mu.Lock()
-		cs.state = StateFailed
-		cs.err = err
-		close(cs.done)
-		s.mu.Unlock()
-		s.logf("campaign failed: tenant=%s key=%s: %v", tenant, key, err)
-	}
 	cfg.Label = tenant + "/" + key
+	fail := func(err error) { s.failCampaign(cs, cfg.Label, err) }
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = s.opts.Telemetry
 	}
@@ -932,45 +903,31 @@ func (s *Server) runCampaign(cs *campaignState, tenant, bug, key string, cfg cor
 		return
 	}
 
-	if report == nil {
-		// Discovery submit: find the failure server-side, exactly as
-		// core.Run would.
-		var err error
-		report, discRuns, err = core.FirstFailure(cfg)
-		if err != nil {
-			fail(fmt.Errorf("discovery: %w", err))
-			return
-		}
-	}
-	camp, err := core.NewCampaign(cfg, report, discRuns)
-	if err != nil {
-		fail(fmt.Errorf("campaign: %w", err))
-		return
-	}
-	runner := &remoteRunner{s: s, tenant: tenant, bug: bug, fcfg: cfg.Faults, deadline: deadline}
-	camp.UseRunner(runner)
-
-	ckpt, err := store.Open(
-		filepath.Join(s.opts.StateRoot, sanitizeLabel(tenant)), sanitizeLabel(key),
-		store.Options{
-			Backend:   s.opts.Backend,
-			NoFsync:   s.opts.NoFsync,
-			Telemetry: s.opts.Telemetry,
-			Label:     cfg.Label,
-		})
+	ckpt, err := shard.OpenCampaignStore(s.opts.Backend, s.opts.StateRoot, tenant, key, s.opts.NoFsync, s.opts.Telemetry)
 	if err != nil {
 		fail(fmt.Errorf("checkpoint store: %w", err))
 		return
 	}
-
+	runner := &remoteRunner{s: s, tenant: tenant, bug: bug, fcfg: cfg.Faults, deadline: deadline}
 	sup := supervise.New(1, supervise.Config{
 		StepTimeout: s.opts.StepTimeout,
 		Telemetry:   s.opts.Telemetry,
 		OnRestore:   func(c *core.Campaign) { c.UseRunner(runner) },
 	})
-	if _, err := sup.Add(cfg, camp, ckpt); err != nil {
+	_, resumed, err := sup.Adopt(cfg, ckpt, func() (*core.Campaign, error) {
+		camp, err := core.NewCampaign(cfg, report, discRuns)
+		if err != nil {
+			return nil, fmt.Errorf("campaign: %w", err)
+		}
+		camp.UseRunner(runner)
+		return camp, nil
+	})
+	if err != nil {
 		fail(err)
 		return
+	}
+	if resumed {
+		s.logf("campaign resumed from checkpoint: tenant=%s key=%s", tenant, key)
 	}
 	// Register the supervisor so a server drain reaches mid-flight
 	// campaigns; a drain that began before this launch acquired its
@@ -982,12 +939,11 @@ func (s *Server) runCampaign(cs *campaignState, tenant, bug, key string, cfg cor
 	if draining {
 		sup.RequestDrain()
 	}
-	outs := sup.Run()
+	out := sup.Run()[0]
 	s.mu.Lock()
 	delete(s.sups, sup)
 	expired = cs.expired
 	s.mu.Unlock()
-	out := outs[0]
 	if expired {
 		// The reaper wrote the campaign's runs off when the deadline
 		// passed; whatever the degraded machinery produced is not a
@@ -1007,17 +963,9 @@ func (s *Server) runCampaign(cs *campaignState, tenant, bug, key string, cfg cor
 		s.logf("campaign drained to checkpoint: tenant=%s key=%s", tenant, key)
 		return
 	}
-	if out.Result == nil || out.Result.Sketch == nil {
-		err := out.Err
-		if err == nil {
-			err = fmt.Errorf("campaign produced no sketch")
-		}
-		fail(err)
-		return
-	}
-	sketch, err := out.Result.Sketch.MarshalIndentJSON()
+	sketch, lowConfidence, err := out.SketchJSON()
 	if err != nil {
-		fail(fmt.Errorf("marshal sketch: %w", err))
+		fail(err)
 		return
 	}
 	// Populate the cache before the campaign reads as done, so a fetch
@@ -1025,13 +973,13 @@ func (s *Server) runCampaign(cs *campaignState, tenant, bug, key string, cfg cor
 	s.cache.Put(tenant+"/"+key, sketch)
 	s.mu.Lock()
 	cs.state = StateDone
-	cs.lowConfidence = out.Result.Sketch.LowConfidence
+	cs.lowConfidence = lowConfidence
 	cs.restarts = out.Restarts
 	s.health.Merge(out.Result.Health)
 	close(cs.done)
 	s.mu.Unlock()
 	s.logf("campaign done: tenant=%s key=%s low_confidence=%v restarts=%d",
-		tenant, key, out.Result.Sketch.LowConfidence, out.Restarts)
+		tenant, key, lowConfidence, out.Restarts)
 }
 
 // ---- fleet plumbing ---------------------------------------------------
@@ -1340,7 +1288,7 @@ func (s *Server) hedgeThreshold() time.Duration {
 	if len(s.runDur) >= 20 {
 		sl := append([]float64(nil), s.runDur...)
 		sort.Float64s(sl)
-		if p := time.Duration(percentile(sl, 0.95) * float64(time.Millisecond)); p > th {
+		if p := time.Duration(stats.Percentile(sl, 0.95) * float64(time.Millisecond)); p > th {
 			th = p
 		}
 	}
@@ -1380,18 +1328,6 @@ func (s *Server) wireTask(tk *task) *WireTask {
 		}
 	}
 	return w
-}
-
-// sanitizeLabel maps a tenant label to a safe path segment.
-func sanitizeLabel(label string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_', r == '.':
-			return r
-		}
-		return '_'
-	}, label)
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -1491,19 +1427,19 @@ func (s *Server) Snapshot() (Counters, []RPCStat) {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
-	stats := make([]RPCStat, 0, len(paths))
+	rpcs := make([]RPCStat, 0, len(paths))
 	for _, p := range paths {
 		sl := append([]float64(nil), s.metrics.samples[p]...)
 		sort.Float64s(sl)
-		stats = append(stats, RPCStat{
+		rpcs = append(rpcs, RPCStat{
 			Path:  p,
 			Count: int64(len(sl)),
-			P50Ms: percentile(sl, 0.50),
-			P95Ms: percentile(sl, 0.95),
-			P99Ms: percentile(sl, 0.99),
+			P50Ms: stats.Percentile(sl, 0.50),
+			P95Ms: stats.Percentile(sl, 0.95),
+			P99Ms: stats.Percentile(sl, 0.99),
 		})
 	}
-	return counters, stats
+	return counters, rpcs
 }
 
 // CacheStats returns the sketch cache's counters and occupancy.
@@ -1511,12 +1447,3 @@ func (s *Server) CacheStats() ingest.CacheStats { return s.cache.Stats() }
 
 // IngestStats returns the streaming front-end's traffic counters.
 func (s *Server) IngestStats() ingest.Stats { return s.front.Stats() }
-
-// percentile reads the p-quantile from a sorted slice.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
-}

@@ -31,6 +31,9 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
+
+	"repro/internal/store"
+	"repro/internal/telemetry"
 )
 
 // Place maps a campaign identity to a shard index in [0, shards). The
@@ -57,14 +60,11 @@ func LeaseDir(root string) string { return filepath.Join(root, "lease") }
 // DoneDir is where finished diagnoses land.
 func DoneDir(root string) string { return filepath.Join(root, "done") }
 
-// StateRoot is the checkpoint-store root workers open per-tenant stores
-// under — the same layout internal/service uses, so a server on the
-// same backend serves fleet-produced sketches with its existing reload
-// path.
+// StateRoot is the checkpoint-store root workers open campaign stores
+// under (see OpenCampaignStore).
 func StateRoot(root string) string { return filepath.Join(root, "state") }
 
-// Sanitize maps a tenant or campaign label to a safe path segment,
-// byte-compatible with the service's state layout.
+// Sanitize maps a tenant or campaign label to a safe path segment.
 func Sanitize(label string) string {
 	return strings.Map(func(r rune) rune {
 		switch {
@@ -81,6 +81,19 @@ func Sanitize(label string) string {
 // done records for the same diagnosis always collide on the same name.
 func CampaignName(tenant, key string) string {
 	return Sanitize(tenant) + "__" + Sanitize(key)
+}
+
+// OpenCampaignStore opens one campaign's checkpoint store at
+// <stateRoot>/<Sanitize(tenant)>/<Sanitize(key)> — the one state layout
+// the service, the shard workers and the sketch-reload path share, so
+// each resumes or serves what another checkpointed.
+func OpenCampaignStore(b store.Backend, stateRoot, tenant, key string, noFsync bool, tel *telemetry.Tracer) (*store.Store, error) {
+	return store.Open(filepath.Join(stateRoot, Sanitize(tenant)), Sanitize(key), store.Options{
+		Backend:   b,
+		NoFsync:   noFsync,
+		Telemetry: tel,
+		Label:     tenant + "/" + key,
+	})
 }
 
 // Flags is the CLI-facing shard fleet configuration (-coordinator and

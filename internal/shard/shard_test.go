@@ -1,9 +1,12 @@
 package shard
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/store"
 )
 
 // TestPlaceIsStableAndInRange pins the placement hash: deterministic
@@ -38,13 +41,24 @@ func TestPlaceIsStableAndInRange(t *testing.T) {
 	}
 }
 
-// TestCampaignNameMatchesServiceLayout pins the sanitized naming the
-// fleet shares with the service's state directory layout.
+// TestCampaignNameMatchesServiceLayout pins the one state layout the
+// service, the workers and the benchmark (which rebuilds the path by
+// hand from Sanitize and StateRoot) share, and the sanitized record
+// name that goes with it.
 func TestCampaignNameMatchesServiceLayout(t *testing.T) {
-	got := CampaignName("acme corp", "pbzip2#sig/1")
-	want := "acme_corp__pbzip2_sig_1"
-	if got != want {
-		t.Fatalf("CampaignName = %q, want %q", got, want)
+	const tenant, key = "acme corp", "pbzip2#sig/1"
+	st, err := OpenCampaignStore(store.NewMemBackend(), StateRoot("fleet"), tenant, key, true, nil)
+	if err != nil {
+		t.Fatalf("OpenCampaignStore: %v", err)
+	}
+	if got, want := st.Dir(), filepath.Join("fleet", "state", "acme_corp"); got != want {
+		t.Errorf("store dir = %q, want %q", got, want)
+	}
+	if got, want := st.Name(), "pbzip2_sig_1"; got != want {
+		t.Errorf("store name = %q, want %q", got, want)
+	}
+	if got, want := CampaignName(tenant, key), "acme_corp__pbzip2_sig_1"; got != want {
+		t.Errorf("CampaignName = %q, want %q", got, want)
 	}
 }
 

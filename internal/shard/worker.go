@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -49,8 +48,7 @@ type WorkerOptions struct {
 	// kill window for crash-recovery testing, like gist -iter-delay.
 	RoundDelay time.Duration
 	// ConfigFor maps a bug name to its campaign configuration; nil means
-	// the registered bug suite's GistConfig — the same default the
-	// service applies, so fleet sketches byte-match `gist -bug X -full`.
+	// bugs.ConfigFor.
 	ConfigFor func(bug string) (core.Config, error)
 	// Telemetry receives supervise.*, store.*, and shard.* counters.
 	Telemetry *telemetry.Tracer
@@ -75,13 +73,7 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 		o.TakeoverRounds = 2
 	}
 	if o.ConfigFor == nil {
-		o.ConfigFor = func(bug string) (core.Config, error) {
-			b := bugs.ByName(bug)
-			if b == nil {
-				return core.Config{}, fmt.Errorf("unknown bug %q", bug)
-			}
-			return b.GistConfig(), nil
-		}
+		o.ConfigFor = bugs.ConfigFor
 	}
 	return o
 }
@@ -292,26 +284,12 @@ func (w *Worker) enroll(a Assignment, name string, stolen bool) error {
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = w.o.Telemetry
 	}
-	ckpt, err := store.Open(
-		filepath.Join(StateRoot(w.o.Root), Sanitize(a.Tenant)), Sanitize(a.Key),
-		store.Options{
-			Backend:   w.o.Backend,
-			NoFsync:   w.o.NoFsync,
-			Telemetry: w.o.Telemetry,
-			Label:     cfg.Label,
-		})
+	ckpt, err := OpenCampaignStore(w.o.Backend, StateRoot(w.o.Root), a.Tenant, a.Key, w.o.NoFsync, w.o.Telemetry)
 	if err != nil {
 		return err
 	}
 	slot, resumed, err := w.sup.Adopt(cfg, ckpt, func() (*core.Campaign, error) {
-		report, disc := a.Report, a.DiscoveryRuns
-		if report == nil {
-			report, disc, err = core.FirstFailure(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("discovery: %w", err)
-			}
-		}
-		return core.NewCampaign(cfg, report, disc)
+		return core.NewCampaign(cfg, a.Report, a.DiscoveryRuns)
 	})
 	if err != nil {
 		return err
@@ -369,17 +347,9 @@ func (w *Worker) publish() error {
 			Tenant: oc.a.Tenant, Bug: oc.a.Bug, Key: oc.a.Key,
 			Worker: w.o.ID, Restarts: out.Restarts, Resumed: oc.resumed,
 		}
-		if out.Result != nil && out.Result.Sketch != nil {
-			sketch, err := out.Result.Sketch.MarshalIndentJSON()
-			if err != nil {
-				return fmt.Errorf("shard: marshal sketch %s: %w", oc.name, err)
-			}
-			rec.Sketch = sketch
-			rec.LowConfidence = out.Result.Sketch.LowConfidence
-		} else if out.Err != nil {
-			rec.Err = out.Err.Error()
-		} else {
-			rec.Err = "campaign produced no sketch"
+		var err error
+		if rec.Sketch, rec.LowConfidence, err = out.SketchJSON(); err != nil {
+			rec.Err = err.Error()
 		}
 		if err := WriteDone(w.o.Backend, w.o.Root, rec, w.o.NoFsync); err != nil {
 			return err

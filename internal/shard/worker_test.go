@@ -172,7 +172,11 @@ func TestDeadWorkerCampaignIsTakenOverByteIdentically(t *testing.T) {
 		t.Fatalf("Assign: %v", err)
 	}
 
-	const ttl = 300 * time.Millisecond
+	// Long enough that one survivor round never outlives the survivor's
+	// own lease under the race detector on a loaded two-core box (a
+	// 300 ms lease did: lost lease, second takeover), short enough that
+	// waiting out the victim's lease costs the test about two seconds.
+	const ttl = 2 * time.Second
 	victim := newTestWorker(t, b, 0, 2, ttl, fbs)
 	survivor := newTestWorker(t, b, 1, 2, ttl, fbs)
 

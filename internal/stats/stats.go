@@ -131,3 +131,12 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
+
+// Percentile reads the p-quantile (p in [0,1]) from an ascending-sorted
+// slice by the lower nearest-rank rule; 0 for an empty slice.
+func Percentile(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return sorted[int(p*float64(len(sorted)-1))]
+}

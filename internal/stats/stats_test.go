@@ -280,3 +280,20 @@ func TestMean(t *testing.T) {
 		t.Errorf("mean: %g", got)
 	}
 }
+
+func TestPercentile(t *testing.T) {
+	if got := Percentile(nil, 0.95); got != 0 {
+		t.Errorf("percentile of empty = %g, want 0", got)
+	}
+	for _, p := range []float64{0, 0.5, 0.99, 1} {
+		if got := Percentile([]float64{7}, p); got != 7 {
+			t.Errorf("p%g of a single element = %g, want 7", 100*p, got)
+		}
+	}
+	sorted := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	for p, want := range map[float64]float64{0: 1, 0.5: 5, 0.95: 9, 1: 10} {
+		if got := Percentile(sorted, p); got != want {
+			t.Errorf("p%g of 1..10 = %g, want %g", 100*p, got, want)
+		}
+	}
+}

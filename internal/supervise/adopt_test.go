@@ -1,6 +1,7 @@
 package supervise_test
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -122,6 +123,49 @@ func TestAdoptFallsBackAcrossCorruptGenerations(t *testing.T) {
 	out := second.Run()[slot]
 	if got := fingerprint(out.Result, out.Err); got != fx.serial {
 		t.Errorf("fallback-resumed diagnosis diverged from serial baseline")
+	}
+}
+
+// TestAdoptNilFreshIsResumeOrFail pins the CLI -resume contract: with a
+// nil fresh callback Adopt resumes when a generation restores, and
+// otherwise fails with ErrNoCheckpoint — after discarding what it could
+// not read, so the caller can name the reason — instead of building a
+// campaign from scratch.
+func TestAdoptNilFreshIsResumeOrFail(t *testing.T) {
+	fx := prepare(t, []string{"pbzip2"})[0]
+	b := store.NewMemBackend()
+
+	st := openStore(t, b, fx.name)
+	if _, err := st.Save([]byte("not a campaign snapshot")); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	st = openStore(t, b, fx.name)
+	_, _, err := supervise.New(1, supervise.Config{}).Adopt(fx.cfg, st, nil)
+	if !errors.Is(err, supervise.ErrNoCheckpoint) {
+		t.Fatalf("Adopt(nil fresh) with no restorable generation: err = %v, want ErrNoCheckpoint", err)
+	}
+	if qs := st.Quarantined(); len(qs) != 1 || st.Latest() != nil {
+		t.Fatalf("unreadable generation not discarded: %d quarantined, latest %v", len(qs), st.Latest())
+	}
+
+	first := supervise.New(1, supervise.Config{})
+	camp, err := core.NewCampaign(fx.cfg, fx.report, fx.disc)
+	if err != nil {
+		t.Fatalf("NewCampaign: %v", err)
+	}
+	if _, err := first.Add(fx.cfg, camp, openStore(t, b, fx.name)); err != nil {
+		t.Fatalf("Add: %v", err)
+	}
+	first.RunRound()
+
+	second := supervise.New(1, supervise.Config{})
+	slot, resumed, err := second.Adopt(fx.cfg, openStore(t, b, fx.name), nil)
+	if err != nil || !resumed {
+		t.Fatalf("Adopt(nil fresh) over a durable generation: resumed=%v err=%v", resumed, err)
+	}
+	out := second.Run()[slot]
+	if got := fingerprint(out.Result, out.Err); got != fx.serial {
+		t.Errorf("resumed diagnosis diverged from serial baseline")
 	}
 }
 

@@ -24,6 +24,7 @@
 package supervise
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -110,6 +111,24 @@ type Outcome struct {
 	Released bool
 }
 
+// SketchJSON renders the outcome for publication: the sketch bytes
+// exactly as `gist -json` prints them, and whether they are a degraded,
+// low-confidence diagnosis. An outcome that carries no sketch reports
+// why instead.
+func (o Outcome) SketchJSON() (sketch []byte, lowConfidence bool, err error) {
+	if o.Result == nil || o.Result.Sketch == nil {
+		if o.Err != nil {
+			return nil, false, o.Err
+		}
+		return nil, false, errors.New("campaign produced no sketch")
+	}
+	sketch, err = o.Result.Sketch.MarshalIndentJSON()
+	if err != nil {
+		return nil, false, fmt.Errorf("marshal sketch: %w", err)
+	}
+	return sketch, o.Result.Sketch.LowConfidence, nil
+}
+
 // tenant is the supervisor's per-slot bookkeeping.
 type tenant struct {
 	label    string
@@ -153,6 +172,49 @@ func New(width int, cfg Config) *Supervisor {
 // Scheduler exposes the underlying scheduler (for width queries).
 func (s *Supervisor) Scheduler() *sched.Scheduler { return s.sched }
 
+// ErrNoCheckpoint reports that a store holds no generation that both
+// decodes and restores.
+var ErrNoCheckpoint = errors.New("supervise: no valid checkpoint generation")
+
+// Resume restores a campaign from ckpt under the newest-valid-wins
+// rule: the newest generation whose payload decodes and restores under
+// cfg wins, and every newer one that does not is Discarded —
+// quarantined with the reason — on the way down. It returns
+// ErrNoCheckpoint when no generation survives (or ckpt is nil).
+func Resume(cfg core.Config, ckpt *store.Store) (*core.Campaign, error) {
+	if ckpt == nil {
+		return nil, ErrNoCheckpoint
+	}
+	for latest := ckpt.Latest(); latest != nil; latest = ckpt.Latest() {
+		snap, err := core.DecodeCampaignSnapshot(latest.Payload)
+		if err == nil {
+			var c *core.Campaign
+			if c, err = core.RestoreCampaign(cfg, snap); err == nil {
+				return c, nil
+			}
+		}
+		ckpt.Discard(fmt.Errorf("supervise: resume: %w", err))
+	}
+	return nil, ErrNoCheckpoint
+}
+
+// Checkpoint snapshots c, which must sit at an iteration boundary, and
+// saves the snapshot to ckpt as the next durable generation; a nil ckpt
+// only snapshots. The snapshot is returned whenever one was taken: a
+// non-nil snapshot with an error means the save failed (fsync fault,
+// full disk) and the previous durable generation stands.
+func Checkpoint(c *core.Campaign, ckpt *store.Store) (*core.CampaignSnapshot, error) {
+	snap, err := c.Snapshot()
+	if err != nil || ckpt == nil {
+		return snap, err
+	}
+	payload, err := snap.Encode()
+	if err == nil {
+		_, err = ckpt.Save(payload)
+	}
+	return snap, err
+}
+
 // Add enrolls a campaign. cfg must be the configuration the campaign
 // was built (or restored) with — it is what restarts restore under.
 // ckpt, when non-nil, receives a durable boundary snapshot after every
@@ -160,60 +222,43 @@ func (s *Supervisor) Scheduler() *sched.Scheduler { return s.sched }
 // a step-zero kill can resume. The campaign must sit at an iteration
 // boundary (freshly built or restored).
 func (s *Supervisor) Add(cfg core.Config, c *core.Campaign, ckpt *store.Store) (int, error) {
-	snap, err := c.Snapshot()
-	if err != nil {
+	t := &tenant{label: c.Label(), cfg: cfg, ckpt: ckpt}
+	if err := s.checkpoint(t, c); err != nil {
 		return 0, fmt.Errorf("supervise: enrolling %s: %w", c.Label(), err)
 	}
-	t := &tenant{label: c.Label(), cfg: cfg, ckpt: ckpt, lastGood: snap}
 	slot := s.sched.Len()
 	s.sched.Add(c)
 	s.tenants = append(s.tenants, t)
-	s.save(t, snap)
 	return slot, nil
 }
 
-// Adopt enrolls a campaign previously owned by another process — the
-// dead-process analogue of the in-process restart path. It restores the
-// newest checkpoint generation whose payload decodes, discarding
-// unreadable generations one by one (exactly the newest-valid-wins rule
-// the CLI's -resume applies), and falls back to fresh when no
-// generation survives — the campaign had not reached its first durable
-// boundary, so building it from scratch is byte-identical to resuming.
-// It reports the slot and whether a checkpoint was resumed.
+// Adopt enrolls a campaign that may already have durable state — left
+// by a dead process, a drained server, or an earlier CLI run. It
+// Resumes from ckpt, and when no generation survives builds the
+// campaign with fresh: it had not reached its first durable boundary,
+// so building it from scratch is byte-identical to resuming. A nil
+// fresh means resume or fail with ErrNoCheckpoint. It reports the slot
+// and whether a checkpoint was resumed.
 func (s *Supervisor) Adopt(cfg core.Config, ckpt *store.Store, fresh func() (*core.Campaign, error)) (int, bool, error) {
-	if ckpt != nil {
-		for {
-			latest := ckpt.Latest()
-			if latest == nil {
-				break
-			}
-			snap, err := core.DecodeCampaignSnapshot(latest.Payload)
-			if err != nil {
-				ckpt.Discard(fmt.Errorf("supervise: adopt: undecodable snapshot: %w", err))
-				continue
-			}
-			c, err := core.RestoreCampaign(cfg, snap)
-			if err != nil {
-				ckpt.Discard(fmt.Errorf("supervise: adopt: unrestorable snapshot: %w", err))
-				continue
-			}
-			if s.cfg.OnRestore != nil {
-				s.cfg.OnRestore(c)
-			}
-			slot, err := s.Add(cfg, c, ckpt)
-			if err != nil {
-				return 0, false, err
-			}
-			s.count("supervise.adopted", s.tenants[slot], 1)
-			return slot, true, nil
+	c, err := Resume(cfg, ckpt)
+	resumed := err == nil
+	switch {
+	case resumed:
+		if s.cfg.OnRestore != nil {
+			s.cfg.OnRestore(c)
+		}
+	case fresh == nil:
+		return 0, false, err
+	default:
+		if c, err = fresh(); err != nil {
+			return 0, false, err
 		}
 	}
-	c, err := fresh()
-	if err != nil {
-		return 0, false, err
-	}
 	slot, err := s.Add(cfg, c, ckpt)
-	return slot, false, err
+	if err == nil && resumed {
+		s.count("supervise.adopted", s.tenants[slot], 1)
+	}
+	return slot, resumed, err
 }
 
 // RunRound drives one scheduler round: every live campaign is stepped
@@ -273,10 +318,7 @@ func (s *Supervisor) drain() {
 		}
 		t.drained = true
 		s.count("supervise.drained", t, 1)
-		if snap, err := c.Snapshot(); err == nil {
-			t.lastGood = snap
-			s.save(t, snap)
-		}
+		_ = s.checkpoint(t, c) // a failed snapshot keeps the last good one
 	}
 }
 
@@ -317,10 +359,7 @@ func (s *Supervisor) step(slot int, c *core.Campaign) {
 		return
 	}
 	if s.guardedStep(t, c) {
-		if snap, err := c.Snapshot(); err == nil {
-			t.lastGood = snap
-			s.save(t, snap)
-		}
+		_ = s.checkpoint(t, c) // a failed snapshot keeps the last good one
 		return
 	}
 
@@ -406,24 +445,26 @@ func (s *Supervisor) guardedStep(t *tenant, c *core.Campaign) bool {
 	}
 }
 
-// save checkpoints a boundary snapshot to the tenant's store, if any.
-// A failed save (injected fsync fault, full disk) is counted and
-// tolerated: the previous durable generation stands and the in-memory
-// copy still powers in-process restarts.
-func (s *Supervisor) save(t *tenant, snap *core.CampaignSnapshot) {
-	if t.ckpt == nil {
-		return
+// checkpoint records c's boundary snapshot as the slot's in-process
+// restart source and saves it to the tenant's store, if any. A failed
+// save is counted and tolerated: the previous durable generation stands
+// and the in-memory copy still powers in-process restarts. Only a
+// failed snapshot is an error.
+func (s *Supervisor) checkpoint(t *tenant, c *core.Campaign) error {
+	snap, err := Checkpoint(c, t.ckpt)
+	if snap == nil {
+		return err
 	}
-	payload, err := snap.Encode()
-	if err != nil {
-		return
-	}
-	if _, err := t.ckpt.Save(payload); err != nil {
+	t.lastGood = snap
+	switch {
+	case t.ckpt == nil:
+	case err != nil:
 		s.count("supervise.checkpoint_errors", t, 1)
-		return
+	default:
+		t.checkpoints++
+		s.count("supervise.checkpoints", t, 1)
 	}
-	t.checkpoints++
-	s.count("supervise.checkpoints", t, 1)
+	return nil
 }
 
 func (s *Supervisor) count(name string, t *tenant, n int64) {

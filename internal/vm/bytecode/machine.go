@@ -27,9 +27,8 @@ type frame struct {
 // truncates, it never reallocates.
 type thread struct {
 	// shell is the *vm.Thread handed to hooks. Hook consumers across the
-	// pipeline (PT, watchpoints, replay recorder, sampling monitors) read
-	// only its ID; the bytecode engine keeps its real state here and
-	// mirrors just the ID.
+	// pipeline (PT, watchpoints, replay recorder) read only its ID; the
+	// bytecode engine keeps its real state here and mirrors just the ID.
 	shell vm.Thread
 
 	id         int

@@ -131,9 +131,8 @@ type Outcome struct {
 
 // Hooks are the VM's tracing callbacks. Any field may be nil. Hook code
 // must not mutate VM state; it exists so the PT simulator, the watchpoint
-// unit, the record/replay recorder, and sampling monitors can observe
-// execution — exactly the attachment points the corresponding hardware
-// provides.
+// unit and the record/replay recorder can observe execution — exactly
+// the attachment points the corresponding hardware provides.
 type Hooks struct {
 	// OnStep fires before every instruction.
 	OnStep func(t *Thread, in *ir.Instr, clock int64)
