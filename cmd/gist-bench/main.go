@@ -215,11 +215,11 @@ func main() {
 		}
 		return wl
 	}
-	writeBench := func(name string, write func(string) error) {
+	writeBench := func(name string, res any) {
 		if *jsonPath == "" {
 			return
 		}
-		if err := write(*jsonPath); err != nil {
+		if err := experiments.WriteJSON(*jsonPath, res); err != nil {
 			fmt.Fprintf(os.Stderr, "gist-bench: %s: %v\n", name, err)
 			os.Exit(1)
 		}
@@ -233,7 +233,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Print(experiments.RenderPerf(res))
-		writeBench("perf", res.WriteJSON)
+		writeBench("perf", res)
 	}
 	if *exp == "sched" {
 		fmt.Printf("==== sched ====\n\n")
@@ -243,7 +243,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Print(experiments.RenderSched(res))
-		writeBench("sched", res.WriteJSON)
+		writeBench("sched", res)
 	}
 	if *exp == "shard" {
 		fmt.Printf("==== shard ====\n\n")
@@ -259,7 +259,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Print(experiments.RenderShard(res))
-		writeBench("shard", res.WriteJSON)
+		writeBench("shard", res)
 	}
 	if *exp == "crashloop" {
 		fmt.Printf("==== crashloop ====\n\n")
@@ -274,7 +274,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Print(experiments.RenderCrashloop(res))
-		writeBench("crashloop", res.WriteJSON)
+		writeBench("crashloop", res)
 	}
 	if *exp == "vm" {
 		fmt.Printf("==== vm ====\n\n")
@@ -289,7 +289,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Print(experiments.RenderVM(res))
-		writeBench("vm", res.WriteJSON)
+		writeBench("vm", res)
 	}
 	if *exp == "ingest" {
 		fmt.Printf("==== ingest ====\n\n")
@@ -303,7 +303,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Print(experiments.RenderIngest(res))
-		writeBench("ingest", res.WriteJSON)
+		writeBench("ingest", res)
 	}
 	if *exp == "service" {
 		fmt.Printf("==== service ====\n\n")
@@ -324,7 +324,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Print(experiments.RenderService(res))
-		writeBench("service", res.WriteJSON)
+		writeBench("service", res)
 	}
 	if *exp == "overload" {
 		fmt.Printf("==== overload ====\n\n")
@@ -340,6 +340,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Print(experiments.RenderOverload(res))
-		writeBench("overload", res.WriteJSON)
+		writeBench("overload", res)
 	}
 }

@@ -163,16 +163,13 @@ func crashloopCell(b *bugs.Bug, pipeRate, diskRate float64, dir string) (Crashlo
 		return row, err
 	}
 	save := func(c *core.Campaign) error {
-		snap, err := supervise.Checkpoint(c, st)
-		switch {
-		case snap == nil:
-			return err
-		case err != nil:
-			row.SaveErrors++ // previous durable generation stands
-		default:
+		_, saved, err := supervise.Checkpoint(c, st)
+		if saved {
 			row.Saves++
+		} else if err == nil {
+			row.SaveErrors++ // previous durable generation stands
 		}
-		return nil
+		return err
 	}
 	if err := save(camp); err != nil {
 		return row, err
@@ -244,15 +241,6 @@ func crashloopCell(b *bugs.Bug, pipeRate, diskRate float64, dir string) (Crashlo
 			row.Kills, got, baseline)
 	}
 	return row, nil
-}
-
-// WriteJSON serializes the result (indented, trailing newline) to path.
-func (r *CrashloopResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // RenderCrashloop renders the crashloop experiment for the terminal.

@@ -49,7 +49,7 @@ func TestCrashloopExperiment(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "BENCH_crashloop.json")
-	if err := res.WriteJSON(path); err != nil {
+	if err := WriteJSON(path, res); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

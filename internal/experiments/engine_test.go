@@ -118,7 +118,7 @@ func TestValidateVMJSONRejects(t *testing.T) {
 func vmJSONBytes(t *testing.T, res *VMResult) ([]byte, error) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "BENCH_vm.json")
-	if err := res.WriteJSON(path); err != nil {
+	if err := WriteJSON(path, res); err != nil {
 		return nil, fmt.Errorf("WriteJSON: %w", err)
 	}
 	return os.ReadFile(path)

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -346,15 +345,6 @@ func ingestOneRate(suite []string, dupPerSig, agentsPerTenant int, rate float64)
 	stats.CacheMaxBytes = cache.MaxBytes
 	stats.CacheEntries = cache.Entries
 	return stats, out, nil
-}
-
-// WriteJSON writes the artifact.
-func (r *IngestResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // RenderIngest renders the ingest experiment for the terminal.

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -548,15 +547,6 @@ func overloadOneMix(opts OverloadOptions, name string, flood float64, slow bool,
 	runtime.ReadMemStats(&ms)
 	mix.HeapAllocMB = float64(ms.HeapAlloc) / (1 << 20)
 	return mix, nil
-}
-
-// WriteJSON writes the artifact.
-func (r *OverloadResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // RenderOverload renders the overload experiment for the terminal.

@@ -56,7 +56,7 @@ func TestOverloadExperiment(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "BENCH_overload.json")
-	if err := res.WriteJSON(path); err != nil {
+	if err := WriteJSON(path, res); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

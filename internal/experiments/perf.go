@@ -229,9 +229,10 @@ func passCounters(snap telemetry.Snapshot) map[string]int64 {
 	return out
 }
 
-// WriteJSON serializes the result (indented, trailing newline) to path.
-func (r *PerfResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
+// WriteJSON serializes an experiment result (indented, trailing
+// newline) to path — the BENCH_*.json artifact format.
+func WriteJSON(path string, result any) error {
+	data, err := json.MarshalIndent(result, "", "  ")
 	if err != nil {
 		return err
 	}

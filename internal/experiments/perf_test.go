@@ -15,7 +15,7 @@ func TestPerfBenchJSONRoundTrip(t *testing.T) {
 		t.Fatalf("Perf: %v", err)
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_fleet.json")
-	if err := res.WriteJSON(path); err != nil {
+	if err := WriteJSON(path, res); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
 	data, err := os.ReadFile(path)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"time"
@@ -232,15 +231,6 @@ func Sched(suite []*bugs.Bug, widths []int) (*SchedResult, error) {
 		res.Counters = append(res.Counters, snap.Counters)
 	}
 	return res, nil
-}
-
-// WriteJSON serializes the result (indented, trailing newline) to path.
-func (r *SchedResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // RenderSched renders the sched experiment for the terminal.

@@ -38,7 +38,7 @@ func TestSchedBenchJSONRoundTrip(t *testing.T) {
 		t.Fatalf("Sched: %v", err)
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_sched.json")
-	if err := res.WriteJSON(path); err != nil {
+	if err := WriteJSON(path, res); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
 	data, err := os.ReadFile(path)

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -178,15 +177,6 @@ func ServiceLoad(bugName string, tenants, agentsPerTenant int, faultRate float64
 	res.BadChecksum = counters.BadChecksum
 	res.RPCs = rpcs
 	return res, nil
-}
-
-// WriteJSON writes the artifact.
-func (r *ServiceResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // RenderService renders the load experiment for the terminal.

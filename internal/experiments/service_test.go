@@ -31,7 +31,7 @@ func TestServiceLoadExperiment(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "BENCH_service.json")
-	if err := res.WriteJSON(path); err != nil {
+	if err := WriteJSON(path, res); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

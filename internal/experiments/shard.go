@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -346,15 +345,6 @@ func shardChaos(tenant string, tenants []shardTenant) (*ShardChaos, error) {
 		return nil, fmt.Errorf("chaos: no survivor took over the dead worker's campaigns")
 	}
 	return chaos, nil
-}
-
-// WriteJSON serializes the result (indented, trailing newline) to path.
-func (r *ShardResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // RenderShard renders the shard experiment for the terminal.

@@ -17,7 +17,7 @@ func TestShardBenchJSONRoundTrip(t *testing.T) {
 		t.Fatalf("Shard: %v", err)
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_shard.json")
-	if err := res.WriteJSON(path); err != nil {
+	if err := WriteJSON(path, res); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
 	data, err := os.ReadFile(path)

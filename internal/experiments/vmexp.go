@@ -3,7 +3,6 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 
@@ -105,15 +104,6 @@ func VMPerf(suite []*bugs.Bug) (*VMResult, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-// WriteJSON serializes the result (indented, trailing newline) to path.
-func (r *VMResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // ValidateVMJSON checks a BENCH_vm.json artifact: at least one row,

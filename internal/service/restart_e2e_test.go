@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,23 +29,28 @@ type serverLife struct {
 	srv  *service.Server
 	cli  *service.Client
 	stop func()
+	// skew is added to the server's clock; deadlineMs rides on submits.
+	skew       atomic.Int64
+	deadlineMs int64
 }
 
-// startLife boots a server over b. wrap, when non-nil, decorates the
-// agents' transport (the drain half uses it to fire BeginDrain at an
-// exact point in the campaign).
-func startLife(t *testing.T, b store.Backend, wrap func(*service.Server, http.RoundTripper) http.RoundTripper) *serverLife {
+// startLife boots a server over b. atBoundary, when non-nil, is called
+// once, mid-campaign: after the first iteration boundary is durable and
+// before the next upload is forwarded (see atFirstBoundary).
+func startLife(t *testing.T, b store.Backend, atBoundary func(*serverLife)) *serverLife {
 	t.Helper()
+	l := &serverLife{}
 	srv := service.NewServer(service.Options{
 		Backend:         b,
 		LeaseTTL:        2 * time.Second,
 		PollTimeout:     200 * time.Millisecond,
 		MaxTaskAttempts: 10,
+		Now:             func() time.Time { return time.Now().Add(time.Duration(l.skew.Load())) },
 	})
 	var transport http.RoundTripper = service.LoopbackTransport{Handler: srv.Handler()}
 	agentTransport := transport
-	if wrap != nil {
-		agentTransport = wrap(srv, transport)
+	if atBoundary != nil {
+		agentTransport = &atFirstBoundary{next: transport, b: b, fire: func() { atBoundary(l) }}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
@@ -70,18 +76,17 @@ func startLife(t *testing.T, b store.Backend, wrap func(*service.Server, http.Ro
 			}
 		}()
 	}
-	return &serverLife{
-		srv: srv,
-		cli: service.NewClient(service.ClientOptions{
-			BaseURL: "http://gist", Tenant: restartTenant, Actor: "cli",
-			Transport: transport, Sleep: func(time.Duration) {},
-		}),
-		stop: func() {
-			cancel()
-			wg.Wait()
-			srv.Close()
-		},
+	l.srv = srv
+	l.cli = service.NewClient(service.ClientOptions{
+		BaseURL: "http://gist", Tenant: restartTenant, Actor: "cli",
+		Transport: transport, Sleep: func(time.Duration) {},
+	})
+	l.stop = func() {
+		cancel()
+		wg.Wait()
+		srv.Close()
 	}
+	return l
 }
 
 // diagnose submits the report, waits for the campaign to settle, and
@@ -92,7 +97,7 @@ func (l *serverLife) diagnose(t *testing.T, bug string, report *vm.FailureReport
 	ctx := context.Background()
 	var sub service.SubmitResponse
 	if err := l.cli.Call(ctx, service.PathSubmit, &service.SubmitRequest{
-		Tenant: restartTenant, Bug: bug, Report: report, DiscoveryRuns: disc,
+		Tenant: restartTenant, Bug: bug, Report: report, DiscoveryRuns: disc, DeadlineMs: l.deadlineMs,
 	}, &sub); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -115,30 +120,30 @@ func (l *serverLife) diagnose(t *testing.T, bug string, report *vm.FailureReport
 	return st.State, sk.Sketch, counters.Uploads
 }
 
-// drainAfterFirstBoundary passes agent traffic through untouched until
-// the campaign's first iteration boundary is durable (checkpoint
-// generation 1 exists on the backend), then calls BeginDrain before
-// forwarding the next upload. That upload belongs to iteration 2 — no
-// task of it exists before the generation-1 save — so the server always
-// drains mid-campaign, never before the first boundary and never after
-// the last.
-type drainAfterFirstBoundary struct {
+// atFirstBoundary passes agent traffic through untouched until the
+// campaign's first iteration boundary is durable (checkpoint generation
+// 1 exists on the backend), then calls fire once before forwarding the
+// next upload. That upload belongs to iteration 2 — no task of it exists
+// before the generation-1 save — so fire always lands mid-campaign,
+// never before the first boundary and never after the last.
+type atFirstBoundary struct {
 	next http.RoundTripper
-	srv  *service.Server
 	b    store.Backend
+	once sync.Once
+	fire func()
 }
 
-func (d drainAfterFirstBoundary) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.URL.Path == service.PathUpload && !d.srv.Draining() {
-		names, _ := d.b.ListFiles(filepath.Join("state", shard.Sanitize(restartTenant)))
+func (a *atFirstBoundary) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == service.PathUpload {
+		names, _ := a.b.ListFiles(filepath.Join("state", shard.Sanitize(restartTenant)))
 		for _, name := range names {
 			if strings.HasSuffix(name, ".ckpt") && !strings.Contains(name, ".g00000000.") {
-				d.srv.BeginDrain()
+				a.once.Do(a.fire)
 				break
 			}
 		}
 	}
-	return d.next.RoundTrip(req)
+	return a.next.RoundTrip(req)
 }
 
 // TestRestartResumesFromSharedState pins what README and DESIGN promise
@@ -147,7 +152,11 @@ func (d drainAfterFirstBoundary) RoundTrip(req *http.Request) (*http.Response, e
 // finished campaign is served again with zero production runs. (b) A
 // campaign drained mid-flight is finished from its last generation —
 // strictly fewer runs than an uninterrupted diagnosis — and either way
-// the sketch bytes are those of the uninterrupted run.
+// the sketch bytes are those of the uninterrupted run. (c, d) A campaign
+// the first server disowned mid-flight — its runs written off by Close
+// without a drain, or by the deadline reaper — leaves nothing computed
+// from written-off runs in the store: the second server resumes from the
+// last boundary reached on real runs, same bytes again.
 func TestRestartResumesFromSharedState(t *testing.T) {
 	const bug = "pbzip2"
 	report, disc, err := core.FirstFailure(bugs.ByName(bug).GistConfig())
@@ -184,9 +193,7 @@ func TestRestartResumesFromSharedState(t *testing.T) {
 
 	t.Run("drained", func(t *testing.T) {
 		b := store.NewMemBackend()
-		first := startLife(t, b, func(srv *service.Server, next http.RoundTripper) http.RoundTripper {
-			return drainAfterFirstBoundary{next: next, srv: srv, b: b}
-		})
+		first := startLife(t, b, func(l *serverLife) { l.srv.BeginDrain() })
 		state, _, firstUploads := first.diagnose(t, bug, report, disc)
 		drained, idle := first.srv.DrainWait(time.Minute)
 		first.stop()
@@ -208,4 +215,76 @@ func TestRestartResumesFromSharedState(t *testing.T) {
 				uploads, fullUploads, firstUploads)
 		}
 	})
+
+	// resumesClean restarts over what a disowning first server left in b.
+	resumesClean := func(t *testing.T, b store.Backend) {
+		t.Helper()
+		second := startLife(t, b, nil)
+		defer second.stop()
+		state, sketch, uploads := second.diagnose(t, bug, report, disc)
+		if state != service.StateDone {
+			t.Fatalf("restarted server: state %q, want done", state)
+		}
+		if !bytes.Equal(sketch, want) {
+			t.Errorf("restarted server served a sketch computed from written-off runs")
+		}
+		if uploads == 0 || uploads >= fullUploads {
+			t.Errorf("restarted server ran %d uploads, want mid-campaign resume (uninterrupted: %d)", uploads, fullUploads)
+		}
+	}
+
+	t.Run("closed", func(t *testing.T) {
+		b := store.NewMemBackend()
+		first := startLife(t, b, func(l *serverLife) { l.srv.Close() })
+		state, sketch, _ := first.diagnose(t, bug, report, disc)
+		first.stop()
+		if state == service.StateDone || len(sketch) != 0 {
+			t.Fatalf("closed server: state %q with %d sketch bytes; written-off runs must not yield a served sketch", state, len(sketch))
+		}
+		resumesClean(t, b)
+	})
+
+	t.Run("expired", func(t *testing.T) {
+		b := store.NewMemBackend()
+		first := startLife(t, b, func(l *serverLife) { l.skew.Store(int64(2 * time.Hour)) })
+		first.deadlineMs = time.Hour.Milliseconds()
+		state, sketch, _ := first.diagnose(t, bug, report, disc)
+		first.stop()
+		if state != service.StateFailed || len(sketch) != 0 {
+			t.Fatalf("expired campaign: state %q with %d sketch bytes, want failed and none", state, len(sketch))
+		}
+		resumesClean(t, b)
+	})
+}
+
+// TestDiscoveryFailureIsReportedAsSuch pins the status a reportless
+// submit reads when server-side discovery finds no failure: the error
+// names discovery, as it did when runCampaign ran discovery itself.
+func TestDiscoveryFailureIsReportedAsSuch(t *testing.T) {
+	const bug = "cppcheck-1" // first fails on discovery run 4
+	srv := service.NewServer(service.Options{
+		Backend: store.NewMemBackend(),
+		ConfigFor: func(string) (core.Config, error) {
+			cfg := bugs.ByName(bug).GistConfig()
+			cfg.MaxDiscoveryRuns = 1
+			return cfg, nil
+		},
+	})
+	defer srv.Close()
+	cli := service.NewClient(service.ClientOptions{
+		BaseURL: "http://gist", Tenant: restartTenant, Actor: "cli",
+		Transport: service.LoopbackTransport{Handler: srv.Handler()}, Sleep: func(time.Duration) {},
+	})
+	ctx := context.Background()
+	if err := cli.Call(ctx, service.PathSubmit, &service.SubmitRequest{Tenant: restartTenant, Bug: bug}, &service.SubmitResponse{}); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	srv.WaitCampaign(restartTenant, bug)
+	var st service.StatusResponse
+	if err := cli.Call(ctx, service.PathStatus, &service.StatusRequest{Tenant: restartTenant, Bug: bug}, &st); err != nil {
+		t.Fatalf("status: %v", err)
+	}
+	if st.State != service.StateFailed || !strings.HasPrefix(st.Err, "discovery: ") {
+		t.Errorf("state %q err %q, want failed with an error starting \"discovery: \"", st.State, st.Err)
+	}
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -589,14 +590,18 @@ func (s *Server) handleSubmit(req *SubmitRequest) (*SubmitResponse, error) {
 	return resp, nil
 }
 
-// failCampaign ends a campaign in StateFailed with err and wakes its
-// waiters. label is the campaign's tenant/key name.
-func (s *Server) failCampaign(cs *campaignState, label string, err error) {
+// settle ends a campaign in a terminal state and wakes its waiters.
+func (s *Server) settle(cs *campaignState, state string, err error, lowConfidence bool, restarts int) {
 	s.mu.Lock()
-	cs.state = StateFailed
-	cs.err = err
+	cs.state, cs.err, cs.lowConfidence, cs.restarts = state, err, lowConfidence, restarts
 	close(cs.done)
 	s.mu.Unlock()
+}
+
+// failCampaign settles a campaign as StateFailed with err. label is the
+// campaign's tenant/key name.
+func (s *Server) failCampaign(cs *campaignState, label string, err error) {
+	s.settle(cs, StateFailed, err, false, 0)
 	s.logf("campaign failed: %s: %v", label, err)
 }
 
@@ -674,12 +679,7 @@ func (s *Server) placeCampaign(cs *campaignState, tenant, bug, key, sig string, 
 			return
 		}
 		s.cache.Put(tenant+"/"+key, rec.Sketch)
-		s.mu.Lock()
-		cs.state = StateDone
-		cs.lowConfidence = rec.LowConfidence
-		cs.restarts = rec.Restarts
-		close(cs.done)
-		s.mu.Unlock()
+		s.settle(cs, StateDone, nil, rec.LowConfidence, rec.Restarts)
 		s.logf("campaign done (fleet): tenant=%s key=%s worker=%s low_confidence=%v restarts=%d",
 			tenant, key, rec.Worker, rec.LowConfidence, rec.Restarts)
 		return
@@ -892,12 +892,10 @@ func (s *Server) runCampaign(cs *campaignState, tenant, bug, key string, cfg cor
 		cfg.Telemetry = s.opts.Telemetry
 	}
 
+	// cs.deadline is written once, before the launch goroutine starts.
+	runner := &remoteRunner{s: s, tenant: tenant, bug: bug, fcfg: cfg.Faults, deadline: cs.deadline}
 	// A campaign admitted but expired while queued must not burn runs.
-	s.mu.Lock()
-	expired := cs.expired
-	deadline := cs.deadline
-	s.mu.Unlock()
-	if expired {
+	if runner.disowned() == errPastDeadline {
 		s.metrics.add(func(m *Counters) { m.DeadlineExpired++ })
 		fail(fmt.Errorf("deadline exceeded before launch"))
 		return
@@ -908,15 +906,25 @@ func (s *Server) runCampaign(cs *campaignState, tenant, bug, key string, cfg cor
 		fail(fmt.Errorf("checkpoint store: %w", err))
 		return
 	}
-	runner := &remoteRunner{s: s, tenant: tenant, bug: bug, fcfg: cfg.Faults, deadline: deadline}
 	sup := supervise.New(1, supervise.Config{
 		StepTimeout: s.opts.StepTimeout,
 		Telemetry:   s.opts.Telemetry,
 		OnRestore:   func(c *core.Campaign) { c.UseRunner(runner) },
 	})
+	// Once the deadline reaper or Close writes this campaign's runs off,
+	// what it computes from them is not the batch diagnosis and must never
+	// become a generation a restarted server resumes: seal the store at
+	// its last clean boundary and stop at the next one.
+	runner.disown = func(why error) {
+		ckpt.Seal(why)
+		sup.RequestDrain()
+	}
 	_, resumed, err := sup.Adopt(cfg, ckpt, func() (*core.Campaign, error) {
 		camp, err := core.NewCampaign(cfg, report, discRuns)
 		if err != nil {
+			if report == nil {
+				return nil, fmt.Errorf("discovery: %w", err)
+			}
 			return nil, fmt.Errorf("campaign: %w", err)
 		}
 		camp.UseRunner(runner)
@@ -942,25 +950,26 @@ func (s *Server) runCampaign(cs *campaignState, tenant, bug, key string, cfg cor
 	out := sup.Run()[0]
 	s.mu.Lock()
 	delete(s.sups, sup)
-	expired = cs.expired
 	s.mu.Unlock()
-	if expired {
-		// The reaper wrote the campaign's runs off when the deadline
-		// passed; whatever the degraded machinery produced is not a
-		// trustworthy diagnosis, so the deadline surfaces as failure —
-		// an admitted sketch is either byte-identical to batch or never
+	why := runner.disowned()
+	switch {
+	case why == errPastDeadline:
+		// The campaign's runs are written off once the deadline passes;
+		// whatever the degraded machinery produced from them is not a
+		// trustworthy diagnosis, so the deadline surfaces as failure — an
+		// admitted sketch is either byte-identical to batch or never
 		// served.
 		fail(fmt.Errorf("deadline exceeded after %d restarts", out.Restarts))
 		return
-	}
-	if out.Drained {
-		s.mu.Lock()
-		cs.state = StateDrained
-		cs.err = out.Err
-		cs.restarts = out.Restarts
-		close(cs.done)
-		s.mu.Unlock()
+	case out.Drained:
+		// By BeginDrain, or unwound by Close with the store sealed: either
+		// way a restarted server resumes from the last clean boundary.
+		s.settle(cs, StateDrained, out.Err, false, out.Restarts)
 		s.logf("campaign drained to checkpoint: tenant=%s key=%s", tenant, key)
+		return
+	case why != nil:
+		// Close wrote off the runs of what turned out to be the last step.
+		fail(why)
 		return
 	}
 	sketch, lowConfidence, err := out.SketchJSON()
@@ -972,12 +981,9 @@ func (s *Server) runCampaign(cs *campaignState, tenant, bug, key string, cfg cor
 	// racing completion hits either the cache or the store — never a gap.
 	s.cache.Put(tenant+"/"+key, sketch)
 	s.mu.Lock()
-	cs.state = StateDone
-	cs.lowConfidence = lowConfidence
-	cs.restarts = out.Restarts
 	s.health.Merge(out.Result.Health)
-	close(cs.done)
 	s.mu.Unlock()
+	s.settle(cs, StateDone, nil, lowConfidence, out.Restarts)
 	s.logf("campaign done: tenant=%s key=%s low_confidence=%v restarts=%d",
 		tenant, key, lowConfidence, out.Restarts)
 }
@@ -994,6 +1000,9 @@ type remoteRunner struct {
 	// deadline is the campaign deadline stamped on every task (zero =
 	// none).
 	deadline time.Time
+	// disown is called at the end of every batch that finished disowned
+	// (see disowned) — a batch whose runs may have been written off.
+	disown func(why error)
 }
 
 // RunBatch enqueues every job as a task and blocks until each is
@@ -1004,6 +1013,7 @@ func (r *remoteRunner) RunBatch(plan *core.Plan, jobs []core.RunJob) []*core.Run
 	r.s.mu.Lock()
 	t := r.s.tenant(r.tenant)
 	now := r.s.now()
+	why := r.disowned()
 	for i, job := range jobs {
 		r.s.nextTask++
 		tk := &task{
@@ -1020,20 +1030,19 @@ func (r *remoteRunner) RunBatch(plan *core.Plan, jobs []core.RunJob) []*core.Run
 		}
 		r.s.tasks[tk.id] = tk
 		tasks[i] = tk
-		r.s.dispatch(t, tk)
-	}
-	// A batch dispatched after Close swept the task table would block
-	// its campaign forever (Close only writes off tasks that exist at
-	// close time). Write such tasks off immediately so in-flight
-	// campaigns wind down instead of deadlocking Close's wg.Wait.
-	select {
-	case <-r.s.closed:
-		for _, tk := range tasks {
-			if !tk.done {
-				r.s.markLost(tk)
-			}
+		// A batch issued after Close swept the task table would block its
+		// campaign forever (Close only writes off tasks that exist at
+		// close time), and one issued past the deadline would be declined
+		// by every agent and written off a reaper sweep at a time. Write
+		// such tasks off here so the campaign winds down.
+		if why == nil {
+			r.s.dispatch(t, tk)
+		} else {
+			r.s.markLost(tk)
 		}
-	default:
+	}
+	if why == errPastDeadline {
+		r.s.metrics.add(func(m *Counters) { m.DeadlineExpired += int64(len(tasks)) })
 	}
 	r.s.mu.Unlock()
 
@@ -1050,7 +1059,29 @@ func (r *remoteRunner) RunBatch(plan *core.Plan, jobs []core.RunJob) []*core.Run
 		tk.trace = nil
 		r.s.mu.Unlock()
 	}
+	if why := r.disowned(); why != nil {
+		r.disown(why)
+	}
 	return out
+}
+
+var (
+	errServerClosed = errors.New("server closed mid-campaign")
+	errPastDeadline = errors.New("campaign deadline exceeded")
+)
+
+// disowned reports why the server no longer stands behind the
+// campaign's runs — it closed, or the campaign deadline passed — or nil.
+func (r *remoteRunner) disowned() error {
+	select {
+	case <-r.s.closed:
+		return errServerClosed
+	default:
+	}
+	if !r.deadline.IsZero() && r.s.now().After(r.deadline) {
+		return errPastDeadline
+	}
+	return nil
 }
 
 // tenant returns (creating if needed) a tenant's state. Caller holds mu.

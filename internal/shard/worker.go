@@ -289,7 +289,11 @@ func (w *Worker) enroll(a Assignment, name string, stolen bool) error {
 		return err
 	}
 	slot, resumed, err := w.sup.Adopt(cfg, ckpt, func() (*core.Campaign, error) {
-		return core.NewCampaign(cfg, a.Report, a.DiscoveryRuns)
+		c, err := core.NewCampaign(cfg, a.Report, a.DiscoveryRuns)
+		if err != nil && a.Report == nil {
+			err = fmt.Errorf("discovery: %w", err)
+		}
+		return c, err
 	})
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package shard_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -223,5 +224,33 @@ func TestDeadWorkerCampaignIsTakenOverByteIdentically(t *testing.T) {
 	st := survivor.Stats()
 	if st.Takeovers != 1 || st.Resumed != 1 || st.Finished != 1 {
 		t.Fatalf("survivor stats = %+v, want exactly one takeover, resumed, finished", st)
+	}
+}
+
+// TestDiscoveryFailureIsPublishedAsSuch pins the done record a reportless
+// assignment leaves when its server-side discovery finds no failure: the
+// error names discovery, as it did when the worker ran discovery itself.
+func TestDiscoveryFailureIsPublishedAsSuch(t *testing.T) {
+	const tenant, bug = "acme", "cppcheck-1" // first fails on discovery run 4
+	cfg := bugs.ByName(bug).GistConfig()
+	cfg.MaxDiscoveryRuns = 1
+	b := store.NewMemBackend()
+	coord, err := shard.NewCoordinator(b, "fleet", 1, true)
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	if _, err := coord.Assign(shard.Assignment{Tenant: tenant, Bug: bug}); err != nil {
+		t.Fatalf("Assign: %v", err)
+	}
+	w := newTestWorker(t, b, 0, 1, 10*time.Second, []fleetBug{{name: bug, cfg: cfg}})
+	if _, err := w.Round(); err != nil {
+		t.Fatalf("Round: %v", err)
+	}
+	rec, err := coord.Done(tenant, bug)
+	if err != nil || rec == nil {
+		t.Fatalf("Done: %+v, %v", rec, err)
+	}
+	if !strings.HasPrefix(rec.Err, "discovery: ") {
+		t.Errorf("done record error %q, want it to start with \"discovery: \"", rec.Err)
 	}
 }

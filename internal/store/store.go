@@ -49,6 +49,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/faults"
 	"repro/internal/telemetry"
@@ -174,6 +175,8 @@ type Store struct {
 	gens        []Generation
 	quarantined []Quarantine
 	nextGen     uint64
+	// sealed, once set, is the reason every later Save is refused.
+	sealed atomic.Pointer[error]
 }
 
 // Open scans dir for name's checkpoint generations, quarantines every
@@ -339,6 +342,14 @@ func (s *Store) ExpectedPath(gen uint64) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%s.g%08d.ckpt", s.name, gen))
 }
 
+// Seal makes every later Save fail with reason and write nothing, so
+// the newest durable generation stays the one already published. The
+// owner of a campaign calls it when it stops trusting what the campaign
+// computes from here on (the service, once it has written a campaign's
+// runs off) while the writer may still be stepping. Safe from any
+// goroutine.
+func (s *Store) Seal(reason error) { s.sealed.Store(&reason) }
+
 // Save publishes payload as the next generation: frame, temp-file
 // write, fsync, rename, parent-directory fsync, prune. It returns the
 // generation number written. On error (including an injected or real
@@ -348,6 +359,9 @@ func (s *Store) ExpectedPath(gen uint64) string {
 func (s *Store) Save(payload []byte) (uint64, error) {
 	gen := s.nextGen
 	s.nextGen++
+	if reason := s.sealed.Load(); reason != nil {
+		return gen, fmt.Errorf("store: %s sealed: %w", s.name, *reason)
+	}
 	frame := EncodeFrame(payload)
 	dec := s.opts.Faults.ForCheckpoint(s.name, gen)
 

@@ -321,3 +321,29 @@ func TestQuarantinePreservesName(t *testing.T) {
 		t.Fatalf("quarantine records %+v", q)
 	}
 }
+
+// TestSealRefusesLaterSaves: a sealed store writes nothing more, reports
+// the seal's reason, and reopens at the generation published before it.
+func TestSealRefusesLaterSaves(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, "bug", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Save([]byte("clean")); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	why := errors.New("owner walked away")
+	s.Seal(why)
+	if _, err := s.Save([]byte("polluted")); !errors.Is(err, why) {
+		t.Fatalf("Save on a sealed store: %v, want the seal's reason", err)
+	}
+	s2, err := Open(dir, "bug", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gens := s2.Generations(); len(gens) != 1 || string(gens[0].Payload) != "clean" || len(s2.Quarantined()) != 0 {
+		t.Errorf("reopened store: %d generations, %d quarantined; want the one clean generation and no debris",
+			len(gens), len(s2.Quarantined()))
+	}
+}

@@ -199,20 +199,19 @@ func Resume(cfg core.Config, ckpt *store.Store) (*core.Campaign, error) {
 }
 
 // Checkpoint snapshots c, which must sit at an iteration boundary, and
-// saves the snapshot to ckpt as the next durable generation; a nil ckpt
-// only snapshots. The snapshot is returned whenever one was taken: a
-// non-nil snapshot with an error means the save failed (fsync fault,
-// full disk) and the previous durable generation stands.
-func Checkpoint(c *core.Campaign, ckpt *store.Store) (*core.CampaignSnapshot, error) {
-	snap, err := c.Snapshot()
-	if err != nil || ckpt == nil {
-		return snap, err
+// saves the snapshot to ckpt as the next durable generation. saved is
+// false when there is no store or the save failed (fsync fault, full
+// disk, sealed store) — tolerated: the previous durable generation
+// stands. err means no snapshot could be taken.
+func Checkpoint(c *core.Campaign, ckpt *store.Store) (snap *core.CampaignSnapshot, saved bool, err error) {
+	if snap, err = c.Snapshot(); err != nil || ckpt == nil {
+		return snap, false, err
 	}
-	payload, err := snap.Encode()
-	if err == nil {
+	if payload, err := snap.Encode(); err == nil {
 		_, err = ckpt.Save(payload)
+		saved = err == nil
 	}
-	return snap, err
+	return snap, saved, nil
 }
 
 // Add enrolls a campaign. cfg must be the configuration the campaign
@@ -451,18 +450,17 @@ func (s *Supervisor) guardedStep(t *tenant, c *core.Campaign) bool {
 // and the in-memory copy still powers in-process restarts. Only a
 // failed snapshot is an error.
 func (s *Supervisor) checkpoint(t *tenant, c *core.Campaign) error {
-	snap, err := Checkpoint(c, t.ckpt)
-	if snap == nil {
+	snap, saved, err := Checkpoint(c, t.ckpt)
+	if err != nil {
 		return err
 	}
 	t.lastGood = snap
 	switch {
-	case t.ckpt == nil:
-	case err != nil:
-		s.count("supervise.checkpoint_errors", t, 1)
-	default:
+	case saved:
 		t.checkpoints++
 		s.count("supervise.checkpoints", t, 1)
+	case t.ckpt != nil:
+		s.count("supervise.checkpoint_errors", t, 1)
 	}
 	return nil
 }
