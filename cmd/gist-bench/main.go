@@ -20,19 +20,119 @@ import (
 	"repro/internal/telemetry"
 )
 
+// params is what the experiments read from the command line.
+type params struct {
+	suite []*bugs.Bug
+	// subset reports whether -bugs narrowed the suite; experiments with
+	// their own default subset use it only then.
+	subset bool
+	runs   int
+}
+
+type experiment struct {
+	name string
+	run  func(p params) error // prints the experiment's table
+}
+
+// show prints a driver's rendered rows unless the driver failed.
+func show[T any](rows T, err error, render func(T) string) error {
+	if err == nil {
+		fmt.Print(render(rows))
+	}
+	return err
+}
+
+// table is the one list of experiments: the -exp help string, the name
+// check and the "all" set are derived from it, and "all" runs it in
+// this order.
+var table = []experiment{
+	{"table1", func(p params) error {
+		rows, err := experiments.Table1(p.suite)
+		return show(rows, err, experiments.RenderTable1)
+	}},
+	{"sketches", func(params) error {
+		figs, err := experiments.SketchFigures()
+		if err != nil {
+			return err
+		}
+		for _, name := range []string{"pbzip2", "curl", "apache-3"} {
+			fmt.Printf("---- %s ----\n%s\n", name, figs[name])
+		}
+		return nil
+	}},
+	{"fig9", func(p params) error {
+		rows, err := experiments.Fig9(p.suite)
+		return show(rows, err, experiments.RenderFig9)
+	}},
+	{"fig10", func(p params) error {
+		rows, err := experiments.Fig10(p.suite)
+		return show(rows, err, experiments.RenderFig10)
+	}},
+	{"fig11", func(p params) error {
+		points, err := experiments.Fig11(p.suite, nil, p.runs)
+		return show(points, err, experiments.RenderFig11)
+	}},
+	{"fig12", func(p params) error {
+		rows, err := experiments.Fig12(p.suite, nil)
+		return show(rows, err, experiments.RenderFig12)
+	}},
+	{"fig13", func(p params) error {
+		rows, err := experiments.Fig13(p.suite, p.runs)
+		return show(rows, err, experiments.RenderFig13)
+	}},
+	{"breakdown", func(p params) error {
+		rows, err := experiments.Breakdown(p.suite, p.runs)
+		return show(rows, err, experiments.RenderBreakdown)
+	}},
+	{"extpt", func(p params) error {
+		rows, err := experiments.ExtendedPT(p.suite)
+		return show(rows, err, experiments.RenderExtPT)
+	}},
+	{"swpt", func(p params) error {
+		fmt.Print(experiments.RenderSWPT(experiments.SoftwarePT(p.suite, p.runs)))
+		return nil
+	}},
+	{"chaos", func(p params) error {
+		// Default to the three printed-sketch bugs; -bugs widens the sweep.
+		cs := experiments.ChaosSuite()
+		if p.subset {
+			cs = p.suite
+		}
+		fmt.Print(experiments.RenderChaos(experiments.Chaos(cs, nil)))
+		return nil
+	}},
+}
+
+func expNames() string {
+	names := make([]string, 0, len(table)+1)
+	for _, e := range table {
+		names = append(names, e.name)
+	}
+	return strings.Join(append(names, "all"), ", ")
+}
+
+// selected returns the experiments -exp name asks for.
+func selected(name string) ([]experiment, error) {
+	if name == "all" {
+		return table, nil
+	}
+	for _, e := range table {
+		if name == e.name {
+			return []experiment{e}, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown experiment %q (valid: %s)", name, expNames())
+}
+
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1, sketches, fig9, fig10, fig11, fig12, fig13, breakdown, swpt, extpt, chaos, perf, sched, shard, crashloop, service, vm, ingest, overload, all")
-		bugList  = flag.String("bugs", "", "comma-separated bug subset (default: all 12)")
-		runs     = flag.Int("runs", 0, "runs per measurement point (0 = experiment default)")
-		workers  = flag.Int("workers", 0, "fan-out width for suite sweeps and the fleet inside each diagnosis (0 = GOMAXPROCS); results are byte-identical for any value")
-		jsonPath = flag.String("json", "", "with -exp perf, sched, shard, crashloop, service, vm, ingest, or overload: write the results to this JSON file (e.g. BENCH_fleet.json)")
-		agents   = flag.Int("agents", 1000, "with -exp service: total simulated agent count across all tenants")
-		dedup    = flag.Int("dedup", 20, "with -exp ingest: reports submitted per distinct failure signature (the dedup ratio; min 10)")
+		exp     = flag.String("exp", "all", "experiment: "+expNames())
+		bugList = flag.String("bugs", "", "comma-separated bug subset (default: all 12)")
+		runs    = flag.Int("runs", 0, "runs per measurement point (0 = experiment default)")
+		workers = flag.Int("workers", 0, "fan-out width for suite sweeps and the fleet inside each diagnosis (0 = GOMAXPROCS); results are byte-identical for any value")
 
 		traceOut    = flag.String("trace-out", "", "write a JSONL phase-span event log to this file")
 		metricsJSON = flag.String("metrics-json", "", "write a metrics snapshot to this file on exit")
-		validate    = flag.String("validate", "", "validate an existing BENCH JSON file (perf, sched, shard, crashloop, service, vm, ingest, or overload) against the observability schema, then exit")
 	)
 	flag.Parse()
 
@@ -46,31 +146,22 @@ func main() {
 	if *runs < 0 {
 		fatalf("-runs %d is negative (0 means experiment default)", *runs)
 	}
-	if *agents < 1 {
-		fatalf("-agents %d must be at least 1", *agents)
+	todo, err := selected(*exp)
+	if err != nil {
+		fatalf("%v", err)
 	}
-	if *dedup < 10 {
-		fatalf("-dedup %d must be at least 10 (the experiment proves a >= 10:1 dedup ratio)", *dedup)
-	}
-
-	if *validate != "" {
-		data, err := os.ReadFile(*validate)
-		if err != nil {
-			fatalf("%v", err)
+	p := params{suite: bugs.All(), subset: *bugList != "", runs: *runs}
+	if p.subset {
+		p.suite = experiments.Suite(strings.Split(*bugList, ",")...)
+		if len(p.suite) == 0 {
+			fatalf("no known bugs in %q", *bugList)
 		}
-		if err := experiments.ValidateBenchJSON(data); err != nil {
-			fmt.Fprintf(os.Stderr, "gist-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: ok\n", *validate)
-		return
 	}
 
 	experiments.Workers = *workers
 
 	// Telemetry observes the experiments; results are byte-identical
-	// with or without it. The perf experiment manages its own per-pass
-	// tracers and ignores this hook.
+	// with or without it.
 	var tel *telemetry.Tracer
 	if *traceOut != "" {
 		t, closeTrace, err := telemetry.OpenTrace(*traceOut)
@@ -95,251 +186,12 @@ func main() {
 		}()
 	}
 
-	suite := bugs.All()
-	if *bugList != "" {
-		suite = experiments.Suite(strings.Split(*bugList, ",")...)
-		if len(suite) == 0 {
-			fmt.Fprintf(os.Stderr, "gist-bench: no known bugs in %q\n", *bugList)
-			os.Exit(2)
-		}
-	}
-
-	run := func(name string, f func() error) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		fmt.Printf("==== %s ====\n\n", name)
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "gist-bench: %s: %v\n", name, err)
+	for _, e := range todo {
+		fmt.Printf("==== %s ====\n\n", e.name)
+		if err := e.run(p); err != nil {
+			fmt.Fprintf(os.Stderr, "gist-bench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
 		fmt.Println()
-	}
-
-	run("table1", func() error {
-		rows, err := experiments.Table1(suite)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderTable1(rows))
-		return nil
-	})
-	run("sketches", func() error {
-		figs, err := experiments.SketchFigures()
-		if err != nil {
-			return err
-		}
-		for _, name := range []string{"pbzip2", "curl", "apache-3"} {
-			fmt.Printf("---- %s ----\n%s\n", name, figs[name])
-		}
-		return nil
-	})
-	run("fig9", func() error {
-		rows, err := experiments.Fig9(suite)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderFig9(rows))
-		return nil
-	})
-	run("fig10", func() error {
-		rows, err := experiments.Fig10(suite)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderFig10(rows))
-		return nil
-	})
-	run("fig11", func() error {
-		points, err := experiments.Fig11(suite, nil, *runs)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderFig11(points))
-		return nil
-	})
-	run("fig12", func() error {
-		rows, err := experiments.Fig12(suite, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderFig12(rows))
-		return nil
-	})
-	run("fig13", func() error {
-		rows, err := experiments.Fig13(suite, *runs)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderFig13(rows))
-		return nil
-	})
-	run("breakdown", func() error {
-		rows, err := experiments.Breakdown(suite, *runs)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderBreakdown(rows))
-		return nil
-	})
-	run("extpt", func() error {
-		rows, err := experiments.ExtendedPT(suite)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderExtPT(rows))
-		return nil
-	})
-	run("swpt", func() error {
-		fmt.Print(experiments.RenderSWPT(experiments.SoftwarePT(suite, *runs)))
-		return nil
-	})
-	run("chaos", func() error {
-		// Default to the three printed-sketch bugs; -bugs widens the sweep.
-		cs := suite
-		if *bugList == "" {
-			cs = experiments.ChaosSuite()
-		}
-		fmt.Print(experiments.RenderChaos(experiments.Chaos(cs, nil)))
-		return nil
-	})
-	// perf and sched re-diagnose the suite once per worker/width count,
-	// so they run only when asked for by name, not as part of "all".
-	// Both derive their measurement points from -workers the same way.
-	widthList := func() []int {
-		wl := []int{1, 2, 4, 8}
-		if *workers == 1 {
-			wl = []int{1}
-		} else if *workers > 0 {
-			wl = []int{1, *workers}
-		}
-		return wl
-	}
-	writeBench := func(name string, res any) {
-		if *jsonPath == "" {
-			return
-		}
-		if err := experiments.WriteJSON(*jsonPath, res); err != nil {
-			fmt.Fprintf(os.Stderr, "gist-bench: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %s\n", *jsonPath)
-	}
-	if *exp == "perf" {
-		fmt.Printf("==== perf ====\n\n")
-		res, err := experiments.Perf(suite, widthList())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gist-bench: perf: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(experiments.RenderPerf(res))
-		writeBench("perf", res)
-	}
-	if *exp == "sched" {
-		fmt.Printf("==== sched ====\n\n")
-		res, err := experiments.Sched(suite, widthList())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gist-bench: sched: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(experiments.RenderSched(res))
-		writeBench("sched", res)
-	}
-	if *exp == "shard" {
-		fmt.Printf("==== shard ====\n\n")
-		procs := []int{1, 2, 4}
-		if *workers == 1 {
-			procs = []int{1}
-		} else if *workers > 0 {
-			procs = []int{1, *workers}
-		}
-		res, err := experiments.Shard(suite, procs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gist-bench: shard: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(experiments.RenderShard(res))
-		writeBench("shard", res)
-	}
-	if *exp == "crashloop" {
-		fmt.Printf("==== crashloop ====\n\n")
-		// Default to the chaos trio; -bugs widens (or narrows) the sweep.
-		cs := suite
-		if *bugList == "" {
-			cs = experiments.ChaosSuite()
-		}
-		res, err := experiments.Crashloop(cs, nil, nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gist-bench: crashloop: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(experiments.RenderCrashloop(res))
-		writeBench("crashloop", res)
-	}
-	if *exp == "vm" {
-		fmt.Printf("==== vm ====\n\n")
-		// Default to the three printed-sketch bugs; -bugs overrides.
-		cs := suite
-		if *bugList == "" {
-			cs = experiments.VMSuite()
-		}
-		res, err := experiments.VMPerf(cs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gist-bench: vm: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(experiments.RenderVM(res))
-		writeBench("vm", res)
-	}
-	if *exp == "ingest" {
-		fmt.Printf("==== ingest ====\n\n")
-		names := make([]string, len(suite))
-		for i, b := range suite {
-			names[i] = b.Name
-		}
-		res, err := experiments.IngestLoad(names, *dedup, 2)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gist-bench: ingest: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(experiments.RenderIngest(res))
-		writeBench("ingest", res)
-	}
-	if *exp == "service" {
-		fmt.Printf("==== service ====\n\n")
-		// One cheap-to-diagnose bug keeps the experiment about the wire,
-		// not the diagnosis; -bugs overrides.
-		bug := "deadlock"
-		if *bugList != "" {
-			bug = strings.Split(*bugList, ",")[0]
-		}
-		perTenant := 20
-		if *agents < perTenant {
-			perTenant = *agents
-		}
-		tenants := *agents / perTenant
-		res, err := experiments.ServiceLoad(bug, tenants, perTenant, 0.05)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gist-bench: service: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(experiments.RenderService(res))
-		writeBench("service", res)
-	}
-	if *exp == "overload" {
-		fmt.Printf("==== overload ====\n\n")
-		// One cheap-to-diagnose bug keeps the experiment about admission
-		// control, not the diagnosis; -bugs overrides.
-		opts := experiments.OverloadOptions{}
-		if *bugList != "" {
-			opts.Bug = strings.Split(*bugList, ",")[0]
-		}
-		res, err := experiments.Overload(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gist-bench: overload: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(experiments.RenderOverload(res))
-		writeBench("overload", res)
 	}
 }

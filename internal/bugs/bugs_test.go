@@ -105,6 +105,7 @@ func TestEachBugHasBothOutcomes(t *testing.T) {
 	for _, b := range All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
+			t.Parallel() // 120 interpreter runs of the bug's own program
 			p := b.Program()
 			pm := b.PreemptMean
 			if pm == 0 {

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/bugs"
@@ -23,6 +20,7 @@ func TestEngineDifferential(t *testing.T) {
 	for _, b := range bugs.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
+			t.Parallel() // each diagnosis builds its own config; nothing is shared
 			for _, rate := range []float64{0, 0.10} {
 				ref := engineFingerprint(t, b.Name, rate, 1, core.EngineInterp, nil)
 				for _, workers := range []int{1, 4} {
@@ -63,63 +61,4 @@ func TestParseEngine(t *testing.T) {
 	if zero != core.EngineBytecode {
 		t.Error("zero-value Engine is not the bytecode engine")
 	}
-}
-
-// TestVMBenchJSONRoundTrip runs a one-bug vm pass and validates the
-// JSON it writes — the same check CI's vm-bench smoke applies.
-func TestVMBenchJSONRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark-driven; skipped in -short")
-	}
-	res, err := VMPerf(Suite("pbzip2"))
-	if err != nil {
-		t.Fatalf("VMPerf: %v", err)
-	}
-	data, err := vmJSONBytes(t, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateBenchJSON(data); err != nil {
-		t.Fatalf("ValidateBenchJSON: %v", err)
-	}
-	row := res.Rows[0]
-	if row.Speedup < 2 {
-		t.Errorf("bytecode speedup %.2fx on pbzip2; expected comfortably above 2x even on noisy CI", row.Speedup)
-	}
-	if row.BytecodeAllocsOp >= row.InterpAllocsOp/10 {
-		t.Errorf("bytecode allocs/op %d vs interp %d; the warm path should allocate orders of magnitude less",
-			row.BytecodeAllocsOp, row.InterpAllocsOp)
-	}
-}
-
-// TestValidateVMJSONRejects covers the malformed-artifact paths.
-func TestValidateVMJSONRejects(t *testing.T) {
-	good := `{"experiment":"vm","gomaxprocs":1,"rows":[{"bug":"pbzip2","interp_ns_op":1000,"bytecode_ns_op":100,"interp_allocs_op":1000,"bytecode_allocs_op":3,"speedup":10}]}`
-	if err := ValidateBenchJSON([]byte(good)); err != nil {
-		t.Fatalf("well-formed vm json rejected: %v", err)
-	}
-	cases := map[string]string{
-		"not json":         `{`,
-		"wrong experiment": `{"experiment":"perf","rows":[]}`,
-		"no rows":          `{"experiment":"vm","gomaxprocs":1,"rows":[]}`,
-		"no gomaxprocs":    `{"experiment":"vm","rows":[{"bug":"x","interp_ns_op":10,"bytecode_ns_op":1,"interp_allocs_op":10,"bytecode_allocs_op":1,"speedup":10}]}`,
-		"unnamed row":      `{"experiment":"vm","gomaxprocs":1,"rows":[{"interp_ns_op":10,"bytecode_ns_op":1,"interp_allocs_op":10,"bytecode_allocs_op":1,"speedup":10}]}`,
-		"zero timing":      `{"experiment":"vm","gomaxprocs":1,"rows":[{"bug":"x","interp_ns_op":0,"bytecode_ns_op":1,"interp_allocs_op":10,"bytecode_allocs_op":1,"speedup":10}]}`,
-		"no speedup":       `{"experiment":"vm","gomaxprocs":1,"rows":[{"bug":"x","interp_ns_op":10,"bytecode_ns_op":20,"interp_allocs_op":10,"bytecode_allocs_op":1,"speedup":0.5}]}`,
-		"alloc regression": `{"experiment":"vm","gomaxprocs":1,"rows":[{"bug":"x","interp_ns_op":10,"bytecode_ns_op":1,"interp_allocs_op":5,"bytecode_allocs_op":5,"speedup":10}]}`,
-	}
-	for name, data := range cases {
-		if err := ValidateVMJSON([]byte(data)); err == nil {
-			t.Errorf("%s: validated, want error", name)
-		}
-	}
-}
-
-func vmJSONBytes(t *testing.T, res *VMResult) ([]byte, error) {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "BENCH_vm.json")
-	if err := WriteJSON(path, res); err != nil {
-		return nil, fmt.Errorf("WriteJSON: %w", err)
-	}
-	return os.ReadFile(path)
 }

@@ -43,8 +43,7 @@ var Workers int
 
 // Telemetry, when set (gist-bench's -trace-out/-metrics-json flags),
 // receives phase spans and counters from every diagnosis the experiment
-// drivers launch. The perf experiment manages its own per-pass tracer
-// and ignores this hook. Results are byte-identical with it nil or set.
+// drivers launch. Results are byte-identical with it nil or set.
 var Telemetry *telemetry.Tracer
 
 func experimentWorkers() int {

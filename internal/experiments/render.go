@@ -144,50 +144,6 @@ func RenderChaos(rows []ChaosRow) string {
 	return b.String()
 }
 
-// RenderPerf renders the fleet-scaling experiment.
-func RenderPerf(r *PerfResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Perf: wall-clock scaling of the parallel fleet (GOMAXPROCS=%d; results byte-identical at every width)\n\n", r.GoMaxProcs)
-	fmt.Fprintf(&b, "%-13s %6s", "Bug", "runs")
-	for _, w := range r.Workers {
-		fmt.Fprintf(&b, " %8s", fmt.Sprintf("w=%d", w))
-	}
-	b.WriteString("  (ms per diagnosis, speedup vs w=1)\n")
-	for _, row := range r.Bugs {
-		fmt.Fprintf(&b, "%-13s %6d", row.Bug, row.TotalRuns)
-		for i := range r.Workers {
-			fmt.Fprintf(&b, " %8.0f", row.WallMS[i])
-		}
-		b.WriteString("  ")
-		for i := range r.Workers {
-			fmt.Fprintf(&b, " %5.2fx", row.Speedup[i])
-		}
-		b.WriteByte('\n')
-	}
-	fmt.Fprintf(&b, "%-20s", "suite sweep")
-	for i := range r.Workers {
-		fmt.Fprintf(&b, " %8.0f", r.SweepWallMS[i])
-	}
-	b.WriteString("  ")
-	for i := range r.Workers {
-		fmt.Fprintf(&b, " %5.2fx", r.SweepSpeedup[i])
-	}
-	b.WriteByte('\n')
-	if n := len(r.Cache); n > 0 {
-		c := r.Cache[n-1]
-		fmt.Fprintf(&b, "\nanalysis cache (last pass): %d graph builds / %d hits, %d slice builds / %d hits\n",
-			c.GraphBuilds, c.GraphHits, c.SliceBuilds, c.SliceHits)
-	}
-	if n := len(r.Phases); n > 0 {
-		b.WriteString("\nper-phase breakdown (last pass):\n")
-		fmt.Fprintf(&b, "  %-14s %8s %12s %10s\n", "phase", "count", "total (ms)", "max (ms)")
-		for _, ph := range r.Phases[n-1] {
-			fmt.Fprintf(&b, "  %-14s %8d %12.1f %10.2f\n", ph.Phase, ph.Count, ph.TotalMS, ph.MaxMS)
-		}
-	}
-	return b.String()
-}
-
 // RenderSWPT renders the §4 hardware-vs-software tracing comparison.
 func RenderSWPT(rows []SWPTRow) string {
 	var b strings.Builder
@@ -195,20 +151,6 @@ func RenderSWPT(rows []SWPTRow) string {
 	fmt.Fprintf(&b, "%-13s %14s %14s %10s\n", "Bug", "hardware (%)", "software (%)", "ratio")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-13s %14.2f %14.1f %9.0fx\n", r.Bug, r.HardwarePct, r.SoftwarePct, r.SlowdownVsHWOnce)
-	}
-	return b.String()
-}
-
-// RenderVM renders the engine comparison.
-func RenderVM(r *VMResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "VM: single-thread engine comparison, interpreter vs. bytecode (GOMAXPROCS=%d; outcomes byte-identical)\n\n", r.GoMaxProcs)
-	fmt.Fprintf(&b, "%-13s %12s %12s %9s %13s %13s %8s\n",
-		"Bug", "interp ns", "bytecode ns", "speedup", "interp alloc", "bytec. alloc", "runs/s")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-13s %12d %12d %8.2fx %13d %13d %8.0f\n",
-			row.Bug, row.InterpNSOp, row.BytecodeNSOp, row.Speedup,
-			row.InterpAllocsOp, row.BytecodeAllocsOp, row.BytecodeRunsPerSec)
 	}
 	return b.String()
 }

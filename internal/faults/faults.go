@@ -183,7 +183,8 @@ func Composite(seed int64, rate float64) Config {
 // Disk returns a Config injecting only store-layer disk faults: rate is
 // the probability one checkpoint write is hit by exactly one of the four
 // durability fault kinds (picked uniformly). rate is clamped to [0, 1]
-// like Composite's. This is the knob the crashloop experiment sweeps.
+// like Composite's. This is the knob the crash-loop test in
+// internal/supervise sweeps.
 func Disk(seed int64, rate float64) Config {
 	if rate < 0 {
 		rate = 0
@@ -210,7 +211,7 @@ func Transport(seed int64, rate float64) Config {
 // Slowdown returns a Config injecting only agent-slowdown faults: rate
 // is the probability one task execution is delayed, meanMs the mean
 // delay (0 = 200ms). rate is clamped to [0, 1] like Composite's. This
-// is the knob the overload experiment's slow-agent mix sweeps.
+// is the knob the service overload test's slow agents turn.
 func Slowdown(seed int64, rate float64, meanMs int) Config {
 	if rate < 0 {
 		rate = 0
@@ -599,8 +600,8 @@ func (i *Injector) ForSlowdown(tenant, agent string, taskID uint64) SlowDecision
 // the deterministic inter-submit gaps of a bursty report stream whose
 // long-run offered rate averages rps. Submissions inside a burst are
 // back to back; the gap between bursts is jittered ±50% around
-// burst/rps seconds. The overload experiment and the CI flood smoke
-// drive their offered load from it so a flood replays exactly.
+// burst/rps seconds. The service overload test drives its bully
+// tenant from it so the flood replays exactly.
 type Flood struct {
 	rng   *rand.Rand
 	rps   float64

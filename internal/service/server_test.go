@@ -266,6 +266,55 @@ func TestHeartbeatExtendsLease(t *testing.T) {
 	}
 }
 
+// TestFleetVanishesDegradesGracefully submits a campaign with no agents
+// at all: every dispatched run is written off under NoAgentTimeout and
+// the campaign must degrade (low-confidence sketch or clean failure),
+// never hang. The fake clock steps past NoAgentTimeout once per batch,
+// so the only wall time spent is the campaign's own bookkeeping.
+func TestFleetVanishesDegradesGracefully(t *testing.T) {
+	const noAgent = 300 * time.Millisecond
+	clk := newFakeClock()
+	s := NewServer(Options{LeaseTTL: 100 * time.Millisecond, NoAgentTimeout: noAgent, MaxTaskAttempts: 2, Now: clk.Now})
+	defer s.Close()
+	if _, err := s.handleSubmit(&SubmitRequest{Tenant: "ghost", Bug: "pbzip2"}); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	done := make(chan struct{})
+	go func() {
+		s.WaitCampaign("ghost", "pbzip2")
+		close(done)
+	}()
+	hang := time.After(time.Minute)
+	for waiting := true; waiting; {
+		clk.Advance(noAgent + time.Millisecond)
+		s.reapOnce(clk.Now())
+		select {
+		case <-done:
+			waiting = false
+		case <-hang:
+			t.Fatal("campaign with no agents hung instead of degrading")
+		case <-time.After(200 * time.Microsecond): // let the campaign issue its next batch
+		}
+	}
+	st, err := s.handleStatus(&StatusRequest{Tenant: "ghost", Bug: "pbzip2"})
+	if err != nil {
+		t.Fatalf("status: %v", err)
+	}
+	switch st.State {
+	case StateDone:
+		if !st.LowConfidence {
+			t.Error("campaign finished full-confidence with zero agents — quorum accounting is broken")
+		}
+	case StateFailed:
+		// A clean failure is acceptable degradation; a hang is not.
+	default:
+		t.Fatalf("campaign state = %q after fleet vanished", st.State)
+	}
+	if c, _ := s.Snapshot(); c.LostTasks == 0 {
+		t.Error("no tasks were written off despite an empty fleet")
+	}
+}
+
 func TestSubmitUnknownBugRejected(t *testing.T) {
 	s := NewServer(Options{})
 	defer s.Close()

@@ -49,8 +49,10 @@ func inProcessSketch(t *testing.T, bug string) []byte {
 // server, a small agent fleet, transport faults at the given rate.
 func serviceSketch(t *testing.T, bug string, rate float64, nAgents int) ([]byte, service.Counters) {
 	t.Helper()
+	// A task whose grant was lost on the wire sits out a whole lease before
+	// it is reassigned; that wait is most of a faulty cell's wall time.
 	srv := service.NewServer(service.Options{
-		LeaseTTL:        2 * time.Second,
+		LeaseTTL:        time.Second,
 		PollTimeout:     200 * time.Millisecond,
 		MaxTaskAttempts: 10,
 	})
@@ -130,16 +132,20 @@ func TestServiceSketchesByteIdentical(t *testing.T) {
 	for _, bug := range suite {
 		bug := bug
 		t.Run(bug, func(t *testing.T) {
-			want := inProcessSketch(t, bug)
+			t.Parallel()
 			for _, rate := range []float64{0, 0.10} {
-				got, counters := serviceSketch(t, bug, rate, 3)
-				if !bytes.Equal(got, want) {
-					t.Errorf("rate %.2f: service sketch differs from in-process run\nservice:\n%s\nin-process:\n%s",
-						rate, got, want)
-				}
-				if counters.LostTasks != 0 {
-					t.Errorf("rate %.2f: %d tasks lost; transport faults must never lose work", rate, counters.LostTasks)
-				}
+				// Each cell builds its own server, agents and client.
+				t.Run(fmt.Sprintf("rate=%.2f", rate), func(t *testing.T) {
+					t.Parallel()
+					want := inProcessSketch(t, bug)
+					got, counters := serviceSketch(t, bug, rate, 3)
+					if !bytes.Equal(got, want) {
+						t.Errorf("service sketch differs from in-process run\nservice:\n%s\nin-process:\n%s", got, want)
+					}
+					if counters.LostTasks != 0 {
+						t.Errorf("%d tasks lost; transport faults must never lose work", counters.LostTasks)
+					}
+				})
 			}
 		})
 	}
@@ -236,56 +242,5 @@ func TestAgentDeathReassignsRuns(t *testing.T) {
 	}
 	if counters.LostTasks != 0 {
 		t.Errorf("%d tasks lost; reassignment should have saved them all", counters.LostTasks)
-	}
-}
-
-// TestFleetVanishesDegradesGracefully submits a campaign with no agents
-// at all: every dispatched run times out under NoAgentTimeout and the
-// campaign must degrade (low-confidence sketch or clean failure), never
-// hang.
-func TestFleetVanishesDegradesGracefully(t *testing.T) {
-	srv := service.NewServer(service.Options{
-		LeaseTTL:        100 * time.Millisecond,
-		PollTimeout:     50 * time.Millisecond,
-		NoAgentTimeout:  300 * time.Millisecond,
-		MaxTaskAttempts: 2,
-	})
-	defer srv.Close()
-	transport := service.LoopbackTransport{Handler: srv.Handler()}
-	cli := service.NewClient(service.ClientOptions{
-		BaseURL: "http://gist", Tenant: "ghost", Actor: "cli",
-		Transport: transport, Sleep: func(time.Duration) {},
-	})
-	ctx := context.Background()
-	if err := cli.Call(ctx, service.PathSubmit, &service.SubmitRequest{Tenant: "ghost", Bug: "pbzip2"}, nil); err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	done := make(chan struct{})
-	go func() {
-		srv.WaitCampaign("ghost", "pbzip2")
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(3 * time.Minute):
-		t.Fatal("campaign with no agents hung instead of degrading")
-	}
-	var st service.StatusResponse
-	if err := cli.Call(ctx, service.PathStatus, &service.StatusRequest{Tenant: "ghost", Bug: "pbzip2"}, &st); err != nil {
-		t.Fatalf("status: %v", err)
-	}
-	switch st.State {
-	case service.StateDone:
-		if !st.LowConfidence {
-			t.Error("campaign finished full-confidence with zero agents — quorum accounting is broken")
-		}
-	case service.StateFailed:
-		// A clean failure is acceptable degradation; a hang is not.
-	default:
-		t.Fatalf("campaign state = %q after fleet vanished", st.State)
-	}
-	counters, _ := srv.Snapshot()
-	if counters.LostTasks == 0 {
-		t.Error("no tasks were written off despite an empty fleet")
 	}
 }

@@ -140,3 +140,22 @@ func Percentile(sorted []float64, p float64) float64 {
 	}
 	return sorted[int(p*float64(len(sorted)-1))]
 }
+
+// JainIndex is Jain's fairness index (sum x)^2 / (n * sum x^2) over a
+// non-negative allocation vector: 1.0 for perfectly equal shares,
+// approaching 1/n as one tenant monopolizes. An empty or all-zero
+// vector is vacuously fair.
+func JainIndex(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 1
+	}
+	var sum, sq float64
+	for _, x := range xs {
+		sum += x
+		sq += x * x
+	}
+	if sq == 0 {
+		return 1
+	}
+	return sum * sum / (float64(len(xs)) * sq)
+}

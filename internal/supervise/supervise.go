@@ -280,7 +280,7 @@ func (s *Supervisor) RetireSlot(slot int) {
 
 // SetStepFault installs a fault script for one slot: fn is consulted
 // with the slot's step-attempt index before each guarded step. Used by
-// tests and the crashloop experiment; nil clears the script.
+// tests; nil clears the script.
 func (s *Supervisor) SetStepFault(slot int, fn func(step int) StepFault) {
 	s.tenants[slot].faultFn = fn
 }

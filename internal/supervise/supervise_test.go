@@ -9,6 +9,7 @@ import (
 	"repro/internal/bugs"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/supervise"
 	"repro/internal/vm"
@@ -255,7 +256,7 @@ func TestCrashLoopCannotStarveOthers(t *testing.T) {
 		}
 		shares = append(shares, float64(sum)/float64(out.Rounds))
 	}
-	if j := experiments.JainIndex(shares); j < 0.6 {
+	if j := stats.JainIndex(shares); j < 0.6 {
 		t.Errorf("Jain fairness index %.3f across healthy tenants, want >= 0.6 (shares %v)", j, shares)
 	}
 }

@@ -19,8 +19,8 @@
 //     pipeline computes may depend on a Tracer. Recorded durations and
 //     timestamps are wall-clock and therefore vary run to run, but the
 //     diagnosis output (sketches, rankings, FleetHealth) is byte-identical
-//     with tracing on or off, at any worker width — the regression test
-//     in internal/experiments enforces this.
+//     with tracing on or off, at any worker width —
+//     TestTelemetryDeterminism in internal/experiments enforces this.
 //
 // Concurrency: a Tracer is safe for concurrent use; fleet workers
 // record spans from their own goroutines. Counter updates and span

@@ -162,3 +162,25 @@ func TestMachineReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmRunAllocations pins what the machine pool buys: a run on a
+// pooled machine allocates fewer times than one on a fresh machine, and
+// less than a tenth of what the tree-walking interpreter allocates for
+// the same run. Speed is BenchmarkVM*'s business; allocation counts are
+// exact, so they can gate.
+func TestWarmRunAllocations(t *testing.T) {
+	for _, name := range benchBugs {
+		b := bugs.ByName(name)
+		src := b.Program()
+		prog := bytecode.Compile(src)
+		seed := int64(0)
+		next := func() vm.Config { seed++; return bugVMConfig(b, seed%8) }
+		interp := testing.AllocsPerRun(16, func() { vm.Run(src, next()) })
+		cold := testing.AllocsPerRun(16, func() { bytecode.NewMachine(prog).Run(next()) })
+		warm := testing.AllocsPerRun(16, func() { prog.Run(next()) })
+		if warm >= cold || warm >= interp/10 {
+			t.Errorf("%s: a warm bytecode run allocates %.0f times, a cold machine %.0f, the interpreter %.0f; want warm < cold and warm < interpreter/10",
+				name, warm, cold, interp)
+		}
+	}
+}

@@ -17,8 +17,9 @@ import (
 // Every method here is semantically identical to the slow path: the
 // same checks run in the same order per region, so the fault a program
 // observes (kind, address, message) cannot depend on which engine
-// executed it. The differential suite in internal/vm/bytecode and
-// internal/experiments holds both engines to that.
+// executed it. TestDifferentialOutcomes and TestDifferentialHookStream
+// in internal/vm/bytecode and TestEngineDifferential in
+// internal/experiments hold both engines to that.
 
 // Reset returns the memory to its post-NewMemory state for nGlobals
 // global words, recycling every internal buffer: globals are zeroed in
