@@ -93,99 +93,112 @@ func RunInstrumentedFaults(plan *Plan, spec RunSpec, dec faults.Decision) *RunTr
 	}
 	tracer := pt.NewTracer(pt.Config{BufBytes: dec.BufBytes(0)}, &rt.Meter)
 	unit := watch.NewUnit(&rt.Meter)
-	group := plan.WatchGroupFor(spec.EndpointID)
 
-	// pendingStop[tid] holds the instruction after which tracing must be
-	// disabled; the disable is performed when the thread takes its next
-	// step so that the instruction's own packets are recorded first.
-	pendingStop := make(map[int]int)
-	lastTraced := make(map[int]int)
+	// threads is the client's per-thread tracking state, indexed by thread
+	// ID. Every thread's first step reaches OnStep (see vm.Hooks.StepMask),
+	// which is where its entry is made.
+	type threadState struct {
+		// pendingStop is the instruction after which tracing must be
+		// disabled, or -1; the disable is performed when the thread takes
+		// its next step so that the instruction's own packets are recorded
+		// first.
+		pendingStop int
+		lastTraced  int
+	}
+	var threads []threadState
+	thread := func(tid int) *threadState {
+		for tid >= len(threads) {
+			threads = append(threads, threadState{pendingStop: -1})
+		}
+		return &threads[tid]
+	}
 
-	// In the §6 extended-PT mode, tracing is simply always on: the whole
-	// point of the extension is that trace cost is low enough to keep PT
-	// running, with data packets making watchpoints unnecessary.
-	alwaysOn := plan.Feats.ExtendedPT && plan.Feats.ControlFlow
-	hooks := vm.Hooks{
-		OnStep: func(t *vm.Thread, in *ir.Instr, clock int64) {
-			rt.Meter.AddInstr(1)
-			if !plan.Feats.ControlFlow {
-				return
-			}
-			if alwaysOn {
+	var hooks vm.Hooks
+	if plan.Feats.ControlFlow {
+		if plan.Feats.ExtendedPT {
+			// In the §6 extended-PT mode, tracing is simply always on: the
+			// whole point of the extension is that trace cost is low enough
+			// to keep PT running, with data packets making watchpoints
+			// unnecessary. No step mask: every step must reach the hook.
+			hooks.OnStep = func(t *vm.Thread, in *ir.Instr, clock int64) {
 				if !tracer.Enabled(t.ID) {
 					tracer.Enable(t.ID, in.ID)
 				}
 				tracer.InstrRetired(t.ID)
-				lastTraced[t.ID] = in.ID
-				return
+				thread(t.ID).lastTraced = in.ID
 			}
-			if stopIP, ok := pendingStop[t.ID]; ok {
-				tracer.Disable(t.ID, stopIP)
-				delete(pendingStop, t.ID)
-			}
-			if plan.StartAt[in.ID] && !tracer.Enabled(t.ID) {
-				tracer.Enable(t.ID, in.ID)
-			}
-			if tracer.Enabled(t.ID) {
-				tracer.InstrRetired(t.ID)
-				lastTraced[t.ID] = in.ID
-				if plan.StopAfter[in.ID] {
-					pendingStop[t.ID] = in.ID
+		} else {
+			// The hook does nothing at an instruction without a flag on a
+			// thread that is not tracing, which is the promise StepMask
+			// needs: the engine then calls it at flagged instructions, at
+			// every step of a thread whose Traced bit it left set, and at
+			// each thread's first step — which is what gives every thread
+			// that retires an instruction its (possibly empty) PT core.
+			hooks.StepMask = plan.stepFlags
+			hooks.OnStep = func(t *vm.Thread, in *ir.Instr, clock int64) {
+				st := thread(t.ID)
+				if st.pendingStop >= 0 {
+					tracer.Disable(t.ID, st.pendingStop)
+					st.pendingStop = -1
 				}
+				flags := plan.stepFlags[in.ID]
+				on := tracer.Enabled(t.ID)
+				if !on && flags&planStart != 0 {
+					tracer.Enable(t.ID, in.ID)
+					on = true
+				}
+				if on {
+					tracer.InstrRetired(t.ID)
+					st.lastTraced = in.ID
+					if flags&planStopAfter != 0 {
+						st.pendingStop = in.ID
+					}
+				}
+				t.Traced = on
 			}
-		},
-		OnBranch: func(t *vm.Thread, in *ir.Instr, taken bool, clock int64) {
-			if plan.Feats.ControlFlow {
-				tracer.Branch(t.ID, in.ID, taken)
-			}
-		},
-		OnIndirect: func(t *vm.Thread, in *ir.Instr, target *ir.Instr, clock int64) {
-			if plan.Feats.ControlFlow && (in.Op == ir.OpCall || in.Op == ir.OpRet) {
+		}
+		hooks.OnBranch = func(t *vm.Thread, in *ir.Instr, taken bool, clock int64) {
+			tracer.Branch(t.ID, in.ID, taken)
+		}
+		hooks.OnIndirect = func(t *vm.Thread, in *ir.Instr, target *ir.Instr, clock int64) {
+			if in.Op == ir.OpCall || in.Op == ir.OpRet {
 				tracer.TIP(t.ID, in.ID, target.ID)
 			}
-		},
+		}
 	}
+	// OnLoad and OnStore share one closure: the instruction says which of
+	// the two it is.
 	if plan.Feats.DataFlow && plan.Feats.ExtendedPT && plan.Feats.ControlFlow {
 		// Extended-PT data flow (§6): every shared access inside a traced
 		// region becomes a PTW packet; no debug registers, no groups.
-		data := func(t *vm.Thread, in *ir.Instr, addr, val, size int64, clock int64, isWrite bool) {
+		data := func(t *vm.Thread, in *ir.Instr, addr, val, size int64, clock int64) {
 			if !vm.IsStackAddr(addr) {
-				tracer.Data(t.ID, in.ID, addr, val, size, isWrite, clock)
+				tracer.Data(t.ID, in.ID, addr, val, size, in.Op == ir.OpStore, clock)
 			}
 		}
-		hooks.OnLoad = func(t *vm.Thread, in *ir.Instr, addr, val, size int64, clock int64) {
-			data(t, in, addr, val, size, clock, false)
-		}
-		hooks.OnStore = func(t *vm.Thread, in *ir.Instr, addr, val, size int64, clock int64) {
-			data(t, in, addr, val, size, clock, true)
-		}
-	} else if plan.Feats.DataFlow {
-		armedClass := make(map[string]bool)
-		access := func(t *vm.Thread, in *ir.Instr, addr, val, size int64, clock int64, isWrite bool) {
+		hooks.OnLoad, hooks.OnStore = data, data
+	} else if grp := plan.GroupOf(spec.EndpointID); plan.Feats.DataFlow && grp >= 0 {
+		// Without watch groups nothing is ever armed, so no access can trap
+		// and the hooks stay nil.
+		var armedClass [watch.NumRegisters]bool
+		access := func(t *vm.Thread, in *ir.Instr, addr, val, size int64, clock int64) {
 			// Arm a watchpoint the first time a tracked access touches its
 			// location class (conceptually inserted right before the
 			// access, so the triggering access itself traps too). One
 			// debug register per class: the watchpoint watches "the
 			// variable", so an array walk does not drain the register
 			// file.
-			if group[in.ID] && !vm.IsStackAddr(addr) && !unit.Watched(addr, size) {
-				cls := plan.Classes[in.ID]
-				if !armedClass[cls] {
-					if _, err := unit.SetAny(watch.Watchpoint{Addr: addr, Size: size, Kind: watch.KindReadWrite}); err != nil {
-						rt.WatchMisses++
-					} else {
-						armedClass[cls] = true
-					}
+			if k := plan.watchRegister(in.ID, grp); k < watch.NumRegisters && !armedClass[k] &&
+				!vm.IsStackAddr(addr) && !unit.Watched(addr, size) {
+				if _, err := unit.SetAny(watch.Watchpoint{Addr: addr, Size: size, Kind: watch.KindReadWrite}); err != nil {
+					rt.WatchMisses++
+				} else {
+					armedClass[k] = true
 				}
 			}
-			unit.CheckAccess(t.ID, in.ID, addr, size, val, isWrite, clock)
+			unit.CheckAccess(t.ID, in.ID, addr, size, val, in.Op == ir.OpStore, clock)
 		}
-		hooks.OnLoad = func(t *vm.Thread, in *ir.Instr, addr, val, size int64, clock int64) {
-			access(t, in, addr, val, size, clock, false)
-		}
-		hooks.OnStore = func(t *vm.Thread, in *ir.Instr, addr, val, size int64, clock int64) {
-			access(t, in, addr, val, size, clock, true)
-		}
+		hooks.OnLoad, hooks.OnStore = access, access
 	}
 
 	execSpan := plan.Telemetry.StartSpan(telemetry.PhaseRunExec)
@@ -197,33 +210,44 @@ func RunInstrumentedFaults(plan *Plan, spec RunSpec, dec faults.Decision) *RunTr
 		Hooks:       hooks,
 	}, plan.Telemetry)
 	execSpan.End()
+	// Steps counts exactly the OnStep firings an unmasked run would see,
+	// on either engine.
+	rt.Meter.AddInstr(rt.Outcome.Steps)
 
 	if plan.Feats.ControlFlow {
 		decodeSpan := plan.Telemetry.StartSpan(telemetry.PhaseDecode)
+		seen := make([]bool, len(plan.Prog.Instrs))
 		for _, core := range tracer.Cores() {
 			if tracer.Enabled(core) {
-				tracer.Disable(core, lastTraced[core])
+				tracer.Disable(core, thread(core).lastTraced)
 			}
 			buf, wrapped := tracer.CoreBytes(core)
 			buf = dec.CorruptTrace(buf)
-			segs, branches, data, err := pt.DecodeFull(plan.Prog, buf, wrapped)
+			flow, branches, data, err := pt.DecodeFlow(plan.Prog, buf, wrapped)
 			if err != nil {
 				// Corrupt trace: salvage the PSB-delimited chunks that
 				// still parse and replay; only when nothing survives is
 				// the core's flow abandoned (DecodeErr tells the server
 				// to keep this run away from predictor extraction).
-				var srep pt.SalvageReport
-				segs, branches, data, srep = pt.SalvageDecode(plan.Prog, buf, wrapped)
+				segs, sbranches, sdata, srep := pt.SalvageDecode(plan.Prog, buf, wrapped)
 				if !srep.Recovered() {
 					rt.DecodeErr = err
 					continue
 				}
 				rt.SalvagedCores++
+				branches, data = sbranches, sdata
+				flow = make([]int, 0, srep.Instrs)
+				for _, seg := range segs {
+					flow = append(flow, seg.Instrs...)
+				}
 			}
 			rt.Branches[core] = branches
-			for _, seg := range segs {
-				rt.Flow[core] = append(rt.Flow[core], seg.Instrs...)
-				for _, id := range seg.Instrs {
+			if len(flow) > 0 {
+				rt.Flow[core] = flow
+			}
+			for _, id := range flow {
+				if !seen[id] {
+					seen[id] = true
 					rt.Executed[id] = true
 				}
 			}
@@ -239,8 +263,8 @@ func RunInstrumentedFaults(plan *Plan, spec RunSpec, dec faults.Decision) *RunTr
 		sort.Slice(rt.Traps, func(i, j int) bool { return rt.Traps[i].Clock < rt.Traps[j].Clock })
 		decodeSpan.End()
 	}
-	// The decoded flow now lives in the RunTrace; the raw ring buffers
-	// can go back to the pool for the next run on this worker.
+	// The decoded flow is the RunTrace's own; the raw ring buffers can go
+	// back to the pool for the next run on this worker.
 	tracer.Release()
 	watchSpan := plan.Telemetry.StartSpan(telemetry.PhaseWatch)
 	if plan.Feats.DataFlow && !plan.Feats.ExtendedPT {

@@ -70,6 +70,38 @@ func TestClientTracesOnlyPlannedRegions(t *testing.T) {
 	}
 }
 
+// TestClientStopLandsAfterOwnPackets pins when a stop takes effect: PT is
+// disabled at the thread's next step, not at the stop instruction's own,
+// so a window that ends in a branch still records that branch's outcome.
+func TestClientStopLandsAfterOwnPackets(t *testing.T) {
+	// Track the g store and the `if (g > 1)` up to its branch.
+	prog, lines := clientPlan(t, []int{10, 11}, AllFeatures())
+	var tracked []int
+	for _, id := range lines.Tracked {
+		if prog.Instrs[id].Op != ir.OpJmp {
+			tracked = append(tracked, id)
+		}
+	}
+	plan := BuildPlan(cfg.BuildTICFG(prog), tracked, AllFeatures())
+	last := tracked[len(tracked)-1]
+	if prog.Instrs[last].Op != ir.OpBr || !plan.StopAfter[last] {
+		t.Fatalf("test needs the window to stop after a branch; last tracked is %v, stops %v", prog.Instrs[last].Op, plan.StopAfter)
+	}
+	for _, engine := range []Engine{EngineBytecode, EngineInterp} {
+		plan.Engine = engine
+		rt := RunInstrumented(plan, RunSpec{Seed: 3, MaxSteps: 100_000})
+		if rt.DecodeErr != nil {
+			t.Fatalf("%v: decode: %v", engine, rt.DecodeErr)
+		}
+		if !rt.Executed[last] {
+			t.Errorf("%v: the stop branch %%%d is missing from the decoded flow %v", engine, last, rt.Flow)
+		}
+		if len(rt.BranchOutcomes(prog)[last]) != 1 {
+			t.Errorf("%v: want exactly one recorded outcome for the stop branch %%%d, got branches %v", engine, last, rt.Branches)
+		}
+	}
+}
+
 func TestClientMeterCountsEverything(t *testing.T) {
 	_, plan := clientPlan(t, []int{10, 12}, AllFeatures())
 	rt := RunInstrumented(plan, RunSpec{Seed: 3, MaxSteps: 100_000})

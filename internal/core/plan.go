@@ -79,6 +79,24 @@ type Plan struct {
 	// watches "the variable", not every address a walk touches).
 	Classes map[int]string
 
+	// The maps above are how the plan is derived and inspected; a run
+	// never looks anything up in them. BuildPlan ends by compiling them
+	// into the two tables below, indexed by instruction ID (the bytecode
+	// compiler guarantees ID == code index), which is what the client and
+	// the engine's step mask read: the software stand-in for PT address
+	// filters and debug registers costing nothing outside the tracked
+	// window (§3.2.2–3.2.3).
+	//
+	// stepFlags[id] has planStart set where StartAt[id] and planStopAfter
+	// where StopAfter[id]; nil without control-flow tracking.
+	stepFlags []uint8
+	// watchClass[id] is the rank of Classes[id] among the plan's sorted
+	// class names, or -1 for an instruction that is not a watched access.
+	// Classes are packed into WatchGroups in that order, NumRegisters to a
+	// group, so class k belongs to group k/NumRegisters and arms that
+	// endpoint's debug register k%NumRegisters. Nil without watch groups.
+	watchClass []int32
+
 	// Telemetry, when set by the server, receives the client-side phase
 	// spans (run execution, PT decode, trap collection) of every run
 	// executed under this plan. Purely observational; nil is fine and
@@ -90,6 +108,12 @@ type Plan struct {
 	// Config.Engine here so remote runners execute on the same engine.
 	Engine Engine
 }
+
+// stepFlags bits.
+const (
+	planStart     uint8 = 1 << iota // enable PT on reaching the instruction
+	planStopAfter                   // disable PT once the instruction has retired
+)
 
 // IsTracked reports whether instruction id is part of the tracked window.
 func (p *Plan) IsTracked(id int) bool { return p.tracked[id] }
@@ -113,7 +137,16 @@ func BuildPlan(g *cfg.TICFG, tracked []int, feats Features) *Plan {
 		p.planControlFlow(g)
 	}
 	if feats.DataFlow {
-		p.planDataFlow(g)
+		p.planDataFlow()
+	}
+	if feats.ControlFlow {
+		p.stepFlags = make([]uint8, len(p.Prog.Instrs))
+		for id := range p.StartAt {
+			p.stepFlags[id] |= planStart
+		}
+		for id := range p.StopAfter {
+			p.stepFlags[id] |= planStopAfter
+		}
 	}
 	return p
 }
@@ -198,15 +231,20 @@ func (p *Plan) addStarts(g *cfg.TICFG, s *ir.Instr) {
 // registers at runtime. Only when there are more classes than registers
 // does cooperative partitioning split the work across endpoints (the
 // paper notes it never hit this case in practice).
-func (p *Plan) planDataFlow(g *cfg.TICFG) {
+func (p *Plan) planDataFlow() {
+	var roots slicer.Roots
 	classes := make(map[string][]int)
 	for _, id := range p.Tracked {
 		in := p.Prog.Instrs[id]
-		if !slicer.SharedAccess(g, in) {
+		if !in.IsMemAccess() {
+			continue
+		}
+		root := roots.Of(in)
+		if !root.Shared() {
 			continue
 		}
 		p.WatchAccesses[id] = true
-		cls := addrClass(g, in)
+		cls := addrClass(&roots, root, in)
 		p.Classes[id] = cls
 		classes[cls] = append(classes[cls], id)
 	}
@@ -218,37 +256,33 @@ func (p *Plan) planDataFlow(g *cfg.TICFG) {
 		names = append(names, cls)
 	}
 	sort.Strings(names)
-	var group []int
-	nclasses := 0
-	for _, cls := range names {
-		if nclasses == watch.NumRegisters {
-			sort.Ints(group)
-			p.WatchGroups = append(p.WatchGroups, group)
-			group = nil
-			nclasses = 0
-		}
-		group = append(group, classes[cls]...)
-		nclasses++
+	p.watchClass = make([]int32, len(p.Prog.Instrs))
+	for id := range p.watchClass {
+		p.watchClass[id] = -1
 	}
-	if len(group) > 0 {
-		sort.Ints(group)
-		p.WatchGroups = append(p.WatchGroups, group)
+	p.WatchGroups = make([][]int, (len(names)+watch.NumRegisters-1)/watch.NumRegisters)
+	for k, cls := range names {
+		grp := &p.WatchGroups[k/watch.NumRegisters]
+		*grp = append(*grp, classes[cls]...)
+		for _, id := range classes[cls] {
+			p.watchClass[id] = int32(k)
+		}
+	}
+	for _, grp := range p.WatchGroups {
+		sort.Ints(grp)
 	}
 }
 
-// addrClass names the static location class of a shared access: the
-// global it touches, or the field offset / element shape it goes through.
-func addrClass(g *cfg.TICFG, in *ir.Instr) string {
-	root := slicer.RootOf(g, in)
-	switch root.Kind {
-	case slicer.RootGlobal:
+// addrClass names the static location class of a shared access with the
+// given root: the global it touches, or the field offset / element shape
+// it goes through.
+func addrClass(roots *slicer.Roots, root slicer.AddrRoot, in *ir.Instr) string {
+	if root.Kind == slicer.RootGlobal {
 		return fmt.Sprintf("g:%d", root.Global)
-	case slicer.RootLocal:
-		return fmt.Sprintf("l:%s:%d", root.Fn.Name, root.Slot)
 	}
 	// Dynamic: classify by the address-producing instruction.
 	if in.A.Kind == ir.ValReg {
-		if def := singleDef(in.Blk.Fn, in.A.Reg); def != nil {
+		if def := roots.SingleDef(in.Blk.Fn, in.A.Reg); def != nil {
 			switch def.Op {
 			case ir.OpFieldAddr:
 				return fmt.Sprintf("fld:%d", def.Offset)
@@ -258,22 +292,6 @@ func addrClass(g *cfg.TICFG, in *ir.Instr) string {
 		}
 	}
 	return "dyn"
-}
-
-// singleDef returns the unique defining instruction of reg in fn, or nil.
-func singleDef(fn *ir.Func, reg int) *ir.Instr {
-	var def *ir.Instr
-	for _, b := range fn.Blocks {
-		for _, in := range b.Instrs {
-			if in.Dst == reg {
-				if def != nil {
-					return nil
-				}
-				def = in
-			}
-		}
-	}
-	return def
 }
 
 // GroupOf returns the watch-group index endpoint k is assigned to, or
@@ -287,8 +305,17 @@ func (p *Plan) GroupOf(endpoint int) int {
 	return endpoint % len(p.WatchGroups)
 }
 
+// watchRegister returns which of watch group grp's debug registers
+// instruction id's location class arms, or a value >= watch.NumRegisters
+// when id is not one of that group's watched accesses. Only meaningful
+// on a plan with watch groups.
+func (p *Plan) watchRegister(id, grp int) uint32 {
+	return uint32(p.watchClass[id] - int32(grp*watch.NumRegisters))
+}
+
 // WatchGroupFor returns the set of access instructions endpoint k arms
-// watchpoints for.
+// watchpoints for — the inspectable form of what watchRegister answers
+// per instruction.
 func (p *Plan) WatchGroupFor(endpoint int) map[int]bool {
 	if len(p.WatchGroups) == 0 {
 		return nil

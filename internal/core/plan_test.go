@@ -209,3 +209,88 @@ func TestFeatureGates(t *testing.T) {
 		t.Error("data-flow-only plan wrong")
 	}
 }
+
+// TestPlanTablesAgreeWithMaps checks the compiled form of a plan against
+// the maps it was compiled from, instruction by instruction: the step
+// flags against StartAt/StopAfter, and the per-instruction watch class
+// against every watch group, including when there are more location
+// classes than debug registers.
+func TestPlanTablesAgreeWithMaps(t *testing.T) {
+	manyClasses := `global int a; global int b; global int c; global int d; global int e; global int f;
+global int g2; global int h2; global int i2; global int j2;
+int main() {
+	a = 1; b = 2; c = 3; d = 4; e = 5; f = 6; g2 = 7; h2 = 8; i2 = 9; j2 = 10;
+	if (a + b > 2) { c = d; }
+	return a + b + c + d + e + f + g2 + h2 + i2 + j2;
+}`
+	cases := []struct {
+		name, src  string
+		lines      []int
+		wantGroups int
+	}{
+		{"plan", planProg, []int{5, 6, 7, 9}, 1},
+		{"client", clientProg, []int{10, 11, 12, 13}, 1},
+		{"many-classes", manyClasses, []int{4, 5, 6}, 3},
+	}
+	feats := []Features{
+		AllFeatures(),
+		{Static: true, ControlFlow: true},
+		{Static: true, DataFlow: true},
+		{Static: true, ControlFlow: true, DataFlow: true, ExtendedPT: true},
+		{Static: true},
+	}
+	for _, tc := range cases {
+		p := ir.MustCompile(tc.name+".mc", tc.src)
+		g := cfg.BuildTICFG(p)
+		for _, f := range feats {
+			plan := BuildPlan(g, trackedOnLines(p, tc.lines...), f)
+			if (plan.stepFlags != nil) != f.ControlFlow {
+				t.Fatalf("%s %+v: step flags present=%v", tc.name, f, plan.stepFlags != nil)
+			}
+			if f.ControlFlow {
+				if len(plan.stepFlags) != len(p.Instrs) {
+					t.Fatalf("%s %+v: %d step flags for %d instructions", tc.name, f, len(plan.stepFlags), len(p.Instrs))
+				}
+				if len(plan.StartAt) == 0 || len(plan.StopAfter) == 0 {
+					t.Fatalf("%s %+v: no starts or no stops; the case checks nothing", tc.name, f)
+				}
+				for id, flags := range plan.stepFlags {
+					if got, want := flags&planStart != 0, plan.StartAt[id]; got != want {
+						t.Errorf("%s %+v: instruction %%%d start flag %v, StartAt %v", tc.name, f, id, got, want)
+					}
+					if got, want := flags&planStopAfter != 0, plan.StopAfter[id]; got != want {
+						t.Errorf("%s %+v: instruction %%%d stop flag %v, StopAfter %v", tc.name, f, id, got, want)
+					}
+				}
+			}
+			if !f.DataFlow {
+				if plan.watchClass != nil || len(plan.WatchGroups) != 0 {
+					t.Fatalf("%s %+v: watch tables without data-flow tracking", tc.name, f)
+				}
+				continue
+			}
+			if len(plan.WatchGroups) != tc.wantGroups {
+				t.Fatalf("%s %+v: %d watch groups, want %d", tc.name, f, len(plan.WatchGroups), tc.wantGroups)
+			}
+			for id := range p.Instrs {
+				if got, want := plan.watchClass[id] >= 0, plan.WatchAccesses[id]; got != want {
+					t.Errorf("%s %+v: instruction %%%d has a watch class=%v, WatchAccesses %v", tc.name, f, id, got, want)
+				}
+				for other := range p.Instrs {
+					if plan.WatchAccesses[id] && plan.WatchAccesses[other] &&
+						(plan.Classes[id] == plan.Classes[other]) != (plan.watchClass[id] == plan.watchClass[other]) {
+						t.Errorf("%s %+v: %%%d (%s) and %%%d (%s) have watch classes %d and %d", tc.name, f,
+							id, plan.Classes[id], other, plan.Classes[other], plan.watchClass[id], plan.watchClass[other])
+					}
+				}
+				for grp := range plan.WatchGroups {
+					// Endpoint grp's group is grp; a register index below
+					// NumRegisters means "this endpoint watches it".
+					if got, want := plan.watchRegister(id, grp) < watch.NumRegisters, plan.WatchGroupFor(grp)[id]; got != want {
+						t.Errorf("%s %+v: instruction %%%d in group %d: table says %v, WatchGroups says %v", tc.name, f, id, grp, got, want)
+					}
+				}
+			}
+		}
+	}
+}

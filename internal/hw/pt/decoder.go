@@ -2,6 +2,7 @@ package pt
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/ir"
 )
@@ -39,51 +40,90 @@ type DataObs struct {
 // the first PSB sync point and the lost prefix is silently dropped,
 // exactly like a real PT decoder.
 func Decode(prog *ir.Program, data []byte, wrapped bool) ([]Segment, error) {
-	segs, _, err := DecodeWithBranches(prog, data, wrapped)
+	segs, _, _, err := DecodeFull(prog, data, wrapped)
 	return segs, err
 }
 
-// DecodeWithBranches is Decode plus the conditional-branch outcomes
-// recovered from the TNT bits, in consumption order. The outcomes are a
-// byproduct of CFG replay: they carry strictly more information than the
-// flow alone when a trace stops right at a branch (the successor is then
-// not part of the flow but the outcome is still known).
-func DecodeWithBranches(prog *ir.Program, data []byte, wrapped bool) ([]Segment, []BranchObs, error) {
-	evs, err := ParsePackets(data, !wrapped)
-	if err != nil {
-		return nil, nil, err
-	}
-	return DecodeEvents(prog, evs)
-}
-
-// DecodeEvents reconstructs segments from parsed packet events.
-func DecodeEvents(prog *ir.Program, evs []Event) ([]Segment, []BranchObs, error) {
-	segs, branches, _, err := DecodeEventsData(prog, evs)
-	return segs, branches, err
-}
-
-// DecodeEventsData is DecodeEvents plus the extended-PT data accesses.
+// DecodeEventsData reconstructs segments, branch outcomes and extended-PT
+// data accesses from parsed packet events.
 func DecodeEventsData(prog *ir.Program, evs []Event) ([]Segment, []BranchObs, []DataObs, error) {
-	d := &decoder{prog: prog, evs: evs}
-	segs, err := d.run()
-	return segs, d.branches, d.data, err
+	flow, ends, branches, data, err := decodeEvents(prog, evs)
+	return segments(flow, ends), branches, data, err
 }
 
-// DecodeFull decodes a raw buffer into segments, branch outcomes, and
-// extended-PT data accesses.
+// DecodeFull decodes a raw buffer into segments, the conditional-branch
+// outcomes recovered from the TNT bits in consumption order, and
+// extended-PT data accesses. The outcomes are a byproduct of CFG replay:
+// they carry strictly more information than the flow alone when a trace
+// stops right at a branch (the successor is then not part of the flow but
+// the outcome is still known).
 func DecodeFull(prog *ir.Program, data []byte, wrapped bool) ([]Segment, []BranchObs, []DataObs, error) {
+	flow, ends, branches, dobs, err := decodeBuffer(prog, data, wrapped)
+	return segments(flow, ends), branches, dobs, err
+}
+
+// DecodeFlow is DecodeFull for a caller that wants the traced regions back
+// to back rather than cut into segments — the endpoint client, whose
+// RunTrace.Flow is exactly that. The flow is the decoder's own exact-size
+// array, not a concatenation of copies.
+func DecodeFlow(prog *ir.Program, data []byte, wrapped bool) ([]int, []BranchObs, []DataObs, error) {
+	flow, _, branches, dobs, err := decodeBuffer(prog, data, wrapped)
+	return flow, branches, dobs, err
+}
+
+func decodeBuffer(prog *ir.Program, data []byte, wrapped bool) (flow, ends []int, branches []BranchObs, dobs []DataObs, err error) {
 	decodeCalls.Add(1)
 	decodedBytes.Add(int64(len(data)))
 	evs, err := ParsePackets(data, !wrapped)
 	if err != nil {
 		decodeErrors.Add(1)
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
-	segs, branches, dobs, err := DecodeEventsData(prog, evs)
+	flow, ends, branches, dobs, err = decodeEvents(prog, evs)
 	if err != nil {
 		decodeErrors.Add(1)
 	}
-	return segs, branches, dobs, err
+	return flow, ends, branches, dobs, err
+}
+
+// flowPool recycles the scratch the CFG replay walks into. A decode
+// cannot know its output size up front, and growing a fresh slice by
+// doubling for every core of every run was most of a diagnosis's
+// allocated bytes; the walk appends into pooled scratch instead and the
+// result is copied out once, at its exact size.
+var flowPool = sync.Pool{New: func() any { return new([]int) }}
+
+// decodeEvents replays evs and returns the instructions of all segments
+// back to back (a private exact-size array) with each segment's end
+// offset.
+func decodeEvents(prog *ir.Program, evs []Event) (flow, ends []int, branches []BranchObs, data []DataObs, err error) {
+	scratch := flowPool.Get().(*[]int)
+	d := &decoder{prog: prog, evs: evs, flow: (*scratch)[:0]}
+	err = d.run()
+	// After an error only the closed segments count; the one the replay
+	// was in the middle of is dropped.
+	if n := d.start; n > 0 {
+		flow = make([]int, n)
+		copy(flow, d.flow)
+	}
+	*scratch = d.flow
+	flowPool.Put(scratch)
+	return flow, d.ends, d.branches, d.data, err
+}
+
+// segments cuts flow at ends. Each segment is capped at its own length,
+// so appending to one cannot run into the next.
+func segments(flow, ends []int) []Segment {
+	if len(ends) == 0 {
+		return nil
+	}
+	segs := make([]Segment, len(ends))
+	start := 0
+	for i, end := range ends {
+		segs[i].Instrs = flow[start:end:end]
+		start = end
+	}
+	return segs
 }
 
 type decoder struct {
@@ -91,10 +131,14 @@ type decoder struct {
 	evs  []Event
 	pos  int // next event index
 
-	bits []bool // TNT bits available for consumption
-	segs []Segment
+	bits []bool    // TNT bits available for consumption
 	cur  *ir.Instr // nil = tracing off / waiting for PGE
-	seg  []int
+
+	// flow holds every segment's instructions back to back: ends[i] is
+	// where closed segment i stops, and the open segment is flow[start:].
+	flow  []int
+	ends  []int
+	start int
 
 	emitted  int // total instructions emitted, for the runaway guard
 	branches []BranchObs
@@ -116,13 +160,13 @@ func (d *decoder) peek() *Event {
 	return &d.evs[d.pos]
 }
 
-func (d *decoder) run() ([]Segment, error) {
+func (d *decoder) run() error {
 	for {
 		// Pull events until we can walk.
 		ev := d.peek()
 		if ev == nil {
 			d.closeSegment()
-			return d.segs, nil
+			return nil
 		}
 		switch ev.Kind {
 		case EvPSB:
@@ -134,12 +178,12 @@ func (d *decoder) run() ([]Segment, error) {
 			d.pos++
 			in, err := d.instrAt(ev.IP)
 			if err != nil {
-				return d.segs, err
+				return err
 			}
 			if d.cur == nil {
 				d.cur = in
 				if err := d.walk(); err != nil {
-					return d.segs, err
+					return err
 				}
 			}
 			// If already walking (periodic re-anchor PGE), the anchor is
@@ -148,7 +192,7 @@ func (d *decoder) run() ([]Segment, error) {
 			d.pos++
 			d.bits = append(d.bits, ev.Bits...)
 			if err := d.walk(); err != nil {
-				return d.segs, err
+				return err
 			}
 		case EvPTW:
 			d.pos++
@@ -161,10 +205,10 @@ func (d *decoder) run() ([]Segment, error) {
 			// the stop point along a straight line; truncate the segment
 			// just after the last occurrence of the FUP IP.
 			d.pos++
-			if d.cur != nil || len(d.seg) > 0 {
-				for i := len(d.seg) - 1; i >= 0; i-- {
-					if d.seg[i] == ev.IP {
-						d.seg = d.seg[:i+1]
+			if d.cur != nil || len(d.flow) > d.start {
+				for i := len(d.flow) - 1; i >= d.start; i-- {
+					if d.flow[i] == ev.IP {
+						d.flow = d.flow[:i+1]
 						break
 					}
 				}
@@ -178,10 +222,10 @@ func (d *decoder) run() ([]Segment, error) {
 			} else {
 				before := d.pos
 				if err := d.walk(); err != nil {
-					return d.segs, err
+					return err
 				}
 				if d.pos == before && d.cur != nil {
-					return d.segs, fmt.Errorf("pt: unexpected TIP at event %d (walker stalled at a branch)", d.pos)
+					return fmt.Errorf("pt: unexpected TIP at event %d (walker stalled at a branch)", d.pos)
 				}
 			}
 		}
@@ -196,12 +240,12 @@ func (d *decoder) instrAt(ip int) (*ir.Instr, error) {
 }
 
 func (d *decoder) closeSegment() {
-	if len(d.seg) > 0 {
-		d.segs = append(d.segs, Segment{Instrs: d.seg})
+	if len(d.flow) > d.start {
+		d.ends = append(d.ends, len(d.flow))
+		d.start = len(d.flow)
 	}
-	d.seg = nil
 	d.cur = nil
-	d.bits = nil
+	d.bits = d.bits[:0]
 }
 
 // walk replays straight-line control flow from d.cur, consuming TNT bits
@@ -210,7 +254,7 @@ func (d *decoder) closeSegment() {
 func (d *decoder) walk() error {
 	for d.cur != nil {
 		in := d.cur
-		d.seg = append(d.seg, in.ID)
+		d.flow = append(d.flow, in.ID)
 		d.emitted++
 		if d.emitted > maxDecodedInstrs {
 			return fmt.Errorf("pt: decoder runaway after %d instructions (untraceable unconditional loop?)", d.emitted)
@@ -222,7 +266,7 @@ func (d *decoder) walk() error {
 				// could continue, but run() will re-enter walk after
 				// pulling it. Rewind the emission of this instruction so
 				// it is not recorded twice.
-				d.seg = d.seg[:len(d.seg)-1]
+				d.flow = d.flow[:len(d.flow)-1]
 				if ev := d.peek(); ev != nil && ev.Kind == EvTNT {
 					d.bits = append(d.bits, ev.Bits...)
 					d.pos++

@@ -1,7 +1,6 @@
 package pt
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/cost"
@@ -51,7 +50,8 @@ type coreTrace struct {
 	buf      []byte
 	wrapped  bool
 	enabled  bool
-	pending  []bool // TNT bits not yet flushed into a packet
+	pending  [5]bool // TNT bits not yet flushed into a packet
+	npending int
 	packets  int
 	needSync bool
 }
@@ -60,14 +60,17 @@ type coreTrace struct {
 // core, which gives exactly the paper's trace semantics: per-core order
 // only.
 type Tracer struct {
-	cfg   Config
-	cores map[int]*coreTrace
+	cfg Config
+	// cores is indexed by core ID (thread IDs are small and dense), so
+	// the per-event "is tracing on for this core" question is an index
+	// and a field load. A nil entry is a core that never appeared.
+	cores []*coreTrace
 	meter *cost.Meter
 }
 
 // NewTracer returns a tracer charging costs to meter (which may be nil).
 func NewTracer(cfg Config, meter *cost.Meter) *Tracer {
-	return &Tracer{cfg: cfg.withDefaults(), cores: make(map[int]*coreTrace), meter: meter}
+	return &Tracer{cfg: cfg.withDefaults(), meter: meter}
 }
 
 // bufPool recycles per-core ring buffers across runs. A fleet executes
@@ -77,29 +80,38 @@ func NewTracer(cfg Config, meter *cost.Meter) *Tracer {
 var bufPool sync.Pool
 
 func (t *Tracer) core(id int) *coreTrace {
-	c, ok := t.cores[id]
-	if !ok {
-		c = &coreTrace{}
-		if b, ok := bufPool.Get().([]byte); ok {
-			c.buf = b[:0]
+	if id < len(t.cores) {
+		if c := t.cores[id]; c != nil {
+			return c
 		}
-		t.cores[id] = c
 	}
+	return t.addCore(id)
+}
+
+func (t *Tracer) addCore(id int) *coreTrace {
+	for id >= len(t.cores) {
+		t.cores = append(t.cores, nil)
+	}
+	c := &coreTrace{}
+	if b, ok := bufPool.Get().([]byte); ok {
+		c.buf = b[:0]
+	}
+	t.cores[id] = c
 	return c
 }
 
 // Release parks every core's trace buffer on the package pool and
 // detaches it from the tracer. Callers must be completely done with the
 // run's trace data — including slices returned by CoreBytes — before
-// releasing; the endpoint client calls it after the decode phase, when
-// the decoded flow has been copied into the RunTrace.
+// releasing; the endpoint client calls it after the decode phase (decoded
+// flow, branches and data never alias the ring buffers).
 func (t *Tracer) Release() {
-	for id, c := range t.cores {
-		if cap(c.buf) > 0 {
+	for _, c := range t.cores {
+		if c != nil && cap(c.buf) > 0 {
 			bufPool.Put(c.buf[:0])
 		}
-		delete(t.cores, id)
 	}
+	t.cores = nil
 }
 
 func (t *Tracer) charge(mc int64) {
@@ -108,11 +120,13 @@ func (t *Tracer) charge(mc int64) {
 	}
 }
 
-// append writes packet bytes honoring the ring-buffer bound: when the
-// buffer would exceed its capacity, the oldest bytes are discarded and
-// the core is marked wrapped (the decoder will resync at a PSB).
-func (t *Tracer) append(c *coreTrace, pkt []byte) {
-	c.buf = append(c.buf, pkt...)
+// emit takes c.buf with one more packet encoded onto its end (the
+// encoders append in place, so a packet costs no allocation of its own)
+// and applies the ring-buffer bound: when the buffer exceeds its
+// capacity, the oldest bytes are discarded and the core is marked wrapped
+// (the decoder will resync at a PSB).
+func (t *Tracer) emit(c *coreTrace, buf []byte) {
+	c.buf = buf
 	if over := len(c.buf) - t.cfg.BufBytes; over > 0 {
 		c.buf = c.buf[over:]
 		c.wrapped = true
@@ -125,14 +139,11 @@ func (t *Tracer) append(c *coreTrace, pkt []byte) {
 
 // flushTNT emits any buffered TNT bits as a packet.
 func (t *Tracer) flushTNT(c *coreTrace) {
-	for len(c.pending) > 0 {
-		n := len(c.pending)
-		if n > 5 {
-			n = 5
-		}
-		t.append(c, encodeTNT(nil, c.pending[:n]))
-		c.pending = c.pending[n:]
+	if c.npending == 0 {
+		return
 	}
+	t.emit(c, encodeTNT(c.buf, c.pending[:c.npending]))
+	c.npending = 0
 }
 
 // maybeSync emits PSB + PGE(ip) if a sync point is due. It must be called
@@ -143,11 +154,13 @@ func (t *Tracer) maybeSync(c *coreTrace, ip int) {
 	}
 	c.needSync = false
 	t.flushTNT(c)
-	t.append(c, encodePSB(nil))
-	t.append(c, encodePGE(nil, ip))
+	t.emit(c, encodePSB(c.buf))
+	t.emit(c, encodePGE(c.buf, ip))
 }
 
-// Enabled reports whether tracing is on for the core.
+// Enabled reports whether tracing is on for the core. Like every per-core
+// call it makes the core known to the tracer: Cores lists a core that was
+// only ever asked about, with an empty trace.
 func (t *Tracer) Enabled(core int) bool { return t.core(core).enabled }
 
 // Enable turns tracing on for core, anchored at instruction ip.
@@ -157,7 +170,7 @@ func (t *Tracer) Enable(core, ip int) {
 		return
 	}
 	c.enabled = true
-	t.append(c, encodePGE(nil, ip))
+	t.emit(c, encodePGE(c.buf, ip))
 	t.charge(cost.PTToggleMC)
 }
 
@@ -173,9 +186,9 @@ func (t *Tracer) Disable(core, lastIP int) {
 	c.enabled = false
 	t.flushTNT(c)
 	if lastIP >= 0 {
-		t.append(c, encodeFUP(nil, lastIP))
+		t.emit(c, encodeFUP(c.buf, lastIP))
 	}
-	t.append(c, encodePGD(nil))
+	t.emit(c, encodePGD(c.buf))
 	t.charge(cost.PTToggleMC)
 }
 
@@ -186,8 +199,9 @@ func (t *Tracer) Branch(core, ip int, taken bool) {
 		return
 	}
 	t.maybeSync(c, ip)
-	c.pending = append(c.pending, taken)
-	if len(c.pending) >= 5 {
+	c.pending[c.npending] = taken
+	c.npending++
+	if c.npending == len(c.pending) {
 		t.flushTNT(c)
 	}
 	switch t.cfg.Mode {
@@ -207,7 +221,7 @@ func (t *Tracer) TIP(core, ip, target int) {
 	}
 	t.maybeSync(c, ip)
 	t.flushTNT(c)
-	t.append(c, encodeTIP(nil, target))
+	t.emit(c, encodeTIP(c.buf, target))
 	switch t.cfg.Mode {
 	case Hardware:
 		t.charge(cost.PTTIPMC)
@@ -229,7 +243,7 @@ func (t *Tracer) Data(core, ip int, addr, val, size int64, isWrite bool, tsc int
 	}
 	t.maybeSync(c, ip)
 	t.flushTNT(c)
-	t.append(c, encodePTW(nil, ip, addr, val, size, isWrite, tsc))
+	t.emit(c, encodePTW(c.buf, ip, addr, val, size, isWrite, tsc))
 	t.charge(cost.PTWDataMC)
 }
 
@@ -254,13 +268,14 @@ func (t *Tracer) CoreBytes(core int) (data []byte, wrapped bool) {
 	return c.buf, c.wrapped
 }
 
-// Cores returns the IDs of all cores that produced trace data, sorted.
+// Cores returns the IDs of all cores the tracer has seen, sorted.
 func (t *Tracer) Cores() []int {
 	var ids []int
-	for id := range t.cores {
-		ids = append(ids, id)
+	for id, c := range t.cores {
+		if c != nil {
+			ids = append(ids, id)
+		}
 	}
-	sort.Ints(ids)
 	return ids
 }
 
@@ -269,7 +284,9 @@ func (t *Tracer) Cores() []int {
 func (t *Tracer) BufferedBytes() int {
 	n := 0
 	for _, c := range t.cores {
-		n += len(c.buf)
+		if c != nil {
+			n += len(c.buf)
+		}
 	}
 	return n
 }

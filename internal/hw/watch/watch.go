@@ -66,6 +66,7 @@ func (t Trap) String() string {
 // Unit is the watchpoint unit for one run.
 type Unit struct {
 	slots [NumRegisters]*Watchpoint
+	armed int // non-nil slots; most accesses of most runs see zero
 	traps []Trap
 	meter *cost.Meter
 }
@@ -109,6 +110,9 @@ func (u *Unit) Set(i int, wp Watchpoint) error {
 	if i < 0 || i >= NumRegisters {
 		return fmt.Errorf("watch: slot %d out of range", i)
 	}
+	if u.slots[i] == nil {
+		u.armed++
+	}
 	u.slots[i] = &wp
 	u.charge(cost.WatchSetupMC)
 	armsTotal.Add(1)
@@ -129,20 +133,13 @@ func (u *Unit) SetAny(wp Watchpoint) (int, error) {
 func (u *Unit) Clear(i int) {
 	if i >= 0 && i < NumRegisters && u.slots[i] != nil {
 		u.slots[i] = nil
+		u.armed--
 		u.charge(cost.WatchSetupMC)
 	}
 }
 
 // FreeSlots reports how many debug registers are unarmed.
-func (u *Unit) FreeSlots() int {
-	n := 0
-	for _, s := range u.slots {
-		if s == nil {
-			n++
-		}
-	}
-	return n
-}
+func (u *Unit) FreeSlots() int { return NumRegisters - u.armed }
 
 // Watched reports whether any armed watchpoint overlaps [addr, addr+size).
 func (u *Unit) Watched(addr, size int64) bool {
@@ -150,6 +147,9 @@ func (u *Unit) Watched(addr, size int64) bool {
 }
 
 func (u *Unit) slotFor(addr, size int64, anyKind bool) int {
+	if u.armed == 0 {
+		return -1
+	}
 	for i, s := range u.slots {
 		if s == nil {
 			continue

@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -93,6 +94,11 @@ type Agent struct {
 // tasks against the same bug do not recompile.
 type plannedBug struct {
 	cfg core.Config
+	// plan is the plan of the last task run for this bug. The ~40 tasks
+	// of a diagnosis share two or three windows, mostly back to back, and
+	// a plan is immutable once built, so one entry saves nearly every
+	// rebuild.
+	plan *core.Plan
 }
 
 // New returns an agent; call Run to start it.
@@ -240,7 +246,7 @@ func (a *Agent) execute(ctx context.Context, task *service.WireTask) {
 }
 
 // runTask executes one production run exactly as the in-process fleet
-// would: rebuild the plan from the shipped window, re-derive the
+// would: build the plan from the shipped window, re-derive the
 // endpoint fault decision, and run instrumented.
 func (a *Agent) runTask(task *service.WireTask) (rt *core.RunTrace, err error) {
 	defer func() {
@@ -252,9 +258,20 @@ func (a *Agent) runTask(task *service.WireTask) (rt *core.RunTrace, err error) {
 	if err != nil {
 		return nil, err
 	}
-	plan := core.BuildPlan(pb.cfg.BuildGraph(), task.Window, task.Feats)
+	plan := a.planFor(pb, task.Window, task.Feats)
 	dec := faults.NewInjector(task.Faults).ForRun(task.Spec.EndpointID, task.Spec.Seed)
 	return core.RunInstrumentedFaults(plan, task.Spec, dec), nil
+}
+
+// planFor returns the plan for (window, feats), rebuilding only when the
+// task's window or features differ from the previous task's.
+func (a *Agent) planFor(pb *plannedBug, window []int, feats core.Features) *core.Plan {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if p := pb.plan; p == nil || p.Feats != feats || !slices.Equal(p.Tracked, window) {
+		pb.plan = core.BuildPlan(pb.cfg.BuildGraph(), window, feats)
+	}
+	return pb.plan
 }
 
 func (a *Agent) bugConfig(name string) (*plannedBug, error) {

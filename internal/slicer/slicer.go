@@ -250,38 +250,79 @@ func (st *slicerState) buildCtrlDeps(f *ir.Func) {
 // address register is always a fresh temporary with a single definition
 // in our IR, so a one-step walk suffices.
 func (st *slicerState) RootOf(in *ir.Instr) AddrRoot {
+	return rootOf(st.defs[in.Blk.Fn], in)
+}
+
+// rootOf resolves in's address against its function's definitions
+// (register -> defining instructions).
+func rootOf(defs map[int][]*ir.Instr, in *ir.Instr) AddrRoot {
 	if in.A.Kind != ir.ValReg {
 		return AddrRoot{Kind: RootDynamic}
 	}
-	fn := in.Blk.Fn
-	defs := st.defs[fn][in.A.Reg]
-	if len(defs) != 1 {
+	d := defs[in.A.Reg]
+	if len(d) != 1 {
 		return AddrRoot{Kind: RootDynamic}
 	}
-	switch d := defs[0]; d.Op {
+	switch d[0].Op {
 	case ir.OpGlobalAddr:
-		return AddrRoot{Kind: RootGlobal, Global: d.Global}
+		return AddrRoot{Kind: RootGlobal, Global: d[0].Global}
 	case ir.OpLocalAddr:
-		return AddrRoot{Kind: RootLocal, Fn: fn, Slot: d.Slot}
+		return AddrRoot{Kind: RootLocal, Fn: in.Blk.Fn, Slot: d[0].Slot}
 	default:
 		return AddrRoot{Kind: RootDynamic}
 	}
 }
 
-// RootOf is exported for the planner, which needs the same resolution to
-// decide which accesses are shared-memory accesses.
-func RootOf(g *cfg.TICFG, in *ir.Instr) AddrRoot {
-	st := &slicerState{g: g, prog: g.Prog, defs: map[*ir.Func]map[int][]*ir.Instr{}}
-	fn := in.Blk.Fn
-	st.defs[fn] = make(map[int][]*ir.Instr)
+// funcDefs indexes fn's instructions by the register they define.
+func funcDefs(fn *ir.Func) map[int][]*ir.Instr {
+	defs := make(map[int][]*ir.Instr)
 	for _, b := range fn.Blocks {
-		for _, i2 := range b.Instrs {
-			if i2.Dst >= 0 {
-				st.defs[fn][i2.Dst] = append(st.defs[fn][i2.Dst], i2)
+		for _, in := range b.Instrs {
+			if in.Dst >= 0 {
+				defs[in.Dst] = append(defs[in.Dst], in)
 			}
 		}
 	}
-	return st.RootOf(in)
+	return defs
+}
+
+// Roots resolves address roots for the planner, which needs the same
+// resolution as the slicer to decide which accesses are shared-memory
+// accesses. It indexes a function's definitions the first time one of
+// that function's instructions is asked about, so classifying a whole
+// tracked window costs one pass per function, not one per instruction.
+// The zero value is ready to use.
+type Roots struct {
+	defs map[*ir.Func]map[int][]*ir.Instr
+}
+
+func (r *Roots) funcDefs(fn *ir.Func) map[int][]*ir.Instr {
+	defs, ok := r.defs[fn]
+	if !ok {
+		if r.defs == nil {
+			r.defs = make(map[*ir.Func]map[int][]*ir.Instr)
+		}
+		defs = funcDefs(fn)
+		r.defs[fn] = defs
+	}
+	return defs
+}
+
+// Of resolves the address operand of a Load/Store.
+func (r *Roots) Of(in *ir.Instr) AddrRoot { return rootOf(r.funcDefs(in.Blk.Fn), in) }
+
+// SingleDef returns the unique instruction defining reg in fn, or nil.
+func (r *Roots) SingleDef(fn *ir.Func, reg int) *ir.Instr {
+	if d := r.funcDefs(fn)[reg]; len(d) == 1 {
+		return d[0]
+	}
+	return nil
+}
+
+// RootOf resolves one instruction's address root.
+func RootOf(g *cfg.TICFG, in *ir.Instr) AddrRoot {
+	var r Roots
+	return r.Of(in)
 }
 
 func (st *slicerState) push(item any) {
@@ -396,13 +437,9 @@ func (st *slicerState) processItem(item any) {
 // pointer (heap). Stack slots are excluded, as Gist never watches the
 // stack (§3.2.3, §6).
 func SharedAccess(g *cfg.TICFG, in *ir.Instr) bool {
-	if !in.IsMemAccess() {
-		return false
-	}
-	switch RootOf(g, in).Kind {
-	case RootGlobal, RootDynamic:
-		return true
-	default:
-		return false
-	}
+	return in.IsMemAccess() && RootOf(g, in).Shared()
 }
+
+// Shared reports whether the root is potentially shared memory (see
+// SharedAccess).
+func (r AddrRoot) Shared() bool { return r.Kind != RootLocal }

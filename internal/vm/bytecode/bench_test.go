@@ -8,9 +8,14 @@ package bytecode_test
 // vm.bytecode.raw_run_us_p50 and vm.bytecode.allocs_per_run.
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/bugs"
+	"repro/internal/core"
+	"repro/internal/slicer"
 	"repro/internal/vm"
 	"repro/internal/vm/bytecode"
 )
@@ -39,6 +44,77 @@ func BenchmarkVMBytecode(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				prog.Run(bugVMConfig(bug, int64(i%8)))
 			}
+		})
+	}
+}
+
+// instrumentedCase is one (bug, σ) cell the instrumented-run benchmark
+// and allocation ceiling share: the plan Gist would ship for the bug's
+// own failure at that window size, and the run specs of seeds 0..7.
+type instrumentedCase struct {
+	name  string
+	bug   *bugs.Bug
+	plan  *core.Plan
+	specs [8]core.RunSpec
+}
+
+func instrumentedCases(tb testing.TB, names []string, sigmas []int) []instrumentedCase {
+	var cases []instrumentedCase
+	for _, name := range names {
+		bug := bugs.ByName(name)
+		cfg := bug.GistConfig()
+		report, _, err := core.FirstFailure(cfg)
+		if err != nil {
+			tb.Fatalf("%s: discovery: %v", name, err)
+		}
+		g := cfg.BuildGraph()
+		sl := slicer.Compute(g, report.InstrID)
+		for _, sigma := range sigmas {
+			c := instrumentedCase{
+				name: fmt.Sprintf("%s/sigma=%d", name, sigma),
+				bug:  bug,
+				plan: core.BuildPlan(g, sl.Window(sigma), core.AllFeatures()),
+			}
+			for seed := range c.specs {
+				vc := bugVMConfig(bug, int64(seed))
+				c.specs[seed] = core.RunSpec{
+					EndpointID: seed, Seed: vc.Seed, Workload: vc.Workload,
+					PreemptMean: vc.PreemptMean, MaxSteps: vc.MaxSteps,
+				}
+			}
+			cases = append(cases, c)
+		}
+	}
+	return cases
+}
+
+// BenchmarkRunInstrumented measures what the tracking plan adds to a
+// run: the same seeds executed raw (no hooks) and under the plan's PT
+// and watchpoint instrumentation, decode included. instr/raw is the
+// layer figure the benchmark reports as core.instr_over_raw; the paper's
+// claim (§3.2, Fig. 11) is that it follows the tracked window, not the
+// length of the run.
+func BenchmarkRunInstrumented(b *testing.B) {
+	for _, c := range instrumentedCases(b, benchBugs, []int{2, 32}) {
+		prog := bytecode.Compile(c.bug.Program())
+		b.Run(c.name, func(b *testing.B) {
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				prog.Run(bugVMConfig(c.bug, int64(i%8)))
+			}
+			raw := time.Since(start)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			start = time.Now()
+			for i := 0; i < b.N; i++ {
+				core.RunInstrumented(c.plan, c.specs[i%8])
+			}
+			instr := time.Since(start)
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(instr)/float64(raw), "instr/raw")
+			b.ReportMetric(float64(instr.Microseconds())/float64(b.N), "instr-µs/run")
+			b.ReportMetric(float64(raw.Microseconds())/float64(b.N), "raw-µs/run")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/run")
 		})
 	}
 }

@@ -27,8 +27,9 @@ type frame struct {
 // truncates, it never reallocates.
 type thread struct {
 	// shell is the *vm.Thread handed to hooks. Hook consumers across the
-	// pipeline (PT, watchpoints, replay recorder) read only its ID; the
-	// bytecode engine keeps its real state here and mirrors just the ID.
+	// pipeline (PT, watchpoints, replay recorder) read only its ID and
+	// write only its Traced bit; the bytecode engine keeps its real state
+	// here and mirrors just the ID.
 	shell vm.Thread
 
 	id         int
@@ -141,7 +142,7 @@ func (m *Machine) spawnThread(fnIdx int32, arg *int64, parent int) *thread {
 	t := m.getThread()
 	tid := len(m.threads)
 	t.id = tid
-	t.shell = vm.Thread{ID: tid}
+	t.shell = vm.Thread{ID: tid, Traced: true} // first step always reaches OnStep
 	t.state = vm.ThreadRunnable
 	t.blockMutex = 0
 	t.blockJoin = 0
@@ -453,7 +454,10 @@ func opVal(regs, consts []int64, base, ref int32) int64 {
 // blocks or finishes, it faults, or the step limit is reached. Clock and
 // hook semantics mirror VM.step exactly: OnStep fires (and the clock
 // advances) only for the first attempt of a blocking builtin, and hooks
-// during execution see the post-increment clock.
+// during execution see the post-increment clock. With Hooks.StepMask set,
+// OnStep is called only where the mask or the thread's Traced bit says it
+// can matter (code index == instruction ID, so the mask is indexed by
+// pc); the clock advances either way.
 //
 // The hot machine state — pc, clock, quantum, and the current frame's
 // register window — lives in locals for the whole quantum and is flushed
@@ -471,6 +475,7 @@ func (m *Machine) runThread(t *thread) {
 	irInstrs := m.prog.ir.Instrs
 	mem := m.mem
 	onStep := m.cfg.Hooks.OnStep
+	stepMask := m.cfg.Hooks.StepMask
 	maxSteps := m.cfg.MaxSteps
 	pc := t.pc
 	clk := m.clock
@@ -483,7 +488,7 @@ func (m *Machine) runThread(t *thread) {
 	for {
 		in := &code[pc]
 		if !retrying {
-			if onStep != nil {
+			if onStep != nil && (stepMask == nil || stepMask[pc] != 0 || t.shell.Traced) {
 				onStep(&t.shell, irInstrs[pc], clk)
 			}
 			clk++

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/bugs"
+	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/vm"
 	"repro/internal/vm/bytecode"
@@ -183,4 +184,198 @@ func TestWarmRunAllocations(t *testing.T) {
 				name, warm, cold, interp)
 		}
 	}
+}
+
+// TestInstrumentedRunAllocations puts a ceiling on what one run under a
+// tracking plan allocates, decode included. The ceilings sit about 15 %
+// above the counts measured when the plan became dense tables and the
+// decoder stopped copying its output (38–103 per run); every cell is
+// below what the same run allocated before that (56–368).
+func TestInstrumentedRunAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries under the race detector; the counts need warm pools")
+	}
+	ceilings := map[string]float64{
+		"pbzip2/sigma=2": 62, "pbzip2/sigma=8": 68, "pbzip2/sigma=32": 68,
+		"curl/sigma=2": 46, "curl/sigma=8": 92, "curl/sigma=32": 108,
+		"apache-3/sigma=2": 112, "apache-3/sigma=8": 118, "apache-3/sigma=32": 118,
+		"memcached/sigma=2": 74, "memcached/sigma=8": 74, "memcached/sigma=32": 74,
+	}
+	for _, c := range instrumentedCases(t, []string{"pbzip2", "curl", "apache-3", "memcached"}, []int{2, 8, 32}) {
+		seed := 0
+		got := testing.AllocsPerRun(16, func() {
+			seed++
+			core.RunInstrumented(c.plan, c.specs[seed%8])
+		})
+		if got > ceilings[c.name] {
+			t.Errorf("%s: an instrumented run allocates %.0f times, ceiling %.0f", c.name, got, ceilings[c.name])
+		}
+	}
+}
+
+// hookEvent is one hook call, compactly: the mask test records a few
+// million of them.
+type hookEvent struct {
+	kind    byte // 's'tep, 'b'ranch, 'i'ndirect, 'l'oad, 'w'rite, s'c'hedule, s'p'awn
+	tid, id int
+	a, b    int64
+	clock   int64
+}
+
+// maskedTracker is a hook consumer of the kind Hooks.StepMask is for: a
+// per-thread on/off tracker driven by start and stop-after flags on
+// instructions, whose OnStep does nothing at an unflagged instruction of
+// a thread it is not tracking. delivered collects every event it is
+// handed; relevant collects the same events minus the OnStep calls the
+// mask's contract allows an engine to skip — judged from the tracker's
+// own state, not from the Traced bit the engine hands back.
+type maskedTracker struct {
+	mask                []uint8
+	on, pending, seen   map[int]bool
+	delivered, relevant []hookEvent
+}
+
+func newMaskedTracker(prog *ir.Program) *maskedTracker {
+	mask := make([]uint8, len(prog.Instrs))
+	for id := range mask {
+		if id%11 == 3 {
+			mask[id] |= 1 // start
+		}
+		if id%7 == 2 {
+			mask[id] |= 2 // stop after
+		}
+	}
+	return &maskedTracker{mask: mask, on: map[int]bool{}, pending: map[int]bool{}, seen: map[int]bool{}}
+}
+
+func (m *maskedTracker) reset() {
+	clear(m.on)
+	clear(m.pending)
+	clear(m.seen)
+	m.delivered, m.relevant = m.delivered[:0], m.relevant[:0]
+}
+
+func (m *maskedTracker) both(e hookEvent) {
+	m.delivered = append(m.delivered, e)
+	m.relevant = append(m.relevant, e)
+}
+
+func (m *maskedTracker) hooks(withMask bool) vm.Hooks {
+	b2i := func(b bool) int64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	h := vm.Hooks{
+		OnStep: func(t *vm.Thread, in *ir.Instr, clock int64) {
+			e := hookEvent{kind: 's', tid: t.ID, id: in.ID, clock: clock}
+			m.delivered = append(m.delivered, e)
+			flags := m.mask[in.ID]
+			if flags != 0 || m.on[t.ID] || !m.seen[t.ID] {
+				m.relevant = append(m.relevant, e)
+			}
+			m.seen[t.ID] = true
+			if m.pending[t.ID] {
+				m.on[t.ID], m.pending[t.ID] = false, false
+			}
+			if flags&1 != 0 {
+				m.on[t.ID] = true
+			}
+			if m.on[t.ID] && flags&2 != 0 {
+				m.pending[t.ID] = true
+			}
+			t.Traced = m.on[t.ID]
+		},
+		OnBranch: func(t *vm.Thread, in *ir.Instr, taken bool, clock int64) {
+			m.both(hookEvent{kind: 'b', tid: t.ID, id: in.ID, a: b2i(taken), clock: clock})
+		},
+		OnIndirect: func(t *vm.Thread, in *ir.Instr, target *ir.Instr, clock int64) {
+			m.both(hookEvent{kind: 'i', tid: t.ID, id: in.ID, a: int64(target.ID), clock: clock})
+		},
+		OnLoad: func(t *vm.Thread, in *ir.Instr, addr, val, size, clock int64) {
+			m.both(hookEvent{kind: 'l', tid: t.ID, id: in.ID, a: addr, b: val<<8 | size, clock: clock})
+		},
+		OnStore: func(t *vm.Thread, in *ir.Instr, addr, val, size, clock int64) {
+			m.both(hookEvent{kind: 'w', tid: t.ID, id: in.ID, a: addr, b: val<<8 | size, clock: clock})
+		},
+		OnSchedule: func(from, to int, clock int64) {
+			m.both(hookEvent{kind: 'c', tid: from, id: to, clock: clock})
+		},
+		OnSpawn: func(parent, child int, fn *ir.Func, clock int64) {
+			m.both(hookEvent{kind: 'p', tid: parent, id: child, a: int64(fn.ID), clock: clock})
+		},
+	}
+	if withMask {
+		h.StepMask = m.mask
+	}
+	return h
+}
+
+// TestStepMaskFiltersHookStream pins the engine half of the StepMask
+// contract. With a mask, the bytecode engine must deliver exactly the
+// events of the unmasked run minus the OnStep calls at unflagged
+// instructions of untraced threads — no relevant step lost (each
+// thread's first step included), no skippable step delivered — and
+// everything else about the run must be unchanged. The interpreter must
+// ignore the mask.
+func TestStepMaskFiltersHookStream(t *testing.T) {
+	names := []string{"pbzip2", "apache-3", "deadlock", "curl", "memcached"}
+	for _, name := range names {
+		b := bugs.ByName(name)
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			prog := bytecode.Compile(b.Program())
+			// One tracker per role, reset between runs: the event slices
+			// keep their capacity, so the test's memory stays flat.
+			trackers := [3]*maskedTracker{newMaskedTracker(b.Program()), newMaskedTracker(b.Program()), newMaskedTracker(b.Program())}
+			for _, preempt := range []int{0, 1, 40} { // 0: the bug's own regime
+				for seed := int64(0); seed < 10; seed++ {
+					cfg := bugVMConfig(b, seed)
+					if preempt > 0 {
+						cfg.PreemptMean = preempt
+					}
+					run := func(tr *maskedTracker, withMask, interp bool) (*maskedTracker, *vm.Outcome) {
+						tr.reset()
+						c := cfg
+						c.Hooks = tr.hooks(withMask)
+						if interp {
+							return tr, vm.Run(b.Program(), c)
+						}
+						out, _ := prog.Run(c)
+						return tr, out
+					}
+					plain, want := run(trackers[0], false, false)
+					masked, got := run(trackers[1], true, false)
+					outcomesEqual(t, name, seed, want, got)
+					if len(plain.relevant) == len(plain.delivered) || len(plain.relevant) == 0 {
+						t.Fatalf("%s seed %d: the mask filters nothing or everything (%d of %d events); the test needs both kinds of step",
+							name, seed, len(plain.relevant), len(plain.delivered))
+					}
+					if d := firstDiff(masked.delivered, plain.relevant); d != "" {
+						t.Fatalf("%s seed %d preempt %d: masked run vs the unmasked run's relevant events: %s", name, seed, preempt, d)
+					}
+					if seed < 2 {
+						oracle, ref := run(trackers[2], true, true)
+						outcomesEqual(t, name, seed, ref, got)
+						if d := firstDiff(oracle.delivered, plain.delivered); d != "" {
+							t.Fatalf("%s seed %d preempt %d: the interpreter must ignore StepMask: %s", name, seed, preempt, d)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+func firstDiff(a, b []hookEvent) string {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return fmt.Sprintf("event %d: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+	if len(a) != len(b) {
+		return fmt.Sprintf("one stream is a prefix of the other (%d vs %d events)", len(a), len(b))
+	}
+	return ""
 }

@@ -58,6 +58,12 @@ type Thread struct {
 	stackTop int // words in use on this thread's stack
 	Result   int64
 
+	// Traced is the hook consumer's per-thread "tracing is on" bit, the
+	// other half of Hooks.StepMask: an engine that honours the mask calls
+	// OnStep at every step of a thread whose bit is set. The consumer
+	// writes it from inside OnStep; engines only read it.
+	Traced bool
+
 	// retrying marks that the thread is re-executing a builtin that
 	// previously blocked (lock, join). The retry is the same logical
 	// execution of the instruction: it is not re-counted in the clock and
@@ -136,6 +142,17 @@ type Outcome struct {
 type Hooks struct {
 	// OnStep fires before every instruction.
 	OnStep func(t *Thread, in *ir.Instr, clock int64)
+	// StepMask, when non-nil, is the consumer's promise that OnStep does
+	// nothing at instruction id unless StepMask[id] != 0 or the thread's
+	// Traced bit is set, so an engine may skip those calls. It is indexed
+	// by instruction ID and covers the whole program. Every thread's first
+	// step is delivered regardless (threads are born with Traced set), so
+	// the consumer sees each thread once and decides its bit. Nil means
+	// "call OnStep at every step". The tree-walking interpreter ignores
+	// the mask and always calls: under the promise above the extra calls
+	// are no-ops, which is what lets it stay the oracle for the engine
+	// that skips them.
+	StepMask []uint8
 	// OnBranch fires at every conditional branch with its outcome.
 	OnBranch func(t *Thread, in *ir.Instr, taken bool, clock int64)
 	// OnIndirect fires at control transfers whose target is not a static
@@ -254,7 +271,7 @@ func (v *VM) RunnableThreads() int {
 // spawnThread creates a thread running fn. arg, if non-nil, is stored into
 // parameter slot 0.
 func (v *VM) spawnThread(fn *ir.Func, arg *int64, parent int) *Thread {
-	t := &Thread{ID: v.nextTID, State: ThreadRunnable}
+	t := &Thread{ID: v.nextTID, State: ThreadRunnable, Traced: true}
 	v.nextTID++
 	v.Mem.EnsureStack(t.ID)
 	v.Threads = append(v.Threads, t)
