@@ -134,9 +134,6 @@ func (g *TICFG) ArgValues(f *ir.Func, argIdx int) []struct {
 	return out
 }
 
-// EntryInstr returns the first instruction of f.
-func EntryInstr(f *ir.Func) *ir.Instr { return f.Entry().Instrs[0] }
-
 // String summarizes the graph for diagnostics.
 func (g *TICFG) String() string {
 	var b strings.Builder

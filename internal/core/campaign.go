@@ -36,14 +36,14 @@ import (
 // byte-for-byte.
 //
 // A Campaign is not safe for concurrent use; concurrency lives inside
-// the fleet layer (Config.Workers or a shared Pool) and across
-// campaigns (internal/sched).
+// the fleet layer (a Pool, private or shared) and across campaigns
+// (internal/supervise).
 type Campaign struct {
 	cfg    Config // defaults applied
 	label  string // telemetry tenant label (cfg.Label)
 	report *vm.FailureReport
-	pool   *Pool  // optional shared fleet; nil = private pool
-	runner Runner // optional remote fleet; nil = run in-process
+	pool   *Pool  // bounds the fleet's width; private unless UsePool shares one
+	runner Runner // executes the batches; the pool itself unless UseRunner reroutes them
 
 	g   *cfg.TICFG
 	sl  *slicer.Slice
@@ -153,12 +153,19 @@ func (c *Campaign) prepare() {
 	c.addedSet = make(map[int]bool)
 	c.sigma = cfg.Sigma0
 	c.inj = faults.NewInjector(cfg.Faults)
+	c.pool = NewPool(cfg.Workers)
+	c.runner = c.pool
 }
 
-// UsePool attaches a shared fleet pool. Must be called before the first
-// Step; the diagnosis output is byte-identical with or without a pool —
-// only wall-clock interleaving changes.
-func (c *Campaign) UsePool(p *Pool) { c.pool = p }
+// UsePool replaces the campaign's private pool with a shared one. Must
+// be called before the first Step; the diagnosis output is
+// byte-identical either way — only wall-clock interleaving changes.
+func (c *Campaign) UsePool(p *Pool) {
+	if c.runner == Runner(c.pool) {
+		c.runner = p
+	}
+	c.pool = p
+}
 
 // Label returns the campaign's telemetry label.
 func (c *Campaign) Label() string { return c.label }
@@ -177,33 +184,21 @@ func (c *Campaign) Finished() bool { return c.finished }
 // for schedulers measuring per-tenant fleet consumption.
 func (c *Campaign) TotalRuns() int { return c.res.TotalRuns }
 
-// chunkWidth is the fleet width speculation is sized for.
-func (c *Campaign) chunkWidth() int {
-	if c.pool != nil {
-		return c.pool.Width()
-	}
-	return c.cfg.Workers
-}
-
 // UseRunner routes the campaign's production runs through r instead of
 // the in-process fleet — the service's seam. Passing nil restores the
 // in-process fleet. Seed binding, admission order, and every counter
 // are unchanged: the runner only decides where runs execute.
-func (c *Campaign) UseRunner(r Runner) { c.runner = r }
+func (c *Campaign) UseRunner(r Runner) {
+	if r == nil {
+		r = c.pool
+	}
+	c.runner = r
+}
 
-// runJobs executes one batch on the campaign's fleet: the attached
-// Runner when present, the shared pool when attached, a private bounded
-// pool otherwise. Results come back in job order every way.
+// runJobs executes one batch on the campaign's fleet. Results come back
+// in job order whichever Runner that is.
 func (c *Campaign) runJobs(jobs []RunJob) []*RunTrace {
-	if c.runner != nil {
-		return c.runner.RunBatch(c.st.plan, jobs)
-	}
-	if c.pool != nil {
-		return parallelMapPool(len(jobs), c.pool, func(i int) *RunTrace {
-			return RunInstrumentedFaults(c.st.plan, jobs[i].Spec, jobs[i].Dec)
-		})
-	}
-	return runFleet(c.st.plan, jobs, c.cfg.Workers)
+	return c.runner.RunBatch(c.st.plan, jobs)
 }
 
 // need reports whether the current iteration still wants runs.
@@ -337,7 +332,7 @@ func (c *Campaign) Dispatch() {
 	st := &c.st
 	st.fleetSpan = cfg.Telemetry.StartSpanL(telemetry.PhaseFleet, c.label)
 	budget := cfg.MaxBatches * cfg.Endpoints
-	chunk := fleetChunk(c.chunkWidth())
+	chunk := fleetChunk(c.pool.Width())
 	for done := 0; done < budget && c.need(); {
 		n := chunk
 		if done+n > budget {

@@ -1,13 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-
-	"repro/internal/ir"
-	"repro/internal/vm"
-)
+import "repro/internal/vm"
 
 // FailureCluster groups production failures that share a failure identity
 // (failing program counter + stack trace + fault kind) — the grouping a
@@ -23,119 +16,13 @@ type FailureCluster struct {
 	Seeds []int64
 }
 
-// ClusterConfig configures a fleet sweep for failure clustering.
-type ClusterConfig struct {
-	Prog        *ir.Program
-	Runs        int
-	SeedBase    int64
-	PreemptMean int
-	MaxSteps    int64
-	// WorkloadPool as in Config.
-	WorkloadPool []vm.Workload
-	// MaxSeedsPerCluster bounds the recorded seed list (0 = 16).
-	MaxSeedsPerCluster int
-	// Engine as in Config: zero value is the bytecode VM.
-	Engine Engine
-}
-
-// Validate rejects nonsense knob values, mirroring Config.Validate.
-// Negative counts used to slip through the zero-value defaulting and
-// quietly corrupt the sweep (a negative MaxSeedsPerCluster breaks the
-// seed-list bound, a negative Runs silently does nothing). Zero still
-// means "use the default".
-func (cfg *ClusterConfig) Validate() error {
-	if cfg.Prog == nil {
-		return fmt.Errorf("gist: cluster config requires a program")
-	}
-	for _, c := range []struct {
-		name string
-		v    int64
-	}{
-		{"runs", int64(cfg.Runs)},
-		{"preempt-mean", int64(cfg.PreemptMean)},
-		{"max-steps", cfg.MaxSteps},
-		{"max-seeds-per-cluster", int64(cfg.MaxSeedsPerCluster)},
-	} {
-		if c.v < 0 {
-			return fmt.Errorf("gist: cluster config %s must be >= 0, got %d", c.name, c.v)
-		}
-	}
-	return nil
-}
-
 // Admit folds one observed failure into the cluster: the recurrence
-// count always grows, the seed list only up to the cap. The streaming
-// ingestion front-end shares this admission rule so a submit-path
-// cluster accumulates evidence exactly like a fleet-sweep one.
+// count always grows, the seed list only up to the cap. This is the
+// admission rule of the streaming ingestion front-end, whose clusters
+// embed this type.
 func (c *FailureCluster) Admit(seed int64, maxSeeds int) {
 	c.Count++
 	if len(c.Seeds) < maxSeeds {
 		c.Seeds = append(c.Seeds, seed)
 	}
-}
-
-// ClusterFailures runs the fleet uninstrumented and groups every observed
-// failure by identity. Clusters are returned most-frequent first.
-func ClusterFailures(cfg ClusterConfig) ([]*FailureCluster, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Runs == 0 {
-		cfg.Runs = 200
-	}
-	if cfg.PreemptMean == 0 {
-		cfg.PreemptMean = 3
-	}
-	if cfg.MaxSteps == 0 {
-		cfg.MaxSteps = 300_000
-	}
-	if cfg.MaxSeedsPerCluster == 0 {
-		cfg.MaxSeedsPerCluster = 16
-	}
-	byID := make(map[string]*FailureCluster)
-	for i := 0; i < cfg.Runs; i++ {
-		seed := cfg.SeedBase + int64(i)
-		wl := vm.Workload{}
-		if len(cfg.WorkloadPool) > 0 {
-			wl = cfg.WorkloadPool[i%len(cfg.WorkloadPool)]
-		}
-		out := cfg.Engine.exec(cfg.Prog, vm.Config{
-			Seed: seed, PreemptMean: cfg.PreemptMean, MaxSteps: cfg.MaxSteps, Workload: wl,
-		}, nil)
-		if !out.Failed {
-			continue
-		}
-		id := out.Report.ID()
-		c := byID[id]
-		if c == nil {
-			c = &FailureCluster{ID: id, Report: out.Report}
-			byID[id] = c
-		}
-		c.Admit(seed, cfg.MaxSeedsPerCluster)
-	}
-	clusters := make([]*FailureCluster, 0, len(byID))
-	for _, c := range byID {
-		clusters = append(clusters, c)
-	}
-	sort.Slice(clusters, func(i, j int) bool {
-		if clusters[i].Count != clusters[j].Count {
-			return clusters[i].Count > clusters[j].Count
-		}
-		return clusters[i].ID < clusters[j].ID
-	})
-	return clusters, nil
-}
-
-// RenderClusters summarizes clusters for an operator.
-func RenderClusters(prog *ir.Program, clusters []*FailureCluster) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d failure cluster(s):\n", len(clusters))
-	for i, c := range clusters {
-		fmt.Fprintf(&b, "%2d. %4d crash(es)  %-38s at %s", i+1, c.Count, c.Report.Kind, c.Report.Pos)
-		if txt := prog.SourceLine(c.Report.Pos.Line); txt != "" {
-			fmt.Fprintf(&b, "  `%s`", txt)
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
 }

@@ -1,116 +1,10 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
-	"repro/internal/ir"
 	"repro/internal/vm"
 )
-
-// twoBugs has two independent failure modes: a workload-dependent
-// division by zero and a schedule-dependent use-after-free.
-const twoBugs = `global int* shared;
-global int out = 0;
-int work(int n) {
-	int acc = 0;
-	for (int i = 0; i < n; i++) { acc = acc + i % 3; }
-	return acc;
-}
-void reader(int arg) {
-	int w = work(50);
-	out = shared[0];
-}
-int main() {
-	int d = input(0);
-	out = 100 / d;
-	shared = malloc(32);
-	shared[0] = 4;
-	int t = spawn(reader, 0);
-	int w = work(48);
-	free(shared);
-	join(t);
-	return out;
-}`
-
-func TestClusterSeparatesDistinctBugs(t *testing.T) {
-	prog := ir.MustCompile("two.mc", twoBugs)
-	clusters, err := ClusterFailures(ClusterConfig{
-		Prog: prog, Runs: 240, SeedBase: 1,
-		WorkloadPool: []vm.Workload{
-			{Ints: []int64{2}},
-			{Ints: []int64{0}}, // division by zero
-			{Ints: []int64{5}},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(clusters) != 2 {
-		for _, c := range clusters {
-			t.Logf("cluster %s: %d × %v at %s", c.ID, c.Count, c.Report.Kind, c.Report.Pos)
-		}
-		t.Fatalf("expected exactly 2 clusters, got %d", len(clusters))
-	}
-	kinds := map[vm.FaultKind]bool{}
-	for _, c := range clusters {
-		kinds[c.Report.Kind] = true
-		if c.Count < 1 || len(c.Seeds) == 0 {
-			t.Errorf("cluster %s underpopulated: %+v", c.ID, c)
-		}
-	}
-	if !kinds[vm.FaultDivZero] || !kinds[vm.FaultUseAfterFree] {
-		t.Errorf("cluster kinds: %v", kinds)
-	}
-	// Most-frequent first.
-	if clusters[0].Count < clusters[1].Count {
-		t.Error("clusters not sorted by frequency")
-	}
-	out := RenderClusters(prog, clusters)
-	if !strings.Contains(out, "2 failure cluster(s)") {
-		t.Errorf("render: %s", out)
-	}
-}
-
-func TestClusterThenDiagnose(t *testing.T) {
-	// The WER workflow: cluster first, then run one Gist diagnosis per
-	// cluster using a seed from that cluster as the failure report source.
-	prog := ir.MustCompile("two.mc", twoBugs)
-	pool := []vm.Workload{{Ints: []int64{2}}, {Ints: []int64{0}}, {Ints: []int64{5}}}
-	clusters, err := ClusterFailures(ClusterConfig{Prog: prog, Runs: 240, SeedBase: 1, WorkloadPool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(clusters) != 2 {
-		t.Fatalf("clusters: %d", len(clusters))
-	}
-	for _, c := range clusters {
-		res, err := RunFromReport(Config{
-			Prog: prog, Title: "cluster " + c.ID, WorkloadPool: pool,
-			Endpoints: 20, SeedBase: 1,
-		}, c.Report, 1)
-		if err != nil {
-			t.Fatalf("cluster %s: %v", c.ID, err)
-		}
-		if res.Sketch.Report.Kind != c.Report.Kind {
-			t.Errorf("cluster %s diagnosed as %v", c.ID, res.Sketch.Report.Kind)
-		}
-		if !res.Sketch.Steps[len(res.Sketch.Steps)-1].IsFailure {
-			t.Errorf("cluster %s sketch malformed", c.ID)
-		}
-	}
-}
-
-func TestClusterNoFailures(t *testing.T) {
-	prog := ir.MustCompile("ok.mc", `int main() { return 0; }`)
-	clusters, err := ClusterFailures(ClusterConfig{Prog: prog, Runs: 20, SeedBase: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(clusters) != 0 {
-		t.Errorf("healthy program produced clusters: %v", clusters)
-	}
-}
 
 // TestClusterSignatureEdgeCases pins the failure-identity semantics the
 // clusterer relies on: grouping is by (kind, failing PC, stack, other
@@ -191,73 +85,6 @@ func TestClusterSignatureEdgeCases(t *testing.T) {
 			t.Error("deadlock cycles with different partners collide")
 		}
 	})
-}
-
-// TestClusterDeduplicatesRecurrences runs a single-failure program many
-// times and checks every recurrence lands in one cluster with one
-// identity — the WER-style dedup that makes "one diagnosis per cluster"
-// meaningful.
-func TestClusterDeduplicatesRecurrences(t *testing.T) {
-	prog := ir.MustCompile("one.mc", `global int* p;
-void boom(int arg) { int v = p[0]; }
-int main() {
-	int t = spawn(boom, 0);
-	join(t);
-	return 0;
-}`)
-	clusters, err := ClusterFailures(ClusterConfig{Prog: prog, Runs: 50, SeedBase: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(clusters) != 1 {
-		t.Fatalf("expected 1 cluster, got %d", len(clusters))
-	}
-	c := clusters[0]
-	if c.Count != 50 {
-		t.Errorf("cluster count = %d, want 50 recurrences deduped into one cluster", c.Count)
-	}
-	if len(c.Seeds) != 16 {
-		t.Errorf("recorded %d seeds, want the 16-seed cap", len(c.Seeds))
-	}
-	if c.ID != c.Report.ID() {
-		t.Errorf("cluster ID %s does not match its report identity %s", c.ID, c.Report.ID())
-	}
-}
-
-// TestClusterConfigValidate pins that nonsense knob values are rejected
-// up front instead of silently corrupting the sweep (a negative seed cap
-// used to break the seed-list bound without any diagnostic).
-func TestClusterConfigValidate(t *testing.T) {
-	prog := ir.MustCompile("ok.mc", `int main() { return 0; }`)
-	cases := []struct {
-		name string
-		cfg  ClusterConfig
-		ok   bool
-	}{
-		{"zero values default", ClusterConfig{Prog: prog}, true},
-		{"explicit sane knobs", ClusterConfig{Prog: prog, Runs: 10, PreemptMean: 2, MaxSteps: 1000, MaxSeedsPerCluster: 4}, true},
-		{"nil program", ClusterConfig{}, false},
-		{"negative runs", ClusterConfig{Prog: prog, Runs: -1}, false},
-		{"negative preempt mean", ClusterConfig{Prog: prog, PreemptMean: -3}, false},
-		{"negative max steps", ClusterConfig{Prog: prog, MaxSteps: -1}, false},
-		{"negative seed cap", ClusterConfig{Prog: prog, MaxSeedsPerCluster: -1}, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := tc.cfg.Validate()
-			if tc.ok && err != nil {
-				t.Fatalf("unexpected error: %v", err)
-			}
-			if !tc.ok && err == nil {
-				t.Fatal("invalid config accepted")
-			}
-			// ClusterFailures must refuse the same configs rather than
-			// run with them.
-			if _, err := ClusterFailures(tc.cfg); (err == nil) != tc.ok {
-				t.Fatalf("ClusterFailures validation disagrees: err=%v", err)
-			}
-		})
-	}
 }
 
 // TestClusterAdmitCap pins the shared admission rule: counts always

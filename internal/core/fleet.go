@@ -3,7 +3,6 @@ package core
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/faults"
 )
@@ -42,55 +41,13 @@ type Runner interface {
 	RunBatch(plan *Plan, jobs []RunJob) []*RunTrace
 }
 
-// parallelMap evaluates f(0..n-1) on up to workers goroutines and
-// returns the results indexed by input. Each f(i) must be a pure
-// function of i; callers consume results in index order, which is what
-// makes a parallel fleet byte-identical to a serial one.
-func parallelMap[T any](n, workers int, f func(int) T) []T {
-	out := make([]T, n)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			out[i] = f(i)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = f(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// runFleet executes the batch concurrently and returns the traces in
-// job order.
-func runFleet(plan *Plan, jobs []RunJob, workers int) []*RunTrace {
-	return parallelMap(len(jobs), workers, func(i int) *RunTrace {
-		return RunInstrumentedFaults(plan, jobs[i].Spec, jobs[i].Dec)
-	})
-}
-
-// Pool is a shared bounded worker pool several concurrent campaigns
-// draw endpoint runs from — the multi-tenant fleet. Each campaign keeps
+// Pool is the fleet's bounded worker pool: at most width endpoint runs
+// execute at once among everything drawing from it. A campaign owns a
+// private pool of width Config.Workers unless a supervisor shares one
+// across its tenants (Campaign.UsePool). Each campaign keeps
 // dispatching jobs and admitting results in its own deterministic
-// order; the pool only bounds how many runs execute at once across all
-// tenants, so sharing it affects wall-clock interleaving and nothing
-// else. A nil *Pool is valid and means "use the campaign's private
-// parallelMap pool".
+// order; the pool only bounds how many runs execute at once, so sharing
+// it affects wall-clock interleaving and nothing else.
 type Pool struct {
 	width int
 	sem   chan struct{}
@@ -108,27 +65,49 @@ func NewPool(width int) *Pool {
 // Width returns the pool's concurrency bound.
 func (p *Pool) Width() int { return p.width }
 
-func (p *Pool) acquire() { p.sem <- struct{}{} }
-func (p *Pool) release() { <-p.sem }
+// RunBatch makes the pool the in-process fleet, the Runner every
+// campaign starts with: each job is one instrumented run on a pool
+// slot.
+func (p *Pool) RunBatch(plan *Plan, jobs []RunJob) []*RunTrace {
+	return parallelMap(p, len(jobs), func(i int) *RunTrace {
+		return RunInstrumentedFaults(plan, jobs[i].Spec, jobs[i].Dec)
+	})
+}
 
-// parallelMapPool is parallelMap drawing slots from a shared pool:
-// f(0..n-1) runs on at most pool.width goroutines fleet-wide, results
-// indexed by input. Slot acquisition happens before each goroutine
-// spawns, so a chunk never holds more goroutines than pool slots.
-func parallelMapPool[T any](n int, pool *Pool, f func(int) T) []T {
+// parallelMap evaluates f(0..n-1) on pool slots and returns the results
+// indexed by input. Each f(i) must be a pure function of i; callers
+// consume results in index order, which is what makes a parallel fleet
+// byte-identical to a serial one. A slot is acquired before its
+// goroutine spawns, so a batch never holds more goroutines than the
+// pool has slots; when at most one call could be in flight anyway (a
+// serial fleet, a batch of one) the calls run inline on the caller's
+// goroutine, still one slot each.
+func parallelMap[T any](pool *Pool, n int, f func(int) T) []T {
 	out := make([]T, n)
+	inline := pool.width == 1 || n == 1
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		pool.acquire()
+	for i := range out {
+		pool.sem <- struct{}{}
+		if inline {
+			onSlot(pool, out, i, f)
+			continue
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			defer pool.release()
-			out[i] = f(i)
+			onSlot(pool, out, i, f)
 		}(i)
 	}
 	wg.Wait()
 	return out
+}
+
+// onSlot stores f(i) on the slot its caller acquired and frees the
+// slot even when f panics: an inline call unwinds into a supervised
+// step's recovery, and a shared pool must not lose the slot to it.
+func onSlot[T any](pool *Pool, out []T, i int, f func(int) T) {
+	defer func() { <-pool.sem }()
+	out[i] = f(i)
 }
 
 // fleetChunk is how many runs the server dispatches ahead of admission.

@@ -2,26 +2,27 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 func TestParallelMapIndexOrder(t *testing.T) {
-	for _, workers := range []int{1, 2, 8, 200} {
-		out := parallelMap(100, workers, func(i int) int { return i * i })
+	for _, width := range []int{1, 2, 8, 200} {
+		out := parallelMap(NewPool(width), 100, func(i int) int { return i * i })
 		if len(out) != 100 {
-			t.Fatalf("workers=%d: got %d results", workers, len(out))
+			t.Fatalf("width=%d: got %d results", width, len(out))
 		}
 		for i, v := range out {
 			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
+				t.Fatalf("width=%d: out[%d] = %d", width, i, v)
 			}
 		}
 	}
 }
 
 func TestParallelMapEmpty(t *testing.T) {
-	if out := parallelMap(0, 8, func(i int) int { return i }); len(out) != 0 {
+	if out := parallelMap(NewPool(8), 0, func(i int) int { return i }); len(out) != 0 {
 		t.Fatalf("got %d results for n=0", len(out))
 	}
 }
@@ -35,18 +36,45 @@ func TestFleetChunk(t *testing.T) {
 	}
 }
 
+// TestParallelMapSerialRunsInline pins what keeps a serial fleet
+// serial: at width 1 (and for a batch of one) every call runs on the
+// caller's goroutine, and a panicking call gives its slot back on the
+// way out to the caller's recover.
+func TestParallelMapSerialRunsInline(t *testing.T) {
+	pool := NewPool(1)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("panic did not reach the calling goroutine")
+			}
+		}()
+		parallelMap(pool, 3, func(i int) int { panic("boom") })
+	}()
+	if out := parallelMap(pool, 2, func(i int) int { return i + 1 }); out[0] != 1 || out[1] != 2 {
+		t.Errorf("pool unusable after a panicking call: %v", out)
+	}
+}
+
+// TestParallelMapPoolIndexOrder: tenants drawing from one shared pool at
+// the same time each still get their own results back in index order.
 func TestParallelMapPoolIndexOrder(t *testing.T) {
 	for _, width := range []int{1, 2, 8} {
 		pool := NewPool(width)
-		out := parallelMapPool(50, pool, func(i int) int { return i * i })
-		if len(out) != 50 {
-			t.Fatalf("width=%d: got %d results", width, len(out))
+		var wg sync.WaitGroup
+		for tenant := 1; tenant <= 3; tenant++ {
+			wg.Add(1)
+			go func(tenant int) {
+				defer wg.Done()
+				out := parallelMap(pool, 50, func(i int) int { return tenant * i * i })
+				for i, v := range out {
+					if v != tenant*i*i {
+						t.Errorf("width=%d tenant=%d: out[%d] = %d", width, tenant, i, v)
+						return
+					}
+				}
+			}(tenant)
 		}
-		for i, v := range out {
-			if v != i*i {
-				t.Fatalf("width=%d: out[%d] = %d", width, i, v)
-			}
-		}
+		wg.Wait()
 	}
 }
 
@@ -59,7 +87,7 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 	done := make(chan struct{}, 2)
 	for tenant := 0; tenant < 2; tenant++ {
 		go func() {
-			parallelMapPool(40, pool, func(i int) int {
+			parallelMap(pool, 40, func(i int) int {
 				n := active.Add(1)
 				for {
 					p := peak.Load()

@@ -280,13 +280,14 @@ func FirstFailure(cfg Config) (*vm.FailureReport, int, error) {
 		maxSteps = cfg.RunDeadlineSteps
 	}
 	var totalSteps int64
-	chunk := fleetChunk(cfg.Workers)
+	pool := NewPool(cfg.Workers)
+	chunk := fleetChunk(pool.Width())
 	for base := 0; base < cfg.MaxDiscoveryRuns; base += chunk {
 		n := chunk
 		if base+n > cfg.MaxDiscoveryRuns {
 			n = cfg.MaxDiscoveryRuns - base
 		}
-		outs := parallelMap(n, cfg.Workers, func(j int) *vm.Outcome {
+		outs := parallelMap(pool, n, func(j int) *vm.Outcome {
 			i := base + j
 			return cfg.Engine.exec(cfg.Prog, vm.Config{
 				Seed:        cfg.SeedBase + int64(i),

@@ -56,6 +56,31 @@ func synthTrace(rng *rand.Rand, prog *ir.Program) *RunTrace {
 	return rt
 }
 
+// twoBugs has two independent failure modes: a workload-dependent
+// division by zero and a schedule-dependent use-after-free.
+const twoBugs = `global int* shared;
+global int out = 0;
+int work(int n) {
+	int acc = 0;
+	for (int i = 0; i < n; i++) { acc = acc + i % 3; }
+	return acc;
+}
+void reader(int arg) {
+	int w = work(50);
+	out = shared[0];
+}
+int main() {
+	int d = input(0);
+	out = 100 / d;
+	shared = malloc(32);
+	shared[0] = 4;
+	int t = spawn(reader, 0);
+	int w = work(48);
+	free(shared);
+	join(t);
+	return out;
+}`
+
 // TestPredictorAccumMatchesBatch is the core-level half of the
 // streaming-equals-batch proof: feeding random run streams one at a time
 // through PredictorAccum yields, at every prefix, exactly the ranking

@@ -39,14 +39,3 @@ func Snapshot() Metrics {
 		SalvagedInstrs: salvagedInstrs.Load(),
 	}
 }
-
-// ResetMetrics zeroes the decode counters (benchmark/metrics-window
-// hygiene, like analysis.Reset).
-func ResetMetrics() {
-	decodeCalls.Store(0)
-	decodeErrors.Store(0)
-	decodedBytes.Store(0)
-	salvageCalls.Store(0)
-	salvagedChunks.Store(0)
-	salvagedInstrs.Store(0)
-}

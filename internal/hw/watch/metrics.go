@@ -24,9 +24,3 @@ type Metrics struct {
 func Snapshot() Metrics {
 	return Metrics{Arms: armsTotal.Load(), Traps: trapsTotal.Load()}
 }
-
-// ResetMetrics zeroes the counters (metrics-window hygiene).
-func ResetMetrics() {
-	armsTotal.Store(0)
-	trapsTotal.Store(0)
-}

@@ -79,17 +79,6 @@ func ParseFile(filename, src string) (*ast.File, error) {
 	return f, nil
 }
 
-// MustParse parses src and panics on error. It is intended for the embedded
-// bug-suite programs and for tests, where the source is a compile-time
-// constant.
-func MustParse(filename, src string) *ast.File {
-	f, err := ParseFile(filename, src)
-	if err != nil {
-		panic(fmt.Sprintf("parse %s: %v", filename, err))
-	}
-	return f
-}
-
 func (p *parser) advance() {
 	p.tok = p.next
 	if p.next.Kind != token.EOF {

@@ -120,15 +120,6 @@ func Check(f *ast.File) (*Info, error) {
 	return c.info, nil
 }
 
-// MustCheck type-checks f and panics on error; for embedded programs/tests.
-func MustCheck(f *ast.File) *Info {
-	info, err := Check(f)
-	if err != nil {
-		panic(fmt.Sprintf("typecheck %s: %v", f.Name, err))
-	}
-	return info
-}
-
 func (c *checker) errorf(pos token.Position, format string, args ...any) {
 	c.errs = append(c.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
 }

@@ -88,7 +88,7 @@ func (s *Server) Health() HealthResponse {
 		Fleet:             s.health,
 	}
 	s.mu.Unlock()
-	h.Counters, _ = s.Snapshot()
+	h.Counters = s.metrics.read()
 	return h
 }
 

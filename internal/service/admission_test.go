@@ -208,6 +208,30 @@ func TestHealthEndpointReportsReadiness(t *testing.T) {
 	}
 }
 
+// TestHealthDoesNotTouchLatencySamples: a health probe reads the same
+// counters Snapshot reports, but must not copy and sort the per-path
+// latency samples to get them — that work happens under the mutex every
+// request takes, so a probe's cost may not depend on the traffic
+// recorded so far.
+func TestHealthDoesNotTouchLatencySamples(t *testing.T) {
+	s := NewServer(Options{})
+	defer s.Close()
+	idle := testing.AllocsPerRun(20, func() { s.Health() })
+	const requests = 30_000
+	for i := 0; i < requests; i++ {
+		path := []string{PathPoll, PathUpload, PathSubmit}[i%3]
+		s.metrics.observe(path, time.Duration(i)*time.Microsecond)
+	}
+	busy := testing.AllocsPerRun(20, func() { s.Health() })
+	if busy != idle {
+		t.Errorf("Health allocates %.0f times after %d requests, %.0f on an idle server", busy, requests, idle)
+	}
+	want, _ := s.Snapshot()
+	if got := s.Health().Counters; got != want || got.Requests != requests {
+		t.Errorf("Health counters = %+v, Snapshot counters = %+v", got, want)
+	}
+}
+
 func TestDrainShedsSubmits(t *testing.T) {
 	s := NewServer(Options{})
 	defer s.Close()

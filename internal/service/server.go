@@ -1426,6 +1426,14 @@ func (m *metrics) add(f func(*Counters)) {
 	m.mu.Unlock()
 }
 
+// read returns the counters without touching the latency samples, so a
+// health probe costs the request path one short critical section.
+func (m *metrics) read() Counters {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.counters
+}
+
 func (m *metrics) observe(path string, d time.Duration) {
 	m.mu.Lock()
 	m.counters.Requests++

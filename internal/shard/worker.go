@@ -160,11 +160,29 @@ func (w *Worker) ID() string { return w.o.ID }
 func (w *Worker) Stats() Stats {
 	s := w.stats
 	for _, out := range w.sup.Outcomes() {
-		for _, runs := range out.RunsPerRound {
-			s.Runs += runs
-		}
+		s.Runs += runsOf(out)
 	}
 	return s
+}
+
+// runsOf sums the production runs a campaign consumed under this
+// worker's supervisor.
+func runsOf(out supervise.Outcome) int {
+	n := 0
+	for _, runs := range out.RunsPerRound {
+		n += runs
+	}
+	return n
+}
+
+// forget lets go of a settled campaign whose outcome has been dealt
+// with: its runs move into the running total Stats reports and the
+// supervisor drops the slot, so a long-lived worker holds only the
+// campaigns still in flight.
+func (w *Worker) forget(slot int, out supervise.Outcome) {
+	w.stats.Runs += runsOf(out)
+	w.sup.Forget(slot)
+	delete(w.holding, slot)
 }
 
 // Round performs one fleet round: adopt, renew, step, publish. It
@@ -326,7 +344,8 @@ func (w *Worker) renew() {
 			}
 			w.logf("lease lost: %s (slot %d)", oc.name, slot)
 			w.sup.RetireSlot(slot)
-			delete(w.holding, slot)
+			out, _ := w.sup.Settled(slot)
+			w.forget(slot, out)
 			delete(w.slots, oc.name)
 			w.stats.LostLeases++
 		}
@@ -336,17 +355,12 @@ func (w *Worker) renew() {
 // publish writes done records for held campaigns that finished (or were
 // abandoned by the breaker) and releases their leases.
 func (w *Worker) publish() error {
-	var outs []supervise.Outcome
 	for _, slot := range w.slotOrder() {
 		oc := w.holding[slot]
-		c := w.sup.Scheduler().Campaign(slot)
-		if !c.Finished() && !w.sup.Scheduler().Retired(slot) {
+		out, settled := w.sup.Settled(slot)
+		if !settled {
 			continue
 		}
-		if outs == nil {
-			outs = w.sup.Outcomes()
-		}
-		out := outs[slot]
 		rec := &DoneRecord{
 			Tenant: oc.a.Tenant, Bug: oc.a.Bug, Key: oc.a.Key,
 			Worker: w.o.ID, Restarts: out.Restarts, Resumed: oc.resumed,
@@ -359,7 +373,7 @@ func (w *Worker) publish() error {
 			return err
 		}
 		w.leases.Release(oc.name, w.o.ID)
-		delete(w.holding, slot)
+		w.forget(slot, out)
 		w.stats.Finished++
 		w.logf("done: %s (low_confidence=%v restarts=%d)", oc.name, rec.LowConfidence, rec.Restarts)
 	}

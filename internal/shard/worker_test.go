@@ -227,6 +227,65 @@ func TestDeadWorkerCampaignIsTakenOverByteIdentically(t *testing.T) {
 	}
 }
 
+// TestFinishedCampaignsAreReleased is the long-lived-worker bound: one
+// worker finishes several campaigns one after another, and once each is
+// published its supervisor holds nothing of it — no campaign, result or
+// snapshot stays reachable, and no later round scans or copies it —
+// while Stats keeps reporting every run consumed here.
+func TestFinishedCampaignsAreReleased(t *testing.T) {
+	fb := prepareFleetBug(t, "t0", "pbzip2")
+	res, err := core.RunFromReport(fb.cfg, fb.report, fb.disc)
+	if err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+	b := store.NewMemBackend()
+	coord, err := shard.NewCoordinator(b, "fleet", 1, true)
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	w := newTestWorker(t, b, 0, 1, 10*time.Second, []fleetBug{fb})
+	const campaigns = 3
+	for n := 1; n <= campaigns; n++ {
+		tenant := fmt.Sprintf("t%d", n)
+		if _, err := coord.Assign(shard.Assignment{
+			Tenant: tenant, Bug: fb.name, Report: fb.report, DiscoveryRuns: fb.disc,
+		}); err != nil {
+			t.Fatalf("Assign %s: %v", tenant, err)
+		}
+		for rounds := 0; ; rounds++ {
+			live, err := w.Round()
+			if err != nil {
+				t.Fatalf("Round: %v", err)
+			}
+			if live == 0 {
+				break
+			}
+			if w.Supervised() > 1 {
+				t.Fatalf("campaign %d: supervisor holds %d campaigns, only one is in flight", n, w.Supervised())
+			}
+			if rounds > 100 {
+				t.Fatalf("campaign %d did not finish", n)
+			}
+		}
+		rec, err := coord.Done(tenant, fb.name)
+		if err != nil || rec == nil || rec.Err != "" {
+			t.Fatalf("Done %s: %+v, %v", tenant, rec, err)
+		}
+		if !bytes.Equal(rec.Sketch, fb.baseline) {
+			t.Errorf("%s: sketch diverged from the single-process baseline", tenant)
+		}
+		if got := w.Supervised(); got != 0 {
+			t.Errorf("after publishing campaign %d the supervisor still holds %d", n, got)
+		}
+		if got, want := w.Stats().Runs, n*res.TotalRuns; got != want {
+			t.Errorf("after campaign %d Stats.Runs = %d, want %d (%d per campaign)", n, got, want, res.TotalRuns)
+		}
+	}
+	if st := w.Stats(); st.Campaigns != campaigns || st.Finished != campaigns {
+		t.Errorf("Stats = %+v, want %d campaigns enrolled and finished", st, campaigns)
+	}
+}
+
 // TestDiscoveryFailureIsPublishedAsSuch pins the done record a reportless
 // assignment leaves when its server-side discovery finds no failure: the
 // error names discovery, as it did when the worker ran discovery itself.

@@ -170,7 +170,7 @@ func TestAdoptNilFreshIsResumeOrFail(t *testing.T) {
 }
 
 // TestRetireSlotStopsSteppingAndMarksReleased pins the lease-lost path:
-// RetireSlot makes the scheduler skip the slot and the outcome reports
+// RetireSlot makes later rounds skip the slot and the outcome reports
 // Released, distinguishing ownership handoff from breaker abandonment.
 func TestRetireSlotStopsSteppingAndMarksReleased(t *testing.T) {
 	fx := prepare(t, []string{"pbzip2"})[0]
@@ -186,15 +186,15 @@ func TestRetireSlotStopsSteppingAndMarksReleased(t *testing.T) {
 	if sup.RunRound() != 1 {
 		t.Fatalf("campaign not live before RetireSlot")
 	}
-	sup.RetireSlot(slot)
-	if !sup.Scheduler().Retired(slot) {
-		t.Fatalf("RetireSlot did not retire the scheduler slot")
+	if _, ok := sup.Settled(slot); ok {
+		t.Fatalf("live slot reads as settled")
 	}
+	sup.RetireSlot(slot)
 	if sup.RunRound() != 0 {
 		t.Fatalf("retired slot still stepped")
 	}
-	out := sup.Outcomes()[slot]
-	if !out.Released {
+	out, ok := sup.Settled(slot)
+	if !ok || !out.Released {
 		t.Fatalf("outcome not marked Released after RetireSlot: %+v", out)
 	}
 	if out.BreakerTripped {

@@ -1,21 +1,34 @@
-// Package supervise wraps the multi-campaign scheduler in a
-// self-healing supervisor: every campaign step runs under panic
-// recovery and a watchdog deadline, a campaign that crashes or hangs is
-// replaced by one restored from its last good checkpoint after a capped
-// exponential backoff (measured in scheduler rounds, so recovery is
+// Package supervise drives several concurrent Gist campaigns — one per
+// distinct failure — over one shared endpoint fleet, and keeps them
+// alive while it does.
+//
+// The paper's deployment (§3.3) diagnoses many failures at once and
+// assumes the diagnosis service itself keeps running for weeks while
+// failures recur. The supervisor models both with one loop. Each round,
+// every live campaign executes exactly one AsT iteration, all of a
+// round's iterations running concurrently over a shared bounded worker
+// pool (core.Pool). The round barrier is the fairness rule — no
+// campaign can start iteration k+1 until every live campaign has
+// finished iteration k, so a cheap bug cannot starve an expensive one
+// of fleet slots and vice versa. Every step runs under panic recovery
+// and a watchdog deadline; a campaign that crashes or hangs is replaced
+// by one restored from its last good checkpoint after a capped
+// exponential backoff (measured in rounds, so recovery is
 // deterministic), and a campaign that crash-loops past its restart
 // budget trips a per-bug circuit breaker: the slot is retired and the
 // last checkpointed state is served as a degraded, low-confidence
 // diagnosis instead of poisoning the whole deployment.
 //
-// The paper's deployment model (§3.3) assumes the diagnosis service
-// itself keeps running for weeks while failures recur; this layer is
-// what makes that survivable. Because a campaign's diagnosis is a pure
-// function of its iteration-boundary state, a supervised restart
-// reproduces the uninterrupted run byte-for-byte — supervision changes
-// availability, never answers.
+// Determinism: a campaign's diagnosis is a pure function of its own
+// configuration and iteration-boundary state; the pool only decides
+// *when* runs execute, never which runs or in what admission order, and
+// a supervised restart resumes from exactly such a boundary. Every
+// Outcome is therefore byte-identical to running the same campaign
+// serially, at any pool width, under any goroutine interleaving and
+// across any number of restarts — supervision changes availability,
+// never answers.
 //
-// Checkpoints flow through internal/store when a tenant has one
+// Checkpoints flow through internal/store when a slot has one
 // attached: after every successful step the boundary snapshot is saved
 // durably, so a process kill (not just a goroutine crash) resumes from
 // at most one iteration back. The in-memory copy of the last good
@@ -26,11 +39,12 @@ package supervise
 import (
 	"errors"
 	"fmt"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/sched"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
@@ -60,14 +74,14 @@ type Config struct {
 	// MaxRestarts is the circuit-breaker threshold: restart number
 	// MaxRestarts+1 trips the breaker instead (default 3).
 	MaxRestarts int
-	// BackoffCap bounds the exponential restart backoff, in scheduler
-	// rounds (default 8): restart n waits min(2^(n-1), BackoffCap)
+	// BackoffCap bounds the exponential restart backoff, in rounds
+	// (default 8): restart n waits min(2^(n-1), BackoffCap)
 	// rounds before the campaign is stepped again.
 	BackoffCap int
 	// Telemetry receives supervise.* counters; nil is fine.
 	Telemetry *telemetry.Tracer
 	// OnRestore, when non-nil, is called with every campaign restored
-	// from checkpoint before it re-enters the scheduler. The service
+	// from checkpoint before it is stepped again. The service
 	// uses it to reattach its remote runner — restoration rebuilds the
 	// campaign from serialized state, which cannot carry a live
 	// transport.
@@ -87,10 +101,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Outcome is one supervised campaign's result: the scheduler outcome
-// plus the supervision history that produced it.
+// Outcome is one supervised campaign's result, the scheduling trace the
+// fairness analysis consumes, and the supervision history that produced
+// them.
 type Outcome struct {
-	sched.Outcome
+	Label  string
+	Result *core.Result
+	Err    error
+	// Rounds is how many rounds the campaign was live in: AsT
+	// iterations stepped plus rounds sat out in restart backoff.
+	Rounds int
+	// RunsPerRound records the production runs the campaign consumed in
+	// each of those rounds — the per-tenant fleet-share series Jain's
+	// fairness index is computed over.
+	RunsPerRound []int
 	// Restarts is how many times the campaign was restored from its
 	// last good checkpoint after a crash or hang.
 	Restarts int
@@ -129,9 +153,10 @@ func (o Outcome) SketchJSON() (sketch []byte, lowConfidence bool, err error) {
 	return sketch, o.Result.Sketch.LowConfidence, nil
 }
 
-// tenant is the supervisor's per-slot bookkeeping.
-type tenant struct {
-	label    string
+// slot is everything the supervisor keeps for one enrolled campaign.
+type slot struct {
+	id       int
+	camp     *core.Campaign // swapped for a restored one after a crash or hang
 	cfg      core.Config
 	ckpt     *store.Store // nil = in-memory supervision only
 	lastGood *core.CampaignSnapshot
@@ -139,38 +164,50 @@ type tenant struct {
 	backoff  int // rounds left to sit out before the next step
 	faultFn  func(step int) StepFault
 
-	restarts      int
-	panics        int
-	watchdogTrips int
-	checkpoints   int
-	breaker       bool
-	drained       bool
-	released      bool
-	dead          bool // could not restore; Err carries the reason
-	deadErr       error
+	// retired excludes the slot from every later round: the breaker
+	// tripped, the checkpoint could not be restored, or RetireSlot.
+	retired bool
+	// restoreErr is why lastGood could not be restored; it replaces the
+	// campaign's own result in the outcome.
+	restoreErr error
+
+	// out accumulates the label, the round trace and the supervision
+	// history; Result and Err are filled in when it is read.
+	out Outcome
 }
 
-// Supervisor drives campaigns through a sched.Scheduler with per-step
-// guards and checkpoint-based restarts. Not safe for concurrent use,
-// except RequestDrain which may be called from any goroutine (a signal
+// settled reports whether the slot will never be stepped again.
+func (sl *slot) settled() bool { return sl.retired || sl.camp.Finished() }
+
+// Supervisor steps campaigns in concurrent round-robin rounds over a
+// shared fleet pool, with per-step guards and checkpoint-based
+// restarts. Not safe for concurrent use — all concurrency is internal —
+// except RequestDrain, which may be called from any goroutine (a signal
 // handler).
 type Supervisor struct {
-	cfg      Config
-	sched    *sched.Scheduler
-	tenants  []*tenant
+	cfg  Config
+	pool *core.Pool
+	// slots holds the enrolled campaigns not yet Forgotten, in
+	// enrollment order; ids come from nextID, so they ascend.
+	slots    []*slot
+	nextID   int
 	draining atomic.Bool
 }
 
-// New returns a supervisor over a fresh scheduler whose shared fleet
-// has the given width (0 = GOMAXPROCS).
+// New returns a supervisor whose shared fleet executes at most width
+// runs concurrently across all campaigns (0 = GOMAXPROCS).
 func New(width int, cfg Config) *Supervisor {
-	s := &Supervisor{cfg: cfg.withDefaults(), sched: sched.New(width)}
-	s.sched.SetStepper(s.step)
-	return s
+	return &Supervisor{cfg: cfg.withDefaults(), pool: core.NewPool(width)}
 }
 
-// Scheduler exposes the underlying scheduler (for width queries).
-func (s *Supervisor) Scheduler() *sched.Scheduler { return s.sched }
+// find returns the index in s.slots of the slot numbered id, or -1.
+func (s *Supervisor) find(id int) int {
+	i := sort.Search(len(s.slots), func(i int) bool { return s.slots[i].id >= id })
+	if i < len(s.slots) && s.slots[i].id == id {
+		return i
+	}
+	return -1
+}
 
 // ErrNoCheckpoint reports that a store holds no generation that both
 // decodes and restores.
@@ -214,21 +251,22 @@ func Checkpoint(c *core.Campaign, ckpt *store.Store) (snap *core.CampaignSnapsho
 	return snap, saved, nil
 }
 
-// Add enrolls a campaign. cfg must be the configuration the campaign
-// was built (or restored) with — it is what restarts restore under.
-// ckpt, when non-nil, receives a durable boundary snapshot after every
-// successful step; the enrollment snapshot is saved immediately so even
-// a step-zero kill can resume. The campaign must sit at an iteration
-// boundary (freshly built or restored).
+// Add enrolls a campaign, attaching it to the shared pool, and returns
+// its slot number. cfg must be the configuration the campaign was built
+// (or restored) with — it is what restarts restore under. ckpt, when
+// non-nil, receives a durable boundary snapshot after every successful
+// step; the enrollment snapshot is saved immediately so even a
+// step-zero kill can resume. The campaign must sit at an iteration
+// boundary (freshly built or restored) and not be stepped elsewhere.
 func (s *Supervisor) Add(cfg core.Config, c *core.Campaign, ckpt *store.Store) (int, error) {
-	t := &tenant{label: c.Label(), cfg: cfg, ckpt: ckpt}
-	if err := s.checkpoint(t, c); err != nil {
+	sl := &slot{id: s.nextID, camp: c, cfg: cfg, ckpt: ckpt, out: Outcome{Label: c.Label()}}
+	if err := s.checkpoint(sl); err != nil {
 		return 0, fmt.Errorf("supervise: enrolling %s: %w", c.Label(), err)
 	}
-	slot := s.sched.Len()
-	s.sched.Add(c)
-	s.tenants = append(s.tenants, t)
-	return slot, nil
+	c.UsePool(s.pool)
+	s.nextID++
+	s.slots = append(s.slots, sl)
+	return sl.id, nil
 }
 
 // Adopt enrolls a campaign that may already have durable state — left
@@ -253,36 +291,61 @@ func (s *Supervisor) Adopt(cfg core.Config, ckpt *store.Store, fresh func() (*co
 			return 0, false, err
 		}
 	}
-	slot, err := s.Add(cfg, c, ckpt)
+	id, err := s.Add(cfg, c, ckpt)
 	if err == nil && resumed {
-		s.count("supervise.adopted", s.tenants[slot], 1)
+		s.count("supervise.adopted", c.Label())
 	}
-	return slot, resumed, err
+	return id, resumed, err
 }
 
-// RunRound drives one scheduler round: every live campaign is stepped
-// once under the supervision guards. It returns how many campaigns were
-// live; 0 means every enrolled campaign is finished or retired. Callers
-// that interleave supervision with other per-round work (the shard
-// worker renews leases between rounds) drive this instead of Run.
-func (s *Supervisor) RunRound() int { return s.sched.RunRound() }
+// RunRound steps every live (unfinished, unretired) campaign exactly
+// once, concurrently, under the supervision guards, and folds the round
+// into each one's fairness trace. It returns how many campaigns were
+// live; 0 means every enrolled campaign is settled. Callers that
+// interleave supervision with other per-round work (the shard worker
+// renews leases between rounds) drive this instead of Run.
+func (s *Supervisor) RunRound() int {
+	var live []*slot
+	for _, sl := range s.slots {
+		if !sl.settled() {
+			live = append(live, sl)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, sl := range live {
+		wg.Add(1)
+		// Each goroutine touches only its own slot, so the trace it
+		// records is independent of how the round interleaved. A step
+		// that swapped in a restored campaign reads the replacement,
+		// which the checkpoint positioned at the pre-crash boundary.
+		go func(sl *slot) {
+			defer wg.Done()
+			before := sl.camp.TotalRuns()
+			s.step(sl)
+			sl.out.Rounds++
+			sl.out.RunsPerRound = append(sl.out.RunsPerRound, sl.camp.TotalRuns()-before)
+		}(sl)
+	}
+	wg.Wait()
+	return len(live)
+}
 
 // RetireSlot permanently excludes a slot from future rounds without
 // tripping the breaker: campaign ownership moved to another process,
 // which resumes from the last durable checkpoint generation. The
 // outcome is marked Released.
 func (s *Supervisor) RetireSlot(slot int) {
-	t := s.tenants[slot]
-	t.released = true
-	s.sched.Retire(slot)
-	s.count("supervise.released", t, 1)
+	sl := s.slots[s.find(slot)]
+	sl.retired = true
+	sl.out.Released = true
+	s.count("supervise.released", sl.out.Label)
 }
 
 // SetStepFault installs a fault script for one slot: fn is consulted
 // with the slot's step-attempt index before each guarded step. Used by
 // tests; nil clears the script.
 func (s *Supervisor) SetStepFault(slot int, fn func(step int) StepFault) {
-	s.tenants[slot].faultFn = fn
+	s.slots[s.find(slot)].faultFn = fn
 }
 
 // RequestDrain asks the supervisor to stop at the next round boundary,
@@ -294,13 +357,9 @@ func (s *Supervisor) RequestDrain() { s.draining.Store(true) }
 func (s *Supervisor) Draining() bool { return s.draining.Load() }
 
 // Run drives all enrolled campaigns to completion — or to the breaker,
-// or to a drain request — and returns the outcomes in enrollment
-// order.
+// or to a drain request — and returns Outcomes.
 func (s *Supervisor) Run() []Outcome {
-	for !s.draining.Load() {
-		if s.sched.RunRound() == 0 {
-			break
-		}
+	for !s.draining.Load() && s.RunRound() > 0 {
 	}
 	if s.draining.Load() {
 		s.drain()
@@ -310,102 +369,114 @@ func (s *Supervisor) Run() []Outcome {
 
 // drain checkpoints every live campaign at the current round boundary.
 func (s *Supervisor) drain() {
-	for i, t := range s.tenants {
-		c := s.sched.Campaign(i)
-		if c.Finished() || s.sched.Retired(i) {
+	for _, sl := range s.slots {
+		if sl.settled() {
 			continue
 		}
-		t.drained = true
-		s.count("supervise.drained", t, 1)
-		_ = s.checkpoint(t, c) // a failed snapshot keeps the last good one
+		sl.out.Drained = true
+		s.count("supervise.drained", sl.out.Label)
+		_ = s.checkpoint(sl) // a failed snapshot keeps the last good one
 	}
 }
 
-// Outcomes returns the per-slot outcomes in enrollment order.
+// Outcomes returns the outcome of every slot the supervisor holds, in
+// enrollment order; as long as no slot has been Forgotten, a slot's
+// number is its index. A finished campaign carries its Result, the
+// breaker's victim its degraded last checkpoint; an unfinished, drained
+// or released one carries the campaign's not-finished error.
 func (s *Supervisor) Outcomes() []Outcome {
-	base := s.sched.Outcomes()
-	outs := make([]Outcome, len(base))
-	for i, t := range s.tenants {
-		outs[i] = Outcome{
-			Outcome:        base[i],
-			Restarts:       t.restarts,
-			Panics:         t.panics,
-			WatchdogTrips:  t.watchdogTrips,
-			Checkpoints:    t.checkpoints,
-			BreakerTripped: t.breaker,
-			Drained:        t.drained,
-			Released:       t.released,
-		}
-		if t.dead {
-			outs[i].Result, outs[i].Err = nil, t.deadErr
-		}
+	outs := make([]Outcome, len(s.slots))
+	for i, sl := range s.slots {
+		outs[i] = sl.outcome()
 	}
 	return outs
 }
 
-// step is the scheduler's Stepper: guard one campaign step, checkpoint
-// on success, restart or break on failure. It runs concurrently with
-// other slots' steps and touches only its own slot.
-func (s *Supervisor) step(slot int, c *core.Campaign) {
-	t := s.tenants[slot]
-	if t.dead {
-		s.sched.Retire(slot)
+// Settled reports whether a slot will never be stepped again — its
+// campaign finished, the breaker or an unrestorable checkpoint retired
+// it, or RetireSlot released it — and, when so, returns its outcome.
+func (s *Supervisor) Settled(slot int) (Outcome, bool) {
+	sl := s.slots[s.find(slot)]
+	if !sl.settled() {
+		return Outcome{}, false
+	}
+	return sl.outcome(), true
+}
+
+// Forget drops a settled slot whose outcome the caller has collected,
+// so a long-lived supervisor holds (and scans, and copies) only the
+// campaigns still in flight; the campaign, its result and its last good
+// snapshot become garbage. The slot's number is never reused.
+func (s *Supervisor) Forget(slot int) {
+	i := s.find(slot)
+	s.slots = append(s.slots[:i], s.slots[i+1:]...)
+}
+
+func (sl *slot) outcome() Outcome {
+	out := sl.out
+	out.RunsPerRound = append([]int(nil), sl.out.RunsPerRound...)
+	if out.Result, out.Err = sl.camp.Result(); sl.restoreErr != nil {
+		out.Result, out.Err = nil, sl.restoreErr
+	}
+	return out
+}
+
+// step is one slot's turn within a round: sit out a backoff round, or
+// guard one campaign step, checkpoint on success, restart or break on
+// failure. It runs concurrently with other slots' steps and touches
+// only its own slot.
+func (s *Supervisor) step(sl *slot) {
+	label := sl.out.Label
+	if sl.backoff > 0 {
+		sl.backoff--
+		s.count("supervise.backoff_rounds", label)
 		return
 	}
-	if t.backoff > 0 {
-		t.backoff--
-		s.count("supervise.backoff_rounds", t, 1)
-		return
-	}
-	if s.guardedStep(t, c) {
-		_ = s.checkpoint(t, c) // a failed snapshot keeps the last good one
+	if s.guardedStep(sl) {
+		_ = s.checkpoint(sl) // a failed snapshot keeps the last good one
 		return
 	}
 
 	// The step crashed or hung. Restart from the last good checkpoint,
 	// or trip the breaker once the restart budget is spent.
-	t.restarts++
-	s.count("supervise.restarts", t, 1)
-	reason := fmt.Errorf("supervise: %s crashed/hung %d time(s) at iteration %d",
-		t.label, t.restarts, t.lastGood.Iter)
-	restored, err := core.RestoreCampaign(t.cfg, t.lastGood)
-	if err == nil && s.cfg.OnRestore != nil {
-		s.cfg.OnRestore(restored)
-	}
+	sl.out.Restarts++
+	s.count("supervise.restarts", label)
+	restored, err := core.RestoreCampaign(sl.cfg, sl.lastGood)
 	if err != nil {
 		// The checkpoint itself cannot be restored — nothing to heal
 		// from. Retire the slot with the restore error.
-		t.dead = true
-		t.deadErr = fmt.Errorf("supervise: cannot restore %s from checkpoint: %w", t.label, err)
-		s.sched.Retire(slot)
-		s.count("supervise.breaker_trips", t, 1)
+		sl.restoreErr = fmt.Errorf("supervise: cannot restore %s from checkpoint: %w", label, err)
+		sl.retired = true
+		s.count("supervise.breaker_trips", label)
 		return
 	}
-	if t.restarts > s.cfg.MaxRestarts {
-		t.breaker = true
-		s.count("supervise.breaker_trips", t, 1)
-		restored.Abandon(reason)
-		s.sched.Replace(slot, restored)
-		s.sched.Retire(slot)
+	if s.cfg.OnRestore != nil {
+		s.cfg.OnRestore(restored)
+	}
+	restored.UsePool(s.pool)
+	sl.camp = restored
+	if sl.out.Restarts > s.cfg.MaxRestarts {
+		sl.out.BreakerTripped = true
+		s.count("supervise.breaker_trips", label)
+		restored.Abandon(fmt.Errorf("supervise: %s crashed/hung %d time(s) at iteration %d",
+			label, sl.out.Restarts, sl.lastGood.Iter))
+		sl.retired = true
 		return
 	}
-	t.backoff = 1 << (t.restarts - 1)
-	if t.backoff > s.cfg.BackoffCap {
-		t.backoff = s.cfg.BackoffCap
-	}
-	s.sched.Replace(slot, restored)
+	sl.backoff = min(1<<(sl.out.Restarts-1), s.cfg.BackoffCap)
 }
 
 // guardedStep runs one campaign step under panic recovery and the
 // watchdog. It reports whether the step completed normally; on false
 // the campaign object may be in an arbitrary state and must be
 // replaced, never stepped again.
-func (s *Supervisor) guardedStep(t *tenant, c *core.Campaign) bool {
+func (s *Supervisor) guardedStep(sl *slot) bool {
 	var fault StepFault
-	if t.faultFn != nil {
-		fault = t.faultFn(t.steps)
+	if sl.faultFn != nil {
+		fault = sl.faultFn(sl.steps)
 	}
-	t.steps++
+	sl.steps++
+	c, label, step := sl.camp, sl.out.Label, sl.steps-1
 	abandoned := make(chan struct{})
 	done := make(chan bool, 1)
 	go func() {
@@ -416,7 +487,7 @@ func (s *Supervisor) guardedStep(t *tenant, c *core.Campaign) bool {
 		}()
 		switch fault {
 		case StepPanic:
-			panic(fmt.Sprintf("supervise: injected panic in %s step %d", t.label, t.steps-1))
+			panic(fmt.Sprintf("supervise: injected panic in %s step %d", label, step))
 		case StepHang:
 			// Injected hangs never touch the campaign: block until the
 			// watchdog gives up, then exit cleanly. Campaign state and
@@ -432,39 +503,39 @@ func (s *Supervisor) guardedStep(t *tenant, c *core.Campaign) bool {
 	select {
 	case ok := <-done:
 		if !ok {
-			t.panics++
-			s.count("supervise.panics", t, 1)
+			sl.out.Panics++
+			s.count("supervise.panics", label)
 		}
 		return ok
 	case <-timer.C:
 		close(abandoned)
-		t.watchdogTrips++
-		s.count("supervise.watchdog_trips", t, 1)
+		sl.out.WatchdogTrips++
+		s.count("supervise.watchdog_trips", label)
 		return false
 	}
 }
 
-// checkpoint records c's boundary snapshot as the slot's in-process
-// restart source and saves it to the tenant's store, if any. A failed
-// save is counted and tolerated: the previous durable generation stands
-// and the in-memory copy still powers in-process restarts. Only a
-// failed snapshot is an error.
-func (s *Supervisor) checkpoint(t *tenant, c *core.Campaign) error {
-	snap, saved, err := Checkpoint(c, t.ckpt)
+// checkpoint records the slot campaign's boundary snapshot as the
+// in-process restart source and saves it to the slot's store, if any. A
+// failed save is counted and tolerated: the previous durable generation
+// stands and the in-memory copy still powers in-process restarts. Only
+// a failed snapshot is an error.
+func (s *Supervisor) checkpoint(sl *slot) error {
+	snap, saved, err := Checkpoint(sl.camp, sl.ckpt)
 	if err != nil {
 		return err
 	}
-	t.lastGood = snap
+	sl.lastGood = snap
 	switch {
 	case saved:
-		t.checkpoints++
-		s.count("supervise.checkpoints", t, 1)
-	case t.ckpt != nil:
-		s.count("supervise.checkpoint_errors", t, 1)
+		sl.out.Checkpoints++
+		s.count("supervise.checkpoints", sl.out.Label)
+	case sl.ckpt != nil:
+		s.count("supervise.checkpoint_errors", sl.out.Label)
 	}
 	return nil
 }
 
-func (s *Supervisor) count(name string, t *tenant, n int64) {
-	s.cfg.Telemetry.AddL(t.label, name, n)
+func (s *Supervisor) count(name, label string) {
+	s.cfg.Telemetry.AddL(label, name, 1)
 }
