@@ -299,15 +299,8 @@ func (c *Campaign) Plan() {
 	c.inIter = true
 	c.st = iterState{}
 	st := &c.st
-	limit := c.sl.LineCount()
-	if cfg.MaxSigma > 0 && cfg.MaxSigma < limit {
-		limit = cfg.MaxSigma
-	}
-	st.limit = limit
-	st.effSigma = c.sigma
-	if st.effSigma > limit {
-		st.effSigma = limit
-	}
+	st.limit = c.sl.LineCount()
+	st.effSigma = min(c.sigma, st.limit)
 	st.window = mergeWindow(c.sl.Window(st.effSigma), c.added)
 	sp := cfg.Telemetry.StartSpanL(telemetry.PhasePlan, c.label)
 	st.plan = BuildPlan(c.g, st.window, cfg.Features)
@@ -361,10 +354,9 @@ func (c *Campaign) Dispatch() {
 // gates passes, not batch members), so the whole batch fans out across
 // the pool at once.
 func (c *Campaign) Admit() {
-	cfg := c.cfg
 	st := &c.st
 	backoff := 1
-	for retry := 0; retry < cfg.MaxRetries && len(st.lost) > 0 && c.need(); retry++ {
+	for retry := 0; retry < maxRetries && len(st.lost) > 0 && c.need(); retry++ {
 		st.health.Retries++
 		st.health.BackoffBatches += backoff
 		batch := st.lost

@@ -37,8 +37,6 @@ type Config struct {
 	// growth (sigma += SigmaGrowthAdd) instead of the paper's
 	// multiplicative doubling — the growth-strategy ablation.
 	SigmaGrowthAdd int
-	// MaxSigma caps the tracked window; 0 means the whole slice.
-	MaxSigma int
 	// Features gates static/control-flow/data-flow tracking (Fig. 10).
 	Features Features
 
@@ -96,10 +94,6 @@ type Config struct {
 	// whose endpoint hung, is discarded so it cannot stall the
 	// iteration. 0 disables the deadline.
 	RunDeadlineSteps int64
-	// MaxRetries caps the retry passes (with capped exponential
-	// backoff) the AsT controller spends re-seeding replacement runs
-	// for lost endpoints in one iteration. 0 means 3.
-	MaxRetries int
 	// MinQuorum is the minimum number of validated failing+successful
 	// runs an iteration needs before its predictor ranking is
 	// considered trustworthy; below it the sketch is annotated as low
@@ -133,7 +127,6 @@ func (c Config) Validate() error {
 		{"Workers", int64(c.Workers)},
 		{"Sigma0", int64(c.Sigma0)},
 		{"SigmaGrowthAdd", int64(c.SigmaGrowthAdd)},
-		{"MaxSigma", int64(c.MaxSigma)},
 		{"Endpoints", int64(c.Endpoints)},
 		{"MaxBatches", int64(c.MaxBatches)},
 		{"FailuresPerIter", int64(c.FailuresPerIter)},
@@ -141,7 +134,6 @@ func (c Config) Validate() error {
 		{"MaxIters", int64(c.MaxIters)},
 		{"MaxSteps", c.MaxSteps},
 		{"RunDeadlineSteps", c.RunDeadlineSteps},
-		{"MaxRetries", int64(c.MaxRetries)},
 		{"MinQuorum", int64(c.MinQuorum)},
 		{"MaxDiscoveryRuns", int64(c.MaxDiscoveryRuns)},
 		{"DiscoveryStepBudget", c.DiscoveryStepBudget},
@@ -158,6 +150,11 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// maxRetries caps the retry passes (with capped exponential backoff) the
+// AsT controller spends re-seeding replacement runs for lost endpoints
+// in one iteration.
+const maxRetries = 3
 
 func (c Config) withDefaults() Config {
 	if c.Sigma0 == 0 {
@@ -192,9 +189,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DiscoveryProgressEvery == 0 {
 		c.DiscoveryProgressEvery = 256
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 3
 	}
 	if c.MinQuorum == 0 {
 		c.MinQuorum = 3

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -208,27 +210,30 @@ func TestHealthEndpointReportsReadiness(t *testing.T) {
 	}
 }
 
-// TestHealthDoesNotTouchLatencySamples: a health probe reads the same
-// counters Snapshot reports, but must not copy and sort the per-path
-// latency samples to get them — that work happens under the mutex every
-// request takes, so a probe's cost may not depend on the traffic
-// recorded so far.
-func TestHealthDoesNotTouchLatencySamples(t *testing.T) {
+// TestHealthCostIndependentOfTraffic: a health probe reads the same
+// counters Snapshot reports under the mutex every request takes, so its
+// cost may not depend on the traffic recorded so far; Snapshot adds one
+// request count per path.
+func TestHealthCostIndependentOfTraffic(t *testing.T) {
 	s := NewServer(Options{})
 	defer s.Close()
 	idle := testing.AllocsPerRun(20, func() { s.Health() })
 	const requests = 30_000
 	for i := 0; i < requests; i++ {
-		path := []string{PathPoll, PathUpload, PathSubmit}[i%3]
-		s.metrics.observe(path, time.Duration(i)*time.Microsecond)
+		s.metrics.observe([]string{PathPoll, PathUpload, PathSubmit}[i%3])
 	}
 	busy := testing.AllocsPerRun(20, func() { s.Health() })
 	if busy != idle {
 		t.Errorf("Health allocates %.0f times after %d requests, %.0f on an idle server", busy, requests, idle)
 	}
-	want, _ := s.Snapshot()
+	want, rpcs := s.Snapshot()
 	if got := s.Health().Counters; got != want || got.Requests != requests {
 		t.Errorf("Health counters = %+v, Snapshot counters = %+v", got, want)
+	}
+	wantRPCs := []RPCStat{{PathPoll, requests / 3}, {PathSubmit, requests / 3}, {PathUpload, requests / 3}}
+	sort.Slice(wantRPCs, func(i, j int) bool { return wantRPCs[i].Path < wantRPCs[j].Path })
+	if !reflect.DeepEqual(rpcs, wantRPCs) {
+		t.Errorf("Snapshot per-path counts = %+v, want %+v", rpcs, wantRPCs)
 	}
 }
 

@@ -66,18 +66,35 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate rejects nonsensical agent configs.
+// client is the wire client configuration this agent dials with.
+func (c Config) client() service.ClientOptions {
+	return service.ClientOptions{
+		BaseURL:   c.Server,
+		Tenant:    c.Tenant,
+		Actor:     c.ID,
+		Deadline:  c.RPCDeadline,
+		Faults:    c.Faults,
+		Transport: c.Transport,
+		Sleep:     c.Sleep,
+	}
+}
+
+// Validate rejects nonsensical agent configs: whatever its wire client
+// would reject, plus the agent's own knobs. `gist agent` reports the
+// error as is, so each message names the flag at fault.
 func (c Config) Validate() error {
-	if c.Server == "" {
-		return fmt.Errorf("agent: server URL must be set")
-	}
-	if c.Tenant == "" || c.ID == "" {
-		return fmt.Errorf("agent: tenant and agent id must be set")
-	}
-	if err := c.Faults.Validate(); err != nil {
+	if err := c.client().Validate(); err != nil {
 		return err
 	}
-	return nil
+	switch {
+	case c.ID == "":
+		return fmt.Errorf("-agent-id must not be empty")
+	case c.Poll <= 0:
+		return fmt.Errorf("-agent-poll %v must be positive", c.Poll)
+	case c.RPCDeadline <= c.Poll:
+		return fmt.Errorf("-rpc-deadline %v must exceed -agent-poll %v or every long-poll times out client-side", c.RPCDeadline, c.Poll)
+	}
+	return c.Faults.Validate()
 }
 
 // Agent is one endpoint worker.
@@ -108,16 +125,8 @@ func New(cfg Config) (*Agent, error) {
 		return nil, err
 	}
 	return &Agent{
-		cfg: cfg,
-		client: service.NewClient(service.ClientOptions{
-			BaseURL:   cfg.Server,
-			Tenant:    cfg.Tenant,
-			Actor:     cfg.ID,
-			Deadline:  cfg.RPCDeadline,
-			Faults:    cfg.Faults,
-			Transport: cfg.Transport,
-			Sleep:     cfg.Sleep,
-		}),
+		cfg:    cfg,
+		client: service.NewClient(cfg.client()),
 		graphs: make(map[string]*plannedBug),
 	}, nil
 }
@@ -154,32 +163,6 @@ func (a *Agent) Run(ctx context.Context) error {
 		}
 		a.execute(ctx, task)
 	}
-}
-
-// RunN serves exactly n tasks and returns — the load bench and tests
-// use it to bound an agent's life deterministically.
-func (a *Agent) RunN(ctx context.Context, n int) error {
-	var reg service.RegisterResponse
-	err := a.client.Call(ctx, service.PathRegister, &service.RegisterRequest{
-		Tenant: a.cfg.Tenant,
-		Agent:  a.cfg.ID,
-	}, &reg)
-	if err != nil {
-		return fmt.Errorf("agent %s: register: %w", a.cfg.ID, err)
-	}
-	a.lease = time.Duration(reg.LeaseMs) * time.Millisecond
-	for done := 0; done < n; {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		task, err := a.poll(ctx)
-		if err != nil || task == nil {
-			continue
-		}
-		a.execute(ctx, task)
-		done++
-	}
-	return nil
 }
 
 func (a *Agent) poll(ctx context.Context) (*service.WireTask, error) {

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,6 +67,25 @@ func (o ClientOptions) withDefaults() ClientOptions {
 		o.Sleep = time.Sleep
 	}
 	return o
+}
+
+// Validate rejects a client configuration no operator can have meant.
+// It is what `gist agent` and `gist submit` check before dialling, so
+// each message names the flag that sets the offending field.
+func (o ClientOptions) Validate() error {
+	switch {
+	case o.BaseURL == "":
+		return fmt.Errorf("-server must be set to the diagnosis server URL")
+	case !strings.HasPrefix(o.BaseURL, "http://") && !strings.HasPrefix(o.BaseURL, "https://"):
+		return fmt.Errorf("-server %q must be an http(s) URL", o.BaseURL)
+	case o.Tenant == "":
+		return fmt.Errorf("-tenant must not be empty")
+	case o.Deadline <= 0:
+		return fmt.Errorf("-rpc-deadline %v must be positive", o.Deadline)
+	case o.Faults.TransportRate < 0 || o.Faults.TransportRate > 1:
+		return fmt.Errorf("-transport-fault-rate %g outside [0,1]", o.Faults.TransportRate)
+	}
+	return nil
 }
 
 // StatusError is a non-200 server reply.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -48,11 +49,6 @@ type Options struct {
 	// campaign degrade to a low-confidence sketch instead of hanging
 	// when the whole fleet vanishes (default 4×LeaseTTL).
 	NoAgentTimeout time.Duration
-	// StepTimeout is the supervisor watchdog deadline per campaign
-	// step. Remote steps wait on real agents, so the default is a
-	// generous 5 minutes — watchdog trips restore from checkpoint and
-	// re-dispatch, they are for wedged campaigns, not slow fleets.
-	StepTimeout time.Duration
 	// NoFsync disables checkpoint fsync (mirrors the CLI flag).
 	NoFsync bool
 	// SketchCacheBytes bounds the LRU cache finished sketches are served
@@ -138,9 +134,6 @@ func (o Options) withDefaults() Options {
 	if o.NoAgentTimeout <= 0 {
 		o.NoAgentTimeout = 4 * o.LeaseTTL
 	}
-	if o.StepTimeout <= 0 {
-		o.StepTimeout = 5 * time.Minute
-	}
 	if o.SketchCacheBytes == 0 {
 		o.SketchCacheBytes = 8 << 20
 	}
@@ -168,6 +161,48 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Validate rejects a server configuration no operator can have meant.
+// It is what `gist serve` checks before listening, so each message names
+// the flag that sets the offending field. It judges what was given:
+// NewServer defaults a zero LeaseTTL or StateRoot, but on the command
+// line only an explicit `-lease 0` or `-state-dir ""` produces one.
+func (o Options) Validate() error {
+	switch {
+	case o.StateRoot == "":
+		return fmt.Errorf("-state-dir must not be empty")
+	case o.LeaseTTL <= 0:
+		return fmt.Errorf("-lease %v must be positive", o.LeaseTTL)
+	case o.PollTimeout <= 0:
+		return fmt.Errorf("-poll-timeout %v must be positive", o.PollTimeout)
+	case o.SketchCacheBytes < 0:
+		return fmt.Errorf("-ingest-cache-bytes %d must be >= 0 (0 = default)", o.SketchCacheBytes)
+	case o.TenantRPS < 0:
+		return fmt.Errorf("-tenant-rps %g must be >= 0 (0 = unlimited)", o.TenantRPS)
+	case o.TenantBurst < 0:
+		return fmt.Errorf("-tenant-burst %d must be >= 0 (0 = default)", o.TenantBurst)
+	case o.TenantBurst > 0 && o.TenantRPS == 0:
+		return fmt.Errorf("-tenant-burst %d requires -tenant-rps > 0 (no bucket to size without a rate)", o.TenantBurst)
+	case o.MaxInflight < 0:
+		return fmt.Errorf("-max-inflight %d must be >= 0 (0 = uncapped)", o.MaxInflight)
+	case o.LaunchBudget < 0:
+		return fmt.Errorf("-launch-budget %d must be >= 0 (0 = default)", o.LaunchBudget)
+	case o.LaunchBudget > 0 && o.MaxInflight == 0:
+		return fmt.Errorf("-launch-budget %d requires -max-inflight > 0 (nothing queues without an inflight cap)", o.LaunchBudget)
+	case o.HedgeAfter < 0:
+		return fmt.Errorf("-hedge-after %v must be >= 0 (0 = hedging off)", o.HedgeAfter)
+	}
+	return nil
+}
+
+// ValidateListen checks a -listen address: host:port with a port. An
+// empty host (":8443") binds all interfaces and is fine.
+func ValidateListen(addr string) error {
+	if _, port, err := net.SplitHostPort(addr); err != nil || port == "" {
+		return fmt.Errorf("-listen %q is not host:port", addr)
+	}
+	return nil
+}
+
 const (
 	// maxSeedsPerSignature bounds each failure signature's recorded seed
 	// evidence, as in core.ClusterConfig.
@@ -175,6 +210,16 @@ const (
 	// shedRetryAfter is the Retry-After advertised on a launch-budget or
 	// drain shed; rate-limit sheds compute theirs from the bucket refill.
 	shedRetryAfter = time.Second
+	// stepTimeout is the supervisor watchdog deadline per campaign step.
+	// Remote steps wait on real agents, so it is a generous 5 minutes —
+	// watchdog trips restore from checkpoint and re-dispatch, they are
+	// for wedged campaigns, not slow fleets.
+	stepTimeout = 5 * time.Minute
+	// maxBodyBytes caps what one request may make the server read and
+	// hold; a larger body is answered 413 before the checksum is even
+	// computed. The largest trace upload an e2e diagnosis sends is about
+	// 23 KB (the e2e harness fails above an eighth of the cap).
+	maxBodyBytes = 16 << 20
 )
 
 // task is one dispatched production run in flight between the campaign
@@ -340,7 +385,7 @@ func NewServer(opts Options) *Server {
 }
 
 // Handler returns the server's HTTP handler (checksum verification and
-// latency metrics included).
+// request counting included).
 func (s *Server) Handler() http.Handler { return s.handler }
 
 // Close stops the reaper and writes off every in-flight task so
@@ -415,18 +460,23 @@ func overloaded(retryAfter time.Duration, format string, args ...any) error {
 	}
 }
 
-// jsonHandler adapts a typed handler: verify the body checksum, decode
-// JSON, dispatch, encode the response. The checksum check runs before
-// any decoding so a transport-corrupted body can never half-apply.
+// jsonHandler adapts a typed handler: read the body (at most
+// maxBodyBytes of it), verify its checksum, decode JSON, dispatch,
+// encode the response. The checksum check runs before any decoding so a
+// transport-corrupted body can never half-apply.
 func jsonHandler[Req, Resp any](s *Server, f func(*Req) (*Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			writeError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
-		body, err := io.ReadAll(r.Body)
+		body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "read body: %v", err)
+			return
+		}
+		if len(body) > maxBodyBytes {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
 			return
 		}
 		if want := r.Header.Get(ChecksumHeader); want != "" {
@@ -907,7 +957,7 @@ func (s *Server) runCampaign(cs *campaignState, tenant, bug, key string, cfg cor
 		return
 	}
 	sup := supervise.New(1, supervise.Config{
-		StepTimeout: s.opts.StepTimeout,
+		StepTimeout: stepTimeout,
 		Telemetry:   s.opts.Telemetry,
 		OnRestore:   func(c *core.Campaign) { c.UseRunner(runner) },
 	})
@@ -1401,24 +1451,18 @@ type Counters struct {
 	DeadlineExpired int64
 }
 
-// RPCStat is the latency distribution of one wire path.
+// RPCStat is the request count of one wire path.
 type RPCStat struct {
-	Path  string  `json:"path"`
-	Count int64   `json:"count"`
-	P50Ms float64 `json:"p50_ms"`
-	P95Ms float64 `json:"p95_ms"`
-	P99Ms float64 `json:"p99_ms"`
+	Path  string `json:"path"`
+	Count int64  `json:"count"`
 }
 
-// metrics aggregates request latencies per path, capped so an
-// arbitrarily long bench cannot grow without bound.
+// metrics holds the scalar counters and a request count per path.
 type metrics struct {
 	mu       sync.Mutex
 	counters Counters
-	samples  map[string][]float64 // path -> latency ms
+	byPath   map[string]int64
 }
-
-const maxLatencySamples = 1 << 20
 
 func (m *metrics) add(f func(*Counters)) {
 	m.mu.Lock()
@@ -1426,59 +1470,43 @@ func (m *metrics) add(f func(*Counters)) {
 	m.mu.Unlock()
 }
 
-// read returns the counters without touching the latency samples, so a
-// health probe costs the request path one short critical section.
+// read returns the counters alone, so a health probe costs the request
+// path one short critical section.
 func (m *metrics) read() Counters {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.counters
 }
 
-func (m *metrics) observe(path string, d time.Duration) {
+func (m *metrics) observe(path string) {
 	m.mu.Lock()
 	m.counters.Requests++
-	if m.samples == nil {
-		m.samples = map[string][]float64{}
+	if m.byPath == nil {
+		m.byPath = map[string]int64{}
 	}
-	if sl := m.samples[path]; len(sl) < maxLatencySamples {
-		m.samples[path] = append(sl, float64(d.Microseconds())/1000)
-	}
+	m.byPath[path]++
 	m.mu.Unlock()
 }
 
-// measure wraps the mux with per-request latency recording.
+// measure wraps the mux with per-request counting.
 func (s *Server) measure(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
 		next.ServeHTTP(w, r)
-		s.metrics.observe(r.URL.Path, time.Since(start))
+		s.metrics.observe(r.URL.Path)
 	})
 }
 
-// Snapshot returns the server's counters and per-path latency
-// percentiles.
+// Snapshot returns the server's counters and per-path request counts,
+// sorted by path.
 func (s *Server) Snapshot() (Counters, []RPCStat) {
 	s.metrics.mu.Lock()
 	defer s.metrics.mu.Unlock()
-	counters := s.metrics.counters
-	paths := make([]string, 0, len(s.metrics.samples))
-	for p := range s.metrics.samples {
-		paths = append(paths, p)
+	rpcs := make([]RPCStat, 0, len(s.metrics.byPath))
+	for p, n := range s.metrics.byPath {
+		rpcs = append(rpcs, RPCStat{Path: p, Count: n})
 	}
-	sort.Strings(paths)
-	rpcs := make([]RPCStat, 0, len(paths))
-	for _, p := range paths {
-		sl := append([]float64(nil), s.metrics.samples[p]...)
-		sort.Float64s(sl)
-		rpcs = append(rpcs, RPCStat{
-			Path:  p,
-			Count: int64(len(sl)),
-			P50Ms: stats.Percentile(sl, 0.50),
-			P95Ms: stats.Percentile(sl, 0.95),
-			P99Ms: stats.Percentile(sl, 0.99),
-		})
-	}
-	return counters, rpcs
+	sort.Slice(rpcs, func(i, j int) bool { return rpcs[i].Path < rpcs[j].Path })
+	return s.metrics.counters, rpcs
 }
 
 // CacheStats returns the sketch cache's counters and occupancy.

@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -137,6 +139,53 @@ func TestChecksumMismatchRejectedBeforeDecode(t *testing.T) {
 	s.Handler().ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("clean body got %d, want 200: %s", rec.Code, rec.Body)
+	}
+}
+
+// TestRequestBodyCap: a body one byte over maxBodyBytes is answered 413
+// with an ErrorResponse and changes nothing, although it is a well-formed,
+// correctly checksummed upload the server would otherwise admit; the same
+// upload at exactly the cap goes through.
+func TestRequestBodyCap(t *testing.T) {
+	s := NewServer(Options{})
+	defer s.Close()
+	tk := enqueueTask(s, "acme", "pbzip2")
+	post := func(size int) *http.Response {
+		t.Helper()
+		head := fmt.Sprintf(`{"tenant":"acme","agent":"a1","task_id":%d,"crashed":true,"pad":"`, tk.id)
+		body := append([]byte(head), bytes.Repeat([]byte{'x'}, size-len(head)-2)...)
+		body = append(body, `"}`...)
+		req := httptest.NewRequest(http.MethodPost, PathUpload, bytes.NewReader(body))
+		req.Header.Set(ChecksumHeader, BodyChecksum(body))
+		resp, err := LoopbackTransport{Handler: s.Handler()}.RoundTrip(req)
+		if err != nil {
+			t.Fatalf("round trip: %v", err)
+		}
+		return resp
+	}
+
+	resp := post(maxBodyBytes + 1)
+	var er ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Err == "" {
+		t.Errorf("oversized body: reply is not an ErrorResponse (err=%v, %+v)", err, er)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body got %d, want 413", resp.StatusCode)
+	}
+	s.mu.Lock()
+	done, campaigns, tasks := tk.done, len(s.tenants["acme"].campaigns), len(s.tasks)
+	s.mu.Unlock()
+	if c, _ := s.Snapshot(); done || campaigns != 0 || tasks != 1 || c.Uploads != 0 || c.BadChecksum != 0 {
+		t.Fatalf("oversized body changed state: task done=%v, %d campaigns, %d tasks, counters %+v", done, campaigns, tasks, c)
+	}
+
+	if resp := post(maxBodyBytes); resp.StatusCode != http.StatusOK {
+		t.Fatalf("body at the cap got %d, want 200", resp.StatusCode)
+	}
+	select {
+	case <-tk.doneCh:
+	default:
+		t.Fatal("upload at the cap did not complete the task")
 	}
 }
 

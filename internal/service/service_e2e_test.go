@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,6 +47,21 @@ func inProcessSketch(t *testing.T, bug string) []byte {
 	return data
 }
 
+// largestRequest records the largest request body crossing the wire.
+type largestRequest struct {
+	next  http.RoundTripper
+	bytes atomic.Int64
+}
+
+func (l *largestRequest) RoundTrip(req *http.Request) (*http.Response, error) {
+	for n := req.ContentLength; ; {
+		if old := l.bytes.Load(); n <= old || l.bytes.CompareAndSwap(old, n) {
+			break
+		}
+	}
+	return l.next.RoundTrip(req)
+}
+
 // serviceSketch runs one diagnosis through the full wire: loopback
 // server, a small agent fleet, transport faults at the given rate.
 func serviceSketch(t *testing.T, bug string, rate float64, nAgents int) ([]byte, service.Counters) {
@@ -57,7 +74,13 @@ func serviceSketch(t *testing.T, bug string, rate float64, nAgents int) ([]byte,
 		MaxTaskAttempts: 10,
 	})
 	defer srv.Close()
-	transport := service.LoopbackTransport{Handler: srv.Handler()}
+	// The server's body cap must sit far above anything a diagnosis sends.
+	transport := &largestRequest{next: service.LoopbackTransport{Handler: srv.Handler()}}
+	defer func() {
+		if n := transport.bytes.Load(); n == 0 || n > service.MaxBodyBytes/8 {
+			t.Errorf("largest request body was %d bytes; the server caps bodies at %d", n, service.MaxBodyBytes)
+		}
+	}()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -26,11 +26,9 @@
 package shard
 
 import (
-	"fmt"
 	"hash/fnv"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"repro/internal/store"
 	"repro/internal/telemetry"
@@ -94,38 +92,4 @@ func OpenCampaignStore(b store.Backend, stateRoot, tenant, key string, noFsync b
 		Telemetry: tel,
 		Label:     tenant + "/" + key,
 	})
-}
-
-// Flags is the CLI-facing shard fleet configuration (-coordinator and
-// -worker modes), validated before any work starts. Field names mirror
-// the gist flags that populate them; every validation error names the
-// offending flag so the CLI convention (exit 2, flag named) holds.
-type Flags struct {
-	Shards   int           // -shards
-	WorkerID int           // -worker-id (1-based; worker mode only)
-	Worker   bool          // -worker (as opposed to -coordinator)
-	StateDir string        // -state-dir (the shared fleet root)
-	Lease    time.Duration // -lease (ownership lease TTL)
-}
-
-// Validate rejects nonsensical fleet flags, naming the flag at fault.
-func (f Flags) Validate() error {
-	if f.Shards <= 0 {
-		return fmt.Errorf("-shards %d must be positive", f.Shards)
-	}
-	if f.Worker {
-		if f.WorkerID <= 0 {
-			return fmt.Errorf("-worker-id %d must be positive (workers are numbered 1..-shards)", f.WorkerID)
-		}
-		if f.WorkerID > f.Shards {
-			return fmt.Errorf("-worker-id %d out of range: -shards is %d", f.WorkerID, f.Shards)
-		}
-	}
-	if f.StateDir == "" {
-		return fmt.Errorf("-state-dir must not be empty (it is the fleet's shared root)")
-	}
-	if f.Lease <= 0 {
-		return fmt.Errorf("-lease %v must be positive", f.Lease)
-	}
-	return nil
 }

@@ -62,46 +62,54 @@ func TestCampaignNameMatchesServiceLayout(t *testing.T) {
 	}
 }
 
-// TestFleetFlagValidation table-tests shard.Flags the same way
-// ServeFlags and AgentFlags are tested: every rejection names the
-// offending flag (the CLI turns these into exit 2).
+// TestFleetFlagValidation table-tests WorkerOptions.Validate, which
+// `gist worker` calls on the struct its flags are bound into: every
+// rejection names the offending flag (the CLI turns these into exit 2).
+// The coordinator has no options struct; `gist serve -shards N` hands N
+// to NewCoordinator.
 func TestFleetFlagValidation(t *testing.T) {
-	valid := func() Flags {
-		return Flags{Shards: 3, WorkerID: 2, Worker: true, StateDir: "fleet", Lease: 10 * time.Second}
+	worker := func(mutate func(*WorkerOptions)) func() error {
+		return func() error {
+			o := WorkerOptions{Shards: 3, Index: 1, Root: "fleet", LeaseTTL: 10 * time.Second}
+			mutate(&o)
+			return o.Validate()
+		}
+	}
+	coordinator := func(shards int) func() error {
+		return func() error {
+			_, err := NewCoordinator(store.NewMemBackend(), "fleet", shards, true)
+			return err
+		}
 	}
 	cases := []struct {
 		name     string
-		mutate   func(*Flags)
-		wantFlag string // "" means valid
+		validate func() error
+		want     string // "" means valid
 	}{
-		{"valid worker", func(f *Flags) {}, ""},
-		{"valid coordinator", func(f *Flags) { f.Worker = false; f.WorkerID = 0 }, ""},
-		{"zero shards", func(f *Flags) { f.Shards = 0 }, "-shards"},
-		{"negative shards", func(f *Flags) { f.Shards = -4 }, "-shards"},
-		{"zero worker id", func(f *Flags) { f.WorkerID = 0 }, "-worker-id"},
-		{"negative worker id", func(f *Flags) { f.WorkerID = -1 }, "-worker-id"},
-		{"worker id past shards", func(f *Flags) { f.WorkerID = 4 }, "-worker-id"},
-		{"coordinator ignores worker id", func(f *Flags) { f.Worker = false; f.WorkerID = -9 }, ""},
-		{"empty state dir", func(f *Flags) { f.StateDir = "" }, "-state-dir"},
-		{"zero lease", func(f *Flags) { f.Lease = 0 }, "-lease"},
-		{"negative lease", func(f *Flags) { f.Lease = -time.Second }, "-lease"},
+		{"valid worker", worker(func(o *WorkerOptions) {}), ""},
+		{"valid coordinator", coordinator(3), ""},
+		{"coordinator without shards", coordinator(0), "positive shard count"},
+		{"zero shards", worker(func(o *WorkerOptions) { o.Shards = 0 }), "-shards"},
+		{"negative shards", worker(func(o *WorkerOptions) { o.Shards = -4 }), "-shards"},
+		{"zero worker id", worker(func(o *WorkerOptions) { o.Index = -1 }), "-worker-id"},
+		{"negative worker id", worker(func(o *WorkerOptions) { o.Index = -2 }), "-worker-id"},
+		{"worker id past shards", worker(func(o *WorkerOptions) { o.Index = 3 }), "-worker-id"},
+		{"empty state dir", worker(func(o *WorkerOptions) { o.Root = "" }), "-state-dir"},
+		{"zero lease", worker(func(o *WorkerOptions) { o.LeaseTTL = 0 }), "-lease"},
+		{"negative lease", worker(func(o *WorkerOptions) { o.LeaseTTL = -time.Second }), "-lease"},
+		{"negative width", worker(func(o *WorkerOptions) { o.Width = -1 }), "-workers"},
+		{"negative round delay", worker(func(o *WorkerOptions) { o.RoundDelay = -time.Second }), "-iter-delay"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := valid()
-			tc.mutate(&f)
-			err := f.Validate()
-			if tc.wantFlag == "" {
-				if err != nil {
-					t.Fatalf("valid flags rejected: %v", err)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatalf("invalid flags accepted")
-			}
-			if !strings.Contains(err.Error(), tc.wantFlag) {
-				t.Fatalf("error %q does not name %s", err, tc.wantFlag)
+			err := tc.validate()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("valid options rejected: %v", err)
+			case tc.want != "" && err == nil:
+				t.Fatalf("invalid options accepted")
+			case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+				t.Fatalf("error %q does not name %s", err, tc.want)
 			}
 		})
 	}

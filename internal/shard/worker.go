@@ -25,7 +25,7 @@ type WorkerOptions struct {
 	ID string
 	// Index is the worker's 0-based shard index; assignments whose shard
 	// maps onto it are claimed immediately, others only after they sit
-	// unowned for TakeoverRounds rounds (the dead-worker takeover path).
+	// unowned for takeoverRounds rounds (the dead-worker takeover path).
 	Index int
 	// Shards is the fleet size Index lives in.
 	Shards int
@@ -33,13 +33,8 @@ type WorkerOptions struct {
 	// 10s). Leases are renewed every round, so it must exceed the
 	// worst-case round duration.
 	LeaseTTL time.Duration
-	// TakeoverRounds is how many consecutive rounds a foreign campaign
-	// must be observed unowned before this worker steals it (default 2).
-	TakeoverRounds int
 	// Width is the worker's fleet pool width (0 = GOMAXPROCS).
 	Width int
-	// StepTimeout is the per-step watchdog deadline (supervise default).
-	StepTimeout time.Duration
 	// NoFsync disables checkpoint and lease fsync.
 	NoFsync bool
 	// RoundDelay, when positive, sleeps this long after every round that
@@ -56,6 +51,10 @@ type WorkerOptions struct {
 	Logf func(format string, args ...any)
 }
 
+// takeoverRounds is how many consecutive rounds a foreign campaign must
+// be observed unowned before a worker steals it.
+const takeoverRounds = 2
+
 func (o WorkerOptions) withDefaults() WorkerOptions {
 	if o.Backend == nil {
 		o.Backend = store.DirBackend{}
@@ -69,13 +68,35 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 10 * time.Second
 	}
-	if o.TakeoverRounds <= 0 {
-		o.TakeoverRounds = 2
-	}
 	if o.ConfigFor == nil {
 		o.ConfigFor = bugs.ConfigFor
 	}
 	return o
+}
+
+// Validate rejects a worker configuration no operator can have meant.
+// It is what `gist worker` checks before opening the fleet root, so each
+// message names the flag that sets the offending field (-worker-id is
+// Index+1). Like the service's validators it judges what was given
+// rather than what NewWorker would default.
+func (o WorkerOptions) Validate() error {
+	switch {
+	case o.Shards <= 0:
+		return fmt.Errorf("-shards %d must be positive", o.Shards)
+	case o.Index < 0:
+		return fmt.Errorf("-worker-id %d must be positive (workers are numbered 1..-shards)", o.Index+1)
+	case o.Index >= o.Shards:
+		return fmt.Errorf("-worker-id %d out of range: -shards is %d", o.Index+1, o.Shards)
+	case o.Root == "":
+		return fmt.Errorf("-state-dir must not be empty (it is the fleet's shared root)")
+	case o.LeaseTTL <= 0:
+		return fmt.Errorf("-lease %v must be positive", o.LeaseTTL)
+	case o.Width < 0:
+		return fmt.Errorf("-workers %d is negative (0 means GOMAXPROCS)", o.Width)
+	case o.RoundDelay < 0:
+		return fmt.Errorf("-iter-delay %v is negative", o.RoundDelay)
+	}
+	return nil
 }
 
 // owned is the worker's bookkeeping for one campaign it holds.
@@ -143,8 +164,7 @@ func NewWorker(o WorkerOptions) (*Worker, error) {
 		o:      o,
 		leases: leases,
 		sup: supervise.New(o.Width, supervise.Config{
-			StepTimeout: o.StepTimeout,
-			Telemetry:   o.Telemetry,
+			Telemetry: o.Telemetry,
 		}),
 		slots:   map[string]int{},
 		holding: map[int]*owned{},
@@ -260,9 +280,9 @@ func (w *Worker) adopt() error {
 			}
 			// Unowned foreign campaign: its worker may just be between
 			// claim and first renewal. Steal only after observing it
-			// unowned for TakeoverRounds consecutive rounds.
+			// unowned for takeoverRounds consecutive rounds.
 			w.unowned[name]++
-			if w.unowned[name] <= w.o.TakeoverRounds {
+			if w.unowned[name] <= takeoverRounds {
 				continue
 			}
 		}
