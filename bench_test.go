@@ -182,13 +182,13 @@ func BenchmarkAblationAstGrowth(b *testing.B) {
 		var mul, add []float64
 		for _, bug := range suite {
 			cfg := bug.GistConfig()
-			cfg.StopWhen = experiments.DeveloperOracle(bug)
+			cfg.StopWhen = bugs.DeveloperOracle(bug)
 			resMul, err := core.Run(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
 			cfg = bug.GistConfig()
-			cfg.StopWhen = experiments.DeveloperOracle(bug)
+			cfg.StopWhen = bugs.DeveloperOracle(bug)
 			cfg.SigmaGrowthAdd = 2 // linear growth: sigma += 2
 			resAdd, err := core.Run(cfg)
 			if err != nil {
@@ -216,7 +216,7 @@ func BenchmarkAblationFBeta(b *testing.B) {
 			for _, bug := range suite {
 				cfg := bug.GistConfig()
 				cfg.Beta = beta
-				cfg.StopWhen = experiments.DeveloperOracle(bug)
+				cfg.StopWhen = bugs.DeveloperOracle(bug)
 				res, err := core.Run(cfg)
 				if err != nil {
 					b.Fatal(err)
@@ -307,7 +307,7 @@ func BenchmarkFleetScaling(b *testing.B) {
 				cfg := bug.GistConfig()
 				cfg.Features = core.AllFeatures()
 				cfg.Workers = workers
-				cfg.StopWhen = experiments.DeveloperOracle(bug)
+				cfg.StopWhen = bugs.DeveloperOracle(bug)
 				res, err := core.Run(cfg)
 				if err != nil {
 					b.Fatal(err)

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/bugs"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/store"
 	"repro/internal/supervise"
@@ -57,10 +56,6 @@ func parseDiagnose(fs *flag.FlagSet, args []string) (*diagnoseConfig, error) {
 	fs.BoolVar(&c.asJSON, "json", false, "emit the sketch as JSON instead of text")
 
 	fs.IntVar(&c.cfg.Workers, "workers", 0, "fleet worker-pool width (0 = GOMAXPROCS); the diagnosis is byte-identical for any value")
-	fs.Func("engine", "execution engine for production runs: bytecode (default) or interp; the diagnosis is byte-identical on either", func(s string) (err error) {
-		c.cfg.Engine, err = core.ParseEngine(s)
-		return err
-	})
 	fs.IntVar(&c.cfg.MaxIters, "max-iters", 0, "cap on AsT iterations this process runs (0 = library default); with -checkpoint-dir the boundary state is checkpointed so a later -resume continues")
 	fs.Int64Var(&c.cfg.RunDeadlineSteps, "run-deadline", 0, "per-run step deadline applied by the server (0 = off)")
 	fs.Float64Var(&c.faultRate, "fault-rate", 0, "composite fleet fault rate in [0,1] spread across all fault classes (0 = reliable fleet)")
@@ -104,7 +99,7 @@ func parseDiagnose(fs *flag.FlagSet, args []string) (*diagnoseConfig, error) {
 	c.cfg.Prog, c.cfg.Title, c.cfg.WorkloadPool = id.Prog, id.Title, id.WorkloadPool
 	c.cfg.SeedBase, c.cfg.PreemptMean, c.cfg.Endpoints = id.SeedBase, id.PreemptMean, id.Endpoints
 	if !c.full {
-		c.cfg.StopWhen = experiments.DeveloperOracle(c.bug)
+		c.cfg.StopWhen = bugs.DeveloperOracle(c.bug)
 	}
 	if c.faultRate > 0 {
 		c.cfg.Faults = faults.Composite(c.faultSeed, c.faultRate)

@@ -77,9 +77,9 @@ func TestDiagnoseConfigIsTheBugsConfig(t *testing.T) {
 		}
 	}
 	c := mustParse(t, parseDiagnose,
-		"-bug curl -sigma0 4 -features cf,df -workers 3 -engine interp -max-iters 2 -run-deadline 9 -fault-rate 0.7 -fault-seed 5 -ckpt-fsync=false")
+		"-bug curl -sigma0 4 -features cf,df -workers 3 -max-iters 2 -run-deadline 9 -fault-rate 0.7 -fault-seed 5 -ckpt-fsync=false")
 	if g := c.cfg; g.Sigma0 != 4 || g.Features != (core.Features{ControlFlow: true, DataFlow: true}) || g.Workers != 3 ||
-		g.Engine != core.EngineInterp || g.MaxIters != 2 || g.RunDeadlineSteps != 9 ||
+		g.MaxIters != 2 || g.RunDeadlineSteps != 9 ||
 		g.Faults != faults.Composite(5, 0.7) || g.StopWhen == nil || !c.noFsync {
 		t.Errorf("diagnose flags = %+v", c)
 	}

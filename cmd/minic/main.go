@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/vm"
+	"repro/internal/vm/bytecode"
 )
 
 func main() {
@@ -61,7 +62,7 @@ func main() {
 	if *strs != "" {
 		wl.Strs = strings.Split(*strs, ",")
 	}
-	out := vm.Run(prog, vm.Config{
+	out := bytecode.RunProgram(prog, vm.Config{
 		Seed:        *seed,
 		PreemptMean: *preempt,
 		MaxSteps:    *maxStep,

@@ -15,14 +15,13 @@ import (
 
 	"repro/internal/bugs"
 	"repro/internal/core"
-	"repro/internal/experiments"
 )
 
 func main() {
 	bug := bugs.ByName("pbzip2")
 
 	cfg := bug.GistConfig()
-	cfg.StopWhen = experiments.DeveloperOracle(bug)
+	cfg.StopWhen = bugs.DeveloperOracle(bug)
 
 	res, err := core.Run(cfg)
 	if err != nil {

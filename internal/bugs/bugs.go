@@ -109,6 +109,30 @@ func (b *Bug) Ideal() core.IdealSketch {
 	return ideal
 }
 
+// DeveloperOracle is the automated stand-in for "the developer decides
+// the sketch contains the root cause" (§3.2.1): the sketch covers most of
+// the ideal sketch's statements and shows a high-precision failure
+// predictor.
+func DeveloperOracle(b *Bug) func(*core.Sketch) bool {
+	ideal := b.Ideal()
+	return func(sk *core.Sketch) bool {
+		if len(sk.Predictors) == 0 || sk.Predictors[0].P < 0.75 {
+			return false
+		}
+		lines := make(map[int]bool)
+		for _, s := range sk.Steps {
+			lines[s.Line] = true
+		}
+		covered := 0
+		for _, ln := range ideal.Lines {
+			if lines[ln] {
+				covered++
+			}
+		}
+		return covered*4 >= 3*len(ideal.Lines)
+	}
+}
+
 // GistConfig returns the diagnosis configuration for this bug.
 func (b *Bug) GistConfig() core.Config {
 	title := fmt.Sprintf("%s bug #%s", b.Software, b.BugID)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/vm"
+	"repro/internal/vm/interp"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -117,7 +118,7 @@ func TestEachBugHasBothOutcomes(t *testing.T) {
 				if len(b.Workloads) > 0 {
 					wl = b.Workloads[int(seed)%len(b.Workloads)]
 				}
-				out := vm.Run(p, vm.Config{Seed: seed, PreemptMean: pm, Workload: wl, MaxSteps: 300_000})
+				out := interp.Run(p, vm.Config{Seed: seed, PreemptMean: pm, Workload: wl, MaxSteps: 300_000})
 				if out.Failed {
 					fails++
 					if !b.FaultOK(out.Report.Kind) {

@@ -306,7 +306,7 @@ func (c *Campaign) Plan() {
 	st.plan = BuildPlan(c.g, st.window, cfg.Features)
 	sp.End()
 	st.plan.Telemetry = cfg.Telemetry
-	st.plan.Engine = cfg.Engine
+	st.plan.exec = cfg.exec
 	st.windowSet = make(map[int]bool, len(st.window))
 	for _, id := range st.window {
 		st.windowSet[id] = true

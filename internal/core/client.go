@@ -202,7 +202,7 @@ func RunInstrumentedFaults(plan *Plan, spec RunSpec, dec faults.Decision) *RunTr
 	}
 
 	execSpan := plan.Telemetry.StartSpan(telemetry.PhaseRunExec)
-	rt.Outcome = plan.Engine.exec(plan.Prog, vm.Config{
+	rt.Outcome = exec(plan.exec, plan.Prog, vm.Config{
 		Seed:        spec.Seed,
 		MaxSteps:    spec.MaxSteps,
 		PreemptMean: spec.PreemptMean,

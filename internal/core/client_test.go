@@ -6,6 +6,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/ir"
 	"repro/internal/vm"
+	"repro/internal/vm/interp"
 )
 
 const clientProg = `global int g = 0;
@@ -87,8 +88,8 @@ func TestClientStopLandsAfterOwnPackets(t *testing.T) {
 	if prog.Instrs[last].Op != ir.OpBr || !plan.StopAfter[last] {
 		t.Fatalf("test needs the window to stop after a branch; last tracked is %v, stops %v", prog.Instrs[last].Op, plan.StopAfter)
 	}
-	for _, engine := range []Engine{EngineBytecode, EngineInterp} {
-		plan.Engine = engine
+	for engine, run := range map[string]execFunc{"bytecode": nil, "interp": interp.Run} {
+		plan.exec = run
 		rt := RunInstrumented(plan, RunSpec{Seed: 3, MaxSteps: 100_000})
 		if rt.DecodeErr != nil {
 			t.Fatalf("%v: decode: %v", engine, rt.DecodeErr)

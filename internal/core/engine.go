@@ -1,65 +1,29 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/analysis"
 	"repro/internal/ir"
 	"repro/internal/telemetry"
 	"repro/internal/vm"
 )
 
-// Engine selects which execution engine runs MiniC programs: the flat
-// bytecode VM (default) or the tree-walking interpreter the bytecode
-// engine is differentially tested against. The two are observationally
-// identical — same RNG consumption, same hook events at the same
-// clocks, byte-identical failure reports — so selecting an engine can
-// change wall-clock only, never a diagnosis. The interpreter remains
-// selectable as the reference implementation for differential runs and
-// for bisecting a suspected engine bug.
-type Engine int
+// execFunc is the shape of an execution engine: one program, one run.
+type execFunc func(*ir.Program, vm.Config) *vm.Outcome
 
-const (
-	// EngineBytecode executes compiled bytecode on pooled machines with
-	// the process-wide compile cache (analysis.Bytecode). The zero value,
-	// so every config and plan defaults to the fast engine.
-	EngineBytecode Engine = iota
-	// EngineInterp executes the tree-walking reference interpreter.
-	EngineInterp
-)
-
-// String returns the flag spelling of the engine.
-func (e Engine) String() string {
-	switch e {
-	case EngineBytecode:
-		return "bytecode"
-	case EngineInterp:
-		return "interp"
-	}
-	return fmt.Sprintf("engine(%d)", int(e))
-}
-
-// ParseEngine parses a -engine flag value.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "bytecode":
-		return EngineBytecode, nil
-	case "interp", "interpreter":
-		return EngineInterp, nil
-	}
-	return EngineBytecode, fmt.Errorf("unknown engine %q (want bytecode or interp)", s)
-}
-
-// exec runs one production run on the selected engine. On the bytecode
-// engine the program is compiled at most once per process (single-flight
-// via analysis.Bytecode) and the run executes on a pooled machine; the
+// exec runs one production run. Every binary executes bytecode: the
+// program is compiled at most once per process (single-flight via
+// analysis.Bytecode) and the run executes on a pooled machine; the
 // vm.compile_cache_hit and vm.state_reuse counters record how often the
 // fleet actually rode the warm paths. The counters track physical
 // executions (including speculatively dispatched runs a campaign later
 // discards), so they are observability-only and not width-stable.
-func (e Engine) exec(prog *ir.Program, vcfg vm.Config, tel *telemetry.Tracer) *vm.Outcome {
-	if e == EngineInterp {
-		return vm.Run(prog, vcfg)
+//
+// oracle is the one engine seam: Config.exec / Plan.exec, unexported and
+// set only by export_test.go, through which the differential suites run
+// the same pipeline on the reference interpreter (internal/vm/interp).
+func exec(oracle execFunc, prog *ir.Program, vcfg vm.Config, tel *telemetry.Tracer) *vm.Outcome {
+	if oracle != nil {
+		return oracle(prog, vcfg)
 	}
 	bp, hit := analysis.Bytecode(prog)
 	out, reused := bp.Run(vcfg)

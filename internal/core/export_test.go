@@ -3,7 +3,18 @@ package core
 import (
 	"encoding/json"
 	"testing"
+
+	"repro/internal/vm/interp"
 )
+
+// OnInterp is the engine seam of exec (engine.go), reachable only from
+// this directory's tests: the same diagnosis, or the same plan's runs, on
+// the reference interpreter.
+func (c Config) OnInterp() Config { c.exec = interp.Run; return c }
+func (p *Plan) OnInterp() *Plan   { p.exec = interp.Run; return p }
+
+// CampaignFingerprint lets core_test compare whole diagnoses.
+var CampaignFingerprint = campaignFingerprint
 
 func TestSketchJSONRoundTrip(t *testing.T) {
 	plan, failing, ranked := buildFixture(t)

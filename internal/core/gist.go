@@ -23,12 +23,10 @@ type Config struct {
 	// stream is byte-compatible with historical output.
 	Label string
 
-	// Engine selects the execution engine for every production run of
-	// the diagnosis (discovery and instrumented fleet runs alike). The
-	// zero value is the bytecode VM; EngineInterp selects the
-	// tree-walking reference interpreter. The diagnosis is byte-identical
-	// either way.
-	Engine Engine
+	// exec, when non-nil, replaces the bytecode engine for every run of
+	// the diagnosis (discovery and instrumented fleet runs alike). Test
+	// seam only — see exec in engine.go.
+	exec execFunc
 
 	// Sigma0 is the initial tracked-slice size in statements (§3.2.1;
 	// the paper uses 2). Each AsT iteration doubles it.
@@ -283,7 +281,7 @@ func FirstFailure(cfg Config) (*vm.FailureReport, int, error) {
 		}
 		outs := parallelMap(pool, n, func(j int) *vm.Outcome {
 			i := base + j
-			return cfg.Engine.exec(cfg.Prog, vm.Config{
+			return exec(cfg.exec, cfg.Prog, vm.Config{
 				Seed:        cfg.SeedBase + int64(i),
 				PreemptMean: cfg.PreemptMean,
 				MaxSteps:    maxSteps,

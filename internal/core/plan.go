@@ -103,10 +103,9 @@ type Plan struct {
 	// costs nothing.
 	Telemetry *telemetry.Tracer
 
-	// Engine is the execution engine every run under this plan uses.
-	// The zero value is the bytecode VM; the campaign copies its
-	// Config.Engine here so remote runners execute on the same engine.
-	Engine Engine
+	// exec is Config.exec, copied here by the campaign: the test-only
+	// engine seam (see exec in engine.go).
+	exec execFunc
 }
 
 // stepFlags bits.

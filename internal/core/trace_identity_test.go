@@ -61,8 +61,7 @@ func TestRunTraceIdenticalAcrossEngines(t *testing.T) {
 					prev = window
 					for fi, ft := range feats {
 						fast := core.BuildPlan(g, window, ft.f)
-						oracle := core.BuildPlan(g, window, ft.f)
-						oracle.Engine = core.EngineInterp
+						oracle := core.BuildPlan(g, window, ft.f).OnInterp()
 						for seed := int64(0); seed < seeds; seed++ {
 							spec := core.RunSpec{
 								EndpointID: int(seed), Seed: seed, MaxSteps: 200_000, PreemptMean: b.PreemptMean,

@@ -48,7 +48,7 @@ func DiagnoseFaulty(b *bugs.Bug, rate float64, seed int64) (*core.Result, error)
 	cfg.Features = core.AllFeatures()
 	cfg.Workers = Workers
 	cfg.Telemetry = Telemetry
-	cfg.StopWhen = DeveloperOracle(b)
+	cfg.StopWhen = bugs.DeveloperOracle(b)
 	cfg.Faults = faults.Composite(seed, rate)
 	return core.Run(cfg)
 }

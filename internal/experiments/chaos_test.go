@@ -25,7 +25,7 @@ func TestChaosRegressionPrintedSketches(t *testing.T) {
 			t.Errorf("%s: no sketch at 10%% faults", name)
 			continue
 		}
-		if !DeveloperOracle(b)(res.Sketch) {
+		if !bugs.DeveloperOracle(b)(res.Sketch) {
 			t.Errorf("%s: sketch no longer contains the root cause at 10%% faults", name)
 		}
 		_, _, overall := res.Sketch.Accuracy(b.Ideal())

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bugs"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/telemetry"
@@ -87,22 +88,17 @@ func stripEngineCounters(counters map[string]int64) map[string]int64 {
 }
 
 func diagnosisFingerprint(t *testing.T, name string, rate float64, workers int) string {
-	return engineFingerprint(t, name, rate, workers, core.EngineBytecode, nil)
+	return tracedFingerprint(t, name, rate, workers, nil)
 }
 
 func tracedFingerprint(t *testing.T, name string, rate float64, workers int, tel *telemetry.Tracer) string {
-	return engineFingerprint(t, name, rate, workers, core.EngineBytecode, tel)
-}
-
-func engineFingerprint(t *testing.T, name string, rate float64, workers int, eng core.Engine, tel *telemetry.Tracer) string {
 	t.Helper()
 	b := Suite(name)[0]
 	cfg := b.GistConfig()
 	cfg.Features = core.AllFeatures()
 	cfg.Workers = workers
-	cfg.Engine = eng
 	cfg.Telemetry = tel
-	cfg.StopWhen = DeveloperOracle(b)
+	cfg.StopWhen = bugs.DeveloperOracle(b)
 	if rate > 0 {
 		cfg.Faults = faults.Composite(ChaosSeed, rate)
 	}

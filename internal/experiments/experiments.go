@@ -124,30 +124,6 @@ func Suite(names ...string) []*bugs.Bug {
 	return out
 }
 
-// DeveloperOracle is the automated stand-in for "the developer decides
-// the sketch contains the root cause" (§3.2.1): the sketch covers most of
-// the ideal sketch's statements and shows a high-precision failure
-// predictor.
-func DeveloperOracle(b *bugs.Bug) func(*core.Sketch) bool {
-	ideal := b.Ideal()
-	return func(sk *core.Sketch) bool {
-		if len(sk.Predictors) == 0 || sk.Predictors[0].P < 0.75 {
-			return false
-		}
-		lines := make(map[int]bool)
-		for _, s := range sk.Steps {
-			lines[s.Line] = true
-		}
-		covered := 0
-		for _, ln := range ideal.Lines {
-			if lines[ln] {
-				covered++
-			}
-		}
-		return covered*4 >= 3*len(ideal.Lines)
-	}
-}
-
 // Diagnose runs the full Gist pipeline on one bug with the developer
 // oracle, the given feature set, and initial window size sigma0 (0 = the
 // paper's default of 2).
@@ -157,7 +133,7 @@ func Diagnose(b *bugs.Bug, feats core.Features, sigma0 int) (*core.Result, error
 	cfg.Sigma0 = sigma0
 	cfg.Workers = Workers
 	cfg.Telemetry = Telemetry
-	cfg.StopWhen = DeveloperOracle(b)
+	cfg.StopWhen = bugs.DeveloperOracle(b)
 	return core.Run(cfg)
 }
 
@@ -234,7 +210,7 @@ func table1Row(b *bugs.Bug) (Table1Row, error) {
 	row.IdealInstrs = instrsOnLines(b.Program(), ideal.Lines)
 
 	t1 := time.Now()
-	gcfg.StopWhen = DeveloperOracle(b)
+	gcfg.StopWhen = bugs.DeveloperOracle(b)
 	res, err := core.RunFromReport(gcfg, report, disc)
 	if err != nil {
 		return row, err
@@ -524,7 +500,7 @@ func SoftwarePT(suite []*bugs.Bug, runsPerBug int) []SWPTRow {
 // fullPTOverhead measures full-program control-flow tracing: every thread
 // traced from its first instruction to its last.
 func fullPTOverhead(b *bugs.Bug, runs int, mode pt.Mode) float64 {
-	prog := b.Program()
+	bp, _ := analysis.Bytecode(b.Program())
 	pm := b.PreemptMean
 	if pm == 0 {
 		pm = 3
@@ -550,7 +526,7 @@ func fullPTOverhead(b *bugs.Bug, runs int, mode pt.Mode) float64 {
 				}
 			},
 		}
-		vm.Run(prog, vm.Config{
+		bp.Run(vm.Config{
 			Seed: 20_000 + seed, PreemptMean: pm, MaxSteps: 300_000,
 			Workload: workloadFor(b, int(seed)), Hooks: hooks,
 		})

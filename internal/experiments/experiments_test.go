@@ -225,7 +225,7 @@ func TestDeveloperOracleStopsEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !DeveloperOracle(b)(res.Sketch) {
+	if !bugs.DeveloperOracle(b)(res.Sketch) {
 		t.Error("final sketch does not satisfy the developer oracle")
 	}
 	noOracle := b.GistConfig()

@@ -272,7 +272,9 @@ func (d *decoder) walk() error {
 					d.pos++
 					continue
 				}
-				return d.stall()
+				// Pause mid-block waiting for more events; run() re-enters
+				// walk, and d.cur keeps the walker's position.
+				return nil
 			}
 			taken := d.bits[0]
 			d.bits = d.bits[1:]
@@ -307,7 +309,3 @@ func (d *decoder) walk() error {
 	}
 	return nil
 }
-
-// stall pauses the walker mid-block waiting for more events; run() will
-// re-enter walk. The walker position is preserved in d.cur.
-func (d *decoder) stall() error { return nil }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/ir"
 	"repro/internal/vm"
+	"repro/internal/vm/interp"
 )
 
 // fullTraceRun executes prog under full PT tracing (every thread traced
@@ -36,7 +37,7 @@ func fullTraceRun(t *testing.T, prog *ir.Program, seed int64, cfg Config) (*Trac
 			}
 		},
 	}
-	out := vm.Run(prog, vm.Config{Seed: seed, PreemptMean: 3, Hooks: hooks})
+	out := interp.Run(prog, vm.Config{Seed: seed, PreemptMean: 3, Hooks: hooks})
 	for core := range truth {
 		tr.Disable(core, last[core])
 	}
@@ -131,7 +132,7 @@ func TestDecodeWithStartStopRegions(t *testing.T) {
 			}
 		},
 	}
-	out := vm.Run(prog, vm.Config{Seed: 7, PreemptMean: 3, Hooks: hooks})
+	out := interp.Run(prog, vm.Config{Seed: 7, PreemptMean: 3, Hooks: hooks})
 	if out.Failed {
 		t.Fatalf("run failed: %v", out.Report)
 	}
@@ -232,7 +233,7 @@ func TestSoftwareModeCostsMore(t *testing.T) {
 				}
 			},
 		}
-		vm.Run(prog, vm.Config{Seed: 5, Hooks: hooks})
+		interp.Run(prog, vm.Config{Seed: 5, Hooks: hooks})
 		return meter.OverheadPct()
 	}
 	hw := runMode(Hardware)

@@ -16,9 +16,11 @@ package replay
 import (
 	"fmt"
 
+	"repro/internal/analysis"
 	"repro/internal/cost"
 	"repro/internal/ir"
 	"repro/internal/vm"
+	"repro/internal/vm/bytecode"
 )
 
 // EventKind classifies recorded events.
@@ -61,7 +63,8 @@ func Record(prog *ir.Program, cfg vm.Config) (*Log, *cost.Meter) {
 	log := &Log{Seed: cfg.Seed, Workload: cfg.Workload, PreemptMean: cfg.PreemptMean, MaxSteps: cfg.MaxSteps}
 	meter := &cost.Meter{}
 	hooks := recordHooks(log, meter)
-	var machine *vm.VM
+	bp, _ := analysis.Bytecode(prog)
+	machine := bytecode.NewMachine(bp)
 	base := hooks.OnStep
 	hooks.OnStep = func(t *vm.Thread, in *ir.Instr, clock int64) {
 		base(t, in, clock)
@@ -70,8 +73,7 @@ func Record(prog *ir.Program, cfg vm.Config) (*Log, *cost.Meter) {
 		}
 	}
 	cfg.Hooks = hooks
-	machine = vm.New(prog, cfg)
-	log.Outcome = machine.Run()
+	log.Outcome = machine.Run(cfg)
 	return log, meter
 }
 
@@ -118,7 +120,8 @@ func Replay(prog *ir.Program, log *Log) (*vm.Outcome, error) {
 		MaxSteps:    log.MaxSteps,
 		Hooks:       recordHooks(check, nil),
 	}
-	out := vm.Run(prog, cfg)
+	bp, _ := analysis.Bytecode(prog)
+	out, _ := bp.Run(cfg)
 	if len(check.Events) != len(log.Events) {
 		return out, fmt.Errorf("replay: event count mismatch: recorded %d, replayed %d", len(log.Events), len(check.Events))
 	}

@@ -390,11 +390,11 @@ func TestHedgedDispatchFirstUploadWins(t *testing.T) {
 
 	// First valid upload wins via the task-ID idempotency key; the
 	// loser's delivery is acknowledged as a duplicate.
-	u1, err := s.handleUpload(&UploadRequest{Tenant: "acme", Agent: "a2", TaskID: tk.id, Trace: &WireTrace{}})
+	u1, err := s.handleUpload(&UploadRequest{Tenant: "acme", Agent: "a2", TaskID: tk.id, Trace: &WireTrace{Spec: tk.spec}})
 	if err != nil || !u1.Accepted || u1.Duplicate {
 		t.Fatalf("winning upload = %+v, %v", u1, err)
 	}
-	u2, err := s.handleUpload(&UploadRequest{Tenant: "acme", Agent: "a1", TaskID: tk.id, Trace: &WireTrace{}})
+	u2, err := s.handleUpload(&UploadRequest{Tenant: "acme", Agent: "a1", TaskID: tk.id, Trace: &WireTrace{Spec: tk.spec}})
 	if err != nil || !u2.Accepted || !u2.Duplicate {
 		t.Fatalf("losing upload = %+v, %v, want accepted duplicate", u2, err)
 	}

@@ -101,13 +101,13 @@ func TestDoneTaskEviction(t *testing.T) {
 		if firstEvicted == nil {
 			firstEvicted = tk
 		}
-		resp, err := s.handleUpload(&UploadRequest{Tenant: "acme", Agent: "a", TaskID: tk.id, Trace: &WireTrace{}})
+		resp, err := s.handleUpload(&UploadRequest{Tenant: "acme", Agent: "a", TaskID: tk.id, Trace: &WireTrace{Spec: tk.spec}})
 		if err != nil || !resp.Accepted || resp.Duplicate {
 			t.Fatalf("upload %d: %+v, %v", i, resp, err)
 		}
 		// Exactly-once: an immediate retry is a duplicate, not a
 		// readmission.
-		resp, err = s.handleUpload(&UploadRequest{Tenant: "acme", Agent: "a", TaskID: tk.id, Trace: &WireTrace{}})
+		resp, err = s.handleUpload(&UploadRequest{Tenant: "acme", Agent: "a", TaskID: tk.id, Trace: &WireTrace{Spec: tk.spec}})
 		if err != nil || !resp.Duplicate {
 			t.Fatalf("retry %d not deduped: %+v, %v", i, resp, err)
 		}
@@ -138,13 +138,13 @@ func TestDoneTaskEviction(t *testing.T) {
 
 	// An upload for an evicted key is acknowledged as a duplicate —
 	// never readmitted.
-	resp, err := s.handleUpload(&UploadRequest{Tenant: "acme", Agent: "a", TaskID: firstEvicted.id, Trace: &WireTrace{}})
+	resp, err := s.handleUpload(&UploadRequest{Tenant: "acme", Agent: "a", TaskID: firstEvicted.id, Trace: &WireTrace{Spec: firstEvicted.spec}})
 	if err != nil || !resp.Duplicate {
 		t.Fatalf("evicted-key upload: %+v, %v", resp, err)
 	}
 
 	// The live task still admits exactly once after all that churn.
-	resp, err = s.handleUpload(&UploadRequest{Tenant: "acme", Agent: "a", TaskID: live.id, Trace: &WireTrace{}})
+	resp, err = s.handleUpload(&UploadRequest{Tenant: "acme", Agent: "a", TaskID: live.id, Trace: &WireTrace{Spec: live.spec}})
 	if err != nil || !resp.Accepted || resp.Duplicate {
 		t.Fatalf("live upload: %+v, %v", resp, err)
 	}
@@ -165,7 +165,7 @@ func TestDoneTaskTTLEviction(t *testing.T) {
 	s := NewServer(Options{DoneTaskTTL: 10 * time.Millisecond})
 	defer s.Close()
 	tk := enqueueTask(s, "acme", "pbzip2")
-	if _, err := s.handleUpload(&UploadRequest{Tenant: "acme", Agent: "a", TaskID: tk.id, Trace: &WireTrace{}}); err != nil {
+	if _, err := s.handleUpload(&UploadRequest{Tenant: "acme", Agent: "a", TaskID: tk.id, Trace: &WireTrace{Spec: tk.spec}}); err != nil {
 		t.Fatal(err)
 	}
 	s.mu.Lock()

@@ -66,7 +66,17 @@ func TestUploadIdempotency(t *testing.T) {
 	defer s.Close()
 	tk := enqueueTask(s, "acme", "pbzip2")
 
-	up := &UploadRequest{Tenant: "acme", Agent: "a1", TaskID: tk.id, Trace: &WireTrace{}}
+	// A predecessor server's task with the same ID was another run: a
+	// trace whose seed (or endpoint) is not the task's admits nothing.
+	for _, spec := range []core.RunSpec{{Seed: tk.spec.Seed + 1, EndpointID: tk.spec.EndpointID}, {Seed: tk.spec.Seed, EndpointID: tk.spec.EndpointID + 1}} {
+		resp, err := s.handleUpload(&UploadRequest{Tenant: "acme", Agent: "a0", TaskID: tk.id, Trace: &WireTrace{Spec: spec}})
+		if err != nil || resp.Accepted || !resp.Duplicate || tk.done || tk.trace != nil {
+			t.Fatalf("upload of run %+v to the task of run %+v = %+v, %v (task done=%v); want an unaccepted duplicate and the task pending",
+				spec, tk.spec, resp, err, tk.done)
+		}
+	}
+
+	up := &UploadRequest{Tenant: "acme", Agent: "a1", TaskID: tk.id, Trace: &WireTrace{Spec: tk.spec}}
 	resp, err := s.handleUpload(up)
 	if err != nil {
 		t.Fatalf("first upload: %v", err)
@@ -100,8 +110,8 @@ func TestUploadIdempotency(t *testing.T) {
 	}
 
 	c, _ := s.Snapshot()
-	if c.Uploads != 1 || c.DuplicateUploads != 2 {
-		t.Fatalf("counters = %+v, want 1 upload and 2 duplicates", c)
+	if c.Uploads != 1 || c.DuplicateUploads != 4 {
+		t.Fatalf("counters = %+v, want 1 upload and 4 duplicates", c)
 	}
 }
 
@@ -256,7 +266,7 @@ func TestLeaseExpiryReassignsTask(t *testing.T) {
 	}
 
 	// The reassigned agent's upload completes the task normally.
-	ur, err := s.handleUpload(&UploadRequest{Tenant: "acme", Agent: "a2", TaskID: tk.id, Trace: &WireTrace{}})
+	ur, err := s.handleUpload(&UploadRequest{Tenant: "acme", Agent: "a2", TaskID: tk.id, Trace: &WireTrace{Spec: tk.spec}})
 	if err != nil || !ur.Accepted || ur.Duplicate {
 		t.Fatalf("upload after reassignment = %+v, %v", ur, err)
 	}

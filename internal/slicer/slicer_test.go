@@ -6,6 +6,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/ir"
 	"repro/internal/vm"
+	"repro/internal/vm/interp"
 )
 
 // failingInstr runs the program until it fails and returns the failing
@@ -16,7 +17,7 @@ func failingInstr(t *testing.T, p *ir.Program, wl vm.Workload, seeds ...int64) i
 		seeds = []int64{1}
 	}
 	for _, seed := range seeds {
-		out := vm.Run(p, vm.Config{Seed: seed, PreemptMean: 3, MaxSteps: 100_000, Workload: wl})
+		out := interp.Run(p, vm.Config{Seed: seed, PreemptMean: 3, MaxSteps: 100_000, Workload: wl})
 		if out.Failed {
 			return out.Report.InstrID
 		}

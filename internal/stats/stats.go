@@ -35,59 +35,9 @@ func PrecisionRecallF(fail, succ, totalFail int, beta float64) (p, r, f float64)
 	return p, r, f
 }
 
-// KendallTau returns the number of pairwise order disagreements between
-// two rankings of the same item set, plus the number of comparable pairs.
-// Items present in only one ranking are ignored; ties (equal positions)
-// cannot occur since positions are list indexes.
-//
-// Duplicates: a ranking is a list of distinct keys, so repeated items
-// are a caller bug — but rather than skewing the pair count silently,
-// the semantics are pinned down and tested: only the FIRST occurrence
-// of a duplicated item counts, later occurrences are ignored entirely
-// (for both position lookup and the common-item set). A ranking with
-// duplicates therefore behaves exactly like the ranking with all
-// later duplicates deleted. Callers that must not tolerate duplicates
-// should reject them before ranking.
-//
-// The normalized distance used in the paper's ordering accuracy is
-// disagreements / pairs.
-func KendallTau[T comparable](a, b []T) (disagreements, pairs int) {
-	posA := make(map[T]int, len(a))
-	for i, x := range a {
-		if _, dup := posA[x]; !dup {
-			posA[x] = i
-		}
-	}
-	posB := make(map[T]int, len(b))
-	for i, x := range b {
-		if _, dup := posB[x]; !dup {
-			posB[x] = i
-		}
-	}
-	var common []T
-	seen := make(map[T]bool)
-	for _, x := range a {
-		if _, ok := posB[x]; ok && !seen[x] {
-			seen[x] = true
-			common = append(common, x)
-		}
-	}
-	for i := 0; i < len(common); i++ {
-		for j := i + 1; j < len(common); j++ {
-			x, y := common[i], common[j]
-			dA := posA[x] - posA[y]
-			dB := posB[x] - posB[y]
-			pairs++
-			if (dA < 0) != (dB < 0) {
-				disagreements++
-			}
-		}
-	}
-	return disagreements, pairs
-}
-
-// OrderingAccuracy converts Kendall tau counts into the percentage
-// accuracy of §5.2: 100 * (1 - tau / pairs). With no comparable pairs the
+// OrderingAccuracy converts Kendall tau counts (pairwise order
+// disagreements over comparable pairs) into the percentage accuracy of
+// §5.2: 100 * (1 - tau / pairs). With no comparable pairs the
 // orderings cannot disagree and accuracy is 100.
 func OrderingAccuracy(disagreements, pairs int) float64 {
 	if pairs == 0 {

@@ -69,95 +69,6 @@ func TestFMeasureBounds(t *testing.T) {
 	}
 }
 
-func TestKendallTauIdentical(t *testing.T) {
-	d, p := KendallTau([]int{1, 2, 3, 4}, []int{1, 2, 3, 4})
-	if d != 0 || p != 6 {
-		t.Errorf("identical: d=%d p=%d", d, p)
-	}
-	if acc := OrderingAccuracy(d, p); acc != 100 {
-		t.Errorf("accuracy: %g", acc)
-	}
-}
-
-func TestKendallTauReversed(t *testing.T) {
-	d, p := KendallTau([]int{1, 2, 3}, []int{3, 2, 1})
-	if d != 3 || p != 3 {
-		t.Errorf("reversed: d=%d p=%d", d, p)
-	}
-	if acc := OrderingAccuracy(d, p); acc != 0 {
-		t.Errorf("accuracy: %g", acc)
-	}
-}
-
-func TestKendallTauPaperExample(t *testing.T) {
-	// From §5.2: <A,B,C> vs <A,C,B> has tau = 1 (the (B,C) pair).
-	d, p := KendallTau([]string{"A", "B", "C"}, []string{"A", "C", "B"})
-	if d != 1 || p != 3 {
-		t.Errorf("paper example: d=%d p=%d", d, p)
-	}
-}
-
-func TestKendallTauPartialOverlap(t *testing.T) {
-	// Only common items are compared.
-	d, p := KendallTau([]int{1, 2, 3, 9}, []int{7, 3, 2})
-	// common = {2,3}: a has 2 before 3, b has 3 before 2 -> 1 disagreement.
-	if d != 1 || p != 1 {
-		t.Errorf("partial: d=%d p=%d", d, p)
-	}
-}
-
-// The documented duplicate semantics: only the first occurrence of a
-// repeated key counts; a ranking with duplicates is equivalent to the
-// same ranking with later duplicates deleted.
-func TestKendallTauDuplicatesFirstOccurrenceWins(t *testing.T) {
-	// [1 2 1 3] must behave exactly like [1 2 3].
-	d1, p1 := KendallTau([]int{1, 2, 1, 3}, []int{3, 2, 1})
-	d2, p2 := KendallTau([]int{1, 2, 3}, []int{3, 2, 1})
-	if d1 != d2 || p1 != p2 {
-		t.Errorf("dup in a: d=%d p=%d, dedup'd: d=%d p=%d", d1, p1, d2, p2)
-	}
-	// Duplicates in b as well: [3 2 3 1 2] behaves like [3 2 1].
-	d3, p3 := KendallTau([]int{1, 2, 3}, []int{3, 2, 3, 1, 2})
-	if d3 != d2 || p3 != p2 {
-		t.Errorf("dup in b: d=%d p=%d, want d=%d p=%d", d3, p3, d2, p2)
-	}
-	// The pair count must reflect distinct common items only — the
-	// historical bug risk was `pairs` inflating with repeated keys.
-	_, p4 := KendallTau([]int{5, 5, 5, 6}, []int{6, 5})
-	if p4 != 1 {
-		t.Errorf("pairs over {5,6} = %d, want 1", p4)
-	}
-}
-
-// Property: appending duplicates of already-present items never changes
-// the result.
-func TestKendallTauDuplicateInvariance(t *testing.T) {
-	f := func(raw []uint8) bool {
-		seen := map[uint8]bool{}
-		var a []uint8
-		for _, x := range raw {
-			if !seen[x] {
-				seen[x] = true
-				a = append(a, x)
-			}
-		}
-		b := make([]uint8, len(a))
-		copy(b, a)
-		for i, j := 0, len(b)-1; i < j; i, j = i+1, j-1 {
-			b[i], b[j] = b[j], b[i]
-		}
-		d1, p1 := KendallTau(a, b)
-		// Duplicate every element of a (appended at the end, the worst
-		// position for a "last occurrence wins" bug to hide).
-		dup := append(append([]uint8(nil), a...), a...)
-		d2, p2 := KendallTau(dup, b)
-		return d1 == d2 && p1 == p2
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // The totalFail == 0 edge: recall and F are 0 by convention, precision
 // is still meaningful, and nothing divides by zero.
 func TestPrecisionRecallFNoFailingRuns(t *testing.T) {
@@ -183,47 +94,14 @@ func TestPrecisionRecallFNoFailingRuns(t *testing.T) {
 	}
 }
 
-func TestKendallTauEmpty(t *testing.T) {
-	d, p := KendallTau([]int{}, []int{1, 2})
-	if d != 0 || p != 0 {
-		t.Errorf("empty: d=%d p=%d", d, p)
-	}
-	if acc := OrderingAccuracy(0, 0); acc != 100 {
-		t.Errorf("no-pairs accuracy should be 100, got %g", acc)
-	}
-}
-
-// Property: tau distance is symmetric and bounded by the pair count.
-func TestKendallTauProperties(t *testing.T) {
-	f := func(raw []uint8) bool {
-		// Build two permutations of the dedup'd items.
-		seen := map[uint8]bool{}
-		var a []uint8
-		for _, x := range raw {
-			if !seen[x] {
-				seen[x] = true
-				a = append(a, x)
-			}
+func TestOrderingAccuracy(t *testing.T) {
+	for _, c := range []struct {
+		disagreements, pairs int
+		want                 float64
+	}{{0, 6, 100}, {3, 3, 0}, {1, 4, 75}, {0, 0, 100}} { // no comparable pairs cannot disagree
+		if got := OrderingAccuracy(c.disagreements, c.pairs); got != c.want {
+			t.Errorf("OrderingAccuracy(%d, %d) = %g, want %g", c.disagreements, c.pairs, got, c.want)
 		}
-		b := make([]uint8, len(a))
-		copy(b, a)
-		// Reverse b.
-		for i, j := 0, len(b)-1; i < j; i, j = i+1, j-1 {
-			b[i], b[j] = b[j], b[i]
-		}
-		d1, p1 := KendallTau(a, b)
-		d2, p2 := KendallTau(b, a)
-		if d1 != d2 || p1 != p2 {
-			return false
-		}
-		if d1 > p1 {
-			return false
-		}
-		n := len(a)
-		return p1 == n*(n-1)/2 && d1 == p1 // full reversal disagrees everywhere
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

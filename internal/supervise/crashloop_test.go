@@ -114,7 +114,7 @@ func TestCrashloopResumesByteIdentically(t *testing.T) {
 	for _, pipeRate := range []float64{0, 0.10} {
 		cfg := b.GistConfig()
 		cfg.Label = b.Name
-		cfg.StopWhen = experiments.DeveloperOracle(b)
+		cfg.StopWhen = bugs.DeveloperOracle(b)
 		if pipeRate > 0 {
 			cfg.Faults = faults.Composite(experiments.ChaosSeed, pipeRate)
 		}

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/bugs"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/supervise"
@@ -60,7 +59,7 @@ func prepare(t *testing.T, names []string) []*tenantFixture {
 		}
 		cfg := b.GistConfig()
 		cfg.Label = b.Name
-		cfg.StopWhen = experiments.DeveloperOracle(b)
+		cfg.StopWhen = bugs.DeveloperOracle(b)
 		report, disc, err := core.FirstFailure(cfg)
 		if err != nil {
 			t.Fatalf("%s: discovery: %v", name, err)

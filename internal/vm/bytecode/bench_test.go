@@ -16,8 +16,8 @@ import (
 	"repro/internal/bugs"
 	"repro/internal/core"
 	"repro/internal/slicer"
-	"repro/internal/vm"
 	"repro/internal/vm/bytecode"
+	"repro/internal/vm/interp"
 )
 
 var benchBugs = []string{"pbzip2", "curl", "apache-3"}
@@ -29,7 +29,7 @@ func BenchmarkVMInterp(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				vm.Run(prog, bugVMConfig(bug, int64(i%8)))
+				interp.Run(prog, bugVMConfig(bug, int64(i%8)))
 			}
 		})
 	}

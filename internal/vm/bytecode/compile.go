@@ -1,15 +1,15 @@
 // Package bytecode compiles finalized IR programs to a flat, fixed-width
 // bytecode and executes it on a reusable register machine.
 //
-// The tree-walking interpreter in internal/vm remains the reference
+// The tree-walking interpreter in internal/vm/interp is the reference
 // implementation: it is small, obviously correct, and every one of its
 // observable behaviors — the RNG consumption order of the scheduler, the
 // clock at which each hook fires, the bytes of every failure report — is
 // a contract the rest of the pipeline (PT decoding, watchpoint
 // collection, deterministic admission, checkpoint resume) depends on.
 // This engine exists purely to make those same runs cheap: differential
-// tests assert byte-identical outcomes on the full bug suite, and the
-// fleet runs the bytecode path by default.
+// tests assert byte-identical outcomes on the full bug suite, and every
+// production run executes here.
 //
 // What the compiler removes from the hot loop:
 //

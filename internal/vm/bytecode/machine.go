@@ -26,13 +26,8 @@ type frame struct {
 // thread is one VM thread. All slices are reused across runs: a reset
 // truncates, it never reallocates.
 type thread struct {
-	// shell is the *vm.Thread handed to hooks. Hook consumers across the
-	// pipeline (PT, watchpoints, replay recorder) read only its ID and
-	// write only its Traced bit; the bytecode engine keeps its real state
-	// here and mirrors just the ID.
-	shell vm.Thread
+	vm.Thread // the hooks' view: ID and the consumer's Traced bit
 
-	id         int
 	state      vm.ThreadState
 	blockMutex int64 // nonzero: waiting to lock this address
 	blockJoin  int   // >= 0: waiting for this thread to finish
@@ -141,8 +136,7 @@ func (m *Machine) getThread() *thread {
 func (m *Machine) spawnThread(fnIdx int32, arg *int64, parent int) *thread {
 	t := m.getThread()
 	tid := len(m.threads)
-	t.id = tid
-	t.shell = vm.Thread{ID: tid, Traced: true} // first step always reaches OnStep
+	t.Thread = vm.Thread{ID: tid, Traced: true} // first step always reaches OnStep
 	t.state = vm.ThreadRunnable
 	t.blockMutex = 0
 	t.blockJoin = 0
@@ -188,7 +182,7 @@ func (m *Machine) pushFrame(t *thread, fnIdx, callSite, retPC, retDst int32) *vm
 	}
 	t.regsTop = int32(need)
 	if fi.nLocals > 0 {
-		m.mem.ZeroStackWords(t.id, int(t.stackTop), int(fi.nLocals))
+		m.mem.ZeroStackWords(t.ID, int(t.stackTop), int(fi.nLocals))
 	}
 	t.frames = append(t.frames, frame{
 		fn: fnIdx, base: base, memBase: t.stackTop,
@@ -224,7 +218,7 @@ func (m *Machine) failAt(t *thread, pc int32, f *vm.Fault) {
 		Kind:     f.Kind,
 		InstrID:  in.ID,
 		Pos:      in.Pos,
-		ThreadID: t.id,
+		ThreadID: t.ID,
 		Stack:    m.stackTrace(t),
 		Msg:      f.Msg,
 	}
@@ -252,7 +246,7 @@ func (m *Machine) outcome() *vm.Outcome {
 }
 
 // run executes until main returns, a fault occurs, deadlock, or the
-// step limit is reached — the same decision order as VM.Run.
+// step limit is reached — the same decision order as interp.VM.Run.
 func (m *Machine) run() *vm.Outcome {
 	for {
 		if m.fault != nil {
@@ -266,7 +260,7 @@ func (m *Machine) run() *vm.Outcome {
 			pc := m.currentPCOf(t)
 			in := m.prog.ir.Instrs[pc]
 			m.fault = &vm.FailureReport{
-				Kind: vm.FaultHang, InstrID: in.ID, Pos: in.Pos, ThreadID: t.id,
+				Kind: vm.FaultHang, InstrID: in.ID, Pos: in.Pos, ThreadID: t.ID,
 				Stack: m.stackTrace(t), Msg: "step limit exceeded",
 			}
 			continue
@@ -310,7 +304,7 @@ func (m *Machine) run() *vm.Outcome {
 				}
 			}
 			m.fault = &vm.FailureReport{
-				Kind: vm.FaultDeadlock, InstrID: in.ID, Pos: in.Pos, ThreadID: bt.id,
+				Kind: vm.FaultDeadlock, InstrID: in.ID, Pos: in.Pos, ThreadID: bt.ID,
 				Stack: m.stackTrace(bt), Msg: "all threads blocked", OtherPCs: others,
 			}
 			continue
@@ -365,6 +359,19 @@ func (m *Machine) intnDyn(n int32) int {
 	return int(v % n)
 }
 
+// RunnableThreads reports how many threads are currently runnable. The
+// record/replay baseline reads it from inside OnStep to model single-core
+// serialization.
+func (m *Machine) RunnableThreads() int {
+	n := 0
+	for _, th := range m.threads {
+		if th.state == vm.ThreadRunnable {
+			n++
+		}
+	}
+	return n
+}
+
 // schedule picks the next thread after the run loop's quantum fast
 // path declined. It consumes the RNG in exactly the interpreter's order
 // — one Intn(runnable) + one Intn(2*PreemptMean) per quantum expiry —
@@ -372,12 +379,7 @@ func (m *Machine) intnDyn(n int32) int {
 // materializing a slice, which removes the single largest allocation of
 // the interpreter's hot loop.
 func (m *Machine) schedule() *thread {
-	n := 0
-	for _, th := range m.threads {
-		if th.state == vm.ThreadRunnable {
-			n++
-		}
-	}
+	n := m.RunnableThreads()
 	if n == 0 {
 		return nil
 	}
@@ -394,11 +396,11 @@ func (m *Machine) schedule() *thread {
 		k--
 	}
 	m.quantum = 1 + m.preemptDraw()
-	if next.id != m.cur {
+	if next.ID != m.cur {
 		if m.cfg.Hooks.OnSchedule != nil {
-			m.cfg.Hooks.OnSchedule(m.cur, next.id, m.clock)
+			m.cfg.Hooks.OnSchedule(m.cur, next.ID, m.clock)
 		}
-		m.cur = next.id
+		m.cur = next.ID
 	}
 	return next
 }
@@ -426,13 +428,13 @@ func (m *Machine) doRet(t *thread, pc int32, in *instr) {
 	if len(t.frames) == 0 {
 		t.state = vm.ThreadDone
 		t.result = ret
-		m.wakeJoiners(t.id)
+		m.wakeJoiners(t.ID)
 		return
 	}
 	// Non-bottom frames always have a valid return site: calls are never
 	// block terminators, so the instruction after the call exists.
 	if m.cfg.Hooks.OnIndirect != nil {
-		m.cfg.Hooks.OnIndirect(&t.shell, m.prog.ir.Instrs[pc], m.prog.ir.Instrs[fr.retPC], m.clock)
+		m.cfg.Hooks.OnIndirect(&t.Thread, m.prog.ir.Instrs[pc], m.prog.ir.Instrs[fr.retPC], m.clock)
 	}
 	t.pc = fr.retPC
 	if fr.retDst >= 0 {
@@ -452,7 +454,7 @@ func opVal(regs, consts []int64, base, ref int32) int64 {
 
 // runThread executes instructions of t until its quantum is spent, it
 // blocks or finishes, it faults, or the step limit is reached. Clock and
-// hook semantics mirror VM.step exactly: OnStep fires (and the clock
+// hook semantics mirror interp.VM.step exactly: OnStep fires (and the clock
 // advances) only for the first attempt of a blocking builtin, and hooks
 // during execution see the post-increment clock. With Hooks.StepMask set,
 // OnStep is called only where the mask or the thread's Traced bit says it
@@ -488,8 +490,8 @@ func (m *Machine) runThread(t *thread) {
 	for {
 		in := &code[pc]
 		if !retrying {
-			if onStep != nil && (stepMask == nil || stepMask[pc] != 0 || t.shell.Traced) {
-				onStep(&t.shell, irInstrs[pc], clk)
+			if onStep != nil && (stepMask == nil || stepMask[pc] != 0 || t.Traced) {
+				onStep(&t.Thread, irInstrs[pc], clk)
 			}
 			clk++
 		} else {
@@ -503,7 +505,7 @@ func (m *Machine) runThread(t *thread) {
 			}
 		case opLocalAddr:
 			if in.dst >= 0 {
-				regs[base+in.dst] = vm.StackAddr(t.id, int(memBase), int(in.imm))
+				regs[base+in.dst] = vm.StackAddr(t.ID, int(memBase), int(in.imm))
 			}
 		case opFieldAddr:
 			if in.dst >= 0 {
@@ -530,7 +532,7 @@ func (m *Machine) runThread(t *thread) {
 				regs[base+in.dst] = val
 			}
 			if m.cfg.Hooks.OnLoad != nil {
-				m.cfg.Hooks.OnLoad(&t.shell, irInstrs[pc], addr, val, int64(in.sz), clk)
+				m.cfg.Hooks.OnLoad(&t.Thread, irInstrs[pc], addr, val, int64(in.sz), clk)
 			}
 		case opStore:
 			addr := opVal(regs, consts, base, in.a)
@@ -546,7 +548,7 @@ func (m *Machine) runThread(t *thread) {
 				goto done
 			}
 			if m.cfg.Hooks.OnStore != nil {
-				m.cfg.Hooks.OnStore(&t.shell, irInstrs[pc], addr, val, int64(in.sz), clk)
+				m.cfg.Hooks.OnStore(&t.Thread, irInstrs[pc], addr, val, int64(in.sz), clk)
 			}
 		case opAdd:
 			if in.dst >= 0 {
@@ -613,7 +615,7 @@ func (m *Machine) runThread(t *thread) {
 		case opBr:
 			taken := opVal(regs, consts, base, in.a) != 0
 			if m.cfg.Hooks.OnBranch != nil {
-				m.cfg.Hooks.OnBranch(&t.shell, irInstrs[pc], taken, clk)
+				m.cfg.Hooks.OnBranch(&t.Thread, irInstrs[pc], taken, clk)
 			}
 			if taken {
 				pc = in.p
@@ -648,7 +650,7 @@ func (m *Machine) runThread(t *thread) {
 			}
 			newBase := t.frames[len(t.frames)-1].memBase
 			for k := 0; k < argN; k++ {
-				addr := vm.StackAddr(t.id, int(newBase), k)
+				addr := vm.StackAddr(t.ID, int(newBase), k)
 				if f := mem.StoreWord(addr, args[k]); f != nil {
 					m.failAt(t, pc, f)
 					goto done
@@ -656,7 +658,7 @@ func (m *Machine) runThread(t *thread) {
 			}
 			if m.cfg.Hooks.OnIndirect != nil {
 				entry := m.prog.funcs[in.p].entry
-				m.cfg.Hooks.OnIndirect(&t.shell, irInstrs[pc], irInstrs[entry], clk)
+				m.cfg.Hooks.OnIndirect(&t.Thread, irInstrs[pc], irInstrs[entry], clk)
 			}
 			pc = t.pc
 			regs = t.regs
@@ -680,13 +682,13 @@ func (m *Machine) runThread(t *thread) {
 		case opSpawn:
 			arg := opVal(regs, consts, base, in.a)
 			m.clock = clk // spawnThread's OnSpawn hook reads m.clock
-			child := m.spawnThread(in.p, &arg, t.id)
+			child := m.spawnThread(in.p, &arg, t.ID)
 			if in.dst >= 0 {
-				regs[base+in.dst] = int64(child.id)
+				regs[base+in.dst] = int64(child.ID)
 			}
 			if m.cfg.Hooks.OnIndirect != nil {
 				entry := m.prog.funcs[in.p].entry
-				m.cfg.Hooks.OnIndirect(&t.shell, irInstrs[pc], irInstrs[entry], clk)
+				m.cfg.Hooks.OnIndirect(&t.Thread, irInstrs[pc], irInstrs[entry], clk)
 			}
 		case opJoin:
 			tid := int(opVal(regs, consts, base, in.a))
@@ -709,7 +711,7 @@ func (m *Machine) runThread(t *thread) {
 				t.blockJoin = -1
 				goto blocked
 			}
-			if f := mem.StoreWord(addr, int64(t.id)+1); f != nil {
+			if f := mem.StoreWord(addr, int64(t.ID)+1); f != nil {
 				m.failAt(t, pc, f)
 				goto done
 			}

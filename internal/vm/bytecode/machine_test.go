@@ -16,6 +16,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/vm"
 	"repro/internal/vm/bytecode"
+	"repro/internal/vm/interp"
 )
 
 // bugVMConfig mirrors how the pipeline configures raw runs for a bug.
@@ -69,7 +70,7 @@ func TestDifferentialOutcomes(t *testing.T) {
 			prog := bytecode.Compile(b.Program())
 			for seed := int64(0); seed < 30; seed++ {
 				cfg := bugVMConfig(b, seed)
-				want := vm.Run(b.Program(), cfg)
+				want := interp.Run(b.Program(), cfg)
 				got, _ := prog.Run(cfg)
 				outcomesEqual(t, b.Name, seed, want, got)
 			}
@@ -79,7 +80,9 @@ func TestDifferentialOutcomes(t *testing.T) {
 
 // TestDifferentialHookStream compares the full tracing-hook event
 // streams — what PT, the watchpoint unit, and the replay recorder all
-// consume — on the concurrency-heavy bugs.
+// consume — on the concurrency-heavy bugs. Every step event also carries
+// the engine's RunnableThreads() at that instant: replay.Record reads it
+// from inside OnStep on the bytecode machine.
 func TestDifferentialHookStream(t *testing.T) {
 	names := []string{"pbzip2", "apache-3", "deadlock", "curl", "memcached"}
 	for _, name := range names {
@@ -93,12 +96,15 @@ func TestDifferentialHookStream(t *testing.T) {
 			for seed := int64(0); seed < 10; seed++ {
 				cfg := bugVMConfig(b, seed)
 				var interpEvents, bcEvents []string
+				var oracle *interp.VM
 				c1 := cfg
-				c1.Hooks = recordingHooks(&interpEvents)
+				c1.Hooks = recordingHooks(&interpEvents, func() int { return oracle.RunnableThreads() })
+				oracle = interp.New(b.Program(), c1)
+				machine := bytecode.NewMachine(prog)
 				c2 := cfg
-				c2.Hooks = recordingHooks(&bcEvents)
-				want := vm.Run(b.Program(), c1)
-				got, _ := prog.Run(c2)
+				c2.Hooks = recordingHooks(&bcEvents, machine.RunnableThreads)
+				want := oracle.Run()
+				got := machine.Run(c2)
 				outcomesEqual(t, name, seed, want, got)
 				if len(interpEvents) != len(bcEvents) {
 					t.Fatalf("%s seed %d: %d interp events vs %d bytecode events",
@@ -115,13 +121,13 @@ func TestDifferentialHookStream(t *testing.T) {
 	}
 }
 
-func recordingHooks(events *[]string) vm.Hooks {
+func recordingHooks(events *[]string, runnable func() int) vm.Hooks {
 	add := func(format string, args ...any) {
 		*events = append(*events, fmt.Sprintf(format, args...))
 	}
 	return vm.Hooks{
 		OnStep: func(t *vm.Thread, in *ir.Instr, clock int64) {
-			add("step t%d %%%d @%d", t.ID, in.ID, clock)
+			add("step t%d %%%d @%d runnable=%d", t.ID, in.ID, clock, runnable())
 		},
 		OnBranch: func(t *vm.Thread, in *ir.Instr, taken bool, clock int64) {
 			add("branch t%d %%%d taken=%v @%d", t.ID, in.ID, taken, clock)
@@ -156,7 +162,7 @@ func TestMachineReuse(t *testing.T) {
 		for round := 0; round < 3; round++ {
 			for seed := int64(0); seed < 8; seed++ {
 				cfg := bugVMConfig(b, seed)
-				want := vm.Run(b.Program(), cfg)
+				want := interp.Run(b.Program(), cfg)
 				got := m.Run(cfg)
 				outcomesEqual(t, name+"-reuse", seed, want, got)
 			}
@@ -176,12 +182,12 @@ func TestWarmRunAllocations(t *testing.T) {
 		prog := bytecode.Compile(src)
 		seed := int64(0)
 		next := func() vm.Config { seed++; return bugVMConfig(b, seed%8) }
-		interp := testing.AllocsPerRun(16, func() { vm.Run(src, next()) })
+		oracle := testing.AllocsPerRun(16, func() { interp.Run(src, next()) })
 		cold := testing.AllocsPerRun(16, func() { bytecode.NewMachine(prog).Run(next()) })
 		warm := testing.AllocsPerRun(16, func() { prog.Run(next()) })
-		if warm >= cold || warm >= interp/10 {
+		if warm >= cold || warm >= oracle/10 {
 			t.Errorf("%s: a warm bytecode run allocates %.0f times, a cold machine %.0f, the interpreter %.0f; want warm < cold and warm < interpreter/10",
-				name, warm, cold, interp)
+				name, warm, cold, oracle)
 		}
 	}
 }
@@ -335,12 +341,12 @@ func TestStepMaskFiltersHookStream(t *testing.T) {
 					if preempt > 0 {
 						cfg.PreemptMean = preempt
 					}
-					run := func(tr *maskedTracker, withMask, interp bool) (*maskedTracker, *vm.Outcome) {
+					run := func(tr *maskedTracker, withMask, onInterp bool) (*maskedTracker, *vm.Outcome) {
 						tr.reset()
 						c := cfg
 						c.Hooks = tr.hooks(withMask)
-						if interp {
-							return tr, vm.Run(b.Program(), c)
+						if onInterp {
+							return tr, interp.Run(b.Program(), c)
 						}
 						out, _ := prog.Run(c)
 						return tr, out

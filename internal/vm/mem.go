@@ -1,15 +1,17 @@
-// Package vm implements the execution substrate for MiniC programs: a
-// flat 64-bit address space, a heap with double-free and use-after-free
-// detection, threads with a seeded preemptive scheduler, mutexes, and
-// failure detection (segfaults, assertion violations, deadlocks, hangs).
+// Package vm is the contract of the execution substrate for MiniC
+// programs — run config, outcome, failure report, tracing hooks (vm.go) —
+// and the address space every engine executes against: a flat 64-bit
+// layout, a heap with double-free and use-after-free detection, and the
+// fault kinds (segfaults, assertion violations, deadlocks, hangs). The
+// engines (threads, seeded preemptive scheduler, mutexes) are
+// internal/vm/bytecode and the reference internal/vm/interp.
 //
-// Executions of this VM play the role of the paper's "production runs":
-// a fleet of VM runs with different seeds and workloads yields failing
-// and successful executions of the same program, which is exactly the
-// population Gist's cooperative analysis operates on. The VM exposes
-// tracing hooks (branch outcomes, memory accesses, scheduling events)
-// that the Intel PT simulator, the watchpoint unit, and the record/replay
-// baseline attach to.
+// Executions play the role of the paper's "production runs": a fleet of
+// runs with different seeds and workloads yields failing and successful
+// executions of the same program, which is exactly the population Gist's
+// cooperative analysis operates on. The hooks (branch outcomes, memory
+// accesses, scheduling events) are what the Intel PT simulator, the
+// watchpoint unit, and the record/replay baseline attach to.
 package vm
 
 import (

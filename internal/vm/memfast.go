@@ -8,7 +8,7 @@ import (
 
 // This file is the reuse-and-speed surface the bytecode engine
 // (internal/vm/bytecode) drives the address space through. The
-// tree-walking interpreter in vm.go deliberately stays on the plain
+// tree-walking interpreter (internal/vm/interp) deliberately stays on the plain
 // Load/Store byte loops — it is the reference implementation the
 // bytecode engine is differentially tested against — while the bytecode
 // engine uses the word-sized accessors and resets one Memory across
@@ -19,7 +19,7 @@ import (
 // observes (kind, address, message) cannot depend on which engine
 // executed it. TestDifferentialOutcomes and TestDifferentialHookStream
 // in internal/vm/bytecode and TestEngineDifferential in
-// internal/experiments hold both engines to that.
+// internal/core hold both engines to that.
 
 // Reset returns the memory to its post-NewMemory state for nGlobals
 // global words, recycling every internal buffer: globals are zeroed in

@@ -1,24 +1,26 @@
-package vm
+package vm_test
 
 import (
 	"testing"
 	"testing/quick"
 
 	"repro/internal/ir"
+	"repro/internal/vm"
+	"repro/internal/vm/interp"
 )
 
-func run(t *testing.T, src string, cfg Config) *Outcome {
+func run(t *testing.T, src string, cfg vm.Config) *vm.Outcome {
 	t.Helper()
 	p, err := ir.Compile("t.mc", src)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	return Run(p, cfg)
+	return interp.Run(p, cfg)
 }
 
 func mustExit(t *testing.T, src string, want int64) {
 	t.Helper()
-	out := run(t, src, Config{Seed: 1})
+	out := run(t, src, vm.Config{Seed: 1})
 	if out.Failed {
 		t.Fatalf("unexpected failure: %v", out.Report)
 	}
@@ -102,7 +104,7 @@ int main() {
 func TestStrings(t *testing.T) {
 	mustExit(t, `int main() { return strlen("hello"); }`, 5)
 	mustExit(t, `int main() { string s = "abc"; return s[0] + s[2]; }`, int64('a'+'c'))
-	out := run(t, `int main() { prints("hi"); print(1, 2); return 0; }`, Config{Seed: 1})
+	out := run(t, `int main() { prints("hi"); print(1, 2); return 0; }`, vm.Config{Seed: 1})
 	if len(out.Prints) != 2 || out.Prints[0] != "hi" || out.Prints[1] != "1 2" {
 		t.Errorf("prints: %v", out.Prints)
 	}
@@ -110,7 +112,7 @@ func TestStrings(t *testing.T) {
 
 func TestWorkloadInputs(t *testing.T) {
 	out := run(t, `int main() { string s = input_str(0); return input(0) + input(1) + strlen(s); }`,
-		Config{Seed: 1, Workload: Workload{Ints: []int64{10, 20}, Strs: []string{"abcd"}}})
+		vm.Config{Seed: 1, Workload: vm.Workload{Ints: []int64{10, 20}, Strs: []string{"abcd"}}})
 	if out.Failed || out.Exit != 34 {
 		t.Fatalf("got %+v", out)
 	}
@@ -121,23 +123,23 @@ func TestWorkloadInputs(t *testing.T) {
 func TestFaults(t *testing.T) {
 	cases := []struct {
 		src  string
-		kind FaultKind
+		kind vm.FaultKind
 	}{
-		{`int main() { int* p = null; return *p; }`, FaultNullDeref},
-		{`int main() { int* p = null; *p = 1; return 0; }`, FaultNullDeref},
-		{`int main() { int* p = malloc(8); free(p); free(p); return 0; }`, FaultDoubleFree},
-		{`int main() { int* p = malloc(8); free(p); return *p; }`, FaultUseAfterFree},
-		{`int main() { int* p = malloc(8); int* q = p + 1; free(q); return 0; }`, FaultInvalidFree},
-		{`int main() { int* p = malloc(8); return p[5]; }`, FaultOutOfBounds},
-		{`int main() { assert(1 == 2); return 0; }`, FaultAssert},
-		{`int main() { int z = 0; return 5 / z; }`, FaultDivZero},
-		{`int main() { int z = 0; return 5 % z; }`, FaultDivZero},
-		{`int main() { return strlen(null); }`, FaultNullDeref},
-		{`int main() { while (1) { } return 0; }`, FaultHang},
-		{`global int m; int main() { lock(&m); lock(&m); return 0; }`, FaultDeadlock},
+		{`int main() { int* p = null; return *p; }`, vm.FaultNullDeref},
+		{`int main() { int* p = null; *p = 1; return 0; }`, vm.FaultNullDeref},
+		{`int main() { int* p = malloc(8); free(p); free(p); return 0; }`, vm.FaultDoubleFree},
+		{`int main() { int* p = malloc(8); free(p); return *p; }`, vm.FaultUseAfterFree},
+		{`int main() { int* p = malloc(8); int* q = p + 1; free(q); return 0; }`, vm.FaultInvalidFree},
+		{`int main() { int* p = malloc(8); return p[5]; }`, vm.FaultOutOfBounds},
+		{`int main() { assert(1 == 2); return 0; }`, vm.FaultAssert},
+		{`int main() { int z = 0; return 5 / z; }`, vm.FaultDivZero},
+		{`int main() { int z = 0; return 5 % z; }`, vm.FaultDivZero},
+		{`int main() { return strlen(null); }`, vm.FaultNullDeref},
+		{`int main() { while (1) { } return 0; }`, vm.FaultHang},
+		{`global int m; int main() { lock(&m); lock(&m); return 0; }`, vm.FaultDeadlock},
 	}
 	for _, c := range cases {
-		out := run(t, c.src, Config{Seed: 1, MaxSteps: 50_000})
+		out := run(t, c.src, vm.Config{Seed: 1, MaxSteps: 50_000})
 		if !out.Failed {
 			t.Errorf("source %q: expected failure %v, got success (exit %d)", c.src, c.kind, out.Exit)
 			continue
@@ -168,10 +170,10 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var report *FailureReport
+	var report *vm.FailureReport
 	for seed := int64(0); seed < 300; seed++ {
-		out := Run(p, Config{Seed: seed, PreemptMean: 2, MaxSteps: 50_000})
-		if out.Failed && out.Report.Kind == FaultDeadlock {
+		out := interp.Run(p, vm.Config{Seed: seed, PreemptMean: 2, MaxSteps: 50_000})
+		if out.Failed && out.Report.Kind == vm.FaultDeadlock {
 			report = out.Report
 			break
 		}
@@ -208,7 +210,7 @@ int main() {
 	return a + b;
 }`
 	for seed := int64(0); seed < 20; seed++ {
-		out := run(t, src, Config{Seed: seed})
+		out := run(t, src, vm.Config{Seed: seed})
 		if out.Failed {
 			t.Fatalf("seed %d: %v", seed, out.Report)
 		}
@@ -239,7 +241,7 @@ int main() {
 	return counter;
 }`
 	for seed := int64(0); seed < 10; seed++ {
-		out := run(t, src, Config{Seed: seed, PreemptMean: 2})
+		out := run(t, src, vm.Config{Seed: seed, PreemptMean: 2})
 		if out.Failed {
 			t.Fatalf("seed %d: %v", seed, out.Report)
 		}
@@ -269,7 +271,7 @@ int main() {
 }`
 	lost := false
 	for seed := int64(0); seed < 30; seed++ {
-		out := run(t, src, Config{Seed: seed, PreemptMean: 2})
+		out := run(t, src, vm.Config{Seed: seed, PreemptMean: 2})
 		if out.Failed {
 			t.Fatalf("seed %d: %v", seed, out.Report)
 		}
@@ -307,11 +309,11 @@ int main() {
 func TestPbzipLikeBugIsScheduleDependent(t *testing.T) {
 	fails, successes := 0, 0
 	for seed := int64(0); seed < 150; seed++ {
-		out := run(t, pbzipLike, Config{Seed: seed, PreemptMean: 3})
+		out := run(t, pbzipLike, vm.Config{Seed: seed, PreemptMean: 3})
 		if out.Failed {
 			fails++
 			k := out.Report.Kind
-			if k != FaultNullDeref && k != FaultUseAfterFree {
+			if k != vm.FaultNullDeref && k != vm.FaultUseAfterFree {
 				t.Fatalf("seed %d: unexpected fault %v", seed, k)
 			}
 		} else {
@@ -329,8 +331,8 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := func(seed int64) bool {
-		a := Run(p, Config{Seed: seed, PreemptMean: 3})
-		b := Run(p, Config{Seed: seed, PreemptMean: 3})
+		a := interp.Run(p, vm.Config{Seed: seed, PreemptMean: 3})
+		b := interp.Run(p, vm.Config{Seed: seed, PreemptMean: 3})
 		if a.Failed != b.Failed || a.Exit != b.Exit || a.Steps != b.Steps {
 			return false
 		}
@@ -346,12 +348,12 @@ func TestDeterminism(t *testing.T) {
 
 func TestHooksFire(t *testing.T) {
 	var steps, branches, loads, stores, scheds, spawns int
-	cfg := Config{Seed: 3, PreemptMean: 2}
-	cfg.Hooks = Hooks{
-		OnStep:     func(*Thread, *ir.Instr, int64) { steps++ },
-		OnBranch:   func(_ *Thread, _ *ir.Instr, _ bool, _ int64) { branches++ },
-		OnLoad:     func(_ *Thread, _ *ir.Instr, _, _, _ int64, _ int64) { loads++ },
-		OnStore:    func(_ *Thread, _ *ir.Instr, _, _, _ int64, _ int64) { stores++ },
+	cfg := vm.Config{Seed: 3, PreemptMean: 2}
+	cfg.Hooks = vm.Hooks{
+		OnStep:     func(*vm.Thread, *ir.Instr, int64) { steps++ },
+		OnBranch:   func(_ *vm.Thread, _ *ir.Instr, _ bool, _ int64) { branches++ },
+		OnLoad:     func(_ *vm.Thread, _ *ir.Instr, _, _, _ int64, _ int64) { loads++ },
+		OnStore:    func(_ *vm.Thread, _ *ir.Instr, _, _, _ int64, _ int64) { stores++ },
 		OnSchedule: func(_, _ int, _ int64) { scheds++ },
 		OnSpawn:    func(_, _ int, _ *ir.Func, _ int64) { spawns++ },
 	}
@@ -378,7 +380,7 @@ int main() {
 	return r1 + r2;
 }`
 	for seed := int64(0); seed < 10; seed++ {
-		out := run(t, src, Config{Seed: seed, PreemptMean: 1})
+		out := run(t, src, vm.Config{Seed: seed, PreemptMean: 1})
 		if out.Failed || out.Exit != 120+240 {
 			t.Fatalf("seed %d: %+v", seed, out)
 		}
@@ -388,8 +390,8 @@ int main() {
 func TestStackOverflowDetected(t *testing.T) {
 	out := run(t, `
 int rec(int n) { int pad = n; return rec(n + pad - pad + 1); }
-int main() { return rec(0); }`, Config{Seed: 1, MaxSteps: 10_000_000})
-	if !out.Failed || out.Report.Kind != FaultStackOverflow {
+int main() { return rec(0); }`, vm.Config{Seed: 1, MaxSteps: 10_000_000})
+	if !out.Failed || out.Report.Kind != vm.FaultStackOverflow {
 		t.Fatalf("got %+v", out)
 	}
 }
@@ -401,9 +403,9 @@ func TestFailureIDStableAcrossSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idsByKind := make(map[FaultKind]map[string]bool)
+	idsByKind := make(map[vm.FaultKind]map[string]bool)
 	for seed := int64(0); seed < 200; seed++ {
-		out := Run(p, Config{Seed: seed, PreemptMean: 3})
+		out := interp.Run(p, vm.Config{Seed: seed, PreemptMean: 3})
 		if !out.Failed {
 			continue
 		}
