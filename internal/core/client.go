@@ -172,9 +172,7 @@ func RunInstrumentedFaults(plan *Plan, spec RunSpec, dec faults.Decision) *RunTr
 		// Extended-PT data flow (§6): every shared access inside a traced
 		// region becomes a PTW packet; no debug registers, no groups.
 		data := func(t *vm.Thread, in *ir.Instr, addr, val, size int64, clock int64) {
-			if !vm.IsStackAddr(addr) {
-				tracer.Data(t.ID, in.ID, addr, val, size, in.Op == ir.OpStore, clock)
-			}
+			tracer.Data(t.ID, in.ID, addr, val, size, in.Op == ir.OpStore, clock)
 		}
 		hooks.OnLoad, hooks.OnStore = data, data
 	} else if grp := plan.GroupOf(spec.EndpointID); plan.Feats.DataFlow && grp >= 0 {
@@ -188,8 +186,7 @@ func RunInstrumentedFaults(plan *Plan, spec RunSpec, dec faults.Decision) *RunTr
 			// debug register per class: the watchpoint watches "the
 			// variable", so an array walk does not drain the register
 			// file.
-			if k := plan.watchRegister(in.ID, grp); k < watch.NumRegisters && !armedClass[k] &&
-				!vm.IsStackAddr(addr) && !unit.Watched(addr, size) {
+			if k := plan.watchRegister(in.ID, grp); k < watch.NumRegisters && !armedClass[k] && !unit.Watched(addr, size) {
 				if _, err := unit.SetAny(watch.Watchpoint{Addr: addr, Size: size, Kind: watch.KindReadWrite}); err != nil {
 					rt.WatchMisses++
 				} else {

@@ -91,14 +91,10 @@ func recordHooks(log *Log, meter *cost.Meter) vm.Hooks {
 			}
 		},
 		OnLoad: func(t *vm.Thread, in *ir.Instr, addr, val, size int64, clock int64) {
-			if !vm.IsStackAddr(addr) {
-				emit(Event{Kind: EvLoad, Thread: t.ID, InstrID: in.ID, Addr: addr, Val: val, Clock: clock})
-			}
+			emit(Event{Kind: EvLoad, Thread: t.ID, InstrID: in.ID, Addr: addr, Val: val, Clock: clock})
 		},
 		OnStore: func(t *vm.Thread, in *ir.Instr, addr, val, size int64, clock int64) {
-			if !vm.IsStackAddr(addr) {
-				emit(Event{Kind: EvStore, Thread: t.ID, InstrID: in.ID, Addr: addr, Val: val, Clock: clock})
-			}
+			emit(Event{Kind: EvStore, Thread: t.ID, InstrID: in.ID, Addr: addr, Val: val, Clock: clock})
 		},
 		OnSchedule: func(from, to int, clock int64) {
 			emit(Event{Kind: EvSchedule, Thread: to, Addr: int64(from), Clock: clock})

@@ -5,7 +5,8 @@ package bytecode_test
 // hooks): the per-run cost the fleet pays thousands of times per
 // diagnosis. Run with -bench 'VM(Interp|Bytecode)' -benchmem; the
 // benchmark reports the bytecode side of the same runs as
-// vm.bytecode.raw_run_us_p50 and vm.bytecode.allocs_per_run.
+// vm.bytecode.raw_run_us_p50, vm.bytecode.msteps_per_sec (Msteps/s here)
+// and vm.bytecode.allocs_per_run.
 
 import (
 	"fmt"
@@ -41,9 +42,12 @@ func BenchmarkVMBytecode(b *testing.B) {
 		prog := bytecode.Compile(bug.Program())
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
+			var steps int64
 			for i := 0; i < b.N; i++ {
-				prog.Run(bugVMConfig(bug, int64(i%8)))
+				out, _ := prog.Run(bugVMConfig(bug, int64(i%8)))
+				steps += out.Steps
 			}
+			b.ReportMetric(float64(steps)/1e6/b.Elapsed().Seconds(), "Msteps/s")
 		})
 	}
 }

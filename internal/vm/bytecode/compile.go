@@ -141,6 +141,7 @@ type Program struct {
 	inits    []globalInit
 	failMsgs []string
 	nGlobals int
+	zeroMask []uint8 // all-zero Hooks.StepMask, for runs whose consumer set none
 
 	pool sync.Pool // *Machine
 }
@@ -281,6 +282,7 @@ func Compile(p *ir.Program) *Program {
 			}
 		}
 	}
+	out.zeroMask = make([]uint8, len(out.code))
 	return out
 }
 

@@ -1,9 +1,8 @@
 package bytecode
 
 import (
+	"encoding/binary"
 	"fmt"
-	"math/bits"
-	"math/rand"
 	"strconv"
 	"strings"
 
@@ -35,7 +34,8 @@ type thread struct {
 	frames     []frame
 	regs       []int64
 	regsTop    int32
-	stackTop   int32 // words in use on this thread's stack
+	stack      []byte // this thread's region of the address space, whole
+	stackTop   int32  // words in use on this thread's stack
 	result     int64
 	retrying   bool
 }
@@ -50,21 +50,16 @@ type Machine struct {
 	mem  *vm.Memory
 	cfg  vm.Config
 
-	// src is the scheduler's randomness, driven directly as a Source64
-	// rather than through a rand.Rand: intn replicates Rand.Intn's exact
-	// draw-and-retry algorithm bit for bit (the RNG consumption order is
-	// part of the determinism contract with the interpreter) while
-	// skipping the wrapper calls, and preemptMax precomputes the
-	// rejection bound Int31n would otherwise derive with a division on
-	// every quantum expiry.
-	src          rand.Source64
-	preemptN     int32
-	preemptMax   int32
-	preemptMagic uint64 // ⌊2^preemptShift / preemptN⌋ + 1
-	preemptShift uint
+	// The scheduler's randomness and the constants of its two draws (see
+	// sched.go): Intn(2*PreemptMean) for a quantum, and pick[n-1] for the
+	// Intn(n) among n runnable threads, for every n this machine has seen.
+	rng     alfg
+	preempt intnConsts
+	pick    []intnConsts
 
 	threads    []*thread
 	threadPool []*thread
+	runnable   []*thread // the runnable threads, by ascending ID
 	cur        int
 	quantum    int
 	clock      int64
@@ -86,14 +81,8 @@ func NewMachine(p *Program) *Machine {
 // strings appended in order, the seeded RNG, and thread 0 entering main.
 func (m *Machine) Reset(cfg vm.Config) {
 	m.cfg = cfg.Normalized()
-	if m.src == nil {
-		// rand.NewSource's concrete type implements Source64; rand.New
-		// would use the same fast path internally.
-		m.src = rand.NewSource(cfg.Seed).(rand.Source64)
-	} else {
-		m.src.Seed(cfg.Seed)
-	}
-	m.setPreempt(m.cfg.PreemptMean)
+	m.rng.seed(cfg.Seed)
+	m.preempt = newIntn(2 * m.cfg.PreemptMean)
 	m.mem.Reset(m.prog.nGlobals)
 	m.mem.SetStringBlob(m.prog.strBlob)
 	m.workloadAddrs = m.workloadAddrs[:0]
@@ -107,6 +96,7 @@ func (m *Machine) Reset(cfg vm.Config) {
 	}
 	m.threadPool = append(m.threadPool, m.threads...)
 	m.threads = m.threads[:0]
+	m.runnable = m.runnable[:0]
 	m.cur = 0
 	m.quantum = 0
 	m.clock = 0
@@ -139,7 +129,7 @@ func (m *Machine) spawnThread(fnIdx int32, arg *int64, parent int) *thread {
 	t.Thread = vm.Thread{ID: tid, Traced: true} // first step always reaches OnStep
 	t.state = vm.ThreadRunnable
 	t.blockMutex = 0
-	t.blockJoin = 0
+	t.blockJoin = -1
 	t.pc = 0
 	t.frames = t.frames[:0]
 	t.regs = t.regs[:0]
@@ -148,7 +138,12 @@ func (m *Machine) spawnThread(fnIdx int32, arg *int64, parent int) *thread {
 	t.result = 0
 	t.retrying = false
 	m.mem.EnsureStack(tid)
+	t.stack = m.mem.Stack(tid)
 	m.threads = append(m.threads, t)
+	m.runnable = append(m.runnable, t) // the highest ID so far
+	if len(m.pick) < len(m.threads) {
+		m.pick = append(m.pick, newIntn(len(m.threads)))
+	}
 	m.pushFrame(t, fnIdx, -1, 0, -1)
 	fi := &m.prog.funcs[fnIdx]
 	if arg != nil && fi.params > 0 {
@@ -265,16 +260,6 @@ func (m *Machine) run() *vm.Outcome {
 			}
 			continue
 		}
-		// Quantum fast path: if the current thread is runnable with
-		// quantum left, the interpreter's schedule() returns it without
-		// consuming RNG, and the runnable count it builds first cannot
-		// change that outcome — so skip counting entirely and burn the
-		// whole quantum inside runThread's inner loop.
-		if cur := m.threads[m.cur]; cur.state == vm.ThreadRunnable && m.quantum > 0 {
-			m.quantum--
-			m.runThread(cur)
-			continue
-		}
 		t := m.schedule()
 		if t == nil {
 			// All threads blocked: deadlock. Attribute it to a thread
@@ -313,108 +298,6 @@ func (m *Machine) run() *vm.Outcome {
 	}
 }
 
-// setPreempt precomputes the constants preemptDraw needs for
-// Intn(2*mean): the rejection bound, and a Granlund–Montgomery
-// reciprocal for the modulo — with l = ⌈log2 n⌉ and
-// magic = ⌊2^(31+l)/n⌋+1, ⌊v/n⌋ == (v*magic)>>(31+l) exactly for all
-// 0 <= v < 2^31, and the product stays below 2^63. Turns both
-// per-quantum-expiry hardware divisions into multiplies.
-func (m *Machine) setPreempt(mean int) {
-	m.preemptN = int32(2 * mean)
-	m.preemptMax = int32((1 << 31) - 1 - (1<<31)%uint32(m.preemptN))
-	m.preemptShift = 31 + uint(bits.Len32(uint32(m.preemptN-1)))
-	m.preemptMagic = (uint64(1)<<m.preemptShift)/uint64(m.preemptN) + 1
-}
-
-// int31 mirrors rand.(*Rand).Int31 on the machine's source.
-func (m *Machine) int31() int32 { return int32(m.src.Int63() >> 32) }
-
-// preemptDraw replicates rand.(*Rand).Intn(2*PreemptMean) exactly —
-// same draws from the source in the same order, same result — using the
-// rejection bound and reciprocal precomputed by Reset instead of two
-// divisions per call.
-func (m *Machine) preemptDraw() int {
-	n := m.preemptN
-	if n&(n-1) == 0 {
-		return int(m.int31() & (n - 1))
-	}
-	v := m.int31()
-	for v > m.preemptMax {
-		v = m.int31()
-	}
-	return int(v - int32((uint64(v)*m.preemptMagic)>>m.preemptShift)*n)
-}
-
-// intnDyn replicates rand.(*Rand).Intn for an n only known at call time
-// (the runnable count).
-func (m *Machine) intnDyn(n int32) int {
-	if n&(n-1) == 0 {
-		return int(m.int31() & (n - 1))
-	}
-	max := int32((1 << 31) - 1 - (1<<31)%uint32(n))
-	v := m.int31()
-	for v > max {
-		v = m.int31()
-	}
-	return int(v % n)
-}
-
-// RunnableThreads reports how many threads are currently runnable. The
-// record/replay baseline reads it from inside OnStep to model single-core
-// serialization.
-func (m *Machine) RunnableThreads() int {
-	n := 0
-	for _, th := range m.threads {
-		if th.state == vm.ThreadRunnable {
-			n++
-		}
-	}
-	return n
-}
-
-// schedule picks the next thread after the run loop's quantum fast
-// path declined. It consumes the RNG in exactly the interpreter's order
-// — one Intn(runnable) + one Intn(2*PreemptMean) per quantum expiry —
-// but counts runnables and picks the k-th in thread order instead of
-// materializing a slice, which removes the single largest allocation of
-// the interpreter's hot loop.
-func (m *Machine) schedule() *thread {
-	n := m.RunnableThreads()
-	if n == 0 {
-		return nil
-	}
-	k := m.intnDyn(int32(n))
-	var next *thread
-	for _, th := range m.threads {
-		if th.state != vm.ThreadRunnable {
-			continue
-		}
-		if k == 0 {
-			next = th
-			break
-		}
-		k--
-	}
-	m.quantum = 1 + m.preemptDraw()
-	if next.ID != m.cur {
-		if m.cfg.Hooks.OnSchedule != nil {
-			m.cfg.Hooks.OnSchedule(m.cur, next.ID, m.clock)
-		}
-		m.cur = next.ID
-	}
-	return next
-}
-
-func (m *Machine) wakeJoiners(tid int) {
-	for _, th := range m.threads {
-		if th.state == vm.ThreadBlocked && th.blockMutex == 0 && th.blockJoin == tid {
-			th.state = vm.ThreadRunnable
-			th.blockMutex = 0
-			th.blockJoin = -1
-		}
-	}
-}
-
 func (m *Machine) doRet(t *thread, pc int32, in *instr) {
 	fr := t.frames[len(t.frames)-1]
 	ret := int64(0)
@@ -428,6 +311,7 @@ func (m *Machine) doRet(t *thread, pc int32, in *instr) {
 	if len(t.frames) == 0 {
 		t.state = vm.ThreadDone
 		t.result = ret
+		m.park(t)
 		m.wakeJoiners(t.ID)
 		return
 	}
@@ -443,11 +327,11 @@ func (m *Machine) doRet(t *thread, pc int32, in *instr) {
 	}
 }
 
-// opVal resolves an operand reference: a register in the current frame
+// opVal resolves an operand reference: a register of the current frame's
 // window for refs >= 0, a constant-pool entry for negative refs.
-func opVal(regs, consts []int64, base, ref int32) int64 {
+func opVal(win, consts []int64, ref int32) int64 {
 	if ref >= 0 {
-		return regs[base+ref]
+		return win[ref]
 	}
 	return consts[^ref]
 }
@@ -461,377 +345,422 @@ func opVal(regs, consts []int64, base, ref int32) int64 {
 // can matter (code index == instruction ID, so the mask is indexed by
 // pc); the clock advances either way.
 //
-// The hot machine state — pc, clock, quantum, and the current frame's
-// register window — lives in locals for the whole quantum and is flushed
-// at every exit (the done label below), so the per-instruction cost is
-// the dispatch itself rather than Machine/thread field traffic. Helper
-// calls that read that state through the Machine (doRet and spawnThread
-// consult m.clock for their hooks) get an explicit flush first. The
-// caller has already accounted for the first step's quantum (either
-// schedule() granting a fresh one, or the run loop's fast-path
-// decrement); each further iteration re-checks the local quantum because
-// opYield zeroes it mid-quantum while the thread stays runnable.
+// The hot machine state — pc, clock, quantum, the hooks, the current
+// frame's register window and the running thread's stack — lives in
+// locals for the whole quantum and is flushed at every exit (the done
+// label below), so the per-instruction cost is the dispatch itself rather
+// than Machine/thread field traffic. Helper calls that read that state
+// through the Machine (doRet and spawnThread consult m.clock for their
+// hooks) get an explicit flush first. A quantum's first step is not
+// counted against it, as in the interpreter; each further iteration
+// re-checks the local quantum because opYield zeroes it mid-quantum while
+// the thread stays runnable. runThread reschedules by itself when a
+// quantum expires, so it returns only when the run loop has something to
+// decide: a fault, the step limit, t blocked or finished.
 func (m *Machine) runThread(t *thread) {
 	code := m.prog.code
 	consts := m.prog.consts
 	irInstrs := m.prog.ir.Instrs
 	mem := m.mem
-	onStep := m.cfg.Hooks.OnStep
-	stepMask := m.cfg.Hooks.StepMask
+	onStep, onBranch := m.cfg.Hooks.OnStep, m.cfg.Hooks.OnBranch
+	onLoad, onStore := m.cfg.Hooks.OnLoad, m.cfg.Hooks.OnStore
+	// "Does OnStep see this step" is one load and one branch,
+	// stepMask[pc]|traced != 0: without a consumer mask the program's
+	// all-zero one stands in and traced alone decides — always 0 with no
+	// OnStep, always 1 with an OnStep that set no mask — and with a mask
+	// traced is the thread's Traced bit, re-read wherever it can change
+	// (after an OnStep call, at a thread switch).
+	stepMask, always := m.cfg.Hooks.StepMask, uint8(0)
+	masked := onStep != nil && stepMask != nil
+	if !masked {
+		stepMask = m.prog.zeroMask
+		if onStep != nil {
+			always = 1
+		}
+	}
 	maxSteps := m.cfg.MaxSteps
 	pc := t.pc
 	clk := m.clock
-	q := m.quantum
-	retrying := t.retrying
-	t.retrying = false
-	regs := t.regs
-	top := &t.frames[len(t.frames)-1]
-	base, memBase := top.base, top.memBase
+	q := m.quantum // schedule() has just granted it; its first step is not counted against it
+frame:
+	// One activation of one thread at a time: what this loop loads is
+	// invariant in the instruction loop inside it, which carries only pc,
+	// clk, q and the step test's two bits from one instruction to the
+	// next. A call, a return and a thread switch come back here.
 	for {
-		in := &code[pc]
-		if !retrying {
-			if onStep != nil && (stepMask == nil || stepMask[pc] != 0 || t.Traced) {
-				onStep(&t.Thread, irInstrs[pc], clk)
-			}
-			clk++
-		} else {
-			retrying = false
-		}
-		advance := true
-		switch in.op {
-		case opMov:
-			if in.dst >= 0 {
-				regs[base+in.dst] = opVal(regs, consts, base, in.a)
-			}
-		case opLocalAddr:
-			if in.dst >= 0 {
-				regs[base+in.dst] = vm.StackAddr(t.ID, int(memBase), int(in.imm))
-			}
-		case opFieldAddr:
-			if in.dst >= 0 {
-				regs[base+in.dst] = opVal(regs, consts, base, in.a) + in.imm
-			}
-		case opIndexAddr:
-			if in.dst >= 0 {
-				regs[base+in.dst] = opVal(regs, consts, base, in.a) + opVal(regs, consts, base, in.b)*in.imm
-			}
-		case opLoad:
-			addr := opVal(regs, consts, base, in.a)
-			var val int64
-			var f *vm.Fault
-			if in.sz == 8 {
-				val, f = mem.LoadWord(addr)
+		top := &t.frames[len(t.frames)-1]
+		win := t.regs[top.base:]                          // the frame's registers
+		locals := vm.StackAddr(t.ID, int(top.memBase), 0) // and the address of its slot 0
+		// A load or store inside [stackLo, stackLo+len(stack)) is the
+		// running thread's own and goes straight to the slice; anything
+		// else — other threads' stacks, shared memory, every faulting
+		// access — resolves through mem as before.
+		stack, stackLo := t.stack, vm.StackAddr(t.ID, 0, 0)
+		traced := t.stepBit(always, masked)
+		retrying := t.retrying
+		t.retrying = false
+		for {
+			if !retrying {
+				if stepMask[pc]|traced != 0 {
+					onStep(&t.Thread, irInstrs[pc], clk)
+					traced = t.stepBit(always, masked)
+				}
+				clk++
 			} else {
-				val, f = mem.LoadByte(addr)
+				retrying = false
 			}
-			if f != nil {
-				m.failAt(t, pc, f)
-				goto done
-			}
-			if in.dst >= 0 {
-				regs[base+in.dst] = val
-			}
-			if m.cfg.Hooks.OnLoad != nil {
-				m.cfg.Hooks.OnLoad(&t.Thread, irInstrs[pc], addr, val, int64(in.sz), clk)
-			}
-		case opStore:
-			addr := opVal(regs, consts, base, in.a)
-			val := opVal(regs, consts, base, in.b)
-			var f *vm.Fault
-			if in.sz == 8 {
-				f = mem.StoreWord(addr, val)
-			} else {
-				f = mem.StoreByte(addr, val)
-			}
-			if f != nil {
-				m.failAt(t, pc, f)
-				goto done
-			}
-			if m.cfg.Hooks.OnStore != nil {
-				m.cfg.Hooks.OnStore(&t.Thread, irInstrs[pc], addr, val, int64(in.sz), clk)
-			}
-		case opAdd:
-			if in.dst >= 0 {
-				regs[base+in.dst] = opVal(regs, consts, base, in.a) + opVal(regs, consts, base, in.b)
-			}
-		case opSub:
-			if in.dst >= 0 {
-				regs[base+in.dst] = opVal(regs, consts, base, in.a) - opVal(regs, consts, base, in.b)
-			}
-		case opMul:
-			if in.dst >= 0 {
-				regs[base+in.dst] = opVal(regs, consts, base, in.a) * opVal(regs, consts, base, in.b)
-			}
-		case opDiv:
-			b := opVal(regs, consts, base, in.b)
-			if b == 0 {
-				m.failAt(t, pc, &vm.Fault{Kind: vm.FaultDivZero})
-				goto done
-			}
-			if in.dst >= 0 {
-				regs[base+in.dst] = opVal(regs, consts, base, in.a) / b
-			}
-		case opMod:
-			b := opVal(regs, consts, base, in.b)
-			if b == 0 {
-				m.failAt(t, pc, &vm.Fault{Kind: vm.FaultDivZero})
-				goto done
-			}
-			if in.dst >= 0 {
-				regs[base+in.dst] = opVal(regs, consts, base, in.a) % b
-			}
-		case opEq:
-			if in.dst >= 0 {
-				regs[base+in.dst] = b2i(opVal(regs, consts, base, in.a) == opVal(regs, consts, base, in.b))
-			}
-		case opNe:
-			if in.dst >= 0 {
-				regs[base+in.dst] = b2i(opVal(regs, consts, base, in.a) != opVal(regs, consts, base, in.b))
-			}
-		case opLt:
-			if in.dst >= 0 {
-				regs[base+in.dst] = b2i(opVal(regs, consts, base, in.a) < opVal(regs, consts, base, in.b))
-			}
-		case opLe:
-			if in.dst >= 0 {
-				regs[base+in.dst] = b2i(opVal(regs, consts, base, in.a) <= opVal(regs, consts, base, in.b))
-			}
-		case opGt:
-			if in.dst >= 0 {
-				regs[base+in.dst] = b2i(opVal(regs, consts, base, in.a) > opVal(regs, consts, base, in.b))
-			}
-		case opGe:
-			if in.dst >= 0 {
-				regs[base+in.dst] = b2i(opVal(regs, consts, base, in.a) >= opVal(regs, consts, base, in.b))
-			}
-		case opNot:
-			if in.dst >= 0 {
-				regs[base+in.dst] = b2i(opVal(regs, consts, base, in.a) == 0)
-			}
-		case opNeg:
-			if in.dst >= 0 {
-				regs[base+in.dst] = -opVal(regs, consts, base, in.a)
-			}
-		case opBr:
-			taken := opVal(regs, consts, base, in.a) != 0
-			if m.cfg.Hooks.OnBranch != nil {
-				m.cfg.Hooks.OnBranch(&t.Thread, irInstrs[pc], taken, clk)
-			}
-			if taken {
-				pc = in.p
-			} else {
-				pc = in.q
-			}
-			advance = false
-		case opJmp:
-			pc = in.p
-			advance = false
-		case opRet:
-			m.clock = clk // doRet's OnIndirect hook reads m.clock
-			m.doRet(t, pc, in)
-			if len(t.frames) == 0 {
-				goto done // thread finished; currentPCOf ignores pc
-			}
-			pc = t.pc
-			regs = t.regs
-			top = &t.frames[len(t.frames)-1]
-			base, memBase = top.base, top.memBase
-			advance = false
-		case opCall:
-			argN := int(in.imm)
-			args := m.args[:0]
-			for k := 0; k < argN; k++ {
-				args = append(args, opVal(regs, consts, base, m.prog.argRefs[int(in.q)+k]))
-			}
-			m.args = args
-			if f := m.pushFrame(t, in.p, pc, pc+1, in.dst); f != nil {
-				m.failAt(t, pc, f)
-				goto done
-			}
-			newBase := t.frames[len(t.frames)-1].memBase
-			for k := 0; k < argN; k++ {
-				addr := vm.StackAddr(t.ID, int(newBase), k)
-				if f := mem.StoreWord(addr, args[k]); f != nil {
-					m.failAt(t, pc, f)
+			// ip is this instruction; pc already names the next one, and a
+			// control transfer below overwrites it.
+			ip := pc
+			in := &code[ip]
+			pc++
+			switch in.op {
+			case opMov:
+				if in.dst >= 0 {
+					win[in.dst] = opVal(win, consts, in.a)
+				}
+			case opLocalAddr:
+				if in.dst >= 0 {
+					win[in.dst] = locals + in.imm*8
+				}
+			case opFieldAddr:
+				if in.dst >= 0 {
+					win[in.dst] = opVal(win, consts, in.a) + in.imm
+				}
+			case opIndexAddr:
+				if in.dst >= 0 {
+					win[in.dst] = opVal(win, consts, in.a) + opVal(win, consts, in.b)*in.imm
+				}
+			case opLoad:
+				addr := opVal(win, consts, in.a)
+				var val int64
+				if off, n := uint64(addr-stackLo), uint64(len(stack)); off < n && off+uint64(in.sz) <= n {
+					if in.sz == 8 {
+						val = int64(binary.LittleEndian.Uint64(stack[off:]))
+					} else {
+						val = int64(stack[off])
+					}
+				} else {
+					var f *vm.Fault
+					if in.sz == 8 {
+						val, f = mem.LoadWord(addr)
+					} else {
+						val, f = mem.LoadByte(addr)
+					}
+					if f != nil {
+						m.failAt(t, ip, f)
+						goto done
+					}
+					if onLoad != nil && !vm.IsStackAddr(addr) {
+						onLoad(&t.Thread, irInstrs[ip], addr, val, int64(in.sz), clk)
+					}
+				}
+				if in.dst >= 0 {
+					win[in.dst] = val
+				}
+			case opStore:
+				addr := opVal(win, consts, in.a)
+				val := opVal(win, consts, in.b)
+				if off, n := uint64(addr-stackLo), uint64(len(stack)); off < n && off+uint64(in.sz) <= n {
+					if in.sz == 8 {
+						binary.LittleEndian.PutUint64(stack[off:], uint64(val))
+					} else {
+						stack[off] = byte(val)
+					}
+				} else {
+					var f *vm.Fault
+					if in.sz == 8 {
+						f = mem.StoreWord(addr, val)
+					} else {
+						f = mem.StoreByte(addr, val)
+					}
+					if f != nil {
+						m.failAt(t, ip, f)
+						goto done
+					}
+					if onStore != nil && !vm.IsStackAddr(addr) {
+						onStore(&t.Thread, irInstrs[ip], addr, val, int64(in.sz), clk)
+					}
+				}
+			case opAdd:
+				if in.dst >= 0 {
+					win[in.dst] = opVal(win, consts, in.a) + opVal(win, consts, in.b)
+				}
+			case opSub:
+				if in.dst >= 0 {
+					win[in.dst] = opVal(win, consts, in.a) - opVal(win, consts, in.b)
+				}
+			case opMul:
+				if in.dst >= 0 {
+					win[in.dst] = opVal(win, consts, in.a) * opVal(win, consts, in.b)
+				}
+			case opDiv:
+				b := opVal(win, consts, in.b)
+				if b == 0 {
+					m.failAt(t, ip, &vm.Fault{Kind: vm.FaultDivZero})
 					goto done
 				}
-			}
-			if m.cfg.Hooks.OnIndirect != nil {
-				entry := m.prog.funcs[in.p].entry
-				m.cfg.Hooks.OnIndirect(&t.Thread, irInstrs[pc], irInstrs[entry], clk)
-			}
-			pc = t.pc
-			regs = t.regs
-			top = &t.frames[len(t.frames)-1]
-			base, memBase = top.base, top.memBase
-			advance = false
-		case opMalloc:
-			addr, f := mem.Malloc(opVal(regs, consts, base, in.a))
-			if f != nil {
-				m.failAt(t, pc, f)
-				goto done
-			}
-			if in.dst >= 0 {
-				regs[base+in.dst] = addr
-			}
-		case opFree:
-			if f := mem.Free(opVal(regs, consts, base, in.a)); f != nil {
-				m.failAt(t, pc, f)
-				goto done
-			}
-		case opSpawn:
-			arg := opVal(regs, consts, base, in.a)
-			m.clock = clk // spawnThread's OnSpawn hook reads m.clock
-			child := m.spawnThread(in.p, &arg, t.ID)
-			if in.dst >= 0 {
-				regs[base+in.dst] = int64(child.ID)
-			}
-			if m.cfg.Hooks.OnIndirect != nil {
-				entry := m.prog.funcs[in.p].entry
-				m.cfg.Hooks.OnIndirect(&t.Thread, irInstrs[pc], irInstrs[entry], clk)
-			}
-		case opJoin:
-			tid := int(opVal(regs, consts, base, in.a))
-			if tid >= 0 && tid < len(m.threads) && m.threads[tid].state != vm.ThreadDone {
-				t.state = vm.ThreadBlocked
-				t.blockMutex = 0
-				t.blockJoin = tid
-				goto blocked
-			}
-		case opLock:
-			addr := opVal(regs, consts, base, in.a)
-			owner, f := mem.LoadWord(addr)
-			if f != nil {
-				m.failAt(t, pc, f)
-				goto done
-			}
-			if owner != 0 {
-				t.state = vm.ThreadBlocked
-				t.blockMutex = addr
-				t.blockJoin = -1
-				goto blocked
-			}
-			if f := mem.StoreWord(addr, int64(t.ID)+1); f != nil {
-				m.failAt(t, pc, f)
-				goto done
-			}
-		case opUnlock:
-			addr := opVal(regs, consts, base, in.a)
-			if _, f := mem.LoadWord(addr); f != nil {
-				m.failAt(t, pc, f)
-				goto done
-			}
-			if f := mem.StoreWord(addr, 0); f != nil {
-				m.failAt(t, pc, f)
-				goto done
-			}
-			for _, th := range m.threads {
-				if th.state == vm.ThreadBlocked && th.blockMutex == addr {
-					th.state = vm.ThreadRunnable
-					th.blockMutex = 0
-					th.blockJoin = -1
+				if in.dst >= 0 {
+					win[in.dst] = opVal(win, consts, in.a) / b
 				}
-			}
-		case opAssert:
-			if opVal(regs, consts, base, in.a) == 0 {
-				m.failAt(t, pc, &vm.Fault{Kind: vm.FaultAssert, Msg: "assert failed"})
+			case opMod:
+				b := opVal(win, consts, in.b)
+				if b == 0 {
+					m.failAt(t, ip, &vm.Fault{Kind: vm.FaultDivZero})
+					goto done
+				}
+				if in.dst >= 0 {
+					win[in.dst] = opVal(win, consts, in.a) % b
+				}
+			case opEq:
+				if in.dst >= 0 {
+					win[in.dst] = b2i(opVal(win, consts, in.a) == opVal(win, consts, in.b))
+				}
+			case opNe:
+				if in.dst >= 0 {
+					win[in.dst] = b2i(opVal(win, consts, in.a) != opVal(win, consts, in.b))
+				}
+			case opLt:
+				if in.dst >= 0 {
+					win[in.dst] = b2i(opVal(win, consts, in.a) < opVal(win, consts, in.b))
+				}
+			case opLe:
+				if in.dst >= 0 {
+					win[in.dst] = b2i(opVal(win, consts, in.a) <= opVal(win, consts, in.b))
+				}
+			case opGt:
+				if in.dst >= 0 {
+					win[in.dst] = b2i(opVal(win, consts, in.a) > opVal(win, consts, in.b))
+				}
+			case opGe:
+				if in.dst >= 0 {
+					win[in.dst] = b2i(opVal(win, consts, in.a) >= opVal(win, consts, in.b))
+				}
+			case opNot:
+				if in.dst >= 0 {
+					win[in.dst] = b2i(opVal(win, consts, in.a) == 0)
+				}
+			case opNeg:
+				if in.dst >= 0 {
+					win[in.dst] = -opVal(win, consts, in.a)
+				}
+			case opBr:
+				taken := opVal(win, consts, in.a) != 0
+				if onBranch != nil {
+					onBranch(&t.Thread, irInstrs[ip], taken, clk)
+				}
+				if taken {
+					pc = in.p
+				} else {
+					pc = in.q
+				}
+			case opJmp:
+				pc = in.p
+			case opRet:
+				m.clock = clk // doRet's OnIndirect hook reads m.clock
+				m.doRet(t, ip, in)
+				if len(t.frames) == 0 {
+					goto done // thread finished; currentPCOf ignores pc
+				}
+				pc = t.pc
+				if clk < maxSteps && q > 0 {
+					q--
+					continue frame
+				}
+				// Otherwise the checks below stop or reschedule, and that
+				// reloads the frame as well.
+			case opCall:
+				argN := int(in.imm)
+				args := m.args[:0]
+				for k := 0; k < argN; k++ {
+					args = append(args, opVal(win, consts, m.prog.argRefs[int(in.q)+k]))
+				}
+				m.args = args
+				if f := m.pushFrame(t, in.p, ip, pc, in.dst); f != nil {
+					m.failAt(t, ip, f)
+					goto done
+				}
+				newBase := t.frames[len(t.frames)-1].memBase
+				for k := 0; k < argN; k++ {
+					addr := vm.StackAddr(t.ID, int(newBase), k)
+					if f := mem.StoreWord(addr, args[k]); f != nil {
+						m.failAt(t, ip, f)
+						goto done
+					}
+				}
+				if m.cfg.Hooks.OnIndirect != nil {
+					entry := m.prog.funcs[in.p].entry
+					m.cfg.Hooks.OnIndirect(&t.Thread, irInstrs[ip], irInstrs[entry], clk)
+				}
+				pc = t.pc
+				if clk < maxSteps && q > 0 {
+					q--
+					continue frame
+				}
+			case opMalloc:
+				addr, f := mem.Malloc(opVal(win, consts, in.a))
+				if f != nil {
+					m.failAt(t, ip, f)
+					goto done
+				}
+				if in.dst >= 0 {
+					win[in.dst] = addr
+				}
+			case opFree:
+				if f := mem.Free(opVal(win, consts, in.a)); f != nil {
+					m.failAt(t, ip, f)
+					goto done
+				}
+			case opSpawn:
+				arg := opVal(win, consts, in.a)
+				m.clock = clk // spawnThread's OnSpawn hook reads m.clock
+				child := m.spawnThread(in.p, &arg, t.ID)
+				if in.dst >= 0 {
+					win[in.dst] = int64(child.ID)
+				}
+				if m.cfg.Hooks.OnIndirect != nil {
+					entry := m.prog.funcs[in.p].entry
+					m.cfg.Hooks.OnIndirect(&t.Thread, irInstrs[ip], irInstrs[entry], clk)
+				}
+			case opJoin:
+				tid := int(opVal(win, consts, in.a))
+				if tid >= 0 && tid < len(m.threads) && m.threads[tid].state != vm.ThreadDone {
+					t.state = vm.ThreadBlocked
+					t.blockMutex = 0
+					t.blockJoin = tid
+					m.park(t)
+					goto blocked
+				}
+			case opLock:
+				addr := opVal(win, consts, in.a)
+				owner, f := mem.LoadWord(addr)
+				if f != nil {
+					m.failAt(t, ip, f)
+					goto done
+				}
+				if owner != 0 {
+					t.state = vm.ThreadBlocked
+					t.blockMutex = addr
+					t.blockJoin = -1
+					m.park(t)
+					goto blocked
+				}
+				if f := mem.StoreWord(addr, int64(t.ID)+1); f != nil {
+					m.failAt(t, ip, f)
+					goto done
+				}
+			case opUnlock:
+				addr := opVal(win, consts, in.a)
+				if _, f := mem.LoadWord(addr); f != nil {
+					m.failAt(t, ip, f)
+					goto done
+				}
+				if f := mem.StoreWord(addr, 0); f != nil {
+					m.failAt(t, ip, f)
+					goto done
+				}
+				for _, th := range m.threads {
+					if th.state == vm.ThreadBlocked && th.blockMutex == addr {
+						m.wake(th)
+					}
+				}
+			case opAssert:
+				if opVal(win, consts, in.a) == 0 {
+					m.failAt(t, ip, &vm.Fault{Kind: vm.FaultAssert, Msg: "assert failed"})
+					goto done
+				}
+			case opPrint:
+				argN := int(in.q)
+				parts := make([]string, argN)
+				for k := 0; k < argN; k++ {
+					parts[k] = strconv.FormatInt(opVal(win, consts, m.prog.argRefs[int(in.p)+k]), 10)
+				}
+				m.prints = append(m.prints, strings.Join(parts, " "))
+			case opPrints:
+				s, f := mem.LoadCStringFast(opVal(win, consts, in.a))
+				if f != nil {
+					m.failAt(t, ip, f)
+					goto done
+				}
+				m.prints = append(m.prints, s)
+			case opStrlen:
+				s, f := mem.LoadCStringFast(opVal(win, consts, in.a))
+				if f != nil {
+					m.failAt(t, ip, f)
+					goto done
+				}
+				if in.dst >= 0 {
+					win[in.dst] = int64(len(s))
+				}
+			case opInput:
+				i := int(opVal(win, consts, in.a))
+				var val int64
+				if i >= 0 && i < len(m.cfg.Workload.Ints) {
+					val = m.cfg.Workload.Ints[i]
+				}
+				if in.dst >= 0 {
+					win[in.dst] = val
+				}
+			case opInputStr:
+				i := int(opVal(win, consts, in.a))
+				var addr int64
+				if i >= 0 && i < len(m.workloadAddrs) {
+					addr = m.workloadAddrs[i]
+				}
+				if in.dst >= 0 {
+					win[in.dst] = addr
+				}
+			case opYield:
+				q = 0
+			case opFail:
+				m.failAt(t, ip, &vm.Fault{Kind: vm.FaultOutOfBounds, Msg: m.prog.failMsgs[in.p]})
 				goto done
 			}
-		case opPrint:
-			argN := int(in.q)
-			parts := make([]string, argN)
-			for k := 0; k < argN; k++ {
-				parts[k] = strconv.FormatInt(opVal(regs, consts, base, m.prog.argRefs[int(in.p)+k]), 10)
-			}
-			m.prints = append(m.prints, strings.Join(parts, " "))
-		case opPrints:
-			s, f := mem.LoadCStringFast(opVal(regs, consts, base, in.a))
-			if f != nil {
-				m.failAt(t, pc, f)
+			if clk >= maxSteps {
 				goto done
 			}
-			m.prints = append(m.prints, s)
-		case opStrlen:
-			s, f := mem.LoadCStringFast(opVal(regs, consts, base, in.a))
-			if f != nil {
-				m.failAt(t, pc, f)
-				goto done
+			if q > 0 {
+				q--
+				continue
 			}
-			if in.dst >= 0 {
-				regs[base+in.dst] = int64(len(s))
+			// Quantum expired with t still runnable: reschedule inline
+			// instead of bouncing through the run loop. The interpreter's
+			// pre-schedule checks are all vacuously satisfied here (the step
+			// above completed without fault or block, so no failure is
+			// pending, main cannot have finished unless t was main — which
+			// would have exited above — and the clock was just checked), and
+			// schedule cannot return nil because t itself is runnable.
+			m.clock = clk
+			t.pc = pc
+			if len(m.runnable) == 1 {
+				// Nothing else is runnable: schedule() would burn one Int31
+				// on Intn(1) (always 0), pick t again without an OnSchedule
+				// event, and grant a fresh quantum — do just the draws.
+				m.rng.int31()
+				q = 1 + m.intn(&m.preempt)
+			} else {
+				t = m.schedule()
+				pc, q = t.pc, m.quantum
 			}
-		case opInput:
-			i := int(opVal(regs, consts, base, in.a))
-			var val int64
-			if i >= 0 && i < len(m.cfg.Workload.Ints) {
-				val = m.cfg.Workload.Ints[i]
-			}
-			if in.dst >= 0 {
-				regs[base+in.dst] = val
-			}
-		case opInputStr:
-			i := int(opVal(regs, consts, base, in.a))
-			var addr int64
-			if i >= 0 && i < len(m.workloadAddrs) {
-				addr = m.workloadAddrs[i]
-			}
-			if in.dst >= 0 {
-				regs[base+in.dst] = addr
-			}
-		case opYield:
-			q = 0
-		case opFail:
-			m.failAt(t, pc, &vm.Fault{Kind: vm.FaultOutOfBounds, Msg: m.prog.failMsgs[in.p]})
-			goto done
+			continue frame // a new thread, or the step above was a call or a return
 		}
-		if advance {
-			pc++
-		}
-		if clk >= maxSteps {
-			goto done
-		}
-		if q > 0 {
-			q--
-			continue
-		}
-		// Quantum expired with t still runnable: reschedule inline
-		// instead of bouncing through the run loop. The interpreter's
-		// pre-schedule checks are all vacuously satisfied here (the step
-		// above completed without fault or block, so no failure is
-		// pending, main cannot have finished unless t was main — which
-		// would have exited above — and the clock was just checked), and
-		// schedule cannot return nil because t itself is runnable. The
-		// first step of the fresh quantum runs without a decrement, as in
-		// the run loop's fast path.
-		m.clock = clk
-		t.pc = pc
-		if len(m.threads) == 1 {
-			// Single-threaded program: schedule() would count one
-			// runnable, burn one Int31 on Intn(1) (always 0), pick t
-			// again without an OnSchedule event, and grant a fresh
-			// quantum — do just the draws.
-			m.int31()
-			q = 1 + m.preemptDraw()
-			continue
-		}
-		if next := m.schedule(); next != t {
-			t = next
-			pc = t.pc
-			regs = t.regs
-			top = &t.frames[len(t.frames)-1]
-			base, memBase = top.base, top.memBase
-			retrying = t.retrying
-			t.retrying = false
-		}
-		q = m.quantum
 	}
 blocked:
-	t.retrying = true // re-execute as the same logical step
-	q = 0             // give up the processor
+	pc--              // the pre-increment: the instruction re-executes
+	t.retrying = true // ...as the same logical step
 done:
 	t.pc = pc
 	m.clock = clk
-	m.quantum = q
+}
+
+// stepBit is what t's Traced bit adds to runThread's step test: always
+// when the consumer set no mask (0 without an OnStep, 1 with one), the
+// bit itself under a mask.
+func (t *thread) stepBit(always uint8, masked bool) uint8 {
+	if masked && t.Traced {
+		return 1
+	}
+	return always
 }
 
 func b2i(b bool) int64 {

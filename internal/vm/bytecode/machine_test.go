@@ -7,6 +7,7 @@ package bytecode_test
 // it again end-to-end through the whole diagnosis pipeline).
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -80,9 +81,7 @@ func TestDifferentialOutcomes(t *testing.T) {
 
 // TestDifferentialHookStream compares the full tracing-hook event
 // streams — what PT, the watchpoint unit, and the replay recorder all
-// consume — on the concurrency-heavy bugs. Every step event also carries
-// the engine's RunnableThreads() at that instant: replay.Record reads it
-// from inside OnStep on the bytecode machine.
+// consume — on the concurrency-heavy bugs.
 func TestDifferentialHookStream(t *testing.T) {
 	names := []string{"pbzip2", "apache-3", "deadlock", "curl", "memcached"}
 	for _, name := range names {
@@ -94,31 +93,60 @@ func TestDifferentialHookStream(t *testing.T) {
 			t.Parallel()
 			prog := bytecode.Compile(b.Program())
 			for seed := int64(0); seed < 10; seed++ {
-				cfg := bugVMConfig(b, seed)
-				var interpEvents, bcEvents []string
-				var oracle *interp.VM
-				c1 := cfg
-				c1.Hooks = recordingHooks(&interpEvents, func() int { return oracle.RunnableThreads() })
-				oracle = interp.New(b.Program(), c1)
-				machine := bytecode.NewMachine(prog)
-				c2 := cfg
-				c2.Hooks = recordingHooks(&bcEvents, machine.RunnableThreads)
-				want := oracle.Run()
-				got := machine.Run(c2)
-				outcomesEqual(t, name, seed, want, got)
-				if len(interpEvents) != len(bcEvents) {
-					t.Fatalf("%s seed %d: %d interp events vs %d bytecode events",
-						name, seed, len(interpEvents), len(bcEvents))
-				}
-				for i := range interpEvents {
-					if interpEvents[i] != bcEvents[i] {
-						t.Fatalf("%s seed %d: event %d differs:\ninterp:   %s\nbytecode: %s",
-							name, seed, i, interpEvents[i], bcEvents[i])
-					}
-				}
+				runBoth(t, name, prog, bugVMConfig(b, seed))
 			}
 		})
 	}
+}
+
+// runBoth runs prog under cfg on the interpreter and on a fresh machine
+// and requires the same outcome, the same hook event stream, and the same
+// memory when the run ends. Every step event also carries the engine's
+// RunnableThreads() at that instant: replay.Record reads it from inside
+// OnStep on the bytecode machine. The hooks see shared memory only, so
+// what the threads did to their stacks is witnessed by comparing the
+// bytes: every thread's stack region, and the globals.
+func runBoth(t *testing.T, name string, prog *bytecode.Program, cfg vm.Config) *vm.Outcome {
+	t.Helper()
+	seed := cfg.Seed
+	var interpEvents, bcEvents []string
+	var oracle *interp.VM
+	c1 := cfg
+	c1.Hooks = recordingHooks(&interpEvents, func() int { return oracle.RunnableThreads() })
+	oracle = interp.New(prog.IR(), c1)
+	machine := bytecode.NewMachine(prog)
+	c2 := cfg
+	c2.Hooks = recordingHooks(&bcEvents, machine.RunnableThreads)
+	want := oracle.Run()
+	got := machine.Run(c2)
+	outcomesEqual(t, name, seed, want, got)
+	if len(interpEvents) != len(bcEvents) {
+		t.Fatalf("%s seed %d: %d interp events vs %d bytecode events",
+			name, seed, len(interpEvents), len(bcEvents))
+	}
+	for i := range interpEvents {
+		if interpEvents[i] != bcEvents[i] {
+			t.Fatalf("%s seed %d: event %d differs:\ninterp:   %s\nbytecode: %s",
+				name, seed, i, interpEvents[i], bcEvents[i])
+		}
+	}
+	for tid := range oracle.Threads {
+		if !bytes.Equal(oracle.Mem.Stack(tid), machine.Mem().Stack(tid)) {
+			t.Fatalf("%s seed %d: thread %d's stack differs between the engines at run end", name, seed, tid)
+		}
+	}
+	if machine.Mem().Stack(len(oracle.Threads)) != nil {
+		t.Fatalf("%s seed %d: the machine has more stacks than the interpreter has threads", name, seed)
+	}
+	for i := range prog.IR().Globals {
+		addr := vm.GlobalsBase + int64(i)*8
+		a, _ := oracle.Mem.Load(addr, 8)
+		b, _ := machine.Mem().Load(addr, 8)
+		if a != b {
+			t.Fatalf("%s seed %d: global %d is %d on the interpreter, %d on the machine", name, seed, i, a, b)
+		}
+	}
+	return want
 }
 
 func recordingHooks(events *[]string, runnable func() int) vm.Hooks {

@@ -352,7 +352,7 @@ func (v *VM) step(t *Thread) {
 			return
 		}
 		v.setReg(t, in.Dst, val)
-		if v.cfg.Hooks.OnLoad != nil {
+		if v.cfg.Hooks.OnLoad != nil && !vm.IsStackAddr(addr) {
 			v.cfg.Hooks.OnLoad(&t.Thread, in, addr, val, in.Size, v.Clock)
 		}
 	case ir.OpStore:
@@ -362,7 +362,7 @@ func (v *VM) step(t *Thread) {
 			v.failAt(t, in, f)
 			return
 		}
-		if v.cfg.Hooks.OnStore != nil {
+		if v.cfg.Hooks.OnStore != nil && !vm.IsStackAddr(addr) {
 			v.cfg.Hooks.OnStore(&t.Thread, in, addr, val, in.Size, v.Clock)
 		}
 	case ir.OpBin:

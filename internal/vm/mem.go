@@ -98,7 +98,7 @@ type Memory struct {
 	globals []byte
 	strs    []byte
 	strsLen int64
-	stacks  map[int][]byte // thread ID -> stack bytes
+	stacks  [][]byte // indexed by thread ID; nil = no such thread
 	heap    []byte
 	heapLen int64
 
@@ -110,13 +110,11 @@ type Memory struct {
 	// engine) does not pay a 64 KiB allocation per thread per run.
 	stackPool [][]byte
 
-	// One-entry caches for the bytecode engine's word-sized fast path
-	// (memfast.go): the last stack and heap allocation touched. Both are
-	// revalidated on every use and invalidated by Reset, so they are
+	// cacheAlloc is a one-entry cache for the bytecode engine's word-sized
+	// fast path (memfast.go): the last heap allocation touched. It is
+	// revalidated on every use and invalidated by Reset, so it is
 	// invisible to fault semantics. The interpreter's byte-loop path
-	// never consults them.
-	cacheTid   int
-	cacheStack []byte
+	// never consults it.
 	cacheAlloc *alloc
 }
 
@@ -126,7 +124,6 @@ func NewMemory(nGlobals int) *Memory {
 	return &Memory{
 		globals:    make([]byte, nGlobals*8),
 		strs:       make([]byte, 0, 4096),
-		stacks:     make(map[int][]byte),
 		heap:       make([]byte, 0, 1<<16),
 		allocIndex: make(map[int64]*alloc),
 	}
@@ -145,7 +142,10 @@ func (m *Memory) AddString(s string) int64 {
 // EnsureStack creates (or returns) the stack region for a thread,
 // recycling a zeroed region parked by Reset when one is available.
 func (m *Memory) EnsureStack(tid int) {
-	if _, ok := m.stacks[tid]; ok {
+	for tid >= len(m.stacks) {
+		m.stacks = append(m.stacks, nil)
+	}
+	if m.stacks[tid] != nil {
 		return
 	}
 	if n := len(m.stackPool); n > 0 {
@@ -154,6 +154,17 @@ func (m *Memory) EnsureStack(tid int) {
 		return
 	}
 	m.stacks[tid] = make([]byte, StackStride)
+}
+
+// Stack returns thread tid's whole stack region, the bytes at
+// [StackAddr(tid, 0, 0), +StackStride), or nil if the thread has none. It
+// stays the same slice until Reset, so an engine may hold on to the
+// running thread's and access it without a resolve.
+func (m *Memory) Stack(tid int) []byte {
+	if tid >= len(m.stacks) {
+		return nil
+	}
+	return m.stacks[tid]
 }
 
 // StackAddr returns the address of word slot idx of frame-base fb in
@@ -252,9 +263,8 @@ func (m *Memory) resolve(addr, size int64) ([]byte, int64, *Fault) {
 		}
 		return m.strs, off, nil
 	case IsStackAddr(addr):
-		tid := int((addr - StackBase) / StackStride)
-		st, ok := m.stacks[tid]
-		if !ok {
+		st := m.Stack(int((addr - StackBase) / StackStride))
+		if st == nil {
 			return nil, 0, &Fault{Kind: FaultOutOfBounds, Addr: addr, Msg: "stack of dead thread"}
 		}
 		off := (addr - StackBase) % StackStride

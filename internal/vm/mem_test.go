@@ -172,6 +172,33 @@ func TestStackRegionIsolation(t *testing.T) {
 	}
 }
 
+// Reset parks stacks in thread order, so which recycled region a thread
+// gets on the next run is a function of the previous run's thread count
+// alone — and the region comes back zeroed.
+func TestResetRecyclesStacksInOrder(t *testing.T) {
+	m := NewMemory(0)
+	var regions [4]*byte
+	for round := 0; round < 3; round++ {
+		prev := regions
+		for tid := range regions {
+			if m.Stack(tid) != nil {
+				t.Fatalf("round %d: thread %d has a stack before EnsureStack", round, tid)
+			}
+			m.EnsureStack(tid)
+			st := m.Stack(tid)
+			if len(st) != StackStride || st[8*tid] != 0 {
+				t.Fatalf("round %d: thread %d's stack: len %d, byte %d = %d; want a zeroed region", round, tid, len(st), 8*tid, st[8*tid])
+			}
+			if want := prev[len(prev)-1-tid]; round > 0 && &st[0] != want {
+				t.Fatalf("round %d: thread %d did not get the region thread %d had", round, tid, len(regions)-1-tid)
+			}
+			regions[tid] = &st[0]
+			st[8*tid] = 0xAB
+		}
+		m.Reset(0)
+	}
+}
+
 // Property: for arbitrary allocation sequences, a load of a stored word
 // returns the stored value, and accesses outside any live allocation
 // fault.

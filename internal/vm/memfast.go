@@ -38,18 +38,19 @@ func (m *Memory) Reset(nGlobals int) {
 	}
 	m.strs = m.strs[:0]
 	m.strsLen = 0
-	for tid, st := range m.stacks {
-		clear(st)
-		m.stackPool = append(m.stackPool, st)
-		delete(m.stacks, tid)
+	for _, st := range m.stacks {
+		if st != nil {
+			clear(st)
+			m.stackPool = append(m.stackPool, st)
+		}
 	}
+	m.stacks = m.stacks[:0]
 	// Keep len(m.heap): Malloc zeroes [heapLen, heapLen+size) itself and
 	// its grow loop then no-ops, which is what makes reuse cheaper than a
 	// fresh address space.
 	m.heapLen = 0
 	m.allocs = m.allocs[:0]
 	clear(m.allocIndex)
-	m.cacheStack = nil
 	m.cacheAlloc = nil
 }
 
@@ -64,29 +65,11 @@ func (m *Memory) SetStringBlob(blob []byte) {
 	m.strsLen = int64(len(blob))
 }
 
-// fastResolve is resolve(addr, size) with one-entry stack and
-// allocation caches. Stacks are never replaced while live (only Reset
-// removes them) and a cached allocation is revalidated for range and
-// freed state on every hit, so a cache hit and a cold resolve return
-// identical results.
+// fastResolve is resolve(addr, size) with a one-entry allocation cache.
+// A cached allocation is revalidated for range and freed state on every
+// hit, so a cache hit and a cold resolve return identical results.
 func (m *Memory) fastResolve(addr, size int64) ([]byte, int64, *Fault) {
 	switch {
-	case IsStackAddr(addr):
-		tid := int((addr - StackBase) / StackStride)
-		st := m.cacheStack
-		if st == nil || tid != m.cacheTid {
-			var ok bool
-			st, ok = m.stacks[tid]
-			if !ok {
-				return nil, 0, &Fault{Kind: FaultOutOfBounds, Addr: addr, Msg: "stack of dead thread"}
-			}
-			m.cacheTid, m.cacheStack = tid, st
-		}
-		off := (addr - StackBase) % StackStride
-		if off+size > int64(len(st)) {
-			return nil, 0, &Fault{Kind: FaultStackOverflow, Addr: addr}
-		}
-		return st, off, nil
 	case IsHeapAddr(addr):
 		a := m.cacheAlloc
 		if a == nil || addr < a.base || addr >= a.base+a.size {
@@ -152,8 +135,7 @@ func (m *Memory) StoreByte(addr, val int64) *Fault {
 // frame-overflow check first (as pushFrame does), so the range is
 // always in bounds.
 func (m *Memory) ZeroStackWords(tid, fb, n int) {
-	st := m.stacks[tid]
-	clear(st[fb*8 : (fb+n)*8])
+	clear(m.stacks[tid][fb*8 : (fb+n)*8])
 }
 
 // regionSpan returns the backing slice, offset, and number of
@@ -176,9 +158,8 @@ func (m *Memory) regionSpan(addr int64) ([]byte, int64, int64, *Fault) {
 		}
 		return m.strs, off, m.strsLen - off, nil
 	case IsStackAddr(addr):
-		tid := int((addr - StackBase) / StackStride)
-		st, ok := m.stacks[tid]
-		if !ok {
+		st := m.Stack(int((addr - StackBase) / StackStride))
+		if st == nil {
 			return nil, 0, 0, &Fault{Kind: FaultOutOfBounds, Addr: addr, Msg: "stack of dead thread"}
 		}
 		off := (addr - StackBase) % StackStride

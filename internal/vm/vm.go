@@ -114,7 +114,14 @@ type Hooks struct {
 	// OnIndirect fires at control transfers whose target is not a static
 	// successor (calls, returns, spawns) — PT TIP packet material.
 	OnIndirect func(t *Thread, in *ir.Instr, target *ir.Instr, clock int64)
-	// OnLoad/OnStore fire after each successful data memory access.
+	// OnLoad/OnStore fire after each successful access to shared memory:
+	// globals, the string pool, the heap. Accesses to any thread's stack
+	// are not reported, by either engine. That is all the modelled
+	// hardware can see: a debug register is armed on the address of a
+	// shared variable, an extended-PT PTWRITE packet is emitted for shared
+	// accesses in a traced region, and rr's event log holds the loads a
+	// replay could not recompute. A thread's frame is none of the three,
+	// so an engine need not look up a hook for it.
 	OnLoad  func(t *Thread, in *ir.Instr, addr, val, size int64, clock int64)
 	OnStore func(t *Thread, in *ir.Instr, addr, val, size int64, clock int64)
 	// OnSchedule fires when the scheduler switches threads.

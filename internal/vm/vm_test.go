@@ -347,13 +347,21 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestHooksFire(t *testing.T) {
-	var steps, branches, loads, stores, scheds, spawns int
+	var steps, branches, loads, stores, scheds, spawns, stack int
+	data := func(n *int) func(*vm.Thread, *ir.Instr, int64, int64, int64, int64) {
+		return func(_ *vm.Thread, _ *ir.Instr, addr, _, _, _ int64) {
+			*n++
+			if vm.IsStackAddr(addr) {
+				stack++
+			}
+		}
+	}
 	cfg := vm.Config{Seed: 3, PreemptMean: 2}
 	cfg.Hooks = vm.Hooks{
 		OnStep:     func(*vm.Thread, *ir.Instr, int64) { steps++ },
 		OnBranch:   func(_ *vm.Thread, _ *ir.Instr, _ bool, _ int64) { branches++ },
-		OnLoad:     func(_ *vm.Thread, _ *ir.Instr, _, _, _ int64, _ int64) { loads++ },
-		OnStore:    func(_ *vm.Thread, _ *ir.Instr, _, _, _ int64, _ int64) { stores++ },
+		OnLoad:     data(&loads),
+		OnStore:    data(&stores),
 		OnSchedule: func(_, _ int, _ int64) { scheds++ },
 		OnSpawn:    func(_, _ int, _ *ir.Func, _ int64) { spawns++ },
 	}
@@ -364,6 +372,11 @@ func TestHooksFire(t *testing.T) {
 	}
 	if int64(steps) != out.Steps {
 		t.Errorf("OnStep count %d != Steps %d", steps, out.Steps)
+	}
+	// The data hooks report shared memory only; pbzipLike's threads keep
+	// locals, so stack accesses did happen.
+	if stack != 0 {
+		t.Errorf("OnLoad/OnStore were handed %d stack accesses, want none", stack)
 	}
 }
 
