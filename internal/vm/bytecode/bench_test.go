@@ -52,6 +52,31 @@ func BenchmarkVMBytecode(b *testing.B) {
 	}
 }
 
+// BenchmarkVMPreempt prices scheduling in a raw run: the same runs at the
+// bug's own preemption mean, where a decision falls every few
+// instructions, and at 10⁶, where preemption is all but off. ns/step is
+// wall time over Outcome.Steps; the gap between the two is the switch tax.
+func BenchmarkVMPreempt(b *testing.B) {
+	for _, name := range []string{"pbzip2", "apache-3"} {
+		bug := bugs.ByName(name)
+		prog := bytecode.Compile(bug.Program())
+		for _, mean := range []int{0, 1e6} { // 0: the bug's own
+			b.Run(fmt.Sprintf("%s/preempt=%d", name, max(mean, bugVMConfig(bug, 0).PreemptMean)), func(b *testing.B) {
+				var steps int64
+				for i := 0; i < b.N; i++ {
+					cfg := bugVMConfig(bug, int64(i%8))
+					if mean > 0 {
+						cfg.PreemptMean = mean
+					}
+					out, _ := prog.Run(cfg)
+					steps += out.Steps
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+			})
+		}
+	}
+}
+
 // instrumentedCase is one (bug, σ) cell the instrumented-run benchmark
 // and allocation ceiling share: the plan Gist would ship for the bug's
 // own failure at that window size, and the run specs of seeds 0..7.

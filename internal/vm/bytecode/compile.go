@@ -28,6 +28,8 @@
 //     addresses are compile-time constants of the address-space layout.
 //   - generic switches: each binary operator and each builtin gets its
 //     own opcode.
+//   - a dispatch per instruction: LocalAddr+Load retires in one, yet
+//     fusion keeps one bytecode instruction per IR ID.
 //
 // Programs that the interpreter would fault at runtime with "bad
 // opcode" / "bad binary op" / "bad builtin" compile to an opFail
@@ -85,7 +87,8 @@ const (
 	opInput
 	opInputStr
 	opYield
-	opFail // compile-time-known runtime fault (bad opcode/binop/builtin)
+	opFail      // compile-time-known runtime fault (bad opcode/binop/builtin)
+	opLocalLoad // opLocalAddr whose result the next instruction, an opLoad, reads
 )
 
 // instr is one fixed-width bytecode instruction. Field meaning varies by
@@ -97,8 +100,8 @@ const (
 //	       func index / argRefs offset; opSpawn: callee func index;
 //	       opPrint: argRefs offset / arg count; opFail: failMsgs index
 //	sz     opLoad/opStore: access size (1 or 8); opRet: 1 = has value
-//	imm    opLocalAddr: slot; opFieldAddr: offset; opIndexAddr: elem
-//	       size; opCall: arg count
+//	imm    opLocalAddr, opLocalLoad: slot; opFieldAddr: offset;
+//	       opIndexAddr: elem size; opCall: arg count
 type instr struct {
 	op  opcode
 	sz  uint8
@@ -280,6 +283,15 @@ func Compile(p *ir.Program) *Program {
 				}
 				out.code = append(out.code, c.emit(in))
 			}
+		}
+	}
+	// A local's address loaded from at once — the commonest pair the
+	// programs retire — becomes one opLocalLoad; the opLoad stays in place
+	// and runs alone wherever the pair cannot retire together.
+	for pc := 0; pc+1 < len(out.code); pc++ {
+		la, ld := &out.code[pc], &out.code[pc+1]
+		if la.op == opLocalAddr && la.dst >= 0 && ld.op == opLoad && ld.a == la.dst {
+			la.op = opLocalLoad
 		}
 	}
 	out.zeroMask = make([]uint8, len(out.code))

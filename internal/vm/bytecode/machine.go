@@ -56,12 +56,13 @@ type Machine struct {
 	rng     alfg
 	preempt intnConsts
 	pick    []intnConsts
+	grant   grant
 
 	threads    []*thread
 	threadPool []*thread
 	runnable   []*thread // the runnable threads, by ascending ID
 	cur        int
-	quantum    int
+	quantum    int // the grant's countdown when schedule() made it
 	clock      int64
 
 	prints        []string
@@ -99,6 +100,7 @@ func (m *Machine) Reset(cfg vm.Config) {
 	m.runnable = m.runnable[:0]
 	m.cur = 0
 	m.quantum = 0
+	m.grant.n, m.grant.drawn = 0, false
 	m.clock = 0
 	m.prints = m.prints[:0]
 	m.fault = nil
@@ -196,7 +198,12 @@ func (m *Machine) val(t *thread, base, ref int32) int64 {
 	return m.prog.consts[^ref]
 }
 
+// stackTrace is nil, as on the interpreter, for a thread with no frames:
+// a hang is pinned on the current thread even when it has just exited.
 func (m *Machine) stackTrace(t *thread) []vm.StackEntry {
+	if len(t.frames) == 0 {
+		return nil
+	}
 	out := make([]vm.StackEntry, 0, len(t.frames))
 	for i := len(t.frames) - 1; i >= 0; i-- {
 		fr := &t.frames[i]
@@ -351,12 +358,15 @@ func opVal(win, consts []int64, ref int32) int64 {
 // label below), so the per-instruction cost is the dispatch itself rather
 // than Machine/thread field traffic. Helper calls that read that state
 // through the Machine (doRet and spawnThread consult m.clock for their
-// hooks) get an explicit flush first. A quantum's first step is not
-// counted against it, as in the interpreter; each further iteration
-// re-checks the local quantum because opYield zeroes it mid-quantum while
-// the thread stays runnable. runThread reschedules by itself when a
-// quantum expires, so it returns only when the run loop has something to
-// decide: a fault, the step limit, t blocked or finished.
+// hooks) get an explicit flush first. q counts down the grant schedule()
+// made, whose first step is not counted against it, as a quantum's is
+// in the interpreter. An instruction that changes the runnable set —
+// spawn, an unlock that wakes, a block, an exit — or that ends the
+// quantum early (yield) cuts the grant back to the decision in effect.
+// When a grant runs out, runThread schedules by itself; the same thread
+// picked again keeps its loaded frame unless the last step was a call or
+// a return. It returns only when the run loop has something to decide: a
+// fault, the step limit, t blocked or finished.
 func (m *Machine) runThread(t *thread) {
 	code := m.prog.code
 	consts := m.prog.consts
@@ -381,7 +391,7 @@ func (m *Machine) runThread(t *thread) {
 	maxSteps := m.cfg.MaxSteps
 	pc := t.pc
 	clk := m.clock
-	q := m.quantum // schedule() has just granted it; its first step is not counted against it
+	q := m.quantum // schedule() has just made the grant
 frame:
 	// One activation of one thread at a time: what this loop loads is
 	// invariant in the instruction loop inside it, which carries only pc,
@@ -422,6 +432,30 @@ frame:
 			case opLocalAddr:
 				if in.dst >= 0 {
 					win[in.dst] = locals + in.imm*8
+				}
+			case opLocalLoad:
+				// opLocalAddr, and the opLoad after it retired in the same
+				// dispatch when the loop between the two would only count:
+				// the quantum and the step limit go on, OnStep does not see
+				// the load, and it reads the thread's own stack.
+				addr := locals + in.imm*8
+				win[in.dst] = addr
+				if q > 0 && clk < maxSteps && stepMask[pc]|traced == 0 {
+					ld := &code[pc]
+					if off, n := uint64(addr-stackLo), uint64(len(stack)); off < n && off+uint64(ld.sz) <= n {
+						var val int64
+						if ld.sz == 8 {
+							val = int64(binary.LittleEndian.Uint64(stack[off:]))
+						} else {
+							val = int64(stack[off])
+						}
+						if ld.dst >= 0 {
+							win[ld.dst] = val
+						}
+						q--
+						clk++
+						pc++
+					}
 				}
 			case opFieldAddr:
 				if in.dst >= 0 {
@@ -615,6 +649,7 @@ frame:
 				arg := opVal(win, consts, in.a)
 				m.clock = clk // spawnThread's OnSpawn hook reads m.clock
 				child := m.spawnThread(in.p, &arg, t.ID)
+				q = m.cut(q)
 				if in.dst >= 0 {
 					win[in.dst] = int64(child.ID)
 				}
@@ -659,10 +694,15 @@ frame:
 					m.failAt(t, ip, f)
 					goto done
 				}
+				woke := false
 				for _, th := range m.threads {
 					if th.state == vm.ThreadBlocked && th.blockMutex == addr {
 						m.wake(th)
+						woke = true
 					}
+				}
+				if woke {
+					q = m.cut(q)
 				}
 			case opAssert:
 				if opVal(win, consts, in.a) == 0 {
@@ -711,6 +751,7 @@ frame:
 					win[in.dst] = addr
 				}
 			case opYield:
+				m.cut(q)
 				q = 0
 			case opFail:
 				m.failAt(t, ip, &vm.Fault{Kind: vm.FaultOutOfBounds, Msg: m.prog.failMsgs[in.p]})
@@ -723,8 +764,8 @@ frame:
 				q--
 				continue
 			}
-			// Quantum expired with t still runnable: reschedule inline
-			// instead of bouncing through the run loop. The interpreter's
+			// Grant spent with t still runnable: reschedule inline instead
+			// of bouncing through the run loop. The interpreter's
 			// pre-schedule checks are all vacuously satisfied here (the step
 			// above completed without fault or block, so no failure is
 			// pending, main cannot have finished unless t was main — which
@@ -732,23 +773,23 @@ frame:
 			// schedule cannot return nil because t itself is runnable.
 			m.clock = clk
 			t.pc = pc
-			if len(m.runnable) == 1 {
-				// Nothing else is runnable: schedule() would burn one Int31
-				// on Intn(1) (always 0), pick t again without an OnSchedule
-				// event, and grant a fresh quantum — do just the draws.
-				m.rng.int31()
-				q = 1 + m.intn(&m.preempt)
-			} else {
-				t = m.schedule()
-				pc, q = t.pc, m.quantum
+			next := m.schedule()
+			pc, q = next.pc, m.quantum
+			if next == t && in.op != opCall && in.op != opRet {
+				continue
 			}
-			continue frame // a new thread, or the step above was a call or a return
+			t = next
+			continue frame
 		}
 	}
 blocked:
 	pc--              // the pre-increment: the instruction re-executes
 	t.retrying = true // ...as the same logical step
 done:
+	// t blocked, finished, faulted or hit the step limit: the next
+	// decision, if the run goes on, is drawn where the one in effect left
+	// the generator.
+	m.cut(q)
 	t.pc = pc
 	m.clock = clk
 }

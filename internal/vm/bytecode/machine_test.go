@@ -15,6 +15,7 @@ import (
 	"repro/internal/bugs"
 	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/lang/sema"
 	"repro/internal/vm"
 	"repro/internal/vm/bytecode"
 	"repro/internal/vm/interp"
@@ -279,6 +280,10 @@ func newMaskedTracker(prog *ir.Program) *maskedTracker {
 			mask[id] |= 2 // stop after
 		}
 	}
+	return trackerWithMask(mask)
+}
+
+func trackerWithMask(mask []uint8) *maskedTracker {
 	return &maskedTracker{mask: mask, on: map[int]bool{}, pending: map[int]bool{}, seen: map[int]bool{}}
 }
 
@@ -399,6 +404,121 @@ func TestStepMaskFiltersHookStream(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// cutSitesSrc reaches every instruction that cuts a grant: spawn, an
+// unlock that wakes a waiter (workers yield holding the mutex, so others
+// queue on it), yield, a join and a lock that block, and thread exit.
+// Main spawns alone and workers often exit alone, when a grant is
+// specMax decisions long; with two or more runnable threads a grant is
+// short but usually holds the next decision drawn.
+const cutSitesSrc = `
+global int* mu;
+global int total = 0;
+void worker(int n) {
+	int s = 0;
+	for (int i = 0; i < n; i++) { s = s + i; }
+	lock(mu);
+	total = total + s;
+	yield();
+	unlock(mu);
+	for (int i = 0; i < n; i++) { s = s + i; }
+	total = total + 1;
+}
+int main() {
+	mu = malloc(8);
+	int w = 0;
+	for (int i = 0; i < 12; i++) { w = w + i; }
+	int a = spawn(worker, 9);
+	int b = spawn(worker, 2);
+	int c = spawn(worker, 5);
+	lock(mu);
+	w = w + 1;
+	unlock(mu);
+	join(b);
+	join(a);
+	join(c);
+	return total + w;
+}`
+
+// TestGrantCutSites holds the draw-ahead scheduler to the interpreter's
+// decision at every quantum expiry where a grant must be cut: the
+// (from, to, clock) schedule stream and the outcome must agree for 64
+// seeds at preemption means 1..6, with a step hook and without one (so
+// with LocalAddr+Load pairs fused). The step hook also proves the sweep
+// reaches each cut site while the grant holds a decision the cut must
+// drop, and — for the sites that change the runnable set — that the set
+// did change.
+func TestGrantCutSites(t *testing.T) {
+	src := ir.MustCompile("cuts.mc", cutSitesSrc)
+	prog := bytecode.Compile(src)
+	site := func(in *ir.Instr) (string, int) { // name, sign of the runnable-count change
+		switch {
+		case in.Op == ir.OpRet && in.Blk.Fn.Name == "worker":
+			return "exit", -1
+		case in.Op != ir.OpCallB:
+			return "", 0
+		case in.Builtin == sema.BuiltinSpawn:
+			return "spawn", 1
+		case in.Builtin == sema.BuiltinUnlock:
+			return "wake-on-unlock", 1
+		case in.Builtin == sema.BuiltinYield:
+			return "yield", 0
+		case in.Builtin == sema.BuiltinJoin:
+			return "blocking join", -1
+		case in.Builtin == sema.BuiltinLock:
+			return "blocking lock", -1
+		}
+		return "", 0
+	}
+	reached := map[string]int{}
+	for seed := int64(0); seed < 64; seed++ {
+		for mean := 1; mean <= 6; mean++ {
+			cfg := vm.Config{Seed: seed, PreemptMean: mean}
+			var want, got, gotNoStep []hookEvent
+			c := cfg
+			c.Hooks.OnSchedule = scheduleRecorder(&want)
+			ref := interp.Run(src, c)
+
+			m := bytecode.NewMachine(prog)
+			var pending string
+			var sign, before int
+			c.Hooks.OnSchedule = scheduleRecorder(&got)
+			c.Hooks.OnStep = func(th *vm.Thread, in *ir.Instr, clock int64) {
+				if pending != "" && (sign == 0 || (m.RunnableThreads()-before)*sign > 0) {
+					reached[pending]++
+				}
+				pending = ""
+				if name, s := site(in); name != "" && m.Speculating() {
+					pending, sign, before = name, s, m.RunnableThreads()
+				}
+			}
+			out := m.Run(c)
+			name := fmt.Sprintf("cuts/mean=%d", mean)
+			outcomesEqual(t, name, seed, ref, out)
+			if d := firstDiff(want, got); d != "" {
+				t.Fatalf("%s seed %d: schedules differ: %s", name, seed, d)
+			}
+
+			c.Hooks = vm.Hooks{OnSchedule: scheduleRecorder(&gotNoStep)}
+			out, _ = prog.Run(c)
+			outcomesEqual(t, name+"/no-step-hook", seed, ref, out)
+			if d := firstDiff(want, gotNoStep); d != "" {
+				t.Fatalf("%s seed %d, no step hook: schedules differ: %s", name, seed, d)
+			}
+		}
+	}
+	for _, name := range []string{"spawn", "wake-on-unlock", "yield", "blocking join", "blocking lock", "exit"} {
+		if reached[name] == 0 {
+			t.Errorf("the sweep never reached a %s while the grant held a decision to drop", name)
+		}
+	}
+}
+
+func scheduleRecorder(into *[]hookEvent) func(from, to int, clock int64) {
+	return func(from, to int, clock int64) {
+		*into = append(*into, hookEvent{kind: 'c', tid: from, id: to, clock: clock})
 	}
 }
 
