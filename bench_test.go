@@ -1,21 +1,15 @@
-// Package repro's root benchmark harness regenerates every table and
-// figure of the paper's evaluation as testing.B benchmarks:
+// Package repro's root benchmarks are the measurements gist-bench does
+// not make. The paper's tables and figures have one door,
+// `go run ./cmd/gist-bench -exp all`; these sit beside it:
 //
-//	BenchmarkTable1                — Table 1 (slice/sketch sizes, recurrences, overhead)
-//	BenchmarkFigSketches           — Figs. 1, 7, 8 (the rendered sketches)
-//	BenchmarkFig9Accuracy          — Fig. 9 (relevance/ordering/overall accuracy)
-//	BenchmarkFig10Contribution     — Fig. 10 (technique contribution ablation)
-//	BenchmarkFig11OverheadVsSlice  — Fig. 11 (overhead vs. tracked slice size)
-//	BenchmarkFig12SigmaTradeoff    — Fig. 12 (initial σ vs. accuracy and latency)
-//	BenchmarkFig13FullTracing      — Fig. 13 (record/replay vs. Intel PT)
-//	BenchmarkOverheadBreakdown     — §5.3 (control-flow vs. data-flow overhead at σ=2)
-//	BenchmarkPTSoftwareVsHardware  — §4 (hardware PT vs. PIN-style software tracing)
-//	BenchmarkAblation*             — design-choice ablations called out in DESIGN.md
+//	BenchmarkAblation*         — design-choice ablations called out in DESIGN.md
+//	BenchmarkSingleDiagnosis   — one complete pbzip2 diagnosis, end to end
+//	BenchmarkFleetScaling      — the same diagnosis at fleet widths 1, 2, 4, 8
 //
-// Each benchmark prints the regenerated rows/series once and reports its
-// headline numbers as custom benchmark metrics. Run with:
+// Each ablation prints its comparison once and reports its headline
+// numbers as custom benchmark metrics. Run with:
 //
-//	go test -bench=. -benchmem .
+//	go test -run '^$' -bench . .
 package repro_test
 
 import (
@@ -36,140 +30,6 @@ var printOnce sync.Map
 func printTable(key, text string) {
 	if _, dup := printOnce.LoadOrStore(key, true); !dup {
 		fmt.Printf("\n%s\n", text)
-	}
-}
-
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table1(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("table1", experiments.RenderTable1(rows))
-		var rec, ov []float64
-		for _, r := range rows {
-			rec = append(rec, float64(r.Recurrences))
-			ov = append(ov, r.AvgOverheadPct)
-		}
-		b.ReportMetric(stats.Mean(rec), "recurrences/bug")
-		b.ReportMetric(stats.Mean(ov), "overhead-%")
-	}
-}
-
-func BenchmarkFigSketches(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		figs, err := experiments.SketchFigures()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, name := range []string{"pbzip2", "curl", "apache-3"} {
-			printTable("sketch-"+name, figs[name])
-		}
-	}
-}
-
-func BenchmarkFig9Accuracy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig9(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("fig9", experiments.RenderFig9(rows))
-		rel, ord, overall := experiments.Fig9Averages(rows)
-		b.ReportMetric(rel, "relevance-%")
-		b.ReportMetric(ord, "ordering-%")
-		b.ReportMetric(overall, "overall-%")
-	}
-}
-
-func BenchmarkFig10Contribution(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig10(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("fig10", experiments.RenderFig10(rows))
-		var st, df []float64
-		for _, r := range rows {
-			st = append(st, r.StaticOnly)
-			df = append(df, r.PlusDF)
-		}
-		b.ReportMetric(stats.Mean(st), "static-%")
-		b.ReportMetric(stats.Mean(df), "full-%")
-	}
-}
-
-func BenchmarkFig11OverheadVsSlice(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		points, err := experiments.Fig11(nil, nil, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("fig11", experiments.RenderFig11(points))
-		b.ReportMetric(points[0].AvgOverheadPct, "sigma2-overhead-%")
-		b.ReportMetric(points[len(points)-1].AvgOverheadPct, "max-overhead-%")
-	}
-}
-
-func BenchmarkFig12SigmaTradeoff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig12(nil, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("fig12", experiments.RenderFig12(rows))
-		b.ReportMetric(rows[0].AvgLatency, "sigma2-recurrences")
-		b.ReportMetric(rows[len(rows)-1].AvgLatency, "sigma32-recurrences")
-	}
-}
-
-func BenchmarkFig13FullTracing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig13(nil, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("fig13", experiments.RenderFig13(rows))
-		var pt, rr []float64
-		for _, r := range rows {
-			pt = append(pt, r.IntelPTPct)
-			rr = append(rr, r.MozillaRRPct)
-		}
-		b.ReportMetric(stats.Mean(pt), "intel-pt-%")
-		b.ReportMetric(stats.Mean(rr), "record-replay-%")
-	}
-}
-
-func BenchmarkOverheadBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Breakdown(nil, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("breakdown", experiments.RenderBreakdown(rows))
-		var cf, df, full []float64
-		for _, r := range rows {
-			cf = append(cf, r.CFOnlyPct)
-			df = append(df, r.DFOnlyPct)
-			full = append(full, r.FullPct)
-		}
-		b.ReportMetric(stats.Mean(cf), "ctrl-flow-%")
-		b.ReportMetric(stats.Mean(df), "data-flow-%")
-		b.ReportMetric(stats.Mean(full), "full-%")
-	}
-}
-
-func BenchmarkPTSoftwareVsHardware(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.SoftwarePT(nil, 6)
-		printTable("swpt", experiments.RenderSWPT(rows))
-		var hw, sw []float64
-		for _, r := range rows {
-			hw = append(hw, r.HardwarePct)
-			sw = append(sw, r.SoftwarePct)
-		}
-		b.ReportMetric(stats.Mean(hw), "hardware-%")
-		b.ReportMetric(stats.Mean(sw), "software-%")
 	}
 }
 

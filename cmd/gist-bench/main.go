@@ -1,6 +1,7 @@
 // Command gist-bench regenerates the paper's evaluation: every table and
 // figure of §5 (plus the §4 and §5.3 in-text measurements) against the
-// 11-bug suite.
+// 12-bug suite. Suite sweeps fan out across GOMAXPROCS goroutines; the
+// tables are byte-identical at any width (GOMAXPROCS=1 runs serially).
 //
 // Usage:
 //
@@ -13,11 +14,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	"repro/internal/bugs"
 	"repro/internal/experiments"
-	"repro/internal/telemetry"
 )
 
 // params is what the experiments read from the command line.
@@ -124,24 +125,35 @@ func selected(name string) ([]experiment, error) {
 	return nil, fmt.Errorf("unknown experiment %q (valid: %s)", name, expNames())
 }
 
+// parseBugs resolves -bugs' comma-separated names. Every name must be a
+// bug of the suite: a typo would otherwise shrink the evaluation silently.
+func parseBugs(list string) ([]*bugs.Bug, error) {
+	var suite []*bugs.Bug
+	var unknown []string
+	for _, name := range strings.Split(list, ",") {
+		if b := bugs.ByName(name); b != nil {
+			suite = append(suite, b)
+		} else {
+			unknown = append(unknown, strconv.Quote(name))
+		}
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("-bugs: unknown bug %s (`gist list` prints the suite)", strings.Join(unknown, ", "))
+	}
+	return suite, nil
+}
+
 func main() {
 	var (
 		exp     = flag.String("exp", "all", "experiment: "+expNames())
 		bugList = flag.String("bugs", "", "comma-separated bug subset (default: all 12)")
 		runs    = flag.Int("runs", 0, "runs per measurement point (0 = experiment default)")
-		workers = flag.Int("workers", 0, "fan-out width for suite sweeps and the fleet inside each diagnosis (0 = GOMAXPROCS); results are byte-identical for any value")
-
-		traceOut    = flag.String("trace-out", "", "write a JSONL phase-span event log to this file")
-		metricsJSON = flag.String("metrics-json", "", "write a metrics snapshot to this file on exit")
 	)
 	flag.Parse()
 
 	fatalf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "gist-bench: "+format+"\n", args...)
 		os.Exit(2)
-	}
-	if *workers < 0 {
-		fatalf("-workers %d is negative (0 means GOMAXPROCS)", *workers)
 	}
 	if *runs < 0 {
 		fatalf("-runs %d is negative (0 means experiment default)", *runs)
@@ -152,38 +164,9 @@ func main() {
 	}
 	p := params{suite: bugs.All(), subset: *bugList != "", runs: *runs}
 	if p.subset {
-		p.suite = experiments.Suite(strings.Split(*bugList, ",")...)
-		if len(p.suite) == 0 {
-			fatalf("no known bugs in %q", *bugList)
-		}
-	}
-
-	experiments.Workers = *workers
-
-	// Telemetry observes the experiments; results are byte-identical
-	// with or without it.
-	var tel *telemetry.Tracer
-	if *traceOut != "" {
-		t, closeTrace, err := telemetry.OpenTrace(*traceOut)
-		if err != nil {
+		if p.suite, err = parseBugs(*bugList); err != nil {
 			fatalf("%v", err)
 		}
-		tel = t
-		defer func() {
-			if err := closeTrace(); err != nil {
-				fmt.Fprintf(os.Stderr, "gist-bench: trace-out: %v\n", err)
-			}
-		}()
-	} else if *metricsJSON != "" {
-		tel = telemetry.New()
-	}
-	experiments.Telemetry = tel
-	if *metricsJSON != "" {
-		defer func() {
-			if err := tel.WriteMetricsJSON(*metricsJSON); err != nil {
-				fmt.Fprintf(os.Stderr, "gist-bench: metrics-json: %v\n", err)
-			}
-		}()
 	}
 
 	for _, e := range todo {

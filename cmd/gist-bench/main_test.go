@@ -30,3 +30,39 @@ func TestSelectedExperiments(t *testing.T) {
 		}
 	}
 }
+
+func TestParseBugs(t *testing.T) {
+	for _, c := range []struct {
+		list    string
+		want    []string // bug names, in order; nil = rejected
+		unknown []string // quoted names the error must carry
+	}{
+		{"pbzip2", []string{"pbzip2"}, nil},
+		{"pbzip2,apache-3", []string{"pbzip2", "apache-3"}, nil},
+		{"nope", nil, []string{`"nope"`}},
+		{"pbzip2,nope", nil, []string{`"nope"`}},
+		{"nope,curl,bogus", nil, []string{`"nope"`, `"bogus"`}},
+		{"pbzip2,", nil, []string{`""`}},
+	} {
+		suite, err := parseBugs(c.list)
+		var got []string
+		for _, b := range suite {
+			got = append(got, b.Name)
+		}
+		if strings.Join(got, ",") != strings.Join(c.want, ",") || (err == nil) != (c.want != nil) {
+			t.Errorf("parseBugs(%q) = %v, %v; want %v", c.list, got, err, c.want)
+			continue
+		}
+		if err == nil {
+			continue
+		}
+		for _, name := range c.unknown {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("parseBugs(%q) error does not name %s: %v", c.list, name, err)
+			}
+		}
+		if !strings.Contains(err.Error(), "gist list") {
+			t.Errorf("parseBugs(%q) error does not point at gist list: %v", c.list, err)
+		}
+	}
+}

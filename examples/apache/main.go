@@ -1,7 +1,6 @@
 // Apache: reproduce Fig. 8 of the paper — the failure sketch of Apache
 // bug #21287, a double free caused by a non-atomic decrement-check-free
-// triplet on a cache object's reference count — and contrast Gist's
-// always-on cost with the full-tracing alternatives of Fig. 13.
+// triplet on a cache object's reference count.
 //
 // Run with: go run ./examples/apache
 package main
@@ -12,13 +11,15 @@ import (
 
 	"repro/internal/bugs"
 	"repro/internal/core"
-	"repro/internal/experiments"
 )
 
 func main() {
 	bug := bugs.ByName("apache-3")
 
-	res, err := experiments.Diagnose(bug, core.AllFeatures(), 0)
+	cfg := bug.GistConfig()
+	cfg.StopWhen = bugs.DeveloperOracle(bug)
+
+	res, err := core.Run(cfg)
 	if err != nil {
 		log.Fatalf("gist: %v", err)
 	}
@@ -27,17 +28,9 @@ func main() {
 	fmt.Printf("Gist slice tracking: %.2f%% average client overhead, %d failure recurrences\n\n",
 		res.AvgOverheadPct, res.FailureRecurrences)
 
-	// The Fig. 13 framing: what full tracing would have cost instead.
-	rows, err := experiments.Fig13([]*bugs.Bug{bug}, 6)
-	if err != nil {
-		log.Fatalf("fig13: %v", err)
-	}
-	r := rows[0]
-	fmt.Println("Full-tracing alternatives on the same program:")
-	fmt.Printf("  Intel PT, whole program:       %7.2f%%\n", r.IntelPTPct)
-	fmt.Printf("  record/replay (rr-style):      %7.1f%%  (%.0fx Intel PT)\n", r.MozillaRRPct, r.Ratio)
-	if res.AvgOverheadPct > 0 {
-		fmt.Printf("  record/replay vs Gist:         %7.0fx\n", r.MozillaRRPct/res.AvgOverheadPct)
-	}
+	// The Fig. 13 framing, what full tracing would have cost instead, is
+	// part of the paper's evaluation.
+	fmt.Println("Full-tracing alternatives on the same program (Fig. 13):")
+	fmt.Println("  go run ./cmd/gist-bench -exp fig13 -bugs apache-3")
 	fmt.Printf("\nFix: %s\n", bug.Fix)
 }

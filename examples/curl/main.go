@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/bugs"
 	"repro/internal/core"
-	"repro/internal/experiments"
 )
 
 func main() {
@@ -28,7 +27,10 @@ func main() {
 	}
 	fmt.Println()
 
-	res, err := experiments.Diagnose(bug, core.AllFeatures(), 0)
+	cfg := bug.GistConfig()
+	cfg.StopWhen = bugs.DeveloperOracle(bug)
+
+	res, err := core.Run(cfg)
 	if err != nil {
 		log.Fatalf("gist: %v", err)
 	}

@@ -138,7 +138,7 @@ func TestEachBugHasBothOutcomes(t *testing.T) {
 	}
 }
 
-// TestGistDiagnosesEveryBug runs the full pipeline on all 11 bugs and
+// TestGistDiagnosesEveryBug runs the full pipeline on all 12 bugs and
 // checks the §5 claims in miniature: a sketch is produced, it ends at the
 // failure, it covers the ideal sketch's lines, and the accuracy against
 // the hand-written ideal is high.

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bugs"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/faults"
 )
 
@@ -37,7 +36,7 @@ func TestEngineDifferential(t *testing.T) {
 				cfg.Features = core.AllFeatures()
 				cfg.StopWhen = bugs.DeveloperOracle(b)
 				if rate > 0 {
-					cfg.Faults = faults.Composite(experiments.ChaosSeed, rate)
+					cfg.Faults = faults.Composite(faults.ChaosSeed, rate)
 				}
 				cfg.Workers = 1
 				ref := diagnose(cfg.OnInterp(), rate)

@@ -75,13 +75,6 @@ type Config struct {
 	// may consume across runs, so a hang-class bug with an unlucky seed
 	// cannot burn the whole MaxDiscoveryRuns budget; 0 means unlimited.
 	DiscoveryStepBudget int64
-	// DiscoveryProgress, when set, is called every
-	// DiscoveryProgressEvery runs with the runs and steps consumed so
-	// far — the deployment's liveness signal during discovery.
-	DiscoveryProgress func(runs int, steps int64)
-	// DiscoveryProgressEvery is the progress-report period in runs; 0
-	// means 256.
-	DiscoveryProgressEvery int
 
 	// Faults configures the fault-injected fleet; the zero value keeps
 	// every endpoint perfectly reliable (byte-identical to the
@@ -185,9 +178,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxDiscoveryRuns == 0 {
 		c.MaxDiscoveryRuns = 4000
 	}
-	if c.DiscoveryProgressEvery == 0 {
-		c.DiscoveryProgressEvery = 256
-	}
 	if c.MinQuorum == 0 {
 		c.MinQuorum = 3
 	}
@@ -254,8 +244,8 @@ func (c Config) workloadFor(k int) vm.Workload {
 // deployment would ship) and how many runs it took. A positive
 // RunDeadlineSteps caps each run's steps (a hung run trips the VM's
 // hang fault at the deadline instead of burning the whole MaxSteps
-// allowance), DiscoveryStepBudget bounds the total steps across runs,
-// and DiscoveryProgress reports liveness while the search spins.
+// allowance), and DiscoveryStepBudget bounds the total steps across
+// runs.
 //
 // Runs execute on the fleet's worker pool (Config.Workers) in
 // speculative chunks; outcomes are consumed in seed order, so the
@@ -293,9 +283,6 @@ func FirstFailure(cfg Config) (*vm.FailureReport, int, error) {
 			totalSteps += out.Steps
 			if out.Failed {
 				return out.Report, i + 1, nil
-			}
-			if cfg.DiscoveryProgress != nil && (i+1)%cfg.DiscoveryProgressEvery == 0 {
-				cfg.DiscoveryProgress(i+1, totalSteps)
 			}
 			if cfg.DiscoveryStepBudget > 0 && totalSteps >= cfg.DiscoveryStepBudget {
 				return nil, i + 1, fmt.Errorf("gist: discovery step budget %d exhausted after %d runs", cfg.DiscoveryStepBudget, i+1)

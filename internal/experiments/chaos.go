@@ -13,10 +13,6 @@ import (
 // under increasing composite fault rates and reports what happens to
 // sketch accuracy and recurrence latency.
 
-// ChaosSeed is the fixed injector seed the sweep (and the regression
-// test) uses, so the chaos table is deterministic run to run.
-const ChaosSeed = 20151005
-
 // ChaosRates are the default composite fault rates swept (0–30%).
 var ChaosRates = []float64{0, 0.05, 0.10, 0.20, 0.30}
 
@@ -46,8 +42,6 @@ type ChaosRow struct {
 func DiagnoseFaulty(b *bugs.Bug, rate float64, seed int64) (*core.Result, error) {
 	cfg := b.GistConfig()
 	cfg.Features = core.AllFeatures()
-	cfg.Workers = Workers
-	cfg.Telemetry = Telemetry
 	cfg.StopWhen = bugs.DeveloperOracle(b)
 	cfg.Faults = faults.Composite(seed, rate)
 	return core.Run(cfg)
@@ -72,7 +66,7 @@ func Chaos(suite []*bugs.Bug, rates []float64) []ChaosRow {
 	for _, rate := range rates {
 		batch, _ := forEachBug(suite, func(b *bugs.Bug) (ChaosRow, error) {
 			row := ChaosRow{Bug: b.Name, Rate: rate}
-			res, err := DiagnoseFaulty(b, rate, ChaosSeed)
+			res, err := DiagnoseFaulty(b, rate, faults.ChaosSeed)
 			row.Err = err != nil
 			if res != nil {
 				row.Recurrences = res.FailureRecurrences

@@ -100,7 +100,7 @@ func tracedFingerprint(t *testing.T, name string, rate float64, workers int, tel
 	cfg.Telemetry = tel
 	cfg.StopWhen = bugs.DeveloperOracle(b)
 	if rate > 0 {
-		cfg.Faults = faults.Composite(ChaosSeed, rate)
+		cfg.Faults = faults.Composite(faults.ChaosSeed, rate)
 	}
 	res, err := core.Run(cfg)
 	if err != nil {

@@ -28,89 +28,41 @@ import (
 	"repro/internal/cost"
 	"repro/internal/hw/pt"
 	"repro/internal/ir"
-	"repro/internal/replay"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 	"repro/internal/vm"
+	"repro/internal/vm/bytecode"
 )
 
-// Workers is the fan-out width of the per-bug experiment drivers and
-// the fleet width handed to every diagnosis they launch
-// (core.Config.Workers). 0 means GOMAXPROCS. gist-bench's -workers
-// flag sets it; diagnoses are byte-identical for any value, so the
-// knob trades only wall-clock time.
-var Workers int
-
-// Telemetry, when set (gist-bench's -trace-out/-metrics-json flags),
-// receives phase spans and counters from every diagnosis the experiment
-// drivers launch. Results are byte-identical with it nil or set.
-var Telemetry *telemetry.Tracer
-
-func experimentWorkers() int {
-	if Workers > 0 {
-		return Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// fanOut evaluates f(0..n-1) on up to `workers` goroutines, results in
-// index order — the experiments-side twin of core's fleet pool, used to
-// spread suite sweeps across bugs.
-func fanOut[T any](n, workers int, f func(int) T) []T {
-	out := make([]T, n)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			out[i] = f(i)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = f(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// forEachBug evaluates fn on every bug of the suite concurrently while
+// forEachBug evaluates fn on every bug of the suite on up to GOMAXPROCS
+// goroutines — the experiments-side twin of core's fleet pool — while
 // keeping results in suite order. Error semantics match the historical
 // serial drivers: the rows of every bug before the first failing one
 // (in suite order) are returned together with that bug's error.
 func forEachBug[T any](suite []*bugs.Bug, fn func(*bugs.Bug) (T, error)) ([]T, error) {
-	type outcome struct {
-		row T
-		err error
+	rows := make([]T, len(suite))
+	errs := make([]error, len(suite))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(suite)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(suite); i = int(next.Add(1)) - 1 {
+				rows[i], errs[i] = fn(suite[i])
+			}
+		}()
 	}
-	results := fanOut(len(suite), experimentWorkers(), func(i int) outcome {
-		row, err := fn(suite[i])
-		return outcome{row, err}
-	})
-	rows := make([]T, 0, len(suite))
-	for _, r := range results {
-		if r.err != nil {
-			return rows, r.err
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return rows[:i], err
 		}
-		rows = append(rows, r.row)
 	}
 	return rows, nil
 }
 
-// Suite returns the bugs to evaluate: all 11 by default, or the named
-// subset.
+// Suite returns the bugs to evaluate: all 12 by default, or the named
+// subset (unknown names are skipped).
 func Suite(names ...string) []*bugs.Bug {
 	if len(names) == 0 {
 		return bugs.All()
@@ -131,10 +83,46 @@ func Diagnose(b *bugs.Bug, feats core.Features, sigma0 int) (*core.Result, error
 	cfg := b.GistConfig()
 	cfg.Features = feats
 	cfg.Sigma0 = sigma0
-	cfg.Workers = Workers
-	cfg.Telemetry = Telemetry
 	cfg.StopWhen = bugs.DeveloperOracle(b)
 	return core.Run(cfg)
+}
+
+// measureRun is run k of a measurement series whose seeds start at
+// seedBase, under the bug's own diagnosis config: its preemption mean
+// and its k-th workload, with a 300 000-step cap.
+func measureRun(b *bugs.Bug, seedBase int64, k int) vm.Config {
+	gcfg := b.GistConfig()
+	pm := gcfg.PreemptMean
+	if pm == 0 {
+		pm = 3 // core.Config's default
+	}
+	var wl vm.Workload
+	if n := len(gcfg.WorkloadPool); n > 0 {
+		wl = gcfg.WorkloadPool[k%n]
+	}
+	return vm.Config{Seed: seedBase + int64(k), PreemptMean: pm, MaxSteps: 300_000, Workload: wl}
+}
+
+// planOverhead is the mean client overhead of `runs` instrumented runs
+// (seeds from seedBase) tracking the first `window` statements of the
+// bug's slice with feats.
+func planOverhead(b *bugs.Bug, window int, feats core.Features, seedBase int64, runs int) (float64, error) {
+	report, _, err := core.FirstFailure(b.GistConfig())
+	if err != nil {
+		return 0, err
+	}
+	sl := analysis.Slice(b.Program(), report.InstrID)
+	plan := core.BuildPlan(analysis.Graph(b.Program()), sl.Window(window), feats)
+	var ovs []float64
+	for k := 0; k < runs; k++ {
+		rc := measureRun(b, seedBase, k)
+		rt := core.RunInstrumented(plan, core.RunSpec{
+			EndpointID: k, Seed: rc.Seed, Workload: rc.Workload,
+			PreemptMean: rc.PreemptMean, MaxSteps: rc.MaxSteps,
+		})
+		ovs = append(ovs, rt.Meter.OverheadPct())
+	}
+	return stats.Mean(ovs), nil
 }
 
 // ------------------------------------------------------------- Table 1
@@ -187,8 +175,6 @@ func table1Row(b *bugs.Bug) (Table1Row, error) {
 		BugID: b.BugID, RealLOC: b.RealLOC,
 	}
 	gcfg := b.GistConfig()
-	gcfg.Workers = Workers
-	gcfg.Telemetry = Telemetry
 
 	// Offline analysis: what the Gist server does before instrumenting.
 	// The artifacts are memoized process-wide, so the first diagnosis of
@@ -338,7 +324,7 @@ func Fig11(suite []*bugs.Bug, sizes []int, runsPerPoint int) ([]Fig11Point, erro
 	for _, size := range sizes {
 		pt := Fig11Point{SliceSize: size, PerBug: make(map[string]float64)}
 		ovs, err := forEachBug(suite, func(b *bugs.Bug) (float64, error) {
-			ov, err := windowOverhead(b, size, runsPerPoint)
+			ov, err := planOverhead(b, size, core.AllFeatures(), 10_000, runsPerPoint)
 			if err != nil {
 				return 0, fmt.Errorf("%s size %d: %w", b.Name, size, err)
 			}
@@ -354,45 +340,6 @@ func Fig11(suite []*bugs.Bug, sizes []int, runsPerPoint int) ([]Fig11Point, erro
 		points = append(points, pt)
 	}
 	return points, nil
-}
-
-// windowOverhead measures mean client overhead when tracking the first
-// `size` statements of the bug's slice.
-func windowOverhead(b *bugs.Bug, size, runs int) (float64, error) {
-	gcfg := b.GistConfig()
-	gcfg.Workers = Workers
-	gcfg.Telemetry = Telemetry
-	report, _, err := core.FirstFailure(gcfg)
-	if err != nil {
-		return 0, err
-	}
-	g := analysis.Graph(b.Program())
-	sl := analysis.Slice(b.Program(), report.InstrID)
-	plan := core.BuildPlan(g, sl.Window(size), core.AllFeatures())
-	var ovs []float64
-	pm := b.PreemptMean
-	if pm == 0 {
-		pm = 3
-	}
-	for seed := int64(0); seed < int64(runs); seed++ {
-		spec := core.RunSpec{
-			EndpointID:  int(seed),
-			Seed:        10_000 + seed,
-			Workload:    workloadFor(b, int(seed)),
-			PreemptMean: pm,
-			MaxSteps:    300_000,
-		}
-		rt := core.RunInstrumented(plan, spec)
-		ovs = append(ovs, rt.Meter.OverheadPct())
-	}
-	return stats.Mean(ovs), nil
-}
-
-func workloadFor(b *bugs.Bug, k int) vm.Workload {
-	if len(b.Workloads) == 0 {
-		return vm.Workload{}
-	}
-	return b.Workloads[k%len(b.Workloads)]
 }
 
 // ------------------------------------------------------------- Fig 12
@@ -501,15 +448,12 @@ func SoftwarePT(suite []*bugs.Bug, runsPerBug int) []SWPTRow {
 // traced from its first instruction to its last.
 func fullPTOverhead(b *bugs.Bug, runs int, mode pt.Mode) float64 {
 	bp, _ := analysis.Bytecode(b.Program())
-	pm := b.PreemptMean
-	if pm == 0 {
-		pm = 3
-	}
 	var ovs []float64
-	for seed := int64(0); seed < int64(runs); seed++ {
+	for k := 0; k < runs; k++ {
 		meter := &cost.Meter{}
 		tr := pt.NewTracer(pt.Config{Mode: mode}, meter)
-		hooks := vm.Hooks{
+		rc := measureRun(b, 20_000, k)
+		rc.Hooks = vm.Hooks{
 			OnStep: func(t *vm.Thread, in *ir.Instr, clock int64) {
 				meter.AddInstr(1)
 				if !tr.Enabled(t.ID) {
@@ -526,10 +470,7 @@ func fullPTOverhead(b *bugs.Bug, runs int, mode pt.Mode) float64 {
 				}
 			},
 		}
-		bp.Run(vm.Config{
-			Seed: 20_000 + seed, PreemptMean: pm, MaxSteps: 300_000,
-			Workload: workloadFor(b, int(seed)), Hooks: hooks,
-		})
+		bp.Run(rc)
 		ovs = append(ovs, meter.OverheadPct())
 	}
 	return stats.Mean(ovs)
@@ -537,19 +478,39 @@ func fullPTOverhead(b *bugs.Bug, runs int, mode pt.Mode) float64 {
 
 // rrOverhead measures full-program record/replay recording overhead.
 func rrOverhead(b *bugs.Bug, runs int) float64 {
-	prog := b.Program()
-	pm := b.PreemptMean
-	if pm == 0 {
-		pm = 3
-	}
 	var ovs []float64
-	for seed := int64(0); seed < int64(runs); seed++ {
-		ovs = append(ovs, replay.OverheadPct(prog, vm.Config{
-			Seed: 20_000 + seed, PreemptMean: pm, MaxSteps: 300_000,
-			Workload: workloadFor(b, int(seed)),
-		}))
+	for k := 0; k < runs; k++ {
+		ovs = append(ovs, rrRecord(b.Program(), measureRun(b, 20_000, k)).OverheadPct())
 	}
 	return stats.Mean(ovs)
+}
+
+// rrRecord is the cost of recording one run of prog with Mozilla rr,
+// the Fig. 13 baseline. Every event a replay would need is logged at
+// cost.RREventMC: each shared load and store, each scheduling decision
+// and each thread creation. And since rr runs the whole program on one
+// core, every instruction retired while another thread is runnable
+// pays cost.RRSerializeMC for the lost parallelism. Fig. 13 reads only
+// this cost, so no log is kept.
+func rrRecord(prog *ir.Program, cfg vm.Config) *cost.Meter {
+	meter := &cost.Meter{}
+	event := func() { meter.AddExtra(cost.RREventMC) }
+	bp, _ := analysis.Bytecode(prog)
+	machine := bytecode.NewMachine(bp)
+	cfg.Hooks = vm.Hooks{
+		OnStep: func(*vm.Thread, *ir.Instr, int64) {
+			meter.AddInstr(1)
+			if machine.RunnableThreads() > 1 {
+				meter.AddExtra(cost.RRSerializeMC)
+			}
+		},
+		OnLoad:     func(*vm.Thread, *ir.Instr, int64, int64, int64, int64) { event() },
+		OnStore:    func(*vm.Thread, *ir.Instr, int64, int64, int64, int64) { event() },
+		OnSchedule: func(int, int, int64) { event() },
+		OnSpawn:    func(int, int, *ir.Func, int64) { event() },
+	}
+	machine.Run(cfg)
+	return meter
 }
 
 // ------------------------------------------------------------- §5.3
@@ -582,39 +543,13 @@ func Breakdown(suite []*bugs.Bug, runsPerBug int) ([]BreakdownRow, error) {
 			{core.Features{Static: true, DataFlow: true}, &row.DFOnlyPct},
 			{core.AllFeatures(), &row.FullPct},
 		} {
-			*c.dst, err = featureOverhead(b, c.feats, runsPerBug)
+			*c.dst, err = planOverhead(b, 2, c.feats, 30_000, runsPerBug)
 			if err != nil {
 				return row, fmt.Errorf("%s: %w", b.Name, err)
 			}
 		}
 		return row, nil
 	})
-}
-
-func featureOverhead(b *bugs.Bug, feats core.Features, runs int) (float64, error) {
-	gcfg := b.GistConfig()
-	gcfg.Workers = Workers
-	gcfg.Telemetry = Telemetry
-	report, _, err := core.FirstFailure(gcfg)
-	if err != nil {
-		return 0, err
-	}
-	g := analysis.Graph(b.Program())
-	sl := analysis.Slice(b.Program(), report.InstrID)
-	plan := core.BuildPlan(g, sl.Window(2), feats)
-	pm := b.PreemptMean
-	if pm == 0 {
-		pm = 3
-	}
-	var ovs []float64
-	for seed := int64(0); seed < int64(runs); seed++ {
-		rt := core.RunInstrumented(plan, core.RunSpec{
-			EndpointID: int(seed), Seed: 30_000 + seed,
-			Workload: workloadFor(b, int(seed)), PreemptMean: pm, MaxSteps: 300_000,
-		})
-		ovs = append(ovs, rt.Meter.OverheadPct())
-	}
-	return stats.Mean(ovs), nil
 }
 
 // ------------------------------------------------------------- §6

@@ -4,13 +4,17 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/bugs"
 	"repro/internal/core"
+	"repro/internal/cost"
+	"repro/internal/ir"
+	"repro/internal/vm"
 )
 
 // fastSuite is a 3-bug subset (one concurrency UAF, one sequential, one
-// atomicity violation) that keeps the unit tests quick; the full 11-bug
-// sweep runs in the benchmark harness.
+// atomicity violation) that keeps the unit tests quick; the full 12-bug
+// sweep is gist-bench's.
 func fastSuite() []*bugs.Bug { return Suite("pbzip2", "curl", "apache-1") }
 
 func TestSuiteSelection(t *testing.T) {
@@ -156,6 +160,82 @@ func TestFig13ShapeHolds(t *testing.T) {
 	}
 	if out := RenderFig13(rows); !strings.Contains(out, "record/replay") {
 		t.Error("render header missing")
+	}
+}
+
+// TestRRRecordMeter pins the Fig. 13 rr cost model charge for charge:
+// each logged event costs RREventMC, each instruction retired while
+// another thread is runnable costs RRSerializeMC, and nothing else is
+// charged beyond the base instruction cost.
+func TestRRRecordMeter(t *testing.T) {
+	// steps and events are what rrRecord must charge for: a plain run of
+	// prog under cfg counting the steps and the loggable hook events.
+	count := func(prog *ir.Program, cfg vm.Config) (steps, events int64) {
+		event := func() { events++ }
+		cfg.Hooks = vm.Hooks{
+			OnLoad:     func(*vm.Thread, *ir.Instr, int64, int64, int64, int64) { event() },
+			OnStore:    func(*vm.Thread, *ir.Instr, int64, int64, int64, int64) { event() },
+			OnSchedule: func(int, int, int64) { event() },
+			OnSpawn:    func(int, int, *ir.Func, int64) { event() },
+		}
+		bp, _ := analysis.Bytecode(prog)
+		out, _ := bp.Run(cfg)
+		return out.Steps, events
+	}
+
+	// One thread, one shared store and one shared load: the loop's stack
+	// traffic is not logged and nothing is serialized.
+	single := ir.MustCompile("single.mc", `
+global int g;
+int main() {
+	int local = 0;
+	for (int i = 0; i < 50; i++) { local = local + i; }
+	g = local;
+	return g;
+}`)
+	cfg := vm.Config{Seed: 1}
+	steps, events := count(single, cfg)
+	if events != 2 {
+		t.Fatalf("single-thread program logged %d events, want 2", events)
+	}
+	base, extra := rrRecord(single, cfg).MC()
+	if base != steps*cost.InstrMC || extra != 2*cost.RREventMC {
+		t.Errorf("single thread: base %d extra %d mc, want %d and exactly 2 events (%d)",
+			base, extra, steps*cost.InstrMC, 2*cost.RREventMC)
+	}
+
+	// Two racing workers: serialization is charged on top of the events,
+	// in whole instructions.
+	racy := ir.MustCompile("racy.mc", `
+global int m = 0;
+global int counter = 0;
+void worker(int n) {
+	for (int i = 0; i < n; i++) {
+		lock(&m);
+		counter = counter + 1;
+		unlock(&m);
+	}
+}
+int main() {
+	int t1 = spawn(worker, 10);
+	int t2 = spawn(worker, 10);
+	join(t1);
+	join(t2);
+	return counter;
+}`)
+	for seed := int64(0); seed < 10; seed++ {
+		cfg := vm.Config{Seed: seed, PreemptMean: 2}
+		steps, events := count(racy, cfg)
+		m := rrRecord(racy, cfg)
+		base, extra := m.MC()
+		serialized := extra - events*cost.RREventMC
+		if base != steps*cost.InstrMC || serialized <= 0 || serialized%cost.RRSerializeMC != 0 {
+			t.Errorf("seed %d: base %d extra %d mc over %d steps and %d events: serialization %d mc, want > 0 in units of %d",
+				seed, base, extra, steps, events, serialized, cost.RRSerializeMC)
+		}
+		if again := rrRecord(racy, cfg); *again != *m {
+			t.Errorf("seed %d: same seed, different meters: %+v vs %+v", seed, *m, *again)
+		}
 	}
 }
 

@@ -153,6 +153,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// ChaosSeed is the fixed injector seed of the chaos sweep and of the
+// tests that inject faults, so their tables and fingerprints are
+// deterministic run to run.
+const ChaosSeed = 20151005
+
 // Composite returns a Config that spreads one composite fault rate
 // across every fault class: rate is the probability that a run is hit
 // by at least roughly one fault, split evenly so no single class

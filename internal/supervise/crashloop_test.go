@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/bugs"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/store"
 	"repro/internal/supervise"
@@ -37,7 +36,7 @@ func crashloopCell(t *testing.T, cell string, cfg core.Config, diskRate float64,
 	var row crashloopRow
 	var dinj *faults.Injector
 	if diskRate > 0 {
-		dinj = faults.NewInjector(faults.Disk(experiments.ChaosSeed, diskRate))
+		dinj = faults.NewInjector(faults.Disk(faults.ChaosSeed, diskRate))
 	}
 	open := func() *store.Store {
 		st, err := store.Open(dir, cfg.Label, store.Options{Faults: dinj})
@@ -65,7 +64,7 @@ func crashloopCell(t *testing.T, cell string, cfg core.Config, diskRate float64,
 	save()
 
 	h := fnv.New64a()
-	fmt.Fprintf(h, "crashloop|%d|%s", int64(experiments.ChaosSeed), cell)
+	fmt.Fprintf(h, "crashloop|%d|%s", int64(faults.ChaosSeed), cell)
 	rng := rand.New(rand.NewSource(int64(h.Sum64())))
 	for {
 		// The first cycle kills after one boundary, so the cell always
@@ -116,7 +115,7 @@ func TestCrashloopResumesByteIdentically(t *testing.T) {
 		cfg.Label = b.Name
 		cfg.StopWhen = bugs.DeveloperOracle(b)
 		if pipeRate > 0 {
-			cfg.Faults = faults.Composite(experiments.ChaosSeed, pipeRate)
+			cfg.Faults = faults.Composite(faults.ChaosSeed, pipeRate)
 		}
 		baseline := fingerprint(core.Run(cfg))
 		for _, diskRate := range []float64{0, 0.9} {

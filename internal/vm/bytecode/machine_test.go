@@ -103,8 +103,9 @@ func TestDifferentialHookStream(t *testing.T) {
 // runBoth runs prog under cfg on the interpreter and on a fresh machine
 // and requires the same outcome, the same hook event stream, and the same
 // memory when the run ends. Every step event also carries the engine's
-// RunnableThreads() at that instant: replay.Record reads it from inside
-// OnStep on the bytecode machine. The hooks see shared memory only, so
+// RunnableThreads() at that instant: the Fig. 13 rr cost model in
+// internal/experiments reads it from inside OnStep on the bytecode
+// machine. The hooks see shared memory only, so
 // what the threads did to their stacks is witnessed by comparing the
 // bytes: every thread's stack region, and the globals.
 func runBoth(t *testing.T, name string, prog *bytecode.Program, cfg vm.Config) *vm.Outcome {
