@@ -95,6 +95,11 @@ func runSubmit(c *submitConfig, stdout, stderr io.Writer) int {
 		if st.State == service.StateDone || st.State == service.StateFailed {
 			break
 		}
+		if st.State == service.StateUnknown || st.State == service.StateDrained {
+			// A restarted server no longer knows the campaign; a drained one
+			// will not finish it before its listener closes.
+			return failf(stderr, 1, "submit: server reports the campaign %s; resubmit after the server restarts", st.State)
+		}
 		select {
 		case <-ctx.Done():
 			return failf(stderr, 1, "submit: interrupted while %s", st.State)

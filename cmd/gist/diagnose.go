@@ -68,7 +68,7 @@ func parseDiagnose(fs *flag.FlagSet, args []string) (*diagnoseConfig, error) {
 
 	fs.StringVar(&c.traceOut, "trace-out", "", "write a JSONL phase-span event log to this file")
 	fs.StringVar(&c.metricsJSON, "metrics-json", "", "write a metrics snapshot (phases, counters, runtime stats) to this file on exit")
-	fs.StringVar(&c.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060) and sample runtime stats periodically")
+	fs.StringVar(&c.pprofAddr, "pprof-addr", "", "serve net/http/pprof (live heap, goroutine and CPU profiles) on this address, e.g. localhost:6060")
 	if err := parseArgs(fs, args); err != nil {
 		return nil, err
 	}
@@ -144,7 +144,7 @@ func runDiagnose(c *diagnoseConfig, stdout, stderr io.Writer) int {
 				say(stderr, "trace-out: %v", err)
 			}
 		}()
-	} else if c.metricsJSON != "" || c.pprofAddr != "" {
+	} else if c.metricsJSON != "" {
 		tel = telemetry.New()
 	}
 	c.cfg.Telemetry = tel
@@ -154,7 +154,6 @@ func runDiagnose(c *diagnoseConfig, stdout, stderr io.Writer) int {
 				say(stderr, "pprof: %v", err)
 			}
 		}()
-		defer tel.StartRuntimeSampler(time.Second)()
 	}
 
 	res, err, code := c.campaign(tel, stderr)
@@ -204,7 +203,7 @@ func (c *diagnoseConfig) campaign(tel *telemetry.Tracer, stderr io.Writer) (*cor
 	var st *store.Store
 	var err error
 	if c.ckptDir != "" {
-		st, err = store.Open(c.ckptDir, c.bug.Name, store.Options{NoFsync: c.noFsync, Telemetry: tel, Label: c.bug.Name})
+		st, err = store.Open(c.ckptDir, c.bug.Name, store.Options{NoFsync: c.noFsync, Telemetry: tel})
 		if err != nil {
 			return nil, nil, failf(stderr, 2, "-checkpoint-dir: %v", err)
 		}

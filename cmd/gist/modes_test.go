@@ -1,9 +1,18 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"flag"
+	"fmt"
+	"io"
+	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +20,7 @@ import (
 	"repro/internal/bugs"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/service"
 )
 
 // mustParse runs one mode's parse half on args.
@@ -145,5 +155,92 @@ func TestCheckpointResumeInProcess(t *testing.T) {
 	code, got, stderr := gist("diagnose", "-bug", "pbzip2", "-full", "-checkpoint-dir", dir, "-resume")
 	if code != 0 || got != want {
 		t.Errorf("resumed run = exit %d, stderr %q; output equals the uninterrupted run's: %v", code, stderr, got == want)
+	}
+}
+
+// TestDiagnoseTelemetry: a checkpointed diagnose with -trace-out and
+// -metrics-json writes one span event per line and a snapshot holding the
+// pipeline's phases and the flat fleet/store counters — and nothing else.
+func TestDiagnoseTelemetry(t *testing.T) {
+	dir := t.TempDir()
+	trace, metrics := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "m.json")
+	code, stdout, stderr := gist("diagnose", "-bug", "deadlock", "-max-iters", "1",
+		"-checkpoint-dir", filepath.Join(dir, "ck"), "-trace-out", trace, "-metrics-json", metrics)
+	m := regexp.MustCompile(`across (\d+) production runs`).FindStringSubmatch(stdout)
+	if code != 0 || m == nil {
+		t.Fatalf("diagnose = exit %d, stderr %q, stdout %.200q", code, stderr, stdout)
+	}
+	totalRuns, _ := strconv.ParseInt(m[1], 10, 64)
+
+	f, err := os.Open(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events := 0
+	for sc := bufio.NewScanner(f); sc.Scan(); events++ {
+		var ev map[string]any
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("trace line %q: %v", sc.Text(), err)
+		}
+		if _, labeled := ev["campaign"]; ev["ev"] != "span" || labeled {
+			t.Errorf("trace line %q: want an unlabeled span event", sc.Text())
+		}
+	}
+	if events == 0 {
+		t.Error("trace has no events")
+	}
+
+	data, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Phases            map[string]json.RawMessage `json:"phases"`
+		Counters          map[string]int64           `json:"counters"`
+		Campaigns, Gauges json.RawMessage
+	}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Campaigns != nil || snap.Gauges != nil {
+		t.Errorf("metrics snapshot has a campaigns or gauges key: %s", data)
+	}
+	for _, ph := range []string{"ticfg_build", "slice", "plan_build", "fleet_collect", "rank", "sketch_render"} {
+		if _, ok := snap.Phases[ph]; !ok {
+			t.Errorf("metrics snapshot lacks phase %s", ph)
+		}
+	}
+	if got := snap.Counters["fleet.dispatched"]; got != totalRuns {
+		t.Errorf("fleet.dispatched = %d, want the run's %d production runs", got, totalRuns)
+	}
+	if snap.Counters["store.saves"] < 1 {
+		t.Errorf("store.saves = %d, want at least 1", snap.Counters["store.saves"])
+	}
+}
+
+// TestSubmitStopsOnLostCampaign: a server that restarted under a submit
+// answers "unknown" for good, and a drained one "drained" until its
+// listener closes; submit gives up with exit 1 instead of polling forever.
+func TestSubmitStopsOnLostCampaign(t *testing.T) {
+	for _, state := range []string{service.StateUnknown, service.StateDrained} {
+		mux := http.NewServeMux()
+		mux.HandleFunc(service.PathSubmit, func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, "{}") })
+		mux.HandleFunc(service.PathStatus, func(w http.ResponseWriter, _ *http.Request) {
+			fmt.Fprintf(w, `{"state":%q}`, state)
+		})
+		c := mustParse(t, parseSubmit, "-server http://gist -bug pbzip2")
+		c.client.Transport = service.LoopbackTransport{Handler: mux}
+		var stderr bytes.Buffer
+		done := make(chan int, 1)
+		go func() { done <- runSubmit(c, io.Discard, &stderr) }()
+		select {
+		case code := <-done:
+			if msg := stderr.String(); code != 1 || !strings.Contains(msg, state) || !strings.Contains(msg, "resubmit") {
+				t.Errorf("submit against a %s campaign = exit %d, stderr %q; want 1 naming the state and resubmit", state, code, msg)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("submit still polling a %s campaign after 10s", state)
+		}
 	}
 }

@@ -65,7 +65,7 @@ var (
 	sliceBuilds, sliceHits       atomic.Int64
 	bytecodeBuilds, bytecodeHits atomic.Int64
 	// Cumulative wall time spent inside cache-miss builds, the number
-	// the telemetry layer reports as the offline static-analysis cost
+	// Snapshot reports as the offline static-analysis cost
 	// (§5.3's "analysis time"). Hits cost nothing by design; only
 	// misses accumulate here.
 	graphBuildNS, sliceBuildNS, bytecodeBuildNS atomic.Int64

@@ -40,7 +40,7 @@ import (
 // (internal/supervise).
 type Campaign struct {
 	cfg    Config // defaults applied
-	label  string // telemetry tenant label (cfg.Label)
+	label  string // names the campaign in outcomes, errors and logs (cfg.Label)
 	report *vm.FailureReport
 	pool   *Pool  // bounds the fleet's width; private unless UsePool shares one
 	runner Runner // executes the batches; the pool itself unless UseRunner reroutes them
@@ -133,10 +133,10 @@ func NewCampaign(c Config, report *vm.FailureReport, discRuns int) (*Campaign, e
 func (c *Campaign) prepare() {
 	cfg := c.cfg
 	tel := cfg.Telemetry
-	sp := tel.StartSpanL(telemetry.PhaseTICFG, c.label)
+	sp := tel.StartSpan(telemetry.PhaseTICFG)
 	c.g = cfg.BuildGraph()
 	sp.End()
-	sp = tel.StartSpanL(telemetry.PhaseSlice, c.label)
+	sp = tel.StartSpan(telemetry.PhaseSlice)
 	sl := analysis.Slice(cfg.Prog, c.report.InstrID)
 	// Deadlock reports carry the other blocked threads' PCs (a crash dump
 	// has every thread's stack): slice from each cycle participant and
@@ -149,7 +149,6 @@ func (c *Campaign) prepare() {
 	sp.End()
 	c.sl = sl
 	c.res = &Result{Slice: sl, Report: c.report}
-	tel.SetGauge("fleet.workers", int64(cfg.Workers))
 	c.addedSet = make(map[int]bool)
 	c.sigma = cfg.Sigma0
 	c.inj = faults.NewInjector(cfg.Faults)
@@ -167,7 +166,7 @@ func (c *Campaign) UsePool(p *Pool) {
 	c.pool = p
 }
 
-// Label returns the campaign's telemetry label.
+// Label returns the name the campaign goes by in outcomes, errors and logs.
 func (c *Campaign) Label() string { return c.label }
 
 // Report returns the failure report the campaign is diagnosing.
@@ -239,8 +238,8 @@ func (c *Campaign) admit(job RunJob, rt *RunTrace) {
 	// worker width, so the counters are width-stable even though
 	// speculative chunks over-dispatch.
 	if tel != nil && job.Dec.Any() {
-		tel.AddL(c.label, "faults.injected_runs", 1)
-		countFaults(tel, c.label, job.Dec)
+		tel.Add("faults.injected_runs", 1)
+		countFaults(tel, job.Dec)
 	}
 	st.health.Dispatched++
 	c.res.TotalRuns++
@@ -302,7 +301,7 @@ func (c *Campaign) Plan() {
 	st.limit = c.sl.LineCount()
 	st.effSigma = min(c.sigma, st.limit)
 	st.window = mergeWindow(c.sl.Window(st.effSigma), c.added)
-	sp := cfg.Telemetry.StartSpanL(telemetry.PhasePlan, c.label)
+	sp := cfg.Telemetry.StartSpan(telemetry.PhasePlan)
 	st.plan = BuildPlan(c.g, st.window, cfg.Features)
 	sp.End()
 	st.plan.Telemetry = cfg.Telemetry
@@ -323,7 +322,7 @@ func (c *Campaign) Plan() {
 func (c *Campaign) Dispatch() {
 	cfg := c.cfg
 	st := &c.st
-	st.fleetSpan = cfg.Telemetry.StartSpanL(telemetry.PhaseFleet, c.label)
+	st.fleetSpan = cfg.Telemetry.StartSpan(telemetry.PhaseFleet)
 	budget := cfg.MaxBatches * cfg.Endpoints
 	chunk := fleetChunk(c.pool.Width())
 	for done := 0; done < budget && c.need(); {
@@ -424,7 +423,7 @@ func (c *Campaign) Rank() {
 	// The streaming accumulator already holds every admitted run's
 	// contingency counters; reading it here replaces the historical
 	// end-of-iteration batch recomputation, byte-identically.
-	sp := tel.StartSpanL(telemetry.PhaseRank, c.label)
+	sp := tel.StartSpan(telemetry.PhaseRank)
 	ranked := st.accum.Ranked()
 	sp.End()
 	// Base the sketch on the best-instrumented failing run: under
@@ -436,7 +435,7 @@ func (c *Campaign) Rank() {
 			basis = rt
 		}
 	}
-	sp = tel.StartSpanL(telemetry.PhaseSketch, c.label)
+	sp = tel.StartSpan(telemetry.PhaseSketch)
 	sketch := BuildSketch(cfg.Title, st.plan, basis, ranked, c.added)
 	sp.End()
 	sketch.LowConfidence = lowConf
@@ -517,7 +516,7 @@ func (c *Campaign) finish(err error) {
 	// The diagnosis-wide FleetHealth aggregate doubles as the telemetry
 	// counter inventory; push it on every terminal path so -metrics-json
 	// sees the same numbers the Result carries.
-	pushFleetCounters(c.cfg.Telemetry, c.label, c.res.Health)
+	pushFleetCounters(c.cfg.Telemetry, c.res.Health)
 }
 
 // Abandon moves an unfinished campaign to a degraded terminal state —
@@ -540,7 +539,7 @@ func (c *Campaign) Abandon(reason error) {
 	} else {
 		c.finErr = fmt.Errorf("gist: campaign abandoned with no sketch")
 	}
-	pushFleetCounters(c.cfg.Telemetry, c.label, c.res.Health)
+	pushFleetCounters(c.cfg.Telemetry, c.res.Health)
 }
 
 // Step runs one full AsT iteration — Plan through Decide — and reports
@@ -842,9 +841,8 @@ func betterBasis(a, b *RunTrace) bool {
 	return len(a.Traps) > len(b.Traps)
 }
 
-// countFaults records one admitted run's injected fault classes under
-// the campaign's label.
-func countFaults(tel *telemetry.Tracer, label string, dec faults.Decision) {
+// countFaults records one admitted run's injected fault classes.
+func countFaults(tel *telemetry.Tracer, dec faults.Decision) {
 	for _, c := range []struct {
 		name string
 		hit  bool
@@ -858,29 +856,29 @@ func countFaults(tel *telemetry.Tracer, label string, dec faults.Decision) {
 		{"faults.truncate", dec.Truncate != faults.TruncateNone},
 	} {
 		if c.hit {
-			tel.AddL(label, c.name, 1)
+			tel.Add(c.name, 1)
 		}
 	}
 }
 
 // pushFleetCounters mirrors a FleetHealth aggregate into telemetry
 // counters, unifying the scattered per-subsystem accounting under one
-// "fleet.*" namespace (labeled per campaign when a label is set).
-func pushFleetCounters(tel *telemetry.Tracer, label string, h FleetHealth) {
+// "fleet.*" namespace.
+func pushFleetCounters(tel *telemetry.Tracer, h FleetHealth) {
 	if tel == nil {
 		return
 	}
-	tel.AddL(label, "fleet.dispatched", int64(h.Dispatched))
-	tel.AddL(label, "fleet.arrived", int64(h.Arrived))
-	tel.AddL(label, "fleet.lost", int64(h.Lost))
-	tel.AddL(label, "fleet.deadlined", int64(h.Deadlined))
-	tel.AddL(label, "fleet.decode_errs", int64(h.DecodeErrs))
-	tel.AddL(label, "fleet.salvaged", int64(h.Salvaged))
-	tel.AddL(label, "fleet.quarantined", int64(h.Quarantined))
-	tel.AddL(label, "fleet.repaired", int64(h.Repaired))
-	tel.AddL(label, "fleet.traps_dropped", int64(h.TrapsDropped))
-	tel.AddL(label, "fleet.retries", int64(h.Retries))
-	tel.AddL(label, "fleet.reseeded", int64(h.Reseeded))
-	tel.AddL(label, "fleet.backoff_batches", int64(h.BackoffBatches))
-	tel.AddL(label, "fleet.low_confidence_iters", int64(h.LowConfidenceIters))
+	tel.Add("fleet.dispatched", int64(h.Dispatched))
+	tel.Add("fleet.arrived", int64(h.Arrived))
+	tel.Add("fleet.lost", int64(h.Lost))
+	tel.Add("fleet.deadlined", int64(h.Deadlined))
+	tel.Add("fleet.decode_errs", int64(h.DecodeErrs))
+	tel.Add("fleet.salvaged", int64(h.Salvaged))
+	tel.Add("fleet.quarantined", int64(h.Quarantined))
+	tel.Add("fleet.repaired", int64(h.Repaired))
+	tel.Add("fleet.traps_dropped", int64(h.TrapsDropped))
+	tel.Add("fleet.retries", int64(h.Retries))
+	tel.Add("fleet.reseeded", int64(h.Reseeded))
+	tel.Add("fleet.backoff_batches", int64(h.BackoffBatches))
+	tel.Add("fleet.low_confidence_iters", int64(h.LowConfidenceIters))
 }

@@ -17,10 +17,9 @@ type Config struct {
 	Prog  *ir.Program
 	Title string
 
-	// Label tags the diagnosis's telemetry (spans and counters) with a
-	// campaign identity so multi-tenant schedulers can attribute cost
-	// per bug in -metrics-json. Empty means unlabeled: the telemetry
-	// stream is byte-compatible with historical output.
+	// Label names the campaign (the service uses "tenant/key") in
+	// supervisor outcomes, error messages and logs, and is recorded in
+	// its checkpoints. It never changes what the diagnosis computes.
 	Label string
 
 	// exec, when non-nil, replaces the bytecode engine for every run of

@@ -2,7 +2,7 @@ package pt
 
 import "sync/atomic"
 
-// Package-level decode metrics, surfaced by the telemetry layer. The
+// Package-level decode metrics, read through Snapshot. The
 // counters are atomics updated once per decode call (never per packet),
 // so the hot decode loop is untouched; they observe only — nothing in
 // the decoder reads them back, so determinism is unaffected.

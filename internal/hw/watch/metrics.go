@@ -2,7 +2,7 @@ package watch
 
 import "sync/atomic"
 
-// Package-level watchpoint metrics for the telemetry layer. Arms are
+// Package-level watchpoint metrics, read through Snapshot. Arms are
 // rare (one per location class per run); traps are bounded by accesses
 // to watched addresses, so a single atomic add per delivered trap is
 // noise next to the simulated ptrace cost already charged. The unit

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -277,17 +276,9 @@ func (lt *LeaseTable) settle(campaign, worker string) error {
 			if !strings.HasPrefix(base, campaign+".i.") || !strings.HasSuffix(base, ".intent") {
 				continue
 			}
-			data, err := lt.b.ReadFile(filepath.Join(lt.dir, base))
-			if err != nil {
-				continue // withdrawn between list and read
-			}
-			payload, err := store.DecodeFrame(data)
-			if err != nil {
-				continue
-			}
 			var in Lease
-			if err := json.Unmarshal(payload, &in); err != nil || in.Campaign != campaign {
-				continue
+			if err := readRecord(lt.b, filepath.Join(lt.dir, base), &in); err != nil || in.Campaign != campaign {
+				continue // withdrawn between list and read, or torn
 			}
 			if in.Worker != worker && !in.expired(now) {
 				busy = true
@@ -307,21 +298,10 @@ func (lt *LeaseTable) intentPath(campaign, worker string) string {
 
 // writeIntent publishes the bakery choosing flag; it expires with the
 // lease TTL so a claimant that dies here cannot stall rivals forever.
+// The marker is never synced: it only matters while its writer lives.
 func (lt *LeaseTable) writeIntent(campaign, worker string) error {
 	in := Lease{Campaign: campaign, Worker: worker, ExpiresUnixNS: lt.now().Add(lt.ttl).UnixNano()}
-	payload, err := json.Marshal(&in)
-	if err != nil {
-		return fmt.Errorf("shard: intent: %w", err)
-	}
-	path := lt.intentPath(campaign, worker)
-	tmp := path + ".tmp"
-	if err := lt.b.WriteFile(tmp, store.EncodeFrame(payload), false); err != nil {
-		return fmt.Errorf("shard: intent: %w", err)
-	}
-	if err := lt.b.Rename(tmp, path); err != nil {
-		return fmt.Errorf("shard: intent: %w", err)
-	}
-	return nil
+	return writeRecord(lt.b, lt.intentPath(campaign, worker), &in, true)
 }
 
 func (lt *LeaseTable) removeIntent(campaign, worker string) {
@@ -356,16 +336,10 @@ func (lt *LeaseTable) scan(campaign string) ([]*Lease, uint64, error) {
 		if gen > maxGen {
 			maxGen = gen
 		}
-		data, err := lt.b.ReadFile(filepath.Join(lt.dir, base))
-		if err != nil {
-			continue // withdrawn by a racing worker between list and read
-		}
-		payload, err := store.DecodeFrame(data)
-		if err != nil {
-			continue // torn claim: number burned above, record void
-		}
 		var l Lease
-		if err := json.Unmarshal(payload, &l); err != nil {
+		if err := readRecord(lt.b, filepath.Join(lt.dir, base), &l); err != nil {
+			// Withdrawn by a racing worker between list and read, or a
+			// torn claim: its number is burned above, its record void.
 			continue
 		}
 		// The campaign name prefix can collide across campaigns whose
@@ -387,24 +361,7 @@ func (lt *LeaseTable) path(l *Lease) string {
 // write publishes a claim atomically: CRC-framed payload to a temp file
 // (unique per worker), then rename into place.
 func (lt *LeaseTable) write(l *Lease) error {
-	payload, err := json.Marshal(l)
-	if err != nil {
-		return fmt.Errorf("shard: lease: %w", err)
-	}
-	path := lt.path(l)
-	tmp := path + ".tmp"
-	if err := lt.b.WriteFile(tmp, store.EncodeFrame(payload), !lt.noFsync); err != nil {
-		return fmt.Errorf("shard: lease: %w", err)
-	}
-	if err := lt.b.Rename(tmp, path); err != nil {
-		return fmt.Errorf("shard: lease: %w", err)
-	}
-	if !lt.noFsync {
-		if err := lt.b.SyncDir(lt.dir); err != nil {
-			return fmt.Errorf("shard: lease: %w", err)
-		}
-	}
-	return nil
+	return writeRecord(lt.b, lt.path(l), l, lt.noFsync)
 }
 
 // remove withdraws a claim file; a concurrent withdrawal is fine.

@@ -90,6 +90,5 @@ func OpenCampaignStore(b store.Backend, stateRoot, tenant, key string, noFsync b
 		Backend:   b,
 		NoFsync:   noFsync,
 		Telemetry: tel,
-		Label:     tenant + "/" + key,
 	})
 }

@@ -45,7 +45,7 @@ type WorkerOptions struct {
 	// ConfigFor maps a bug name to its campaign configuration; nil means
 	// bugs.ConfigFor.
 	ConfigFor func(bug string) (core.Config, error)
-	// Telemetry receives supervise.*, store.*, and shard.* counters.
+	// Telemetry receives supervise.* and store.* counters.
 	Telemetry *telemetry.Tracer
 	// Logf, when non-nil, receives one line per notable worker event.
 	Logf func(format string, args ...any)

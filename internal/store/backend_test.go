@@ -48,6 +48,38 @@ func TestMemBackendRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPruneIgnoresStrayTempFile: a temp file left by a rename-dropped or
+// fsync-failed Save is not a published generation, so it must not take
+// one of the Keep slots and cost a valid fallback.
+func TestPruneIgnoresStrayTempFile(t *testing.T) {
+	b := NewMemBackend()
+	s, err := Open("d", "bug", Options{Backend: b, Keep: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	save := func() {
+		t.Helper()
+		if _, err := s.Save([]byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ { // generations 0..3; 0 is pruned
+		save()
+	}
+	if err := b.WriteFile("d/bug.g00000002.ckpt.tmp", []byte("torn"), false); err != nil {
+		t.Fatal(err)
+	}
+	save() // generation 4
+	names, err := b.ListFiles("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"bug.g00000002.ckpt", "bug.g00000002.ckpt.tmp", "bug.g00000003.ckpt", "bug.g00000004.ckpt"}
+	if fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Errorf("after prune: %v, want %v (Keep 3 published generations)", names, want)
+	}
+}
+
 // TestMemBackendIsolatesTenants checks the per-tenant keying the
 // service relies on: same checkpoint name, different directories.
 func TestMemBackendIsolatesTenants(t *testing.T) {

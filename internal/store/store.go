@@ -142,8 +142,6 @@ type Options struct {
 	// Telemetry receives store.* counters (saves, quarantined,
 	// fsync errors, pruned, fallbacks). Nil-safe.
 	Telemetry *telemetry.Tracer
-	// Label attributes the telemetry counters to a campaign.
-	Label string
 	// Backend is the storage medium; nil means the local directory
 	// backend (DirBackend).
 	Backend Backend
@@ -234,12 +232,14 @@ func Open(dir, name string, opts Options) (*Store, error) {
 	}
 	// Generation numbers already moved into quarantine/ by earlier
 	// recoveries must stay burned too, or a fault decision could repeat.
+	// Quarantined copies may carry ".tmp" and a ".<n>" collision suffix
+	// after .ckpt, so cut each name there.
 	if qnames, err := b.ListFiles(s.QuarantineDir()); err == nil {
 		for _, qn := range qnames {
-			if gen, ok := s.parseGen(qn, ".ckpt"); ok {
-				s.bumpGen(gen)
-			} else if gen, ok := s.parseGen(qn, ".ckpt.tmp"); ok {
-				s.bumpGen(gen)
+			if i := strings.LastIndex(qn, ".ckpt"); i >= 0 {
+				if gen, ok := s.parseGen(qn[:i], ""); ok {
+					s.bumpGen(gen)
+				}
 			}
 		}
 	}
@@ -247,24 +247,19 @@ func Open(dir, name string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// parseGen extracts the generation number from "<name>.g<num><suffix>".
-// Quarantined copies may carry a ".<n>" collision suffix after .ckpt;
-// those are parsed by trimming at the suffix.
+// parseGen extracts the generation number from a base name that is
+// exactly "<name>.g<num><suffix>": a published "….ckpt" is never
+// confused with an interrupted write's "….ckpt.tmp".
 func (s *Store) parseGen(base, suffix string) (uint64, bool) {
-	prefix := s.name + ".g"
-	if !strings.HasPrefix(base, prefix) {
+	rest, ok := strings.CutPrefix(base, s.name+".g")
+	if !ok {
 		return 0, false
 	}
-	rest := base[len(prefix):]
-	i := strings.Index(rest, suffix)
-	if i < 0 {
+	if rest, ok = strings.CutSuffix(rest, suffix); !ok {
 		return 0, false
 	}
-	gen, err := strconv.ParseUint(rest[:i], 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return gen, true
+	gen, err := strconv.ParseUint(rest, 10, 64)
+	return gen, err == nil
 }
 
 func (s *Store) bumpGen(gen uint64) {
@@ -290,7 +285,7 @@ func (s *Store) quarantine(path string, reason error) {
 		dst = ""
 	}
 	s.quarantined = append(s.quarantined, Quarantine{From: path, To: dst, Reason: reason})
-	s.opts.Telemetry.AddL(s.opts.Label, "store.quarantined", 1)
+	s.opts.Telemetry.Add("store.quarantined", 1)
 }
 
 // Dir returns the store's directory.
@@ -333,7 +328,7 @@ func (s *Store) Discard(reason error) {
 	}
 	s.quarantine(s.gens[0].Path, reason)
 	s.gens = s.gens[1:]
-	s.opts.Telemetry.AddL(s.opts.Label, "store.fallbacks", 1)
+	s.opts.Telemetry.Add("store.fallbacks", 1)
 }
 
 // ExpectedPath is the published path a given generation would live at;
@@ -376,12 +371,12 @@ func (s *Store) Save(payload []byte) (uint64, error) {
 		// fsync; write it unsynced and leave it for the recovery scan
 		// to quarantine.
 		_ = s.b.WriteFile(tmp, data, false)
-		s.opts.Telemetry.AddL(s.opts.Label, "store.fsync_errors", 1)
+		s.opts.Telemetry.Add("store.fsync_errors", 1)
 		return gen, fmt.Errorf("store: %s: %w: injected %s fault", tmp, ErrFsync, dec.Kind)
 	}
 	if err := s.b.WriteFile(tmp, data, !s.opts.NoFsync); err != nil {
 		if errors.Is(err, ErrFsync) {
-			s.opts.Telemetry.AddL(s.opts.Label, "store.fsync_errors", 1)
+			s.opts.Telemetry.Add("store.fsync_errors", 1)
 			return gen, fmt.Errorf("store: %s: %w", tmp, err)
 		}
 		return gen, fmt.Errorf("store: %w", err)
@@ -400,8 +395,8 @@ func (s *Store) Save(payload []byte) (uint64, error) {
 			s.flipByteAt(final, pos, mask)
 		}
 	}
-	s.opts.Telemetry.AddL(s.opts.Label, "store.saves", 1)
-	s.opts.Telemetry.AddL(s.opts.Label, "store.bytes_written", int64(len(data)))
+	s.opts.Telemetry.Add("store.saves", 1)
+	s.opts.Telemetry.Add("store.bytes_written", int64(len(data)))
 	s.prune()
 	return gen, nil
 }
@@ -426,7 +421,7 @@ func (s *Store) prune() {
 	sort.Slice(gens, func(i, j int) bool { return gens[i] > gens[j] })
 	for _, gen := range gens[s.opts.Keep:] {
 		if s.b.Remove(s.ExpectedPath(gen)) == nil {
-			s.opts.Telemetry.AddL(s.opts.Label, "store.pruned", 1)
+			s.opts.Telemetry.Add("store.pruned", 1)
 		}
 	}
 }

@@ -293,7 +293,7 @@ func (s *Supervisor) Adopt(cfg core.Config, ckpt *store.Store, fresh func() (*co
 	}
 	id, err := s.Add(cfg, c, ckpt)
 	if err == nil && resumed {
-		s.count("supervise.adopted", c.Label())
+		s.cfg.Telemetry.Add("supervise.adopted", 1)
 	}
 	return id, resumed, err
 }
@@ -338,7 +338,7 @@ func (s *Supervisor) RetireSlot(slot int) {
 	sl := s.slots[s.find(slot)]
 	sl.retired = true
 	sl.out.Released = true
-	s.count("supervise.released", sl.out.Label)
+	s.cfg.Telemetry.Add("supervise.released", 1)
 }
 
 // SetStepFault installs a fault script for one slot: fn is consulted
@@ -374,7 +374,7 @@ func (s *Supervisor) drain() {
 			continue
 		}
 		sl.out.Drained = true
-		s.count("supervise.drained", sl.out.Label)
+		s.cfg.Telemetry.Add("supervise.drained", 1)
 		_ = s.checkpoint(sl) // a failed snapshot keeps the last good one
 	}
 }
@@ -429,7 +429,7 @@ func (s *Supervisor) step(sl *slot) {
 	label := sl.out.Label
 	if sl.backoff > 0 {
 		sl.backoff--
-		s.count("supervise.backoff_rounds", label)
+		s.cfg.Telemetry.Add("supervise.backoff_rounds", 1)
 		return
 	}
 	if s.guardedStep(sl) {
@@ -440,14 +440,14 @@ func (s *Supervisor) step(sl *slot) {
 	// The step crashed or hung. Restart from the last good checkpoint,
 	// or trip the breaker once the restart budget is spent.
 	sl.out.Restarts++
-	s.count("supervise.restarts", label)
+	s.cfg.Telemetry.Add("supervise.restarts", 1)
 	restored, err := core.RestoreCampaign(sl.cfg, sl.lastGood)
 	if err != nil {
 		// The checkpoint itself cannot be restored — nothing to heal
 		// from. Retire the slot with the restore error.
 		sl.restoreErr = fmt.Errorf("supervise: cannot restore %s from checkpoint: %w", label, err)
 		sl.retired = true
-		s.count("supervise.breaker_trips", label)
+		s.cfg.Telemetry.Add("supervise.breaker_trips", 1)
 		return
 	}
 	if s.cfg.OnRestore != nil {
@@ -457,7 +457,7 @@ func (s *Supervisor) step(sl *slot) {
 	sl.camp = restored
 	if sl.out.Restarts > s.cfg.MaxRestarts {
 		sl.out.BreakerTripped = true
-		s.count("supervise.breaker_trips", label)
+		s.cfg.Telemetry.Add("supervise.breaker_trips", 1)
 		restored.Abandon(fmt.Errorf("supervise: %s crashed/hung %d time(s) at iteration %d",
 			label, sl.out.Restarts, sl.lastGood.Iter))
 		sl.retired = true
@@ -504,13 +504,13 @@ func (s *Supervisor) guardedStep(sl *slot) bool {
 	case ok := <-done:
 		if !ok {
 			sl.out.Panics++
-			s.count("supervise.panics", label)
+			s.cfg.Telemetry.Add("supervise.panics", 1)
 		}
 		return ok
 	case <-timer.C:
 		close(abandoned)
 		sl.out.WatchdogTrips++
-		s.count("supervise.watchdog_trips", label)
+		s.cfg.Telemetry.Add("supervise.watchdog_trips", 1)
 		return false
 	}
 }
@@ -529,13 +529,9 @@ func (s *Supervisor) checkpoint(sl *slot) error {
 	switch {
 	case saved:
 		sl.out.Checkpoints++
-		s.count("supervise.checkpoints", sl.out.Label)
+		s.cfg.Telemetry.Add("supervise.checkpoints", 1)
 	case sl.ckpt != nil:
-		s.count("supervise.checkpoint_errors", sl.out.Label)
+		s.cfg.Telemetry.Add("supervise.checkpoint_errors", 1)
 	}
 	return nil
-}
-
-func (s *Supervisor) count(name, label string) {
-	s.cfg.Telemetry.AddL(label, name, 1)
 }

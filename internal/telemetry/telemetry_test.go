@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // A nil Tracer must be a complete no-op: every method callable, zero
@@ -19,15 +18,12 @@ func TestNilTracerIsInert(t *testing.T) {
 	sp := tr.StartSpan(PhaseRank)
 	sp.End()
 	tr.Add("x", 1)
-	tr.SetGauge("g", 2)
 	if tr.Counter("x") != 0 {
 		t.Fatal("nil tracer counter should read 0")
 	}
 	if err := tr.Err(); err != nil {
 		t.Fatal(err)
 	}
-	stop := tr.StartRuntimeSampler(time.Millisecond)
-	stop()
 	snap := tr.Snapshot()
 	if len(snap.Phases) != 0 || len(snap.Counters) != 0 {
 		t.Fatalf("nil snapshot not empty: %+v", snap)
@@ -67,16 +63,12 @@ func TestCountersAndGauges(t *testing.T) {
 	tr.Add("fleet.lost", 2)
 	tr.Add("fleet.lost", 3)
 	tr.Add("zero", 0) // no-op, should not materialize
-	tr.SetGauge("width", 8)
 	if got := tr.Counter("fleet.lost"); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
 	snap := tr.Snapshot()
 	if _, ok := snap.Counters["zero"]; ok {
 		t.Fatal("zero delta should not create a counter")
-	}
-	if snap.Gauges["width"] != 8 {
-		t.Fatalf("gauge = %d, want 8", snap.Gauges["width"])
 	}
 }
 
@@ -86,7 +78,6 @@ func TestJSONLWellFormed(t *testing.T) {
 	tr := NewWithWriter(&buf)
 	sp := tr.StartSpan(PhaseRank)
 	sp.End()
-	tr.sampleRuntime()
 	if err := tr.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +93,8 @@ func TestJSONLWellFormed(t *testing.T) {
 			t.Fatalf("line %d missing ev field: %s", lines, sc.Text())
 		}
 	}
-	if lines != 2 {
-		t.Fatalf("want 2 events (span + runtime), got %d", lines)
+	if lines != 1 {
+		t.Fatalf("want 1 span event, got %d", lines)
 	}
 }
 
@@ -185,92 +176,4 @@ func TestConcurrentRecording(t *testing.T) {
 	if snap.Counters["runs"] != workers*per {
 		t.Fatalf("counter = %d, want %d", snap.Counters["runs"], workers*per)
 	}
-}
-
-func TestPhaseNamesSorted(t *testing.T) {
-	tr := New()
-	for _, name := range []string{PhaseSketch, PhaseDiscovery, PhaseRank} {
-		sp := tr.StartSpan(name)
-		sp.End()
-	}
-	names := tr.Snapshot().PhaseNames()
-	if len(names) != 3 || names[0] != PhaseDiscovery || names[1] != PhaseRank || names[2] != PhaseSketch {
-		t.Fatalf("unsorted phase names: %v", names)
-	}
-}
-
-// Campaign labels must split spans and counters per tenant while the
-// global aggregates stay exactly what unlabeled recording would produce.
-func TestCampaignLabels(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewWithWriter(&buf)
-	for i := 0; i < 2; i++ {
-		sp := tr.StartSpanL(PhaseFleet, "pbzip2")
-		sp.End()
-	}
-	sp := tr.StartSpanL(PhaseFleet, "curl")
-	sp.End()
-	sp = tr.StartSpan(PhaseFleet) // unlabeled
-	sp.End()
-	tr.AddL("pbzip2", "fleet.dispatched", 10)
-	tr.AddL("curl", "fleet.dispatched", 5)
-	tr.AddL("", "fleet.dispatched", 1) // empty label == Add
-
-	snap := tr.Snapshot()
-	if got := snap.Phases[PhaseFleet].Count; got != 4 {
-		t.Fatalf("global phase count = %d, want 4", got)
-	}
-	if got := snap.Counters["fleet.dispatched"]; got != 16 {
-		t.Fatalf("global counter = %d, want 16", got)
-	}
-	if len(snap.Campaigns) != 2 {
-		t.Fatalf("want 2 campaigns, got %v", snap.Campaigns)
-	}
-	pb := snap.Campaigns["pbzip2"]
-	if pb.Phases[PhaseFleet].Count != 2 || pb.Counters["fleet.dispatched"] != 10 {
-		t.Fatalf("pbzip2 campaign stats wrong: %+v", pb)
-	}
-	cu := snap.Campaigns["curl"]
-	if cu.Phases[PhaseFleet].Count != 1 || cu.Counters["fleet.dispatched"] != 5 {
-		t.Fatalf("curl campaign stats wrong: %+v", cu)
-	}
-
-	// JSONL events: labeled spans carry the campaign field, unlabeled
-	// spans keep the historical schema (no extra key).
-	labeled, unlabeled := 0, 0
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		var ev map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
-		}
-		if _, ok := ev["campaign"]; ok {
-			labeled++
-		} else {
-			unlabeled++
-		}
-	}
-	if labeled != 3 || unlabeled != 1 {
-		t.Fatalf("labeled/unlabeled events = %d/%d, want 3/1", labeled, unlabeled)
-	}
-}
-
-// An unlabeled tracer's snapshot must not grow a campaigns section —
-// single-tenant metrics JSON keeps its historical schema.
-func TestNoCampaignsWhenUnlabeled(t *testing.T) {
-	tr := New()
-	sp := tr.StartSpan(PhaseRank)
-	sp.End()
-	tr.Add("x", 1)
-	data, err := json.Marshal(tr.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(data), "campaigns") {
-		t.Fatalf("unlabeled snapshot leaked campaigns section: %s", data)
-	}
-	var nilTr *Tracer
-	nilTr.AddL("x", "y", 1) // nil-safe
-	spn := nilTr.StartSpanL(PhaseRank, "x")
-	spn.End()
 }
