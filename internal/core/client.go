@@ -157,6 +157,11 @@ func RunInstrumentedFaults(plan *Plan, spec RunSpec, dec faults.Decision) *RunTr
 				t.Traced = on
 			}
 		}
+		// Branch and TIP return early on a core that is not tracing, and
+		// after every OnStep Traced is whether the core traces, so on a
+		// thread whose bit is clear both hooks do nothing — the other half
+		// of the StepMask promise. Every thread's first step makes its core
+		// before any branch can reach one.
 		hooks.OnBranch = func(t *vm.Thread, in *ir.Instr, taken bool, clock int64) {
 			tracer.Branch(t.ID, in.ID, taken)
 		}

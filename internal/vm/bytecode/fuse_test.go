@@ -72,9 +72,9 @@ func dataHooks(tr *maskedTracker) vm.Hooks {
 }
 
 // TestFusedPairQuantumEdge sweeps short quanta over the two threads, so
-// that grants run out on a fused LocalAddr many times: the load must then
-// wait for the thread's next turn, and every event but OnStep must match,
-// clocks included.
+// that decisions run out on a fused LocalAddr many times: the load must
+// then retire in the thread's run-ahead or wait for its next turn, and
+// every event but OnStep must match, clocks included.
 func TestFusedPairQuantumEdge(t *testing.T) {
 	src, prog, _ := fusedProgram(t)
 	for seed := int64(0); seed < 64; seed++ {

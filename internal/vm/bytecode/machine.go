@@ -38,6 +38,7 @@ type thread struct {
 	stackTop   int32  // words in use on this thread's stack
 	result     int64
 	retrying   bool
+	credit     int64 // steps run ahead of the clock (see runThread)
 }
 
 // Machine executes one run at a time of a compiled program. It is NOT
@@ -56,14 +57,15 @@ type Machine struct {
 	rng     alfg
 	preempt intnConsts
 	pick    []intnConsts
-	grant   grant
 
 	threads    []*thread
 	threadPool []*thread
 	runnable   []*thread // the runnable threads, by ascending ID
 	cur        int
-	quantum    int // the grant's countdown when schedule() made it
+	quantum    int // the interpreter's quantum: steps of cur's decision after the next
 	clock      int64
+	ahead      int64 // the threads' credit, summed
+	aheadCap   int   // aheadMax, or 0 in a silent re-run
 
 	prints        []string
 	workloadAddrs []int64
@@ -100,8 +102,9 @@ func (m *Machine) Reset(cfg vm.Config) {
 	m.runnable = m.runnable[:0]
 	m.cur = 0
 	m.quantum = 0
-	m.grant.n, m.grant.drawn = 0, false
 	m.clock = 0
+	m.ahead = 0
+	m.aheadCap = aheadMax
 	m.prints = m.prints[:0]
 	m.fault = nil
 	m.spawnThread(m.prog.mainIdx, nil, -1)
@@ -139,6 +142,7 @@ func (m *Machine) spawnThread(fnIdx int32, arg *int64, parent int) *thread {
 	t.stackTop = 0
 	t.result = 0
 	t.retrying = false
+	t.credit = 0
 	m.mem.EnsureStack(tid)
 	t.stack = m.mem.Stack(tid)
 	m.threads = append(m.threads, t)
@@ -259,6 +263,12 @@ func (m *Machine) run() *vm.Outcome {
 		}
 		if m.clock >= m.cfg.MaxSteps {
 			t := m.threads[m.cur]
+			if t.credit > 0 {
+				// Charged into the step limit: t's pc is ahead of where
+				// the interpreter stops. The re-run stops there too.
+				m.rerun(m.clock)
+				continue
+			}
 			pc := m.currentPCOf(t)
 			in := m.prog.ir.Instrs[pc]
 			m.fault = &vm.FailureReport{
@@ -268,6 +278,9 @@ func (m *Machine) run() *vm.Outcome {
 			continue
 		}
 		t := m.schedule()
+		if m.clock >= m.cfg.MaxSteps {
+			continue
+		}
 		if t == nil {
 			// All threads blocked: deadlock. Attribute it to a thread
 			// blocked on a mutex rather than a joiner, as the
@@ -305,7 +318,9 @@ func (m *Machine) run() *vm.Outcome {
 	}
 }
 
-func (m *Machine) doRet(t *thread, pc int32, in *instr) {
+// doRet returns from t's top frame; onIndirect, if not nil, sees the
+// return to a caller at clock.
+func (m *Machine) doRet(t *thread, pc int32, in *instr, onIndirect func(*vm.Thread, *ir.Instr, *ir.Instr, int64), clock int64) {
 	fr := t.frames[len(t.frames)-1]
 	ret := int64(0)
 	if in.sz == 1 {
@@ -324,8 +339,8 @@ func (m *Machine) doRet(t *thread, pc int32, in *instr) {
 	}
 	// Non-bottom frames always have a valid return site: calls are never
 	// block terminators, so the instruction after the call exists.
-	if m.cfg.Hooks.OnIndirect != nil {
-		m.cfg.Hooks.OnIndirect(&t.Thread, m.prog.ir.Instrs[pc], m.prog.ir.Instrs[fr.retPC], m.clock)
+	if onIndirect != nil {
+		onIndirect(&t.Thread, m.prog.ir.Instrs[pc], m.prog.ir.Instrs[fr.retPC], clock)
 	}
 	t.pc = fr.retPC
 	if fr.retDst >= 0 {
@@ -343,36 +358,49 @@ func opVal(win, consts []int64, ref int32) int64 {
 	return consts[^ref]
 }
 
-// runThread executes instructions of t until its quantum is spent, it
+// runThread executes instructions of t until its decision is spent, it
 // blocks or finishes, it faults, or the step limit is reached. Clock and
 // hook semantics mirror interp.VM.step exactly: OnStep fires (and the clock
 // advances) only for the first attempt of a blocking builtin, and hooks
 // during execution see the post-increment clock. With Hooks.StepMask set,
 // OnStep is called only where the mask or the thread's Traced bit says it
 // can matter (code index == instruction ID, so the mask is indexed by
-// pc); the clock advances either way.
+// pc), and OnBranch and OnIndirect only on a thread whose bit is set; the
+// clock advances either way.
 //
-// The hot machine state — pc, clock, quantum, the hooks, the current
-// frame's register window and the running thread's stack — lives in
-// locals for the whole quantum and is flushed at every exit (the done
+// The hot machine state — pc, clock, the countdown, the hooks, the
+// current frame's register window and the running thread's stack — lives
+// in locals for the whole quantum and is flushed at every exit (the done
 // label below), so the per-instruction cost is the dispatch itself rather
 // than Machine/thread field traffic. Helper calls that read that state
-// through the Machine (doRet and spawnThread consult m.clock for their
-// hooks) get an explicit flush first. q counts down the grant schedule()
-// made, whose first step is not counted against it, as a quantum's is
-// in the interpreter. An instruction that changes the runnable set —
-// spawn, an unlock that wakes, a block, an exit — or that ends the
-// quantum early (yield) cuts the grant back to the decision in effect.
-// When a grant runs out, runThread schedules by itself; the same thread
-// picked again keeps its loaded frame unless the last step was a call or
-// a return. It returns only when the run loop has something to decide: a
-// fault, the step limit, t blocked or finished.
+// through the Machine (spawnThread consults m.clock for OnSpawn) get an
+// explicit flush first.
+//
+// Run-ahead: when t's decision is spent, t keeps going while its next
+// step is private — no OnStep due, and an instruction that touches only
+// t's registers and t's own stack, calls no hook and cannot fault — and
+// banks the steps as credit, with clk running ahead of the clock by as
+// much. left counts down the steps t may still take after the current
+// one: the interpreter's quantum plus room, the credit t may earn, which
+// is at most aheadMax and keeps the clock plus all credit below the step
+// limit. So t is ahead exactly when left < room, and every public step
+// checks that and stops t in front of itself unexecuted (the public
+// label). Then schedule() draws the decisions from the interpreter's
+// clock on, charging credit, and the first one that t's credit does not
+// cover in full either picks t again — its pending step then runs at
+// exactly the interpreter's clock — or switches to another thread.
+//
+// A public access that lands in the stack of a thread holding credit
+// would see, or overwrite, bytes ahead of the clock; the machine then
+// makes itself exact by a silent re-run (rerun) and returns. runThread
+// returns to the run loop only then and when the run loop has something
+// to decide: a fault, the step limit, t blocked or finished.
 func (m *Machine) runThread(t *thread) {
 	code := m.prog.code
 	consts := m.prog.consts
 	irInstrs := m.prog.ir.Instrs
 	mem := m.mem
-	onStep, onBranch := m.cfg.Hooks.OnStep, m.cfg.Hooks.OnBranch
+	onStep, onBranch, onIndirect := m.cfg.Hooks.OnStep, m.cfg.Hooks.OnBranch, m.cfg.Hooks.OnIndirect
 	onLoad, onStore := m.cfg.Hooks.OnLoad, m.cfg.Hooks.OnStore
 	// "Does OnStep see this step" is one load and one branch,
 	// stepMask[pc]|traced != 0: without a consumer mask the program's
@@ -391,12 +419,13 @@ func (m *Machine) runThread(t *thread) {
 	maxSteps := m.cfg.MaxSteps
 	pc := t.pc
 	clk := m.clock
-	q := m.quantum // schedule() has just made the grant
+	room := m.aheadRoom(clk + int64(m.quantum) + 1)
+	left := m.quantum + room
 frame:
 	// One activation of one thread at a time: what this loop loads is
 	// invariant in the instruction loop inside it, which carries only pc,
-	// clk, q and the step test's two bits from one instruction to the
-	// next. A call, a return and a thread switch come back here.
+	// clk, left and the step test's two bits from one instruction to the
+	// next. A call, a return and a schedule come back here.
 	for {
 		top := &t.frames[len(t.frames)-1]
 		win := t.regs[top.base:]                          // the frame's registers
@@ -412,6 +441,10 @@ frame:
 		for {
 			if !retrying {
 				if stepMask[pc]|traced != 0 {
+					if left < room {
+						left++ // OnStep is due: a public step t stops in front of
+						break
+					}
 					onStep(&t.Thread, irInstrs[pc], clk)
 					traced = t.stepBit(always, masked)
 				}
@@ -436,11 +469,12 @@ frame:
 			case opLocalLoad:
 				// opLocalAddr, and the opLoad after it retired in the same
 				// dispatch when the loop between the two would only count:
-				// the quantum and the step limit go on, OnStep does not see
-				// the load, and it reads the thread's own stack.
+				// the decision or the run-ahead and the step limit go on,
+				// OnStep does not see the load, and it reads the thread's own
+				// stack.
 				addr := locals + in.imm*8
 				win[in.dst] = addr
-				if q > 0 && clk < maxSteps && stepMask[pc]|traced == 0 {
+				if left > 0 && clk < maxSteps && stepMask[pc]|traced == 0 {
 					ld := &code[pc]
 					if off, n := uint64(addr-stackLo), uint64(len(stack)); off < n && off+uint64(ld.sz) <= n {
 						var val int64
@@ -452,7 +486,7 @@ frame:
 						if ld.dst >= 0 {
 							win[ld.dst] = val
 						}
-						q--
+						left--
 						clk++
 						pc++
 					}
@@ -475,6 +509,13 @@ frame:
 						val = int64(stack[off])
 					}
 				} else {
+					if left < room {
+						goto public
+					}
+					if m.stale(addr, int64(in.sz)) {
+						m.rerun(clk)
+						return
+					}
 					var f *vm.Fault
 					if in.sz == 8 {
 						val, f = mem.LoadWord(addr)
@@ -502,6 +543,13 @@ frame:
 						stack[off] = byte(val)
 					}
 				} else {
+					if left < room {
+						goto public
+					}
+					if m.stale(addr, int64(in.sz)) {
+						m.rerun(clk)
+						return
+					}
 					var f *vm.Fault
 					if in.sz == 8 {
 						f = mem.StoreWord(addr, val)
@@ -531,6 +579,9 @@ frame:
 			case opDiv:
 				b := opVal(win, consts, in.b)
 				if b == 0 {
+					if left < room {
+						goto public
+					}
 					m.failAt(t, ip, &vm.Fault{Kind: vm.FaultDivZero})
 					goto done
 				}
@@ -540,6 +591,9 @@ frame:
 			case opMod:
 				b := opVal(win, consts, in.b)
 				if b == 0 {
+					if left < room {
+						goto public
+					}
 					m.failAt(t, ip, &vm.Fault{Kind: vm.FaultDivZero})
 					goto done
 				}
@@ -580,7 +634,10 @@ frame:
 				}
 			case opBr:
 				taken := opVal(win, consts, in.a) != 0
-				if onBranch != nil {
+				if onBranch != nil && (traced != 0 || !masked) {
+					if left < room {
+						goto public
+					}
 					onBranch(&t.Thread, irInstrs[ip], taken, clk)
 				}
 				if taken {
@@ -591,19 +648,32 @@ frame:
 			case opJmp:
 				pc = in.p
 			case opRet:
-				m.clock = clk // doRet's OnIndirect hook reads m.clock
-				m.doRet(t, ip, in)
+				ind := onIndirect
+				if masked && traced == 0 {
+					ind = nil
+				}
+				if left < room && (len(t.frames) == 1 || ind != nil) {
+					goto public
+				}
+				m.doRet(t, ip, in, ind, clk)
 				if len(t.frames) == 0 {
 					goto done // thread finished; currentPCOf ignores pc
 				}
 				pc = t.pc
-				if clk < maxSteps && q > 0 {
-					q--
+				if clk < maxSteps && left > 0 {
+					left--
 					continue frame
 				}
-				// Otherwise the checks below stop or reschedule, and that
+				// Otherwise the checks below stop or schedule, and that
 				// reloads the frame as well.
 			case opCall:
+				ind := onIndirect
+				if masked && traced == 0 {
+					ind = nil
+				}
+				if left < room && ind != nil {
+					goto public
+				}
 				argN := int(in.imm)
 				args := m.args[:0]
 				for k := 0; k < argN; k++ {
@@ -611,6 +681,9 @@ frame:
 				}
 				m.args = args
 				if f := m.pushFrame(t, in.p, ip, pc, in.dst); f != nil {
+					if left < room {
+						goto public
+					}
 					m.failAt(t, ip, f)
 					goto done
 				}
@@ -622,16 +695,18 @@ frame:
 						goto done
 					}
 				}
-				if m.cfg.Hooks.OnIndirect != nil {
-					entry := m.prog.funcs[in.p].entry
-					m.cfg.Hooks.OnIndirect(&t.Thread, irInstrs[ip], irInstrs[entry], clk)
+				if ind != nil {
+					ind(&t.Thread, irInstrs[ip], irInstrs[m.prog.funcs[in.p].entry], clk)
 				}
 				pc = t.pc
-				if clk < maxSteps && q > 0 {
-					q--
+				if clk < maxSteps && left > 0 {
+					left--
 					continue frame
 				}
 			case opMalloc:
+				if left < room {
+					goto public
+				}
 				addr, f := mem.Malloc(opVal(win, consts, in.a))
 				if f != nil {
 					m.failAt(t, ip, f)
@@ -641,23 +716,30 @@ frame:
 					win[in.dst] = addr
 				}
 			case opFree:
+				if left < room {
+					goto public
+				}
 				if f := mem.Free(opVal(win, consts, in.a)); f != nil {
 					m.failAt(t, ip, f)
 					goto done
 				}
 			case opSpawn:
+				if left < room {
+					goto public
+				}
 				arg := opVal(win, consts, in.a)
 				m.clock = clk // spawnThread's OnSpawn hook reads m.clock
 				child := m.spawnThread(in.p, &arg, t.ID)
-				q = m.cut(q)
 				if in.dst >= 0 {
 					win[in.dst] = int64(child.ID)
 				}
-				if m.cfg.Hooks.OnIndirect != nil {
-					entry := m.prog.funcs[in.p].entry
-					m.cfg.Hooks.OnIndirect(&t.Thread, irInstrs[ip], irInstrs[entry], clk)
+				if onIndirect != nil && (traced != 0 || !masked) {
+					onIndirect(&t.Thread, irInstrs[ip], irInstrs[m.prog.funcs[in.p].entry], clk)
 				}
 			case opJoin:
+				if left < room {
+					goto public
+				}
 				tid := int(opVal(win, consts, in.a))
 				if tid >= 0 && tid < len(m.threads) && m.threads[tid].state != vm.ThreadDone {
 					t.state = vm.ThreadBlocked
@@ -667,7 +749,14 @@ frame:
 					goto blocked
 				}
 			case opLock:
+				if left < room {
+					goto public
+				}
 				addr := opVal(win, consts, in.a)
+				if m.stale(addr, 8) {
+					m.rerun(clk)
+					return
+				}
 				owner, f := mem.LoadWord(addr)
 				if f != nil {
 					m.failAt(t, ip, f)
@@ -685,7 +774,14 @@ frame:
 					goto done
 				}
 			case opUnlock:
+				if left < room {
+					goto public
+				}
 				addr := opVal(win, consts, in.a)
+				if m.stale(addr, 8) {
+					m.rerun(clk)
+					return
+				}
 				if _, f := mem.LoadWord(addr); f != nil {
 					m.failAt(t, ip, f)
 					goto done
@@ -694,42 +790,52 @@ frame:
 					m.failAt(t, ip, f)
 					goto done
 				}
-				woke := false
 				for _, th := range m.threads {
 					if th.state == vm.ThreadBlocked && th.blockMutex == addr {
 						m.wake(th)
-						woke = true
 					}
-				}
-				if woke {
-					q = m.cut(q)
 				}
 			case opAssert:
 				if opVal(win, consts, in.a) == 0 {
+					if left < room {
+						goto public
+					}
 					m.failAt(t, ip, &vm.Fault{Kind: vm.FaultAssert, Msg: "assert failed"})
 					goto done
 				}
 			case opPrint:
+				if left < room {
+					goto public
+				}
 				argN := int(in.q)
 				parts := make([]string, argN)
 				for k := 0; k < argN; k++ {
 					parts[k] = strconv.FormatInt(opVal(win, consts, m.prog.argRefs[int(in.p)+k]), 10)
 				}
 				m.prints = append(m.prints, strings.Join(parts, " "))
-			case opPrints:
-				s, f := mem.LoadCStringFast(opVal(win, consts, in.a))
+			case opPrints, opStrlen:
+				if left < room {
+					goto public
+				}
+				addr := opVal(win, consts, in.a)
+				s, f := mem.LoadCStringFast(addr)
+				// The bytes the scan looked at, or, when it faulted, any up
+				// to its 64 KiB bound.
+				span := int64(len(s)) + 1
+				if f != nil {
+					span = 1 << 16
+				}
+				if m.stale(addr, span) {
+					m.rerun(clk)
+					return
+				}
 				if f != nil {
 					m.failAt(t, ip, f)
 					goto done
 				}
-				m.prints = append(m.prints, s)
-			case opStrlen:
-				s, f := mem.LoadCStringFast(opVal(win, consts, in.a))
-				if f != nil {
-					m.failAt(t, ip, f)
-					goto done
-				}
-				if in.dst >= 0 {
+				if in.op == opPrints {
+					m.prints = append(m.prints, s)
+				} else if in.dst >= 0 {
 					win[in.dst] = int64(len(s))
 				}
 			case opInput:
@@ -751,47 +857,56 @@ frame:
 					win[in.dst] = addr
 				}
 			case opYield:
-				m.cut(q)
-				q = 0
+				if left < room {
+					goto public
+				}
+				left, room = 0, 0 // the decision ends here, and t runs no further
 			case opFail:
+				if left < room {
+					goto public
+				}
 				m.failAt(t, ip, &vm.Fault{Kind: vm.FaultOutOfBounds, Msg: m.prog.failMsgs[in.p]})
 				goto done
 			}
 			if clk >= maxSteps {
 				goto done
 			}
-			if q > 0 {
-				q--
+			if left > 0 {
+				left--
 				continue
 			}
-			// Grant spent with t still runnable: reschedule inline instead
-			// of bouncing through the run loop. The interpreter's
-			// pre-schedule checks are all vacuously satisfied here (the step
-			// above completed without fault or block, so no failure is
-			// pending, main cannot have finished unless t was main — which
-			// would have exited above — and the clock was just checked), and
-			// schedule cannot return nil because t itself is runnable.
-			m.clock = clk
-			t.pc = pc
-			next := m.schedule()
-			pc, q = next.pc, m.quantum
-			if next == t && in.op != opCall && in.op != opRet {
-				continue
-			}
-			t = next
-			continue frame
+			break
+		public:
+			// The step at ip is public and t is ahead of the clock: it
+			// stops in front of the step, which has not happened.
+			pc, clk, left = ip, clk-1, left+1
+			break
 		}
+		// t's decision is spent and it has run ahead as far as it may:
+		// bank the credit and let the scheduler catch the clock up.
+		t.pc = pc
+		t.credit = int64(room - left)
+		m.ahead += t.credit
+		m.clock = clk - t.credit
+		m.quantum = 0
+		next := m.schedule()
+		if m.clock >= maxSteps {
+			return
+		}
+		pc, clk = next.pc, m.clock
+		room = m.aheadRoom(clk + int64(m.quantum) + 1)
+		left = m.quantum + room
+		t = next
 	}
 blocked:
 	pc--              // the pre-increment: the instruction re-executes
 	t.retrying = true // ...as the same logical step
 done:
-	// t blocked, finished, faulted or hit the step limit: the next
-	// decision, if the run goes on, is drawn where the one in effect left
-	// the generator.
-	m.cut(q)
+	// t blocked, finished, faulted or hit the step limit, never ahead of
+	// the clock. A quantum left over is the interpreter's.
 	t.pc = pc
 	m.clock = clk
+	m.quantum = left - room
 }
 
 // stepBit is what t's Traced bit adds to runThread's step test: always

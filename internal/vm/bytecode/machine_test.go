@@ -15,7 +15,6 @@ import (
 	"repro/internal/bugs"
 	"repro/internal/core"
 	"repro/internal/ir"
-	"repro/internal/lang/sema"
 	"repro/internal/vm"
 	"repro/internal/vm/bytecode"
 	"repro/internal/vm/interp"
@@ -261,10 +260,11 @@ type hookEvent struct {
 // maskedTracker is a hook consumer of the kind Hooks.StepMask is for: a
 // per-thread on/off tracker driven by start and stop-after flags on
 // instructions, whose OnStep does nothing at an unflagged instruction of
-// a thread it is not tracking. delivered collects every event it is
-// handed; relevant collects the same events minus the OnStep calls the
-// mask's contract allows an engine to skip — judged from the tracker's
-// own state, not from the Traced bit the engine hands back.
+// a thread it is not tracking, and whose OnBranch and OnIndirect do
+// nothing on such a thread. delivered collects every event it is handed;
+// relevant collects the same events minus the calls the mask's contract
+// allows an engine to skip — judged from the tracker's own state, not
+// from the Traced bit the engine hands back.
 type maskedTracker struct {
 	mask                []uint8
 	on, pending, seen   map[int]bool
@@ -300,6 +300,15 @@ func (m *maskedTracker) both(e hookEvent) {
 	m.relevant = append(m.relevant, e)
 }
 
+// flow records a branch or indirect event, relevant while the thread is
+// tracked.
+func (m *maskedTracker) flow(e hookEvent) {
+	m.delivered = append(m.delivered, e)
+	if m.on[e.tid] {
+		m.relevant = append(m.relevant, e)
+	}
+}
+
 func (m *maskedTracker) hooks(withMask bool) vm.Hooks {
 	b2i := func(b bool) int64 {
 		if b {
@@ -328,10 +337,10 @@ func (m *maskedTracker) hooks(withMask bool) vm.Hooks {
 			t.Traced = m.on[t.ID]
 		},
 		OnBranch: func(t *vm.Thread, in *ir.Instr, taken bool, clock int64) {
-			m.both(hookEvent{kind: 'b', tid: t.ID, id: in.ID, a: b2i(taken), clock: clock})
+			m.flow(hookEvent{kind: 'b', tid: t.ID, id: in.ID, a: b2i(taken), clock: clock})
 		},
 		OnIndirect: func(t *vm.Thread, in *ir.Instr, target *ir.Instr, clock int64) {
-			m.both(hookEvent{kind: 'i', tid: t.ID, id: in.ID, a: int64(target.ID), clock: clock})
+			m.flow(hookEvent{kind: 'i', tid: t.ID, id: in.ID, a: int64(target.ID), clock: clock})
 		},
 		OnLoad: func(t *vm.Thread, in *ir.Instr, addr, val, size, clock int64) {
 			m.both(hookEvent{kind: 'l', tid: t.ID, id: in.ID, a: addr, b: val<<8 | size, clock: clock})
@@ -354,9 +363,10 @@ func (m *maskedTracker) hooks(withMask bool) vm.Hooks {
 
 // TestStepMaskFiltersHookStream pins the engine half of the StepMask
 // contract. With a mask, the bytecode engine must deliver exactly the
-// events of the unmasked run minus the OnStep calls at unflagged
-// instructions of untraced threads — no relevant step lost (each
-// thread's first step included), no skippable step delivered — and
+// events of the unmasked run minus two sets: the OnStep calls at
+// unflagged instructions of untraced threads, and the OnBranch and
+// OnIndirect calls of untraced threads — no relevant event lost (each
+// thread's first step included), no skippable one delivered — and
 // everything else about the run must be unchanged. The interpreter must
 // ignore the mask.
 func TestStepMaskFiltersHookStream(t *testing.T) {
@@ -405,115 +415,6 @@ func TestStepMaskFiltersHookStream(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// cutSitesSrc reaches every instruction that cuts a grant: spawn, an
-// unlock that wakes a waiter (workers yield holding the mutex, so others
-// queue on it), yield, a join and a lock that block, and thread exit.
-// Main spawns alone and workers often exit alone, when a grant is
-// specMax decisions long; with two or more runnable threads a grant is
-// short but usually holds the next decision drawn.
-const cutSitesSrc = `
-global int* mu;
-global int total = 0;
-void worker(int n) {
-	int s = 0;
-	for (int i = 0; i < n; i++) { s = s + i; }
-	lock(mu);
-	total = total + s;
-	yield();
-	unlock(mu);
-	for (int i = 0; i < n; i++) { s = s + i; }
-	total = total + 1;
-}
-int main() {
-	mu = malloc(8);
-	int w = 0;
-	for (int i = 0; i < 12; i++) { w = w + i; }
-	int a = spawn(worker, 9);
-	int b = spawn(worker, 2);
-	int c = spawn(worker, 5);
-	lock(mu);
-	w = w + 1;
-	unlock(mu);
-	join(b);
-	join(a);
-	join(c);
-	return total + w;
-}`
-
-// TestGrantCutSites holds the draw-ahead scheduler to the interpreter's
-// decision at every quantum expiry where a grant must be cut: the
-// (from, to, clock) schedule stream and the outcome must agree for 64
-// seeds at preemption means 1..6, with a step hook and without one (so
-// with LocalAddr+Load pairs fused). The step hook also proves the sweep
-// reaches each cut site while the grant holds a decision the cut must
-// drop, and — for the sites that change the runnable set — that the set
-// did change.
-func TestGrantCutSites(t *testing.T) {
-	src := ir.MustCompile("cuts.mc", cutSitesSrc)
-	prog := bytecode.Compile(src)
-	site := func(in *ir.Instr) (string, int) { // name, sign of the runnable-count change
-		switch {
-		case in.Op == ir.OpRet && in.Blk.Fn.Name == "worker":
-			return "exit", -1
-		case in.Op != ir.OpCallB:
-			return "", 0
-		case in.Builtin == sema.BuiltinSpawn:
-			return "spawn", 1
-		case in.Builtin == sema.BuiltinUnlock:
-			return "wake-on-unlock", 1
-		case in.Builtin == sema.BuiltinYield:
-			return "yield", 0
-		case in.Builtin == sema.BuiltinJoin:
-			return "blocking join", -1
-		case in.Builtin == sema.BuiltinLock:
-			return "blocking lock", -1
-		}
-		return "", 0
-	}
-	reached := map[string]int{}
-	for seed := int64(0); seed < 64; seed++ {
-		for mean := 1; mean <= 6; mean++ {
-			cfg := vm.Config{Seed: seed, PreemptMean: mean}
-			var want, got, gotNoStep []hookEvent
-			c := cfg
-			c.Hooks.OnSchedule = scheduleRecorder(&want)
-			ref := interp.Run(src, c)
-
-			m := bytecode.NewMachine(prog)
-			var pending string
-			var sign, before int
-			c.Hooks.OnSchedule = scheduleRecorder(&got)
-			c.Hooks.OnStep = func(th *vm.Thread, in *ir.Instr, clock int64) {
-				if pending != "" && (sign == 0 || (m.RunnableThreads()-before)*sign > 0) {
-					reached[pending]++
-				}
-				pending = ""
-				if name, s := site(in); name != "" && m.Speculating() {
-					pending, sign, before = name, s, m.RunnableThreads()
-				}
-			}
-			out := m.Run(c)
-			name := fmt.Sprintf("cuts/mean=%d", mean)
-			outcomesEqual(t, name, seed, ref, out)
-			if d := firstDiff(want, got); d != "" {
-				t.Fatalf("%s seed %d: schedules differ: %s", name, seed, d)
-			}
-
-			c.Hooks = vm.Hooks{OnSchedule: scheduleRecorder(&gotNoStep)}
-			out, _ = prog.Run(c)
-			outcomesEqual(t, name+"/no-step-hook", seed, ref, out)
-			if d := firstDiff(want, gotNoStep); d != "" {
-				t.Fatalf("%s seed %d, no step hook: schedules differ: %s", name, seed, d)
-			}
-		}
-	}
-	for _, name := range []string{"spawn", "wake-on-unlock", "yield", "blocking join", "blocking lock", "exit"} {
-		if reached[name] == 0 {
-			t.Errorf("the sweep never reached a %s while the grant held a decision to drop", name)
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package bytecode
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -17,17 +18,33 @@ func drawSeeds() []int64 {
 	return seeds
 }
 
+// int31 is one rand.(*Rand).Int31 from g.
+func (g *alfg) int31() uint32 {
+	var v uint32
+	g.at, v = g.step(g.at)
+	return v
+}
+
+// intn is one Intn(c.n) draw the way schedule() makes it.
+func intn(g *alfg, c *intnConsts) int {
+	v := g.int31()
+	for v > c.max {
+		v = g.int31()
+	}
+	return c.mod(v)
+}
+
 // TestDrawsMatchMathRand pins the machine's own generator and its Intn
-// replicas to math/rand. The scheduler's RNG consumption order and
+// constants to math/rand. The scheduler's RNG consumption order and
 // results are part of the determinism contract with the interpreter
 // (which draws through rand.Rand), so the state seed() reconstructs, the
 // two indices' wrap-arounds, and intn's precomputed rejection bound and
 // reciprocal modulo must match bit for bit, draw for draw, for every
 // preemption mean and runnable count the fleet can configure — on a
 // fresh generator and on a used one that is seeded again, which is what
-// every run on a pooled machine does. A grant cut at any of its
-// decisions must leave the generator exactly where the interpreter's is
-// after making only the decisions kept.
+// every run on a pooled machine does. Decisions charged to credit must
+// be the interpreter's too, and leave the generator where a rand.Rand
+// that made the same decisions stands.
 func TestDrawsMatchMathRand(t *testing.T) {
 	seeds := drawSeeds()
 	var m Machine // one machine throughout: every seeding but the first re-seeds a used generator
@@ -41,10 +58,10 @@ func TestDrawsMatchMathRand(t *testing.T) {
 				// Interleave a runnable-count draw like schedule() does, so
 				// both generators stay in lockstep across mixed call patterns.
 				pick := newIntn(1 + i%9)
-				if got, want := m.intn(&pick), ref.Intn(1+i%9); got != want {
+				if got, want := intn(&m.rng, &pick), ref.Intn(1+i%9); got != want {
 					t.Fatalf("mean=%d seed=%d draw=%d: intn(%d)=%d, rand.Intn=%d", mean, seed, i, 1+i%9, got, want)
 				}
-				if got, want := m.intn(&m.preempt), ref.Intn(2*mean); got != want {
+				if got, want := intn(&m.rng, &m.preempt), ref.Intn(2*mean); got != want {
 					t.Fatalf("mean=%d seed=%d draw=%d: intn(%d)=%d, rand.Intn=%d", mean, seed, i, 2*mean, got, want)
 				}
 			}
@@ -58,100 +75,69 @@ func TestDrawsMatchMathRand(t *testing.T) {
 	}
 	for i, seed := range seeds {
 		for n := 1; n <= 3; n++ {
-			checkGrantCuts(t, seed, n, 1+i%6)
+			checkChargedDecisions(t, seed, n, 1+i%6)
 		}
 	}
 }
 
-// scheduler returns a machine whose scheduler sees n runnable threads
-// under preemption mean mean, freshly seeded.
-func scheduler(seed int64, n, mean int) *Machine {
+// checkChargedDecisions gives n runnable threads credit and lets one
+// schedule() call charge decisions to it until one is not covered. Every
+// decision, the clock, the credit left, the quantum of the thread picked
+// and the OnSchedule calls must be what a rand.Rand making the
+// interpreter's decisions yields, and the generator must stand where that
+// rand.Rand does: the next 3×607 values, every lag of the recurrence
+// several times over, must agree.
+func checkChargedDecisions(t *testing.T, seed int64, n, mean int) {
+	t.Helper()
 	m := &Machine{preempt: newIntn(2 * mean)}
 	m.rng.seed(seed)
+	m.cfg.MaxSteps = 1 << 40
+	credit := []int64{90, 13, 150}[:n]
+	var switches, want []int
+	m.cfg.Hooks.OnSchedule = func(from, to int, clock int64) { switches = append(switches, from, to, int(clock)) }
 	for id := 0; id < n; id++ {
-		m.runnable = append(m.runnable, &thread{Thread: vm.Thread{ID: id}})
+		m.threads = append(m.threads, &thread{Thread: vm.Thread{ID: id}, credit: credit[id]})
+		m.ahead += credit[id]
 		m.pick = append(m.pick, newIntn(id+1))
 	}
-	return m
-}
+	m.runnable = m.threads
+	next := m.schedule()
 
-// checkGrantCuts makes one grant and cuts it at the first and at the last
-// instruction of each of its decisions in turn. Each cut must keep
-// exactly the decisions up to the one in effect, hand back the countdown
-// left in it, and leave the generator where a rand.Rand that made only
-// the kept decisions stands: the next 3×607 values, every lag of the
-// recurrence several times over, must agree.
-func checkGrantCuts(t *testing.T, seed int64, n, mean int) {
-	t.Helper()
-	m := scheduler(seed, n, mean)
-	m.schedule()
-	full := m.grant
-	if full.n < 1 || full.n > specMax {
-		t.Fatalf("seed=%d n=%d: a grant of %d decisions", seed, n, full.n)
-	}
-	for j := 0; j < full.n; j++ {
-		first := 1
-		if j > 0 {
-			first = full.end[j-1] + 1
+	ref := rand.New(rand.NewSource(seed))
+	left := append([]int64(nil), credit...)
+	var clock int64
+	cur, quantum := 0, 0
+	for {
+		pick, g := ref.Intn(n), int64(2+ref.Intn(2*mean))
+		if pick != cur {
+			want = append(want, cur, pick, int(clock))
+			cur = pick
 		}
-		for _, e := range []int{first, full.end[j]} {
-			m := scheduler(seed, n, mean)
-			next := m.schedule()
-			if q := m.cut(m.quantum - e + 1); q != full.end[j]-e || m.grant.n != j+1 || m.quantum != full.end[j]-1 {
-				t.Fatalf("seed=%d n=%d: cut after instruction %d of decision %d: countdown %d, %d decisions, grant %d; want %d, %d, %d",
-					seed, n, e, j, q, m.grant.n, m.quantum, full.end[j]-e, j+1, full.end[j]-1)
-			}
-			ref := rand.New(rand.NewSource(seed))
-			for d, start := 0, 0; d <= j; d++ {
-				pick, quantum := ref.Intn(n), 1+ref.Intn(2*mean)
-				if m.runnable[pick] != next || full.end[d]-start != quantum+1 {
-					t.Fatalf("seed=%d n=%d: merged decision %d is (thread %d, %d instructions); rand says (thread %d, %d)",
-						seed, n, d, next.ID, full.end[d]-start, pick, quantum+1)
-				}
-				start = full.end[d]
-			}
-			for i := 0; i < 3*alfgLong; i++ {
-				if got, want := int32(m.rng.int31()), ref.Int31(); got != want {
-					t.Fatalf("seed=%d n=%d: cut in decision %d of %d: value %d after it is %d, rand.Int31=%d", seed, n, j, full.n, i, got, want)
-				}
-			}
+		done := min(left[pick], g)
+		left[pick] -= done
+		clock += done
+		if done < g {
+			quantum = int(g - done - 1)
+			break
 		}
 	}
-}
-
-// TestRejectedDrawEndsGrant: a value Intn would reject ends the merge and
-// stays in the generator, so every merged decision takes exactly two
-// values. A quantum bound of 2^30+1 makes Intn reject almost half of all
-// values; with one runnable thread every pick merges, so only a rejected
-// quantum value (or the cap) ends a grant.
-func TestRejectedDrawEndsGrant(t *testing.T) {
-	const bound = 1<<30 + 1
-	short := 0
-	for _, seed := range drawSeeds() {
-		m := scheduler(seed, 1, 1)
-		m.preempt = newIntn(bound)
-		m.schedule()
-		ref := rand.New(rand.NewSource(seed))
-		for d, start := 0, 0; d < m.grant.n; d++ {
-			ref.Intn(1)
-			if got, want := m.grant.end[d]-start, 2+ref.Intn(bound); got != want {
-				t.Fatalf("seed=%d: decision %d grants %d instructions, rand says %d", seed, d, got, want)
-			}
-			start = m.grant.end[d]
-		}
-		if m.grant.n == specMax {
-			continue
-		}
-		short++
-		pick, quantum := ref.Int31(), ref.Int31()
-		if quantum <= int32(m.preempt.max) || m.grant.drawn {
-			t.Fatalf("seed=%d: the grant ended after %d decisions on value %d, which Intn(%d) accepts", seed, m.grant.n, quantum, bound)
-		}
-		if got := [2]int32{int32(m.rng.int31()), int32(m.rng.int31())}; got != [2]int32{pick, quantum} {
-			t.Fatalf("seed=%d: after the grant the generator yields %v, want the unconsumed %v", seed, got, [2]int32{pick, quantum})
+	var sum int64
+	for id, th := range m.threads {
+		sum += th.credit
+		if th.credit != left[id] {
+			t.Fatalf("seed=%d n=%d: thread %d holds %d credit, rand says %d", seed, n, id, th.credit, left[id])
 		}
 	}
-	if short == 0 {
-		t.Fatal("no grant ended on a rejected draw; the test needs some")
+	if next.ID != cur || m.clock != clock || m.quantum != quantum || m.ahead != sum {
+		t.Fatalf("seed=%d n=%d: schedule() picked %d at clock %d with quantum %d and %d credit; rand says %d, %d, %d, %d",
+			seed, n, next.ID, m.clock, m.quantum, m.ahead, cur, clock, quantum, sum)
+	}
+	if fmt.Sprint(switches) != fmt.Sprint(want) {
+		t.Fatalf("seed=%d n=%d: OnSchedule (from, to, clock) calls %v, rand says %v", seed, n, switches, want)
+	}
+	for i := 0; i < 3*alfgLong; i++ {
+		if got, want := int32(m.rng.int31()), ref.Int31(); got != want {
+			t.Fatalf("seed=%d n=%d: value %d after the decisions is %d, rand.Int31=%d", seed, n, i, got, want)
+		}
 	}
 }

@@ -9,17 +9,19 @@ import (
 	"repro/internal/vm"
 )
 
-// The scheduler's randomness and its runnable set. The RNG consumption
-// order — one Intn(runnable) and one Intn(2*PreemptMean) per scheduling
-// decision, drawn the way rand.(*Rand).Intn draws them — is part of the
-// determinism contract with the interpreter, which draws through a
-// rand.Rand and decides at every quantum expiry. This engine makes the
-// same draws from its own copy of the generator and picks from a list it
-// keeps up to date, and it draws ahead: the decisions after a pick that
-// would pick the same thread again are merged into one grant, so an
-// expiry that changes nothing costs nothing, and a grant cut short by a
-// change of the runnable set rewinds the generator to the decision in
-// effect.
+// The scheduler's randomness, its runnable set and the threads' credit.
+// The RNG consumption order — one Intn(runnable) and one
+// Intn(2*PreemptMean) per scheduling decision, drawn the way
+// rand.(*Rand).Intn draws them — is part of the determinism contract with
+// the interpreter, which draws through a rand.Rand and decides at every
+// quantum expiry. This engine makes the same draws from its own copy of
+// the generator, one decision at a time and in the interpreter's order,
+// and picks from a list it keeps up to date. What it does not do is
+// switch threads at every decision: a thread whose quantum ends keeps
+// executing private steps — steps no hook and no other thread can
+// observe — and banks them as credit (see runThread), and a decision
+// that picks a thread holding enough credit is charged against it
+// instead of running anything.
 
 // alfg is math/rand's additive lagged-Fibonacci generator,
 // x[n] = x[n-607] + x[n-273] mod 2^64, held in the machine. x[n] lives
@@ -34,29 +36,6 @@ const (
 	alfgLong, alfgShort = 607, 273
 	alfgRing            = 1024 // a power of two with room for the long lag
 )
-
-// specMax caps the decisions one grant merges. Speculation runs at most
-// 2·(specMax−1) values ahead of the committed decision, and a rewind is
-// one store to at only while the ring still holds every value the
-// rewound generator will read again: no more than alfgRing−alfgLong
-// values ahead. The constant below does not compile otherwise.
-const specMax = 64
-
-const _ = uint(alfgRing - alfgLong - 2*(specMax-1))
-
-// grant is what the last schedule() merged: decision j lets the thread
-// run until it has executed end[j] instructions of the grant, and leaves
-// the generator at at[j]. A merge that ended on a decision picking
-// another thread has drawn that decision already — nextPick, and the
-// nextEnd instructions it grants — and left the generator after it: it
-// is the next committed decision unless a cut comes first.
-type grant struct {
-	n                 int
-	end               [specMax]int
-	at                [specMax]uint32
-	drawn             bool
-	nextPick, nextEnd int
-}
 
 // seeders lends out the math/rand sources seed reads a state from; a
 // machine needs one only while it resets.
@@ -81,13 +60,14 @@ func (g *alfg) seed(s int64) {
 	g.at = alfgRing - 1 // x[-1]: the next step makes x[0]
 }
 
-// int31 is rand.(*Rand).Int31 on a rand.NewSource: one step of the
-// generator, bits 32..62 of the new x.
-func (g *alfg) int31() uint32 {
-	g.at = (g.at + 1) % alfgRing
-	x := g.ring[(g.at-alfgLong)%alfgRing] + g.ring[(g.at-alfgShort)%alfgRing]
-	g.ring[g.at] = x
-	return uint32(x << 1 >> 33) // x is unsigned
+// step is rand.(*Rand).Int31 on a rand.NewSource: one step of the
+// generator from position at, for a caller that keeps at in a register.
+// It returns the new position and bits 32..62 of the new x.
+func (g *alfg) step(at uint32) (uint32, uint32) {
+	at = (at + 1) % alfgRing
+	x := g.ring[(at-alfgLong)%alfgRing] + g.ring[(at-alfgShort)%alfgRing]
+	g.ring[at] = x
+	return at, uint32(x << 1 >> 33) // x is unsigned
 }
 
 // intnConsts is what Intn(n) needs besides its draws: the rejection
@@ -113,21 +93,6 @@ func newIntn(n int) intnConsts {
 func (c *intnConsts) mod(v uint32) int {
 	r, _ := bits.Mul64(c.magic*uint64(v), c.n)
 	return int(r)
-}
-
-// intn replicates rand.(*Rand).Intn(c.n) exactly — same draws from the
-// generator in the same order, same result. (Rand.Intn masks instead
-// when n is a power of two; for such an n the bound below rejects
-// nothing and the remainder is that mask.) The loop has one draw site so
-// that the function stays small enough to inline.
-func (m *Machine) intn(c *intnConsts) int {
-	var v uint32
-	for {
-		if v = m.rng.int31(); v <= c.max {
-			break
-		}
-	}
-	return c.mod(v)
 }
 
 // RunnableThreads reports how many threads are currently runnable. The
@@ -170,70 +135,123 @@ func (m *Machine) wakeJoiners(tid int) {
 	}
 }
 
-// schedule picks the next thread and grants it a run of instructions, or
-// returns nil when nothing is runnable. The committed decision is the
-// interpreter's: Intn(runnable) for the pick, 1+Intn(2*PreemptMean) for a
-// quantum that runs one instruction more than its value. The decisions
-// after it are drawn too, and merged while they pick the same thread
-// from the same list. A draw Intn would reject ends the merge and is
-// handed back, so each merged decision takes exactly two values and
-// rewinding one is a store (cut). A decision that ends it by picking
-// another thread is kept as the next committed one. m.quantum is the
-// grant's countdown.
+// schedule makes the interpreter's scheduling decisions from m.clock on
+// and returns the thread that runs the next step, or nil when nothing is
+// runnable. A quantum left in m.quantum is the interpreter's: the thread
+// in effect, still runnable, takes the next step. Otherwise it draws:
+// Intn(runnable) for the pick and 1+Intn(2*PreemptMean) for a quantum, so
+// the decision covers g = 2+Intn steps of the picked thread. Steps the
+// thread has already run ahead are charged — its credit, and the clock,
+// move by up to g — and a decision charged in full is followed by the
+// next one. The thread returned has no credit left and m.quantum steps of
+// its decision after the next one. Charging stops at the step limit, with
+// the clock there; callers check it first.
 func (m *Machine) schedule() *thread {
+	if t := m.threads[m.cur]; t.state == vm.ThreadRunnable && m.quantum > 0 {
+		m.quantum--
+		return t
+	}
 	n := len(m.runnable)
 	if n == 0 {
 		return nil
 	}
-	pick := &m.pick[n-1]
-	g := &m.grant
-	k := g.nextPick
-	if g.drawn {
-		g.end[0] = g.nextEnd
-	} else {
-		k = m.intn(pick)
-		g.end[0] = 2 + m.intn(&m.preempt)
-	}
-	g.at[0], g.drawn = m.rng.at, false
-	j := 1
-	for ; j < specMax; j++ {
-		v, w := m.rng.int31(), m.rng.int31()
-		if v > pick.max || w > m.preempt.max {
-			m.rng.at = g.at[j-1]
+	// The runnable set cannot change while decisions are charged, so the
+	// loop carries only the generator's position, the clock, the thread
+	// in effect and the sum of credit, and stores them when it is done.
+	pick, onSchedule, limit := &m.pick[n-1], m.cfg.Hooks.OnSchedule, m.cfg.MaxSteps
+	at, clock, cur, ahead := m.rng.at, m.clock, m.cur, m.ahead
+	var next *thread
+	for clock < limit {
+		// Intn(n) and Intn(2*PreemptMean), drawn the way rand.(*Rand).Intn
+		// draws: a value above max is rejected and the next one taken.
+		// (Intn masks instead when n is a power of two; for such an n max
+		// rejects nothing and the remainder is that mask.)
+		var v, w uint32
+		at, v = m.rng.step(at)
+		for v > pick.max {
+			at, v = m.rng.step(at)
+		}
+		at, w = m.rng.step(at)
+		for w > m.preempt.max {
+			at, w = m.rng.step(at)
+		}
+		next = m.runnable[pick.mod(v)]
+		g := int64(2 + m.preempt.mod(w))
+		if onSchedule != nil && next.ID != cur {
+			m.clock, m.ahead = clock, ahead
+			onSchedule(cur, next.ID, clock)
+		}
+		cur = next.ID
+		done := min(next.credit, g, limit-clock)
+		next.credit -= done
+		ahead -= done
+		clock += done
+		if done < g {
+			m.quantum = int(g - done - 1)
 			break
 		}
-		if p := pick.mod(v); p != k {
-			g.drawn, g.nextPick, g.nextEnd = true, p, 2+m.preempt.mod(w)
-			break
-		}
-		g.end[j], g.at[j] = g.end[j-1]+2+m.preempt.mod(w), m.rng.at
+		next = nil
 	}
-	g.n = j
-	m.quantum = g.end[j-1] - 1
-	next := m.runnable[k]
-	if next.ID != m.cur {
-		if m.cfg.Hooks.OnSchedule != nil {
-			m.cfg.Hooks.OnSchedule(m.cur, next.ID, m.clock)
-		}
-		m.cur = next.ID
-	}
+	m.rng.at, m.clock, m.cur, m.ahead = at, clock, cur, ahead
 	return next
 }
 
-// cut ends the grant at the decision in effect, for an instruction that
-// changed the runnable set or ends the quantum early, executed with q
-// left on the grant's countdown: decision j, the first whose end covers
-// the e instructions run so far, is kept, the generator rewinds to
-// where j left it, and the countdown left in j is returned.
-func (m *Machine) cut(q int) int {
-	g := &m.grant
-	e := m.quantum - q + 1
-	j := 0
-	for g.end[j] < e {
-		j++
+// aheadMax caps one thread's credit. A run that ends — 62 % of the
+// fleet's fail — throws away the credit its threads hold, so the cap
+// bounds that waste; beyond it a thread's run-ahead gains little, as the
+// decisions it covers cost the same either way.
+const aheadMax = 512
+
+// aheadRoom is the credit a thread whose decision ends at clock end may
+// earn: at most aheadCap, and at most what keeps the clock plus all
+// credit below the step limit.
+func (m *Machine) aheadRoom(end int64) int {
+	return int(max(0, min(int64(m.aheadCap), m.cfg.MaxSteps-end-m.ahead-1)))
+}
+
+// stale reports whether the n bytes at addr reach into the stack of a
+// thread holding credit, whose bytes are ahead of the clock.
+func (m *Machine) stale(addr, n int64) bool {
+	if m.ahead == 0 || addr+n <= vm.StackBase || addr >= vm.HeapBase {
+		return false
 	}
-	g.n, g.drawn = j+1, false
-	m.rng.at = g.at[j]
-	m.quantum = g.end[j] - 1
-	return g.end[j] - e
+	hi := (min(addr+n, vm.HeapBase) - 1 - vm.StackBase) / vm.StackStride
+	for tid := (max(addr, vm.StackBase) - vm.StackBase) / vm.StackStride; tid <= hi && tid < int64(len(m.threads)); tid++ {
+		if m.threads[tid].credit > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// rerun makes the machine exact at clock c, for the two cases where
+// credit would show: a public access to the stack of a thread holding
+// credit, at step c-1, and the step limit c reached while the thread in
+// effect holds credit. It runs the same run again on a pooled machine,
+// silently (no hooks) and never ahead, to clock c, takes over its state —
+// with the Traced bits this run's consumer set, which credit never
+// crosses a change of — and hands the old state back to the pool. A
+// re-run that stops at c short of the step limit has executed step c-1
+// and reports a hang that is not one; it is dropped, and a fault of step
+// c-1 itself is kept.
+func (m *Machine) rerun(c int64) {
+	r, ok := m.prog.pool.Get().(*Machine)
+	if !ok {
+		r = NewMachine(m.prog)
+	}
+	cfg := m.cfg
+	silent := cfg
+	silent.Hooks = vm.Hooks{}
+	r.Reset(silent)
+	r.cfg.MaxSteps, r.aheadCap = c, 0
+	r.run()
+	if c < cfg.MaxSteps && r.fault != nil && r.fault.Kind == vm.FaultHang {
+		r.fault = nil
+	}
+	for i, th := range m.threads {
+		r.threads[i].Traced = th.Traced
+	}
+	*m, *r = *r, *m
+	m.cfg, m.aheadCap = cfg, aheadMax
+	m.prog.pool.Put(r)
 }

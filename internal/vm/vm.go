@@ -25,8 +25,9 @@ type Thread struct {
 
 	// Traced is the hook consumer's per-thread "tracing is on" bit, the
 	// other half of Hooks.StepMask: an engine that honours the mask calls
-	// OnStep at every step of a thread whose bit is set. The consumer
-	// writes it from inside OnStep; engines only read it.
+	// OnStep at every step of a thread whose bit is set, and OnBranch and
+	// OnIndirect only on such a thread. The consumer writes it from inside
+	// OnStep; engines only read it.
 	Traced bool
 }
 
@@ -100,14 +101,19 @@ type Hooks struct {
 	OnStep func(t *Thread, in *ir.Instr, clock int64)
 	// StepMask, when non-nil, is the consumer's promise that OnStep does
 	// nothing at instruction id unless StepMask[id] != 0 or the thread's
-	// Traced bit is set, so an engine may skip those calls. It is indexed
-	// by instruction ID and covers the whole program. Every thread's first
-	// step is delivered regardless (threads are born with Traced set), so
-	// the consumer sees each thread once and decides its bit. Nil means
-	// "call OnStep at every step". The tree-walking interpreter ignores
-	// the mask and always calls: under the promise above the extra calls
-	// are no-ops, which is what lets it stay the oracle for the engine
-	// that skips them.
+	// Traced bit is set, and that OnBranch and OnIndirect do nothing on a
+	// thread whose Traced bit is clear, so an engine may skip those calls.
+	// It is indexed by instruction ID and covers the whole program. Every
+	// thread's first step is delivered regardless (threads are born with
+	// Traced set), so the consumer sees each thread once and decides its
+	// bit. Nil means "call OnStep, OnBranch and OnIndirect at every step
+	// they fire on". The tree-walking interpreter ignores the mask and
+	// always calls: under the promise above the extra calls are no-ops,
+	// which is what lets it stay the oracle for the engine that skips
+	// them. The bytecode engine runs a thread's private steps — those no
+	// hook sees, touching only its own registers and stack — ahead of the
+	// schedule; every hook still fires at the interpreter's clock and sees
+	// shared memory as of that clock.
 	StepMask []uint8
 	// OnBranch fires at every conditional branch with its outcome.
 	OnBranch func(t *Thread, in *ir.Instr, taken bool, clock int64)
