@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"repro/internal/analysis"
 	"repro/internal/cfg"
@@ -53,7 +52,6 @@ type Campaign struct {
 	res       *Result
 	overheads []float64
 	added     []int
-	addedSet  map[int]bool
 	sigma     int
 	seed      int64 // next production-run seed (the explicit seed cursor)
 	iter      int
@@ -149,7 +147,6 @@ func (c *Campaign) prepare() {
 	sp.End()
 	c.sl = sl
 	c.res = &Result{Slice: sl, Report: c.report}
-	c.addedSet = make(map[int]bool)
 	c.sigma = cfg.Sigma0
 	c.inj = faults.NewInjector(cfg.Faults)
 	c.pool = NewPool(cfg.Workers)
@@ -398,11 +395,9 @@ func (c *Campaign) Rank() {
 	// watchpoint, while successful schedules catch it.
 	refine := func(rt *RunTrace) {
 		for _, tr := range rt.Traps {
-			if !c.sl.Contains(tr.InstrID) && !c.addedSet[tr.InstrID] {
-				c.addedSet[tr.InstrID] = true
+			if c.sl.Add(tr.InstrID) {
 				c.added = append(c.added, tr.InstrID)
 				st.addedNow = append(st.addedNow, tr.InstrID)
-				c.sl.Add(tr.InstrID)
 			}
 		}
 	}
@@ -442,7 +437,6 @@ func (c *Campaign) Rank() {
 	c.res.Sketch = sketch
 	c.res.Iters = append(c.res.Iters, IterStats{
 		Sigma:         st.effSigma,
-		TrackedLines:  st.effSigma,
 		TrackedInstrs: len(st.window),
 		Failing:       len(st.failing),
 		Successful:    len(st.successful),
@@ -620,7 +614,9 @@ type CampaignSnapshot struct {
 	Health             FleetHealth `json:"health"`
 	Iters              []IterStats `json:"iters,omitempty"`
 
-	Sketch *SketchState `json:"sketch,omitempty"`
+	// Sketch is the latest sketch, its own JSON form; the program and
+	// report are reattached on restore.
+	Sketch *Sketch `json:"sketch,omitempty"`
 
 	// Finished marks a terminal campaign (developer oracle, convergence,
 	// or the did-not-recur error — recorded in FinalErr). A campaign
@@ -629,65 +625,6 @@ type CampaignSnapshot struct {
 	Finished       bool    `json:"finished,omitempty"`
 	FinalErr       string  `json:"final_err,omitempty"`
 	AvgOverheadPct float64 `json:"avg_overhead_pct,omitempty"`
-}
-
-// SketchState is the serializable part of a Sketch. The program and
-// report pointers are reattached from the restoring configuration.
-type SketchState struct {
-	Title             string       `json:"title"`
-	FailureKind       string       `json:"failure_kind"`
-	Threads           []int        `json:"threads,omitempty"`
-	Steps             []SketchStep `json:"steps,omitempty"`
-	Predictors        []Ranked     `json:"predictors,omitempty"`
-	AllRanked         []Ranked     `json:"all_ranked,omitempty"`
-	InstrSet          []int        `json:"instr_set,omitempty"`
-	AddedByRefinement []int        `json:"added_by_refinement,omitempty"`
-	LowConfidence     bool         `json:"low_confidence,omitempty"`
-}
-
-func sketchToState(sk *Sketch) *SketchState {
-	if sk == nil {
-		return nil
-	}
-	instrs := make([]int, 0, len(sk.InstrSet))
-	for id := range sk.InstrSet {
-		instrs = append(instrs, id)
-	}
-	sort.Ints(instrs)
-	return &SketchState{
-		Title:             sk.Title,
-		FailureKind:       sk.FailureKind,
-		Threads:           sk.Threads,
-		Steps:             sk.Steps,
-		Predictors:        sk.Predictors,
-		AllRanked:         sk.AllRanked,
-		InstrSet:          instrs,
-		AddedByRefinement: sk.AddedByRefinement,
-		LowConfidence:     sk.LowConfidence,
-	}
-}
-
-func (s *SketchState) toSketch(cfg Config, report *vm.FailureReport) *Sketch {
-	if s == nil {
-		return nil
-	}
-	sk := &Sketch{
-		Title:             s.Title,
-		FailureKind:       s.FailureKind,
-		Report:            report,
-		Prog:              cfg.Prog,
-		Threads:           s.Threads,
-		Steps:             s.Steps,
-		Predictors:        s.Predictors,
-		AllRanked:         s.AllRanked,
-		InstrSet:          make(map[int]bool, len(s.InstrSet)),
-		AddedByRefinement: s.AddedByRefinement,
-		LowConfidence:     s.LowConfidence,
-	}
-	for _, id := range s.InstrSet {
-		sk.InstrSet[id] = true
-	}
-	return sk
 }
 
 // Snapshot serializes the campaign at the current iteration boundary.
@@ -713,7 +650,11 @@ func (c *Campaign) Snapshot() (*CampaignSnapshot, error) {
 		TotalRuns:          c.res.TotalRuns,
 		Health:             c.res.Health,
 		Iters:              append([]IterStats(nil), c.res.Iters...),
-		Sketch:             sketchToState(c.res.Sketch),
+		// A copy, unbound like a decoded one: Abandon marks the live
+		// sketch low-confidence in place, which a supervisor's last good
+		// snapshot must never see. Nothing mutates a sketch's slices once
+		// it is built, so shallow is enough.
+		Sketch: c.res.Sketch.attach(nil, nil),
 	}
 	if c.finished && !c.exhausted {
 		snap.Finished = true
@@ -735,7 +676,7 @@ func (s *CampaignSnapshot) RenderSketchJSON(prog *ir.Program) ([]byte, error) {
 	if s.Sketch == nil {
 		return nil, fmt.Errorf("gist: checkpoint for %s has no sketch", s.Title)
 	}
-	return s.Sketch.toSketch(Config{Prog: prog}, s.Report).MarshalIndentJSON()
+	return s.Sketch.attach(prog, s.Report).MarshalIndentJSON()
 }
 
 // Encode renders the snapshot as indented JSON with a trailing newline.
@@ -804,7 +745,6 @@ func RestoreCampaign(c Config, snap *CampaignSnapshot) (*Campaign, error) {
 	// Replay refinement in discovery order so Slice.IDs/Discovery match
 	// the uninterrupted run exactly.
 	for _, id := range snap.Added {
-		camp.addedSet[id] = true
 		camp.added = append(camp.added, id)
 		camp.sl.Add(id)
 	}
@@ -818,7 +758,9 @@ func RestoreCampaign(c Config, snap *CampaignSnapshot) (*Campaign, error) {
 	camp.res.TotalRuns = snap.TotalRuns
 	camp.res.Health = snap.Health
 	camp.res.Iters = append([]IterStats(nil), snap.Iters...)
-	camp.res.Sketch = snap.Sketch.toSketch(c, snap.Report)
+	// A copy, like Snapshot's: Abandon marks the live sketch low-confidence
+	// in place, and the snapshot may be a supervisor's last good one.
+	camp.res.Sketch = snap.Sketch.attach(c.Prog, snap.Report)
 
 	if snap.Finished {
 		camp.finished = true

@@ -126,6 +126,56 @@ func TestCampaignSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotSketchNotShared: Abandon marks a campaign's sketch
+// low-confidence in place, so neither the campaign a snapshot was taken
+// from nor one restored from it may share the snapshot's sketch — the
+// supervisor restarts from that snapshot, and its copy must stay as
+// checkpointed.
+func TestSnapshotSketchNotShared(t *testing.T) {
+	cfg := pbzipConfig(t)
+	report, disc, err := FirstFailure(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	camp, err := NewCampaign(cfg, report, disc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done, err := camp.Step(); done || err != nil {
+		t.Fatalf("first step: done=%v err=%v; the test needs an unfinished campaign", done, err)
+	}
+	snap, err := camp.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Sketch == nil || snap.Sketch.LowConfidence {
+		t.Fatalf("the test needs a confident sketch after one step, got %+v", snap.Sketch)
+	}
+	for _, c := range []struct {
+		name string
+		camp func() *Campaign
+	}{
+		{"snapshotted campaign", func() *Campaign { return camp }},
+		{"restored campaign", func() *Campaign {
+			restored, err := RestoreCampaign(cfg, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return restored
+		}},
+	} {
+		live := c.camp()
+		live.Abandon(nil)
+		res, err := live.Result()
+		if err != nil || !res.Sketch.LowConfidence {
+			t.Fatalf("%s: Abandon did not mark its sketch low-confidence (err %v)", c.name, err)
+		}
+		if snap.Sketch.LowConfidence {
+			t.Fatalf("abandoning the %s marked the snapshot's sketch low-confidence", c.name)
+		}
+	}
+}
+
 // TestCampaignSnapshotVersioning: unknown or malformed checkpoints are
 // rejected with clear errors, never silently accepted.
 func TestCampaignSnapshotVersioning(t *testing.T) {

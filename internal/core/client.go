@@ -24,7 +24,7 @@ type RunSpec struct {
 // RunTrace is what an endpoint ships back to the Gist server for one run:
 // the run outcome, the decoded control flow of the tracked regions, the
 // watchpoint trap log (values + total order of shared accesses), and the
-// overhead meter.
+// overhead meter. The server derives everything else from these.
 type RunTrace struct {
 	Spec    RunSpec
 	Outcome *vm.Outcome
@@ -35,15 +35,8 @@ type RunTrace struct {
 	// Branches holds, per thread, the conditional-branch outcomes the
 	// decoder recovered from TNT bits.
 	Branches map[int][]pt.BranchObs
-	// Executed is the set of instructions observed by control-flow
-	// tracking (union of Flow).
-	Executed map[int]bool
 	// Traps is the watchpoint access log in global clock order.
 	Traps []watch.Trap
-	// WatchMisses counts shared accesses in the watch group that could
-	// not be watched because all debug registers were armed (triggers
-	// cooperative partitioning pressure).
-	WatchMisses int
 
 	Meter cost.Meter
 	// DecodeErr reports a PT decode problem (trace corruption) that
@@ -57,12 +50,9 @@ type RunTrace struct {
 	// Late marks a report that arrived past the server's per-run
 	// deadline (a hung endpoint); the server discards it.
 	Late bool
-	// DroppedTraps / ReorderedTraps count trap-log damage injected in
-	// flight, for fleet-health accounting.
-	DroppedTraps   int
-	ReorderedTraps int
-	// Truncated names the RunTrace field a truncation fault ate.
-	Truncated faults.TruncateKind
+	// DroppedTraps counts trap records lost in flight, for fleet-health
+	// accounting.
+	DroppedTraps int
 }
 
 // Failed reports whether the traced run failed.
@@ -89,7 +79,6 @@ func RunInstrumentedFaults(plan *Plan, spec RunSpec, dec faults.Decision) *RunTr
 		Spec:     spec,
 		Flow:     make(map[int][]int),
 		Branches: make(map[int][]pt.BranchObs),
-		Executed: make(map[int]bool),
 	}
 	tracer := pt.NewTracer(pt.Config{BufBytes: dec.BufBytes(0)}, &rt.Meter)
 	unit := watch.NewUnit(&rt.Meter)
@@ -190,11 +179,12 @@ func RunInstrumentedFaults(plan *Plan, spec RunSpec, dec faults.Decision) *RunTr
 			// access, so the triggering access itself traps too). One
 			// debug register per class: the watchpoint watches "the
 			// variable", so an array walk does not drain the register
-			// file.
+			// file. A fresh unit and at most NumRegisters classes per
+			// group mean SetAny cannot run out of registers; should it
+			// fail anyway, the class stays unarmed and a later access
+			// tries again.
 			if k := plan.watchRegister(in.ID, grp); k < watch.NumRegisters && !armedClass[k] && !unit.Watched(addr, size) {
-				if _, err := unit.SetAny(watch.Watchpoint{Addr: addr, Size: size, Kind: watch.KindReadWrite}); err != nil {
-					rt.WatchMisses++
-				} else {
+				if _, err := unit.SetAny(watch.Watchpoint{Addr: addr, Size: size, Kind: watch.KindReadWrite}); err == nil {
 					armedClass[k] = true
 				}
 			}
@@ -218,7 +208,6 @@ func RunInstrumentedFaults(plan *Plan, spec RunSpec, dec faults.Decision) *RunTr
 
 	if plan.Feats.ControlFlow {
 		decodeSpan := plan.Telemetry.StartSpan(telemetry.PhaseDecode)
-		seen := make([]bool, len(plan.Prog.Instrs))
 		for _, core := range tracer.Cores() {
 			if tracer.Enabled(core) {
 				tracer.Disable(core, thread(core).lastTraced)
@@ -246,12 +235,6 @@ func RunInstrumentedFaults(plan *Plan, spec RunSpec, dec faults.Decision) *RunTr
 			rt.Branches[core] = branches
 			if len(flow) > 0 {
 				rt.Flow[core] = flow
-			}
-			for _, id := range flow {
-				if !seen[id] {
-					seen[id] = true
-					rt.Executed[id] = true
-				}
 			}
 			// Extended-PT data packets become the access log, exactly as
 			// watchpoint traps would (the TSC is the total order).
@@ -285,7 +268,7 @@ func (rt *RunTrace) applyTransitFaults(dec faults.Decision) {
 	if !dec.Any() {
 		return
 	}
-	rt.Traps, rt.DroppedTraps, rt.ReorderedTraps = dec.ApplyTraps(rt.Traps)
+	rt.Traps, rt.DroppedTraps = dec.ApplyTraps(rt.Traps)
 	switch dec.Truncate {
 	case faults.TruncateOutcome:
 		rt.Outcome = nil
@@ -301,7 +284,6 @@ func (rt *RunTrace) applyTransitFaults(dec faults.Decision) {
 			delete(rt.Branches, dec.PickCore(cores))
 		}
 	}
-	rt.Truncated = dec.Truncate
 	rt.Late = dec.Hang
 }
 
@@ -329,7 +311,7 @@ func (rt *RunTrace) FilterTraps(isRelevant func(instrID int) bool) {
 // BranchOutcomes returns each traced conditional branch's observed
 // outcomes (a branch can take both arms in one run), straight from the
 // decoder's TNT consumption.
-func (rt *RunTrace) BranchOutcomes(prog *ir.Program) map[int]map[bool]bool {
+func (rt *RunTrace) BranchOutcomes() map[int]map[bool]bool {
 	out := make(map[int]map[bool]bool)
 	for _, obs := range rt.Branches {
 		for _, o := range obs {

@@ -43,6 +43,17 @@ func clientPlan(t *testing.T, lines []int, feats Features) (*ir.Program, *Plan) 
 	return prog, BuildPlan(g, tracked, feats)
 }
 
+// executed returns the instructions rt's decoded flow observed.
+func executed(rt *RunTrace) map[int]bool {
+	seen := make(map[int]bool)
+	for _, flow := range rt.Flow {
+		for _, id := range flow {
+			seen[id] = true
+		}
+	}
+	return seen
+}
+
 func TestClientTracesOnlyPlannedRegions(t *testing.T) {
 	// Track lines 10-12 (g store, the if, h store); the work loop (lines
 	// 3-7) must not appear in decoded flow.
@@ -54,10 +65,11 @@ func TestClientTracesOnlyPlannedRegions(t *testing.T) {
 	if rt.DecodeErr != nil {
 		t.Fatalf("decode: %v", rt.DecodeErr)
 	}
-	if len(rt.Executed) == 0 {
+	ran := executed(rt)
+	if len(ran) == 0 {
 		t.Fatal("nothing traced")
 	}
-	for id := range rt.Executed {
+	for id := range ran {
 		ln := prog.Instrs[id].Pos.Line
 		if ln >= 4 && ln <= 6 {
 			t.Errorf("work-loop line %d traced despite not being planned", ln)
@@ -65,7 +77,7 @@ func TestClientTracesOnlyPlannedRegions(t *testing.T) {
 	}
 	// All tracked instructions that executed must be observed.
 	for _, id := range plan.Tracked {
-		if !rt.Executed[id] && prog.Instrs[id].Pos.Line == 10 {
+		if !ran[id] && prog.Instrs[id].Pos.Line == 10 {
 			t.Errorf("tracked instruction %%%d (line 10) not observed", id)
 		}
 	}
@@ -85,8 +97,8 @@ func TestClientStopLandsAfterOwnPackets(t *testing.T) {
 	}
 	plan := BuildPlan(cfg.BuildTICFG(prog), tracked, AllFeatures())
 	last := tracked[len(tracked)-1]
-	if prog.Instrs[last].Op != ir.OpBr || !plan.StopAfter[last] {
-		t.Fatalf("test needs the window to stop after a branch; last tracked is %v, stops %v", prog.Instrs[last].Op, plan.StopAfter)
+	if prog.Instrs[last].Op != ir.OpBr || plan.stepFlags[last]&planStopAfter == 0 {
+		t.Fatalf("test needs the window to stop after a branch; last tracked is %v, stops %v", prog.Instrs[last].Op, flagged(plan, planStopAfter))
 	}
 	for engine, run := range map[string]execFunc{"bytecode": nil, "interp": interp.Run} {
 		plan.exec = run
@@ -94,10 +106,10 @@ func TestClientStopLandsAfterOwnPackets(t *testing.T) {
 		if rt.DecodeErr != nil {
 			t.Fatalf("%v: decode: %v", engine, rt.DecodeErr)
 		}
-		if !rt.Executed[last] {
+		if !executed(rt)[last] {
 			t.Errorf("%v: the stop branch %%%d is missing from the decoded flow %v", engine, last, rt.Flow)
 		}
-		if len(rt.BranchOutcomes(prog)[last]) != 1 {
+		if len(rt.BranchOutcomes()[last]) != 1 {
 			t.Errorf("%v: want exactly one recorded outcome for the stop branch %%%d, got branches %v", engine, last, rt.Branches)
 		}
 	}

@@ -195,7 +195,6 @@ func (c Config) withDefaults() Config {
 // IterStats records one AsT iteration for the evaluation harness.
 type IterStats struct {
 	Sigma         int
-	TrackedLines  int
 	TrackedInstrs int
 	Failing       int
 	Successful    int

@@ -149,5 +149,4 @@ func validateTrace(rt *RunTrace, maxID int) (quarantine bool, repaired int) {
 func quarantineTraceData(rt *RunTrace) {
 	rt.Flow = make(map[int][]int)
 	rt.Branches = nil
-	rt.Executed = make(map[int]bool)
 }

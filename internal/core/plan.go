@@ -54,48 +54,33 @@ type Plan struct {
 	Feats   Features
 	Tracked []int // tracked slice-window instruction IDs
 
-	tracked map[int]bool
-
-	// StartAt: enable PT when execution reaches this instruction
-	// (instrumentation inserted in each predecessor basic block / at
-	// function entries for entry-block statements).
-	StartAt map[int]bool
-	// StopAfter: disable PT right after this instruction executes and
-	// before its immediate postdominator (the FUP anchor is the
-	// instruction itself).
-	StopAfter map[int]bool
-
-	// WatchAccesses are tracked shared-memory access instructions: when
-	// one executes, the client arms a hardware watchpoint on the accessed
-	// address (placed, per the paper, right before the access and after
-	// its immediate dominator).
-	WatchAccesses map[int]bool
-	// WatchGroups partitions WatchAccesses for the cooperative case where
-	// the tracked accesses may need more than the available debug
-	// registers: endpoint k uses group k mod len(WatchGroups).
-	WatchGroups [][]int
-	// Classes maps each watched access instruction to its static location
-	// class; the client arms one debug register per class (a watchpoint
-	// watches "the variable", not every address a walk touches).
-	Classes map[int]string
-
-	// The maps above are how the plan is derived and inspected; a run
-	// never looks anything up in them. BuildPlan ends by compiling them
-	// into the two tables below, indexed by instruction ID (the bytecode
-	// compiler guarantees ID == code index), which is what the client and
-	// the engine's step mask read: the software stand-in for PT address
+	// A plan is two tables indexed by instruction ID (the bytecode compiler
+	// guarantees ID == code index), which is what the client and the
+	// engine's step mask read: the software stand-in for PT address
 	// filters and debug registers costing nothing outside the tracked
 	// window (§3.2.2–3.2.3).
 	//
-	// stepFlags[id] has planStart set where StartAt[id] and planStopAfter
-	// where StopAfter[id]; nil without control-flow tracking.
+	// stepFlags[id] has planStart set where PT is enabled on reaching the
+	// instruction (instrumentation inserted in each predecessor basic
+	// block, or at the statement itself for entry-block statements), and
+	// planStopAfter where PT is disabled right after it retires and before
+	// its immediate postdominator (the FUP anchor is the instruction
+	// itself); nil without control-flow tracking.
 	stepFlags []uint8
-	// watchClass[id] is the rank of Classes[id] among the plan's sorted
-	// class names, or -1 for an instruction that is not a watched access.
-	// Classes are packed into WatchGroups in that order, NumRegisters to a
-	// group, so class k belongs to group k/NumRegisters and arms that
-	// endpoint's debug register k%NumRegisters. Nil without watch groups.
+	// watchClass[id] is, for a tracked shared-memory access, the rank of
+	// its static location class among the plan's sorted class names, and
+	// -1 for every other instruction: when such an access executes, the
+	// client arms a hardware watchpoint on the accessed address, one debug
+	// register per class (a watchpoint watches "the variable", not every
+	// address a walk touches). Classes are packed into watch groups in
+	// that order, NumRegisters to a group, so class k belongs to group
+	// k/NumRegisters and arms that endpoint's debug register
+	// k%NumRegisters. Nil without watched accesses.
 	watchClass []int32
+	// groups is the number of watch groups: endpoint k uses group
+	// k mod groups, the cooperative case where the tracked accesses need
+	// more than the available debug registers.
+	groups int
 
 	// Telemetry, when set by the server, receives the client-side phase
 	// spans (run execution, PT decode, trap collection) of every run
@@ -114,38 +99,19 @@ const (
 	planStopAfter                   // disable PT once the instruction has retired
 )
 
-// IsTracked reports whether instruction id is part of the tracked window.
-func (p *Plan) IsTracked(id int) bool { return p.tracked[id] }
-
 // BuildPlan computes the instrumentation plan for the tracked window.
 func BuildPlan(g *cfg.TICFG, tracked []int, feats Features) *Plan {
 	p := &Plan{
-		Prog:          g.Prog,
-		Feats:         feats,
-		Tracked:       append([]int(nil), tracked...),
-		tracked:       make(map[int]bool, len(tracked)),
-		StartAt:       make(map[int]bool),
-		StopAfter:     make(map[int]bool),
-		WatchAccesses: make(map[int]bool),
-		Classes:       make(map[int]string),
-	}
-	for _, id := range tracked {
-		p.tracked[id] = true
+		Prog:    g.Prog,
+		Feats:   feats,
+		Tracked: append([]int(nil), tracked...),
 	}
 	if feats.ControlFlow {
+		p.stepFlags = make([]uint8, len(p.Prog.Instrs))
 		p.planControlFlow(g)
 	}
 	if feats.DataFlow {
 		p.planDataFlow()
-	}
-	if feats.ControlFlow {
-		p.stepFlags = make([]uint8, len(p.Prog.Instrs))
-		for id := range p.StartAt {
-			p.stepFlags[id] |= planStart
-		}
-		for id := range p.StopAfter {
-			p.stepFlags[id] |= planStopAfter
-		}
 	}
 	return p
 }
@@ -178,7 +144,7 @@ func (p *Plan) planControlFlow(g *cfg.TICFG) {
 			// the immediately preceding statement is what keeps the
 			// coverage claim sound: a stop can never sit between a
 			// dominating predecessor and s.
-			covered := i > 0 && dom.InstrSDom(instrs[i-1], s) && !p.StopAfter[instrs[i-1].ID]
+			covered := i > 0 && dom.InstrSDom(instrs[i-1], s) && p.stepFlags[instrs[i-1].ID]&planStopAfter == 0
 			if !covered {
 				p.addStarts(g, s)
 			}
@@ -190,7 +156,7 @@ func (p *Plan) planControlFlow(g *cfg.TICFG) {
 				stop = false
 			}
 			if stop {
-				p.StopAfter[s.ID] = true
+				p.stepFlags[s.ID] |= planStopAfter
 			}
 		}
 	}
@@ -206,12 +172,12 @@ func (p *Plan) planControlFlow(g *cfg.TICFG) {
 func (p *Plan) addStarts(g *cfg.TICFG, s *ir.Instr) {
 	blk := s.Blk
 	if blk == blk.Fn.Entry() || len(blk.Preds) == 0 {
-		p.StartAt[s.ID] = true
+		p.stepFlags[s.ID] |= planStart
 		return
 	}
 	for _, pred := range blk.Preds {
 		if t := pred.Terminator(); t != nil {
-			p.StartAt[t.ID] = true
+			p.stepFlags[t.ID] |= planStart
 		}
 	}
 	// A block reached by fallthrough from a call return inside it is not
@@ -242,9 +208,7 @@ func (p *Plan) planDataFlow() {
 		if !root.Shared() {
 			continue
 		}
-		p.WatchAccesses[id] = true
 		cls := addrClass(&roots, root, in)
-		p.Classes[id] = cls
 		classes[cls] = append(classes[cls], id)
 	}
 	if len(classes) == 0 {
@@ -259,17 +223,12 @@ func (p *Plan) planDataFlow() {
 	for id := range p.watchClass {
 		p.watchClass[id] = -1
 	}
-	p.WatchGroups = make([][]int, (len(names)+watch.NumRegisters-1)/watch.NumRegisters)
 	for k, cls := range names {
-		grp := &p.WatchGroups[k/watch.NumRegisters]
-		*grp = append(*grp, classes[cls]...)
 		for _, id := range classes[cls] {
 			p.watchClass[id] = int32(k)
 		}
 	}
-	for _, grp := range p.WatchGroups {
-		sort.Ints(grp)
-	}
+	p.groups = (len(names) + watch.NumRegisters - 1) / watch.NumRegisters
 }
 
 // addrClass names the static location class of a shared access with the
@@ -298,10 +257,10 @@ func addrClass(roots *slicer.Roots, root slicer.AddrRoot, in *ir.Instr) string {
 // a lost endpoint keeps the endpoint's ID and therefore its group, so
 // cooperative partitioning coverage survives fleet losses.
 func (p *Plan) GroupOf(endpoint int) int {
-	if len(p.WatchGroups) == 0 {
+	if p.groups == 0 {
 		return -1
 	}
-	return endpoint % len(p.WatchGroups)
+	return endpoint % p.groups
 }
 
 // watchRegister returns which of watch group grp's debug registers
@@ -310,21 +269,6 @@ func (p *Plan) GroupOf(endpoint int) int {
 // on a plan with watch groups.
 func (p *Plan) watchRegister(id, grp int) uint32 {
 	return uint32(p.watchClass[id] - int32(grp*watch.NumRegisters))
-}
-
-// WatchGroupFor returns the set of access instructions endpoint k arms
-// watchpoints for — the inspectable form of what watchRegister answers
-// per instruction.
-func (p *Plan) WatchGroupFor(endpoint int) map[int]bool {
-	if len(p.WatchGroups) == 0 {
-		return nil
-	}
-	grp := p.WatchGroups[endpoint%len(p.WatchGroups)]
-	m := make(map[int]bool, len(grp))
-	for _, id := range grp {
-		m[id] = true
-	}
-	return m
 }
 
 // blockRPO numbers a function's blocks in reverse postorder.

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cfg"
 	"repro/internal/hw/watch"
 	"repro/internal/ir"
+	"repro/internal/slicer"
 )
 
 const planProg = `global int g = 0;
@@ -19,6 +21,44 @@ int main() {
 	g = h;
 	return g;
 }`
+
+// flagged returns, in ID order, the instructions whose step flags carry
+// bit.
+func flagged(p *Plan, bit uint8) []int {
+	var ids []int
+	for id, f := range p.stepFlags {
+		if f&bit != 0 {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// watched returns, in ID order, the accesses the plan watches.
+func watched(p *Plan) []int {
+	var ids []int
+	for id, k := range p.watchClass {
+		if k >= 0 {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// watchGroup returns the accesses endpoint e arms watchpoints for.
+func watchGroup(p *Plan, e int) map[int]bool {
+	grp := p.GroupOf(e)
+	if grp < 0 {
+		return nil
+	}
+	m := make(map[int]bool)
+	for _, id := range watched(p) {
+		if p.watchRegister(id, grp) < watch.NumRegisters {
+			m[id] = true
+		}
+	}
+	return m
+}
 
 // trackedOnLines returns the instr IDs on the given source lines.
 func trackedOnLines(p *ir.Program, lines ...int) []int {
@@ -41,10 +81,11 @@ func TestPlanStartStopPlacement(t *testing.T) {
 	tracked := trackedOnLines(p, 5, 7, 9) // g = x; h = g + 1; g = h
 	plan := BuildPlan(g, tracked, AllFeatures())
 
-	if len(plan.StartAt) == 0 {
+	starts := flagged(plan, planStart)
+	if len(starts) == 0 {
 		t.Fatal("no start points")
 	}
-	if len(plan.StopAfter) == 0 {
+	if len(flagged(plan, planStopAfter)) == 0 {
 		t.Fatal("no stop points")
 	}
 	// The earliest tracked statement sits in the entry block, so its
@@ -52,14 +93,14 @@ func TestPlanStartStopPlacement(t *testing.T) {
 	// statement itself, not the whole function).
 	main := p.FuncByName["main"]
 	foundEntryAnchor := false
-	for id := range plan.StartAt {
+	for _, id := range starts {
 		in := p.Instrs[id]
-		if in.Blk == main.Entry() && plan.IsTracked(id) {
+		if in.Blk == main.Entry() && slices.Contains(tracked, id) {
 			foundEntryAnchor = true
 		}
 	}
 	if !foundEntryAnchor {
-		t.Errorf("expected a start anchored at a tracked entry-block statement; starts: %v", plan.StartAt)
+		t.Errorf("expected a start anchored at a tracked entry-block statement; starts: %v", starts)
 	}
 }
 
@@ -78,31 +119,13 @@ int main() {
 	tracked := trackedOnLines(p, 3, 4, 5)
 	plan := BuildPlan(g, tracked, AllFeatures())
 	// Exactly one stop: after the last tracked instruction.
-	if len(plan.StopAfter) != 1 {
-		t.Fatalf("straight-line window should have exactly 1 stop, got %v", plan.StopAfter)
-	}
-	var maxTracked int
-	for _, id := range tracked {
-		if id > maxTracked {
-			maxTracked = id
-		}
-	}
-	if !plan.StopAfter[maxTracked] {
-		t.Errorf("stop should be after the last tracked instruction %%%d, got %v", maxTracked, plan.StopAfter)
+	if stops, last := flagged(plan, planStopAfter), slices.Max(tracked); len(stops) != 1 || stops[0] != last {
+		t.Errorf("straight-line window should stop only after the last tracked instruction %%%d, got %v", last, stops)
 	}
 	// And exactly one start: the first tracked statement (sdom covers the
 	// rest).
-	if len(plan.StartAt) != 1 {
-		t.Errorf("straight-line window should have exactly 1 start, got %v", plan.StartAt)
-	}
-	var minTracked = 1 << 30
-	for _, id := range tracked {
-		if id < minTracked {
-			minTracked = id
-		}
-	}
-	if !plan.StartAt[minTracked] {
-		t.Errorf("start should anchor at the first tracked instruction %%%d, got %v", minTracked, plan.StartAt)
+	if starts, first := flagged(plan, planStart), slices.Min(tracked); len(starts) != 1 || starts[0] != first {
+		t.Errorf("straight-line window should start only at the first tracked instruction %%%d, got %v", first, starts)
 	}
 }
 
@@ -118,7 +141,7 @@ int main() {
 	g := cfg.BuildTICFG(p)
 	tracked := trackedOnLines(p, 3, 4, 5, 6)
 	plan := BuildPlan(g, tracked, AllFeatures())
-	for id := range plan.WatchAccesses {
+	for _, id := range watched(plan) {
 		in := p.Instrs[id]
 		if !in.IsMemAccess() {
 			t.Errorf("watch target %%%d is not a memory access", id)
@@ -128,7 +151,7 @@ int main() {
 		}
 	}
 	found := false
-	for id := range plan.WatchAccesses {
+	for _, id := range watched(plan) {
 		if p.Instrs[id].Pos.Line == 5 || p.Instrs[id].Pos.Line == 6 {
 			found = true
 		}
@@ -150,34 +173,36 @@ int main() {
 	g := cfg.BuildTICFG(p)
 	tracked := trackedOnLines(p, 3, 4)
 	plan := BuildPlan(g, tracked, AllFeatures())
-	if len(plan.WatchAccesses) <= watch.NumRegisters {
-		t.Fatalf("test needs >%d accesses, got %d", watch.NumRegisters, len(plan.WatchAccesses))
+	accesses := watched(plan)
+	if len(accesses) <= watch.NumRegisters {
+		t.Fatalf("test needs >%d accesses, got %d", watch.NumRegisters, len(accesses))
 	}
-	if len(plan.WatchGroups) < 2 {
-		t.Fatalf("expected cooperative partitioning, got %d group(s)", len(plan.WatchGroups))
+	if plan.groups < 2 {
+		t.Fatalf("expected cooperative partitioning, got %d group(s)", plan.groups)
 	}
 	seen := make(map[int]bool)
-	for _, grp := range plan.WatchGroups {
-		classes := map[string]bool{}
-		for _, id := range grp {
-			classes[plan.Classes[id]] = true
+	for e := 0; e < plan.groups; e++ {
+		grp := watchGroup(plan, e)
+		classes := map[int32]bool{}
+		for id := range grp {
+			classes[plan.watchClass[id]] = true
 		}
 		if len(classes) > watch.NumRegisters {
 			t.Errorf("group has %d location classes, over the register budget: %v", len(classes), grp)
 		}
-		for _, id := range grp {
+		for id := range grp {
 			if seen[id] {
 				t.Errorf("instruction %%%d in two groups", id)
 			}
 			seen[id] = true
 		}
 	}
-	if len(seen) != len(plan.WatchAccesses) {
-		t.Errorf("groups cover %d of %d accesses", len(seen), len(plan.WatchAccesses))
+	if len(seen) != len(accesses) {
+		t.Errorf("groups cover %d of %d accesses", len(seen), len(accesses))
 	}
 	// Different endpoints get different groups.
-	g0 := plan.WatchGroupFor(0)
-	g1 := plan.WatchGroupFor(1)
+	g0 := watchGroup(plan, 0)
+	g1 := watchGroup(plan, 1)
 	same := len(g0) == len(g1)
 	if same {
 		for id := range g0 {
@@ -197,24 +222,25 @@ func TestFeatureGates(t *testing.T) {
 	tracked := trackedOnLines(p, 5, 7, 9)
 
 	staticOnly := BuildPlan(g, tracked, Features{Static: true})
-	if len(staticOnly.StartAt) != 0 || len(staticOnly.WatchAccesses) != 0 {
+	if len(flagged(staticOnly, planStart)) != 0 || len(watched(staticOnly)) != 0 {
 		t.Error("static-only plan must not instrument")
 	}
 	cfOnly := BuildPlan(g, tracked, Features{Static: true, ControlFlow: true})
-	if len(cfOnly.StartAt) == 0 || len(cfOnly.WatchAccesses) != 0 {
+	if len(flagged(cfOnly, planStart)) == 0 || len(watched(cfOnly)) != 0 {
 		t.Error("control-flow-only plan wrong")
 	}
 	dfOnly := BuildPlan(g, tracked, Features{Static: true, DataFlow: true})
-	if len(dfOnly.StartAt) != 0 || len(dfOnly.WatchAccesses) == 0 {
+	if len(flagged(dfOnly, planStart)) != 0 || len(watched(dfOnly)) == 0 {
 		t.Error("data-flow-only plan wrong")
 	}
 }
 
-// TestPlanTablesAgreeWithMaps checks the compiled form of a plan against
-// the maps it was compiled from, instruction by instruction: the step
-// flags against StartAt/StopAfter, and the per-instruction watch class
-// against every watch group, including when there are more location
-// classes than debug registers.
+// TestPlanTablesAgreeWithMaps checks the invariants of a plan's two
+// tables, instruction by instruction: step flags exist exactly with
+// control-flow tracking; every location class gets one class index;
+// class k belongs to group k/NumRegisters and to no other; and there are
+// ⌈classes / NumRegisters⌉ groups — including when there are more
+// location classes than debug registers.
 func TestPlanTablesAgreeWithMaps(t *testing.T) {
 	manyClasses := `global int a; global int b; global int c; global int d; global int e; global int f;
 global int g2; global int h2; global int i2; global int j2;
@@ -242,8 +268,9 @@ int main() {
 	for _, tc := range cases {
 		p := ir.MustCompile(tc.name+".mc", tc.src)
 		g := cfg.BuildTICFG(p)
+		tracked := trackedOnLines(p, tc.lines...)
 		for _, f := range feats {
-			plan := BuildPlan(g, trackedOnLines(p, tc.lines...), f)
+			plan := BuildPlan(g, tracked, f)
 			if (plan.stepFlags != nil) != f.ControlFlow {
 				t.Fatalf("%s %+v: step flags present=%v", tc.name, f, plan.stepFlags != nil)
 			}
@@ -251,43 +278,57 @@ int main() {
 				if len(plan.stepFlags) != len(p.Instrs) {
 					t.Fatalf("%s %+v: %d step flags for %d instructions", tc.name, f, len(plan.stepFlags), len(p.Instrs))
 				}
-				if len(plan.StartAt) == 0 || len(plan.StopAfter) == 0 {
+				if len(flagged(plan, planStart)) == 0 || len(flagged(plan, planStopAfter)) == 0 {
 					t.Fatalf("%s %+v: no starts or no stops; the case checks nothing", tc.name, f)
-				}
-				for id, flags := range plan.stepFlags {
-					if got, want := flags&planStart != 0, plan.StartAt[id]; got != want {
-						t.Errorf("%s %+v: instruction %%%d start flag %v, StartAt %v", tc.name, f, id, got, want)
-					}
-					if got, want := flags&planStopAfter != 0, plan.StopAfter[id]; got != want {
-						t.Errorf("%s %+v: instruction %%%d stop flag %v, StopAfter %v", tc.name, f, id, got, want)
-					}
 				}
 			}
 			if !f.DataFlow {
-				if plan.watchClass != nil || len(plan.WatchGroups) != 0 {
+				if plan.watchClass != nil || plan.groups != 0 {
 					t.Fatalf("%s %+v: watch tables without data-flow tracking", tc.name, f)
 				}
 				continue
 			}
-			if len(plan.WatchGroups) != tc.wantGroups {
-				t.Fatalf("%s %+v: %d watch groups, want %d", tc.name, f, len(plan.WatchGroups), tc.wantGroups)
+			if plan.groups != tc.wantGroups {
+				t.Fatalf("%s %+v: %d watch groups, want %d", tc.name, f, plan.groups, tc.wantGroups)
 			}
-			for id := range p.Instrs {
-				if got, want := plan.watchClass[id] >= 0, plan.WatchAccesses[id]; got != want {
-					t.Errorf("%s %+v: instruction %%%d has a watch class=%v, WatchAccesses %v", tc.name, f, id, got, want)
+			// Exactly the tracked shared accesses are watched, and each
+			// location class, named the way planDataFlow names it, has one
+			// class index.
+			var roots slicer.Roots
+			class := make(map[int32]string)
+			for id, in := range p.Instrs {
+				shared := slices.Contains(tracked, id) && in.IsMemAccess() && roots.Of(in).Shared()
+				if got := plan.watchClass[id] >= 0; got != shared {
+					t.Errorf("%s %+v: instruction %%%d watched=%v, tracked shared access=%v", tc.name, f, id, got, shared)
 				}
-				for other := range p.Instrs {
-					if plan.WatchAccesses[id] && plan.WatchAccesses[other] &&
-						(plan.Classes[id] == plan.Classes[other]) != (plan.watchClass[id] == plan.watchClass[other]) {
-						t.Errorf("%s %+v: %%%d (%s) and %%%d (%s) have watch classes %d and %d", tc.name, f,
-							id, plan.Classes[id], other, plan.Classes[other], plan.watchClass[id], plan.watchClass[other])
-					}
+				if !shared {
+					continue
 				}
-				for grp := range plan.WatchGroups {
+				cls := addrClass(&roots, roots.Of(in), in)
+				if prev, ok := class[plan.watchClass[id]]; ok && prev != cls {
+					t.Errorf("%s %+v: class index %d stands for both %s and %s", tc.name, f, plan.watchClass[id], prev, cls)
+				}
+				class[plan.watchClass[id]] = cls
+			}
+			names := make(map[string]bool)
+			for k, cls := range class {
+				if names[cls] {
+					t.Errorf("%s %+v: location class %s has more than one index (one is %d)", tc.name, f, cls, k)
+				}
+				names[cls] = true
+				if k < 0 || int(k) >= len(class) {
+					t.Errorf("%s %+v: class index %d outside 0..%d", tc.name, f, k, len(class)-1)
+				}
+			}
+			if want := (len(class) + watch.NumRegisters - 1) / watch.NumRegisters; plan.groups != want {
+				t.Errorf("%s %+v: %d watch groups for %d classes, want %d", tc.name, f, plan.groups, len(class), want)
+			}
+			for _, id := range watched(plan) {
+				for grp := 0; grp < plan.groups; grp++ {
 					// Endpoint grp's group is grp; a register index below
 					// NumRegisters means "this endpoint watches it".
-					if got, want := plan.watchRegister(id, grp) < watch.NumRegisters, plan.WatchGroupFor(grp)[id]; got != want {
-						t.Errorf("%s %+v: instruction %%%d in group %d: table says %v, WatchGroups says %v", tc.name, f, id, grp, got, want)
+					if got, want := plan.watchRegister(id, grp) < watch.NumRegisters, int(plan.watchClass[id])/watch.NumRegisters == grp; got != want {
+						t.Errorf("%s %+v: instruction %%%d (class %d) in group %d: %v, want %v", tc.name, f, id, plan.watchClass[id], grp, got, want)
 					}
 				}
 			}

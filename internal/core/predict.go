@@ -65,7 +65,7 @@ func ExtractPredicates(prog *ir.Program, rt *RunTrace) map[string]Predictor {
 
 	// Branch predictors from decoded control flow.
 	if rt.DecodeErr == nil {
-		for id, outcomes := range rt.BranchOutcomes(prog) {
+		for id, outcomes := range rt.BranchOutcomes() {
 			if !valid(id) {
 				continue
 			}

@@ -31,32 +31,42 @@ type SketchStep struct {
 }
 
 // Sketch is a failure sketch: the minimal statement timeline plus the
-// highest-ranked failure predictors.
+// highest-ranked failure predictors. Its JSON form is the checkpoint's
+// copy of the sketch; the program and report pointers are not part of
+// it and are reattached from the restoring configuration.
 type Sketch struct {
-	Title       string
-	FailureKind string
-	Report      *vm.FailureReport
-	Prog        *ir.Program
+	Title       string            `json:"title"`
+	FailureKind string            `json:"failure_kind"`
+	Report      *vm.FailureReport `json:"-"`
+	Prog        *ir.Program       `json:"-"`
 
-	Threads []int
-	Steps   []SketchStep
+	Threads []int        `json:"threads,omitempty"`
+	Steps   []SketchStep `json:"steps,omitempty"`
 
 	// Predictors holds the best predictor of each kind (order, value,
 	// branch), highest F-measure first within its kind.
-	Predictors []Ranked
+	Predictors []Ranked `json:"predictors,omitempty"`
 	// AllRanked is the full ranking, for inspection and experiments.
-	AllRanked []Ranked
+	AllRanked []Ranked `json:"all_ranked,omitempty"`
 
-	// InstrSet is the set of instructions the sketch includes, used by
-	// the accuracy metrics.
-	InstrSet map[int]bool
 	// AddedByRefinement lists instructions that entered the sketch via
 	// runtime data-flow discovery rather than the static slice.
-	AddedByRefinement []int
+	AddedByRefinement []int `json:"added_by_refinement,omitempty"`
 	// LowConfidence marks a sketch ranked from fewer validated runs than
 	// the server's quorum (a degraded fleet starved the iteration); the
 	// predictors are still the best available but statistically weaker.
-	LowConfidence bool
+	LowConfidence bool `json:"low_confidence,omitempty"`
+}
+
+// attach returns a copy of sk bound to prog and report, or nil for a
+// nil sketch.
+func (sk *Sketch) attach(prog *ir.Program, report *vm.FailureReport) *Sketch {
+	if sk == nil {
+		return nil
+	}
+	cp := *sk
+	cp.Prog, cp.Report = prog, report
+	return &cp
 }
 
 // sketchEvent is an internal pre-step: a (thread, line) statement
@@ -89,27 +99,30 @@ func BuildSketch(title string, plan *Plan, failing *RunTrace, ranked []Ranked, a
 		Prog:        prog,
 		AllRanked:   ranked,
 		Predictors:  BestPerKind(ranked),
-		InstrSet:    make(map[int]bool),
 	}
 	include := make(map[int]bool)
 	for _, id := range plan.Tracked {
 		include[id] = true
 	}
-	addedSet := make(map[int]bool)
 	for _, id := range added {
 		include[id] = true
-		addedSet[id] = true
-		sk.AddedByRefinement = append(sk.AddedByRefinement, id)
 	}
+	sk.AddedByRefinement = append(sk.AddedByRefinement, added...)
 
 	// With control-flow tracking, keep only statements that actually
-	// executed in this failing run; without it, the whole window stays.
-	executed := func(id int) bool {
-		if !plan.Feats.ControlFlow {
-			return true
-		}
-		return failing.Executed[id] || id == failing.Outcome.Report.InstrID || addedSet[id]
+	// executed in this failing run: its decoded flow, the failing
+	// instruction, and what refinement added. Without it, the whole
+	// window stays.
+	ran := map[int]bool{failing.Outcome.Report.InstrID: true}
+	for _, id := range added {
+		ran[id] = true
 	}
+	for _, flow := range failing.Flow {
+		for _, id := range flow {
+			ran[id] = true
+		}
+	}
+	executed := func(id int) bool { return !plan.Feats.ControlFlow || ran[id] }
 
 	// Last trap per (thread, instr): anchors and value annotations.
 	lastTrap := make(map[trapKey]int64)
@@ -172,7 +185,6 @@ func BuildSketch(title string, plan *Plan, failing *RunTrace, ranked []Ranked, a
 		e := &events[i]
 		hl := false
 		for _, id := range e.instrs {
-			sk.InstrSet[id] = true
 			if highlight[id] {
 				hl = true
 			}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cfg"
-	"repro/internal/hw/watch"
 	"repro/internal/ir"
 )
 
@@ -77,11 +76,6 @@ func TestSketchStepInvariants(t *testing.T) {
 		}
 		if s.Line <= 0 || s.Text == "" {
 			t.Errorf("step %d has no source: %+v", s.Step, s)
-		}
-		for _, id := range s.InstrIDs {
-			if !sk.InstrSet[id] {
-				t.Errorf("step instr %%%d missing from InstrSet", id)
-			}
 		}
 	}
 }
@@ -220,39 +214,4 @@ func TestStaticOnlySketchSingleColumn(t *testing.T) {
 	if len(sk.Steps) == 0 || !sk.Steps[len(sk.Steps)-1].IsFailure {
 		t.Error("static-only sketch malformed")
 	}
-}
-
-func TestWatchMissesCountedWhenRegistersExhausted(t *testing.T) {
-	// A program touching more distinct shared locations than registers:
-	// the client must count misses rather than fail.
-	src := `global int a; global int b; global int c; global int d; global int e; global int f;
-int main() {
-	a = 1; b = 2; c = 3; d = 4; e = 5; f = 6;
-	int z = 0;
-	if (a + b + c + d + e + f == 0) { z = 1 / z; }
-	return z;
-}`
-	prog := ir.MustCompile("t.mc", src)
-	g := cfg.BuildTICFG(prog)
-	var tracked []int
-	for _, in := range prog.Instrs {
-		tracked = append(tracked, in.ID)
-	}
-	plan := BuildPlan(g, tracked, AllFeatures())
-	if len(plan.WatchGroups) < 2 {
-		t.Fatalf("expected partitioning, got %d groups", len(plan.WatchGroups))
-	}
-	// Force all accesses into one run by merging groups into the plan of
-	// endpoint 0 and 1; between them every class is covered.
-	covered := map[int]bool{}
-	for e := 0; e < len(plan.WatchGroups); e++ {
-		grp := plan.WatchGroupFor(e)
-		for id := range grp {
-			covered[id] = true
-		}
-	}
-	if len(covered) != len(plan.WatchAccesses) {
-		t.Errorf("cooperative groups cover %d of %d accesses", len(covered), len(plan.WatchAccesses))
-	}
-	_ = watch.NumRegisters
 }

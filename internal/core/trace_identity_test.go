@@ -23,8 +23,8 @@ import (
 // TestRunTraceIdenticalAcrossEngines runs every suite bug under every
 // tracking configuration on both engines and requires deep-equal
 // RunTraces — Flow and Branches with their key sets (a thread that never
-// traced still has its nil Branches entry), Executed, Traps, WatchMisses,
-// Meter, SalvagedCores, DecodeErr — and byte-equal wire encodings.
+// traced still has its nil Branches entry), Traps, Meter, SalvagedCores,
+// DecodeErr — and byte-equal wire encodings.
 func TestRunTraceIdenticalAcrossEngines(t *testing.T) {
 	feats := []struct {
 		name string
@@ -77,7 +77,8 @@ func TestRunTraceIdenticalAcrossEngines(t *testing.T) {
 								decisions = append(decisions, faulty)
 							}
 							for _, decide := range decisions {
-								got := core.RunInstrumentedFaults(fast, spec, decide())
+								dec := decide()
+								got := core.RunInstrumentedFaults(fast, spec, dec)
 								want := core.RunInstrumentedFaults(oracle, spec, decide())
 								if !reflect.DeepEqual(got, want) {
 									t.Fatalf("σ=%d %s seed %d faults %+v: bytecode and interpreter run traces differ\nbytecode: %+v\ninterp:   %+v",
@@ -92,7 +93,7 @@ func TestRunTraceIdenticalAcrossEngines(t *testing.T) {
 								if got == nil {
 									continue
 								}
-								if got.DecodeErr != nil || got.SalvagedCores > 0 || got.Truncated != faults.TruncateNone {
+								if got.DecodeErr != nil || got.SalvagedCores > 0 || dec.Truncate != faults.TruncateNone {
 									damaged.Add(1)
 								}
 								for core := range got.Branches {

@@ -203,12 +203,24 @@ func table1Row(b *bugs.Bug) (Table1Row, error) {
 	}
 	row.DiagnosisTime = time.Since(t1)
 	row.SketchLOC = len(res.Sketch.Lines())
-	row.SketchInstr = len(res.Sketch.InstrSet)
+	row.SketchInstr = sketchInstrs(res.Sketch)
 	row.Recurrences = res.FailureRecurrences
 	row.TotalRuns = res.TotalRuns
 	row.DiscoveryRuns = res.DiscoveryRuns
 	row.AvgOverheadPct = res.AvgOverheadPct
 	return row, nil
+}
+
+// sketchInstrs counts the distinct instructions a sketch's steps stand
+// for.
+func sketchInstrs(sk *core.Sketch) int {
+	seen := make(map[int]bool)
+	for _, st := range sk.Steps {
+		for _, id := range st.InstrIDs {
+			seen[id] = true
+		}
+	}
+	return len(seen)
 }
 
 func instrsOnLines(p *ir.Program, lines []int) int {

@@ -355,8 +355,8 @@ func (d Decision) CorruptTrace(buf []byte) []byte {
 
 // ApplyTraps degrades a trap log per the decision: dropped entries,
 // then adjacent swaps that break clock order. It returns the degraded
-// log and how many entries were dropped and reordered.
-func (d Decision) ApplyTraps(traps []watch.Trap) (out []watch.Trap, dropped, reordered int) {
+// log and how many entries were dropped.
+func (d Decision) ApplyTraps(traps []watch.Trap) (out []watch.Trap, dropped int) {
 	out = traps
 	if d.DropTraps && len(out) > 0 {
 		kept := make([]watch.Trap, 0, len(out))
@@ -377,10 +377,9 @@ func (d Decision) ApplyTraps(traps []watch.Trap) (out []watch.Trap, dropped, reo
 		for k := 0; k < n; k++ {
 			i := d.rng.Intn(len(out) - 1)
 			out[i], out[i+1] = out[i+1], out[i]
-			reordered++
 		}
 	}
-	return out, dropped, reordered
+	return out, dropped
 }
 
 // TruncateAt returns a truncation point in [0, n) for a field of length

@@ -40,32 +40,19 @@ type DataObs struct {
 // the first PSB sync point and the lost prefix is silently dropped,
 // exactly like a real PT decoder.
 func Decode(prog *ir.Program, data []byte, wrapped bool) ([]Segment, error) {
-	segs, _, _, err := DecodeFull(prog, data, wrapped)
-	return segs, err
+	flow, ends, _, _, err := decodeBuffer(prog, data, wrapped)
+	return segments(flow, ends), err
 }
 
-// DecodeEventsData reconstructs segments, branch outcomes and extended-PT
-// data accesses from parsed packet events.
-func DecodeEventsData(prog *ir.Program, evs []Event) ([]Segment, []BranchObs, []DataObs, error) {
-	flow, ends, branches, data, err := decodeEvents(prog, evs)
-	return segments(flow, ends), branches, data, err
-}
-
-// DecodeFull decodes a raw buffer into segments, the conditional-branch
-// outcomes recovered from the TNT bits in consumption order, and
-// extended-PT data accesses. The outcomes are a byproduct of CFG replay:
+// DecodeFlow decodes a raw buffer into the traced regions back to back
+// rather than cut into segments — the endpoint client, whose
+// RunTrace.Flow is exactly that — plus the conditional-branch outcomes
+// recovered from the TNT bits in consumption order and the extended-PT
+// data accesses. The flow is the decoder's own exact-size array, not a
+// concatenation of copies. The outcomes are a byproduct of CFG replay:
 // they carry strictly more information than the flow alone when a trace
 // stops right at a branch (the successor is then not part of the flow but
 // the outcome is still known).
-func DecodeFull(prog *ir.Program, data []byte, wrapped bool) ([]Segment, []BranchObs, []DataObs, error) {
-	flow, ends, branches, dobs, err := decodeBuffer(prog, data, wrapped)
-	return segments(flow, ends), branches, dobs, err
-}
-
-// DecodeFlow is DecodeFull for a caller that wants the traced regions back
-// to back rather than cut into segments — the endpoint client, whose
-// RunTrace.Flow is exactly that. The flow is the decoder's own exact-size
-// array, not a concatenation of copies.
 func DecodeFlow(prog *ir.Program, data []byte, wrapped bool) ([]int, []BranchObs, []DataObs, error) {
 	flow, _, branches, dobs, err := decodeBuffer(prog, data, wrapped)
 	return flow, branches, dobs, err

@@ -1,8 +1,11 @@
 package pt
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/ir"
 )
 
 func TestZigzagRoundTrip(t *testing.T) {
@@ -82,24 +85,25 @@ func TestDataIgnoredWhileDisabled(t *testing.T) {
 	}
 }
 
+// TestDecodeFullSeparatesStreams pins that a clean decode hands PTW
+// packets back as data accesses, in order, apart from the flow.
 func TestDecodeFullSeparatesStreams(t *testing.T) {
+	prog := ir.MustCompile("d.mc", `int main() { int a = 1; int b = 2; return a + b; }`)
 	tr := NewTracer(Config{}, nil)
 	tr.Enable(0, 0)
 	tr.Data(0, 3, 0x1000, 1, 8, true, 1)
 	tr.Data(0, 4, 0x1008, 2, 8, false, 2)
 	tr.Disable(0, 4)
 	buf, wrapped := tr.CoreBytes(0)
-	evs, err := ParsePackets(buf, !wrapped)
+	_, _, data, err := DecodeFlow(prog, buf, wrapped)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nptw := 0
-	for _, e := range evs {
-		if e.Kind == EvPTW {
-			nptw++
-		}
+	want := []DataObs{
+		{IP: 3, Addr: 0x1000, Val: 1, Size: 8, IsWrite: true, TSC: 1},
+		{IP: 4, Addr: 0x1008, Val: 2, Size: 8, TSC: 2},
 	}
-	if nptw != 2 {
-		t.Fatalf("PTW events: %d", nptw)
+	if !reflect.DeepEqual(data, want) {
+		t.Fatalf("data accesses = %+v, want %+v", data, want)
 	}
 }

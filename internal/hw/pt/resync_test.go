@@ -63,7 +63,7 @@ func TestSalvageDecodeTable(t *testing.T) {
 
 		wantRecovered bool
 		// wantFullMatch asserts salvage recovers exactly what a clean
-		// DecodeFull of the unmutated buffer yields.
+		// decode of the unmutated buffer yields.
 		wantFullMatch bool
 		wantBadChunks bool
 		wantResyncs   bool
@@ -130,11 +130,10 @@ func TestSalvageDecodeTable(t *testing.T) {
 			if tc.cfg.BufBytes > 0 && !wrapped {
 				t.Fatalf("buffer should have wrapped (len=%d)", len(data))
 			}
-			cleanSegs, _, _, err := DecodeFull(prog, data, wrapped)
+			clean, _, _, err := DecodeFlow(prog, data, wrapped)
 			if err != nil {
 				t.Fatalf("clean decode: %v", err)
 			}
-			clean := flatten(cleanSegs)
 
 			mutated := data
 			if tc.mutate != nil {

@@ -4,7 +4,7 @@ import "repro/internal/ir"
 
 // Salvage support: decoding what remains of a damaged trace buffer.
 //
-// A clean decode (DecodeFull) aborts at the first malformed packet. In a
+// A clean decode (Decode, DecodeFlow) aborts at the first malformed packet. In a
 // production fleet, trace buffers arrive with flipped bytes and torn
 // writes, and a single bad byte should not cost the whole buffer: real
 // PT decoders restart at the next PSB sync point, exactly as they do
@@ -31,10 +31,10 @@ type SalvageReport struct {
 func (r SalvageReport) Recovered() bool { return r.Instrs > 0 }
 
 // SalvageDecode decodes as much of a possibly corrupt trace buffer as
-// possible. Unlike DecodeFull it never fails: each PSB-delimited chunk
+// possible. Unlike Decode it never fails: each PSB-delimited chunk
 // is parsed and CFG-replayed independently, chunks that error keep
 // their prefix up to the error, and the rest of the buffer continues at
-// the next PSB. wrapped has the same meaning as in DecodeFull: the ring
+// the next PSB. wrapped has the same meaning as in Decode: the ring
 // buffer overflowed, so the bytes before the first PSB are skipped.
 func SalvageDecode(prog *ir.Program, data []byte, wrapped bool) ([]Segment, []BranchObs, []DataObs, SalvageReport) {
 	salvageCalls.Add(1)
@@ -62,7 +62,8 @@ func SalvageDecode(prog *ir.Program, data []byte, wrapped bool) ([]Segment, []Br
 			rep.Resyncs++ // this chunk's PSB restarted decoding
 		}
 		evs, perr := ParsePackets(chunk, true)
-		s, b, d, derr := DecodeEventsData(prog, evs)
+		flow, ends, b, d, derr := decodeEvents(prog, evs)
+		s := segments(flow, ends)
 		prevBad = perr != nil || derr != nil
 		if prevBad {
 			rep.BadChunks++

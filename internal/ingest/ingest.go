@@ -15,7 +15,6 @@ import (
 	"container/list"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/vm"
 )
 
@@ -51,11 +50,34 @@ type Decision struct {
 	Seq uint64
 }
 
+// FailureCluster groups production failures that share a failure identity
+// (failing program counter + stack trace + fault kind) — the grouping a
+// Windows-Error-Reporting-style collector performs before a diagnosis is
+// launched per cluster (§7's WER discussion). One Gist diagnosis is run
+// per cluster, not per crash.
+type FailureCluster struct {
+	ID     string
+	Report *vm.FailureReport
+	// Count is how many observed failures matched this cluster.
+	Count int
+	// Seeds are the run seeds that produced the failures (capped).
+	Seeds []int64
+}
+
+// Admit folds one observed failure into the cluster: the recurrence
+// count always grows, the seed list only up to the cap.
+func (c *FailureCluster) Admit(seed int64, maxSeeds int) {
+	c.Count++
+	if len(c.Seeds) < maxSeeds {
+		c.Seeds = append(c.Seeds, seed)
+	}
+}
+
 // Evidence is the accumulated state of one signature's report stream:
-// the cluster (shared admission rule with the fleet-sweep clusterer)
-// plus ingest-order bookkeeping. No wall-clock time — determinism.
+// the cluster plus ingest-order bookkeeping. No wall-clock time —
+// determinism.
 type Evidence struct {
-	core.FailureCluster
+	FailureCluster
 	// FirstSeq/LastSeq are the ingest sequence numbers of the first and
 	// latest report of this signature.
 	FirstSeq, LastSeq uint64
@@ -79,7 +101,7 @@ type Frontend struct {
 }
 
 // NewFrontend returns an empty frontend. maxSeeds bounds each
-// signature's recorded seed list (0 = 16, like ClusterConfig).
+// signature's recorded seed list (0 = 16).
 func NewFrontend(maxSeeds int) *Frontend {
 	if maxSeeds == 0 {
 		maxSeeds = 16
@@ -99,7 +121,7 @@ func (f *Frontend) Ingest(tenant, bug string, report *vm.FailureReport, seed int
 	novel := ev == nil
 	if novel {
 		ev = &Evidence{
-			FailureCluster: core.FailureCluster{ID: key.Sig, Report: report},
+			FailureCluster: FailureCluster{ID: key.Sig, Report: report},
 			FirstSeq:       f.seq,
 		}
 		f.sigs[key] = ev

@@ -194,7 +194,7 @@ func ValidateListen(addr string) error {
 
 const (
 	// maxSeedsPerSignature bounds each failure signature's recorded seed
-	// evidence, as in core.ClusterConfig.
+	// evidence.
 	maxSeedsPerSignature = 16
 	// shedRetryAfter is the Retry-After advertised on a launch-budget or
 	// drain shed; rate-limit sheds compute theirs from the bucket refill.

@@ -41,7 +41,6 @@ package service
 import (
 	"fmt"
 	"hash/crc32"
-	"sort"
 	"strconv"
 
 	"repro/internal/core"
@@ -292,26 +291,22 @@ type HealthResponse struct {
 	Fleet core.FleetHealth `json:"fleet"`
 }
 
-// WireTrace is core.RunTrace flattened for JSON: the executed-set map
-// becomes a sorted slice, the cost meter its two raw counters, and the
-// decode error a string. Everything else round-trips as-is — every
-// field the admission path reads is exported and JSON-safe.
+// WireTrace is core.RunTrace flattened for JSON: the cost meter becomes
+// its two raw counters and the decode error a string. Everything else
+// round-trips as-is — every field the admission path reads is exported
+// and JSON-safe.
 type WireTrace struct {
-	Spec           core.RunSpec           `json:"spec"`
-	Outcome        *vm.Outcome            `json:"outcome,omitempty"`
-	Flow           map[int][]int          `json:"flow"`
-	Branches       map[int][]pt.BranchObs `json:"branches,omitempty"`
-	Executed       []int                  `json:"executed"`
-	Traps          []watch.Trap           `json:"traps,omitempty"`
-	WatchMisses    int                    `json:"watch_misses,omitempty"`
-	BaseMC         int64                  `json:"base_mc"`
-	ExtraMC        int64                  `json:"extra_mc"`
-	DecodeErr      string                 `json:"decode_err,omitempty"`
-	SalvagedCores  int                    `json:"salvaged_cores,omitempty"`
-	Late           bool                   `json:"late,omitempty"`
-	DroppedTraps   int                    `json:"dropped_traps,omitempty"`
-	ReorderedTraps int                    `json:"reordered_traps,omitempty"`
-	Truncated      faults.TruncateKind    `json:"truncated,omitempty"`
+	Spec          core.RunSpec           `json:"spec"`
+	Outcome       *vm.Outcome            `json:"outcome,omitempty"`
+	Flow          map[int][]int          `json:"flow"`
+	Branches      map[int][]pt.BranchObs `json:"branches,omitempty"`
+	Traps         []watch.Trap           `json:"traps,omitempty"`
+	BaseMC        int64                  `json:"base_mc"`
+	ExtraMC       int64                  `json:"extra_mc"`
+	DecodeErr     string                 `json:"decode_err,omitempty"`
+	SalvagedCores int                    `json:"salvaged_cores,omitempty"`
+	Late          bool                   `json:"late,omitempty"`
+	DroppedTraps  int                    `json:"dropped_traps,omitempty"`
 }
 
 // EncodeTrace flattens a run trace for the wire. Nil stays nil (a
@@ -320,29 +315,18 @@ func EncodeTrace(rt *core.RunTrace) *WireTrace {
 	if rt == nil {
 		return nil
 	}
-	executed := make([]int, 0, len(rt.Executed))
-	for id, on := range rt.Executed {
-		if on {
-			executed = append(executed, id)
-		}
-	}
-	sort.Ints(executed)
 	base, extra := rt.Meter.MC()
 	w := &WireTrace{
-		Spec:           rt.Spec,
-		Outcome:        rt.Outcome,
-		Flow:           rt.Flow,
-		Branches:       rt.Branches,
-		Executed:       executed,
-		Traps:          rt.Traps,
-		WatchMisses:    rt.WatchMisses,
-		BaseMC:         base,
-		ExtraMC:        extra,
-		SalvagedCores:  rt.SalvagedCores,
-		Late:           rt.Late,
-		DroppedTraps:   rt.DroppedTraps,
-		ReorderedTraps: rt.ReorderedTraps,
-		Truncated:      rt.Truncated,
+		Spec:          rt.Spec,
+		Outcome:       rt.Outcome,
+		Flow:          rt.Flow,
+		Branches:      rt.Branches,
+		Traps:         rt.Traps,
+		BaseMC:        base,
+		ExtraMC:       extra,
+		SalvagedCores: rt.SalvagedCores,
+		Late:          rt.Late,
+		DroppedTraps:  rt.DroppedTraps,
 	}
 	if rt.DecodeErr != nil {
 		w.DecodeErr = rt.DecodeErr.Error()
@@ -352,34 +336,26 @@ func EncodeTrace(rt *core.RunTrace) *WireTrace {
 
 // DecodeTrace rebuilds a run trace from the wire. The admission path
 // only ever iterates or looks up the maps, so nil-vs-empty after a
-// JSON round trip is behaviorally invisible; Executed and the meter
-// are rebuilt exactly.
+// JSON round trip is behaviorally invisible; the meter is rebuilt
+// exactly.
 func DecodeTrace(w *WireTrace) *core.RunTrace {
 	if w == nil {
 		return nil
-	}
-	executed := make(map[int]bool, len(w.Executed))
-	for _, id := range w.Executed {
-		executed[id] = true
 	}
 	flow := w.Flow
 	if flow == nil {
 		flow = map[int][]int{}
 	}
 	rt := &core.RunTrace{
-		Spec:           w.Spec,
-		Outcome:        w.Outcome,
-		Flow:           flow,
-		Branches:       w.Branches,
-		Executed:       executed,
-		Traps:          w.Traps,
-		WatchMisses:    w.WatchMisses,
-		Meter:          cost.MeterFromMC(w.BaseMC, w.ExtraMC),
-		SalvagedCores:  w.SalvagedCores,
-		Late:           w.Late,
-		DroppedTraps:   w.DroppedTraps,
-		ReorderedTraps: w.ReorderedTraps,
-		Truncated:      w.Truncated,
+		Spec:          w.Spec,
+		Outcome:       w.Outcome,
+		Flow:          flow,
+		Branches:      w.Branches,
+		Traps:         w.Traps,
+		Meter:         cost.MeterFromMC(w.BaseMC, w.ExtraMC),
+		SalvagedCores: w.SalvagedCores,
+		Late:          w.Late,
+		DroppedTraps:  w.DroppedTraps,
 	}
 	if w.DecodeErr != "" {
 		rt.DecodeErr = fmt.Errorf("%s", w.DecodeErr)

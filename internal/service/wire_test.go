@@ -22,14 +22,11 @@ func TestTraceSurvivesWireRoundTrip(t *testing.T) {
 		Branches: map[int][]pt.BranchObs{
 			0: {{IP: 2, Taken: true}, {IP: 3, Taken: false}},
 		},
-		Executed:       map[int]bool{1: true, 2: true, 5: true},
-		Traps:          []watch.Trap{{Slot: 0, Addr: 64, Val: 7, Size: 8, IsWrite: true, InstrID: 2, Thread: 1, Clock: 12}},
-		WatchMisses:    2,
-		Meter:          meter,
-		SalvagedCores:  1,
-		Late:           false,
-		DroppedTraps:   3,
-		ReorderedTraps: 1,
+		Traps:         []watch.Trap{{Slot: 0, Addr: 64, Val: 7, Size: 8, IsWrite: true, InstrID: 2, Thread: 1, Clock: 12}},
+		Meter:         meter,
+		SalvagedCores: 1,
+		Late:          false,
+		DroppedTraps:  3,
 	}
 
 	// JSON the wire form, as the transport would.
@@ -56,17 +53,13 @@ func TestTraceSurvivesWireRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Branches, rt.Branches) {
 		t.Errorf("branches: got %v want %v", got.Branches, rt.Branches)
 	}
-	if !reflect.DeepEqual(got.Executed, rt.Executed) {
-		t.Errorf("executed: got %v want %v", got.Executed, rt.Executed)
-	}
 	if !reflect.DeepEqual(got.Traps, rt.Traps) {
 		t.Errorf("traps: got %v want %v", got.Traps, rt.Traps)
 	}
 	if got.Meter != rt.Meter {
 		t.Errorf("meter: got %+v want %+v", got.Meter, rt.Meter)
 	}
-	if got.WatchMisses != rt.WatchMisses || got.SalvagedCores != rt.SalvagedCores ||
-		got.DroppedTraps != rt.DroppedTraps || got.ReorderedTraps != rt.ReorderedTraps {
+	if got.SalvagedCores != rt.SalvagedCores || got.DroppedTraps != rt.DroppedTraps {
 		t.Errorf("counters did not round-trip: got %+v", got)
 	}
 }
@@ -83,7 +76,6 @@ func TestNilTraceStaysNil(t *testing.T) {
 func TestDecodeErrSurvivesAsString(t *testing.T) {
 	rt := &core.RunTrace{
 		Flow:      map[int][]int{},
-		Executed:  map[int]bool{},
 		DecodeErr: errors.New("pt: packet stream corrupt at byte 12"),
 	}
 	w := EncodeTrace(rt)
