@@ -21,14 +21,19 @@ type RunSpec struct {
 	MaxSteps    int64
 }
 
-// RunTrace is what an endpoint ships back to the Gist server for one run:
-// the run outcome, the decoded control flow of the tracked regions, the
+// RunTrace is one production run as the Gist server sees it: the run
+// outcome, the decoded control flow of the tracked regions, the
 // watchpoint trap log (values + total order of shared accesses), and the
-// overhead meter. The server derives everything else from these.
+// overhead meter. The endpoint records the raw half (RecordRun: Spec,
+// Outcome, PT, the watch unit's Traps, Meter); FinishRun derives the rest
+// from it, so an upload ships only what the server cannot regenerate.
 type RunTrace struct {
 	Spec    RunSpec
 	Outcome *vm.Outcome
 
+	// PT holds each core's raw ring buffer, in tracer.Cores() order: the
+	// packets the hardware wrote, before any decoding.
+	PT []PTCore
 	// Flow holds, per thread (= per PT core), the decoded instruction
 	// sequences of the traced regions, concatenated in per-core order.
 	Flow map[int][]int
@@ -55,6 +60,15 @@ type RunTrace struct {
 	DroppedTraps int
 }
 
+// PTCore is one core's PT ring buffer as the tracer left it. Data is
+// nil for a core that never traced; Wrapped marks a buffer whose oldest
+// bytes the ring discarded (the decoder resyncs at a PSB).
+type PTCore struct {
+	Core    int    `json:"core"`
+	Data    []byte `json:"data,omitempty"`
+	Wrapped bool   `json:"wrapped,omitempty"`
+}
+
 // Failed reports whether the traced run failed.
 func (rt *RunTrace) Failed() bool { return rt.Outcome.Failed }
 
@@ -71,15 +85,29 @@ func RunInstrumented(plan *Plan, spec RunSpec) *RunTrace {
 // reordering, report truncation). A zero decision injects nothing and
 // behaves byte-identically to RunInstrumented. A crashed endpoint
 // returns nil: its report never reaches the server.
+//
+// It is RecordRun followed by FinishRun: what a remote agent does,
+// then what the wire and the server do with the agent's upload.
 func RunInstrumentedFaults(plan *Plan, spec RunSpec, dec faults.Decision) *RunTrace {
+	rt := RecordRun(plan, spec, dec)
+	if rt != nil {
+		FinishRun(plan, rt, dec)
+	}
+	return rt
+}
+
+// RecordRun is the endpoint's half of a production run: it executes the
+// run under the plan's instrumentation and returns what the hardware
+// recorded — the outcome, each core's raw PT ring buffer, the watchpoint
+// trap log and the cost meter. Only the decision's endpoint faults apply
+// here (crash, a forced-tiny ring buffer); a crashed endpoint returns
+// nil. Everything that draws from the decision's stream happens in
+// FinishRun.
+func RecordRun(plan *Plan, spec RunSpec, dec faults.Decision) *RunTrace {
 	if dec.Crash {
 		return nil
 	}
-	rt := &RunTrace{
-		Spec:     spec,
-		Flow:     make(map[int][]int),
-		Branches: make(map[int][]pt.BranchObs),
-	}
+	rt := &RunTrace{Spec: spec}
 	tracer := pt.NewTracer(pt.Config{BufBytes: dec.BufBytes(0)}, &rt.Meter)
 	unit := watch.NewUnit(&rt.Meter)
 
@@ -206,21 +234,56 @@ func RunInstrumentedFaults(plan *Plan, spec RunSpec, dec faults.Decision) *RunTr
 	// on either engine.
 	rt.Meter.AddInstr(rt.Outcome.Steps)
 
-	if plan.Feats.ControlFlow {
-		decodeSpan := plan.Telemetry.StartSpan(telemetry.PhaseDecode)
-		for _, core := range tracer.Cores() {
+	if cores := tracer.Cores(); len(cores) > 0 {
+		rt.PT = make([]PTCore, len(cores))
+		for i, core := range cores {
 			if tracer.Enabled(core) {
 				tracer.Disable(core, thread(core).lastTraced)
 			}
-			buf, wrapped := tracer.CoreBytes(core)
-			buf = dec.CorruptTrace(buf)
-			flow, branches, data, err := pt.DecodeFlow(plan.Prog, buf, wrapped)
+			rt.PT[i].Core = core
+		}
+		// The ring buffers go back to the pool for the next run on this
+		// worker, so the trace keeps a copy, all cores in one array.
+		raw := make([]byte, 0, tracer.BufferedBytes())
+		for i := range rt.PT {
+			buf, wrapped := tracer.CoreBytes(rt.PT[i].Core)
+			rt.PT[i].Wrapped = wrapped
+			if len(buf) > 0 {
+				raw = append(raw, buf...)
+				rt.PT[i].Data = raw[len(raw)-len(buf) : len(raw) : len(raw)]
+			}
+		}
+	}
+	tracer.Release()
+	if plan.Feats.DataFlow && !plan.Feats.ExtendedPT {
+		rt.Traps = unit.Traps()
+	}
+	unit.Release()
+	return rt
+}
+
+// FinishRun is the in-flight and server half of a production run: it
+// applies the decision's faults that draw from its seeded stream, in the
+// stream's order — trace corruption per core, then trap loss and
+// reordering, then truncation — decodes each core's ring buffer into
+// Flow and Branches (salvaging what a corrupt buffer still holds), turns
+// extended-PT data packets into the trap log, and marks a hung report
+// Late. The decision must be fresh: FinishRun consumes its stream.
+func FinishRun(plan *Plan, rt *RunTrace, dec faults.Decision) {
+	rt.Flow = make(map[int][]int)
+	rt.Branches = make(map[int][]pt.BranchObs)
+	if plan.Feats.ControlFlow {
+		decodeSpan := plan.Telemetry.StartSpan(telemetry.PhaseDecode)
+		var ptw []watch.Trap
+		for _, c := range rt.PT {
+			buf := dec.CorruptTrace(c.Data)
+			flow, branches, data, err := pt.DecodeFlow(plan.Prog, buf, c.Wrapped)
 			if err != nil {
 				// Corrupt trace: salvage the PSB-delimited chunks that
 				// still parse and replay; only when nothing survives is
 				// the core's flow abandoned (DecodeErr tells the server
 				// to keep this run away from predictor extraction).
-				segs, sbranches, sdata, srep := pt.SalvageDecode(plan.Prog, buf, wrapped)
+				segs, sbranches, sdata, srep := pt.SalvageDecode(plan.Prog, buf, c.Wrapped)
 				if !srep.Recovered() {
 					rt.DecodeErr = err
 					continue
@@ -232,33 +295,30 @@ func RunInstrumentedFaults(plan *Plan, spec RunSpec, dec faults.Decision) *RunTr
 					flow = append(flow, seg.Instrs...)
 				}
 			}
-			rt.Branches[core] = branches
+			rt.Branches[c.Core] = branches
 			if len(flow) > 0 {
-				rt.Flow[core] = flow
+				rt.Flow[c.Core] = flow
 			}
 			// Extended-PT data packets become the access log, exactly as
 			// watchpoint traps would (the TSC is the total order).
 			for _, d := range data {
-				rt.Traps = append(rt.Traps, watch.Trap{
+				ptw = append(ptw, watch.Trap{
 					Addr: d.Addr, Val: d.Val, Size: d.Size,
-					IsWrite: d.IsWrite, InstrID: d.IP, Thread: core, Clock: d.TSC,
+					IsWrite: d.IsWrite, InstrID: d.IP, Thread: c.Core, Clock: d.TSC,
 				})
 			}
 		}
-		sort.Slice(rt.Traps, func(i, j int) bool { return rt.Traps[i].Clock < rt.Traps[j].Clock })
+		sort.Slice(ptw, func(i, j int) bool { return ptw[i].Clock < ptw[j].Clock })
+		// With watch groups the unit's log is the access log; a stray
+		// data packet in a corrupt buffer does not join it.
+		if !plan.Feats.DataFlow || plan.Feats.ExtendedPT {
+			rt.Traps = ptw
+		}
 		decodeSpan.End()
 	}
-	// The decoded flow is the RunTrace's own; the raw ring buffers can go
-	// back to the pool for the next run on this worker.
-	tracer.Release()
 	watchSpan := plan.Telemetry.StartSpan(telemetry.PhaseWatch)
-	if plan.Feats.DataFlow && !plan.Feats.ExtendedPT {
-		rt.Traps = unit.Traps()
-	}
-	unit.Release()
 	rt.applyTransitFaults(dec)
 	watchSpan.End()
-	return rt
 }
 
 // applyTransitFaults degrades the finished RunTrace the way the network

@@ -127,16 +127,13 @@ type decoder struct {
 	ends  []int
 	start int
 
-	emitted  int // total instructions emitted, for the runaway guard
+	// straight counts the instructions replayed since the walk last
+	// consumed packet material (a TNT bit, a TIP, a PGE anchor), for the
+	// runaway guard.
+	straight int
 	branches []BranchObs
 	data     []DataObs
 }
-
-// maxDecodedInstrs bounds decoder output: a traced unconditional-jump
-// loop produces no packets, so without a bound the CFG replay would spin
-// forever. Real decoders are bounded by trace-buffer contents; we bound
-// by emitted instructions.
-const maxDecodedInstrs = 50_000_000
 
 // next returns the next event, or nil.
 func (d *decoder) peek() *Event {
@@ -169,6 +166,7 @@ func (d *decoder) run() error {
 			}
 			if d.cur == nil {
 				d.cur = in
+				d.straight = 0
 				if err := d.walk(); err != nil {
 					return err
 				}
@@ -242,9 +240,14 @@ func (d *decoder) walk() error {
 	for d.cur != nil {
 		in := d.cur
 		d.flow = append(d.flow, in.ID)
-		d.emitted++
-		if d.emitted > maxDecodedInstrs {
-			return fmt.Errorf("pt: decoder runaway after %d instructions (untraceable unconditional loop?)", d.emitted)
+		// A traced unconditional-jump loop produces no packets. Between
+		// two packets the replay is a function of the current
+		// instruction alone, so once it has replayed more instructions
+		// than the program holds it is going round such a loop and
+		// would never stop; the bound also keeps a hostile buffer's
+		// output within a program-size multiple of its packets.
+		if d.straight++; d.straight > len(d.prog.Instrs) {
+			return fmt.Errorf("pt: decoder runaway at instruction %d (untraceable unconditional loop?)", in.ID)
 		}
 		switch in.Op {
 		case ir.OpBr:
@@ -254,6 +257,7 @@ func (d *decoder) walk() error {
 				// pulling it. Rewind the emission of this instruction so
 				// it is not recorded twice.
 				d.flow = d.flow[:len(d.flow)-1]
+				d.straight--
 				if ev := d.peek(); ev != nil && ev.Kind == EvTNT {
 					d.bits = append(d.bits, ev.Bits...)
 					d.pos++
@@ -265,6 +269,7 @@ func (d *decoder) walk() error {
 			}
 			taken := d.bits[0]
 			d.bits = d.bits[1:]
+			d.straight = 0
 			d.branches = append(d.branches, BranchObs{IP: in.ID, Taken: taken})
 			if taken {
 				d.cur = in.Then.Instrs[0]
@@ -287,6 +292,7 @@ func (d *decoder) walk() error {
 				return err
 			}
 			d.cur = target
+			d.straight = 0
 		default:
 			// Straight-line: next instruction in the block. Every block
 			// ends in a terminator, so Idx+1 is always in range for

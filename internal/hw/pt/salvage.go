@@ -36,6 +36,11 @@ func (r SalvageReport) Recovered() bool { return r.Instrs > 0 }
 // their prefix up to the error, and the rest of the buffer continues at
 // the next PSB. wrapped has the same meaning as in Decode: the ring
 // buffer overflowed, so the bytes before the first PSB are skipped.
+//
+// A buffer that decodes cleanly has nothing to salvage, and is returned
+// as the clean decode, one chunk: replaying its chunks apart would drop
+// the replay state a chunk inherits across a PSB (a paused walk, TNT
+// bits not yet consumed) and could recover flow the decoder never saw.
 func SalvageDecode(prog *ir.Program, data []byte, wrapped bool) ([]Segment, []BranchObs, []DataObs, SalvageReport) {
 	salvageCalls.Add(1)
 	var (
@@ -48,6 +53,12 @@ func SalvageDecode(prog *ir.Program, data []byte, wrapped bool) ([]Segment, []Br
 		salvagedChunks.Add(int64(rep.Chunks - rep.BadChunks))
 		salvagedInstrs.Add(int64(rep.Instrs))
 	}()
+	if evs, err := ParsePackets(data, !wrapped); err == nil {
+		if flow, ends, b, d, err := decodeEvents(prog, evs); err == nil {
+			rep = SalvageReport{Chunks: 1, Instrs: len(flow)}
+			return segments(flow, ends), b, d, rep
+		}
+	}
 	start := 0
 	if wrapped {
 		start = indexOfPSB(data)

@@ -1,8 +1,9 @@
 // Package agent is the endpoint side of the Gist service: it
 // registers with the diagnosis server, long-polls for tracking tasks,
-// executes production runs through the same core.RunInstrumented path
-// the in-process fleet uses, and uploads traces over the fault-tolerant
-// wire client.
+// records production runs with core.RecordRun — the endpoint half of
+// the core.RunInstrumented path the in-process fleet uses — and uploads
+// the raw PT ring buffers and trap log over the fault-tolerant wire
+// client. The server decodes them (core.FinishRun).
 //
 // An agent ships no state the server cannot regenerate: the tracking
 // plan is rebuilt locally from the shipped instruction window and
@@ -228,9 +229,11 @@ func (a *Agent) execute(ctx context.Context, task *service.WireTask) {
 	}
 }
 
-// runTask executes one production run exactly as the in-process fleet
+// runTask records one production run exactly as the in-process fleet
 // would: build the plan from the shipped window, re-derive the
-// endpoint fault decision, and run instrumented.
+// endpoint fault decision, and run instrumented. The decision's
+// in-flight faults are the server's to apply, from its own fresh copy
+// of the decision's stream.
 func (a *Agent) runTask(task *service.WireTask) (rt *core.RunTrace, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -243,7 +246,7 @@ func (a *Agent) runTask(task *service.WireTask) (rt *core.RunTrace, err error) {
 	}
 	plan := a.planFor(pb, task.Window, task.Feats)
 	dec := faults.NewInjector(task.Faults).ForRun(task.Spec.EndpointID, task.Spec.Seed)
-	return core.RunInstrumentedFaults(plan, task.Spec, dec), nil
+	return core.RecordRun(plan, task.Spec, dec), nil
 }
 
 // planFor returns the plan for (window, feats), rebuilding only when the

@@ -315,6 +315,12 @@ func (r *remoteRunner) RunBatch(plan *core.Plan, jobs []core.RunJob) []*core.Run
 		// idempotently.
 		tk.trace = nil
 		r.s.mu.Unlock()
+		// The agent shipped what it recorded; decoding, and the faults
+		// the decision injects in flight, happen here, from the job's
+		// own fresh decision stream.
+		if out[i] != nil {
+			core.FinishRun(plan, out[i], jobs[i].Dec)
+		}
 	}
 	if why := r.disowned(); why != nil {
 		r.disown(why)

@@ -206,8 +206,8 @@ const (
 	stepTimeout = 5 * time.Minute
 	// maxBodyBytes caps what one request may make the server read and
 	// hold; a larger body is answered 413 before the checksum is even
-	// computed. The largest trace upload an e2e diagnosis sends is about
-	// 23 KB (the e2e harness fails above an eighth of the cap).
+	// computed. The largest trace upload any of the 12 diagnoses sends
+	// is about 9 KB (the e2e harness fails above an eighth of the cap).
 	maxBodyBytes = 16 << 20
 )
 

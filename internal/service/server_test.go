@@ -125,6 +125,47 @@ func TestUploadRequiresTraceOrCrashMarker(t *testing.T) {
 	}
 }
 
+// TestMixedVersionUploadRefused: an agent that still uploads decoded
+// flow under "trace" carries nothing this server reads, so the upload
+// is answered 400 — which the client does not retry — and admits
+// nothing; the task stays with the lease reaper. A current agent's body
+// carries no "trace" key, so a server that reads one refuses it too.
+func TestMixedVersionUploadRefused(t *testing.T) {
+	s := NewServer(Options{})
+	defer s.Close()
+	tk := enqueueTask(s, "acme", "pbzip2")
+
+	body := []byte(fmt.Sprintf(`{"tenant":"acme","agent":"a0","task_id":%d,`+
+		`"trace":{"spec":{"EndpointID":%d,"Seed":%d},"flow":{"0":[1,2,3]},"base_mc":10,"extra_mc":0}}`,
+		tk.id, tk.spec.EndpointID, tk.spec.Seed))
+	req := httptest.NewRequest(http.MethodPost, PathUpload, bytes.NewReader(body))
+	req.Header.Set(ChecksumHeader, BodyChecksum(body))
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "neither a trace nor a crash marker") {
+		t.Fatalf("old-shape upload got %d %s, want 400 naming the missing trace", rec.Code, rec.Body)
+	}
+	c, _ := s.Snapshot()
+	s.mu.Lock()
+	done, trace := tk.done, tk.trace
+	s.mu.Unlock()
+	if done || trace != nil || c.Uploads != 0 || c.DuplicateUploads != 0 {
+		t.Fatalf("old-shape upload admitted something: done=%v trace=%v counters=%+v", done, trace != nil, c)
+	}
+
+	cur, err := json.Marshal(&UploadRequest{Tenant: "acme", Agent: "a0", TaskID: tk.id, Trace: &WireTrace{Spec: tk.spec}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(cur, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := keys["trace"]; ok {
+		t.Fatalf("current upload %s carries the old trace key", cur)
+	}
+}
+
 func TestChecksumMismatchRejectedBeforeDecode(t *testing.T) {
 	s := NewServer(Options{})
 	defer s.Close()

@@ -26,16 +26,25 @@ var (
 
 func inProcessSketch(t *testing.T, bug string) []byte {
 	t.Helper()
+	return inProcessSketchFaults(t, bug, faults.Config{})
+}
+
+// inProcessSketchFaults is inProcessSketch on a fleet whose endpoints
+// fail per fcfg.
+func inProcessSketchFaults(t *testing.T, bug string, fcfg faults.Config) []byte {
+	t.Helper()
+	key := fmt.Sprintf("%s %+v", bug, fcfg)
 	sketchMu.Lock()
 	defer sketchMu.Unlock()
-	if data, ok := sketchCache[bug]; ok {
+	if data, ok := sketchCache[key]; ok {
 		return data
 	}
-	b := bugs.ByName(bug)
-	if b == nil {
-		t.Fatalf("unknown bug %q", bug)
+	cfg, err := bugs.ConfigFor(bug)
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, err := core.Run(b.GistConfig())
+	cfg.Faults = fcfg
+	res, err := core.Run(cfg)
 	if err != nil {
 		t.Fatalf("in-process run of %s: %v", bug, err)
 	}
@@ -43,7 +52,7 @@ func inProcessSketch(t *testing.T, bug string) []byte {
 	if err != nil {
 		t.Fatalf("marshal in-process sketch: %v", err)
 	}
-	sketchCache[bug] = data
+	sketchCache[key] = data
 	return data
 }
 
@@ -63,8 +72,9 @@ func (l *largestRequest) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // serviceSketch runs one diagnosis through the full wire: loopback
-// server, a small agent fleet, transport faults at the given rate.
-func serviceSketch(t *testing.T, bug string, rate float64, nAgents int) ([]byte, service.Counters) {
+// server, a small agent fleet, transport faults at the given rate, and
+// endpoints that fail per fcfg.
+func serviceSketch(t *testing.T, bug string, rate float64, nAgents int, fcfg faults.Config) ([]byte, service.Counters) {
 	t.Helper()
 	// A task whose grant was lost on the wire sits out a whole lease before
 	// it is reassigned; that wait is most of a faulty cell's wall time.
@@ -72,6 +82,11 @@ func serviceSketch(t *testing.T, bug string, rate float64, nAgents int) ([]byte,
 		LeaseTTL:        time.Second,
 		PollTimeout:     200 * time.Millisecond,
 		MaxTaskAttempts: 10,
+		ConfigFor: func(bug string) (core.Config, error) {
+			cfg, err := bugs.ConfigFor(bug)
+			cfg.Faults = fcfg
+			return cfg, err
+		},
 	})
 	defer srv.Close()
 	// The server's body cap must sit far above anything a diagnosis sends.
@@ -161,12 +176,49 @@ func TestServiceSketchesByteIdentical(t *testing.T) {
 				t.Run(fmt.Sprintf("rate=%.2f", rate), func(t *testing.T) {
 					t.Parallel()
 					want := inProcessSketch(t, bug)
-					got, counters := serviceSketch(t, bug, rate, 3)
+					got, counters := serviceSketch(t, bug, rate, 3, faults.Config{})
 					if !bytes.Equal(got, want) {
 						t.Errorf("service sketch differs from in-process run\nservice:\n%s\nin-process:\n%s", got, want)
 					}
 					if counters.LostTasks != 0 {
 						t.Errorf("%d tasks lost; transport faults must never lose work", counters.LostTasks)
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestEndpointFaultsAcrossTheWire puts the per-run endpoint faults on
+// the service's fleet: an agent records the run and ships its raw ring
+// buffers, and the server applies trace corruption, trap loss and
+// reordering, truncation and the late mark from its own copy of the
+// run's decision stream, in the stream's order. The served sketch must
+// still be the in-process sketch under the same faults, byte for byte.
+func TestEndpointFaultsAcrossTheWire(t *testing.T) {
+	suite := []string{"pbzip2", "curl", "cppcheck-1", "apache-1"}
+	if testing.Short() {
+		suite = suite[:1]
+	}
+	configs := []struct {
+		name string
+		fcfg faults.Config
+	}{
+		{"composite=0.3", faults.Composite(faults.ChaosSeed, 0.3)},
+		{"in-flight=0.7", faults.Config{Seed: faults.ChaosSeed, CorruptRate: 0.7, TrapDropRate: 0.7, TrapReorderRate: 0.7, TruncateRate: 0.3}},
+	}
+	for _, bug := range suite {
+		bug := bug
+		t.Run(bug, func(t *testing.T) {
+			t.Parallel()
+			for _, c := range configs {
+				c := c
+				t.Run(c.name, func(t *testing.T) {
+					t.Parallel()
+					want := inProcessSketchFaults(t, bug, c.fcfg)
+					got, _ := serviceSketch(t, bug, 0, 2, c.fcfg)
+					if !bytes.Equal(got, want) {
+						t.Errorf("service sketch differs from in-process run under %s\nservice:\n%s\nin-process:\n%s", c.name, got, want)
 					}
 				})
 			}

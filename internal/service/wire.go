@@ -7,9 +7,11 @@
 // The server accepts failure reports, schedules one diagnosis campaign
 // per (tenant, bug) on the existing sched + supervise stack, streams
 // tracking plans to agents, collects run traces, and serves finished
-// sketches. Agents register, long-poll for work, execute production
-// runs through the same core.RunInstrumented path the in-process fleet
-// uses, and upload traces.
+// sketches. Agents register, long-poll for work, record production runs
+// with core.RecordRun — the first half of the core.RunInstrumented path
+// the in-process fleet uses — and upload each core's raw PT ring buffer
+// with the trap log; the server finishes every run with core.FinishRun,
+// the second half, so it decodes exactly what an in-process run would.
 //
 // Correctness across an unreliable wire rests on four properties:
 //
@@ -39,14 +41,12 @@
 package service
 
 import (
-	"fmt"
 	"hash/crc32"
 	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/faults"
-	"repro/internal/hw/pt"
 	"repro/internal/hw/watch"
 	"repro/internal/vm"
 )
@@ -241,11 +241,15 @@ type WireTask struct {
 // trace (distinct from an agent that vanished, which the lease reaper
 // handles).
 type UploadRequest struct {
-	Tenant  string     `json:"tenant"`
-	Agent   string     `json:"agent"`
-	TaskID  uint64     `json:"task_id"`
-	Crashed bool       `json:"crashed,omitempty"`
-	Trace   *WireTrace `json:"trace,omitempty"`
+	Tenant  string `json:"tenant"`
+	Agent   string `json:"agent"`
+	TaskID  uint64 `json:"task_id"`
+	Crashed bool   `json:"crashed,omitempty"`
+	// Trace travels under "run", not the "trace" key that once carried
+	// decoded flow: across a mixed-version fleet each side finds neither
+	// a run nor a crash marker in the other's upload and answers 400,
+	// instead of admitting a run with nothing to decode.
+	Trace *WireTrace `json:"run,omitempty"`
 }
 
 // UploadResponse acknowledges an upload. Duplicate marks a delivery
@@ -291,74 +295,50 @@ type HealthResponse struct {
 	Fleet core.FleetHealth `json:"fleet"`
 }
 
-// WireTrace is core.RunTrace flattened for JSON: the cost meter becomes
-// its two raw counters and the decode error a string. Everything else
-// round-trips as-is — every field the admission path reads is exported
-// and JSON-safe.
+// WireTrace is the endpoint's half of a core.RunTrace (core.RecordRun)
+// flattened for JSON: the spec, the outcome, each core's raw PT ring
+// buffer, the watchpoint trap log, and the cost meter's two raw
+// counters. Everything else — the decoded flow and branches, the decode
+// error, the salvaged-core count, the in-flight trap loss and
+// truncation, the late mark — the server derives with core.FinishRun,
+// so the upload ships only what the server cannot regenerate.
 type WireTrace struct {
-	Spec          core.RunSpec           `json:"spec"`
-	Outcome       *vm.Outcome            `json:"outcome,omitempty"`
-	Flow          map[int][]int          `json:"flow"`
-	Branches      map[int][]pt.BranchObs `json:"branches,omitempty"`
-	Traps         []watch.Trap           `json:"traps,omitempty"`
-	BaseMC        int64                  `json:"base_mc"`
-	ExtraMC       int64                  `json:"extra_mc"`
-	DecodeErr     string                 `json:"decode_err,omitempty"`
-	SalvagedCores int                    `json:"salvaged_cores,omitempty"`
-	Late          bool                   `json:"late,omitempty"`
-	DroppedTraps  int                    `json:"dropped_traps,omitempty"`
+	Spec    core.RunSpec  `json:"spec"`
+	Outcome *vm.Outcome   `json:"outcome,omitempty"`
+	PT      []core.PTCore `json:"pt,omitempty"`
+	Traps   []watch.Trap  `json:"traps,omitempty"`
+	BaseMC  int64         `json:"base_mc"`
+	ExtraMC int64         `json:"extra_mc"`
 }
 
-// EncodeTrace flattens a run trace for the wire. Nil stays nil (a
+// EncodeTrace flattens a recorded run for the wire. Nil stays nil (a
 // crashed endpoint).
 func EncodeTrace(rt *core.RunTrace) *WireTrace {
 	if rt == nil {
 		return nil
 	}
 	base, extra := rt.Meter.MC()
-	w := &WireTrace{
-		Spec:          rt.Spec,
-		Outcome:       rt.Outcome,
-		Flow:          rt.Flow,
-		Branches:      rt.Branches,
-		Traps:         rt.Traps,
-		BaseMC:        base,
-		ExtraMC:       extra,
-		SalvagedCores: rt.SalvagedCores,
-		Late:          rt.Late,
-		DroppedTraps:  rt.DroppedTraps,
+	return &WireTrace{
+		Spec:    rt.Spec,
+		Outcome: rt.Outcome,
+		PT:      rt.PT,
+		Traps:   rt.Traps,
+		BaseMC:  base,
+		ExtraMC: extra,
 	}
-	if rt.DecodeErr != nil {
-		w.DecodeErr = rt.DecodeErr.Error()
-	}
-	return w
 }
 
-// DecodeTrace rebuilds a run trace from the wire. The admission path
-// only ever iterates or looks up the maps, so nil-vs-empty after a
-// JSON round trip is behaviorally invisible; the meter is rebuilt
-// exactly.
+// DecodeTrace rebuilds a recorded run from the wire, ready for
+// core.FinishRun; the meter is rebuilt exactly.
 func DecodeTrace(w *WireTrace) *core.RunTrace {
 	if w == nil {
 		return nil
 	}
-	flow := w.Flow
-	if flow == nil {
-		flow = map[int][]int{}
+	return &core.RunTrace{
+		Spec:    w.Spec,
+		Outcome: w.Outcome,
+		PT:      w.PT,
+		Traps:   w.Traps,
+		Meter:   cost.MeterFromMC(w.BaseMC, w.ExtraMC),
 	}
-	rt := &core.RunTrace{
-		Spec:          w.Spec,
-		Outcome:       w.Outcome,
-		Flow:          flow,
-		Branches:      w.Branches,
-		Traps:         w.Traps,
-		Meter:         cost.MeterFromMC(w.BaseMC, w.ExtraMC),
-		SalvagedCores: w.SalvagedCores,
-		Late:          w.Late,
-		DroppedTraps:  w.DroppedTraps,
-	}
-	if w.DecodeErr != "" {
-		rt.DecodeErr = fmt.Errorf("%s", w.DecodeErr)
-	}
-	return rt
 }

@@ -50,8 +50,8 @@ const (
 	PhaseSlice     = "slice"         // backward slicing (incl. deadlock merge)
 	PhasePlan      = "plan_build"    // PT start/stop + watchpoint planning per σ
 	PhaseRunExec   = "run_exec"      // one instrumented production run (client side)
-	PhaseDecode    = "pt_decode"     // PT trace decode incl. salvage
-	PhaseWatch     = "watch_collect" // watchpoint trap collection + transit faults
+	PhaseDecode    = "pt_decode"     // PT trace corruption + decode incl. salvage (server side)
+	PhaseWatch     = "watch_collect" // trap-log transit faults (server side)
 	PhaseFleet     = "fleet_collect" // one iteration's fleet dispatch + admission
 	PhaseRank      = "rank"          // predictor extraction + statistical ranking
 	PhaseSketch    = "sketch_render" // failure-sketch assembly
