@@ -103,7 +103,7 @@ type iterState struct {
 // production-run seeds start at cfg.SeedBase+discRuns. A nil report
 // means none was shipped: discovery (FirstFailure) finds the failure
 // first and discRuns is ignored. (The historical loop skipped to
-// cfg.SeedBase+cfg.MaxDiscoveryRuns even when discovery stopped far
+// cfg.SeedBase+maxDiscoveryRuns even when discovery stopped far
 // earlier, wasting the gap; checkpoints store the cursor explicitly, so
 // restored campaigns replay whatever cursor they were saved with.)
 func NewCampaign(c Config, report *vm.FailureReport, discRuns int) (*Campaign, error) {
@@ -199,7 +199,7 @@ func (c *Campaign) runJobs(jobs []RunJob) []*RunTrace {
 
 // need reports whether the current iteration still wants runs.
 func (c *Campaign) need() bool {
-	return len(c.st.failing) < c.cfg.FailuresPerIter || len(c.st.successful) < c.cfg.MinSuccesses
+	return len(c.st.failing) < failuresPerIter || len(c.st.successful) < minSuccesses
 }
 
 // makeJob binds one production run's identity — endpoint, seed,
@@ -245,7 +245,8 @@ func (c *Campaign) admit(job RunJob, rt *RunTrace) {
 		st.lost = append(st.lost, spec.EndpointID)
 		return
 	}
-	if rt.Late || (cfg.RunDeadlineSteps > 0 && rt.Outcome != nil && rt.Outcome.Steps > cfg.RunDeadlineSteps) {
+	// A hung endpoint's report arrives past the per-run deadline.
+	if job.Dec.Hang || (cfg.RunDeadlineSteps > 0 && rt.Outcome != nil && rt.Outcome.Steps > cfg.RunDeadlineSteps) {
 		st.health.Deadlined++
 		st.lost = append(st.lost, spec.EndpointID)
 		return
@@ -276,7 +277,7 @@ func (c *Campaign) admit(job RunJob, rt *RunTrace) {
 	}
 	c.overheads = append(c.overheads, rt.Meter.OverheadPct())
 	if rt.Failed() && rt.Outcome.Report.ID() == c.report.ID() {
-		if len(st.failing) < cfg.FailuresPerIter {
+		if len(st.failing) < failuresPerIter {
 			st.failing = append(st.failing, rt)
 			st.accum.Observe(rt, true)
 		}
@@ -320,7 +321,7 @@ func (c *Campaign) Dispatch() {
 	cfg := c.cfg
 	st := &c.st
 	st.fleetSpan = cfg.Telemetry.StartSpan(telemetry.PhaseFleet)
-	budget := cfg.MaxBatches * cfg.Endpoints
+	budget := maxBatches * cfg.Endpoints
 	chunk := fleetChunk(c.pool.Width())
 	for done := 0; done < budget && c.need(); {
 		n := chunk
@@ -411,7 +412,7 @@ func (c *Campaign) Rank() {
 	// Quorum (§3.2): with too few validated runs the statistical
 	// comparison is noise; rank anyway, but annotate the sketch so the
 	// developer knows the confidence is degraded.
-	lowConf := len(st.failing)+len(st.successful) < cfg.MinQuorum
+	lowConf := len(st.failing)+len(st.successful) < minQuorum
 	if lowConf {
 		st.health.LowConfidenceIters++
 	}

@@ -34,14 +34,14 @@ func campaignFingerprint(res *Result, err error) string {
 
 // TestSeedCursorFollowsDiscovery pins the satellite fix: the production
 // seed cursor starts right after the seeds discovery actually consumed,
-// not after the MaxDiscoveryRuns worth it was budgeted.
+// not after the maxDiscoveryRuns worth it was budgeted.
 func TestSeedCursorFollowsDiscovery(t *testing.T) {
 	cfg := pbzipConfig(t)
 	report, disc, err := FirstFailure(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if disc >= cfg.withDefaults().MaxDiscoveryRuns {
+	if disc >= maxDiscoveryRuns {
 		t.Fatalf("discovery consumed its whole budget (%d runs); the cursor fix is unobservable", disc)
 	}
 	camp, err := NewCampaign(cfg, report, disc)
@@ -53,8 +53,8 @@ func TestSeedCursorFollowsDiscovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := cfg.SeedBase + int64(disc); snap.SeedCursor != want {
-		t.Errorf("seed cursor %d, want SeedBase+discRuns = %d (historical bug: SeedBase+MaxDiscoveryRuns = %d)",
-			snap.SeedCursor, want, cfg.SeedBase+int64(cfg.withDefaults().MaxDiscoveryRuns))
+		t.Errorf("seed cursor %d, want SeedBase+discRuns = %d (historical bug: SeedBase+maxDiscoveryRuns = %d)",
+			snap.SeedCursor, want, cfg.SeedBase+maxDiscoveryRuns)
 	}
 }
 

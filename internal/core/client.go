@@ -52,9 +52,6 @@ type RunTrace struct {
 	// SalvagedCores counts cores whose corrupt trace was partially
 	// recovered by PSB resynchronization (SalvageDecode).
 	SalvagedCores int
-	// Late marks a report that arrived past the server's per-run
-	// deadline (a hung endpoint); the server discards it.
-	Late bool
 	// DroppedTraps counts trap records lost in flight, for fleet-health
 	// accounting.
 	DroppedTraps int
@@ -266,9 +263,9 @@ func RecordRun(plan *Plan, spec RunSpec, dec faults.Decision) *RunTrace {
 // applies the decision's faults that draw from its seeded stream, in the
 // stream's order — trace corruption per core, then trap loss and
 // reordering, then truncation — decodes each core's ring buffer into
-// Flow and Branches (salvaging what a corrupt buffer still holds), turns
-// extended-PT data packets into the trap log, and marks a hung report
-// Late. The decision must be fresh: FinishRun consumes its stream.
+// Flow and Branches (salvaging what a corrupt buffer still holds), and
+// turns extended-PT data packets into the trap log. The decision must be
+// fresh: FinishRun consumes its stream.
 func FinishRun(plan *Plan, rt *RunTrace, dec faults.Decision) {
 	rt.Flow = make(map[int][]int)
 	rt.Branches = make(map[int][]pt.BranchObs)
@@ -344,7 +341,6 @@ func (rt *RunTrace) applyTransitFaults(dec faults.Decision) {
 			delete(rt.Branches, dec.PickCore(cores))
 		}
 	}
-	rt.Late = dec.Hang
 }
 
 // FilterTraps keeps only traps on addresses that some relevant

@@ -103,13 +103,13 @@ func TestGistSurvivesChaosPbzip(t *testing.T) {
 	}
 }
 
-// TestRetryReseedsCrashedEndpoints: a starved iteration (tiny budget,
-// heavy crash rate) must spend retry passes with backoff and re-seed
-// replacement runs for the lost endpoints.
+// TestRetryReseedsCrashedEndpoints: a starved iteration (one endpoint,
+// so a budget of maxBatches runs, and a heavy crash rate) must spend
+// retry passes with backoff and re-seed replacement runs for the lost
+// endpoints.
 func TestRetryReseedsCrashedEndpoints(t *testing.T) {
 	cfg := pbzipConfig(t)
-	cfg.Endpoints = 8
-	cfg.MaxBatches = 1
+	cfg.Endpoints = 1
 	cfg.Faults = faults.Config{Seed: 7, CrashRate: 0.5}
 	res, _ := Run(cfg) // convergence is not the point; fleet behavior is
 	if res == nil {
@@ -143,8 +143,6 @@ func TestValidateTraceRepairsDamage(t *testing.T) {
 			{InstrID: 2, Clock: 3}, // duplicated delivery
 			{InstrID: 999, Clock: 4},
 		},
-		Flow:     map[int][]int{0: {1, 2}, 1: {1, 5000}},
-		Branches: map[int][]pt.BranchObs{0: nil, 1: nil},
 	}
 	quarantine, repaired := validateTrace(rt, 10)
 	if quarantine {
@@ -160,12 +158,6 @@ func TestValidateTraceRepairsDamage(t *testing.T) {
 		if rt.Traps[i].Clock < rt.Traps[i-1].Clock {
 			t.Errorf("traps not re-sorted: %v", rt.Traps)
 		}
-	}
-	if _, ok := rt.Flow[1]; ok {
-		t.Error("core with out-of-range flow IDs not discarded")
-	}
-	if _, ok := rt.Flow[0]; !ok {
-		t.Error("healthy core's flow was discarded")
 	}
 
 	if q, _ := validateTrace(&RunTrace{}, 10); !q {
@@ -220,8 +212,7 @@ func TestDecodeErrRunsContributeNoBranchData(t *testing.T) {
 func TestRunDeadlineDiscardsSlowRuns(t *testing.T) {
 	cfg := pbzipConfig(t)
 	cfg.RunDeadlineSteps = 1 // nothing finishes in one step
-	cfg.Endpoints = 8
-	cfg.MaxBatches = 1
+	cfg.Endpoints = 1
 	cfg.MaxIters = 1
 	res, err := Run(cfg)
 	if err == nil {
@@ -236,34 +227,28 @@ func TestRunDeadlineDiscardsSlowRuns(t *testing.T) {
 }
 
 // TestDiscoveryProgressAndBudget covers the hardened FirstFailure: a
-// discovery that never sees a failure stops at MaxDiscoveryRuns with an
-// error, and the step budget aborts one that would otherwise spin on.
+// discovery that never sees a failure stops at maxDiscoveryRuns with an
+// error instead of spinning on.
 func TestDiscoveryProgressAndBudget(t *testing.T) {
-	// A program that never fails keeps discovery spinning.
 	prog := ir.MustCompile("ok.mc", `int main() { return 0; }`)
-	cfg := Config{Prog: prog, MaxDiscoveryRuns: 100}
-	_, runs, err := FirstFailure(cfg)
+	_, runs, err := FirstFailure(Config{Prog: prog})
 	if err == nil {
 		t.Fatal("program cannot fail; discovery must error")
 	}
-	if runs != 100 {
-		t.Errorf("discovery stopped after %d runs, want 100", runs)
-	}
-
-	cfg.DiscoveryStepBudget = 1 // a single run blows the budget
-	_, runs, err = FirstFailure(cfg)
-	if err == nil || runs != 1 {
-		t.Errorf("step budget did not abort discovery: runs=%d err=%v", runs, err)
+	if runs != maxDiscoveryRuns {
+		t.Errorf("discovery stopped after %d runs, want %d", runs, maxDiscoveryRuns)
 	}
 }
 
 // TestQuorumAnnotatesLowConfidence: an iteration that ranks predictors
-// from fewer validated runs than the quorum must mark its sketch.
+// from fewer validated runs than the quorum must mark its sketch. One
+// endpoint at a heavy crash rate starves the iteration; at this fixed
+// seed it keeps one failing and one successful run, under minQuorum's
+// three.
 func TestQuorumAnnotatesLowConfidence(t *testing.T) {
 	cfg := pbzipConfig(t)
-	cfg.FailuresPerIter = 1
-	cfg.MinSuccesses = 1
-	cfg.MinQuorum = 1000 // unreachable: every iteration is under quorum
+	cfg.Endpoints = 1
+	cfg.Faults = faults.Config{Seed: 1, CrashRate: 0.8}
 	cfg.MaxIters = 1
 	res, _ := Run(cfg)
 	if res == nil || res.Sketch == nil {

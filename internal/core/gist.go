@@ -40,16 +40,6 @@ type Config struct {
 	// Endpoints is the number of production runs per AsT iteration (the
 	// cooperative fleet slice assigned to this failure).
 	Endpoints int
-	// MaxBatches bounds how many endpoint batches one iteration may
-	// consume while waiting for the failure to recur.
-	MaxBatches int
-	// FailuresPerIter is how many failing runs each AsT iteration
-	// consumes before re-planning (the paper's per-iteration failure
-	// recurrences; Table 1 counts their total).
-	FailuresPerIter int
-	// MinSuccesses is how many successful runs each iteration gathers for
-	// the statistical comparison before it stops early.
-	MinSuccesses int
 	// MaxIters bounds AsT iterations.
 	MaxIters int
 
@@ -68,13 +58,6 @@ type Config struct {
 	// AsT runs until the window covers the whole slice.
 	StopWhen func(*Sketch) bool
 
-	// MaxDiscoveryRuns bounds the search for the first failure.
-	MaxDiscoveryRuns int
-	// DiscoveryStepBudget bounds the total interpreted steps discovery
-	// may consume across runs, so a hang-class bug with an unlucky seed
-	// cannot burn the whole MaxDiscoveryRuns budget; 0 means unlimited.
-	DiscoveryStepBudget int64
-
 	// Faults configures the fault-injected fleet; the zero value keeps
 	// every endpoint perfectly reliable (byte-identical to the
 	// pre-chaos pipeline).
@@ -84,11 +67,6 @@ type Config struct {
 	// whose endpoint hung, is discarded so it cannot stall the
 	// iteration. 0 disables the deadline.
 	RunDeadlineSteps int64
-	// MinQuorum is the minimum number of validated failing+successful
-	// runs an iteration needs before its predictor ranking is
-	// considered trustworthy; below it the sketch is annotated as low
-	// confidence. 0 means 3.
-	MinQuorum int
 
 	// Workers bounds how many endpoint runs the server executes
 	// concurrently (discovery, iteration, and retry batches). Results
@@ -118,15 +96,9 @@ func (c Config) Validate() error {
 		{"Sigma0", int64(c.Sigma0)},
 		{"SigmaGrowthAdd", int64(c.SigmaGrowthAdd)},
 		{"Endpoints", int64(c.Endpoints)},
-		{"MaxBatches", int64(c.MaxBatches)},
-		{"FailuresPerIter", int64(c.FailuresPerIter)},
-		{"MinSuccesses", int64(c.MinSuccesses)},
 		{"MaxIters", int64(c.MaxIters)},
 		{"MaxSteps", c.MaxSteps},
 		{"RunDeadlineSteps", c.RunDeadlineSteps},
-		{"MinQuorum", int64(c.MinQuorum)},
-		{"MaxDiscoveryRuns", int64(c.MaxDiscoveryRuns)},
-		{"DiscoveryStepBudget", c.DiscoveryStepBudget},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("gist: config %s = %d is negative", f.name, f.v)
@@ -141,10 +113,29 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// maxRetries caps the retry passes (with capped exponential backoff) the
-// AsT controller spends re-seeding replacement runs for lost endpoints
-// in one iteration.
-const maxRetries = 3
+// The fixed parameters of every diagnosis.
+const (
+	// maxRetries caps the retry passes (with capped exponential
+	// backoff) the AsT controller spends re-seeding replacement runs for
+	// lost endpoints in one iteration.
+	maxRetries = 3
+	// maxBatches bounds how many endpoint batches one iteration may
+	// consume while waiting for the failure to recur.
+	maxBatches = 8
+	// failuresPerIter is how many failing runs each AsT iteration
+	// consumes before re-planning (the paper's per-iteration failure
+	// recurrences; Table 1 counts their total).
+	failuresPerIter = 2
+	// minSuccesses is how many successful runs each iteration gathers
+	// for the statistical comparison before it stops early.
+	minSuccesses = 6
+	// minQuorum is the fewest validated failing+successful runs an
+	// iteration needs before its predictor ranking is trusted; below it
+	// the sketch is annotated as low confidence.
+	minQuorum = 3
+	// maxDiscoveryRuns bounds the search for the first failure.
+	maxDiscoveryRuns = 4000
+)
 
 func (c Config) withDefaults() Config {
 	if c.Sigma0 == 0 {
@@ -152,15 +143,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Endpoints == 0 {
 		c.Endpoints = 40
-	}
-	if c.MaxBatches == 0 {
-		c.MaxBatches = 8
-	}
-	if c.FailuresPerIter == 0 {
-		c.FailuresPerIter = 2
-	}
-	if c.MinSuccesses == 0 {
-		c.MinSuccesses = 6
 	}
 	if c.MaxIters == 0 {
 		c.MaxIters = 12
@@ -173,12 +155,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Beta == 0 {
 		c.Beta = 0.5
-	}
-	if c.MaxDiscoveryRuns == 0 {
-		c.MaxDiscoveryRuns = 4000
-	}
-	if c.MinQuorum == 0 {
-		c.MinQuorum = 3
 	}
 	if c.Workers == 0 {
 		c.Workers = defaultWorkers()
@@ -242,12 +218,11 @@ func (c Config) workloadFor(k int) vm.Workload {
 // deployment would ship) and how many runs it took. A positive
 // RunDeadlineSteps caps each run's steps (a hung run trips the VM's
 // hang fault at the deadline instead of burning the whole MaxSteps
-// allowance), and DiscoveryStepBudget bounds the total steps across
-// runs.
+// allowance). Discovery gives up after maxDiscoveryRuns runs.
 //
 // Runs execute on the fleet's worker pool (Config.Workers) in
 // speculative chunks; outcomes are consumed in seed order, so the
-// report, run count, and budget errors are identical to serial search.
+// report, run count, and error are identical to serial search.
 func FirstFailure(cfg Config) (*vm.FailureReport, int, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, 0, err
@@ -259,14 +234,10 @@ func FirstFailure(cfg Config) (*vm.FailureReport, int, error) {
 	if cfg.RunDeadlineSteps > 0 && cfg.RunDeadlineSteps < maxSteps {
 		maxSteps = cfg.RunDeadlineSteps
 	}
-	var totalSteps int64
 	pool := NewPool(cfg.Workers)
 	chunk := fleetChunk(pool.Width())
-	for base := 0; base < cfg.MaxDiscoveryRuns; base += chunk {
-		n := chunk
-		if base+n > cfg.MaxDiscoveryRuns {
-			n = cfg.MaxDiscoveryRuns - base
-		}
+	for base := 0; base < maxDiscoveryRuns; base += chunk {
+		n := min(chunk, maxDiscoveryRuns-base)
 		outs := parallelMap(pool, n, func(j int) *vm.Outcome {
 			i := base + j
 			return exec(cfg.exec, cfg.Prog, vm.Config{
@@ -277,17 +248,12 @@ func FirstFailure(cfg Config) (*vm.FailureReport, int, error) {
 			}, cfg.Telemetry)
 		})
 		for j, out := range outs {
-			i := base + j
-			totalSteps += out.Steps
 			if out.Failed {
-				return out.Report, i + 1, nil
-			}
-			if cfg.DiscoveryStepBudget > 0 && totalSteps >= cfg.DiscoveryStepBudget {
-				return nil, i + 1, fmt.Errorf("gist: discovery step budget %d exhausted after %d runs", cfg.DiscoveryStepBudget, i+1)
+				return out.Report, base + j + 1, nil
 			}
 		}
 	}
-	return nil, cfg.MaxDiscoveryRuns, fmt.Errorf("gist: no failure in %d discovery runs", cfg.MaxDiscoveryRuns)
+	return nil, maxDiscoveryRuns, fmt.Errorf("gist: no failure in %d discovery runs", maxDiscoveryRuns)
 }
 
 // Run performs the full Gist pipeline: slice statically, then adaptively

@@ -124,20 +124,6 @@ func validateTrace(rt *RunTrace, maxID int) (quarantine bool, repaired int) {
 			break
 		}
 	}
-	// Flow entries must name known instructions; a corrupt decode that
-	// slipped through with wild IDs is discarded wholesale.
-	if maxID > 0 {
-		for core, flow := range rt.Flow {
-			for _, id := range flow {
-				if id < 0 || id >= maxID {
-					delete(rt.Flow, core)
-					delete(rt.Branches, core)
-					repaired++
-					break
-				}
-			}
-		}
-	}
 	return false, repaired
 }
 

@@ -23,10 +23,6 @@ func TestConfigValidateRejectsOutOfRange(t *testing.T) {
 		{"negative endpoints", func(c *Config) { c.Endpoints = -1 }, "Endpoints"},
 		{"fault rate above 1", func(c *Config) { c.Faults.CrashRate = 1.5 }, "crash rate 1.5"},
 		{"negative fault rate", func(c *Config) { c.Faults.HangRate = -0.1 }, "hang rate -0.1"},
-		{"drop fraction above 1", func(c *Config) {
-			c.Faults.TrapDropRate = 0.5
-			c.Faults.DropFraction = 2
-		}, "drop fraction 2"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -84,19 +84,21 @@ type Config struct {
 	// it cannot shift any per-run fault decision and every diagnosis
 	// stays byte-identical — only its timing changes.
 	SlowRate float64
-	// SlowMeanMs is the mean injected delay in milliseconds for a slow
-	// task; 0 means 200. Actual delays are jittered in [0.5, 3.0]× the
-	// mean from the decision's seeded stream.
-	SlowMeanMs int
-
-	// DropFraction is the fraction of traps dropped within an affected
-	// run; 0 means 0.3.
-	DropFraction float64
-	// OverflowBufBytes is the forced ring-buffer size for overflow
-	// faults; 0 means 512 bytes (small enough that any realistic traced
-	// region wraps).
-	OverflowBufBytes int
 }
+
+// The fixed shapes of the fault classes whose rates Config sets.
+const (
+	// slowMeanMs is the mean injected delay of a slow task, in
+	// milliseconds. Actual delays are jittered in [0.5, 3.0]× the mean
+	// from the decision's seeded stream.
+	slowMeanMs = 200
+	// dropFraction is the fraction of traps dropped within a run hit by
+	// trap loss.
+	dropFraction = 0.3
+	// overflowBufBytes is the forced ring-buffer size under an overflow
+	// fault: small enough that any realistic traced region wraps.
+	overflowBufBytes = 512
+)
 
 // Enabled reports whether any fault class has a nonzero rate.
 func (c Config) Enabled() bool {
@@ -140,15 +142,6 @@ func (c Config) Validate() error {
 	}
 	if c.SlowRate < 0 || c.SlowRate > 1 {
 		return fmt.Errorf("faults: slow rate %g outside [0,1]", c.SlowRate)
-	}
-	if c.SlowMeanMs < 0 {
-		return fmt.Errorf("faults: slow mean %d ms is negative", c.SlowMeanMs)
-	}
-	if c.DropFraction < 0 || c.DropFraction > 1 {
-		return fmt.Errorf("faults: drop fraction %g outside [0,1]", c.DropFraction)
-	}
-	if c.OverflowBufBytes < 0 {
-		return fmt.Errorf("faults: overflow buffer %d bytes is negative", c.OverflowBufBytes)
 	}
 	return nil
 }
@@ -214,16 +207,16 @@ func Transport(seed int64, rate float64) Config {
 }
 
 // Slowdown returns a Config injecting only agent-slowdown faults: rate
-// is the probability one task execution is delayed, meanMs the mean
-// delay (0 = 200ms). rate is clamped to [0, 1] like Composite's. This
-// is the knob the service overload test's slow agents turn.
-func Slowdown(seed int64, rate float64, meanMs int) Config {
+// is the probability one task execution is delayed by about
+// slowMeanMs. rate is clamped to [0, 1] like Composite's. This is the
+// knob the service overload test's slow agents turn.
+func Slowdown(seed int64, rate float64) Config {
 	if rate < 0 {
 		rate = 0
 	} else if rate > 1 {
 		rate = 1
 	}
-	return Config{Seed: seed, SlowRate: rate, SlowMeanMs: meanMs}
+	return Config{Seed: seed, SlowRate: rate}
 }
 
 // String summarizes the configuration for experiment tables.
@@ -247,12 +240,6 @@ type Injector struct {
 func NewInjector(cfg Config) *Injector {
 	if !cfg.Enabled() {
 		return nil
-	}
-	if cfg.DropFraction == 0 {
-		cfg.DropFraction = 0.3
-	}
-	if cfg.OverflowBufBytes == 0 {
-		cfg.OverflowBufBytes = 512
 	}
 	return &Injector{cfg: cfg}
 }
@@ -280,7 +267,7 @@ type Decision struct {
 	Crash bool
 	// Hang: the report arrives past the server's per-run deadline.
 	Hang bool
-	// Overflow: the PT ring buffer is forced down to OverflowBufBytes.
+	// Overflow: the PT ring buffer is forced down to overflowBufBytes.
 	Overflow bool
 	// Corrupt: trace bytes are flipped in flight.
 	Corrupt bool
@@ -290,9 +277,7 @@ type Decision struct {
 	// Truncate selects a RunTrace field to truncate.
 	Truncate TruncateKind
 
-	dropFraction float64
-	bufBytes     int
-	rng          *rand.Rand
+	rng *rand.Rand
 }
 
 // Any reports whether the decision injects at least one fault.
@@ -317,8 +302,6 @@ func (i *Injector) ForRun(endpoint int, seed int64) Decision {
 		Corrupt:      rng.Float64() < i.cfg.CorruptRate,
 		DropTraps:    rng.Float64() < i.cfg.TrapDropRate,
 		ReorderTraps: rng.Float64() < i.cfg.TrapReorderRate,
-		dropFraction: i.cfg.DropFraction,
-		bufBytes:     i.cfg.OverflowBufBytes,
 		rng:          rng,
 	}
 	if rng.Float64() < i.cfg.TruncateRate {
@@ -332,7 +315,7 @@ func (i *Injector) ForRun(endpoint int, seed int64) Decision {
 // the tracer's own default).
 func (d Decision) BufBytes(dflt int) int {
 	if d.Overflow {
-		return d.bufBytes
+		return overflowBufBytes
 	}
 	return dflt
 }
@@ -361,7 +344,7 @@ func (d Decision) ApplyTraps(traps []watch.Trap) (out []watch.Trap, dropped int)
 	if d.DropTraps && len(out) > 0 {
 		kept := make([]watch.Trap, 0, len(out))
 		for _, tr := range out {
-			if d.rng.Float64() < d.dropFraction {
+			if d.rng.Float64() < dropFraction {
 				dropped++
 				continue
 			}
@@ -590,12 +573,8 @@ func (i *Injector) ForSlowdown(tenant, agent string, taskID uint64) SlowDecision
 	rng := rand.New(rand.NewSource(int64(h.Sum64())))
 	d := SlowDecision{}
 	if rng.Float64() < i.cfg.SlowRate {
-		mean := i.cfg.SlowMeanMs
-		if mean <= 0 {
-			mean = 200
-		}
 		d.Slow = true
-		d.Delay = time.Duration(float64(mean)*(0.5+2.5*rng.Float64())) * time.Millisecond
+		d.Delay = time.Duration(slowMeanMs*(0.5+2.5*rng.Float64())) * time.Millisecond
 	}
 	return d
 }

@@ -129,7 +129,7 @@ type decoder struct {
 
 	// straight counts the instructions replayed since the walk last
 	// consumed packet material (a TNT bit, a TIP, a PGE anchor), for the
-	// runaway guard.
+	// runaway guard and the FUP scan.
 	straight int
 	branches []BranchObs
 	data     []DataObs
@@ -188,11 +188,19 @@ func (d *decoder) run() error {
 		case EvFUP:
 			// Precise stop position: the walker may have over-run past
 			// the stop point along a straight line; truncate the segment
-			// just after the last occurrence of the FUP IP.
+			// just after the last occurrence of the FUP IP. The tracer
+			// emits a stop's FUP before any packet of a later
+			// instruction, so the stop is one of the d.straight
+			// instructions replayed since the walk last consumed packet
+			// material, or the one that consumed it. The scan looks no
+			// further back, which keeps a run of FUPs linear in the
+			// buffer.
 			d.pos++
 			if d.cur != nil || len(d.flow) > d.start {
-				for i := len(d.flow) - 1; i >= d.start; i-- {
+				lo := max(d.start, len(d.flow)-d.straight-1)
+				for i := len(d.flow) - 1; i >= lo; i-- {
 					if d.flow[i] == ev.IP {
+						d.straight -= len(d.flow) - (i + 1)
 						d.flow = d.flow[:i+1]
 						break
 					}

@@ -1,8 +1,11 @@
 package pt_test
 
 import (
+	"encoding/binary"
 	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/bugs"
 	"repro/internal/core"
@@ -28,7 +31,7 @@ func suitePrograms() []*ir.Program {
 // after the fleet's in-flight corruption.
 func decodeSeeds(t testing.TB) (which []uint8, data [][]byte, wrapped []bool) {
 	corrupt := faults.NewInjector(faults.Config{Seed: faults.ChaosSeed, CorruptRate: 1})
-	squeeze := faults.NewInjector(faults.Config{Seed: faults.ChaosSeed, OverflowRate: 1, OverflowBufBytes: 256})
+	squeeze := faults.NewInjector(faults.Config{Seed: faults.ChaosSeed, OverflowRate: 1})
 	for i, b := range bugs.All() {
 		cfg := b.GistConfig()
 		report, _, err := core.FirstFailure(cfg)
@@ -81,6 +84,8 @@ func FuzzPTDecode(f *testing.F) {
 	for i := range data {
 		f.Add(which[i], data[i], wrapped[i])
 	}
+	flooded, _, flood := fupFlood(f)
+	f.Add(flooded, flood, false)
 	f.Fuzz(func(t *testing.T, which uint8, data []byte, wrapped bool) {
 		prog := progs[int(which)%len(progs)]
 		var before, after runtime.MemStats
@@ -132,6 +137,70 @@ func FuzzPTDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// floodFUPs is how many FUP packets fupFlood appends.
+const floodFUPs = 100_000
+
+// fupFlood builds a hostile ring buffer for suite program which: the
+// cppcheck-1 main thread traced end to end under the extended-PT plan,
+// one open segment of about 138,000 instructions once its closing PGD
+// is cut off, then floodFUPs FUP packets naming an instruction the
+// program does not have. open is the buffer before the FUPs. A decoder
+// that rescans the open segment for every FUP makes about 10¹⁰
+// comparisons here.
+func fupFlood(tb testing.TB) (which uint8, open, flood []byte) {
+	for i, b := range bugs.All() {
+		if b.Name != "cppcheck-1" {
+			continue
+		}
+		cfg := b.GistConfig()
+		report, _, err := core.FirstFailure(cfg)
+		if err != nil {
+			tb.Fatalf("%s: discovery: %v", b.Name, err)
+		}
+		g := cfg.BuildGraph()
+		plan := core.BuildPlan(g, slicer.Compute(g, report.InstrID).Window(8), core.Features{ControlFlow: true, DataFlow: true, ExtendedPT: true})
+		spec := core.RunSpec{EndpointID: 1, Seed: 2, PreemptMean: cfg.PreemptMean, MaxSteps: 200_000}
+		main := core.RecordRun(plan, spec, faults.Decision{}).PT[0]
+		const pgd, fup = 0x03, 0x06 // packet bytes, as in packet.go
+		if main.Core != 0 || main.Wrapped || main.Data[len(main.Data)-1] != pgd {
+			tb.Fatalf("%s: main thread's ring (core %d, wrapped %v) does not end its segment with a PGD", b.Name, main.Core, main.Wrapped)
+		}
+		open = main.Data[:len(main.Data)-1]
+		packet := binary.AppendUvarint([]byte{fup}, uint64(len(b.Program().Instrs)))
+		flood = append(flood, open...)
+		for k := 0; k < floodFUPs; k++ {
+			flood = append(flood, packet...)
+		}
+		return uint8(i), open, flood
+	}
+	tb.Fatal("no cppcheck-1 in the suite")
+	return 0, nil, nil
+}
+
+// TestFUPFloodDecodesInLinearTime: FUP packets behind a long open
+// segment cost the decoders time linear in the buffer, and a FUP naming
+// no replayed instruction truncates nothing.
+func TestFUPFloodDecodesInLinearTime(t *testing.T) {
+	which, open, flood := fupFlood(t)
+	prog := suitePrograms()[which]
+	want, _, _, err := pt.DecodeFlow(prog, open, false)
+	if err != nil || len(want) < 100_000 {
+		t.Fatalf("open segment decodes to %d instructions (%v), want a long clean flow", len(want), err)
+	}
+	start := time.Now()
+	got, _, _, err := pt.DecodeFlow(prog, flood, false)
+	segs, _, _, _ := pt.SalvageDecode(prog, flood, false)
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("decoding %d FUPs behind a %d-instruction segment took %v", floodFUPs, len(want), took)
+	}
+	if err != nil || !slices.Equal(got, want) {
+		t.Errorf("flooded buffer decodes to %d instructions (%v), want the open segment's %d", len(got), err, len(want))
+	}
+	if len(segs) != 1 || !slices.Equal(segs[0].Instrs, want) {
+		t.Errorf("salvage of the flooded buffer recovered %d segments, want the open segment", len(segs))
+	}
 }
 
 // TestSeedsDecodeLikeTheClient pins the corpus to what it claims to be:

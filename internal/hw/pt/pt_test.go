@@ -151,15 +151,8 @@ func TestDecodeWithStartStopRegions(t *testing.T) {
 }
 
 func TestRingBufferWrapResyncs(t *testing.T) {
-	prog := ir.MustCompile("w.mc", `
-int main() {
-	int s = 0;
-	for (int i = 0; i < 2000; i++) {
-		if (i % 3 == 0) { s = s + 1; } else { s = s - 1; }
-	}
-	return s;
-}`)
-	tr, truth, out := fullTraceRun(t, prog, 1, Config{BufBytes: 512, SyncEvery: 32})
+	prog := ir.MustCompile("w.mc", salvageProg)
+	tr, truth, out := fullTraceRun(t, prog, 1, Config{BufBytes: wrapBufBytes})
 	if out.Failed {
 		t.Fatalf("%v", out.Report)
 	}
@@ -167,7 +160,7 @@ int main() {
 	if !wrapped {
 		t.Fatalf("buffer should have wrapped (len=%d)", len(data))
 	}
-	if len(data) > 512 {
+	if len(data) > wrapBufBytes {
 		t.Fatalf("ring exceeded capacity: %d", len(data))
 	}
 	segs, err := Decode(prog, data, wrapped)

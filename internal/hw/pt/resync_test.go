@@ -6,12 +6,12 @@ import (
 	"repro/internal/ir"
 )
 
-// salvageProg produces a long, branchy trace so that a small SyncEvery
-// yields many PSB sync points to resynchronize at.
+// salvageProg produces a trace long and branchy enough to hold a dozen
+// PSB sync points (one every syncEvery packets) to resynchronize at.
 const salvageProg = `
 int main() {
 	int s = 0;
-	for (int i = 0; i < 2000; i++) {
+	for (int i = 0; i < 10000; i++) {
 		if (i % 3 == 0) { s = s + 1; } else { s = s - 1; }
 	}
 	return s;
@@ -27,6 +27,10 @@ func psbOffsets(data []byte) []int {
 	}
 	return offs
 }
+
+// wrapBufBytes is a ring small enough for salvageProg to wrap several
+// times, yet wide enough to keep a few sync points.
+const wrapBufBytes = 2048
 
 func flatten(segs []Segment) []int {
 	var all []int
@@ -70,19 +74,19 @@ func TestSalvageDecodeTable(t *testing.T) {
 	}{
 		{
 			name:          "clean buffer matches full decode",
-			cfg:           Config{SyncEvery: 32},
+			cfg:           Config{},
 			wantRecovered: true,
 			wantFullMatch: true,
 		},
 		{
 			name:          "overflow wrap resyncs at first PSB",
-			cfg:           Config{BufBytes: 512, SyncEvery: 32},
+			cfg:           Config{BufBytes: wrapBufBytes},
 			wantRecovered: true,
 			wantFullMatch: true,
 		},
 		{
 			name:          "corrupt PSB loses one chunk, rest survives",
-			cfg:           Config{SyncEvery: 32},
+			cfg:           Config{},
 			mutate:        func(d []byte) []byte { return smashPSB(d, 2) },
 			wantRecovered: true,
 			wantBadChunks: true,
@@ -90,7 +94,7 @@ func TestSalvageDecodeTable(t *testing.T) {
 		},
 		{
 			name: "corrupt packet body loses a suffix of its chunk",
-			cfg:  Config{SyncEvery: 32},
+			cfg:  Config{},
 			mutate: func(d []byte) []byte {
 				out := append([]byte(nil), d...)
 				offs := psbOffsets(out)
@@ -107,7 +111,7 @@ func TestSalvageDecodeTable(t *testing.T) {
 		},
 		{
 			name: "no surviving PSB on a wrapped buffer recovers nothing",
-			cfg:  Config{BufBytes: 512, SyncEvery: 32},
+			cfg:  Config{BufBytes: wrapBufBytes},
 			mutate: func(d []byte) []byte {
 				out := append([]byte(nil), d...)
 				for _, off := range psbOffsets(out) {

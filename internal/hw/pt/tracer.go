@@ -27,20 +27,18 @@ type Config struct {
 	BufBytes int
 	// Mode selects hardware or software cost accounting.
 	Mode Mode
-	// SyncEvery emits a PSB sync point (plus a PGE re-anchor at the next
-	// event) every N packets; 0 means 256.
-	SyncEvery int
 }
 
 // DefaultBufBytes is the default per-core trace buffer size.
 const DefaultBufBytes = 2 << 20
 
+// syncEvery is how many packets apart the tracer emits a PSB sync point
+// (plus a PGE re-anchor at the next event).
+const syncEvery = 256
+
 func (c Config) withDefaults() Config {
 	if c.BufBytes == 0 {
 		c.BufBytes = DefaultBufBytes
-	}
-	if c.SyncEvery == 0 {
-		c.SyncEvery = 256
 	}
 	return c
 }
@@ -132,7 +130,7 @@ func (t *Tracer) emit(c *coreTrace, buf []byte) {
 		c.wrapped = true
 	}
 	c.packets++
-	if c.packets%t.cfg.SyncEvery == 0 {
+	if c.packets%syncEvery == 0 {
 		c.needSync = true
 	}
 }

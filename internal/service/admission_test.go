@@ -351,7 +351,7 @@ func TestTaskDeadlineWrittenOffAndWired(t *testing.T) {
 
 func TestHedgedDispatchFirstUploadWins(t *testing.T) {
 	clk := newFakeClock()
-	s := NewServer(Options{HedgeAfter: 100 * time.Millisecond, MaxTaskAttempts: 3, Now: clk.Now})
+	s := NewServer(Options{HedgeAfter: 100 * time.Millisecond, Now: clk.Now})
 	defer s.Close()
 	tk := enqueueTask(s, "acme", "pbzip2")
 
@@ -439,21 +439,17 @@ func TestHedgeThresholdTracksP95(t *testing.T) {
 // within ±50% of the capped exponential base schedule, and the jitter
 // stream must be deterministic per (tenant, actor).
 func TestClientBackoffJitterWithinSchedule(t *testing.T) {
-	const (
-		base = 10 * time.Millisecond
-		cap_ = 400 * time.Millisecond
-	)
 	sched := func(n int) time.Duration {
-		d := base << (n - 1)
-		if d > cap_ || d <= 0 {
-			d = cap_
+		d := backoffBase << (n - 1)
+		if d > backoffCap || d <= 0 {
+			d = backoffCap
 		}
 		return d
 	}
 	for _, id := range []struct{ tenant, actor string }{
 		{"acme", "cli"}, {"beta", "agent-1"}, {"", ""}, {"acme", "agent-9"},
 	} {
-		c := NewClient(ClientOptions{Tenant: id.tenant, Actor: id.actor, BackoffBase: base, BackoffCap: cap_})
+		c := NewClient(ClientOptions{Tenant: id.tenant, Actor: id.actor})
 		// Replica of the client's jitter stream: same FNV seed, same
 		// draw order — the schedule must be exactly reproducible.
 		h := fnv.New64a()
@@ -495,13 +491,11 @@ func TestClient429RetryAfterOverridesBackoffOnce(t *testing.T) {
 	})
 	var sleeps []time.Duration
 	c := NewClient(ClientOptions{
-		BaseURL:     "http://gist",
-		Tenant:      "acme",
-		Actor:       "cli",
-		BackoffBase: 10 * time.Millisecond,
-		BackoffCap:  80 * time.Millisecond,
-		Transport:   LoopbackTransport{Handler: mux},
-		Sleep:       func(d time.Duration) { sleeps = append(sleeps, d) },
+		BaseURL:   "http://gist",
+		Tenant:    "acme",
+		Actor:     "cli",
+		Transport: LoopbackTransport{Handler: mux},
+		Sleep:     func(d time.Duration) { sleeps = append(sleeps, d) },
 	})
 	var resp StatusResponse
 	if err := c.Call(context.Background(), PathStatus, &StatusRequest{Tenant: "acme", Bug: "x"}, &resp); err != nil {
@@ -516,10 +510,11 @@ func TestClient429RetryAfterOverridesBackoffOnce(t *testing.T) {
 	if sleeps[0] != 250*time.Millisecond {
 		t.Fatalf("first sleep = %v, want the server's 250ms hint (ms header over seconds header)", sleeps[0])
 	}
-	// Attempt 2's base schedule is 20ms; with ±50% jitter the sleep is
-	// in [10ms, 30ms] — far from 250ms, so a leaked hint would be loud.
-	if sleeps[1] < 10*time.Millisecond || sleeps[1] > 30*time.Millisecond {
-		t.Fatalf("second sleep = %v, want computed backoff in [10ms, 30ms], not a stale hint", sleeps[1])
+	// Attempt 2's base schedule is 2×backoffBase = 50ms; with ±50%
+	// jitter the sleep is in [25ms, 75ms] — far from 250ms, so a leaked
+	// hint would be loud.
+	if lo, hi := backoffBase, 3*backoffBase; sleeps[1] < lo || sleeps[1] > hi {
+		t.Fatalf("second sleep = %v, want computed backoff in [%v, %v], not a stale hint", sleeps[1], lo, hi)
 	}
 }
 

@@ -112,7 +112,7 @@ func (s *Server) placeCampaign(cs *campaignState, tenant, bug, key, sig string, 
 		fail(fmt.Errorf("place: %w", err))
 		return
 	}
-	tick := time.NewTicker(s.opts.PlacePoll)
+	tick := time.NewTicker(placePoll)
 	defer tick.Stop()
 	for {
 		select {

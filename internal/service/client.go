@@ -30,16 +30,6 @@ type ClientOptions struct {
 	// Deadline bounds each RPC attempt (default 30s). It must exceed
 	// the poll wait or long-polls always time out client-side.
 	Deadline time.Duration
-	// MaxAttempts bounds the retry loop per call (default 8). At a 10%
-	// transport fault rate eight attempts leave a ~1e-8 chance of a
-	// call failing outright — retried attempts draw fresh fault
-	// decisions, so a faulted call can never starve.
-	MaxAttempts int
-	// BackoffBase and BackoffCap shape the capped exponential backoff
-	// between attempts (defaults 25ms and 1s). Jitter is ±50%, drawn
-	// from a stream seeded by (tenant, actor) so tests replay exactly.
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
 	// Faults injects transport chaos at the codec boundary; the zero
 	// value is a clean wire.
 	Faults faults.Config
@@ -50,18 +40,23 @@ type ClientOptions struct {
 	Sleep func(time.Duration)
 }
 
+// The retry policy of every wire call.
+const (
+	// maxAttempts bounds the retry loop per call. At a 10% transport
+	// fault rate eight attempts leave a ~1e-8 chance of a call failing
+	// outright — retried attempts draw fresh fault decisions, so a
+	// faulted call can never starve.
+	maxAttempts = 8
+	// backoffBase and backoffCap shape the capped exponential backoff
+	// between attempts. Jitter is ±50%, drawn from a stream seeded by
+	// (tenant, actor) so tests replay exactly.
+	backoffBase = 25 * time.Millisecond
+	backoffCap  = time.Second
+)
+
 func (o ClientOptions) withDefaults() ClientOptions {
 	if o.Deadline <= 0 {
 		o.Deadline = 30 * time.Second
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 8
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 25 * time.Millisecond
-	}
-	if o.BackoffCap <= 0 {
-		o.BackoffCap = time.Second
 	}
 	if o.Sleep == nil {
 		o.Sleep = time.Sleep
@@ -146,7 +141,7 @@ func (c *Client) Call(ctx context.Context, path string, in, out any) error {
 
 	var lastErr error
 	var retryAfter time.Duration
-	for attempt := 0; attempt < c.opts.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -220,7 +215,7 @@ func (c *Client) Call(ctx context.Context, path string, in, out any) error {
 		}
 		return nil
 	}
-	return fmt.Errorf("client: %s failed after %d attempts: %w", path, c.opts.MaxAttempts, lastErr)
+	return fmt.Errorf("client: %s failed after %d attempts: %w", path, maxAttempts, lastErr)
 }
 
 // post performs one HTTP attempt under the per-attempt deadline.
@@ -276,9 +271,9 @@ func parseRetryAfter(h http.Header) time.Duration {
 // backoff returns the capped exponential delay before attempt n (n ≥
 // 1), with ±50% deterministic jitter.
 func (c *Client) backoff(n int) time.Duration {
-	d := c.opts.BackoffBase << (n - 1)
-	if d > c.opts.BackoffCap || d <= 0 {
-		d = c.opts.BackoffCap
+	d := backoffBase << (n - 1)
+	if d > backoffCap || d <= 0 {
+		d = backoffCap
 	}
 	c.jmu.Lock()
 	f := 0.5 + c.jit.Float64()

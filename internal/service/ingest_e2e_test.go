@@ -44,7 +44,6 @@ func TestReportSubmitByteIdenticalAndCacheReload(t *testing.T) {
 	srv := service.NewServer(service.Options{
 		LeaseTTL:         2 * time.Second,
 		PollTimeout:      200 * time.Millisecond,
-		MaxTaskAttempts:  10,
 		SketchCacheBytes: 1, // force the reload path on every fetch
 	})
 	defer srv.Close()

@@ -81,15 +81,20 @@ func TestSubmitSignatureDedup(t *testing.T) {
 
 // TestDoneTaskEviction is the regression test for unbounded
 // idempotency-key growth: churn 10k completed tasks through a server
-// capped at 100 retained keys and check (a) memory stays bounded, (b)
-// every task admits exactly once, (c) a live task is never evicted no
-// matter how much completed churn surrounds it.
+// whose fake clock moves a millisecond per task, so the retention TTL
+// (doneTaskLeases lease TTLs, 100ms here) keeps about 100 keys, and
+// check (a) memory stays bounded, (b) every task admits exactly once,
+// (c) a live task is never evicted no matter how much completed churn
+// surrounds it.
 func TestDoneTaskEviction(t *testing.T) {
 	const (
 		churn  = 10_000
-		keyCap = 100
+		lease  = 25 * time.Millisecond
+		tick   = time.Millisecond
+		keyCap = int(doneTaskLeases*lease/tick) + 1
 	)
-	s := NewServer(Options{MaxDoneTasks: keyCap, DoneTaskTTL: time.Hour})
+	clk := newFakeClock()
+	s := NewServer(Options{LeaseTTL: lease, Now: clk.Now})
 	defer s.Close()
 
 	// A live task that must survive the whole churn.
@@ -112,8 +117,9 @@ func TestDoneTaskEviction(t *testing.T) {
 			t.Fatalf("retry %d not deduped: %+v, %v", i, resp, err)
 		}
 		// Evict deterministically instead of waiting on the reaper tick.
+		clk.Advance(tick)
 		s.mu.Lock()
-		s.evictDoneTasks(time.Now())
+		s.evictDoneTasks(clk.Now())
 		s.mu.Unlock()
 	}
 
@@ -124,7 +130,7 @@ func TestDoneTaskEviction(t *testing.T) {
 	_, firstStillPresent := s.tasks[firstEvicted.id]
 	s.mu.Unlock()
 	if retainedDone > keyCap {
-		t.Errorf("retained %d done keys, cap is %d", retainedDone, keyCap)
+		t.Errorf("retained %d done keys, the TTL allows %d", retainedDone, keyCap)
 	}
 	if total > keyCap+1 {
 		t.Errorf("task table holds %d entries after churn, want <= cap+1", total)
@@ -159,20 +165,56 @@ func TestDoneTaskEviction(t *testing.T) {
 }
 
 // TestDoneTaskTTLEviction pins the time-based half of the eviction
-// policy: keys older than DoneTaskTTL go even when the size cap has
-// room.
+// policy: a key goes once it is older than doneTaskLeases lease TTLs,
+// even when the size cap has room, and not a moment before.
 func TestDoneTaskTTLEviction(t *testing.T) {
-	s := NewServer(Options{DoneTaskTTL: 10 * time.Millisecond})
+	clk := newFakeClock()
+	s := NewServer(Options{Now: clk.Now})
 	defer s.Close()
 	tk := enqueueTask(s, "acme", "pbzip2")
 	if _, err := s.handleUpload(&UploadRequest{Tenant: "acme", Agent: "a", TaskID: tk.id, Trace: &WireTrace{Spec: tk.spec}}); err != nil {
 		t.Fatal(err)
 	}
-	s.mu.Lock()
-	s.evictDoneTasks(time.Now().Add(time.Second)) // well past the TTL
-	_, present := s.tasks[tk.id]
-	s.mu.Unlock()
-	if present {
+	present := func(at time.Time) bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.evictDoneTasks(at)
+		_, ok := s.tasks[tk.id]
+		return ok
+	}
+	ttl := doneTaskLeases * s.opts.LeaseTTL
+	if !present(clk.Now().Add(ttl)) {
+		t.Fatal("key evicted at exactly the TTL")
+	}
+	if present(clk.Now().Add(ttl + time.Millisecond)) {
 		t.Fatal("expired key not evicted")
+	}
+}
+
+// TestDoneTaskSizeCap pins the size half of the eviction policy: with
+// the clock frozen, nothing is past the TTL, and one key over
+// maxDoneTasks evicts exactly the oldest completion.
+func TestDoneTaskSizeCap(t *testing.T) {
+	clk := newFakeClock()
+	s := NewServer(Options{Now: clk.Now})
+	defer s.Close()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	done := make([]*task, maxDoneTasks+1)
+	for i := range done {
+		s.nextTask++
+		done[i] = &task{id: s.nextTask, doneCh: make(chan struct{})}
+		s.tasks[done[i].id] = done[i]
+		s.markDone(done[i])
+	}
+	s.evictDoneTasks(clk.Now())
+	if len(s.doneTasks) != maxDoneTasks {
+		t.Fatalf("retained %d done keys, want the cap %d", len(s.doneTasks), maxDoneTasks)
+	}
+	if _, ok := s.tasks[done[0].id]; ok {
+		t.Error("the oldest completion survived the size cap")
+	}
+	if _, ok := s.tasks[done[1].id]; !ok {
+		t.Error("the size cap evicted more than the oldest completion")
 	}
 }

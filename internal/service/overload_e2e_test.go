@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,19 +45,18 @@ func TestOverloadBullyTenantIsShedVictimsUnharmed(t *testing.T) {
 	}
 
 	srv := service.NewServer(service.Options{
-		LeaseTTL:        5 * time.Second,
-		PollTimeout:     100 * time.Millisecond,
-		MaxTaskAttempts: 10,
-		TenantRPS:       rps,
-		TenantBurst:     20,
-		MaxInflight:     len(victims), // the victims fill the slots, the bully's campaign the queue
-		LaunchBudget:    launchBudget,
-		HedgeAfter:      50 * time.Millisecond,
+		LeaseTTL:     5 * time.Second,
+		PollTimeout:  100 * time.Millisecond,
+		TenantRPS:    rps,
+		TenantBurst:  20,
+		MaxInflight:  len(victims), // the victims fill the slots, the bully's campaign the queue
+		LaunchBudget: launchBudget,
+		HedgeAfter:   50 * time.Millisecond,
 		ConfigFor: func(name string) (core.Config, error) {
 			cfg, err := bugs.ConfigFor(name)
 			// Slow agents live in their own keyed fault stream: only
 			// timing changes, never trace bytes.
-			cfg.Faults = faults.Slowdown(99, 0.2, 200)
+			cfg.Faults = faults.Slowdown(99, 0.2)
 			return cfg, err
 		},
 	})
@@ -82,11 +82,9 @@ func TestOverloadBullyTenantIsShedVictimsUnharmed(t *testing.T) {
 			}()
 		}
 	}
-	// One attempt per call: the loopback transport loses nothing, so a 429
-	// is an admission decision the test wants to see, not retry past.
 	client := func(tenant string) *service.Client {
 		return service.NewClient(service.ClientOptions{
-			BaseURL: "http://gist", Tenant: tenant, Actor: "submit", Transport: transport, MaxAttempts: 1,
+			BaseURL: "http://gist", Tenant: tenant, Actor: "submit", Transport: transport,
 		})
 	}
 
@@ -102,8 +100,14 @@ func TestOverloadBullyTenantIsShedVictimsUnharmed(t *testing.T) {
 		}
 	}
 
-	// The bully may be refused; anything but a 429 is a real failure.
-	shots := client(bully)
+	// The bully may be refused; anything but a 429 is a real failure. Its
+	// client retries a shed call at once and counts every 429 it reads, so
+	// the server's shed counters can prove no victim was ever refused.
+	bullyShed := &shedCounter{next: transport}
+	shots := service.NewClient(service.ClientOptions{
+		BaseURL: "http://gist", Tenant: bully, Actor: "submit", Transport: bullyShed,
+		Sleep: func(time.Duration) {},
+	})
 	fire := func(req *service.SubmitRequest) {
 		err := shots.Call(ctx, service.PathSubmit, req, nil)
 		var se *service.StatusError
@@ -171,6 +175,9 @@ func TestOverloadBullyTenantIsShedVictimsUnharmed(t *testing.T) {
 	}
 
 	c, _ := srv.Snapshot()
+	if shed, bullys := c.ShedRateLimited+c.ShedLaunches, bullyShed.n.Load(); shed != bullys {
+		t.Errorf("server shed %d submits, the bully's flood read %d refusals: a victim was refused", shed, bullys)
+	}
 	if c.ShedRateLimited == 0 {
 		t.Error("10× flood was never shed at the token bucket")
 	}
@@ -186,4 +193,18 @@ func TestOverloadBullyTenantIsShedVictimsUnharmed(t *testing.T) {
 	if q := srv.Health().MaxQueuedLaunches; q > launchBudget {
 		t.Errorf("launch queue peaked at %d, over the budget of %d", q, launchBudget)
 	}
+}
+
+// shedCounter counts the 429 responses that pass through it.
+type shedCounter struct {
+	next http.RoundTripper
+	n    atomic.Int64
+}
+
+func (s *shedCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := s.next.RoundTrip(req)
+	if err == nil && resp.StatusCode == http.StatusTooManyRequests {
+		s.n.Add(1)
+	}
+	return resp, err
 }

@@ -32,8 +32,7 @@ func TestCoordinatorModeSketchesByteIdentical(t *testing.T) {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
 	srv := service.NewServer(service.Options{
-		Placer:    coord,
-		PlacePoll: 10 * time.Millisecond,
+		Placer: coord,
 	})
 	defer srv.Close()
 	transport := service.LoopbackTransport{Handler: srv.Handler()}
@@ -113,8 +112,7 @@ func TestCoordinatorModeSurfacesWorkerFailure(t *testing.T) {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
 	srv := service.NewServer(service.Options{
-		Placer:    coord,
-		PlacePoll: 10 * time.Millisecond,
+		Placer: coord,
 	})
 	defer srv.Close()
 	transport := service.LoopbackTransport{Handler: srv.Handler()}

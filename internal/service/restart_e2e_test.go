@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/bugs"
 	"repro/internal/core"
+	"repro/internal/ir"
 	"repro/internal/service"
 	"repro/internal/service/agent"
 	"repro/internal/shard"
@@ -41,11 +42,10 @@ func startLife(t *testing.T, b store.Backend, atBoundary func(*serverLife)) *ser
 	t.Helper()
 	l := &serverLife{}
 	srv := service.NewServer(service.Options{
-		Backend:         b,
-		LeaseTTL:        2 * time.Second,
-		PollTimeout:     200 * time.Millisecond,
-		MaxTaskAttempts: 10,
-		Now:             func() time.Time { return time.Now().Add(time.Duration(l.skew.Load())) },
+		Backend:     b,
+		LeaseTTL:    2 * time.Second,
+		PollTimeout: 200 * time.Millisecond,
+		Now:         func() time.Time { return time.Now().Add(time.Duration(l.skew.Load())) },
 	})
 	var transport http.RoundTripper = service.LoopbackTransport{Handler: srv.Handler()}
 	agentTransport := transport
@@ -261,12 +261,12 @@ func TestRestartResumesFromSharedState(t *testing.T) {
 // submit reads when server-side discovery finds no failure: the error
 // names discovery, as it did when runCampaign ran discovery itself.
 func TestDiscoveryFailureIsReportedAsSuch(t *testing.T) {
-	const bug = "cppcheck-1" // first fails on discovery run 4
+	const bug = "cppcheck-1"
 	srv := service.NewServer(service.Options{
 		Backend: store.NewMemBackend(),
 		ConfigFor: func(string) (core.Config, error) {
 			cfg := bugs.ByName(bug).GistConfig()
-			cfg.MaxDiscoveryRuns = 1
+			cfg.Prog = ir.MustCompile("ok.mc", "int main() { return 0; }") // never fails
 			return cfg, nil
 		},
 	})

@@ -32,14 +32,6 @@ type Options struct {
 	LeaseTTL time.Duration
 	// PollTimeout caps how long a long-poll is held open (default 5s).
 	PollTimeout time.Duration
-	// MaxTaskAttempts is how many lease grants a task gets before it is
-	// reported lost to the campaign (default 3).
-	MaxTaskAttempts int
-	// NoAgentTimeout is how long a queued task may sit with no live
-	// agent in its tenant before it is reported lost, which lets a
-	// campaign degrade to a low-confidence sketch instead of hanging
-	// when the whole fleet vanishes (default 4×LeaseTTL).
-	NoAgentTimeout time.Duration
 	// NoFsync disables checkpoint fsync (mirrors the CLI flag).
 	NoFsync bool
 	// SketchCacheBytes bounds the LRU cache finished sketches are served
@@ -47,22 +39,12 @@ type Options struct {
 	// re-rendered on demand from the campaign's checkpoint store, so the
 	// cache keeps server memory flat without losing anything.
 	SketchCacheBytes int64
-	// DoneTaskTTL is how long a completed task's idempotency key is
-	// retained for duplicate-upload detection before eviction (default
-	// 4×LeaseTTL). Live tasks are never evicted.
-	DoneTaskTTL time.Duration
-	// MaxDoneTasks caps retained completed-task keys regardless of age
-	// (default 65536, FIFO by completion).
-	MaxDoneTasks int
 	// Placer, when non-nil, runs the server coordinator-only: submits
 	// are placed on the shard fleet instead of diagnosed in-process, and
 	// worker processes own the campaigns. Backend and StateRoot are
 	// derived from the placer (the fleet's shared root) so the sketch
 	// fetch path reads the workers' checkpoint stores unchanged.
 	Placer *shard.Coordinator
-	// PlacePoll is how often a coordinator-mode campaign polls the fleet
-	// for its done record (default 150ms).
-	PlacePoll time.Duration
 	// TenantRPS caps each tenant's submit rate on /v1/reports with a
 	// token bucket (tokens/sec); 0 disables rate limiting. A tenant
 	// over its rate is bounced with HTTP 429 and a Retry-After telling
@@ -102,9 +84,6 @@ func (o Options) withDefaults() Options {
 		o.Backend = o.Placer.Backend()
 		o.StateRoot = o.Placer.CheckpointRoot()
 	}
-	if o.PlacePoll <= 0 {
-		o.PlacePoll = 150 * time.Millisecond
-	}
 	if o.Backend == nil {
 		o.Backend = store.NewMemBackend()
 	}
@@ -117,20 +96,8 @@ func (o Options) withDefaults() Options {
 	if o.PollTimeout <= 0 {
 		o.PollTimeout = 5 * time.Second
 	}
-	if o.MaxTaskAttempts <= 0 {
-		o.MaxTaskAttempts = 3
-	}
-	if o.NoAgentTimeout <= 0 {
-		o.NoAgentTimeout = 4 * o.LeaseTTL
-	}
 	if o.SketchCacheBytes == 0 {
 		o.SketchCacheBytes = 8 << 20
-	}
-	if o.DoneTaskTTL <= 0 {
-		o.DoneTaskTTL = 4 * o.LeaseTTL
-	}
-	if o.MaxDoneTasks <= 0 {
-		o.MaxDoneTasks = 65536
 	}
 	if o.TenantBurst <= 0 && o.TenantRPS > 0 {
 		o.TenantBurst = int(math.Ceil(2 * o.TenantRPS))
@@ -209,6 +176,24 @@ const (
 	// computed. The largest trace upload any of the 12 diagnoses sends
 	// is about 9 KB (the e2e harness fails above an eighth of the cap).
 	maxBodyBytes = 16 << 20
+	// maxTaskAttempts is how many lease grants a task gets before it is
+	// reported lost to the campaign.
+	maxTaskAttempts = 3
+	// noAgentLeases is how many lease TTLs a queued task may sit with no
+	// live agent in its tenant before it is reported lost, which lets a
+	// campaign degrade to a low-confidence sketch instead of hanging
+	// when the whole fleet vanishes.
+	noAgentLeases = 4
+	// doneTaskLeases is how many lease TTLs a completed task's
+	// idempotency key is retained for duplicate-upload detection before
+	// eviction. Live tasks are never evicted.
+	doneTaskLeases = 4
+	// maxDoneTasks caps retained completed-task keys regardless of age
+	// (FIFO by completion).
+	maxDoneTasks = 65536
+	// placePoll is how often a coordinator-mode campaign polls the fleet
+	// for its done record.
+	placePoll = 150 * time.Millisecond
 )
 
 // Server is the diagnosis service. Create with NewServer, expose

@@ -277,7 +277,7 @@ func TestPollDeliversQueuedTask(t *testing.T) {
 
 func TestLeaseExpiryReassignsTask(t *testing.T) {
 	clk := newFakeClock()
-	s := NewServer(Options{LeaseTTL: 40 * time.Millisecond, MaxTaskAttempts: 5, Now: clk.Now})
+	s := NewServer(Options{LeaseTTL: 40 * time.Millisecond, Now: clk.Now})
 	defer s.Close()
 	tk := enqueueTask(s, "acme", "pbzip2")
 
@@ -315,19 +315,28 @@ func TestLeaseExpiryReassignsTask(t *testing.T) {
 
 func TestTaskLostAfterAttemptBudget(t *testing.T) {
 	clk := newFakeClock()
-	s := NewServer(Options{LeaseTTL: 30 * time.Millisecond, MaxTaskAttempts: 1, Now: clk.Now})
+	s := NewServer(Options{LeaseTTL: 30 * time.Millisecond, Now: clk.Now})
 	defer s.Close()
 	tk := enqueueTask(s, "acme", "pbzip2")
-	if r, err := s.handlePoll(&PollRequest{Tenant: "acme", Agent: "a1", WaitMs: 100}); err != nil || r.Task == nil {
-		t.Fatalf("poll = %+v, %v", r, err)
+	// Every allowed attempt is leased and expires; the sweep after the
+	// last one writes the task off.
+	for attempt := 1; attempt <= maxTaskAttempts; attempt++ {
+		select {
+		case <-tk.doneCh:
+			t.Fatalf("task written off after %d of %d attempts", attempt-1, maxTaskAttempts)
+		default:
+		}
+		agent := fmt.Sprintf("a%d", attempt)
+		if r, err := s.handlePoll(&PollRequest{Tenant: "acme", Agent: agent, WaitMs: 100}); err != nil || r.Task == nil || r.Task.Attempt != attempt {
+			t.Fatalf("poll %d = %+v, %v", attempt, r, err)
+		}
+		clk.Advance(40 * time.Millisecond)
+		s.reapOnce(clk.Now())
 	}
-	// The only allowed attempt expires; the next sweep writes it off.
-	clk.Advance(40 * time.Millisecond)
-	s.reapOnce(clk.Now())
 	select {
 	case <-tk.doneCh:
 	default:
-		t.Fatal("task not written off after its only lease expired")
+		t.Fatal("task not written off after its last lease expired")
 	}
 	s.mu.Lock()
 	lost := tk.lost
@@ -343,7 +352,7 @@ func TestTaskLostAfterAttemptBudget(t *testing.T) {
 
 func TestHeartbeatExtendsLease(t *testing.T) {
 	clk := newFakeClock()
-	s := NewServer(Options{LeaseTTL: 60 * time.Millisecond, MaxTaskAttempts: 5, Now: clk.Now})
+	s := NewServer(Options{LeaseTTL: 60 * time.Millisecond, Now: clk.Now})
 	defer s.Close()
 	tk := enqueueTask(s, "acme", "pbzip2")
 	if r, err := s.handlePoll(&PollRequest{Tenant: "acme", Agent: "a1", WaitMs: 100}); err != nil || r.Task == nil {
@@ -367,14 +376,16 @@ func TestHeartbeatExtendsLease(t *testing.T) {
 }
 
 // TestFleetVanishesDegradesGracefully submits a campaign with no agents
-// at all: every dispatched run is written off under NoAgentTimeout and
-// the campaign must degrade (low-confidence sketch or clean failure),
-// never hang. The fake clock steps past NoAgentTimeout once per batch,
-// so the only wall time spent is the campaign's own bookkeeping.
+// at all: every dispatched run is written off once it has sat
+// noAgentLeases lease TTLs with no live agent, and the campaign must
+// degrade (low-confidence sketch or clean failure), never hang. The
+// fake clock steps past that timeout once per batch, so the only wall
+// time spent is the campaign's own bookkeeping.
 func TestFleetVanishesDegradesGracefully(t *testing.T) {
-	const noAgent = 300 * time.Millisecond
+	const lease = 100 * time.Millisecond
+	const noAgent = noAgentLeases * lease
 	clk := newFakeClock()
-	s := NewServer(Options{LeaseTTL: 100 * time.Millisecond, NoAgentTimeout: noAgent, MaxTaskAttempts: 2, Now: clk.Now})
+	s := NewServer(Options{LeaseTTL: lease, Now: clk.Now})
 	defer s.Close()
 	if _, err := s.handleSubmit(&SubmitRequest{Tenant: "ghost", Bug: "pbzip2"}); err != nil {
 		t.Fatalf("submit: %v", err)
@@ -521,18 +532,18 @@ func TestClientCorruptionRejectedThenRetried(t *testing.T) {
 }
 
 func TestClientBackoffCappedWithJitter(t *testing.T) {
-	c := NewClient(ClientOptions{BackoffBase: 10 * time.Millisecond, BackoffCap: 80 * time.Millisecond})
+	c := NewClient(ClientOptions{})
 	for n := 1; n < 20; n++ {
 		d := c.backoff(n)
 		if d <= 0 {
 			t.Fatalf("backoff(%d) = %v, want positive", n, d)
 		}
-		if d > 120*time.Millisecond { // cap × 1.5 jitter ceiling
+		if d > backoffCap*3/2 { // cap × 1.5 jitter ceiling
 			t.Fatalf("backoff(%d) = %v exceeds jittered cap", n, d)
 		}
 	}
 	// Early attempts must be shorter than the cap on average.
-	if d := c.backoff(1); d > 15*time.Millisecond {
+	if d := c.backoff(1); d > backoffBase*3/2 {
 		t.Fatalf("backoff(1) = %v, want ≈ base", d)
 	}
 }

@@ -79,9 +79,8 @@ func serviceSketch(t *testing.T, bug string, rate float64, nAgents int, fcfg fau
 	// A task whose grant was lost on the wire sits out a whole lease before
 	// it is reassigned; that wait is most of a faulty cell's wall time.
 	srv := service.NewServer(service.Options{
-		LeaseTTL:        time.Second,
-		PollTimeout:     200 * time.Millisecond,
-		MaxTaskAttempts: 10,
+		LeaseTTL:    time.Second,
+		PollTimeout: 200 * time.Millisecond,
 		ConfigFor: func(bug string) (core.Config, error) {
 			cfg, err := bugs.ConfigFor(bug)
 			cfg.Faults = fcfg
@@ -234,9 +233,8 @@ func TestAgentDeathReassignsRuns(t *testing.T) {
 	want := inProcessSketch(t, bug)
 
 	srv := service.NewServer(service.Options{
-		LeaseTTL:        300 * time.Millisecond,
-		PollTimeout:     100 * time.Millisecond,
-		MaxTaskAttempts: 10,
+		LeaseTTL:    300 * time.Millisecond,
+		PollTimeout: 100 * time.Millisecond,
 	})
 	defer srv.Close()
 	transport := service.LoopbackTransport{Handler: srv.Handler()}

@@ -175,11 +175,11 @@ func (s *Server) markLost(tk *task) {
 // hits the unknown-task path, which acknowledges it as a duplicate
 // without admitting anything. Caller holds mu.
 func (s *Server) evictDoneTasks(now time.Time) {
-	cutoff := now.Add(-s.opts.DoneTaskTTL)
+	cutoff := now.Add(-doneTaskLeases * s.opts.LeaseTTL)
 	evicted := int64(0)
 	for len(s.doneTasks) > 0 {
 		tk := s.doneTasks[0]
-		if len(s.doneTasks) <= s.opts.MaxDoneTasks && !tk.doneAt.Before(cutoff) {
+		if len(s.doneTasks) <= maxDoneTasks && !tk.doneAt.Before(cutoff) {
 			break
 		}
 		s.doneTasks = s.doneTasks[1:]
@@ -219,9 +219,9 @@ func (s *Server) reap() {
 // tasks and campaigns are written off, expired leases send tasks back
 // to the queue for reassignment (or write them off past the attempt
 // budget), over-threshold leased tasks are hedged to a second agent,
-// queued tasks with no live fleet are written off after NoAgentTimeout,
-// and stale idempotency keys are evicted. Tests drive it directly with
-// an injected clock instead of sleeping through wall time.
+// queued tasks with no live fleet are written off after noAgentLeases
+// lease TTLs, and stale idempotency keys are evicted. Tests drive it
+// directly with an injected clock instead of sleeping through wall time.
 func (s *Server) reapOnce(now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -239,7 +239,7 @@ func (s *Server) reapOnce(now time.Time) {
 		}
 		if !tk.leaseUntil.IsZero() && now.After(tk.leaseUntil) {
 			// The agent holding the lease went quiet.
-			if tk.attempt >= s.opts.MaxTaskAttempts {
+			if tk.attempt >= maxTaskAttempts {
 				s.logf("task %d (%s/%s) lost after %d attempts", tk.id, tk.tenant, tk.bug, tk.attempt)
 				s.markLost(tk)
 				continue
@@ -252,7 +252,7 @@ func (s *Server) reapOnce(now time.Time) {
 			continue
 		}
 		if hedgeTh > 0 && !tk.hedged && !tk.leaseUntil.IsZero() &&
-			tk.attempt < s.opts.MaxTaskAttempts && now.Sub(tk.leasedAt) > hedgeTh {
+			tk.attempt < maxTaskAttempts && now.Sub(tk.leasedAt) > hedgeTh {
 			// Straggler: the lease is alive but the run has outlived the
 			// hedge threshold. Re-dispatch the same task — same ID, same
 			// spec — to a second agent; determinism makes both results
@@ -264,7 +264,7 @@ func (s *Server) reapOnce(now time.Time) {
 			continue
 		}
 		if tk.leaseUntil.IsZero() && !t.live(now, 2*s.opts.LeaseTTL) &&
-			now.Sub(tk.queued) > s.opts.NoAgentTimeout {
+			now.Sub(tk.queued) > noAgentLeases*s.opts.LeaseTTL {
 			s.logf("task %d (%s/%s) lost: no live agents", tk.id, tk.tenant, tk.bug)
 			s.markLost(tk)
 		}

@@ -285,7 +285,7 @@ type HealthResponse struct {
 	MaxQueuedLaunches int `json:"max_queued_launches"`
 	// QueuedTasks is the sum of all tenants' dispatch queues; DoneTasks
 	// the retained idempotency keys (both bounded: tasks by the
-	// in-flight cap, keys by TTL + MaxDoneTasks).
+	// in-flight cap, keys by TTL + maxDoneTasks).
 	QueuedTasks int `json:"queued_tasks"`
 	DoneTasks   int `json:"done_tasks"`
 	// Counters are the server's scalar health counters, shed and hedge

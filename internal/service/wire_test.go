@@ -12,8 +12,9 @@ import (
 )
 
 // wirePlan is apache-1's tracking plan, whose runs carry PT flow on
-// several cores (up to ~60 ring bytes each) and a watchpoint trap log.
-func wirePlan(t *testing.T) (*core.Plan, core.Config) {
+// several cores (up to ~60 ring bytes each) and a watchpoint trap log;
+// under the extended-PT plan a core's ring holds about 580 bytes.
+func wirePlan(t *testing.T, feats core.Features) (*core.Plan, core.Config) {
 	t.Helper()
 	cfg := bugs.ByName("apache-1").GistConfig()
 	report, _, err := core.FirstFailure(cfg)
@@ -21,24 +22,28 @@ func wirePlan(t *testing.T) (*core.Plan, core.Config) {
 		t.Fatalf("discovery: %v", err)
 	}
 	g := cfg.BuildGraph()
-	return core.BuildPlan(g, slicer.Compute(g, report.InstrID).Window(8), core.AllFeatures()), cfg
+	return core.BuildPlan(g, slicer.Compute(g, report.InstrID).Window(8), feats), cfg
 }
 
 // TestRunSurvivesTheWire is the split run's contract: what an agent
 // records (core.RecordRun), shipped as JSON and finished at the server
 // (core.FinishRun) from a second, fresh copy of the run's fault
 // decision, is exactly the run the in-process fleet executes — for
-// every per-run fault class.
+// every per-run fault class. A hang leaves the trace as it is: the
+// server discards the report from its own copy of the decision.
 func TestRunSurvivesTheWire(t *testing.T) {
-	plan, cfg := wirePlan(t)
+	plan, cfg := wirePlan(t, core.AllFeatures())
+	// The overflow fault's 512-byte ring holds a whole watch-group run
+	// of apache-1; an extended-PT run's ring wraps.
+	extended, _ := wirePlan(t, core.Features{ControlFlow: true, DataFlow: true, ExtendedPT: true})
 	kinds := []struct {
 		name  string
 		fcfg  faults.Config
 		trunc faults.TruncateKind
+		plan  *core.Plan
 	}{
 		{name: "none"},
-		// The default 512-byte ring holds a whole apache-1 run; 24 wraps.
-		{name: "overflow", fcfg: faults.Config{OverflowRate: 1, OverflowBufBytes: 24}},
+		{name: "overflow", fcfg: faults.Config{OverflowRate: 1}, plan: extended},
 		{name: "corrupt", fcfg: faults.Config{CorruptRate: 1}},
 		{name: "drop", fcfg: faults.Config{TrapDropRate: 1}},
 		{name: "reorder", fcfg: faults.Config{TrapReorderRate: 1}},
@@ -49,6 +54,10 @@ func TestRunSurvivesTheWire(t *testing.T) {
 	}
 	for _, k := range kinds {
 		t.Run(k.name, func(t *testing.T) {
+			plan := plan
+			if k.plan != nil {
+				plan = k.plan
+			}
 			k.fcfg.Seed = 7
 			inj := faults.NewInjector(k.fcfg)
 			checked, acted := 0, 0
@@ -81,7 +90,7 @@ func TestRunSurvivesTheWire(t *testing.T) {
 					acted++
 				}
 			}
-			if checked == 0 || (k.name != "none") != (acted > 0) {
+			if changes := k.name != "none" && k.name != "hang"; checked == 0 || changes != (acted > 0) {
 				t.Fatalf("%d runs checked, the fault changed %d of them", checked, acted)
 			}
 		})
@@ -91,7 +100,7 @@ func TestRunSurvivesTheWire(t *testing.T) {
 // TestUploadShipsNoDecodedTrace pins what leaves the endpoint: raw ring
 // bytes and the trap log, never the decoded flow.
 func TestUploadShipsNoDecodedTrace(t *testing.T) {
-	plan, cfg := wirePlan(t)
+	plan, cfg := wirePlan(t, core.AllFeatures())
 	rt := core.RecordRun(plan, core.RunSpec{EndpointID: 1, Seed: 3, PreemptMean: cfg.PreemptMean, MaxSteps: 200_000}, faults.Decision{})
 	if len(rt.PT) == 0 || rt.Flow != nil || rt.Branches != nil {
 		t.Fatalf("RecordRun: %d PT cores, flow %v, branches %v; want raw cores and nothing decoded", len(rt.PT), rt.Flow, rt.Branches)

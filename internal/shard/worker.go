@@ -20,9 +20,6 @@ type WorkerOptions struct {
 	Backend store.Backend
 	// Root is the fleet root on the backend (the coordinator's root).
 	Root string
-	// ID is the worker's fleet-unique name (the CLI uses "w<worker-id>").
-	// It doubles as the lease tiebreak, so it must be stable.
-	ID string
 	// Index is the worker's 0-based shard index; assignments whose shard
 	// maps onto it are claimed immediately, others only after they sit
 	// unowned for takeoverRounds rounds (the dead-worker takeover path).
@@ -58,9 +55,6 @@ const takeoverRounds = 2
 func (o WorkerOptions) withDefaults() WorkerOptions {
 	if o.Backend == nil {
 		o.Backend = store.DirBackend{}
-	}
-	if o.ID == "" {
-		o.ID = fmt.Sprintf("w%d", o.Index+1)
 	}
 	if o.Shards <= 0 {
 		o.Shards = 1
@@ -134,7 +128,10 @@ type Stats struct {
 // diagnoses. Not safe for concurrent use; Stats may be read after Run
 // returns.
 type Worker struct {
-	o      WorkerOptions
+	o WorkerOptions
+	// id is the worker's fleet-unique name, "w<Index+1>" (the CLI's
+	// -worker-id). It doubles as the lease tiebreak, so it is stable.
+	id     string
 	leases *LeaseTable
 	sup    *supervise.Supervisor
 
@@ -162,6 +159,7 @@ func NewWorker(o WorkerOptions) (*Worker, error) {
 	}
 	return &Worker{
 		o:      o,
+		id:     fmt.Sprintf("w%d", o.Index+1),
 		leases: leases,
 		sup: supervise.New(o.Width, supervise.Config{
 			Telemetry: o.Telemetry,
@@ -173,7 +171,7 @@ func NewWorker(o WorkerOptions) (*Worker, error) {
 }
 
 // ID returns the worker's fleet-unique name.
-func (w *Worker) ID() string { return w.o.ID }
+func (w *Worker) ID() string { return w.id }
 
 // Stats returns the worker's work summary. Call only between rounds or
 // after Run returns.
@@ -286,7 +284,7 @@ func (w *Worker) adopt() error {
 				continue
 			}
 		}
-		won, lease, err := w.leases.Claim(name, w.o.ID)
+		won, lease, err := w.leases.Claim(name, w.id)
 		if err != nil {
 			return err
 		}
@@ -302,11 +300,11 @@ func (w *Worker) adopt() error {
 			// checkpoint dir): publish the failure so submitters are not
 			// left polling, and release the claim.
 			w.logf("enroll %s failed: %v", name, err)
-			rec := &DoneRecord{Tenant: a.Tenant, Bug: a.Bug, Key: a.Key, Worker: w.o.ID, Err: err.Error()}
+			rec := &DoneRecord{Tenant: a.Tenant, Bug: a.Bug, Key: a.Key, Worker: w.id, Err: err.Error()}
 			if werr := WriteDone(w.o.Backend, w.o.Root, rec, w.o.NoFsync); werr != nil {
 				return werr
 			}
-			w.leases.Release(name, w.o.ID)
+			w.leases.Release(name, w.id)
 		}
 	}
 	return nil
@@ -354,7 +352,7 @@ func (w *Worker) enroll(a Assignment, name string, stolen bool) error {
 func (w *Worker) renew() {
 	for _, slot := range w.slotOrder() {
 		oc := w.holding[slot]
-		if _, err := w.leases.Renew(oc.name, w.o.ID); err != nil {
+		if _, err := w.leases.Renew(oc.name, w.id); err != nil {
 			if !errors.Is(err, ErrLeaseLost) {
 				// Backend trouble: keep driving — the diagnosis is
 				// deterministic, so even a takeover racing this worker
@@ -383,7 +381,7 @@ func (w *Worker) publish() error {
 		}
 		rec := &DoneRecord{
 			Tenant: oc.a.Tenant, Bug: oc.a.Bug, Key: oc.a.Key,
-			Worker: w.o.ID, Restarts: out.Restarts, Resumed: oc.resumed,
+			Worker: w.id, Restarts: out.Restarts, Resumed: oc.resumed,
 		}
 		var err error
 		if rec.Sketch, rec.LowConfidence, err = out.SketchJSON(); err != nil {
@@ -392,7 +390,7 @@ func (w *Worker) publish() error {
 		if err := WriteDone(w.o.Backend, w.o.Root, rec, w.o.NoFsync); err != nil {
 			return err
 		}
-		w.leases.Release(oc.name, w.o.ID)
+		w.leases.Release(oc.name, w.id)
 		w.forget(slot, out)
 		w.stats.Finished++
 		w.logf("done: %s (low_confidence=%v restarts=%d)", oc.name, rec.LowConfidence, rec.Restarts)

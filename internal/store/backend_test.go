@@ -34,9 +34,9 @@ func TestMemBackendRoundTrip(t *testing.T) {
 	if string(latest.Payload) != "payload-4" {
 		t.Errorf("latest payload = %q, want payload-4", latest.Payload)
 	}
-	// Keep defaults to 3: generations 0 and 1 are pruned.
-	if n := len(re.Generations()); n != 3 {
-		t.Errorf("%d generations survived, want 3 (pruned)", n)
+	// keep is 3: generations 0 and 1 are pruned.
+	if n := len(re.Generations()); n != keep {
+		t.Errorf("%d generations survived, want %d (pruned)", n, keep)
 	}
 	// A second name in the same directory is independent.
 	s2, err := Open(dir, "curl", Options{Backend: b})
@@ -50,10 +50,10 @@ func TestMemBackendRoundTrip(t *testing.T) {
 
 // TestPruneIgnoresStrayTempFile: a temp file left by a rename-dropped or
 // fsync-failed Save is not a published generation, so it must not take
-// one of the Keep slots and cost a valid fallback.
+// one of the keep slots and cost a valid fallback.
 func TestPruneIgnoresStrayTempFile(t *testing.T) {
 	b := NewMemBackend()
-	s, err := Open("d", "bug", Options{Backend: b, Keep: 3})
+	s, err := Open("d", "bug", Options{Backend: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestPruneIgnoresStrayTempFile(t *testing.T) {
 	}
 	want := []string{"bug.g00000002.ckpt", "bug.g00000002.ckpt.tmp", "bug.g00000003.ckpt", "bug.g00000004.ckpt"}
 	if fmt.Sprint(names) != fmt.Sprint(want) {
-		t.Errorf("after prune: %v, want %v (Keep 3 published generations)", names, want)
+		t.Errorf("after prune: %v, want %v (keep 3 published generations)", names, want)
 	}
 }
 

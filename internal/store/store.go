@@ -123,19 +123,19 @@ func DecodeFrame(data []byte) ([]byte, error) {
 	return payload, nil
 }
 
+// keep is how many generations Save retains; older ones are pruned. At
+// least 2 are needed for corrupt-newest fallback to have somewhere to
+// fall.
+const keep = 3
+
 // Options configures a Store. The zero value is the safe default:
-// fsync on, keep the 3 newest generations, no fault injection, no
-// telemetry.
+// fsync on, no fault injection, no telemetry.
 type Options struct {
 	// NoFsync skips the file and directory syncs (the -ckpt-fsync=false
 	// CLI path): faster, but a crash can tear the newest generation —
 	// which the recovery scan then quarantines, falling back one
 	// generation. Durability becomes "at most one generation stale".
 	NoFsync bool
-	// Keep is how many generations Save retains (older ones are
-	// pruned); 0 means 3. At least 2 are needed for corrupt-newest
-	// fallback to have somewhere to fall.
-	Keep int
 	// Faults, when non-nil, injects disk faults into Save via
 	// ForCheckpoint. Nil injects nothing.
 	Faults *faults.Injector
@@ -184,12 +184,6 @@ type Store struct {
 func Open(dir, name string, opts Options) (*Store, error) {
 	if name == "" {
 		return nil, fmt.Errorf("store: empty checkpoint name")
-	}
-	if opts.Keep == 0 {
-		opts.Keep = 3
-	}
-	if opts.Keep < 2 {
-		return nil, fmt.Errorf("store: keep %d generations; need at least 2 for fallback", opts.Keep)
 	}
 	b := opts.Backend
 	if b == nil {
@@ -401,7 +395,7 @@ func (s *Store) Save(payload []byte) (uint64, error) {
 	return gen, nil
 }
 
-// prune removes published generations beyond the Keep newest, scanning
+// prune removes published generations beyond the keep newest, scanning
 // the directory so generations from before this process are pruned too.
 // Quarantined files are never touched.
 func (s *Store) prune() {
@@ -415,11 +409,11 @@ func (s *Store) prune() {
 			gens = append(gens, gen)
 		}
 	}
-	if len(gens) <= s.opts.Keep {
+	if len(gens) <= keep {
 		return
 	}
 	sort.Slice(gens, func(i, j int) bool { return gens[i] > gens[j] })
-	for _, gen := range gens[s.opts.Keep:] {
+	for _, gen := range gens[keep:] {
 		if s.b.Remove(s.ExpectedPath(gen)) == nil {
 			s.opts.Telemetry.Add("store.pruned", 1)
 		}

@@ -110,7 +110,7 @@ func TestOpenQuarantinesCorruptGenerations(t *testing.T) {
 
 func TestSaveLoadNewestAndPrune(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, "bug", Options{Keep: 3})
+	s, err := Open(dir, "bug", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +128,8 @@ func TestSaveLoadNewestAndPrune(t *testing.T) {
 		}
 		lastGen = gen
 	}
-	// Reopen: only Keep newest survive, newest first, payload intact.
-	s2, err := Open(dir, "bug", Options{Keep: 3})
+	// Reopen: only keep newest survive, newest first, payload intact.
+	s2, err := Open(dir, "bug", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,9 +185,9 @@ func TestDiscardFallsBack(t *testing.T) {
 }
 
 // TestInjectedDiskFaults drives Save through every injected fault kind
-// and verifies the recovery contract: the store never loads a damaged
-// generation, always falls back to the newest intact one, and burns the
-// damaged generation's number.
+// and verifies the recovery contract after every save: a fresh Open
+// never loads a damaged generation and always falls back to the newest
+// intact one.
 func TestInjectedDiskFaults(t *testing.T) {
 	kinds := map[faults.DiskKind]bool{}
 	// DiskRate 0.7 with a fixed seed walks through all four fault kinds
@@ -196,11 +196,12 @@ func TestInjectedDiskFaults(t *testing.T) {
 	tel := telemetry.New()
 	dir := t.TempDir()
 	inj := faults.NewInjector(faults.Disk(42, 0.7))
-	s, err := Open(dir, "bug", Options{Faults: inj, Telemetry: tel, Keep: 64})
+	s, err := Open(dir, "bug", Options{Faults: inj, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var intact []string // payloads that should be recoverable
+	intact := map[string]bool{} // payloads the clean path wrote
+	newest, quarantined := "", 0
 	for i := 0; i < 40; i++ {
 		payload := fmt.Sprintf("payload-%d", i)
 		gen, err := s.Save([]byte(payload))
@@ -215,7 +216,7 @@ func TestInjectedDiskFaults(t *testing.T) {
 			if err != nil {
 				t.Fatalf("save %d: clean save failed: %v", i, err)
 			}
-			intact = append(intact, payload)
+			intact[payload], newest = true, payload
 		default:
 			// Torn writes, bit flips, and dropped renames are silent:
 			// the process believes the save succeeded.
@@ -223,37 +224,32 @@ func TestInjectedDiskFaults(t *testing.T) {
 				t.Fatalf("save %d: %s fault should be silent, got %v", i, dec.Kind, err)
 			}
 		}
+		// Recover as a restarted process would. The scan quarantines
+		// this save if it was damaged, so the keep newest generations
+		// left on disk are always intact ones.
+		s2, err := Open(dir, "bug", Options{Telemetry: tel})
+		if err != nil {
+			t.Fatalf("save %d: recovery Open: %v", i, err)
+		}
+		quarantined += len(s2.Quarantined())
+		if latest := s2.Latest(); newest == "" {
+			if latest != nil {
+				t.Fatalf("save %d: recovered %q before any clean save", i, latest.Payload)
+			}
+		} else if latest == nil || string(latest.Payload) != newest {
+			t.Fatalf("save %d: recovered %+v, want newest intact %q", i, latest, newest)
+		}
+		for _, g := range s2.Generations() {
+			if !intact[string(g.Payload)] {
+				t.Errorf("save %d: generation %d carries damaged payload %q", i, g.Gen, g.Payload)
+			}
+		}
 	}
 	if len(kinds) < 5 {
-		t.Fatalf("40 saves at rate 1 hit only %d/5 decision kinds: %v", len(kinds), kinds)
+		t.Fatalf("40 saves at rate 0.7 hit only %d/5 decision kinds: %v", len(kinds), kinds)
 	}
-	if len(intact) == 0 {
-		t.Fatal("no clean saves in 40 attempts; test cannot verify recovery")
-	}
-
-	s2, err := Open(dir, "bug", Options{Keep: 64, Telemetry: tel})
-	if err != nil {
-		t.Fatalf("recovery Open: %v", err)
-	}
-	if len(s2.Quarantined()) == 0 {
-		t.Error("recovery scan quarantined nothing despite injected faults")
-	}
-	latest := s2.Latest()
-	if latest == nil {
-		t.Fatal("no valid generation survived")
-	}
-	if got, want := string(latest.Payload), intact[len(intact)-1]; got != want {
-		t.Errorf("recovered payload %q, want newest intact %q", got, want)
-	}
-	// Every surviving generation must be one the clean path wrote.
-	ok := map[string]bool{}
-	for _, p := range intact {
-		ok[p] = true
-	}
-	for _, g := range s2.Generations() {
-		if !ok[string(g.Payload)] {
-			t.Errorf("generation %d carries damaged payload %q", g.Gen, g.Payload)
-		}
+	if quarantined == 0 {
+		t.Error("recovery scans quarantined nothing despite injected faults")
 	}
 	if tel.Counter("store.quarantined") == 0 {
 		t.Error("store.quarantined counter not advanced")
@@ -281,9 +277,6 @@ func TestNoFsyncStillAtomic(t *testing.T) {
 func TestOpenRejectsBadOptions(t *testing.T) {
 	if _, err := Open(t.TempDir(), "", Options{}); err == nil {
 		t.Error("empty name accepted")
-	}
-	if _, err := Open(t.TempDir(), "bug", Options{Keep: 1}); err == nil {
-		t.Error("Keep=1 accepted; fallback needs at least 2")
 	}
 }
 

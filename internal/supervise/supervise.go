@@ -71,13 +71,6 @@ type Config struct {
 	// (default 30s). A step that overruns is abandoned and the campaign
 	// restarted from its last good checkpoint.
 	StepTimeout time.Duration
-	// MaxRestarts is the circuit-breaker threshold: restart number
-	// MaxRestarts+1 trips the breaker instead (default 3).
-	MaxRestarts int
-	// BackoffCap bounds the exponential restart backoff, in rounds
-	// (default 8): restart n waits min(2^(n-1), BackoffCap)
-	// rounds before the campaign is stepped again.
-	BackoffCap int
 	// Telemetry receives supervise.* counters; nil is fine.
 	Telemetry *telemetry.Tracer
 	// OnRestore, when non-nil, is called with every campaign restored
@@ -88,15 +81,20 @@ type Config struct {
 	OnRestore func(c *core.Campaign)
 }
 
+// The restart policy every supervised campaign gets.
+const (
+	// maxRestarts is the circuit-breaker threshold: restart number
+	// maxRestarts+1 trips the breaker instead.
+	maxRestarts = 3
+	// backoffCap bounds the exponential restart backoff, in rounds:
+	// restart n waits min(2^(n-1), backoffCap) rounds before the
+	// campaign is stepped again.
+	backoffCap = 8
+)
+
 func (c Config) withDefaults() Config {
 	if c.StepTimeout <= 0 {
 		c.StepTimeout = 30 * time.Second
-	}
-	if c.MaxRestarts <= 0 {
-		c.MaxRestarts = 3
-	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = 8
 	}
 	return c
 }
@@ -455,7 +453,7 @@ func (s *Supervisor) step(sl *slot) {
 	}
 	restored.UsePool(s.pool)
 	sl.camp = restored
-	if sl.out.Restarts > s.cfg.MaxRestarts {
+	if sl.out.Restarts > maxRestarts {
 		sl.out.BreakerTripped = true
 		s.cfg.Telemetry.Add("supervise.breaker_trips", 1)
 		restored.Abandon(fmt.Errorf("supervise: %s crashed/hung %d time(s) at iteration %d",
@@ -463,7 +461,7 @@ func (s *Supervisor) step(sl *slot) {
 		sl.retired = true
 		return
 	}
-	sl.backoff = min(1<<(sl.out.Restarts-1), s.cfg.BackoffCap)
+	sl.backoff = min(1<<(sl.out.Restarts-1), backoffCap)
 }
 
 // guardedStep runs one campaign step under panic recovery and the

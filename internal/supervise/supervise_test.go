@@ -181,7 +181,7 @@ func TestBreakerDegradesToLastCheckpoint(t *testing.T) {
 	expected.Abandon(fmt.Errorf("reference"))
 	wantRes, wantErr := expected.Result()
 
-	sup := supervise.New(0, supervise.Config{MaxRestarts: 2})
+	sup := supervise.New(0, supervise.Config{})
 	camp, err := core.NewCampaign(cfg, fx.report, fx.disc)
 	if err != nil {
 		t.Fatal(err)
@@ -199,8 +199,8 @@ func TestBreakerDegradesToLastCheckpoint(t *testing.T) {
 	if !out.BreakerTripped {
 		t.Fatalf("breaker did not trip: %+v", out)
 	}
-	if out.Restarts != 3 {
-		t.Errorf("restarts = %d, want 3 (budget 2 + breaker trip)", out.Restarts)
+	if out.Restarts != 4 {
+		t.Errorf("restarts = %d, want 4 (budget 3 + breaker trip)", out.Restarts)
 	}
 	if wantErr != nil {
 		if out.Err == nil || out.Err.Error() != wantErr.Error() {
@@ -225,7 +225,7 @@ func TestBreakerDegradesToLastCheckpoint(t *testing.T) {
 // (Jain index over their per-round consumption stays near 1).
 func TestCrashLoopCannotStarveOthers(t *testing.T) {
 	fixtures := prepare(t, superBugs)
-	sup := supervise.New(0, supervise.Config{MaxRestarts: 3, BackoffCap: 4})
+	sup := supervise.New(0, supervise.Config{})
 	for _, fx := range fixtures {
 		if _, err := sup.Add(fx.cfg, fx.make(), nil); err != nil {
 			t.Fatal(err)
