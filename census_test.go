@@ -17,9 +17,7 @@ import (
 // censusStructs are the option structs a deployment configures. Every
 // exported field must be set by some non-test file outside its own
 // package, or by the root ablation benchmarks; a field only tests set
-// is a configuration nobody runs, and belongs in a constant. Go that
-// CI writes out from a workflow script is not scanned, so such drivers
-// must not set these fields.
+// is a configuration nobody runs, and belongs in a constant.
 var censusStructs = []struct{ pkg, name string }{
 	{"repro/internal/core", "Config"},
 	{"repro/internal/service", "Options"},

@@ -211,7 +211,7 @@ func (c *diagnoseConfig) campaign(tel *telemetry.Tracer, stderr io.Writer) (*cor
 
 	// -resume is resume-or-fail; without it the campaign starts from
 	// discovery even when the directory holds older generations.
-	sup := supervise.New(c.cfg.Workers, supervise.Config{Telemetry: tel})
+	sup := supervise.New(core.NewPool(c.cfg.Workers), supervise.Config{Telemetry: tel})
 	var slot int
 	if c.resume {
 		slot, _, err = sup.Adopt(c.cfg, st, nil)

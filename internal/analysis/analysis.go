@@ -35,9 +35,58 @@ import (
 	"repro/internal/vm/bytecode"
 )
 
-type graphEntry struct {
+// memo is one single-flight cache: each key's value is built at most
+// once, concurrent lookups of a key share that build, and every lookup
+// counts as a build or a hit. buildNS is the cumulative wall time spent
+// inside builds, the number Snapshot reports as the offline
+// static-analysis cost (§5.3's "analysis time"); hits cost nothing by
+// design.
+type memo[K comparable, V any] struct {
+	mu                    sync.Mutex
+	entries               map[K]*memoEntry[V]
+	builds, hits, buildNS atomic.Int64
+}
+
+type memoEntry[V any] struct {
 	once sync.Once
-	g    *cfg.TICFG
+	v    V
+}
+
+// get returns the value cached under k, building it with build on first
+// use, and reports whether this call hit the cache.
+func (m *memo[K, V]) get(k K, build func() V) (V, bool) {
+	m.mu.Lock()
+	e := m.entries[k]
+	if e == nil {
+		if m.entries == nil {
+			m.entries = make(map[K]*memoEntry[V])
+		}
+		e = &memoEntry[V]{}
+		m.entries[k] = e
+	}
+	m.mu.Unlock()
+	hit := true
+	e.once.Do(func() {
+		hit = false
+		m.builds.Add(1)
+		t0 := time.Now()
+		e.v = build()
+		m.buildNS.Add(time.Since(t0).Nanoseconds())
+	})
+	if hit {
+		m.hits.Add(1)
+	}
+	return e.v, hit
+}
+
+// reset drops every cached value and zeroes the counters.
+func (m *memo[K, V]) reset() {
+	m.mu.Lock()
+	m.entries = nil
+	m.mu.Unlock()
+	m.builds.Store(0)
+	m.hits.Store(0)
+	m.buildNS.Store(0)
 }
 
 type sliceKey struct {
@@ -45,81 +94,28 @@ type sliceKey struct {
 	id   int
 }
 
-type sliceEntry struct {
-	once sync.Once
-	sl   *slicer.Slice // pristine master; callers get clones
-}
-
-type bytecodeEntry struct {
-	once sync.Once
-	bp   *bytecode.Program
-}
-
 var (
-	mu        sync.Mutex
-	graphs    = make(map[*ir.Program]*graphEntry)
-	slices    = make(map[sliceKey]*sliceEntry)
-	bytecodes = make(map[*ir.Program]*bytecodeEntry)
-
-	graphBuilds, graphHits       atomic.Int64
-	sliceBuilds, sliceHits       atomic.Int64
-	bytecodeBuilds, bytecodeHits atomic.Int64
-	// Cumulative wall time spent inside cache-miss builds, the number
-	// Snapshot reports as the offline static-analysis cost
-	// (§5.3's "analysis time"). Hits cost nothing by design; only
-	// misses accumulate here.
-	graphBuildNS, sliceBuildNS, bytecodeBuildNS atomic.Int64
+	graphs    memo[*ir.Program, *cfg.TICFG]
+	slices    memo[sliceKey, *slicer.Slice] // pristine masters; callers get clones
+	bytecodes memo[*ir.Program, *bytecode.Program]
 )
 
 // Graph returns the memoized TICFG for p, building it on first use.
 // The returned graph is shared: it is read-only after construction and
 // must not be mutated.
 func Graph(p *ir.Program) *cfg.TICFG {
-	mu.Lock()
-	e := graphs[p]
-	if e == nil {
-		e = &graphEntry{}
-		graphs[p] = e
-	}
-	mu.Unlock()
-	hit := true
-	e.once.Do(func() {
-		hit = false
-		graphBuilds.Add(1)
-		t0 := time.Now()
-		e.g = cfg.BuildTICFG(p)
-		graphBuildNS.Add(time.Since(t0).Nanoseconds())
-	})
-	if hit {
-		graphHits.Add(1)
-	}
-	return e.g
+	g, _ := graphs.get(p, func() *cfg.TICFG { return cfg.BuildTICFG(p) })
+	return g
 }
 
 // Slice returns the backward slice of p rooted at failingID, computed at
 // most once per (program, PC) and returned as an independent clone that
 // the caller may refine freely.
 func Slice(p *ir.Program, failingID int) *slicer.Slice {
-	mu.Lock()
-	key := sliceKey{p, failingID}
-	e := slices[key]
-	if e == nil {
-		e = &sliceEntry{}
-		slices[key] = e
-	}
-	mu.Unlock()
-	hit := true
-	e.once.Do(func() {
-		hit = false
-		sliceBuilds.Add(1)
-		t0 := time.Now()
-		e.sl = slicer.Compute(Graph(p), failingID)
-		sliceBuildNS.Add(time.Since(t0).Nanoseconds())
+	sl, _ := slices.get(sliceKey{p, failingID}, func() *slicer.Slice {
+		return slicer.Compute(Graph(p), failingID)
 	})
-	if hit {
-		sliceHits.Add(1)
-	}
-	return e.sl.Clone()
+	return sl.Clone()
 }
 
 // Bytecode returns the memoized bytecode compilation of p, building it
@@ -130,25 +126,7 @@ func Slice(p *ir.Program, failingID int) *slicer.Slice {
 // executing the same *ir.Program therefore pays compilation exactly
 // once per process.
 func Bytecode(p *ir.Program) (*bytecode.Program, bool) {
-	mu.Lock()
-	e := bytecodes[p]
-	if e == nil {
-		e = &bytecodeEntry{}
-		bytecodes[p] = e
-	}
-	mu.Unlock()
-	hit := true
-	e.once.Do(func() {
-		hit = false
-		bytecodeBuilds.Add(1)
-		t0 := time.Now()
-		e.bp = bytecode.Compile(p)
-		bytecodeBuildNS.Add(time.Since(t0).Nanoseconds())
-	})
-	if hit {
-		bytecodeHits.Add(1)
-	}
-	return e.bp, hit
+	return bytecodes.get(p, func() *bytecode.Program { return bytecode.Compile(p) })
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness, reported by
@@ -171,15 +149,15 @@ type Stats struct {
 // Snapshot returns the current cache counters.
 func Snapshot() Stats {
 	return Stats{
-		GraphBuilds:     graphBuilds.Load(),
-		GraphHits:       graphHits.Load(),
-		SliceBuilds:     sliceBuilds.Load(),
-		SliceHits:       sliceHits.Load(),
-		BytecodeBuilds:  bytecodeBuilds.Load(),
-		BytecodeHits:    bytecodeHits.Load(),
-		GraphBuildNS:    graphBuildNS.Load(),
-		SliceBuildNS:    sliceBuildNS.Load(),
-		BytecodeBuildNS: bytecodeBuildNS.Load(),
+		GraphBuilds:     graphs.builds.Load(),
+		GraphHits:       graphs.hits.Load(),
+		SliceBuilds:     slices.builds.Load(),
+		SliceHits:       slices.hits.Load(),
+		BytecodeBuilds:  bytecodes.builds.Load(),
+		BytecodeHits:    bytecodes.hits.Load(),
+		GraphBuildNS:    graphs.buildNS.Load(),
+		SliceBuildNS:    slices.buildNS.Load(),
+		BytecodeBuildNS: bytecodes.buildNS.Load(),
 	}
 }
 
@@ -187,18 +165,7 @@ func Snapshot() Stats {
 // so benchmarks can measure cold-cache behavior; concurrent diagnoses
 // already in flight keep their (still valid) references.
 func Reset() {
-	mu.Lock()
-	graphs = make(map[*ir.Program]*graphEntry)
-	slices = make(map[sliceKey]*sliceEntry)
-	bytecodes = make(map[*ir.Program]*bytecodeEntry)
-	mu.Unlock()
-	graphBuilds.Store(0)
-	graphHits.Store(0)
-	sliceBuilds.Store(0)
-	sliceHits.Store(0)
-	bytecodeBuilds.Store(0)
-	bytecodeHits.Store(0)
-	graphBuildNS.Store(0)
-	sliceBuildNS.Store(0)
-	bytecodeBuildNS.Store(0)
+	graphs.reset()
+	slices.reset()
+	bytecodes.reset()
 }

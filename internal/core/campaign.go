@@ -35,14 +35,13 @@ import (
 // byte-for-byte.
 //
 // A Campaign is not safe for concurrent use; concurrency lives inside
-// the fleet layer (a Pool, private or shared) and across campaigns
-// (internal/supervise).
+// its fleet (a Runner: a Pool, private or shared, or a remote fleet)
+// and across campaigns (internal/supervise).
 type Campaign struct {
 	cfg    Config // defaults applied
 	label  string // names the campaign in outcomes, errors and logs (cfg.Label)
 	report *vm.FailureReport
-	pool   *Pool  // bounds the fleet's width; private unless UsePool shares one
-	runner Runner // executes the batches; the pool itself unless UseRunner reroutes them
+	runner Runner // executes the batches: a private Pool until UseRunner attaches the driver's fleet
 
 	g   *cfg.TICFG
 	sl  *slicer.Slice
@@ -149,25 +148,11 @@ func (c *Campaign) prepare() {
 	c.res = &Result{Slice: sl, Report: c.report}
 	c.sigma = cfg.Sigma0
 	c.inj = faults.NewInjector(cfg.Faults)
-	c.pool = NewPool(cfg.Workers)
-	c.runner = c.pool
-}
-
-// UsePool replaces the campaign's private pool with a shared one. Must
-// be called before the first Step; the diagnosis output is
-// byte-identical either way — only wall-clock interleaving changes.
-func (c *Campaign) UsePool(p *Pool) {
-	if c.runner == Runner(c.pool) {
-		c.runner = p
-	}
-	c.pool = p
+	c.runner = NewPool(cfg.Workers)
 }
 
 // Label returns the name the campaign goes by in outcomes, errors and logs.
 func (c *Campaign) Label() string { return c.label }
-
-// Report returns the failure report the campaign is diagnosing.
-func (c *Campaign) Report() *vm.FailureReport { return c.report }
 
 // Iteration returns the index of the next AsT iteration to run (equals
 // the number of completed iterations at a boundary).
@@ -180,16 +165,12 @@ func (c *Campaign) Finished() bool { return c.finished }
 // for schedulers measuring per-tenant fleet consumption.
 func (c *Campaign) TotalRuns() int { return c.res.TotalRuns }
 
-// UseRunner routes the campaign's production runs through r instead of
-// the in-process fleet — the service's seam. Passing nil restores the
-// in-process fleet. Seed binding, admission order, and every counter
-// are unchanged: the runner only decides where runs execute.
-func (c *Campaign) UseRunner(r Runner) {
-	if r == nil {
-		r = c.pool
-	}
-	c.runner = r
-}
+// UseRunner replaces the campaign's fleet with r: a supervisor's shared
+// Pool or the service's remote fleet. Seed binding, admission order, and
+// every counter are unchanged: the fleet decides only where runs execute
+// and, through fleetChunk, how far ahead of admission they are
+// dispatched.
+func (c *Campaign) UseRunner(r Runner) { c.runner = r }
 
 // runJobs executes one batch on the campaign's fleet. Results come back
 // in job order whichever Runner that is.
@@ -322,7 +303,7 @@ func (c *Campaign) Dispatch() {
 	st := &c.st
 	st.fleetSpan = cfg.Telemetry.StartSpan(telemetry.PhaseFleet)
 	budget := maxBatches * cfg.Endpoints
-	chunk := fleetChunk(c.pool.Width())
+	chunk := fleetChunk(c.runner)
 	for done := 0; done < budget && c.need(); {
 		n := chunk
 		if done+n > budget {

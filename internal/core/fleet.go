@@ -42,10 +42,10 @@ type Runner interface {
 }
 
 // Pool is the fleet's bounded worker pool: at most width endpoint runs
-// execute at once among everything drawing from it. A campaign owns a
-// private pool of width Config.Workers unless a supervisor shares one
-// across its tenants (Campaign.UsePool). Each campaign keeps
-// dispatching jobs and admitting results in its own deterministic
+// execute at once among everything drawing from it. A campaign starts
+// on a private pool of width Config.Workers; a supervisor attaches the
+// one it shares across its tenants (Campaign.UseRunner). Each campaign
+// keeps dispatching jobs and admitting results in its own deterministic
 // order; the pool only bounds how many runs execute at once, so sharing
 // it affects wall-clock interleaving and nothing else.
 type Pool struct {
@@ -61,9 +61,6 @@ func NewPool(width int) *Pool {
 	}
 	return &Pool{width: width, sem: make(chan struct{}, width)}
 }
-
-// Width returns the pool's concurrency bound.
-func (p *Pool) Width() int { return p.width }
 
 // RunBatch makes the pool the in-process fleet, the Runner every
 // campaign starts with: each job is one instrumented run on a pool
@@ -110,17 +107,18 @@ func onSlot[T any](pool *Pool, out []T, i int, f func(int) T) {
 	out[i] = f(i)
 }
 
-// fleetChunk is how many runs the server dispatches ahead of admission.
-// A serial server dispatches one run at a time (no speculation — the
-// historical loop exactly); a parallel server keeps the pipe a few
-// batches deep, bounding the work ordered admission may discard when an
-// iteration's quota fills mid-chunk. Discarded runs never burn seeds,
-// so speculation costs only wall-clock slack, never determinism.
-func fleetChunk(workers int) int {
-	if workers <= 1 {
-		return 1
+// fleetChunk is how many runs the server dispatches ahead of admission
+// to fleet. A pool of width w > 1 keeps the pipe 4w runs deep, bounding
+// the work ordered admission may discard when an iteration's quota
+// fills mid-chunk; a serial pool and every other Runner (the service's
+// remote fleet) get one run at a time, the historical loop exactly.
+// Discarded runs never burn seeds, so speculation costs only wall-clock
+// slack, never determinism.
+func fleetChunk(fleet Runner) int {
+	if p, ok := fleet.(*Pool); ok && p.width > 1 {
+		return 4 * p.width
 	}
-	return 4 * workers
+	return 1
 }
 
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }

@@ -27,12 +27,27 @@ func TestParallelMapEmpty(t *testing.T) {
 	}
 }
 
+// runnerFunc is a Runner that is not a Pool.
+type runnerFunc func(plan *Plan, jobs []RunJob) []*RunTrace
+
+func (f runnerFunc) RunBatch(plan *Plan, jobs []RunJob) []*RunTrace { return f(plan, jobs) }
+
+// TestFleetChunk pins dispatch depth as a function of the fleet: a pool
+// of width w > 1 runs 4w ahead, a serial pool and any other Runner (the
+// service's remote fleet) one run at a time.
 func TestFleetChunk(t *testing.T) {
-	if got := fleetChunk(1); got != 1 {
-		t.Errorf("serial server must not speculate: chunk = %d", got)
-	}
-	if got := fleetChunk(4); got != 16 {
-		t.Errorf("fleetChunk(4) = %d, want 16", got)
+	for _, c := range []struct {
+		name  string
+		fleet Runner
+		want  int
+	}{
+		{"pool width 1", NewPool(1), 1},
+		{"pool width 4", NewPool(4), 16},
+		{"non-pool runner", runnerFunc(NewPool(4).RunBatch), 1},
+	} {
+		if got := fleetChunk(c.fleet); got != c.want {
+			t.Errorf("%s: chunk = %d, want %d", c.name, got, c.want)
+		}
 	}
 }
 
@@ -109,11 +124,11 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 }
 
 func TestNewPoolDefaultWidth(t *testing.T) {
-	if w := NewPool(0).Width(); w < 1 {
-		t.Errorf("NewPool(0).Width() = %d", w)
+	if w := NewPool(0).width; w < 1 {
+		t.Errorf("NewPool(0).width = %d", w)
 	}
-	if w := NewPool(5).Width(); w != 5 {
-		t.Errorf("NewPool(5).Width() = %d", w)
+	if w := NewPool(5).width; w != 5 {
+		t.Errorf("NewPool(5).width = %d", w)
 	}
 }
 
@@ -131,7 +146,7 @@ func TestCampaignPoolDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		camp.UsePool(NewPool(width))
+		camp.UseRunner(NewPool(width))
 		if got := campaignFingerprint(camp.Run()); got != want {
 			t.Errorf("pool width %d diverged from private fleet:\n--- pooled ---\n%s\n--- private ---\n%s",
 				width, got, want)

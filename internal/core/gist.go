@@ -235,7 +235,7 @@ func FirstFailure(cfg Config) (*vm.FailureReport, int, error) {
 		maxSteps = cfg.RunDeadlineSteps
 	}
 	pool := NewPool(cfg.Workers)
-	chunk := fleetChunk(pool.Width())
+	chunk := fleetChunk(pool)
 	for base := 0; base < maxDiscoveryRuns; base += chunk {
 		n := min(chunk, maxDiscoveryRuns-base)
 		outs := parallelMap(pool, n, func(j int) *vm.Outcome {

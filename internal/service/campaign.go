@@ -143,8 +143,9 @@ func (s *Server) placeCampaign(cs *campaignState, tenant, bug, key, sig string, 
 // lifecycle: open the campaign's checkpoint store, resume from its
 // newest valid generation — what a drained or killed predecessor over
 // the same state left behind — or build the campaign from the submitted
-// report (nil: server-side discovery, exactly as core.Run would), route
-// its fleet through the remote runner, and supervise it to completion.
+// report (nil: server-side discovery, exactly as core.Run would), and
+// supervise it to completion on the remote runner, the supervisor's
+// fleet.
 // key is the campaignKey the stream is registered under.
 func (s *Server) runCampaign(cs *campaignState, tenant, bug, key string, cfg core.Config, report *vm.FailureReport, discRuns int) {
 	cfg.Label = tenant + "/" + key
@@ -164,10 +165,7 @@ func (s *Server) runCampaign(cs *campaignState, tenant, bug, key string, cfg cor
 		fail(fmt.Errorf("checkpoint store: %w", err))
 		return
 	}
-	sup := supervise.New(1, supervise.Config{
-		StepTimeout: stepTimeout,
-		OnRestore:   func(c *core.Campaign) { c.UseRunner(runner) },
-	})
+	sup := supervise.New(runner, supervise.Config{StepTimeout: stepTimeout})
 	// Once the deadline reaper or Close writes this campaign's runs off,
 	// what it computes from them is not the batch diagnosis and must never
 	// become a generation a restarted server resumes: seal the store at
@@ -184,7 +182,6 @@ func (s *Server) runCampaign(cs *campaignState, tenant, bug, key string, cfg cor
 			}
 			return nil, fmt.Errorf("campaign: %w", err)
 		}
-		camp.UseRunner(runner)
 		return camp, nil
 	})
 	if err != nil {

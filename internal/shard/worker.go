@@ -135,9 +135,8 @@ type Worker struct {
 	leases *LeaseTable
 	sup    *supervise.Supervisor
 
-	slots   map[string]int // campaign name -> supervisor slot
-	holding map[int]*owned // slot -> campaign held
-	unowned map[string]int // campaign name -> consecutive rounds seen unowned
+	held    map[string]*owned // campaign name -> campaign held
+	unowned map[string]int    // campaign name -> consecutive rounds seen unowned
 
 	stats Stats
 }
@@ -158,14 +157,11 @@ func NewWorker(o WorkerOptions) (*Worker, error) {
 		}
 	}
 	return &Worker{
-		o:      o,
-		id:     fmt.Sprintf("w%d", o.Index+1),
-		leases: leases,
-		sup: supervise.New(o.Width, supervise.Config{
-			Telemetry: o.Telemetry,
-		}),
-		slots:   map[string]int{},
-		holding: map[int]*owned{},
+		o:       o,
+		id:      fmt.Sprintf("w%d", o.Index+1),
+		leases:  leases,
+		sup:     supervise.New(core.NewPool(o.Width), supervise.Config{Telemetry: o.Telemetry}),
+		held:    map[string]*owned{},
 		unowned: map[string]int{},
 	}, nil
 }
@@ -197,10 +193,10 @@ func runsOf(out supervise.Outcome) int {
 // with: its runs move into the running total Stats reports and the
 // supervisor drops the slot, so a long-lived worker holds only the
 // campaigns still in flight.
-func (w *Worker) forget(slot int, out supervise.Outcome) {
+func (w *Worker) forget(oc *owned, out supervise.Outcome) {
 	w.stats.Runs += runsOf(out)
-	w.sup.Forget(slot)
-	delete(w.holding, slot)
+	w.sup.Forget(oc.slot)
+	delete(w.held, oc.name)
 }
 
 // Round performs one fleet round: adopt, renew, step, publish. It
@@ -258,7 +254,7 @@ func (w *Worker) adopt() error {
 	}
 	for _, a := range as {
 		name := a.Campaign()
-		if _, ok := w.slots[name]; ok {
+		if _, ok := w.held[name]; ok {
 			continue
 		}
 		rec, err := ReadDone(w.o.Backend, w.o.Root, name)
@@ -334,8 +330,7 @@ func (w *Worker) enroll(a Assignment, name string, stolen bool) error {
 	if err != nil {
 		return err
 	}
-	w.slots[name] = slot
-	w.holding[slot] = &owned{a: a, name: name, slot: slot, resumed: resumed, stolen: stolen}
+	w.held[name] = &owned{a: a, name: name, slot: slot, resumed: resumed, stolen: stolen}
 	w.stats.Campaigns++
 	if stolen {
 		w.stats.Takeovers++
@@ -350,8 +345,7 @@ func (w *Worker) enroll(a Assignment, name string, stolen bool) error {
 // renew extends every held lease; a campaign whose ownership moved away
 // is retired locally so the new owner's resume is the only live driver.
 func (w *Worker) renew() {
-	for _, slot := range w.slotOrder() {
-		oc := w.holding[slot]
+	for _, oc := range w.inSlotOrder() {
 		if _, err := w.leases.Renew(oc.name, w.id); err != nil {
 			if !errors.Is(err, ErrLeaseLost) {
 				// Backend trouble: keep driving — the diagnosis is
@@ -360,11 +354,10 @@ func (w *Worker) renew() {
 				w.logf("renew %s: %v", oc.name, err)
 				continue
 			}
-			w.logf("lease lost: %s (slot %d)", oc.name, slot)
-			w.sup.RetireSlot(slot)
-			out, _ := w.sup.Settled(slot)
-			w.forget(slot, out)
-			delete(w.slots, oc.name)
+			w.logf("lease lost: %s (slot %d)", oc.name, oc.slot)
+			w.sup.RetireSlot(oc.slot)
+			out, _ := w.sup.Settled(oc.slot)
+			w.forget(oc, out)
 			w.stats.LostLeases++
 		}
 	}
@@ -373,9 +366,8 @@ func (w *Worker) renew() {
 // publish writes done records for held campaigns that finished (or were
 // abandoned by the breaker) and releases their leases.
 func (w *Worker) publish() error {
-	for _, slot := range w.slotOrder() {
-		oc := w.holding[slot]
-		out, settled := w.sup.Settled(slot)
+	for _, oc := range w.inSlotOrder() {
+		out, settled := w.sup.Settled(oc.slot)
 		if !settled {
 			continue
 		}
@@ -391,22 +383,22 @@ func (w *Worker) publish() error {
 			return err
 		}
 		w.leases.Release(oc.name, w.id)
-		w.forget(slot, out)
+		w.forget(oc, out)
 		w.stats.Finished++
 		w.logf("done: %s (low_confidence=%v restarts=%d)", oc.name, rec.LowConfidence, rec.Restarts)
 	}
 	return nil
 }
 
-// slotOrder returns held slots in ascending order, so every walk over
-// the holdings is deterministic.
-func (w *Worker) slotOrder() []int {
-	slots := make([]int, 0, len(w.holding))
-	for slot := range w.holding {
-		slots = append(slots, slot)
+// inSlotOrder returns the held campaigns in ascending slot (enrollment)
+// order, so every walk over the holdings is deterministic.
+func (w *Worker) inSlotOrder() []*owned {
+	held := make([]*owned, 0, len(w.held))
+	for _, oc := range w.held {
+		held = append(held, oc)
 	}
-	sort.Ints(slots)
-	return slots
+	sort.Slice(held, func(i, j int) bool { return held[i].slot < held[j].slot })
+	return held
 }
 
 func (w *Worker) logf(format string, args ...any) {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/store"
 	"repro/internal/supervise"
+	"repro/internal/telemetry"
 )
 
 // openStore opens a fresh per-campaign checkpoint store on b.
@@ -25,7 +26,7 @@ func openStore(t *testing.T, b store.Backend, name string) *store.Store {
 func TestAdoptFreshWhenStoreIsEmpty(t *testing.T) {
 	fx := prepare(t, []string{"pbzip2"})[0]
 	b := store.NewMemBackend()
-	sup := supervise.New(1, supervise.Config{})
+	sup := supervise.New(core.NewPool(1), supervise.Config{})
 	slot, resumed, err := sup.Adopt(fx.cfg, openStore(t, b, fx.name), func() (*core.Campaign, error) {
 		return core.NewCampaign(fx.cfg, fx.report, fx.disc)
 	})
@@ -50,7 +51,7 @@ func TestAdoptResumesFromLatestGeneration(t *testing.T) {
 	fx := prepare(t, []string{"pbzip2"})[0]
 	b := store.NewMemBackend()
 
-	first := supervise.New(1, supervise.Config{})
+	first := supervise.New(core.NewPool(1), supervise.Config{})
 	camp, err := core.NewCampaign(fx.cfg, fx.report, fx.disc)
 	if err != nil {
 		t.Fatalf("NewCampaign: %v", err)
@@ -65,7 +66,7 @@ func TestAdoptResumesFromLatestGeneration(t *testing.T) {
 	}
 	// The first supervisor is simply never driven again — process death.
 
-	second := supervise.New(1, supervise.Config{})
+	second := supervise.New(core.NewPool(1), supervise.Config{})
 	slot, resumed, err := second.Adopt(fx.cfg, openStore(t, b, fx.name), func() (*core.Campaign, error) {
 		t.Fatalf("fresh callback ran despite a durable checkpoint generation")
 		return nil, nil
@@ -89,7 +90,7 @@ func TestAdoptFallsBackAcrossCorruptGenerations(t *testing.T) {
 	fx := prepare(t, []string{"pbzip2"})[0]
 	b := store.NewMemBackend()
 
-	first := supervise.New(1, supervise.Config{})
+	first := supervise.New(core.NewPool(1), supervise.Config{})
 	camp, err := core.NewCampaign(fx.cfg, fx.report, fx.disc)
 	if err != nil {
 		t.Fatalf("NewCampaign: %v", err)
@@ -109,7 +110,7 @@ func TestAdoptFallsBackAcrossCorruptGenerations(t *testing.T) {
 		t.Fatalf("Save: %v", err)
 	}
 
-	second := supervise.New(1, supervise.Config{})
+	second := supervise.New(core.NewPool(1), supervise.Config{})
 	slot, resumed, err := second.Adopt(fx.cfg, openStore(t, b, fx.name), func() (*core.Campaign, error) {
 		t.Fatalf("fresh callback ran despite a valid older generation")
 		return nil, nil
@@ -140,7 +141,7 @@ func TestAdoptNilFreshIsResumeOrFail(t *testing.T) {
 		t.Fatalf("Save: %v", err)
 	}
 	st = openStore(t, b, fx.name)
-	_, _, err := supervise.New(1, supervise.Config{}).Adopt(fx.cfg, st, nil)
+	_, _, err := supervise.New(core.NewPool(1), supervise.Config{}).Adopt(fx.cfg, st, nil)
 	if !errors.Is(err, supervise.ErrNoCheckpoint) {
 		t.Fatalf("Adopt(nil fresh) with no restorable generation: err = %v, want ErrNoCheckpoint", err)
 	}
@@ -148,7 +149,7 @@ func TestAdoptNilFreshIsResumeOrFail(t *testing.T) {
 		t.Fatalf("unreadable generation not discarded: %d quarantined, latest %v", len(qs), st.Latest())
 	}
 
-	first := supervise.New(1, supervise.Config{})
+	first := supervise.New(core.NewPool(1), supervise.Config{})
 	camp, err := core.NewCampaign(fx.cfg, fx.report, fx.disc)
 	if err != nil {
 		t.Fatalf("NewCampaign: %v", err)
@@ -158,7 +159,7 @@ func TestAdoptNilFreshIsResumeOrFail(t *testing.T) {
 	}
 	first.RunRound()
 
-	second := supervise.New(1, supervise.Config{})
+	second := supervise.New(core.NewPool(1), supervise.Config{})
 	slot, resumed, err := second.Adopt(fx.cfg, openStore(t, b, fx.name), nil)
 	if err != nil || !resumed {
 		t.Fatalf("Adopt(nil fresh) over a durable generation: resumed=%v err=%v", resumed, err)
@@ -170,11 +171,12 @@ func TestAdoptNilFreshIsResumeOrFail(t *testing.T) {
 }
 
 // TestRetireSlotStopsSteppingAndMarksReleased pins the lease-lost path:
-// RetireSlot makes later rounds skip the slot and the outcome reports
-// Released, distinguishing ownership handoff from breaker abandonment.
+// RetireSlot makes later rounds skip the slot and counts it released,
+// distinguishing ownership handoff from breaker abandonment.
 func TestRetireSlotStopsSteppingAndMarksReleased(t *testing.T) {
 	fx := prepare(t, []string{"pbzip2"})[0]
-	sup := supervise.New(1, supervise.Config{})
+	tel := telemetry.New()
+	sup := supervise.New(core.NewPool(1), supervise.Config{Telemetry: tel})
 	camp, err := core.NewCampaign(fx.cfg, fx.report, fx.disc)
 	if err != nil {
 		t.Fatalf("NewCampaign: %v", err)
@@ -194,8 +196,9 @@ func TestRetireSlotStopsSteppingAndMarksReleased(t *testing.T) {
 		t.Fatalf("retired slot still stepped")
 	}
 	out, ok := sup.Settled(slot)
-	if !ok || !out.Released {
-		t.Fatalf("outcome not marked Released after RetireSlot: %+v", out)
+	if !ok || tel.Counter("supervise.released") != 1 {
+		t.Fatalf("slot not settled as released after RetireSlot: ok=%v released=%d %+v",
+			ok, tel.Counter("supervise.released"), out)
 	}
 	if out.BreakerTripped {
 		t.Fatalf("RetireSlot must not read as a breaker trip")

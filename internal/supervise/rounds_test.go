@@ -1,11 +1,14 @@
 package supervise_test
 
 import (
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/store"
 	"repro/internal/supervise"
+	"repro/internal/telemetry"
 )
 
 // roundBugs is the multi-tenant suite: four distinct failures diagnosed
@@ -19,7 +22,7 @@ var roundBugs = []string{"pbzip2", "curl", "memcached", "apache-1"}
 func TestRoundsMatchSerial(t *testing.T) {
 	fixtures := prepare(t, roundBugs)
 	for _, width := range []int{1, 8} {
-		sup := supervise.New(width, supervise.Config{})
+		sup := supervise.New(core.NewPool(width), supervise.Config{})
 		for _, fx := range fixtures {
 			if _, err := sup.Add(fx.cfg, fx.make(), nil); err != nil {
 				t.Fatal(err)
@@ -44,11 +47,11 @@ func TestRoundsMatchSerial(t *testing.T) {
 
 // TestRoundFairnessTrace checks the round-robin accounting: every
 // tenant is stepped every round it is live, the per-round samples match
-// the round count, and the per-round run deltas sum to the diagnosis
-// total.
+// the rounds it was live in, and the per-round run deltas sum to the
+// diagnosis total.
 func TestRoundFairnessTrace(t *testing.T) {
 	fixtures := prepare(t, roundBugs)
-	sup := supervise.New(0, supervise.Config{})
+	sup := supervise.New(core.NewPool(0), supervise.Config{})
 	camps := make([]*core.Campaign, len(fixtures))
 	for i, fx := range fixtures {
 		camps[i] = fx.make()
@@ -56,12 +59,24 @@ func TestRoundFairnessTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i, out := range sup.Run() {
-		if out.Rounds == 0 {
+	// Count each slot's live rounds independently of the trace.
+	rounds := make([]int, len(fixtures))
+	for {
+		for i := range rounds {
+			if _, settled := sup.Settled(i); !settled {
+				rounds[i]++
+			}
+		}
+		if sup.RunRound() == 0 {
+			break
+		}
+	}
+	for i, out := range sup.Outcomes() {
+		if rounds[i] == 0 {
 			t.Errorf("%s: zero rounds", out.Label)
 		}
-		if len(out.RunsPerRound) != out.Rounds {
-			t.Errorf("%s: %d round samples for %d rounds", out.Label, len(out.RunsPerRound), out.Rounds)
+		if len(out.RunsPerRound) != rounds[i] {
+			t.Errorf("%s: %d round samples for %d rounds", out.Label, len(out.RunsPerRound), rounds[i])
 		}
 		sum := 0
 		for _, n := range out.RunsPerRound {
@@ -73,8 +88,8 @@ func TestRoundFairnessTrace(t *testing.T) {
 		if sum != out.Result.TotalRuns {
 			t.Errorf("%s: per-round runs sum to %d, TotalRuns %d", out.Label, sum, out.Result.TotalRuns)
 		}
-		if camps[i].Iteration()+1 < out.Rounds {
-			t.Errorf("%s: %d rounds but campaign only reached iteration %d", out.Label, out.Rounds, camps[i].Iteration())
+		if camps[i].Iteration()+1 < rounds[i] {
+			t.Errorf("%s: %d rounds but campaign only reached iteration %d", out.Label, rounds[i], camps[i].Iteration())
 		}
 	}
 }
@@ -89,7 +104,8 @@ func TestRoundFairnessTrace(t *testing.T) {
 func TestRetireAndAdoptAcrossSupervisors(t *testing.T) {
 	for _, fx := range prepare(t, roundBugs) {
 		backend := store.NewMemBackend()
-		a := supervise.New(1, supervise.Config{})
+		tel := telemetry.New()
+		a := supervise.New(core.NewPool(1), supervise.Config{Telemetry: tel})
 		slot, err := a.Add(fx.cfg, fx.make(), openStore(t, backend, fx.name))
 		if err != nil {
 			t.Fatalf("%s: Add: %v", fx.name, err)
@@ -100,8 +116,9 @@ func TestRetireAndAdoptAcrossSupervisors(t *testing.T) {
 		}
 		// Retire on A: A's slot steps no more, even if A keeps running.
 		a.RetireSlot(slot)
-		if out, ok := a.Settled(slot); !ok || !out.Released {
-			t.Fatalf("%s: slot not settled as released: ok=%v %+v", fx.name, ok, out)
+		if out, ok := a.Settled(slot); !ok || tel.Counter("supervise.released") != 1 {
+			t.Fatalf("%s: slot not settled as released: ok=%v released=%d %+v",
+				fx.name, ok, tel.Counter("supervise.released"), out)
 		}
 		if a.RunRound() != 0 {
 			t.Fatalf("%s: retired slot still stepped", fx.name)
@@ -109,7 +126,7 @@ func TestRetireAndAdoptAcrossSupervisors(t *testing.T) {
 
 		// Resume on B from the durable generation, exactly as the new
 		// owner's process would after a handoff.
-		b := supervise.New(1, supervise.Config{})
+		b := supervise.New(core.NewPool(1), supervise.Config{})
 		if _, resumed, err := b.Adopt(fx.cfg, openStore(t, backend, fx.name), nil); err != nil || !resumed {
 			t.Fatalf("%s: Adopt: resumed=%v err=%v", fx.name, resumed, err)
 		}
@@ -126,7 +143,7 @@ func TestRetireAndAdoptAcrossSupervisors(t *testing.T) {
 // the checkpoint and the original object is never stepped again.
 func TestRestartSwapsTheSlotCampaign(t *testing.T) {
 	fx := prepare(t, roundBugs[:1])[0]
-	sup := supervise.New(1, supervise.Config{})
+	sup := supervise.New(core.NewPool(1), supervise.Config{})
 	orig := fx.make()
 	slot, err := sup.Add(fx.cfg, orig, nil)
 	if err != nil {
@@ -145,5 +162,66 @@ func TestRestartSwapsTheSlotCampaign(t *testing.T) {
 	if orig.Finished() || orig.Iteration() != 0 {
 		t.Errorf("original campaign was stepped after the swap (iteration %d, finished %v)",
 			orig.Iteration(), orig.Finished())
+	}
+}
+
+// countingFleet is a fleet that is not a core.Pool: it forwards every
+// batch to a pool and counts the runs it carried.
+type countingFleet struct {
+	pool *core.Pool
+	runs atomic.Int64
+}
+
+func (f *countingFleet) RunBatch(plan *core.Plan, jobs []core.RunJob) []*core.RunTrace {
+	f.runs.Add(int64(len(jobs)))
+	return f.pool.RunBatch(plan, jobs)
+}
+
+// TestRestartKeepsTheSupervisorsFleet pins that a campaign restored
+// after a crash runs on the fleet the supervisor was built with, not on
+// the private pool restoration gives it: every round's runs, before and
+// after the restart, pass through the supervisor's fleet, and the
+// diagnosis still equals the serial one.
+func TestRestartKeepsTheSupervisorsFleet(t *testing.T) {
+	fx := prepare(t, roundBugs[:1])[0]
+	fleet := &countingFleet{pool: core.NewPool(2)}
+	sup := supervise.New(fleet, supervise.Config{})
+	slot, err := sup.Add(fx.cfg, fx.make(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup.SetStepFault(slot, func(step int) supervise.StepFault {
+		if step == 1 {
+			return supervise.StepPanic
+		}
+		return supervise.StepNone
+	})
+	var carried []int
+	for {
+		before := fleet.runs.Load()
+		if sup.RunRound() == 0 {
+			break
+		}
+		carried = append(carried, int(fleet.runs.Load()-before))
+	}
+	out := sup.Outcomes()[slot]
+	if out.Restarts != 1 {
+		t.Fatalf("restarts = %d, want 1", out.Restarts)
+	}
+	if got := fingerprint(out.Result, out.Err); got != fx.serial {
+		t.Errorf("diagnosis diverged from serial baseline:\n--- supervised ---\n%s\n--- serial ---\n%s", got, fx.serial)
+	}
+	// A fleet that is not a pool is fed one run at a time, so nothing is
+	// speculated past admission: the fleet carries exactly the runs the
+	// campaign admits, round by round.
+	if !slices.Equal(carried, out.RunsPerRound) {
+		t.Errorf("runs carried by the fleet per round %v, campaign consumed %v", carried, out.RunsPerRound)
+	}
+	after := 0
+	for _, n := range out.RunsPerRound[2:] {
+		after += n
+	}
+	if after == 0 {
+		t.Errorf("no runs after the restart (rounds %v); the test does not reach the restored campaign", out.RunsPerRound)
 	}
 }

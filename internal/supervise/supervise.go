@@ -6,8 +6,10 @@
 // assumes the diagnosis service itself keeps running for weeks while
 // failures recur. The supervisor models both with one loop. Each round,
 // every live campaign executes exactly one AsT iteration, all of a
-// round's iterations running concurrently over a shared bounded worker
-// pool (core.Pool). The round barrier is the fairness rule — no
+// round's iterations running concurrently over the one fleet the
+// supervisor was built with (a shared core.Pool, or the service's
+// remote fleet), which it attaches to every campaign it enrolls or
+// restores. The round barrier is the fairness rule — no
 // campaign can start iteration k+1 until every live campaign has
 // finished iteration k, so a cheap bug cannot starve an expensive one
 // of fleet slots and vice versa. Every step runs under panic recovery
@@ -20,11 +22,11 @@
 // diagnosis instead of poisoning the whole deployment.
 //
 // Determinism: a campaign's diagnosis is a pure function of its own
-// configuration and iteration-boundary state; the pool only decides
+// configuration and iteration-boundary state; the fleet only decides
 // *when* runs execute, never which runs or in what admission order, and
 // a supervised restart resumes from exactly such a boundary. Every
 // Outcome is therefore byte-identical to running the same campaign
-// serially, at any pool width, under any goroutine interleaving and
+// serially, on any fleet, under any goroutine interleaving and
 // across any number of restarts — supervision changes availability,
 // never answers.
 //
@@ -71,14 +73,9 @@ type Config struct {
 	// (default 30s). A step that overruns is abandoned and the campaign
 	// restarted from its last good checkpoint.
 	StepTimeout time.Duration
-	// Telemetry receives supervise.* counters; nil is fine.
+	// Telemetry receives supervise.* counters — panics, watchdog trips,
+	// checkpoints, releases — that Outcome does not repeat; nil is fine.
 	Telemetry *telemetry.Tracer
-	// OnRestore, when non-nil, is called with every campaign restored
-	// from checkpoint before it is stepped again. The service
-	// uses it to reattach its remote runner — restoration rebuilds the
-	// campaign from serialized state, which cannot carry a live
-	// transport.
-	OnRestore func(c *core.Campaign)
 }
 
 // The restart policy every supervised campaign gets.
@@ -100,37 +97,27 @@ func (c Config) withDefaults() Config {
 }
 
 // Outcome is one supervised campaign's result, the scheduling trace the
-// fairness analysis consumes, and the supervision history that produced
-// them.
+// fairness analysis consumes, and the supervision events its drivers
+// act on. Everything else the supervisor observes is a telemetry
+// counter.
 type Outcome struct {
 	Label  string
 	Result *core.Result
 	Err    error
-	// Rounds is how many rounds the campaign was live in: AsT
-	// iterations stepped plus rounds sat out in restart backoff.
-	Rounds int
 	// RunsPerRound records the production runs the campaign consumed in
-	// each of those rounds — the per-tenant fleet-share series Jain's
+	// each round it was live in (AsT iterations stepped plus rounds sat
+	// out in restart backoff) — the per-tenant fleet-share series Jain's
 	// fairness index is computed over.
 	RunsPerRound []int
 	// Restarts is how many times the campaign was restored from its
 	// last good checkpoint after a crash or hang.
 	Restarts int
-	// Panics and WatchdogTrips break Restarts down by cause.
-	Panics        int
-	WatchdogTrips int
-	// Checkpoints is how many boundary snapshots were durably saved.
-	Checkpoints int
 	// BreakerTripped marks a campaign abandoned by the circuit breaker;
 	// its Result is the degraded, low-confidence last checkpoint.
 	BreakerTripped bool
 	// Drained marks a campaign checkpointed and suspended by a drain
 	// request; its Err is the campaign's not-finished error.
 	Drained bool
-	// Released marks a campaign retired by RetireSlot because its
-	// ownership moved to another process; the last durable checkpoint
-	// generation is where the new owner resumes.
-	Released bool
 }
 
 // SketchJSON renders the outcome for publication: the sketch bytes
@@ -177,14 +164,13 @@ type slot struct {
 // settled reports whether the slot will never be stepped again.
 func (sl *slot) settled() bool { return sl.retired || sl.camp.Finished() }
 
-// Supervisor steps campaigns in concurrent round-robin rounds over a
-// shared fleet pool, with per-step guards and checkpoint-based
-// restarts. Not safe for concurrent use — all concurrency is internal —
+// Supervisor steps campaigns in concurrent round-robin rounds over one
+// fleet, with per-step guards and checkpoint-based restarts. Not safe for concurrent use — all concurrency is internal —
 // except RequestDrain, which may be called from any goroutine (a signal
 // handler).
 type Supervisor struct {
-	cfg  Config
-	pool *core.Pool
+	cfg   Config
+	fleet core.Runner
 	// slots holds the enrolled campaigns not yet Forgotten, in
 	// enrollment order; ids come from nextID, so they ascend.
 	slots    []*slot
@@ -192,10 +178,11 @@ type Supervisor struct {
 	draining atomic.Bool
 }
 
-// New returns a supervisor whose shared fleet executes at most width
-// runs concurrently across all campaigns (0 = GOMAXPROCS).
-func New(width int, cfg Config) *Supervisor {
-	return &Supervisor{cfg: cfg.withDefaults(), pool: core.NewPool(width)}
+// New returns a supervisor that runs every campaign it enrolls or
+// restores on fleet: a core.Pool shared across its campaigns, or a
+// remote Runner.
+func New(fleet core.Runner, cfg Config) *Supervisor {
+	return &Supervisor{cfg: cfg.withDefaults(), fleet: fleet}
 }
 
 // find returns the index in s.slots of the slot numbered id, or -1.
@@ -249,7 +236,7 @@ func Checkpoint(c *core.Campaign, ckpt *store.Store) (snap *core.CampaignSnapsho
 	return snap, saved, nil
 }
 
-// Add enrolls a campaign, attaching it to the shared pool, and returns
+// Add enrolls a campaign, attaching it to the supervisor's fleet, and returns
 // its slot number. cfg must be the configuration the campaign was built
 // (or restored) with — it is what restarts restore under. ckpt, when
 // non-nil, receives a durable boundary snapshot after every successful
@@ -261,7 +248,7 @@ func (s *Supervisor) Add(cfg core.Config, c *core.Campaign, ckpt *store.Store) (
 	if err := s.checkpoint(sl); err != nil {
 		return 0, fmt.Errorf("supervise: enrolling %s: %w", c.Label(), err)
 	}
-	c.UsePool(s.pool)
+	c.UseRunner(s.fleet)
 	s.nextID++
 	s.slots = append(s.slots, sl)
 	return sl.id, nil
@@ -277,14 +264,10 @@ func (s *Supervisor) Add(cfg core.Config, c *core.Campaign, ckpt *store.Store) (
 func (s *Supervisor) Adopt(cfg core.Config, ckpt *store.Store, fresh func() (*core.Campaign, error)) (int, bool, error) {
 	c, err := Resume(cfg, ckpt)
 	resumed := err == nil
-	switch {
-	case resumed:
-		if s.cfg.OnRestore != nil {
-			s.cfg.OnRestore(c)
+	if !resumed {
+		if fresh == nil {
+			return 0, false, err
 		}
-	case fresh == nil:
-		return 0, false, err
-	default:
 		if c, err = fresh(); err != nil {
 			return 0, false, err
 		}
@@ -320,7 +303,6 @@ func (s *Supervisor) RunRound() int {
 			defer wg.Done()
 			before := sl.camp.TotalRuns()
 			s.step(sl)
-			sl.out.Rounds++
 			sl.out.RunsPerRound = append(sl.out.RunsPerRound, sl.camp.TotalRuns()-before)
 		}(sl)
 	}
@@ -330,12 +312,10 @@ func (s *Supervisor) RunRound() int {
 
 // RetireSlot permanently excludes a slot from future rounds without
 // tripping the breaker: campaign ownership moved to another process,
-// which resumes from the last durable checkpoint generation. The
-// outcome is marked Released.
+// which resumes from the last durable checkpoint generation. It counts
+// supervise.released.
 func (s *Supervisor) RetireSlot(slot int) {
-	sl := s.slots[s.find(slot)]
-	sl.retired = true
-	sl.out.Released = true
+	s.slots[s.find(slot)].retired = true
 	s.cfg.Telemetry.Add("supervise.released", 1)
 }
 
@@ -350,9 +330,6 @@ func (s *Supervisor) SetStepFault(slot int, fn func(step int) StepFault) {
 // checkpoint every in-flight campaign, and return. Safe from any
 // goroutine; the CLI wires SIGINT/SIGTERM here.
 func (s *Supervisor) RequestDrain() { s.draining.Store(true) }
-
-// Draining reports whether a drain has been requested.
-func (s *Supervisor) Draining() bool { return s.draining.Load() }
 
 // Run drives all enrolled campaigns to completion — or to the breaker,
 // or to a drain request — and returns Outcomes.
@@ -448,10 +425,7 @@ func (s *Supervisor) step(sl *slot) {
 		s.cfg.Telemetry.Add("supervise.breaker_trips", 1)
 		return
 	}
-	if s.cfg.OnRestore != nil {
-		s.cfg.OnRestore(restored)
-	}
-	restored.UsePool(s.pool)
+	restored.UseRunner(s.fleet)
 	sl.camp = restored
 	if sl.out.Restarts > maxRestarts {
 		sl.out.BreakerTripped = true
@@ -501,13 +475,11 @@ func (s *Supervisor) guardedStep(sl *slot) bool {
 	select {
 	case ok := <-done:
 		if !ok {
-			sl.out.Panics++
 			s.cfg.Telemetry.Add("supervise.panics", 1)
 		}
 		return ok
 	case <-timer.C:
 		close(abandoned)
-		sl.out.WatchdogTrips++
 		s.cfg.Telemetry.Add("supervise.watchdog_trips", 1)
 		return false
 	}
@@ -526,7 +498,6 @@ func (s *Supervisor) checkpoint(sl *slot) error {
 	sl.lastGood = snap
 	switch {
 	case saved:
-		sl.out.Checkpoints++
 		s.cfg.Telemetry.Add("supervise.checkpoints", 1)
 	case sl.ckpt != nil:
 		s.cfg.Telemetry.Add("supervise.checkpoint_errors", 1)

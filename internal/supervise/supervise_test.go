@@ -11,6 +11,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/supervise"
+	"repro/internal/telemetry"
 	"repro/internal/vm"
 )
 
@@ -83,9 +84,12 @@ func prepare(t *testing.T, names []string) []*tenantFixture {
 // baseline, with zero restarts and a durable checkpoint per step.
 func TestSupervisedCleanMatchesSerial(t *testing.T) {
 	fixtures := prepare(t, superBugs)
-	sup := supervise.New(0, supervise.Config{})
+	sup := supervise.New(core.NewPool(0), supervise.Config{})
+	// One tracer per slot's store counts that slot's durable saves.
+	tels := make([]*telemetry.Tracer, len(fixtures))
 	for i, fx := range fixtures {
-		st, err := store.Open(t.TempDir(), fx.name, store.Options{})
+		tels[i] = telemetry.New()
+		st, err := store.Open(t.TempDir(), fx.name, store.Options{Telemetry: tels[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,8 +108,8 @@ func TestSupervisedCleanMatchesSerial(t *testing.T) {
 			t.Errorf("%s: clean run recorded supervision events: %+v", fx.name, out)
 		}
 		// One checkpoint at enrollment plus one per completed round.
-		if out.Checkpoints != out.Rounds+1 {
-			t.Errorf("%s: %d checkpoints for %d rounds", fx.name, out.Checkpoints, out.Rounds)
+		if saves, rounds := tels[i].Counter("store.saves"), len(out.RunsPerRound); saves != int64(rounds+1) {
+			t.Errorf("%s: %d checkpoints for %d rounds", fx.name, saves, rounds)
 		}
 	}
 }
@@ -115,7 +119,8 @@ func TestSupervisedCleanMatchesSerial(t *testing.T) {
 // from their checkpoints and still produce byte-identical diagnoses.
 func TestCrashAndHangRestartsAreByteIdentical(t *testing.T) {
 	fixtures := prepare(t, superBugs)
-	sup := supervise.New(0, supervise.Config{StepTimeout: 2 * time.Second})
+	tel := telemetry.New()
+	sup := supervise.New(core.NewPool(0), supervise.Config{StepTimeout: 2 * time.Second, Telemetry: tel})
 	for _, fx := range fixtures {
 		if _, err := sup.Add(fx.cfg, fx.make(), nil); err != nil {
 			t.Fatal(err)
@@ -133,6 +138,25 @@ func TestCrashAndHangRestartsAreByteIdentical(t *testing.T) {
 		}
 		return supervise.StepNone
 	})
+	// Each fault fires in its own round, so the supervisor-wide counters
+	// read after that round name the slot that restarted and why: round
+	// 1 trips slot 1's watchdog, round 2 catches slot 0's panic (slot 1
+	// sits it out in backoff).
+	for round, want := range []struct{ restarts0, restarts1, panics, trips int64 }{
+		{0, 1, 0, 1},
+		{1, 1, 1, 1},
+	} {
+		sup.RunRound()
+		outs := sup.Outcomes()
+		got := struct{ restarts0, restarts1, panics, trips int64 }{
+			int64(outs[0].Restarts), int64(outs[1].Restarts),
+			tel.Counter("supervise.panics"), tel.Counter("supervise.watchdog_trips"),
+		}
+		if got != want {
+			t.Errorf("after round %d: slot 0 restarts, slot 1 restarts, panics, watchdog trips = %v, want %v",
+				round+1, got, want)
+		}
+	}
 	outs := sup.Run()
 	for i, out := range outs {
 		fx := fixtures[i]
@@ -140,11 +164,11 @@ func TestCrashAndHangRestartsAreByteIdentical(t *testing.T) {
 			t.Errorf("%s: post-restart diagnosis diverged from serial:\n%s", fx.name, got)
 		}
 	}
-	if outs[0].Restarts != 1 || outs[0].Panics != 1 {
-		t.Errorf("slot 0: restarts=%d panics=%d, want 1/1", outs[0].Restarts, outs[0].Panics)
+	if outs[0].Restarts != 1 || tel.Counter("supervise.panics") != 1 {
+		t.Errorf("slot 0: restarts=%d panics=%d, want 1/1", outs[0].Restarts, tel.Counter("supervise.panics"))
 	}
-	if outs[1].Restarts != 1 || outs[1].WatchdogTrips != 1 {
-		t.Errorf("slot 1: restarts=%d watchdog=%d, want 1/1", outs[1].Restarts, outs[1].WatchdogTrips)
+	if outs[1].Restarts != 1 || tel.Counter("supervise.watchdog_trips") != 1 {
+		t.Errorf("slot 1: restarts=%d watchdog=%d, want 1/1", outs[1].Restarts, tel.Counter("supervise.watchdog_trips"))
 	}
 	if outs[2].Restarts != 0 {
 		t.Errorf("slot 2: healthy tenant restarted %d times", outs[2].Restarts)
@@ -181,7 +205,7 @@ func TestBreakerDegradesToLastCheckpoint(t *testing.T) {
 	expected.Abandon(fmt.Errorf("reference"))
 	wantRes, wantErr := expected.Result()
 
-	sup := supervise.New(0, supervise.Config{})
+	sup := supervise.New(core.NewPool(0), supervise.Config{})
 	camp, err := core.NewCampaign(cfg, fx.report, fx.disc)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +249,7 @@ func TestBreakerDegradesToLastCheckpoint(t *testing.T) {
 // (Jain index over their per-round consumption stays near 1).
 func TestCrashLoopCannotStarveOthers(t *testing.T) {
 	fixtures := prepare(t, superBugs)
-	sup := supervise.New(0, supervise.Config{})
+	sup := supervise.New(core.NewPool(0), supervise.Config{})
 	for _, fx := range fixtures {
 		if _, err := sup.Add(fx.cfg, fx.make(), nil); err != nil {
 			t.Fatal(err)
@@ -253,7 +277,7 @@ func TestCrashLoopCannotStarveOthers(t *testing.T) {
 		for _, n := range out.RunsPerRound {
 			sum += n
 		}
-		shares = append(shares, float64(sum)/float64(out.Rounds))
+		shares = append(shares, float64(sum)/float64(len(out.RunsPerRound)))
 	}
 	if j := stats.JainIndex(shares); j < 0.6 {
 		t.Errorf("Jain fairness index %.3f across healthy tenants, want >= 0.6 (shares %v)", j, shares)
@@ -267,7 +291,7 @@ func TestCrashLoopCannotStarveOthers(t *testing.T) {
 func TestDrainCheckpointsAndResumes(t *testing.T) {
 	fixtures := prepare(t, superBugs)
 	dirs := make([]string, len(fixtures))
-	sup := supervise.New(0, supervise.Config{})
+	sup := supervise.New(core.NewPool(0), supervise.Config{})
 	for i, fx := range fixtures {
 		dirs[i] = t.TempDir()
 		st, err := store.Open(dirs[i], fx.name, store.Options{})
@@ -287,7 +311,15 @@ func TestDrainCheckpointsAndResumes(t *testing.T) {
 		return supervise.StepNone
 	})
 	outs := sup.Run()
-	if !sup.Draining() {
+	drained := 0
+	for i, out := range outs {
+		if out.Drained {
+			drained++
+		} else if out.Err != nil || out.Result == nil {
+			t.Fatalf("%s: neither finished nor drained (err %v)", fixtures[i].name, out.Err)
+		}
+	}
+	if drained == 0 {
 		t.Fatal("drain request lost")
 	}
 
@@ -316,7 +348,7 @@ func TestDrainCheckpointsAndResumes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: restore: %v", fx.name, err)
 			}
-			resumed := supervise.New(0, supervise.Config{})
+			resumed := supervise.New(core.NewPool(0), supervise.Config{})
 			if _, err := resumed.Add(fx.cfg, camp, st); err != nil {
 				t.Fatal(err)
 			}
