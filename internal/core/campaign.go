@@ -81,12 +81,7 @@ type iterState struct {
 
 	failing    []*RunTrace
 	successful []*RunTrace
-	// accum streams predictor contingency counters as runs are
-	// admitted, so Rank reads finished statistics instead of
-	// recomputing them from the retained populations. Proven equal to
-	// the batch recomputation (predict_test.go); rebuilt by Plan like
-	// the rest of the iteration state, never serialized.
-	accum     *PredictorAccum
+
 	health    FleetHealth
 	lost      []int
 	iterStart int
@@ -260,11 +255,9 @@ func (c *Campaign) admit(job RunJob, rt *RunTrace) {
 	if rt.Failed() && rt.Outcome.Report.ID() == c.report.ID() {
 		if len(st.failing) < failuresPerIter {
 			st.failing = append(st.failing, rt)
-			st.accum.Observe(rt, true)
 		}
 	} else if !rt.Failed() {
 		st.successful = append(st.successful, rt)
-		st.accum.Observe(rt, false)
 	}
 }
 
@@ -289,7 +282,6 @@ func (c *Campaign) Plan() {
 	for _, id := range st.window {
 		st.windowSet[id] = true
 	}
-	st.accum = NewPredictorAccum(cfg.Prog, cfg.Beta)
 	st.iterStart = len(c.overheads)
 }
 
@@ -397,11 +389,8 @@ func (c *Campaign) Rank() {
 	if lowConf {
 		st.health.LowConfidenceIters++
 	}
-	// The streaming accumulator already holds every admitted run's
-	// contingency counters; reading it here replaces the historical
-	// end-of-iteration batch recomputation, byte-identically.
 	sp := tel.StartSpan(telemetry.PhaseRank)
-	ranked := st.accum.Ranked()
+	ranked := RankPredictors(cfg.Prog, st.failing, st.successful, cfg.Beta)
 	sp.End()
 	// Base the sketch on the best-instrumented failing run: under
 	// cooperative watchpoint partitioning, different failing runs
@@ -655,10 +644,43 @@ func (c *Campaign) Snapshot() (*CampaignSnapshot, error) {
 // It fails when the snapshot carries no sketch (a campaign checkpointed
 // before its first ranking, or one that errored out).
 func (s *CampaignSnapshot) RenderSketchJSON(prog *ir.Program) ([]byte, error) {
+	if err := s.fits(prog); err != nil {
+		return nil, err
+	}
 	if s.Sketch == nil {
 		return nil, fmt.Errorf("gist: checkpoint for %s has no sketch", s.Title)
 	}
 	return s.Sketch.attach(prog, s.Report).MarshalIndentJSON()
+}
+
+// fits rejects a snapshot that cannot belong to prog: a CRC-valid
+// checkpoint written for another build of the program names
+// instructions this one does not have, and restoring or rendering it
+// would index past the program. Every instruction ID the snapshot
+// carries must lie in prog, and sigma must not be negative.
+func (s *CampaignSnapshot) fits(prog *ir.Program) error {
+	if s.Report == nil {
+		return fmt.Errorf("gist: checkpoint has no failure report")
+	}
+	if s.Sigma < 0 {
+		return fmt.Errorf("gist: checkpoint sigma %d is negative", s.Sigma)
+	}
+	ids := append([]int{s.Report.InstrID}, s.Report.OtherPCs...)
+	ids = append(ids, s.Added...)
+	if s.Sketch != nil {
+		ids = append(ids, s.Sketch.AddedByRefinement...)
+		for _, ranked := range [][]Ranked{s.Sketch.Predictors, s.Sketch.AllRanked} {
+			for _, r := range ranked {
+				ids = append(ids, r.InstrIDs...)
+			}
+		}
+	}
+	for _, id := range ids {
+		if id < 0 || id >= len(prog.Instrs) {
+			return fmt.Errorf("gist: checkpoint names instruction %d; %s has %d", id, prog.Name, len(prog.Instrs))
+		}
+	}
+	return nil
 }
 
 // Encode renders the snapshot as indented JSON with a trailing newline.
@@ -714,8 +736,8 @@ func RestoreCampaign(c Config, snap *CampaignSnapshot) (*Campaign, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if snap.Report == nil {
-		return nil, fmt.Errorf("gist: checkpoint has no failure report")
+	if err := snap.fits(c.Prog); err != nil {
+		return nil, err
 	}
 	c = c.withDefaults()
 	camp := &Campaign{cfg: c, label: c.Label, report: snap.Report}

@@ -106,9 +106,8 @@ func ExtractPredicates(prog *ir.Program, rt *RunTrace) map[string]Predictor {
 		rng, sym := rangeClass(tr.Val)
 		// Range predictors deliberately carry no Value: the pattern is the
 		// class, and stamping whichever concrete value happened to
-		// introduce the key would make the metadata depend on observation
-		// order (batch iterates failing-then-successful; streaming sees
-		// admission order).
+		// introduce the key would make the metadata depend on the order
+		// the runs are ranked in.
 		r := Predictor{
 			Kind:     PredValue,
 			Key:      fmt.Sprintf("rng:%d:%s", tr.InstrID, rng),
@@ -205,80 +204,13 @@ func describeAccess(prog *ir.Program, id int) string {
 	return in.Pos.String()
 }
 
-// PredictorAccum accumulates predictor statistics one run at a time —
-// the streaming form of RankPredictors. Each observed run's predicate
-// set is extracted once, at admission, and folded into per-predictor
-// contingency counters (internal/stats.Online); Ranked then reads the
-// counters instead of recomputing them from the retained populations.
-// Feeding the same runs in the same failing/successful split yields a
-// ranking byte-identical to the batch computation: precision, recall,
-// and F are pure functions of the same three integers, and the sort is
-// the same. predict_test.go diffs the two on random trace streams.
-//
-// Not safe for concurrent use; the campaign admits runs strictly in
-// dispatch order already.
-type PredictorAccum struct {
-	prog   *ir.Program
-	beta   float64
-	online *stats.Online[string]
-	preds  map[string]Predictor
-}
-
-// NewPredictorAccum returns an empty accumulator for one program.
-func NewPredictorAccum(prog *ir.Program, beta float64) *PredictorAccum {
-	return &PredictorAccum{
-		prog:   prog,
-		beta:   beta,
-		online: stats.NewOnline[string](),
-		preds:  make(map[string]Predictor),
-	}
-}
-
-// Observe folds one admitted run into the counters. failing says which
-// population the run belongs to (the caller has already matched the
-// failure identity and applied trap filtering, exactly as it would
-// before batch ranking).
-func (a *PredictorAccum) Observe(rt *RunTrace, failing bool) {
-	set := ExtractPredicates(a.prog, rt)
-	keys := make([]string, 0, len(set))
-	for key, p := range set {
-		if _, ok := a.preds[key]; !ok {
-			a.preds[key] = p
-		}
-		keys = append(keys, key)
-	}
-	a.online.Observe(failing, keys)
-}
-
-// TotalFail returns the failing runs observed so far.
-func (a *PredictorAccum) TotalFail() int { return a.online.TotalFail() }
-
-// Ranked returns the ranking over everything observed so far, sorted by
-// descending F with ties broken by key — the same order RankPredictors
-// produces over the same runs.
-func (a *PredictorAccum) Ranked() []Ranked {
-	var out []Ranked
-	for key, pred := range a.preds {
-		c := a.online.Counts(key)
-		p, r, f := c.PRF(a.beta)
-		out = append(out, Ranked{Predictor: pred, Fail: c.Fail, Succ: c.Succ, P: p, R: r, F: f})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].F != out[j].F {
-			return out[i].F > out[j].F
-		}
-		return out[i].Key < out[j].Key
-	})
-	return out
-}
-
 // RankPredictors aggregates per-run predicate sets and ranks every
 // predictor by its F-measure with the given beta (the paper uses β=0.5 to
 // favor precision). Results are sorted by descending F, ties broken by
-// key for determinism. This is the batch recomputation the streaming
-// PredictorAccum is proven equal to; the campaign itself ranks from the
-// accumulator, and this form remains for one-shot callers and as the
-// differential-test oracle.
+// key for determinism. Campaign.Rank calls it once per iteration over
+// the populations the iteration admitted. Every predictor's metadata is
+// a function of its key, so the output does not depend on the order the
+// runs arrived in.
 func RankPredictors(prog *ir.Program, failing, successful []*RunTrace, beta float64) []Ranked {
 	type agg struct {
 		p    Predictor

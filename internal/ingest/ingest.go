@@ -4,11 +4,10 @@
 // failure report is reduced to its failure signature
 // (vm.FailureReport.ID(): bug class + failing PC + stack + other
 // blocked PCs); the first report of a signature launches one campaign,
-// every recurrence folds into that campaign's cluster as incremental
-// evidence instead of spawning a duplicate diagnosis. Lumos-style
-// online operation (PAPERS.md): statistics update as reports stream in,
-// and finished sketches are served from a size-bounded LRU cache so
-// server memory stays flat under sustained load.
+// and every recurrence only counts against that signature's cluster
+// instead of spawning a duplicate diagnosis — nothing it carries reaches
+// the running campaign. Finished sketches are served from a size-bounded
+// LRU cache so server memory stays flat under sustained load.
 package ingest
 
 import (
@@ -46,8 +45,6 @@ type Decision struct {
 	Novel bool
 	// Reports is the cluster's recurrence count including this report.
 	Reports int
-	// Seq is the global ingest sequence number of this report (1-based).
-	Seq uint64
 }
 
 // FailureCluster groups production failures that share a failure identity
@@ -73,16 +70,6 @@ func (c *FailureCluster) Admit(seed int64, maxSeeds int) {
 	}
 }
 
-// Evidence is the accumulated state of one signature's report stream:
-// the cluster plus ingest-order bookkeeping. No wall-clock time —
-// determinism.
-type Evidence struct {
-	FailureCluster
-	// FirstSeq/LastSeq are the ingest sequence numbers of the first and
-	// latest report of this signature.
-	FirstSeq, LastSeq uint64
-}
-
 // Stats summarizes a frontend's traffic.
 type Stats struct {
 	// Reports is every ingested report; Novel of them launched
@@ -95,8 +82,8 @@ type Stats struct {
 // Novel for a given key no matter how submits interleave.
 type Frontend struct {
 	mu       sync.Mutex
-	seq      uint64
-	sigs     map[Key]*Evidence
+	reports  uint64
+	sigs     map[Key]*FailureCluster
 	maxSeeds int
 }
 
@@ -106,7 +93,7 @@ func NewFrontend(maxSeeds int) *Frontend {
 	if maxSeeds == 0 {
 		maxSeeds = 16
 	}
-	return &Frontend{sigs: make(map[Key]*Evidence), maxSeeds: maxSeeds}
+	return &Frontend{sigs: make(map[Key]*FailureCluster), maxSeeds: maxSeeds}
 }
 
 // Ingest folds one report into the stream and decides its fate:
@@ -116,19 +103,15 @@ func (f *Frontend) Ingest(tenant, bug string, report *vm.FailureReport, seed int
 	key := Key{Tenant: tenant, Bug: bug, Sig: Signature(report)}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.seq++
-	ev := f.sigs[key]
-	novel := ev == nil
+	f.reports++
+	cl := f.sigs[key]
+	novel := cl == nil
 	if novel {
-		ev = &Evidence{
-			FailureCluster: FailureCluster{ID: key.Sig, Report: report},
-			FirstSeq:       f.seq,
-		}
-		f.sigs[key] = ev
+		cl = &FailureCluster{ID: key.Sig, Report: report}
+		f.sigs[key] = cl
 	}
-	ev.Admit(seed, f.maxSeeds)
-	ev.LastSeq = f.seq
-	return Decision{Key: key, Novel: novel, Reports: ev.Count, Seq: f.seq}
+	cl.Admit(seed, f.maxSeeds)
+	return Decision{Key: key, Novel: novel, Reports: cl.Count}
 }
 
 // Known reports whether a (tenant, bug, signature) stream is already
@@ -143,17 +126,17 @@ func (f *Frontend) Known(tenant, bug string, report *vm.FailureReport) bool {
 	return f.sigs[key] != nil
 }
 
-// Evidence returns a copy of the accumulated evidence for a key, or nil
-// if the key has never been seen.
-func (f *Frontend) Evidence(key Key) *Evidence {
+// Evidence returns a copy of a key's cluster, or nil if the key has
+// never been seen.
+func (f *Frontend) Evidence(key Key) *FailureCluster {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ev := f.sigs[key]
-	if ev == nil {
+	cl := f.sigs[key]
+	if cl == nil {
 		return nil
 	}
-	cp := *ev
-	cp.Seeds = append([]int64(nil), ev.Seeds...)
+	cp := *cl
+	cp.Seeds = append([]int64(nil), cl.Seeds...)
 	return &cp
 }
 
@@ -161,7 +144,7 @@ func (f *Frontend) Evidence(key Key) *Evidence {
 func (f *Frontend) Stats() Stats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s := Stats{Reports: f.seq, Novel: uint64(len(f.sigs))}
+	s := Stats{Reports: f.reports, Novel: uint64(len(f.sigs))}
 	s.Folded = s.Reports - s.Novel
 	return s
 }
@@ -245,18 +228,6 @@ func (c *SketchCache) Put(key string, sketch []byte) {
 		delete(c.entries, ent.key)
 		c.bytes -= int64(len(ent.sketch))
 		c.stats.Evictions++
-	}
-}
-
-// Remove drops a key if present.
-func (c *SketchCache) Remove(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el := c.entries[key]; el != nil {
-		ent := el.Value.(*cacheEntry)
-		c.order.Remove(el)
-		delete(c.entries, ent.key)
-		c.bytes -= int64(len(ent.sketch))
 	}
 }
 

@@ -19,7 +19,7 @@ func TestFrontendDedup(t *testing.T) {
 	f := NewFrontend(4)
 
 	d1 := f.Ingest("acme", "crash", report(10), 1)
-	if !d1.Novel || d1.Reports != 1 || d1.Seq != 1 {
+	if !d1.Novel || d1.Reports != 1 {
 		t.Fatalf("first report: %+v", d1)
 	}
 	d2 := f.Ingest("acme", "crash", report(10), 2)
@@ -56,7 +56,7 @@ func TestFrontendDedup(t *testing.T) {
 	}
 
 	ev := f.Evidence(d1.Key)
-	if ev == nil || ev.Count != 2 || len(ev.Seeds) != 2 || ev.FirstSeq != 1 || ev.LastSeq != 2 {
+	if ev == nil || ev.Count != 2 || len(ev.Seeds) != 2 {
 		t.Fatalf("evidence: %+v", ev)
 	}
 	if f.Evidence(Key{Tenant: "nobody"}) != nil {
@@ -80,9 +80,9 @@ func TestFrontendSeedCap(t *testing.T) {
 
 // TestFrontendConcurrentExactlyOnce hammers one frontend from many
 // goroutines and checks the property the submit path depends on: for
-// every signature exactly one caller sees Novel, counts are exact, and
-// sequence numbers are unique — regardless of interleaving. Run under
-// -race like the rest of the determinism suites.
+// every signature exactly one caller sees Novel and counts are exact —
+// regardless of interleaving. Run under -race like the rest of the
+// determinism suites.
 func TestFrontendConcurrentExactlyOnce(t *testing.T) {
 	const (
 		workers = 8
@@ -92,7 +92,6 @@ func TestFrontendConcurrentExactlyOnce(t *testing.T) {
 	f := NewFrontend(0)
 	var mu sync.Mutex
 	novel := make(map[Key]int)
-	seqs := make(map[uint64]bool)
 
 	// Fan a fixed multiset of submissions over the workers; which worker
 	// ingests which report is up to the scheduler.
@@ -123,10 +122,6 @@ func TestFrontendConcurrentExactlyOnce(t *testing.T) {
 				if d.Novel {
 					novel[d.Key]++
 				}
-				if seqs[d.Seq] {
-					t.Errorf("duplicate seq %d", d.Seq)
-				}
-				seqs[d.Seq] = true
 				mu.Unlock()
 			}
 		}()
@@ -189,14 +184,6 @@ func TestSketchCacheLRU(t *testing.T) {
 	}
 	if st := c.Stats(); st.Entries != 2 {
 		t.Fatalf("oversized Put disturbed the cache: %+v", st)
-	}
-
-	c.Remove("a")
-	if c.Get("a") != nil {
-		t.Fatal("removed key still cached")
-	}
-	if st := c.Stats(); st.Bytes != 4 || st.Entries != 1 {
-		t.Fatalf("after remove: %+v", st)
 	}
 }
 

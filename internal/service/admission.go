@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"math"
 	"net/http"
 	"time"
 )
@@ -33,15 +32,10 @@ type tokenBucket struct {
 	last   time.Time // last refill instant; zero before first take
 }
 
-// newTokenBucket returns a full bucket.
+// newTokenBucket returns a full bucket. burst is Options.TenantBurst,
+// which withDefaults has already derived from the rate when unset.
 func newTokenBucket(rate float64, burst int) *tokenBucket {
 	b := float64(burst)
-	if b < 1 {
-		b = math.Ceil(2 * rate)
-		if b < 1 {
-			b = 1
-		}
-	}
 	return &tokenBucket{rate: rate, burst: b, tokens: b}
 }
 

@@ -204,3 +204,80 @@ func TestRetireSlotStopsSteppingAndMarksReleased(t *testing.T) {
 		t.Fatalf("RetireSlot must not read as a breaker trip")
 	}
 }
+
+// TestResumeQuarantinesCheckpointForAnotherProgram: a generation whose
+// frame and payload are intact but which names instructions the
+// program does not have — left by a build whose bug program has since
+// changed — is quarantined like a corrupt one, and the valid older
+// generation resumes byte-identically. Restoring it would index past
+// the program, in RestoreCampaign or in the first Plan.
+func TestResumeQuarantinesCheckpointForAnotherProgram(t *testing.T) {
+	fx := prepare(t, []string{"pbzip2"})[0]
+	first := supervise.New(core.NewPool(1), supervise.Config{})
+	camp, err := core.NewCampaign(fx.cfg, fx.report, fx.disc)
+	if err != nil {
+		t.Fatalf("NewCampaign: %v", err)
+	}
+	b := store.NewMemBackend()
+	if _, err := first.Add(fx.cfg, camp, openStore(t, b, fx.name)); err != nil {
+		t.Fatalf("Add: %v", err)
+	}
+	for r := 0; r < 2; r++ {
+		if first.RunRound() == 0 {
+			t.Fatalf("campaign finished too early for the test to bite")
+		}
+	}
+	valid := openStore(t, b, fx.name).Latest().Payload
+	past := len(fx.cfg.Prog.Instrs)
+
+	for _, tc := range []struct {
+		name   string
+		mutate func(s *core.CampaignSnapshot)
+	}{
+		{"report instruction", func(s *core.CampaignSnapshot) { s.Report.InstrID = 1 << 20 }},
+		{"deadlock participant", func(s *core.CampaignSnapshot) { s.Report.OtherPCs = append(s.Report.OtherPCs, past) }},
+		{"refinement", func(s *core.CampaignSnapshot) { s.Added = append(s.Added, past) }},
+		{"sketch refinement", func(s *core.CampaignSnapshot) { s.Sketch.AddedByRefinement = append(s.Sketch.AddedByRefinement, past) }},
+		{"sketch predictor", func(s *core.CampaignSnapshot) { s.Sketch.AllRanked[0].InstrIDs = []int{-1} }},
+		{"negative sigma", func(s *core.CampaignSnapshot) { s.Sigma = -3 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap, err := core.DecodeCampaignSnapshot(valid)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if snap.Sketch == nil || len(snap.Sketch.AllRanked) == 0 {
+				t.Fatalf("generation after two rounds carries no ranked sketch")
+			}
+			tc.mutate(snap)
+			snap.ReportID = "" // the identity check is not what this test probes
+			bad, err := snap.Encode()
+			if err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			if _, err := snap.RenderSketchJSON(fx.cfg.Prog); err == nil {
+				t.Errorf("RenderSketchJSON accepted the foreign snapshot")
+			}
+
+			b := store.NewMemBackend()
+			seed := openStore(t, b, fx.name)
+			for _, payload := range [][]byte{valid, bad} {
+				if _, err := seed.Save(payload); err != nil {
+					t.Fatalf("Save: %v", err)
+				}
+			}
+			st := openStore(t, b, fx.name)
+			camp, err := supervise.Resume(fx.cfg, st)
+			if err != nil {
+				t.Fatalf("Resume: %v", err)
+			}
+			if qs := st.Quarantined(); len(qs) != 1 {
+				t.Fatalf("%d generations quarantined, want the foreign one", len(qs))
+			}
+			res, err := camp.Run()
+			if got := fingerprint(res, err); got != fx.serial {
+				t.Errorf("resumed diagnosis diverged from serial baseline")
+			}
+		})
+	}
+}
