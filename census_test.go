@@ -250,3 +250,110 @@ func (l *censusLoader) Import(imp string) (*types.Package, error) {
 	std.MarkComplete()
 	return std, nil
 }
+
+// censusExportSeams are the exported functions and methods, or whole
+// packages, that may stay exported with no production caller outside
+// their package. Each entry says why; an entry that no longer excuses
+// anything fails the census too.
+var censusExportSeams = map[string]string{
+	"vm/interp":          "the reference interpreter is the oracle the differential suites check the bytecode engine against; CI lets only tests import it",
+	"lang/ast.PrintFile": "prints a parsed program back to MiniC, the way a metamorphic check rewrites a bug program and parses it again",
+}
+
+// censusStdMethods are the method names through which a standard-library
+// interface calls a module type: fmt.Stringer, error, http.RoundTripper
+// and http.ResponseWriter. The loader stubs the standard library, so
+// these interfaces cannot be checked with types.Implements.
+var censusStdMethods = map[string]bool{
+	"String": true, "Error": true, "RoundTrip": true,
+	"Header": true, "Write": true, "WriteHeader": true,
+}
+
+// TestExportCensus lists every exported function and method under
+// internal/ that no non-test file outside its package names, that
+// implements no interface, and that is no listed seam. Such a name is
+// either production code only tests call, which goes, or a helper of
+// its own package, which should not be exported.
+func TestExportCensus(t *testing.T) {
+	pkgs := newCensusLoader(t).setters()
+
+	used := map[types.Object]bool{}
+	var ifaces []*types.Interface
+	for _, p := range pkgs {
+		for _, obj := range p.info.Uses {
+			if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil && fn.Pkg() != p.pkg {
+				used[fn.Origin()] = true
+			}
+		}
+		for _, obj := range p.info.Defs {
+			if tn, ok := obj.(*types.TypeName); ok {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+					ifaces = append(ifaces, it)
+				}
+			}
+		}
+	}
+	implements := func(fn *types.Func, recv types.Type) bool {
+		if censusStdMethods[fn.Name()] {
+			return true
+		}
+		for _, it := range ifaces {
+			if m, _, _ := types.LookupFieldOrMethod(it, false, nil, fn.Name()); m != nil &&
+				(types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it)) {
+				return true
+			}
+		}
+		return false
+	}
+
+	const internal = censusModule + "/internal/"
+	var unused []string
+	excused := map[string]bool{}
+	for _, p := range pkgs {
+		rel, ok := strings.CutPrefix(p.path, internal)
+		if !ok {
+			continue
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				fn, ok := p.info.Defs[fd.Name].(*types.Func)
+				if !ok || used[fn] {
+					continue
+				}
+				name := rel + "." + fn.Name()
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+					typ := recv.Type()
+					if ptr, ok := typ.(*types.Pointer); ok {
+						typ = ptr.Elem()
+					}
+					if implements(fn, typ) {
+						continue
+					}
+					name = rel + "." + typ.(*types.Named).Obj().Name() + "." + fn.Name()
+				}
+				switch {
+				case censusExportSeams[rel] != "":
+					excused[rel] = true
+				case censusExportSeams[name] != "":
+					excused[name] = true
+				default:
+					unused = append(unused, name)
+				}
+			}
+		}
+	}
+	sort.Strings(unused)
+	if len(unused) > 0 {
+		t.Errorf("%d exported functions and methods have no production caller outside their package; delete what only tests call, unexport the rest:\n\t%s",
+			len(unused), strings.Join(unused, "\n\t"))
+	}
+	for seam := range censusExportSeams {
+		if !excused[seam] {
+			t.Errorf("censusExportSeams[%q] excuses nothing; remove it", seam)
+		}
+	}
+}

@@ -72,8 +72,8 @@ func parseDiagnose(fs *flag.FlagSet, args []string) (*diagnoseConfig, error) {
 	if err := parseArgs(fs, args); err != nil {
 		return nil, err
 	}
-	// Flag-named checks; core.Config.Validate, which every library entry
-	// point runs, names fields and takes zero for "default".
+	// Flag-named checks; core's own Config validation, which every
+	// library entry point runs, names fields and takes zero for "default".
 	switch {
 	case c.bug == nil:
 		return nil, fmt.Errorf("-bug must name the bug to diagnose (see gist list)")

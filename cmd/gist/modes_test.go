@@ -57,10 +57,10 @@ func TestFlagsBindIntoOptions(t *testing.T) {
 
 	ag := mustParse(t, parseAgent, "-server http://h:1 -tenant t1 -agent-id ep -agent-poll 200ms -transport-fault-rate 0.3 -transport-fault-seed 7")
 	if ag.Server != "http://h:1" || ag.Tenant != "t1" || ag.ID != "ep" || ag.Poll != 200*time.Millisecond ||
-		ag.RPCDeadline != 30*time.Second || ag.Faults != faults.Transport(7, 0.3) {
+		ag.RPCDeadline != 30*time.Second || ag.Faults != (faults.Config{Seed: 7, TransportRate: 0.3}) {
 		t.Errorf("agent flags = %+v", ag)
 	}
-	if ag = mustParse(t, parseAgent, "-server http://h:1"); ag.Faults.Enabled() || !strings.HasPrefix(ag.ID, "agent-") {
+	if ag = mustParse(t, parseAgent, "-server http://h:1"); faults.NewInjector(ag.Faults) != nil || !strings.HasPrefix(ag.ID, "agent-") {
 		t.Errorf("agent defaults = %+v", ag)
 	}
 
@@ -68,7 +68,7 @@ func TestFlagsBindIntoOptions(t *testing.T) {
 	// the parent refused this line.
 	sb := mustParse(t, parseSubmit, "-server http://h:1 -bug pbzip2 -rpc-deadline 1s -deadline 2m")
 	if c := sb.client; c.BaseURL != "http://h:1" || c.Tenant != "default" || c.Actor != "submitter" || c.Deadline != time.Second ||
-		c.Faults.Enabled() || sb.bug != "pbzip2" || sb.deadline != 2*time.Minute {
+		faults.NewInjector(c.Faults) != nil || sb.bug != "pbzip2" || sb.deadline != 2*time.Minute {
 		t.Errorf("submit flags = %+v", sb)
 	}
 }

@@ -111,7 +111,7 @@ func TestBytecodeMemoized(t *testing.T) {
 	if hit1 || !hit2 {
 		t.Fatalf("want miss then hit, got hit1=%v hit2=%v", hit1, hit2)
 	}
-	if bp1.IR() != p {
+	if bp1.NumInstrs() != len(p.Instrs) {
 		t.Fatalf("Bytecode compiled the wrong program")
 	}
 	s := Snapshot()

@@ -78,10 +78,10 @@ func (b *Bug) Program() *ir.Program {
 	return b.prog
 }
 
-// MustLine returns the 1-based line number of the unique source line
+// mustLine returns the 1-based line number of the unique source line
 // containing frag; it panics if frag is absent or ambiguous, so stale
 // ideal-sketch definitions fail loudly.
-func (b *Bug) MustLine(frag string) int {
+func (b *Bug) mustLine(frag string) int {
 	line := 0
 	for i, l := range strings.Split(b.Source, "\n") {
 		if strings.Contains(l, frag) {
@@ -101,10 +101,10 @@ func (b *Bug) MustLine(frag string) int {
 func (b *Bug) Ideal() core.IdealSketch {
 	ideal := core.IdealSketch{}
 	for _, frag := range b.IdealLines {
-		ideal.Lines = append(ideal.Lines, b.MustLine(frag))
+		ideal.Lines = append(ideal.Lines, b.mustLine(frag))
 	}
 	for _, pair := range b.IdealOrder {
-		ideal.Order = append(ideal.Order, [2]int{b.MustLine(pair[0]), b.MustLine(pair[1])})
+		ideal.Order = append(ideal.Order, [2]int{b.mustLine(pair[0]), b.mustLine(pair[1])})
 	}
 	return ideal
 }
@@ -154,16 +154,6 @@ func (b *Bug) GistConfig() core.Config {
 	return cfg
 }
 
-// FaultOK reports whether kind is an expected failure of this bug.
-func (b *Bug) FaultOK(kind vm.FaultKind) bool {
-	for _, k := range b.FaultKinds {
-		if k == kind {
-			return true
-		}
-	}
-	return false
-}
-
 var registry []*Bug
 
 func register(b *Bug) *Bug {
@@ -197,15 +187,6 @@ func ConfigFor(name string) (core.Config, error) {
 		return core.Config{}, fmt.Errorf("unknown bug %q", name)
 	}
 	return b.GistConfig(), nil
-}
-
-// Names returns all bug names in Table 1 order.
-func Names() []string {
-	var names []string
-	for _, b := range All() {
-		names = append(names, b.Name)
-	}
-	return names
 }
 
 var tableRows = []string{

@@ -1,11 +1,12 @@
 package bugs
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/vm"
-	"repro/internal/vm/interp"
+	"repro/internal/vm/bytecode"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -29,9 +30,6 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if ByName("nope") != nil {
 		t.Error("ByName of unknown bug should be nil")
-	}
-	if len(Names()) != 12 {
-		t.Error("Names() incomplete")
 	}
 }
 
@@ -96,7 +94,7 @@ func TestMustLinePanicsOnBadFragment(t *testing.T) {
 			t.Error("MustLine should panic on unknown fragment")
 		}
 	}()
-	b.MustLine("no such line anywhere")
+	b.mustLine("no such line anywhere")
 }
 
 // TestEachBugHasBothOutcomes verifies the production population: every bug
@@ -106,7 +104,7 @@ func TestEachBugHasBothOutcomes(t *testing.T) {
 	for _, b := range All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			t.Parallel() // 120 interpreter runs of the bug's own program
+			t.Parallel() // 120 runs of the bug's own program
 			p := b.Program()
 			pm := b.PreemptMean
 			if pm == 0 {
@@ -118,10 +116,10 @@ func TestEachBugHasBothOutcomes(t *testing.T) {
 				if len(b.Workloads) > 0 {
 					wl = b.Workloads[int(seed)%len(b.Workloads)]
 				}
-				out := interp.Run(p, vm.Config{Seed: seed, PreemptMean: pm, Workload: wl, MaxSteps: 300_000})
+				out := bytecode.RunProgram(p, vm.Config{Seed: seed, PreemptMean: pm, Workload: wl, MaxSteps: 300_000})
 				if out.Failed {
 					fails++
-					if !b.FaultOK(out.Report.Kind) {
+					if !slices.Contains(b.FaultKinds, out.Report.Kind) {
 						t.Fatalf("unexpected fault %v at %s", out.Report.Kind, out.Report.Pos)
 					}
 				} else {
@@ -154,7 +152,7 @@ func TestGistDiagnosesEveryBug(t *testing.T) {
 				t.Fatalf("gist: %v", err)
 			}
 			sk := res.Sketch
-			if !b.FaultOK(sk.Report.Kind) {
+			if !slices.Contains(b.FaultKinds, sk.Report.Kind) {
 				t.Errorf("diagnosed wrong fault kind %v", sk.Report.Kind)
 			}
 			if !sk.Steps[len(sk.Steps)-1].IsFailure {

@@ -16,8 +16,8 @@ type DomTree struct {
 	rpo  []int // rpo[block ID] = reverse-postorder number
 }
 
-// Dominators computes the dominator tree of f.
-func Dominators(f *ir.Func) *DomTree {
+// dominators computes the dominator tree of f.
+func dominators(f *ir.Func) *DomTree {
 	order := postorder(f.Entry(), func(b *ir.Block) []*ir.Block { return b.Succs() })
 	return &DomTree{fn: f, idom: buildIdom(len(f.Blocks), order, blockPreds)}
 }
@@ -104,18 +104,8 @@ func buildIdom(numBlocks int, order []*ir.Block, preds func(*ir.Block) []*ir.Blo
 	return idom
 }
 
-// IDom returns the immediate dominator of b, or nil for the entry block
-// and unreachable blocks.
-func (d *DomTree) IDom(b *ir.Block) *ir.Block {
-	id := d.idom[b.ID]
-	if id == -1 || id == b.ID {
-		return nil
-	}
-	return d.fn.Blocks[id]
-}
-
-// Dominates reports whether a dominates b (reflexively).
-func (d *DomTree) Dominates(a, b *ir.Block) bool {
+// dominates reports whether a dominates b (reflexively).
+func (d *DomTree) dominates(a, b *ir.Block) bool {
 	if d.idom[b.ID] == -1 && b.ID != d.fn.Entry().ID {
 		return false // b unreachable
 	}
@@ -131,9 +121,9 @@ func (d *DomTree) Dominates(a, b *ir.Block) bool {
 	}
 }
 
-// StrictlyDominates reports whether a dominates b and a != b.
-func (d *DomTree) StrictlyDominates(a, b *ir.Block) bool {
-	return a != b && d.Dominates(a, b)
+// strictlyDominates reports whether a dominates b and a != b.
+func (d *DomTree) strictlyDominates(a, b *ir.Block) bool {
+	return a != b && d.dominates(a, b)
 }
 
 // InstrSDom reports whether instruction a strictly dominates instruction b
@@ -146,7 +136,7 @@ func (d *DomTree) InstrSDom(a, b *ir.Instr) bool {
 	if a.Blk == b.Blk {
 		return a.Idx < b.Idx
 	}
-	return d.StrictlyDominates(a.Blk, b.Blk)
+	return d.strictlyDominates(a.Blk, b.Blk)
 }
 
 // PostDomTree is a postdominator tree for one function, computed on the
@@ -156,8 +146,8 @@ type PostDomTree struct {
 	ipdom []int // ipdom[block ID] = immediate postdominator; -1 = virtual exit or unreachable
 }
 
-// PostDominators computes the postdominator tree of f.
-func PostDominators(f *ir.Func) *PostDomTree {
+// postDominators computes the postdominator tree of f.
+func postDominators(f *ir.Func) *PostDomTree {
 	n := len(f.Blocks)
 	// Virtual exit is node n. Build reverse graph adjacency.
 	succs := make([][]int, n+1)
@@ -256,18 +246,4 @@ func (p *PostDomTree) IPDom(b *ir.Block) *ir.Block {
 		return nil
 	}
 	return p.fn.Blocks[id]
-}
-
-// PostDominates reports whether a postdominates b (reflexively).
-func (p *PostDomTree) PostDominates(a, b *ir.Block) bool {
-	for {
-		if a.ID == b.ID {
-			return true
-		}
-		next := p.ipdom[b.ID]
-		if next == -1 {
-			return false
-		}
-		b = p.fn.Blocks[next]
-	}
 }

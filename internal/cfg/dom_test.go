@@ -28,14 +28,14 @@ int main() {
 func TestDominatorsDiamond(t *testing.T) {
 	p := compile(t, diamond)
 	f := p.FuncByName["main"]
-	d := Dominators(f)
+	d := dominators(f)
 	entry := f.Entry()
 	// Entry dominates every reachable block.
 	for _, b := range f.Blocks {
 		if len(b.Preds) == 0 && b != entry {
 			continue // unreachable filler
 		}
-		if !d.Dominates(entry, b) {
+		if !d.dominates(entry, b) {
 			t.Errorf("entry should dominate bb%d", b.ID)
 		}
 	}
@@ -60,21 +60,21 @@ func TestDominatorsDiamond(t *testing.T) {
 	if join == nil {
 		t.Fatal("no join block")
 	}
-	if d.Dominates(thenB, join) || d.Dominates(elseB, join) {
+	if d.dominates(thenB, join) || d.dominates(elseB, join) {
 		t.Error("branch arms must not dominate the join")
 	}
-	if !d.Dominates(branch, join) {
+	if !d.dominates(branch, join) {
 		t.Error("branch block must dominate the join")
 	}
-	if id := d.IDom(join); id == nil || !d.Dominates(branch, id) {
-		t.Errorf("idom(join) = %v", id)
+	if id := d.idom[join.ID]; id == -1 || id == join.ID || !d.dominates(branch, f.Blocks[id]) {
+		t.Errorf("idom(join) = bb%d", id)
 	}
 }
 
 func TestPostDominatorsDiamond(t *testing.T) {
 	p := compile(t, diamond)
 	f := p.FuncByName["main"]
-	pd := PostDominators(f)
+	pd := postDominators(f)
 	var branch, join *ir.Block
 	for _, b := range f.Blocks {
 		if tm := b.Terminator(); tm != nil && tm.Op == ir.OpBr {
@@ -84,7 +84,7 @@ func TestPostDominatorsDiamond(t *testing.T) {
 			join = b
 		}
 	}
-	if !pd.PostDominates(join, branch) {
+	if !postDominates(pd, join, branch) {
 		t.Error("join must postdominate the branch")
 	}
 	if got := pd.IPDom(branch); got != join {
@@ -103,7 +103,7 @@ func TestPostDominatorsDiamond(t *testing.T) {
 func TestInstrSDomSameBlock(t *testing.T) {
 	p := compile(t, "int main() { int a = 1; int b = 2; return a + b; }")
 	f := p.FuncByName["main"]
-	d := Dominators(f)
+	d := dominators(f)
 	blk := f.Entry()
 	if len(blk.Instrs) < 3 {
 		t.Fatal("expected several instructions in entry")
@@ -128,8 +128,8 @@ int main() {
 	return s;
 }`)
 	f := p.FuncByName["main"]
-	d := Dominators(f)
-	pd := PostDominators(f)
+	d := dominators(f)
+	pd := postDominators(f)
 	// The loop condition block dominates the body and the exit.
 	var cond *ir.Block
 	for _, b := range f.Blocks {
@@ -141,7 +141,7 @@ int main() {
 		t.Fatal("no loop condition block found")
 	}
 	for _, s := range cond.Succs() {
-		if !d.Dominates(cond, s) {
+		if !d.dominates(cond, s) {
 			t.Errorf("loop condition should dominate successor bb%d", s.ID)
 		}
 	}
@@ -149,7 +149,7 @@ int main() {
 	tm := cond.Terminator()
 	if tm.Op == ir.OpBr {
 		exit := tm.Else
-		if !pd.PostDominates(exit, cond) {
+		if !postDominates(pd, exit, cond) {
 			t.Error("loop exit should postdominate the condition")
 		}
 	}
@@ -161,23 +161,23 @@ int main() {
 func randomCFG(rng *rand.Rand, nBlocks int) *ir.Func {
 	f := &ir.Func{Name: "rand"}
 	for i := 0; i < nBlocks; i++ {
-		f.NewBlock()
+		f.Blocks = append(f.Blocks, &ir.Block{ID: i, Fn: f})
 	}
 	for i, b := range f.Blocks {
 		switch rng.Intn(3) {
 		case 0: // ret
-			b.Instrs = append(b.Instrs, &ir.Instr{Op: ir.OpRet, Dst: -1, A: ir.ConstInt(0)})
+			b.Instrs = append(b.Instrs, &ir.Instr{Op: ir.OpRet, Dst: -1, A: ir.Value{Kind: ir.ValConst}})
 		case 1: // jmp
 			t := f.Blocks[rng.Intn(nBlocks)]
 			b.Instrs = append(b.Instrs, &ir.Instr{Op: ir.OpJmp, Dst: -1, Then: t})
 		default: // br
 			t1 := f.Blocks[rng.Intn(nBlocks)]
 			t2 := f.Blocks[rng.Intn(nBlocks)]
-			b.Instrs = append(b.Instrs, &ir.Instr{Op: ir.OpBr, Dst: -1, A: ir.Reg(0), Then: t1, Else: t2})
+			b.Instrs = append(b.Instrs, &ir.Instr{Op: ir.OpBr, Dst: -1, A: ir.Value{Kind: ir.ValReg}, Then: t1, Else: t2})
 		}
 		_ = i
 	}
-	// Fill preds like Program.Finalize does.
+	// Fill preds the way the IR builder does.
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs() {
 			s.Preds = append(s.Preds, b)
@@ -236,14 +236,14 @@ func TestDominatorsMatchBruteForce(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		fn := randomCFG(rng, 2+rng.Intn(7))
 		reach := reachable(fn)
-		d := Dominators(fn)
+		d := dominators(fn)
 		for _, a := range fn.Blocks {
 			for _, b := range fn.Blocks {
 				if !reach[a] || !reach[b] {
 					continue
 				}
 				want := dominatesBrute(fn, a, b)
-				got := d.Dominates(a, b)
+				got := d.dominates(a, b)
 				if got != want {
 					t.Logf("seed %d: dom(bb%d, bb%d) = %v, want %v", seed, a.ID, b.ID, got, want)
 					return false
@@ -263,7 +263,7 @@ func TestIPDomIsPostDominator(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		fn := randomCFG(rng, 2+rng.Intn(7))
 		reach := reachable(fn)
-		pd := PostDominators(fn)
+		pd := postDominators(fn)
 		for _, b := range fn.Blocks {
 			if !reach[b] {
 				continue
@@ -275,7 +275,7 @@ func TestIPDomIsPostDominator(t *testing.T) {
 			if ip == b {
 				return false
 			}
-			if !pd.PostDominates(ip, b) {
+			if !postDominates(pd, ip, b) {
 				return false
 			}
 		}
@@ -284,4 +284,15 @@ func TestIPDomIsPostDominator(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// postDominates reports whether a postdominates b (reflexively), by
+// walking b's immediate-postdominator chain the way the slicer does.
+func postDominates(pd *PostDomTree, a, b *ir.Block) bool {
+	for ; b != nil; b = pd.IPDom(b) {
+		if a == b {
+			return true
+		}
+	}
+	return false
 }

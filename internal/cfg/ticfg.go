@@ -80,23 +80,10 @@ func BuildTICFG(p *ir.Program) *TICFG {
 		}
 	}
 	for _, f := range p.Funcs {
-		g.Dom[f] = Dominators(f)
-		g.PDom[f] = PostDominators(f)
+		g.Dom[f] = dominators(f)
+		g.PDom[f] = postDominators(f)
 	}
 	return g
-}
-
-// RetValues returns the operands that a call to f may return — the
-// getRetValues step of Algorithm 1 (intraprocedural: collect the returned
-// operands of every ret in f).
-func (g *TICFG) RetValues(f *ir.Func) []ir.Value {
-	var vals []ir.Value
-	for _, ret := range g.Rets[f] {
-		if !ret.A.IsNil() {
-			vals = append(vals, ret.A)
-		}
-	}
-	return vals
 }
 
 // ArgValues returns, for parameter index argIdx of f, the operand passed

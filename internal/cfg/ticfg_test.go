@@ -68,9 +68,10 @@ func TestRetAndArgValues(t *testing.T) {
 	helper := p.FuncByName["helper"]
 	worker := p.FuncByName["worker"]
 
-	rets := g.RetValues(helper)
-	if len(rets) != 1 || rets[0].Kind != ir.ValReg {
-		t.Errorf("helper ret values: %v", rets)
+	// The slicer's getRetValues step reads the operands of Rets.
+	rets := g.Rets[helper]
+	if len(rets) != 1 || rets[0].A.Kind != ir.ValReg {
+		t.Errorf("helper rets: %v", rets)
 	}
 
 	// worker's parameter 0 receives the spawn payloads 1 and 2.

@@ -101,7 +101,7 @@ type iterState struct {
 // earlier, wasting the gap; checkpoints store the cursor explicitly, so
 // restored campaigns replay whatever cursor they were saved with.)
 func NewCampaign(c Config, report *vm.FailureReport, discRuns int) (*Campaign, error) {
-	if err := c.Validate(); err != nil {
+	if err := c.validate(); err != nil {
 		return nil, err
 	}
 	if report == nil {
@@ -249,14 +249,14 @@ func (c *Campaign) admit(job RunJob, rt *RunTrace) {
 		// those on addresses the tracked slice touches, the same set
 		// hardware watchpoints would have trapped on.
 		sl, windowSet := c.sl, st.windowSet
-		rt.FilterTraps(func(id int) bool { return sl.Contains(id) || windowSet[id] })
+		rt.filterTraps(func(id int) bool { return sl.Contains(id) || windowSet[id] })
 	}
 	c.overheads = append(c.overheads, rt.Meter.OverheadPct())
-	if rt.Failed() && rt.Outcome.Report.ID() == c.report.ID() {
+	if rt.Outcome.Failed && rt.Outcome.Report.ID() == c.report.ID() {
 		if len(st.failing) < failuresPerIter {
 			st.failing = append(st.failing, rt)
 		}
-	} else if !rt.Failed() {
+	} else if !rt.Outcome.Failed {
 		st.successful = append(st.successful, rt)
 	}
 }
@@ -390,7 +390,7 @@ func (c *Campaign) Rank() {
 		st.health.LowConfidenceIters++
 	}
 	sp := tel.StartSpan(telemetry.PhaseRank)
-	ranked := RankPredictors(cfg.Prog, st.failing, st.successful, cfg.Beta)
+	ranked := rankPredictors(cfg.Prog, st.failing, st.successful, cfg.Beta)
 	sp.End()
 	// Base the sketch on the best-instrumented failing run: under
 	// cooperative watchpoint partitioning, different failing runs
@@ -402,7 +402,7 @@ func (c *Campaign) Rank() {
 		}
 	}
 	sp = tel.StartSpan(telemetry.PhaseSketch)
-	sketch := BuildSketch(cfg.Title, st.plan, basis, ranked, c.added)
+	sketch := buildSketch(cfg.Title, st.plan, basis, ranked, c.added)
 	sp.End()
 	sketch.LowConfidence = lowConf
 	c.res.Sketch = sketch
@@ -733,7 +733,7 @@ func RestoreCampaign(c Config, snap *CampaignSnapshot) (*Campaign, error) {
 		return nil, fmt.Errorf("gist: checkpoint version %d not supported (this build reads version %d)",
 			snap.Version, CampaignSnapshotVersion)
 	}
-	if err := c.Validate(); err != nil {
+	if err := c.validate(); err != nil {
 		return nil, err
 	}
 	if err := snap.fits(c.Prog); err != nil {

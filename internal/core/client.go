@@ -66,9 +66,6 @@ type PTCore struct {
 	Wrapped bool   `json:"wrapped,omitempty"`
 }
 
-// Failed reports whether the traced run failed.
-func (rt *RunTrace) Failed() bool { return rt.Outcome.Failed }
-
 // RunInstrumented executes one production run under the plan's
 // instrumentation and collects the traces — the Gist client (Fig. 2,
 // steps 2 and 4) — on a perfectly reliable endpoint.
@@ -194,7 +191,7 @@ func RecordRun(plan *Plan, spec RunSpec, dec faults.Decision) *RunTrace {
 			tracer.Data(t.ID, in.ID, addr, val, size, in.Op == ir.OpStore, clock)
 		}
 		hooks.OnLoad, hooks.OnStore = data, data
-	} else if grp := plan.GroupOf(spec.EndpointID); plan.Feats.DataFlow && grp >= 0 {
+	} else if grp := plan.groupOf(spec.EndpointID); plan.Feats.DataFlow && grp >= 0 {
 		// Without watch groups nothing is ever armed, so no access can trap
 		// and the hooks stay nil.
 		var armedClass [watch.NumRegisters]bool
@@ -343,12 +340,12 @@ func (rt *RunTrace) applyTransitFaults(dec faults.Decision) {
 	}
 }
 
-// FilterTraps keeps only traps on addresses that some relevant
+// filterTraps keeps only traps on addresses that some relevant
 // instruction (per isRelevant) accessed in this run. The watchpoint unit
 // gives this behavior in hardware (only slice-armed addresses trap); the
 // extended-PT mode logs every shared access in traced regions, so the
 // server applies the same address-relevance filter in software.
-func (rt *RunTrace) FilterTraps(isRelevant func(instrID int) bool) {
+func (rt *RunTrace) filterTraps(isRelevant func(instrID int) bool) {
 	relevant := make(map[int64]bool)
 	for _, tr := range rt.Traps {
 		if isRelevant(tr.InstrID) {
@@ -364,10 +361,10 @@ func (rt *RunTrace) FilterTraps(isRelevant func(instrID int) bool) {
 	rt.Traps = kept
 }
 
-// BranchOutcomes returns each traced conditional branch's observed
+// branchOutcomes returns each traced conditional branch's observed
 // outcomes (a branch can take both arms in one run), straight from the
 // decoder's TNT consumption.
-func (rt *RunTrace) BranchOutcomes() map[int]map[bool]bool {
+func (rt *RunTrace) branchOutcomes() map[int]map[bool]bool {
 	out := make(map[int]map[bool]bool)
 	for _, obs := range rt.Branches {
 		for _, o := range obs {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cfg"
+	"repro/internal/cost"
 	"repro/internal/ir"
 	"repro/internal/vm"
 	"repro/internal/vm/interp"
@@ -59,7 +60,7 @@ func TestClientTracesOnlyPlannedRegions(t *testing.T) {
 	// 3-7) must not appear in decoded flow.
 	prog, plan := clientPlan(t, []int{10, 11, 12}, AllFeatures())
 	rt := RunInstrumented(plan, RunSpec{Seed: 3, MaxSteps: 100_000})
-	if rt.Failed() {
+	if rt.Outcome.Failed {
 		t.Fatalf("run failed: %v", rt.Outcome.Report)
 	}
 	if rt.DecodeErr != nil {
@@ -100,6 +101,7 @@ func TestClientStopLandsAfterOwnPackets(t *testing.T) {
 	if prog.Instrs[last].Op != ir.OpBr || plan.stepFlags[last]&planStopAfter == 0 {
 		t.Fatalf("test needs the window to stop after a branch; last tracked is %v, stops %v", prog.Instrs[last].Op, flagged(plan, planStopAfter))
 	}
+	// Both engines: where a stop lands is engine-visible, so the oracle must agree.
 	for engine, run := range map[string]execFunc{"bytecode": nil, "interp": interp.Run} {
 		plan.exec = run
 		rt := RunInstrumented(plan, RunSpec{Seed: 3, MaxSteps: 100_000})
@@ -109,7 +111,7 @@ func TestClientStopLandsAfterOwnPackets(t *testing.T) {
 		if !executed(rt)[last] {
 			t.Errorf("%v: the stop branch %%%d is missing from the decoded flow %v", engine, last, rt.Flow)
 		}
-		if len(rt.BranchOutcomes()[last]) != 1 {
+		if len(rt.branchOutcomes()[last]) != 1 {
 			t.Errorf("%v: want exactly one recorded outcome for the stop branch %%%d, got branches %v", engine, last, rt.Branches)
 		}
 	}
@@ -118,10 +120,11 @@ func TestClientStopLandsAfterOwnPackets(t *testing.T) {
 func TestClientMeterCountsEverything(t *testing.T) {
 	_, plan := clientPlan(t, []int{10, 12}, AllFeatures())
 	rt := RunInstrumented(plan, RunSpec{Seed: 3, MaxSteps: 100_000})
-	if got := rt.Meter.BaseCycles(); got != float64(rt.Outcome.Steps) {
-		t.Errorf("base cycles %.0f != steps %d", got, rt.Outcome.Steps)
+	base, extra := rt.Meter.MC()
+	if base != rt.Outcome.Steps*cost.InstrMC {
+		t.Errorf("base %d mc != steps %d", base, rt.Outcome.Steps)
 	}
-	if rt.Meter.ExtraCycles() <= 0 {
+	if extra <= 0 {
 		t.Error("instrumentation recorded no overhead")
 	}
 }
@@ -146,8 +149,8 @@ func TestClientStaticOnlyNoInstrumentation(t *testing.T) {
 	if len(rt.Flow) != 0 || len(rt.Traps) != 0 {
 		t.Error("static-only run produced traces")
 	}
-	if rt.Meter.ExtraCycles() != 0 {
-		t.Errorf("static-only run charged overhead: %f", rt.Meter.ExtraCycles())
+	if _, extra := rt.Meter.MC(); extra != 0 {
+		t.Errorf("static-only run charged overhead: %d mc", extra)
 	}
 }
 

@@ -39,8 +39,8 @@ type PredictorJSON struct {
 	F         float64 `json:"f_measure"`
 }
 
-// ToJSON converts the sketch into its exportable form.
-func (sk *Sketch) ToJSON() SketchJSON {
+// toJSON converts the sketch into its exportable form.
+func (sk *Sketch) toJSON() SketchJSON {
 	out := SketchJSON{
 		Title:       sk.Title,
 		FailureKind: sk.FailureKind,
@@ -86,5 +86,5 @@ func (sk *Sketch) ToJSON() SketchJSON {
 
 // MarshalIndentJSON renders the sketch as indented JSON.
 func (sk *Sketch) MarshalIndentJSON() ([]byte, error) {
-	return json.MarshalIndent(sk.ToJSON(), "", "  ")
+	return json.MarshalIndent(sk.toJSON(), "", "  ")
 }

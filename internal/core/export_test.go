@@ -18,7 +18,7 @@ var CampaignFingerprint = campaignFingerprint
 
 func TestSketchJSONRoundTrip(t *testing.T) {
 	plan, failing, ranked := buildFixture(t)
-	sk := BuildSketch("json fixture", plan, failing, ranked, nil)
+	sk := buildSketch("json fixture", plan, failing, ranked, nil)
 	data, err := sk.MarshalIndentJSON()
 	if err != nil {
 		t.Fatal(err)

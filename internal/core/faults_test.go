@@ -185,7 +185,7 @@ func TestDecodeErrRunsContributeNoBranchData(t *testing.T) {
 		Traps:     []watch.Trap{{InstrID: 1, Addr: 8, Val: 3}, {InstrID: 1 << 20, Addr: 8}},
 		DecodeErr: errors.New("simulated corruption"),
 	}
-	preds := ExtractPredicates(prog, rt)
+	preds := extractPredicates(prog, rt)
 	for key, p := range preds {
 		if p.Kind == PredBranch {
 			t.Errorf("DecodeErr run leaked branch predictor %s", key)

@@ -82,12 +82,12 @@ type Config struct {
 	Telemetry *telemetry.Tracer
 }
 
-// Validate rejects configurations that out-of-range CLI flags (or
+// validate rejects configurations that out-of-range CLI flags (or
 // library callers) could smuggle in: negative worker counts, fault
 // probabilities outside [0,1], negative budgets. Zero values are always
 // valid — they mean "use the default". Run, RunFromReport, and
 // FirstFailure all call this, so every entry point is guarded.
-func (c Config) Validate() error {
+func (c Config) validate() error {
 	for _, f := range []struct {
 		name string
 		v    int64
@@ -224,7 +224,7 @@ func (c Config) workloadFor(k int) vm.Workload {
 // speculative chunks; outcomes are consumed in seed order, so the
 // report, run count, and error are identical to serial search.
 func FirstFailure(cfg Config) (*vm.FailureReport, int, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, 0, err
 	}
 	cfg = cfg.withDefaults()

@@ -305,12 +305,12 @@ func TestRankPredictorsFavorsPrecision(t *testing.T) {
 	_ = prog
 	_ = mk
 	// Direct formula check via stats is in internal/stats tests; here we
-	// verify BestPerKind skips kinds with no failing support.
+	// verify bestPerKind skips kinds with no failing support.
 	ranked := []Ranked{
 		{Predictor: Predictor{Kind: PredBranch, Key: "b"}, Fail: 0, Succ: 3, F: 0},
 		{Predictor: Predictor{Kind: PredValue, Key: "v"}, Fail: 2, Succ: 0, F: 0.9},
 	}
-	best := BestPerKind(ranked)
+	best := bestPerKind(ranked)
 	for _, r := range best {
 		if r.Fail == 0 {
 			t.Errorf("BestPerKind returned unsupported predictor %+v", r)

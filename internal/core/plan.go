@@ -252,11 +252,11 @@ func addrClass(roots *slicer.Roots, root slicer.AddrRoot, in *ir.Instr) string {
 	return "dyn"
 }
 
-// GroupOf returns the watch-group index endpoint k is assigned to, or
+// groupOf returns the watch-group index endpoint k is assigned to, or
 // -1 when the plan has no watch groups. A replacement run re-seeded for
 // a lost endpoint keeps the endpoint's ID and therefore its group, so
 // cooperative partitioning coverage survives fleet losses.
-func (p *Plan) GroupOf(endpoint int) int {
+func (p *Plan) groupOf(endpoint int) int {
 	if p.groups == 0 {
 		return -1
 	}

@@ -47,7 +47,7 @@ func watched(p *Plan) []int {
 
 // watchGroup returns the accesses endpoint e arms watchpoints for.
 func watchGroup(p *Plan, e int) map[int]bool {
-	grp := p.GroupOf(e)
+	grp := p.groupOf(e)
 	if grp < 0 {
 		return nil
 	}

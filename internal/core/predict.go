@@ -54,18 +54,18 @@ type Ranked struct {
 	P, R, F float64
 }
 
-// ExtractPredicates returns the set of predictors that hold in one run.
+// extractPredicates returns the set of predictors that hold in one run.
 // Runs whose PT trace failed to decode (DecodeErr) contribute no branch
 // predictors even if stale branch data is still attached — corrupt TNT
 // bits make convincing-looking lies — and traps naming instructions
 // outside the program are skipped rather than trusted.
-func ExtractPredicates(prog *ir.Program, rt *RunTrace) map[string]Predictor {
+func extractPredicates(prog *ir.Program, rt *RunTrace) map[string]Predictor {
 	out := make(map[string]Predictor)
 	valid := func(id int) bool { return id >= 0 && id < len(prog.Instrs) }
 
 	// Branch predictors from decoded control flow.
 	if rt.DecodeErr == nil {
-		for id, outcomes := range rt.BranchOutcomes() {
+		for id, outcomes := range rt.branchOutcomes() {
 			if !valid(id) {
 				continue
 			}
@@ -204,21 +204,21 @@ func describeAccess(prog *ir.Program, id int) string {
 	return in.Pos.String()
 }
 
-// RankPredictors aggregates per-run predicate sets and ranks every
+// rankPredictors aggregates per-run predicate sets and ranks every
 // predictor by its F-measure with the given beta (the paper uses β=0.5 to
 // favor precision). Results are sorted by descending F, ties broken by
 // key for determinism. Campaign.Rank calls it once per iteration over
 // the populations the iteration admitted. Every predictor's metadata is
 // a function of its key, so the output does not depend on the order the
 // runs arrived in.
-func RankPredictors(prog *ir.Program, failing, successful []*RunTrace, beta float64) []Ranked {
+func rankPredictors(prog *ir.Program, failing, successful []*RunTrace, beta float64) []Ranked {
 	type agg struct {
 		p    Predictor
 		f, s int
 	}
 	all := make(map[string]*agg)
 	add := func(rt *RunTrace, isFail bool) {
-		for key, p := range ExtractPredicates(prog, rt) {
+		for key, p := range extractPredicates(prog, rt) {
 			a := all[key]
 			if a == nil {
 				a = &agg{p: p}
@@ -256,11 +256,11 @@ func RankPredictors(prog *ir.Program, failing, successful []*RunTrace, beta floa
 // so that developers are not misled by weakly-correlated events.
 const minPredictorF = 0.3
 
-// BestPerKind returns the highest-ranked predictor of each kind, in kind
+// bestPerKind returns the highest-ranked predictor of each kind, in kind
 // order — the events a failure sketch highlights (dotted rectangles in
 // Figs. 1, 7, 8). Kinds whose best predictor correlates too weakly with
 // the failure are omitted.
-func BestPerKind(ranked []Ranked) []Ranked {
+func bestPerKind(ranked []Ranked) []Ranked {
 	var out []Ranked
 	for _, kind := range []PredictorKind{PredOrder, PredValue, PredBranch} {
 		for _, r := range ranked {

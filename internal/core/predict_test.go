@@ -103,11 +103,11 @@ func TestRankPredictorsIgnoresAdmissionOrder(t *testing.T) {
 				successful = append(successful, synthTrace(rng, prog))
 			}
 		}
-		want := RankPredictors(prog, failing, successful, beta)
+		want := rankPredictors(prog, failing, successful, beta)
 		for perm := 0; perm < 5; perm++ {
 			rng.Shuffle(len(failing), func(i, j int) { failing[i], failing[j] = failing[j], failing[i] })
 			rng.Shuffle(len(successful), func(i, j int) { successful[i], successful[j] = successful[j], successful[i] })
-			got := RankPredictors(prog, failing, successful, beta)
+			got := rankPredictors(prog, failing, successful, beta)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d perm %d: %d ranked, want %d", trial, perm, len(got), len(want))
 			}

@@ -82,7 +82,7 @@ type sketchEvent struct {
 	isFail  bool
 }
 
-// BuildSketch assembles a failure sketch from the tracked window, the
+// buildSketch assembles a failure sketch from the tracked window, the
 // failing run's traces, and the ranked predictors.
 //
 // Per-thread statement order comes from the decoded PT flow; cross-thread
@@ -90,7 +90,7 @@ type sketchEvent struct {
 // the partial order the paper's design can honestly produce. Unanchored
 // statements stay in thread order, placed after their thread's latest
 // anchored event.
-func BuildSketch(title string, plan *Plan, failing *RunTrace, ranked []Ranked, added []int) *Sketch {
+func buildSketch(title string, plan *Plan, failing *RunTrace, ranked []Ranked, added []int) *Sketch {
 	prog := plan.Prog
 	sk := &Sketch{
 		Title:       title,
@@ -98,7 +98,7 @@ func BuildSketch(title string, plan *Plan, failing *RunTrace, ranked []Ranked, a
 		Report:      failing.Outcome.Report,
 		Prog:        prog,
 		AllRanked:   ranked,
-		Predictors:  BestPerKind(ranked),
+		Predictors:  bestPerKind(ranked),
 	}
 	include := make(map[int]bool)
 	for _, id := range plan.Tracked {

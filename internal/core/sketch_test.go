@@ -25,7 +25,7 @@ func buildFixture(t *testing.T) (*Plan, *RunTrace, []Ranked) {
 	var failing, successful []*RunTrace
 	for seed := int64(0); seed < 200 && (len(failing) == 0 || len(successful) == 0); seed++ {
 		rt := RunInstrumented(plan, RunSpec{Seed: seed, PreemptMean: 3, MaxSteps: 300_000})
-		if rt.Failed() {
+		if rt.Outcome.Failed {
 			if len(failing) == 0 {
 				failing = append(failing, rt)
 			}
@@ -36,13 +36,13 @@ func buildFixture(t *testing.T) (*Plan, *RunTrace, []Ranked) {
 	if len(failing) == 0 || len(successful) == 0 {
 		t.Fatal("fixture needs both outcomes")
 	}
-	ranked := RankPredictors(prog, failing, successful, 0.5)
+	ranked := rankPredictors(prog, failing, successful, 0.5)
 	return plan, failing[0], ranked
 }
 
 func TestSketchStepInvariants(t *testing.T) {
 	plan, failing, ranked := buildFixture(t)
-	sk := BuildSketch("fixture", plan, failing, ranked, nil)
+	sk := buildSketch("fixture", plan, failing, ranked, nil)
 
 	if len(sk.Steps) == 0 {
 		t.Fatal("empty sketch")
@@ -82,7 +82,7 @@ func TestSketchStepInvariants(t *testing.T) {
 
 func TestSketchCrossThreadOrderFromTraps(t *testing.T) {
 	plan, failing, ranked := buildFixture(t)
-	sk := BuildSketch("fixture", plan, failing, ranked, nil)
+	sk := buildSketch("fixture", plan, failing, ranked, nil)
 
 	// In a failing run the null store (main) must be ordered before the
 	// consumer's unlock — the WR race the watchpoints witnessed.
@@ -105,7 +105,7 @@ func TestSketchCrossThreadOrderFromTraps(t *testing.T) {
 
 func TestSketchValueAnnotations(t *testing.T) {
 	plan, failing, ranked := buildFixture(t)
-	sk := BuildSketch("fixture", plan, failing, ranked, nil)
+	sk := buildSketch("fixture", plan, failing, ranked, nil)
 	if len(failing.Traps) == 0 {
 		t.Fatal("fixture has no traps")
 	}
@@ -127,7 +127,7 @@ func TestSketchValueAnnotations(t *testing.T) {
 
 func TestSketchRenderLayout(t *testing.T) {
 	plan, failing, ranked := buildFixture(t)
-	sk := BuildSketch("fixture title", plan, failing, ranked, nil)
+	sk := buildSketch("fixture title", plan, failing, ranked, nil)
 	out := sk.Render()
 	lines := strings.Split(out, "\n")
 	if !strings.HasPrefix(lines[0], "Failure Sketch for fixture title") {
@@ -154,7 +154,7 @@ func TestSketchRenderLayout(t *testing.T) {
 
 func TestAccuracyBoundsAndMonotonicity(t *testing.T) {
 	plan, failing, ranked := buildFixture(t)
-	sk := BuildSketch("fixture", plan, failing, ranked, nil)
+	sk := buildSketch("fixture", plan, failing, ranked, nil)
 
 	// Perfect ideal = the sketch's own lines with no order constraints.
 	var own IdealSketch
@@ -199,7 +199,7 @@ func TestStaticOnlySketchSingleColumn(t *testing.T) {
 	var failing *RunTrace
 	for seed := int64(0); seed < 200; seed++ {
 		rt := RunInstrumented(plan, RunSpec{Seed: seed, PreemptMean: 3, MaxSteps: 300_000})
-		if rt.Failed() {
+		if rt.Outcome.Failed {
 			failing = rt
 			break
 		}
@@ -207,7 +207,7 @@ func TestStaticOnlySketchSingleColumn(t *testing.T) {
 	if failing == nil {
 		t.Fatal("no failing run")
 	}
-	sk := BuildSketch("static", plan, failing, nil, nil)
+	sk := buildSketch("static", plan, failing, nil, nil)
 	if len(sk.Threads) != 1 {
 		t.Errorf("static-only sketch should have one column, got %v", sk.Threads)
 	}

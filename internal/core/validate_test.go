@@ -28,7 +28,7 @@ func TestConfigValidateRejectsOutOfRange(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := pbzipConfig(t)
 			tc.mut(&cfg)
-			err := cfg.Validate()
+			err := cfg.validate()
 			if err == nil {
 				t.Fatal("Validate accepted the config")
 			}
@@ -46,12 +46,12 @@ func TestConfigValidateRejectsOutOfRange(t *testing.T) {
 // into rejecting configs the rest of the suite runs every day.
 func TestConfigValidateAcceptsWorkingConfigs(t *testing.T) {
 	cfg := pbzipConfig(t)
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		t.Errorf("base config rejected: %v", err)
 	}
 	cfg.Faults = faults.Composite(1, 1.0)
 	cfg.Workers = 8
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		t.Errorf("full-rate composite config rejected: %v", err)
 	}
 }

@@ -81,12 +81,6 @@ func (m *Meter) AddInstr(n int64) { m.baseMC += n * InstrMC }
 // AddExtra charges mc millicycles of instrumentation overhead.
 func (m *Meter) AddExtra(mc int64) { m.extraMC += mc }
 
-// BaseCycles returns the base work in cycles.
-func (m *Meter) BaseCycles() float64 { return float64(m.baseMC) / 1000 }
-
-// ExtraCycles returns the instrumentation overhead in cycles.
-func (m *Meter) ExtraCycles() float64 { return float64(m.extraMC) / 1000 }
-
 // OverheadPct returns instrumentation overhead as a percentage of base
 // work, the number every figure in §5.3 reports.
 func (m *Meter) OverheadPct() float64 {
@@ -96,15 +90,8 @@ func (m *Meter) OverheadPct() float64 {
 	return 100 * float64(m.extraMC) / float64(m.baseMC)
 }
 
-// Add merges another meter into m (aggregation across runs).
-func (m *Meter) Add(o *Meter) {
-	m.baseMC += o.baseMC
-	m.extraMC += o.extraMC
-}
-
 // MC returns the raw millicycle counters. Together with MeterFromMC it
-// lets a wire codec round-trip a meter exactly; cycle-level getters
-// lose the sub-cycle precision admission control depends on.
+// lets a wire codec round-trip a meter exactly.
 func (m Meter) MC() (base, extra int64) { return m.baseMC, m.extraMC }
 
 // MeterFromMC rebuilds a meter from raw millicycle counters.

@@ -7,7 +7,7 @@ import (
 
 func TestMeterZeroValue(t *testing.T) {
 	var m Meter
-	if m.BaseCycles() != 0 || m.ExtraCycles() != 0 || m.OverheadPct() != 0 {
+	if base, extra := m.MC(); base != 0 || extra != 0 || m.OverheadPct() != 0 {
 		t.Errorf("zero meter not zero: %+v", m)
 	}
 }
@@ -19,23 +19,23 @@ func TestOverheadPct(t *testing.T) {
 	if got := m.OverheadPct(); got != 10 {
 		t.Errorf("overhead: got %g, want 10", got)
 	}
-	if m.BaseCycles() != 1000 || m.ExtraCycles() != 100 {
-		t.Errorf("cycles: base=%g extra=%g", m.BaseCycles(), m.ExtraCycles())
+	if base, extra := m.MC(); base != 1000*1000 || extra != 100*1000 {
+		t.Errorf("millicycles: base=%d extra=%d", base, extra)
 	}
 }
 
+// One meter accumulates the charges of many runs.
 func TestMeterAdd(t *testing.T) {
-	var a, b Meter
-	a.AddInstr(100)
-	a.AddExtra(5_000)
-	b.AddInstr(300)
-	b.AddExtra(15_000)
-	a.Add(&b)
-	if a.BaseCycles() != 400 {
-		t.Errorf("base after merge: %g", a.BaseCycles())
+	var m Meter
+	m.AddInstr(100)
+	m.AddExtra(5_000)
+	m.AddInstr(300)
+	m.AddExtra(15_000)
+	if base, extra := m.MC(); base != 400*InstrMC || extra != 20_000 {
+		t.Errorf("after two runs: base=%d extra=%d", base, extra)
 	}
-	if a.ExtraCycles() != 20 {
-		t.Errorf("extra after merge: %g", a.ExtraCycles())
+	if got := MeterFromMC(m.MC()); got != m {
+		t.Errorf("MeterFromMC(MC()) = %+v, want %+v", got, m)
 	}
 }
 

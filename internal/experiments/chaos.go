@@ -36,10 +36,10 @@ type ChaosRow struct {
 	Err bool
 }
 
-// DiagnoseFaulty runs the full pipeline on one bug with a composite
+// diagnoseFaulty runs the full pipeline on one bug with a composite
 // fault rate spread across every fault class, deterministically from
 // seed.
-func DiagnoseFaulty(b *bugs.Bug, rate float64, seed int64) (*core.Result, error) {
+func diagnoseFaulty(b *bugs.Bug, rate float64, seed int64) (*core.Result, error) {
 	cfg := b.GistConfig()
 	cfg.Features = core.AllFeatures()
 	cfg.StopWhen = bugs.DeveloperOracle(b)
@@ -66,7 +66,7 @@ func Chaos(suite []*bugs.Bug, rates []float64) []ChaosRow {
 	for _, rate := range rates {
 		batch, _ := forEachBug(suite, func(b *bugs.Bug) (ChaosRow, error) {
 			row := ChaosRow{Bug: b.Name, Rate: rate}
-			res, err := DiagnoseFaulty(b, rate, faults.ChaosSeed)
+			res, err := diagnoseFaulty(b, rate, faults.ChaosSeed)
 			row.Err = err != nil
 			if res != nil {
 				row.Recurrences = res.FailureRecurrences

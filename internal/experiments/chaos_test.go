@@ -17,7 +17,7 @@ import (
 func TestChaosRegressionPrintedSketches(t *testing.T) {
 	for _, name := range []string{"pbzip2", "curl", "apache-3"} {
 		b := bugs.ByName(name)
-		res, err := DiagnoseFaulty(b, 0.10, faults.ChaosSeed)
+		res, err := diagnoseFaulty(b, 0.10, faults.ChaosSeed)
 		if err != nil {
 			t.Errorf("%s: diagnosis failed at 10%% faults: %v", name, err)
 			continue
@@ -53,7 +53,7 @@ func TestChaosSweepIsDeterministic(t *testing.T) {
 // counts, clean health.
 func TestChaosRateZeroMatchesCleanDiagnosis(t *testing.T) {
 	b := bugs.ByName("pbzip2")
-	faulty, err := DiagnoseFaulty(b, 0, faults.ChaosSeed)
+	faulty, err := diagnoseFaulty(b, 0, faults.ChaosSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

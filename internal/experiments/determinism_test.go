@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -44,8 +44,14 @@ func TestTelemetryDeterminism(t *testing.T) {
 				bare := diagnosisFingerprint(t, name, rate, 1)
 				var counters [2]map[string]int64
 				for i, workers := range []int{1, 8} {
-					tel := telemetry.NewWithWriter(&bytes.Buffer{})
+					tel, closeTrace, err := telemetry.OpenTrace(filepath.Join(t.TempDir(), "trace.jsonl"))
+					if err != nil {
+						t.Fatal(err)
+					}
 					traced := tracedFingerprint(t, name, rate, workers, tel)
+					if err := closeTrace(); err != nil {
+						t.Fatal(err)
+					}
 					if traced != bare {
 						t.Fatalf("telemetry at workers=%d perturbed the diagnosis:\n--- off ---\n%s\n--- on ---\n%s",
 							workers, bare, traced)

@@ -260,8 +260,8 @@ func Fig9(suite []*bugs.Bug) ([]Fig9Row, error) {
 	})
 }
 
-// Fig9Averages returns the mean relevance/ordering/overall accuracy.
-func Fig9Averages(rows []Fig9Row) (rel, ord, overall float64) {
+// fig9Averages returns the mean relevance/ordering/overall accuracy.
+func fig9Averages(rows []Fig9Row) (rel, ord, overall float64) {
 	var rs, os, as []float64
 	for _, r := range rows {
 		rs = append(rs, r.Relevance)

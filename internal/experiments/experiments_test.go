@@ -64,7 +64,7 @@ func TestFig9Subset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, ord, overall := Fig9Averages(rows)
+	rel, ord, overall := fig9Averages(rows)
 	if rel < 50 || ord < 75 || overall < 60 {
 		t.Errorf("accuracy averages too low: rel=%.1f ord=%.1f overall=%.1f", rel, ord, overall)
 	}

@@ -33,7 +33,7 @@ func RenderFig9(rows []Fig9Row) string {
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-13s %10.1f %10.1f %10.1f\n", r.Bug, r.Relevance, r.Ordering, r.Overall)
 	}
-	rel, ord, overall := Fig9Averages(rows)
+	rel, ord, overall := fig9Averages(rows)
 	fmt.Fprintf(&b, "%-13s %10.1f %10.1f %10.1f\n", "average", rel, ord, overall)
 	return b.String()
 }

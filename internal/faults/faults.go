@@ -100,18 +100,18 @@ const (
 	overflowBufBytes = 512
 )
 
-// Enabled reports whether any fault class has a nonzero rate.
-func (c Config) Enabled() bool {
+// enabled reports whether any fault class has a nonzero rate.
+func (c Config) enabled() bool {
 	return c.CrashRate > 0 || c.HangRate > 0 || c.OverflowRate > 0 ||
 		c.CorruptRate > 0 || c.TrapDropRate > 0 || c.TrapReorderRate > 0 ||
 		c.TruncateRate > 0 || c.DiskRate > 0 || c.TransportRate > 0 ||
 		c.SlowRate > 0
 }
 
-// Rates returns the per-run pipeline class probabilities by name, in a
+// rates returns the per-run pipeline class probabilities by name, in a
 // fixed order. DiskRate is deliberately not listed: it is a per-write
 // store-layer class, not a per-run class, and Composite never sets it.
-func (c Config) Rates() map[string]float64 {
+func (c Config) rates() map[string]float64 {
 	return map[string]float64{
 		"crash":    c.CrashRate,
 		"hang":     c.HangRate,
@@ -129,7 +129,7 @@ func (c Config) Rates() map[string]float64 {
 // always or never true, silently degenerating the fault model instead
 // of failing loudly.
 func (c Config) Validate() error {
-	for name, rate := range c.Rates() {
+	for name, rate := range c.rates() {
 		if rate < 0 || rate > 1 {
 			return fmt.Errorf("faults: %s rate %g outside [0,1]", name, rate)
 		}
@@ -178,50 +178,9 @@ func Composite(seed int64, rate float64) Config {
 	}
 }
 
-// Disk returns a Config injecting only store-layer disk faults: rate is
-// the probability one checkpoint write is hit by exactly one of the four
-// durability fault kinds (picked uniformly). rate is clamped to [0, 1]
-// like Composite's. This is the knob the crash-loop test in
-// internal/supervise sweeps.
-func Disk(seed int64, rate float64) Config {
-	if rate < 0 {
-		rate = 0
-	} else if rate > 1 {
-		rate = 1
-	}
-	return Config{Seed: seed, DiskRate: rate}
-}
-
-// Transport returns a Config injecting only service-transport faults:
-// rate is the probability one RPC attempt is hit by exactly one of the
-// five transport fault kinds (picked uniformly). rate is clamped to
-// [0, 1] like Composite's. This is the knob the service chaos tests and
-// the -transport-fault-rate flag sweep.
-func Transport(seed int64, rate float64) Config {
-	if rate < 0 {
-		rate = 0
-	} else if rate > 1 {
-		rate = 1
-	}
-	return Config{Seed: seed, TransportRate: rate}
-}
-
-// Slowdown returns a Config injecting only agent-slowdown faults: rate
-// is the probability one task execution is delayed by about
-// slowMeanMs. rate is clamped to [0, 1] like Composite's. This is the
-// knob the service overload test's slow agents turn.
-func Slowdown(seed int64, rate float64) Config {
-	if rate < 0 {
-		rate = 0
-	} else if rate > 1 {
-		rate = 1
-	}
-	return Config{Seed: seed, SlowRate: rate}
-}
-
 // String summarizes the configuration for experiment tables.
 func (c Config) String() string {
-	if !c.Enabled() {
+	if !c.enabled() {
 		return "faults: disabled"
 	}
 	return fmt.Sprintf("faults: crash=%.3f hang=%.3f overflow=%.3f corrupt=%.3f drop=%.3f reorder=%.3f truncate=%.3f",
@@ -238,7 +197,7 @@ type Injector struct {
 // NewInjector returns an injector for cfg, or nil when cfg is disabled
 // so clean-path callers pay nothing.
 func NewInjector(cfg Config) *Injector {
-	if !cfg.Enabled() {
+	if !cfg.enabled() {
 		return nil
 	}
 	return &Injector{cfg: cfg}
@@ -430,9 +389,6 @@ type DiskDecision struct {
 	rng  *rand.Rand
 }
 
-// Any reports whether the decision injects a fault.
-func (d DiskDecision) Any() bool { return d.Kind != DiskNone }
-
 // TornLen returns how many of the frame's n bytes survive a torn write,
 // in [0, n), from the decision's seeded stream.
 func (d DiskDecision) TornLen(n int) int {
@@ -508,9 +464,6 @@ type TransportDecision struct {
 	rng  *rand.Rand
 }
 
-// Any reports whether the decision injects a fault.
-func (d TransportDecision) Any() bool { return d.Kind != TransportNone }
-
 // CorruptBody flips a few bytes of a copy of body, modeling in-flight
 // damage the server-side checksum must catch. Empty bodies pass through
 // untouched.
@@ -555,9 +508,6 @@ type SlowDecision struct {
 	Delay time.Duration
 }
 
-// Any reports whether the decision injects a fault.
-func (d SlowDecision) Any() bool { return d.Slow }
-
 // ForSlowdown derives the straggler decision for one task execution, a
 // pure function of the injector seed and the execution's identity
 // (tenant, agent, task ID). The agent is in the key, so a hedged
@@ -576,46 +526,6 @@ func (i *Injector) ForSlowdown(tenant, agent string, taskID uint64) SlowDecision
 		d.Slow = true
 		d.Delay = time.Duration(slowMeanMs*(0.5+2.5*rng.Float64())) * time.Millisecond
 	}
-	return d
-}
-
-// Flood is a seeded burst generator modeling a tenant flood: it yields
-// the deterministic inter-submit gaps of a bursty report stream whose
-// long-run offered rate averages rps. Submissions inside a burst are
-// back to back; the gap between bursts is jittered ±50% around
-// burst/rps seconds. The service overload test drives its bully
-// tenant from it so the flood replays exactly.
-type Flood struct {
-	rng   *rand.Rand
-	rps   float64
-	burst int
-	pos   int
-}
-
-// NewFlood returns a flood schedule for the given seed, offered rate
-// (submits/sec, min 1e-3) and burst size (min 1).
-func NewFlood(seed int64, rps float64, burst int) *Flood {
-	if rps < 1e-3 {
-		rps = 1e-3
-	}
-	if burst < 1 {
-		burst = 1
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "flood|%d|%g|%d", seed, rps, burst)
-	return &Flood{rng: rand.New(rand.NewSource(int64(h.Sum64()))), rps: rps, burst: burst}
-}
-
-// Next returns the gap to wait before the next submission: zero within
-// a burst, a jittered burst-sized gap at each burst boundary. The first
-// burst fires immediately.
-func (f *Flood) Next() time.Duration {
-	var d time.Duration
-	if f.pos > 0 && f.pos%f.burst == 0 {
-		gap := float64(f.burst) / f.rps
-		d = time.Duration(gap * (0.5 + f.rng.Float64()) * float64(time.Second))
-	}
-	f.pos++
 	return d
 }
 

@@ -31,28 +31,23 @@ type DataObs struct {
 	TSC     int64
 }
 
-// Decode reconstructs the executed instruction sequence of one core from
-// its raw packet buffer, against the program's CFG — the offline side of
-// control-flow tracking: packets only say "taken/not-taken/target", and
-// the decoder replays the CFG to recover which statements executed.
+// DecodeFlow reconstructs the executed instruction sequence of one core
+// from its raw packet buffer, against the program's CFG — the offline
+// side of control-flow tracking: packets only say "taken/not-taken/
+// target", and the decoder replays the CFG to recover which statements
+// executed. wrapped indicates the ring buffer overflowed; decoding then
+// starts at the first PSB sync point and the lost prefix is silently
+// dropped, exactly like a real PT decoder.
 //
-// wrapped indicates the ring buffer overflowed; decoding then starts at
-// the first PSB sync point and the lost prefix is silently dropped,
-// exactly like a real PT decoder.
-func Decode(prog *ir.Program, data []byte, wrapped bool) ([]Segment, error) {
-	flow, ends, _, _, err := decodeBuffer(prog, data, wrapped)
-	return segments(flow, ends), err
-}
-
-// DecodeFlow decodes a raw buffer into the traced regions back to back
-// rather than cut into segments — the endpoint client, whose
-// RunTrace.Flow is exactly that — plus the conditional-branch outcomes
-// recovered from the TNT bits in consumption order and the extended-PT
-// data accesses. The flow is the decoder's own exact-size array, not a
-// concatenation of copies. The outcomes are a byproduct of CFG replay:
-// they carry strictly more information than the flow alone when a trace
-// stops right at a branch (the successor is then not part of the flow but
-// the outcome is still known).
+// The traced regions come back to back rather than cut into segments —
+// the endpoint client's RunTrace.Flow is exactly that — plus the
+// conditional-branch outcomes recovered from the TNT bits in
+// consumption order and the extended-PT data accesses. The flow is the
+// decoder's own exact-size array, not a concatenation of copies. The
+// outcomes are a byproduct of CFG replay: they carry strictly more
+// information than the flow alone when a trace stops right at a branch
+// (the successor is then not part of the flow but the outcome is still
+// known).
 func DecodeFlow(prog *ir.Program, data []byte, wrapped bool) ([]int, []BranchObs, []DataObs, error) {
 	flow, _, branches, dobs, err := decodeBuffer(prog, data, wrapped)
 	return flow, branches, dobs, err
@@ -61,7 +56,7 @@ func DecodeFlow(prog *ir.Program, data []byte, wrapped bool) ([]int, []BranchObs
 func decodeBuffer(prog *ir.Program, data []byte, wrapped bool) (flow, ends []int, branches []BranchObs, dobs []DataObs, err error) {
 	decodeCalls.Add(1)
 	decodedBytes.Add(int64(len(data)))
-	evs, err := ParsePackets(data, !wrapped)
+	evs, err := parsePackets(data, !wrapped)
 	if err != nil {
 		decodeErrors.Add(1)
 		return nil, nil, nil, nil, err

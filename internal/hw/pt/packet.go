@@ -139,10 +139,10 @@ func encodePTW(dst []byte, ip int, addr, val, size int64, isWrite bool, tsc int6
 	return appendUvarint(dst, uint64(tsc))
 }
 
-// ParsePackets decodes a raw packet byte stream into events. If synced is
+// parsePackets decodes a raw packet byte stream into events. If synced is
 // false (the buffer wrapped and its head may be mid-packet), parsing
 // starts at the first PSB magic; everything before it is lost.
-func ParsePackets(data []byte, synced bool) ([]Event, error) {
+func parsePackets(data []byte, synced bool) ([]Event, error) {
 	i := 0
 	if !synced {
 		i = indexOfPSB(data)

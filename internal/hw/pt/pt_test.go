@@ -7,12 +7,12 @@ import (
 	"repro/internal/cost"
 	"repro/internal/ir"
 	"repro/internal/vm"
-	"repro/internal/vm/interp"
+	"repro/internal/vm/bytecode"
 )
 
 // fullTraceRun executes prog under full PT tracing (every thread traced
 // from its first instruction) and returns the tracer plus the ground-truth
-// per-thread instruction streams observed directly from the interpreter.
+// per-thread instruction streams observed directly from the engine.
 func fullTraceRun(t *testing.T, prog *ir.Program, seed int64, cfg Config) (*Tracer, map[int][]int, *vm.Outcome) {
 	t.Helper()
 	meter := &cost.Meter{}
@@ -37,7 +37,7 @@ func fullTraceRun(t *testing.T, prog *ir.Program, seed int64, cfg Config) (*Trac
 			}
 		},
 	}
-	out := interp.Run(prog, vm.Config{Seed: seed, PreemptMean: 3, Hooks: hooks})
+	out := bytecode.RunProgram(prog, vm.Config{Seed: seed, PreemptMean: 3, Hooks: hooks})
 	for core := range truth {
 		tr.Disable(core, last[core])
 	}
@@ -47,13 +47,9 @@ func fullTraceRun(t *testing.T, prog *ir.Program, seed int64, cfg Config) (*Trac
 func decodeAll(t *testing.T, prog *ir.Program, tr *Tracer, core int) []int {
 	t.Helper()
 	data, wrapped := tr.CoreBytes(core)
-	segs, err := Decode(prog, data, wrapped)
+	all, _, _, err := DecodeFlow(prog, data, wrapped)
 	if err != nil {
 		t.Fatalf("decode core %d: %v", core, err)
-	}
-	var all []int
-	for _, s := range segs {
-		all = append(all, s.Instrs...)
 	}
 	return all
 }
@@ -132,7 +128,7 @@ func TestDecodeWithStartStopRegions(t *testing.T) {
 			}
 		},
 	}
-	out := interp.Run(prog, vm.Config{Seed: 7, PreemptMean: 3, Hooks: hooks})
+	out := bytecode.RunProgram(prog, vm.Config{Seed: 7, PreemptMean: 3, Hooks: hooks})
 	if out.Failed {
 		t.Fatalf("run failed: %v", out.Report)
 	}
@@ -163,13 +159,9 @@ func TestRingBufferWrapResyncs(t *testing.T) {
 	if len(data) > wrapBufBytes {
 		t.Fatalf("ring exceeded capacity: %d", len(data))
 	}
-	segs, err := Decode(prog, data, wrapped)
+	got, _, _, err := DecodeFlow(prog, data, wrapped)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
-	}
-	var got []int
-	for _, s := range segs {
-		got = append(got, s.Instrs...)
 	}
 	if len(got) == 0 {
 		t.Fatal("nothing decoded after wrap")
@@ -226,7 +218,7 @@ func TestSoftwareModeCostsMore(t *testing.T) {
 				}
 			},
 		}
-		interp.Run(prog, vm.Config{Seed: 5, Hooks: hooks})
+		bytecode.RunProgram(prog, vm.Config{Seed: 5, Hooks: hooks})
 		return meter.OverheadPct()
 	}
 	hw := runMode(Hardware)
@@ -256,7 +248,7 @@ func TestTNTRoundTripProperty(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		evs, err := ParsePackets(buf, true)
+		evs, err := parsePackets(buf, true)
 		if err != nil {
 			return false
 		}
@@ -286,7 +278,7 @@ func TestTNTRoundTripProperty(t *testing.T) {
 // errors or returns well-formed events.
 func TestParseArbitraryBytes(t *testing.T) {
 	f := func(data []byte, synced bool) bool {
-		evs, _ := ParsePackets(data, synced)
+		evs, _ := parsePackets(data, synced)
 		for _, e := range evs {
 			if e.Kind == EvTNT && (len(e.Bits) == 0 || len(e.Bits) > 5) {
 				return false
@@ -304,7 +296,7 @@ func TestVarintPacketsRoundTrip(t *testing.T) {
 		buf := encodePGE(nil, int(ip))
 		buf = encodeTIP(buf, int(ip)+1)
 		buf = encodeFUP(buf, int(ip)+2)
-		evs, err := ParsePackets(buf, true)
+		evs, err := parsePackets(buf, true)
 		if err != nil || len(evs) != 3 {
 			return false
 		}
@@ -328,7 +320,7 @@ func TestEnableDisableIdempotent(t *testing.T) {
 	if wrapped {
 		t.Fatal("tiny trace should not wrap")
 	}
-	evs, err := ParsePackets(data, true)
+	evs, err := parsePackets(data, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,10 +31,10 @@ type SalvageReport struct {
 func (r SalvageReport) Recovered() bool { return r.Instrs > 0 }
 
 // SalvageDecode decodes as much of a possibly corrupt trace buffer as
-// possible. Unlike Decode it never fails: each PSB-delimited chunk
+// possible. Unlike DecodeFlow it never fails: each PSB-delimited chunk
 // is parsed and CFG-replayed independently, chunks that error keep
 // their prefix up to the error, and the rest of the buffer continues at
-// the next PSB. wrapped has the same meaning as in Decode: the ring
+// the next PSB. wrapped has the same meaning as in DecodeFlow: the ring
 // buffer overflowed, so the bytes before the first PSB are skipped.
 //
 // A buffer that decodes cleanly has nothing to salvage, and is returned
@@ -53,7 +53,7 @@ func SalvageDecode(prog *ir.Program, data []byte, wrapped bool) ([]Segment, []Br
 		salvagedChunks.Add(int64(rep.Chunks - rep.BadChunks))
 		salvagedInstrs.Add(int64(rep.Instrs))
 	}()
-	if evs, err := ParsePackets(data, !wrapped); err == nil {
+	if evs, err := parsePackets(data, !wrapped); err == nil {
 		if flow, ends, b, d, err := decodeEvents(prog, evs); err == nil {
 			rep = SalvageReport{Chunks: 1, Instrs: len(flow)}
 			return segments(flow, ends), b, d, rep
@@ -72,7 +72,7 @@ func SalvageDecode(prog *ir.Program, data []byte, wrapped bool) ([]Segment, []Br
 		if prevBad {
 			rep.Resyncs++ // this chunk's PSB restarted decoding
 		}
-		evs, perr := ParsePackets(chunk, true)
+		evs, perr := parsePackets(chunk, true)
 		flow, ends, b, d, derr := decodeEvents(prog, evs)
 		s := segments(flow, ends)
 		prevBad = perr != nil || derr != nil

@@ -20,8 +20,8 @@ func TestRegisterPressureMisses(t *testing.T) {
 	if misses != 8-NumRegisters {
 		t.Fatalf("got %d misses arming 8 watchpoints on %d registers", misses, NumRegisters)
 	}
-	if u.FreeSlots() != 0 {
-		t.Fatalf("registers should be exhausted, %d free", u.FreeSlots())
+	if u.armed != NumRegisters {
+		t.Fatalf("registers should be exhausted, %d armed", u.armed)
 	}
 }
 

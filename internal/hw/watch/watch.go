@@ -105,8 +105,8 @@ func (u *Unit) charge(mc int64) {
 // ErrNoFreeSlot is returned when all debug registers are armed.
 var ErrNoFreeSlot = fmt.Errorf("watch: all %d hardware watchpoints in use", NumRegisters)
 
-// Set arms slot i. Arming costs a ptrace round trip.
-func (u *Unit) Set(i int, wp Watchpoint) error {
+// set arms slot i. Arming costs a ptrace round trip.
+func (u *Unit) set(i int, wp Watchpoint) error {
 	if i < 0 || i >= NumRegisters {
 		return fmt.Errorf("watch: slot %d out of range", i)
 	}
@@ -123,23 +123,11 @@ func (u *Unit) Set(i int, wp Watchpoint) error {
 func (u *Unit) SetAny(wp Watchpoint) (int, error) {
 	for i, s := range u.slots {
 		if s == nil {
-			return i, u.Set(i, wp)
+			return i, u.set(i, wp)
 		}
 	}
 	return -1, ErrNoFreeSlot
 }
-
-// Clear disarms slot i.
-func (u *Unit) Clear(i int) {
-	if i >= 0 && i < NumRegisters && u.slots[i] != nil {
-		u.slots[i] = nil
-		u.armed--
-		u.charge(cost.WatchSetupMC)
-	}
-}
-
-// FreeSlots reports how many debug registers are unarmed.
-func (u *Unit) FreeSlots() int { return NumRegisters - u.armed }
 
 // Watched reports whether any armed watchpoint overlaps [addr, addr+size).
 func (u *Unit) Watched(addr, size int64) bool {

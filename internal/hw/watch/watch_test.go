@@ -9,8 +9,8 @@ import (
 
 func TestSlotManagement(t *testing.T) {
 	u := NewUnit(nil)
-	if u.FreeSlots() != NumRegisters {
-		t.Fatalf("fresh unit: %d free", u.FreeSlots())
+	if u.armed != 0 {
+		t.Fatalf("fresh unit: %d armed", u.armed)
 	}
 	for i := 0; i < NumRegisters; i++ {
 		slot, err := u.SetAny(Watchpoint{Addr: int64(0x1000 + i*8), Size: 8, Kind: KindReadWrite})
@@ -24,14 +24,10 @@ func TestSlotManagement(t *testing.T) {
 	if _, err := u.SetAny(Watchpoint{Addr: 0x2000, Size: 8}); err != ErrNoFreeSlot {
 		t.Fatalf("fifth watchpoint: got %v, want ErrNoFreeSlot", err)
 	}
-	u.Clear(2)
-	if u.FreeSlots() != 1 {
-		t.Fatalf("after clear: %d free", u.FreeSlots())
+	if u.armed != NumRegisters {
+		t.Fatalf("full unit: %d armed", u.armed)
 	}
-	if slot, err := u.SetAny(Watchpoint{Addr: 0x3000, Size: 8}); err != nil || slot != 2 {
-		t.Fatalf("reuse: slot=%d err=%v", slot, err)
-	}
-	if err := u.Set(99, Watchpoint{}); err == nil {
+	if err := u.set(99, Watchpoint{}); err == nil {
 		t.Error("out-of-range slot accepted")
 	}
 }
@@ -82,12 +78,10 @@ func TestCostAccounting(t *testing.T) {
 	m := &cost.Meter{}
 	m.AddInstr(1000)
 	u := NewUnit(m)
-	slot, _ := u.SetAny(Watchpoint{Addr: 0x1000, Size: 8, Kind: KindReadWrite})
+	u.SetAny(Watchpoint{Addr: 0x1000, Size: 8, Kind: KindReadWrite})
 	u.CheckAccess(0, 1, 0x1000, 8, 0, true, 1)
-	u.Clear(slot)
-	wantMC := int64(cost.WatchSetupMC + cost.WatchTrapMC + cost.WatchSetupMC)
-	if got := m.ExtraCycles(); got != float64(wantMC)/1000 {
-		t.Errorf("extra cycles: got %v, want %v", got, float64(wantMC)/1000)
+	if _, got := m.MC(); got != cost.WatchSetupMC+cost.WatchTrapMC {
+		t.Errorf("extra millicycles: got %d, want %d", got, cost.WatchSetupMC+cost.WatchTrapMC)
 	}
 }
 

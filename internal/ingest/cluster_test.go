@@ -92,7 +92,7 @@ func TestClusterSignatureEdgeCases(t *testing.T) {
 func TestClusterAdmitCap(t *testing.T) {
 	c := &FailureCluster{ID: "f0"}
 	for s := int64(0); s < 10; s++ {
-		c.Admit(s, 3)
+		c.admit(s, 3)
 	}
 	if c.Count != 10 {
 		t.Errorf("count = %d, want 10", c.Count)

@@ -27,10 +27,10 @@ type Key struct {
 	Sig    string
 }
 
-// Signature reduces a report to its cluster identity. A nil report (a
+// signature reduces a report to its cluster identity. A nil report (a
 // submit that asks the server to discover the failure itself) has no
 // signature; dedup then falls back to the bug name alone.
-func Signature(report *vm.FailureReport) string {
+func signature(report *vm.FailureReport) string {
 	if report == nil {
 		return ""
 	}
@@ -61,9 +61,9 @@ type FailureCluster struct {
 	Seeds []int64
 }
 
-// Admit folds one observed failure into the cluster: the recurrence
+// admit folds one observed failure into the cluster: the recurrence
 // count always grows, the seed list only up to the cap.
-func (c *FailureCluster) Admit(seed int64, maxSeeds int) {
+func (c *FailureCluster) admit(seed int64, maxSeeds int) {
 	c.Count++
 	if len(c.Seeds) < maxSeeds {
 		c.Seeds = append(c.Seeds, seed)
@@ -100,7 +100,7 @@ func NewFrontend(maxSeeds int) *Frontend {
 // Novel=true means the caller must launch a campaign for the key;
 // otherwise the report was recorded as a recurrence of the live one.
 func (f *Frontend) Ingest(tenant, bug string, report *vm.FailureReport, seed int64) Decision {
-	key := Key{Tenant: tenant, Bug: bug, Sig: Signature(report)}
+	key := Key{Tenant: tenant, Bug: bug, Sig: signature(report)}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.reports++
@@ -110,7 +110,7 @@ func (f *Frontend) Ingest(tenant, bug string, report *vm.FailureReport, seed int
 		cl = &FailureCluster{ID: key.Sig, Report: report}
 		f.sigs[key] = cl
 	}
-	cl.Admit(seed, f.maxSeeds)
+	cl.admit(seed, f.maxSeeds)
 	return Decision{Key: key, Novel: novel, Reports: cl.Count}
 }
 
@@ -120,24 +120,10 @@ func (f *Frontend) Ingest(tenant, bug string, report *vm.FailureReport, seed int
 // budget must not burn its signature's one Novel slot — it has to stay
 // novel for the retry that finally gets admitted.
 func (f *Frontend) Known(tenant, bug string, report *vm.FailureReport) bool {
-	key := Key{Tenant: tenant, Bug: bug, Sig: Signature(report)}
+	key := Key{Tenant: tenant, Bug: bug, Sig: signature(report)}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.sigs[key] != nil
-}
-
-// Evidence returns a copy of a key's cluster, or nil if the key has
-// never been seen.
-func (f *Frontend) Evidence(key Key) *FailureCluster {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	cl := f.sigs[key]
-	if cl == nil {
-		return nil
-	}
-	cp := *cl
-	cp.Seeds = append([]int64(nil), cl.Seeds...)
-	return &cp
 }
 
 // Stats returns the traffic counters so far.

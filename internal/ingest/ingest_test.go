@@ -55,11 +55,11 @@ func TestFrontendDedup(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 
-	ev := f.Evidence(d1.Key)
+	ev := f.sigs[d1.Key]
 	if ev == nil || ev.Count != 2 || len(ev.Seeds) != 2 {
 		t.Fatalf("evidence: %+v", ev)
 	}
-	if f.Evidence(Key{Tenant: "nobody"}) != nil {
+	if f.sigs[Key{Tenant: "nobody"}] != nil {
 		t.Fatal("evidence for unseen key")
 	}
 }
@@ -72,7 +72,7 @@ func TestFrontendSeedCap(t *testing.T) {
 	for s := int64(0); s < 50; s++ {
 		key = f.Ingest("t", "b", report(1), s).Key
 	}
-	ev := f.Evidence(key)
+	ev := f.sigs[key]
 	if ev.Count != 50 || len(ev.Seeds) != 3 {
 		t.Fatalf("count=%d seeds=%v", ev.Count, ev.Seeds)
 	}
@@ -135,7 +135,7 @@ func TestFrontendConcurrentExactlyOnce(t *testing.T) {
 		if n != 1 {
 			t.Errorf("key %+v novel %d times", k, n)
 		}
-		ev := f.Evidence(k)
+		ev := f.sigs[k]
 		if ev.Count != perSig {
 			t.Errorf("key %+v count %d, want %d", k, ev.Count, perSig)
 		}

@@ -41,7 +41,7 @@ func Build(info *sema.Info, source string) (*Program, error) {
 	if _, ok := b.prog.FuncByName["main"]; !ok {
 		return nil, fmt.Errorf("%s: no main function", info.File.Name)
 	}
-	b.prog.Finalize()
+	b.prog.finalize()
 	for _, in := range b.pendingSpawns {
 		b.prog.SpawnTargets[in.ID] = in.Args[0].Func
 	}
@@ -99,7 +99,7 @@ type builder struct {
 	loops  []loopCtx
 
 	// pendingSpawns collects spawn call instructions; their program-wide
-	// IDs are only known after Finalize, at which point Build records them
+	// IDs are only known after finalize, at which point Build records them
 	// in Program.SpawnTargets.
 	pendingSpawns []*Instr
 }
@@ -161,7 +161,7 @@ func (b *builder) emit(in *Instr) *Instr {
 	if t := b.cur.Terminator(); t != nil {
 		// Dead code after return/break/continue: emit into a fresh
 		// unreachable block to keep every block well-formed.
-		b.cur = b.fn.NewBlock()
+		b.cur = b.fn.newBlock()
 	}
 	b.cur.Instrs = append(b.cur.Instrs, in)
 	return in
@@ -192,7 +192,7 @@ func (b *builder) buildFunc(fd *ast.FuncDecl) error {
 	b.fn.Blocks = nil
 	b.fn.NumRegs = 0
 	b.fn.Locals = nil
-	b.cur = b.fn.NewBlock()
+	b.cur = b.fn.newBlock()
 	b.scopes = nil
 	b.loops = nil
 	b.pushScope()
@@ -208,7 +208,7 @@ func (b *builder) buildFunc(fd *ast.FuncDecl) error {
 		if fi.Sig.Ret.Kind == sema.KindVoid {
 			b.emit(&Instr{Op: OpRet, Dst: -1, A: Nil, Pos: pos})
 		} else {
-			b.emit(&Instr{Op: OpRet, Dst: -1, A: ConstInt(0), Pos: pos})
+			b.emit(&Instr{Op: OpRet, Dst: -1, A: constInt(0), Pos: pos})
 		}
 	}
 	b.popScope()
@@ -242,7 +242,7 @@ func (b *builder) stmt(s ast.Stmt) error {
 		if s.Init != nil {
 			addr := b.newReg()
 			b.emit(&Instr{Op: OpLocalAddr, Dst: addr, Slot: slot, Pos: s.Pos()})
-			b.emit(&Instr{Op: OpStore, Dst: -1, A: Reg(addr), B: init, Size: sema.WordSize, Pos: s.Pos()})
+			b.emit(&Instr{Op: OpStore, Dst: -1, A: reg(addr), B: init, Size: sema.WordSize, Pos: s.Pos()})
 		}
 		return nil
 	case *ast.ExprStmt:
@@ -264,11 +264,11 @@ func (b *builder) stmt(s ast.Stmt) error {
 		if err != nil {
 			return err
 		}
-		thenBlk := b.fn.NewBlock()
-		endBlk := b.fn.NewBlock()
+		thenBlk := b.fn.newBlock()
+		endBlk := b.fn.newBlock()
 		elseBlk := endBlk
 		if s.Else != nil {
-			elseBlk = b.fn.NewBlock()
+			elseBlk = b.fn.newBlock()
 		}
 		b.emit(&Instr{Op: OpBr, Dst: -1, A: cond, Then: thenBlk, Else: elseBlk, Pos: s.Cond.Pos()})
 		b.cur = thenBlk
@@ -290,15 +290,15 @@ func (b *builder) stmt(s ast.Stmt) error {
 		b.cur = endBlk
 		return nil
 	case *ast.WhileStmt:
-		condBlk := b.fn.NewBlock()
+		condBlk := b.fn.newBlock()
 		b.emit(&Instr{Op: OpJmp, Dst: -1, Then: condBlk, Pos: s.Pos()})
 		b.cur = condBlk
 		cond, err := b.expr(s.Cond)
 		if err != nil {
 			return err
 		}
-		bodyBlk := b.fn.NewBlock()
-		endBlk := b.fn.NewBlock()
+		bodyBlk := b.fn.newBlock()
+		endBlk := b.fn.newBlock()
 		b.emit(&Instr{Op: OpBr, Dst: -1, A: cond, Then: bodyBlk, Else: endBlk, Pos: s.Cond.Pos()})
 		b.cur = bodyBlk
 		b.loops = append(b.loops, loopCtx{brk: endBlk, cont: condBlk})
@@ -318,11 +318,11 @@ func (b *builder) stmt(s ast.Stmt) error {
 				return err
 			}
 		}
-		condBlk := b.fn.NewBlock()
+		condBlk := b.fn.newBlock()
 		b.emit(&Instr{Op: OpJmp, Dst: -1, Then: condBlk, Pos: s.Pos()})
 		b.cur = condBlk
-		bodyBlk := b.fn.NewBlock()
-		endBlk := b.fn.NewBlock()
+		bodyBlk := b.fn.newBlock()
+		endBlk := b.fn.newBlock()
 		if s.Cond != nil {
 			cond, err := b.expr(s.Cond)
 			if err != nil {
@@ -335,7 +335,7 @@ func (b *builder) stmt(s ast.Stmt) error {
 		contBlk := condBlk
 		var postBlk *Block
 		if s.Post != nil {
-			postBlk = b.fn.NewBlock()
+			postBlk = b.fn.newBlock()
 			contBlk = postBlk
 		}
 		b.cur = bodyBlk
@@ -417,14 +417,14 @@ func (b *builder) localDeclType(s *ast.DeclStmt) *sema.Type {
 func (b *builder) expr(e ast.Expr) (Value, error) {
 	switch e := e.(type) {
 	case *ast.IntLit:
-		return ConstInt(e.Value), nil
+		return constInt(e.Value), nil
 	case *ast.NullLit:
-		return ConstInt(0), nil
+		return constInt(0), nil
 	case *ast.StringLit:
 		idx := b.internString(e.Value)
 		dst := b.newReg()
 		b.emit(&Instr{Op: OpStrAddr, Dst: dst, Str: idx, Pos: e.Pos()})
-		return Reg(dst), nil
+		return reg(dst), nil
 	case *ast.Ident:
 		addr, _, err := b.addrOf(e)
 		if err != nil {
@@ -432,7 +432,7 @@ func (b *builder) expr(e ast.Expr) (Value, error) {
 		}
 		dst := b.newReg()
 		b.emit(&Instr{Op: OpLoad, Dst: dst, A: addr, Size: sema.WordSize, Pos: e.Pos()})
-		return Reg(dst), nil
+		return reg(dst), nil
 	case *ast.UnaryExpr:
 		return b.unary(e)
 	case *ast.BinaryExpr:
@@ -446,7 +446,7 @@ func (b *builder) expr(e ast.Expr) (Value, error) {
 		}
 		dst := b.newReg()
 		b.emit(&Instr{Op: OpLoad, Dst: dst, A: addr, Size: size, Pos: e.Pos()})
-		return Reg(dst), nil
+		return reg(dst), nil
 	default:
 		return Nil, fmt.Errorf("%s: unhandled expression %T", e.Pos(), e)
 	}
@@ -461,7 +461,7 @@ func (b *builder) unary(e *ast.UnaryExpr) (Value, error) {
 		}
 		dst := b.newReg()
 		b.emit(&Instr{Op: OpNeg, Dst: dst, A: x, Pos: e.Pos()})
-		return Reg(dst), nil
+		return reg(dst), nil
 	case token.NOT:
 		x, err := b.expr(e.X)
 		if err != nil {
@@ -469,7 +469,7 @@ func (b *builder) unary(e *ast.UnaryExpr) (Value, error) {
 		}
 		dst := b.newReg()
 		b.emit(&Instr{Op: OpNot, Dst: dst, A: x, Pos: e.Pos()})
-		return Reg(dst), nil
+		return reg(dst), nil
 	case token.STAR:
 		p, err := b.expr(e.X)
 		if err != nil {
@@ -477,7 +477,7 @@ func (b *builder) unary(e *ast.UnaryExpr) (Value, error) {
 		}
 		dst := b.newReg()
 		b.emit(&Instr{Op: OpLoad, Dst: dst, A: p, Size: sema.WordSize, Pos: e.Pos()})
-		return Reg(dst), nil
+		return reg(dst), nil
 	case token.AMP:
 		addr, _, err := b.addrOf(e.X)
 		return addr, err
@@ -507,13 +507,13 @@ func (b *builder) binary(e *ast.BinaryExpr) (Value, error) {
 		yt := b.info.ExprTypes[e.Y]
 		if xt != nil && xt.IsPointer() && yt != nil && yt.Kind == sema.KindInt {
 			scaled := b.newReg()
-			b.emit(&Instr{Op: OpBin, Dst: scaled, BinOp: token.STAR, A: y, B: ConstInt(sema.WordSize), Pos: e.Pos()})
-			y = Reg(scaled)
+			b.emit(&Instr{Op: OpBin, Dst: scaled, BinOp: token.STAR, A: y, B: constInt(sema.WordSize), Pos: e.Pos()})
+			y = reg(scaled)
 		}
 	}
 	dst := b.newReg()
 	b.emit(&Instr{Op: OpBin, Dst: dst, BinOp: e.Op, A: x, B: y, Pos: e.Pos()})
-	return Reg(dst), nil
+	return reg(dst), nil
 }
 
 func (b *builder) shortCircuit(e *ast.BinaryExpr) (Value, error) {
@@ -522,13 +522,13 @@ func (b *builder) shortCircuit(e *ast.BinaryExpr) (Value, error) {
 	if e.Op == token.LOR {
 		first = 1
 	}
-	b.emit(&Instr{Op: OpMov, Dst: dst, A: ConstInt(first), Pos: e.Pos()})
+	b.emit(&Instr{Op: OpMov, Dst: dst, A: constInt(first), Pos: e.Pos()})
 	x, err := b.expr(e.X)
 	if err != nil {
 		return Nil, err
 	}
-	evalY := b.fn.NewBlock()
-	end := b.fn.NewBlock()
+	evalY := b.fn.newBlock()
+	end := b.fn.newBlock()
 	if e.Op == token.LAND {
 		b.emit(&Instr{Op: OpBr, Dst: -1, A: x, Then: evalY, Else: end, Pos: e.Pos()})
 	} else {
@@ -540,11 +540,11 @@ func (b *builder) shortCircuit(e *ast.BinaryExpr) (Value, error) {
 		return Nil, err
 	}
 	norm := b.newReg()
-	b.emit(&Instr{Op: OpBin, Dst: norm, BinOp: token.NE, A: y, B: ConstInt(0), Pos: e.Y.Pos()})
-	b.emit(&Instr{Op: OpMov, Dst: dst, A: Reg(norm), Pos: e.Y.Pos()})
+	b.emit(&Instr{Op: OpBin, Dst: norm, BinOp: token.NE, A: y, B: constInt(0), Pos: e.Y.Pos()})
+	b.emit(&Instr{Op: OpMov, Dst: dst, A: reg(norm), Pos: e.Y.Pos()})
 	b.emit(&Instr{Op: OpJmp, Dst: -1, Then: end, Pos: e.Pos()})
 	b.cur = end
-	return Reg(dst), nil
+	return reg(dst), nil
 }
 
 func (b *builder) call(e *ast.CallExpr) (Value, error) {
@@ -553,12 +553,12 @@ func (b *builder) call(e *ast.CallExpr) (Value, error) {
 		return Nil, fmt.Errorf("%s: unresolved call %s", e.Pos(), e.Fun.Name)
 	}
 	if sig.Builtin == sema.BuiltinSizeof {
-		return ConstInt(b.info.ConstValues[e]), nil
+		return constInt(b.info.ConstValues[e]), nil
 	}
 	var args []Value
 	if sig.Builtin == sema.BuiltinSpawn {
 		target := b.info.SpawnTargets[e]
-		args = append(args, FuncRef(target))
+		args = append(args, funcRef(target))
 		v, err := b.expr(e.Args[1])
 		if err != nil {
 			return Nil, err
@@ -583,13 +583,13 @@ func (b *builder) call(e *ast.CallExpr) (Value, error) {
 	}
 	in := b.emit(&Instr{Op: op, Dst: dst, Callee: sig.Name, Builtin: sig.Builtin, Args: args, Pos: e.Pos()})
 	if sig.Builtin == sema.BuiltinSpawn {
-		// Recorded after Finalize assigns IDs; stash via deferred fixup.
+		// Recorded after finalize assigns IDs; stash via deferred fixup.
 		b.pendingSpawns = append(b.pendingSpawns, in)
 	}
 	if dst < 0 {
 		return Nil, nil
 	}
-	return Reg(dst), nil
+	return reg(dst), nil
 }
 
 // addrOf lowers an lvalue expression to the register holding its address,
@@ -600,15 +600,15 @@ func (b *builder) addrOf(e ast.Expr) (Value, int64, error) {
 		if slot := b.lookupLocal(e.Name); slot >= 0 {
 			dst := b.newReg()
 			b.emit(&Instr{Op: OpLocalAddr, Dst: dst, Slot: slot, Pos: e.Pos()})
-			return Reg(dst), sema.WordSize, nil
+			return reg(dst), sema.WordSize, nil
 		}
-		g := b.prog.GlobalByName(e.Name)
+		g := b.prog.globalByName(e.Name)
 		if g == nil {
 			return Nil, 0, fmt.Errorf("%s: unknown variable %s", e.Pos(), e.Name)
 		}
 		dst := b.newReg()
 		b.emit(&Instr{Op: OpGlobalAddr, Dst: dst, Global: g.Index, Pos: e.Pos()})
-		return Reg(dst), sema.WordSize, nil
+		return reg(dst), sema.WordSize, nil
 	case *ast.UnaryExpr:
 		if e.Op != token.STAR {
 			return Nil, 0, fmt.Errorf("%s: not an lvalue", e.Pos())
@@ -624,7 +624,7 @@ func (b *builder) addrOf(e ast.Expr) (Value, int64, error) {
 		fld := xt.Elem.Struct.Field(e.Name)
 		dst := b.newReg()
 		b.emit(&Instr{Op: OpFieldAddr, Dst: dst, A: base, Offset: fld.Offset, Pos: e.Pos()})
-		return Reg(dst), sema.WordSize, nil
+		return reg(dst), sema.WordSize, nil
 	case *ast.IndexExpr:
 		base, err := b.expr(e.X)
 		if err != nil {
@@ -640,7 +640,7 @@ func (b *builder) addrOf(e ast.Expr) (Value, int64, error) {
 		}
 		dst := b.newReg()
 		b.emit(&Instr{Op: OpIndexAddr, Dst: dst, A: base, B: idx, ElemSz: elemSz, Pos: e.Pos()})
-		return Reg(dst), elemSz, nil
+		return reg(dst), elemSz, nil
 	default:
 		return Nil, 0, fmt.Errorf("%s: not an lvalue: %T", e.Pos(), e)
 	}

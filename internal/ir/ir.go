@@ -88,14 +88,14 @@ type Value struct {
 // Nil is the absent operand.
 var Nil = Value{Kind: ValNil}
 
-// ConstInt returns a constant operand.
-func ConstInt(v int64) Value { return Value{Kind: ValConst, Int: v} }
+// constInt returns a constant operand.
+func constInt(v int64) Value { return Value{Kind: ValConst, Int: v} }
 
-// Reg returns a register operand.
-func Reg(r int) Value { return Value{Kind: ValReg, Reg: r} }
+// reg returns a register operand.
+func reg(r int) Value { return Value{Kind: ValReg, Reg: r} }
 
-// FuncRef returns a function-reference operand.
-func FuncRef(name string) Value { return Value{Kind: ValFuncRef, Func: name} }
+// funcRef returns a function-reference operand.
+func funcRef(name string) Value { return Value{Kind: ValFuncRef, Func: name} }
 
 // IsNil reports whether the operand is absent.
 func (v Value) IsNil() bool { return v.Kind == ValNil }
@@ -119,7 +119,7 @@ func (v Value) String() string {
 // Instr is a single IR instruction.
 //
 // ID is unique across the whole program and is assigned by
-// Program.Finalize; IDs increase in (function, block, index) order, so
+// Program.finalize; IDs increase in (function, block, index) order, so
 // they provide a stable total order over the program text — the order the
 // flow-sensitive slicer walks backward through.
 type Instr struct {
@@ -145,12 +145,12 @@ type Instr struct {
 
 	Pos token.Position // source statement this instruction came from
 
-	Blk *Block // owning block (set by Finalize)
-	Idx int    // index within owning block (set by Finalize)
+	Blk *Block // owning block (set by finalize)
+	Idx int    // index within owning block (set by finalize)
 }
 
-// IsTerminator reports whether the instruction ends a basic block.
-func (in *Instr) IsTerminator() bool {
+// isTerminator reports whether the instruction ends a basic block.
+func (in *Instr) isTerminator() bool {
 	return in.Op == OpBr || in.Op == OpJmp || in.Op == OpRet
 }
 
@@ -213,7 +213,7 @@ type Block struct {
 	ID     int // index within the function
 	Fn     *Func
 	Instrs []*Instr
-	Preds  []*Block // filled by Finalize
+	Preds  []*Block // filled by finalize
 }
 
 // Terminator returns the block's terminating instruction (nil while the
@@ -223,7 +223,7 @@ func (b *Block) Terminator() *Instr {
 		return nil
 	}
 	t := b.Instrs[len(b.Instrs)-1]
-	if !t.IsTerminator() {
+	if !t.isTerminator() {
 		return nil
 	}
 	return t
@@ -265,8 +265,8 @@ type Func struct {
 // Entry returns the function's entry block.
 func (f *Func) Entry() *Block { return f.Blocks[0] }
 
-// NewBlock appends a fresh empty block to the function.
-func (f *Func) NewBlock() *Block {
+// newBlock appends a fresh empty block to the function.
+func (f *Func) newBlock() *Block {
 	b := &Block{ID: len(f.Blocks), Fn: f}
 	f.Blocks = append(f.Blocks, b)
 	return b
@@ -304,8 +304,8 @@ type Program struct {
 	SpawnTargets map[int]string
 }
 
-// GlobalByName returns the named global, or nil.
-func (p *Program) GlobalByName(name string) *Global {
+// globalByName returns the named global, or nil.
+func (p *Program) globalByName(name string) *Global {
 	for _, g := range p.Globals {
 		if g.Name == name {
 			return g
@@ -314,10 +314,10 @@ func (p *Program) GlobalByName(name string) *Global {
 	return nil
 }
 
-// Finalize assigns program-wide instruction IDs, block back-references and
+// finalize assigns program-wide instruction IDs, block back-references and
 // predecessor lists. It must be called once after construction and before
 // any analysis.
-func (p *Program) Finalize() {
+func (p *Program) finalize() {
 	p.Instrs = p.Instrs[:0]
 	id := 0
 	for _, f := range p.Funcs {

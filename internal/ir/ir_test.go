@@ -76,7 +76,7 @@ func TestEveryBlockHasTerminator(t *testing.T) {
 					t.Errorf("source %q: %s bb%d lacks a terminator", src, f.Name, b.ID)
 				}
 				for i, in := range b.Instrs {
-					if in.IsTerminator() && i != len(b.Instrs)-1 {
+					if in.isTerminator() && i != len(b.Instrs)-1 {
 						t.Errorf("source %q: %s bb%d has terminator mid-block", src, f.Name, b.ID)
 					}
 				}

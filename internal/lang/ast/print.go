@@ -7,15 +7,15 @@ import (
 	"repro/internal/lang/token"
 )
 
-// PrintType renders a syntactic type expression as MiniC source.
-func PrintType(t TypeExpr) string {
+// printType renders a syntactic type expression as MiniC source.
+func printType(t TypeExpr) string {
 	switch t := t.(type) {
 	case *NamedType:
 		return t.Name
 	case *StructRef:
 		return "struct " + t.Name
 	case *PointerType:
-		return PrintType(t.Elem) + "*"
+		return printType(t.Elem) + "*"
 	default:
 		return fmt.Sprintf("<?type %T>", t)
 	}
@@ -68,47 +68,47 @@ func unaryOpText(op token.Kind) string {
 	}
 }
 
-// PrintStmt renders a statement (and its children) as indented MiniC source.
-func PrintStmt(s Stmt, indent int) string {
+// printStmt renders a statement (and its children) as indented MiniC source.
+func printStmt(s Stmt, indent int) string {
 	pad := strings.Repeat("  ", indent)
 	switch s := s.(type) {
 	case *BlockStmt:
 		var b strings.Builder
 		b.WriteString(pad + "{\n")
 		for _, st := range s.List {
-			b.WriteString(PrintStmt(st, indent+1))
+			b.WriteString(printStmt(st, indent+1))
 		}
 		b.WriteString(pad + "}\n")
 		return b.String()
 	case *DeclStmt:
 		if s.Init != nil {
-			return fmt.Sprintf("%s%s %s = %s;\n", pad, PrintType(s.Type), s.Name, PrintExpr(s.Init))
+			return fmt.Sprintf("%s%s %s = %s;\n", pad, printType(s.Type), s.Name, PrintExpr(s.Init))
 		}
-		return fmt.Sprintf("%s%s %s;\n", pad, PrintType(s.Type), s.Name)
+		return fmt.Sprintf("%s%s %s;\n", pad, printType(s.Type), s.Name)
 	case *ExprStmt:
 		return fmt.Sprintf("%s%s;\n", pad, PrintExpr(s.X))
 	case *AssignStmt:
 		return fmt.Sprintf("%s%s = %s;\n", pad, PrintExpr(s.LHS), PrintExpr(s.RHS))
 	case *IfStmt:
-		out := fmt.Sprintf("%sif (%s)\n%s", pad, PrintExpr(s.Cond), PrintStmt(s.Then, indent+1))
+		out := fmt.Sprintf("%sif (%s)\n%s", pad, PrintExpr(s.Cond), printStmt(s.Then, indent+1))
 		if s.Else != nil {
-			out += fmt.Sprintf("%selse\n%s", pad, PrintStmt(s.Else, indent+1))
+			out += fmt.Sprintf("%selse\n%s", pad, printStmt(s.Else, indent+1))
 		}
 		return out
 	case *WhileStmt:
-		return fmt.Sprintf("%swhile (%s)\n%s", pad, PrintExpr(s.Cond), PrintStmt(s.Body, indent+1))
+		return fmt.Sprintf("%swhile (%s)\n%s", pad, PrintExpr(s.Cond), printStmt(s.Body, indent+1))
 	case *ForStmt:
 		init, cond, post := "", "", ""
 		if s.Init != nil {
-			init = strings.TrimSuffix(strings.TrimSpace(PrintStmt(s.Init, 0)), ";")
+			init = strings.TrimSuffix(strings.TrimSpace(printStmt(s.Init, 0)), ";")
 		}
 		if s.Cond != nil {
 			cond = PrintExpr(s.Cond)
 		}
 		if s.Post != nil {
-			post = strings.TrimSuffix(strings.TrimSpace(PrintStmt(s.Post, 0)), ";")
+			post = strings.TrimSuffix(strings.TrimSpace(printStmt(s.Post, 0)), ";")
 		}
-		return fmt.Sprintf("%sfor (%s; %s; %s)\n%s", pad, init, cond, post, PrintStmt(s.Body, indent+1))
+		return fmt.Sprintf("%sfor (%s; %s; %s)\n%s", pad, init, cond, post, printStmt(s.Body, indent+1))
 	case *ReturnStmt:
 		if s.X != nil {
 			return fmt.Sprintf("%sreturn %s;\n", pad, PrintExpr(s.X))
@@ -129,24 +129,24 @@ func PrintFile(f *File) string {
 	for _, sd := range f.Structs {
 		fmt.Fprintf(&b, "struct %s {\n", sd.Name)
 		for _, fld := range sd.Fields {
-			fmt.Fprintf(&b, "  %s %s;\n", PrintType(fld.Type), fld.Name)
+			fmt.Fprintf(&b, "  %s %s;\n", printType(fld.Type), fld.Name)
 		}
 		b.WriteString("};\n")
 	}
 	for _, g := range f.Globals {
 		if g.Init != nil {
-			fmt.Fprintf(&b, "global %s %s = %s;\n", PrintType(g.Type), g.Name, PrintExpr(g.Init))
+			fmt.Fprintf(&b, "global %s %s = %s;\n", printType(g.Type), g.Name, PrintExpr(g.Init))
 		} else {
-			fmt.Fprintf(&b, "global %s %s;\n", PrintType(g.Type), g.Name)
+			fmt.Fprintf(&b, "global %s %s;\n", printType(g.Type), g.Name)
 		}
 	}
 	for _, fn := range f.Funcs {
 		params := make([]string, len(fn.Params))
 		for i, p := range fn.Params {
-			params[i] = fmt.Sprintf("%s %s", PrintType(p.Type), p.Name)
+			params[i] = fmt.Sprintf("%s %s", printType(p.Type), p.Name)
 		}
-		fmt.Fprintf(&b, "%s %s(%s)\n", PrintType(fn.RetType), fn.Name, strings.Join(params, ", "))
-		b.WriteString(PrintStmt(fn.Body, 0))
+		fmt.Fprintf(&b, "%s %s(%s)\n", printType(fn.RetType), fn.Name, strings.Join(params, ", "))
+		b.WriteString(printStmt(fn.Body, 0))
 	}
 	return b.String()
 }

@@ -21,7 +21,7 @@ func TestPrintType(t *testing.T) {
 		{&PointerType{Elem: &PointerType{Elem: &StructRef{Name: "s"}}}, "struct s**"},
 	}
 	for _, c := range cases {
-		if got := PrintType(c.t); got != c.want {
+		if got := printType(c.t); got != c.want {
 			t.Errorf("PrintType: got %q, want %q", got, c.want)
 		}
 	}
@@ -72,7 +72,7 @@ func TestPrintStmtShapes(t *testing.T) {
 		{&WhileStmt{WhilePos: pos(), Cond: x, Body: &ExprStmt{X: one}}, "while (x)"},
 	}
 	for _, c := range cases {
-		if got := PrintStmt(c.s, 0); !strings.Contains(got, c.frag) {
+		if got := printStmt(c.s, 0); !strings.Contains(got, c.frag) {
 			t.Errorf("PrintStmt: got %q, want fragment %q", got, c.frag)
 		}
 	}

@@ -252,17 +252,3 @@ func (l *Lexer) scanString(pos token.Position) token.Token {
 		}
 	}
 }
-
-// ScanAll scans the whole input and returns all tokens up to and including
-// the EOF token.
-func ScanAll(file, src string) ([]token.Token, []*Error) {
-	l := New(file, src)
-	var toks []token.Token
-	for {
-		t := l.Next()
-		toks = append(toks, t)
-		if t.Kind == token.EOF {
-			return toks, l.Errors()
-		}
-	}
-}

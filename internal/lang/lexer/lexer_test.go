@@ -9,7 +9,7 @@ import (
 )
 
 func kindsOf(src string) []token.Kind {
-	toks, _ := ScanAll("test.mc", src)
+	toks, _ := scanAll("test.mc", src)
 	kinds := make([]token.Kind, len(toks))
 	for i, t := range toks {
 		kinds[i] = t.Kind
@@ -41,7 +41,7 @@ func TestScanOperators(t *testing.T) {
 }
 
 func TestScanKeywordsAndIdents(t *testing.T) {
-	toks, errs := ScanAll("t.mc", "int x while whilex _foo f00 struct null global")
+	toks, errs := scanAll("t.mc", "int x while whilex _foo f00 struct null global")
 	if len(errs) != 0 {
 		t.Fatalf("unexpected errors: %v", errs)
 	}
@@ -65,7 +65,7 @@ func TestScanKeywordsAndIdents(t *testing.T) {
 }
 
 func TestScanNumbersAndStrings(t *testing.T) {
-	toks, errs := ScanAll("t.mc", `42 0 "hello" "a\nb" "{}{"`)
+	toks, errs := scanAll("t.mc", `42 0 "hello" "a\nb" "{}{"`)
 	if len(errs) != 0 {
 		t.Fatalf("unexpected errors: %v", errs)
 	}
@@ -85,7 +85,7 @@ func TestScanNumbersAndStrings(t *testing.T) {
 
 func TestScanComments(t *testing.T) {
 	src := "a // line comment\n b /* block\ncomment */ c"
-	toks, errs := ScanAll("t.mc", src)
+	toks, errs := scanAll("t.mc", src)
 	if len(errs) != 0 {
 		t.Fatalf("unexpected errors: %v", errs)
 	}
@@ -101,7 +101,7 @@ func TestScanComments(t *testing.T) {
 }
 
 func TestScanPositions(t *testing.T) {
-	toks, _ := ScanAll("t.mc", "a\n  b\nc")
+	toks, _ := scanAll("t.mc", "a\n  b\nc")
 	type pos struct{ line, col int }
 	want := []pos{{1, 1}, {2, 3}, {3, 1}}
 	for i, w := range want {
@@ -114,7 +114,7 @@ func TestScanPositions(t *testing.T) {
 func TestScanErrors(t *testing.T) {
 	cases := []string{"\"unterminated", "/* unterminated", "@", "|", "123abc"}
 	for _, src := range cases {
-		_, errs := ScanAll("t.mc", src)
+		_, errs := scanAll("t.mc", src)
 		if len(errs) == 0 {
 			t.Errorf("source %q: expected a lexical error", src)
 		}
@@ -135,7 +135,7 @@ func TestEOFIsSticky(t *testing.T) {
 // arbitrary byte strings.
 func TestScanArbitraryInputTerminates(t *testing.T) {
 	f := func(src string) bool {
-		toks, _ := ScanAll("t.mc", src)
+		toks, _ := scanAll("t.mc", src)
 		return len(toks) > 0 && toks[len(toks)-1].Kind == token.EOF
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -148,7 +148,7 @@ func TestScanArbitraryInputTerminates(t *testing.T) {
 func TestIntLiteralRoundTrip(t *testing.T) {
 	f := func(n uint32) bool {
 		src := strings.TrimLeft(string([]byte(fmtUint(uint64(n)))), " ")
-		toks, errs := ScanAll("t.mc", src)
+		toks, errs := scanAll("t.mc", src)
 		return len(errs) == 0 && len(toks) == 2 && toks[0].Kind == token.INT && toks[0].Lit == src
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -168,4 +168,18 @@ func fmtUint(v uint64) string {
 		v /= 10
 	}
 	return string(buf[i:])
+}
+
+// scanAll scans the whole input the way the parser does, token by token,
+// and returns all tokens up to and including the EOF token.
+func scanAll(file, src string) ([]token.Token, []*Error) {
+	l := New(file, src)
+	var toks []token.Token
+	for {
+		t := l.Next()
+		toks = append(toks, t)
+		if t.Kind == token.EOF {
+			return toks, l.Errors()
+		}
+	}
 }

@@ -76,13 +76,13 @@ func assignable(dst, src *Type) bool {
 	if dst == nil || src == nil {
 		return false
 	}
-	if dst.Equal(src) {
+	if dst.equal(src) {
 		return true
 	}
-	if dst.IsPointerLike() && isAnyPtr(src) {
+	if dst.isPointerLike() && isAnyPtr(src) {
 		return true
 	}
-	if isAnyPtr(dst) && src.IsPointerLike() {
+	if isAnyPtr(dst) && src.isPointerLike() {
 		return true
 	}
 	return false
@@ -172,7 +172,7 @@ func (c *checker) collectGlobals(f *ast.File) {
 		c.info.Globals = append(c.info.Globals, &VarInfo{Name: g.Name, Type: t, Global: true})
 		if g.Init != nil {
 			it := c.checkExpr(g.Init)
-			if it != nil && !assignable(t, it) && !(t.IsPointerLike() && isNull(g.Init)) {
+			if it != nil && !assignable(t, it) && !(t.isPointerLike() && isNull(g.Init)) {
 				c.errorf(g.Init.Pos(), "cannot initialize global %s (%s) with %s", g.Name, t, it)
 			}
 		}
@@ -197,7 +197,7 @@ func (c *checker) collectFuncs(f *ast.File) {
 		sig := &FuncSig{Name: fn.Name, Ret: c.resolveType(fn.RetType)}
 		for _, p := range fn.Params {
 			pt := c.resolveType(p.Type)
-			if !pt.IsScalar() {
+			if !pt.isScalar() {
 				c.errorf(p.Pos(), "parameter %s of %s must be scalar or pointer", p.Name, fn.Name)
 				pt = TypeInt
 			}
@@ -293,13 +293,13 @@ func (c *checker) checkStmt(s ast.Stmt) {
 		c.popScope()
 	case *ast.DeclStmt:
 		t := c.resolveType(s.Type)
-		if !t.IsScalar() {
+		if !t.isScalar() {
 			c.errorf(s.Pos(), "local %s must be scalar or pointer", s.Name)
 			t = TypeInt
 		}
 		if s.Init != nil {
 			it := c.checkExpr(s.Init)
-			if it != nil && !assignable(t, it) && !(t.IsPointerLike() && isNull(s.Init)) && !(t.Kind == KindInt && it.IsPointerLike()) {
+			if it != nil && !assignable(t, it) && !(t.isPointerLike() && isNull(s.Init)) && !(t.Kind == KindInt && it.isPointerLike()) {
 				c.errorf(s.Init.Pos(), "cannot initialize %s (%s) with %s", s.Name, t, it)
 			}
 		}
@@ -310,8 +310,8 @@ func (c *checker) checkStmt(s ast.Stmt) {
 		lt := c.checkLValue(s.LHS)
 		rt := c.checkExpr(s.RHS)
 		if lt != nil && rt != nil && !assignable(lt, rt) &&
-			!(lt.IsPointerLike() && isNull(s.RHS)) &&
-			!(lt.Kind == KindInt && rt.IsPointerLike()) {
+			!(lt.isPointerLike() && isNull(s.RHS)) &&
+			!(lt.Kind == KindInt && rt.isPointerLike()) {
 			c.errorf(s.Pos(), "cannot assign %s to %s", rt, lt)
 		}
 	case *ast.IfStmt:
@@ -354,7 +354,7 @@ func (c *checker) checkStmt(s ast.Stmt) {
 			return
 		}
 		t := c.checkExpr(s.X)
-		if t != nil && !assignable(ret, t) && !(ret.IsPointerLike() && isNull(s.X)) {
+		if t != nil && !assignable(ret, t) && !(ret.isPointerLike() && isNull(s.X)) {
 			c.errorf(s.Pos(), "cannot return %s from %s (returns %s)", t, c.cur.Sig.Name, ret)
 		}
 	case *ast.BreakStmt:
@@ -372,7 +372,7 @@ func (c *checker) checkStmt(s ast.Stmt) {
 
 func (c *checker) checkCond(e ast.Expr) {
 	t := c.checkExpr(e)
-	if t != nil && !t.IsScalar() {
+	if t != nil && !t.isScalar() {
 		c.errorf(e.Pos(), "condition must be scalar, got %s", t)
 	}
 }
@@ -435,7 +435,7 @@ func (c *checker) checkUnary(e *ast.UnaryExpr) *Type {
 	switch e.Op {
 	case token.MINUS, token.NOT:
 		t := c.checkExpr(e.X)
-		if t != nil && t.Kind != KindInt && !(e.Op == token.NOT && t.IsPointerLike()) {
+		if t != nil && t.Kind != KindInt && !(e.Op == token.NOT && t.isPointerLike()) {
 			c.errorf(e.Pos(), "operator %s requires int, got %s", e.Op, t)
 		}
 		return TypeInt
@@ -448,7 +448,7 @@ func (c *checker) checkUnary(e *ast.UnaryExpr) *Type {
 		if isAnyPtr(t) {
 			return TypeInt
 		}
-		if !t.Elem.IsScalar() {
+		if !t.Elem.isScalar() {
 			c.errorf(e.Pos(), "cannot load struct value; access fields with ->")
 			return TypeInt
 		}
@@ -486,9 +486,9 @@ func (c *checker) checkBinary(e *ast.BinaryExpr) *Type {
 		switch {
 		case xt.Kind == KindInt && yt.Kind == KindInt:
 			return TypeInt
-		case xt.IsPointerLike() && yt.Kind == KindInt:
+		case xt.isPointerLike() && yt.Kind == KindInt:
 			return xt
-		case e.Op == token.MINUS && xt.IsPointerLike() && yt.IsPointerLike():
+		case e.Op == token.MINUS && xt.isPointerLike() && yt.isPointerLike():
 			return TypeInt
 		}
 		c.errorf(e.Pos(), "invalid operands to %s: %s and %s", e.Op, xt, yt)
@@ -500,9 +500,9 @@ func (c *checker) checkBinary(e *ast.BinaryExpr) *Type {
 		return TypeInt
 	case token.EQ, token.NE, token.LT, token.LE, token.GT, token.GE:
 		ok := (xt.Kind == KindInt && yt.Kind == KindInt) ||
-			(xt.IsPointerLike() && yt.IsPointerLike()) ||
-			(xt.IsPointerLike() && isAnyPtr(yt)) ||
-			(isAnyPtr(xt) && yt.IsPointerLike())
+			(xt.isPointerLike() && yt.isPointerLike()) ||
+			(xt.isPointerLike() && isAnyPtr(yt)) ||
+			(isAnyPtr(xt) && yt.isPointerLike())
 		if !ok {
 			c.errorf(e.Pos(), "cannot compare %s and %s", xt, yt)
 		}
@@ -526,7 +526,7 @@ func (c *checker) checkIndex(e *ast.IndexExpr) *Type {
 	switch {
 	case xt.Kind == KindString:
 		return TypeInt // byte read, widened
-	case xt.IsPointer() && !isAnyPtr(xt) && xt.Elem.IsScalar():
+	case xt.IsPointer() && !isAnyPtr(xt) && xt.Elem.isScalar():
 		return xt.Elem
 	case isAnyPtr(xt):
 		return TypeInt
@@ -569,7 +569,7 @@ func (c *checker) checkCall(e *ast.CallExpr) *Type {
 	for i, a := range e.Args {
 		at := c.checkExpr(a)
 		if i < len(fi.Sig.Params) && at != nil && !assignable(fi.Sig.Params[i], at) &&
-			!(fi.Sig.Params[i].IsPointerLike() && isNull(a)) {
+			!(fi.Sig.Params[i].isPointerLike() && isNull(a)) {
 			c.errorf(a.Pos(), "argument %d of %s: cannot use %s as %s", i+1, name, at, fi.Sig.Params[i])
 		}
 	}
@@ -595,7 +595,7 @@ func (c *checker) checkBuiltinCall(e *ast.CallExpr, sig *FuncSig) *Type {
 			return TypeInt
 		}
 		c.setType(e.Args[0], TypeInt)
-		c.info.ConstValues[e] = si.Size()
+		c.info.ConstValues[e] = si.size()
 		return TypeInt
 	case BuiltinSpawn:
 		if len(e.Args) != 2 {
@@ -608,14 +608,14 @@ func (c *checker) checkBuiltinCall(e *ast.CallExpr, sig *FuncSig) *Type {
 		} else if fi, ok := c.info.Funcs[id.Name]; !ok {
 			c.errorf(id.Pos(), "spawn: undefined function %s", id.Name)
 		} else {
-			if len(fi.Sig.Params) != 1 || !fi.Sig.Params[0].IsScalar() {
+			if len(fi.Sig.Params) != 1 || !fi.Sig.Params[0].isScalar() {
 				c.errorf(id.Pos(), "spawn target %s must take exactly one scalar argument", id.Name)
 			}
 			c.info.SpawnTargets[e] = id.Name
 			c.setType(e.Args[0], TypeInt)
 		}
 		at := c.checkExpr(e.Args[1])
-		if at != nil && !at.IsScalar() {
+		if at != nil && !at.isScalar() {
 			c.errorf(e.Args[1].Pos(), "spawn argument must be scalar")
 		}
 		return TypeInt
@@ -625,7 +625,7 @@ func (c *checker) checkBuiltinCall(e *ast.CallExpr, sig *FuncSig) *Type {
 			return sig.Ret
 		}
 		at := c.checkExpr(e.Args[0])
-		if at != nil && !at.IsPointerLike() {
+		if at != nil && !at.isPointerLike() {
 			c.errorf(e.Args[0].Pos(), "%s requires a pointer, got %s", sig.Name, at)
 		}
 		return sig.Ret
@@ -635,7 +635,7 @@ func (c *checker) checkBuiltinCall(e *ast.CallExpr, sig *FuncSig) *Type {
 		}
 		for _, a := range e.Args {
 			at := c.checkExpr(a)
-			if at != nil && !at.IsScalar() {
+			if at != nil && !at.isScalar() {
 				c.errorf(a.Pos(), "print argument must be scalar")
 			}
 		}
@@ -649,7 +649,7 @@ func (c *checker) checkBuiltinCall(e *ast.CallExpr, sig *FuncSig) *Type {
 			if i >= len(sig.Params) || sig.Params[i] == nil {
 				continue // wildcard parameter
 			}
-			if at != nil && !assignable(sig.Params[i], at) && !(sig.Params[i].IsPointerLike() && isNull(a)) {
+			if at != nil && !assignable(sig.Params[i], at) && !(sig.Params[i].isPointerLike() && isNull(a)) {
 				c.errorf(a.Pos(), "argument %d of %s: cannot use %s as %s", i+1, sig.Name, at, sig.Params[i])
 			}
 		}

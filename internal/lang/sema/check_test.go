@@ -82,8 +82,8 @@ int main() { return sizeof(item); }`)
 	if si == nil {
 		t.Fatal("struct item not found")
 	}
-	if si.Size() != 24 {
-		t.Errorf("size: got %d, want 24", si.Size())
+	if si.size() != 24 {
+		t.Errorf("size: got %d, want 24", si.size())
 	}
 	if f := si.Field("next"); f == nil || f.Offset != 16 {
 		t.Errorf("field next: %+v", f)

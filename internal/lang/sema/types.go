@@ -47,8 +47,8 @@ var (
 // PointerTo returns the type *elem.
 func PointerTo(elem *Type) *Type { return &Type{Kind: KindPointer, Elem: elem} }
 
-// Equal reports structural type equality (nominal for structs).
-func (t *Type) Equal(u *Type) bool {
+// equal reports structural type equality (nominal for structs).
+func (t *Type) equal(u *Type) bool {
 	if t == nil || u == nil {
 		return t == u
 	}
@@ -57,7 +57,7 @@ func (t *Type) Equal(u *Type) bool {
 	}
 	switch t.Kind {
 	case KindPointer:
-		return t.Elem.Equal(u.Elem)
+		return t.Elem.equal(u.Elem)
 	case KindStruct:
 		return t.Struct.Name == u.Struct.Name
 	default:
@@ -68,23 +68,15 @@ func (t *Type) Equal(u *Type) bool {
 // IsPointer reports whether t is a pointer type.
 func (t *Type) IsPointer() bool { return t != nil && t.Kind == KindPointer }
 
-// IsPointerLike reports whether values of t are addresses (pointers and
+// isPointerLike reports whether values of t are addresses (pointers and
 // strings).
-func (t *Type) IsPointerLike() bool {
+func (t *Type) isPointerLike() bool {
 	return t != nil && (t.Kind == KindPointer || t.Kind == KindString)
 }
 
-// IsScalar reports whether values of t fit into a single machine word
+// isScalar reports whether values of t fit into a single machine word
 // (everything except bare struct types, which only exist behind pointers).
-func (t *Type) IsScalar() bool { return t != nil && t.Kind != KindStruct && t.Kind != KindVoid }
-
-// Size returns the size of a value of t in bytes.
-func (t *Type) Size() int64 {
-	if t.Kind == KindStruct {
-		return int64(len(t.Struct.Fields)) * WordSize
-	}
-	return WordSize
-}
+func (t *Type) isScalar() bool { return t != nil && t.Kind != KindStruct && t.Kind != KindVoid }
 
 // String renders the type in MiniC syntax.
 func (t *Type) String() string {
@@ -129,8 +121,8 @@ func (s *StructInfo) Field(name string) *FieldInfo {
 	return nil
 }
 
-// Size returns the struct's size in bytes.
-func (s *StructInfo) Size() int64 { return int64(len(s.Fields)) * WordSize }
+// size returns the struct's size in bytes.
+func (s *StructInfo) size() int64 { return int64(len(s.Fields)) * WordSize }
 
 // FuncSig is a function signature (user function or builtin).
 type FuncSig struct {

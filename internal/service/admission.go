@@ -62,9 +62,9 @@ func (b *tokenBucket) take(now time.Time) (ok bool, retryAfter time.Duration) {
 
 // ---- health -----------------------------------------------------------
 
-// Health snapshots the server's readiness: admission-queue depths, shed
+// readiness snapshots the server's readiness: admission-queue depths, shed
 // counters, and the FleetHealth aggregate across finished campaigns.
-func (s *Server) Health() HealthResponse {
+func (s *Server) readiness() HealthResponse {
 	s.mu.Lock()
 	queued := 0
 	for _, t := range s.tenants {
@@ -91,7 +91,7 @@ func (s *Server) Health() HealthResponse {
 // it), and answers 503 while not ready so a balancer steers submits
 // away without parsing the body.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	h := s.Health()
+	h := s.readiness()
 	data, err := json.MarshalIndent(h, "", "  ")
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encode health: %v", err)
@@ -128,13 +128,6 @@ func (s *Server) BeginDrain() {
 		req()
 	}
 	s.logf("drain: admissions stopped, %d campaigns asked to checkpoint", len(sups))
-}
-
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
 }
 
 // DrainWait blocks until every campaign goroutine has unwound (each

@@ -217,17 +217,17 @@ func TestHealthEndpointReportsReadiness(t *testing.T) {
 func TestHealthCostIndependentOfTraffic(t *testing.T) {
 	s := NewServer(Options{})
 	defer s.Close()
-	idle := testing.AllocsPerRun(20, func() { s.Health() })
+	idle := testing.AllocsPerRun(20, func() { s.readiness() })
 	const requests = 30_000
 	for i := 0; i < requests; i++ {
 		s.metrics.observe([]string{PathPoll, PathUpload, PathSubmit}[i%3])
 	}
-	busy := testing.AllocsPerRun(20, func() { s.Health() })
+	busy := testing.AllocsPerRun(20, func() { s.readiness() })
 	if busy != idle {
 		t.Errorf("Health allocates %.0f times after %d requests, %.0f on an idle server", busy, requests, idle)
 	}
 	want, rpcs := s.Snapshot()
-	if got := s.Health().Counters; got != want || got.Requests != requests {
+	if got := s.readiness().Counters; got != want || got.Requests != requests {
 		t.Errorf("Health counters = %+v, Snapshot counters = %+v", got, want)
 	}
 	wantRPCs := []RPCStat{{PathPoll, requests / 3}, {PathSubmit, requests / 3}, {PathUpload, requests / 3}}
@@ -244,8 +244,8 @@ func TestDrainShedsSubmits(t *testing.T) {
 
 	s.BeginDrain()
 	s.BeginDrain() // idempotent
-	if !s.Draining() {
-		t.Fatal("Draining() false after BeginDrain")
+	if !s.readiness().Draining {
+		t.Fatal("health report not draining after BeginDrain")
 	}
 	_, err := s.handleSubmit(&SubmitRequest{Tenant: "acme", Bug: "pbzip2"})
 	he, ok := err.(*httpError)

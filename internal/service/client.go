@@ -137,7 +137,7 @@ func (c *Client) Call(ctx context.Context, path string, in, out any) error {
 		return fmt.Errorf("client: marshal %s: %w", path, err)
 	}
 	reqKey := fmt.Sprintf("%s#%d", path, c.seq.Add(1))
-	sum := BodyChecksum(body)
+	sum := bodyChecksum(body)
 
 	var lastErr error
 	var retryAfter time.Duration

@@ -56,7 +56,7 @@ func TestOverloadBullyTenantIsShedVictimsUnharmed(t *testing.T) {
 			cfg, err := bugs.ConfigFor(name)
 			// Slow agents live in their own keyed fault stream: only
 			// timing changes, never trace bytes.
-			cfg.Faults = faults.Slowdown(99, 0.2)
+			cfg.Faults = faults.Config{Seed: 99, SlowRate: 0.2}
 			return cfg, err
 		},
 	})
@@ -146,13 +146,13 @@ func TestOverloadBullyTenantIsShedVictimsUnharmed(t *testing.T) {
 	}
 	filed := make(chan struct{})
 	go func() { filing.Wait(); close(filed) }()
-	pace := faults.NewFlood(7, 10*rps, 10)
+	pace := newFlood(7, 10*rps, 10)
 	for flooding := true; flooding; {
 		select {
 		case <-filed:
 			flooding = false
 		default:
-			time.Sleep(pace.Next())
+			time.Sleep(pace.next())
 			fire(&service.SubmitRequest{Tenant: bully, Bug: bug, Report: report, Seed: 2})
 		}
 	}
@@ -190,7 +190,11 @@ func TestOverloadBullyTenantIsShedVictimsUnharmed(t *testing.T) {
 	if c.DeadlineExpired != 0 {
 		t.Errorf("%d deadlines expired under a 120s budget", c.DeadlineExpired)
 	}
-	if q := srv.Health().MaxQueuedLaunches; q > launchBudget {
+	var health service.HealthResponse
+	if err := client(victims[0]).Call(ctx, service.PathHealth, struct{}{}, &health); err != nil {
+		t.Fatalf("health: %v", err)
+	}
+	if q := health.MaxQueuedLaunches; q > launchBudget {
 		t.Errorf("launch queue peaked at %d, over the budget of %d", q, launchBudget)
 	}
 }

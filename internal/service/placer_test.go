@@ -68,7 +68,7 @@ func TestCoordinatorModeSketchesByteIdentical(t *testing.T) {
 	if err := cli.Call(ctx, service.PathSubmit, &service.SubmitRequest{Tenant: "acme", Bug: bug}, &sub); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	if !srv.WaitCampaign("acme", bug) {
+	if !srv.WaitCampaignSig("acme", bug, "") {
 		t.Fatal("campaign vanished after submit")
 	}
 
@@ -148,7 +148,7 @@ func TestCoordinatorModeSurfacesWorkerFailure(t *testing.T) {
 	if err := cli.Call(ctx, service.PathSubmit, &service.SubmitRequest{Tenant: "acme", Bug: bug}, &sub); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	if !srv.WaitCampaign("acme", bug) {
+	if !srv.WaitCampaignSig("acme", bug, "") {
 		t.Fatal("campaign vanished after submit")
 	}
 	var st service.StatusResponse

@@ -279,7 +279,7 @@ func TestDiscoveryFailureIsReportedAsSuch(t *testing.T) {
 	if err := cli.Call(ctx, service.PathSubmit, &service.SubmitRequest{Tenant: restartTenant, Bug: bug}, &service.SubmitResponse{}); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	srv.WaitCampaign(restartTenant, bug)
+	srv.WaitCampaignSig(restartTenant, bug, "")
 	var st service.StatusResponse
 	if err := cli.Call(ctx, service.PathStatus, &service.StatusRequest{Tenant: restartTenant, Bug: bug}, &st); err != nil {
 		t.Fatalf("status: %v", err)

@@ -293,14 +293,9 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// WaitCampaign blocks until the (tenant, bug) discovery campaign
-// finishes; it reports false when no such campaign exists.
-func (s *Server) WaitCampaign(tenant, bug string) bool {
-	return s.WaitCampaignSig(tenant, bug, "")
-}
-
 // WaitCampaignSig blocks until the campaign for one failure signature
-// under (tenant, bug) finishes; "" addresses the discovery campaign.
+// under (tenant, bug) finishes; "" addresses the discovery campaign. It
+// reports false when no such campaign exists.
 func (s *Server) WaitCampaignSig(tenant, bug, sig string) bool {
 	s.mu.Lock()
 	t := s.tenants[tenant]

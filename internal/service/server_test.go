@@ -139,7 +139,7 @@ func TestMixedVersionUploadRefused(t *testing.T) {
 		`"trace":{"spec":{"EndpointID":%d,"Seed":%d},"flow":{"0":[1,2,3]},"base_mc":10,"extra_mc":0}}`,
 		tk.id, tk.spec.EndpointID, tk.spec.Seed))
 	req := httptest.NewRequest(http.MethodPost, PathUpload, bytes.NewReader(body))
-	req.Header.Set(ChecksumHeader, BodyChecksum(body))
+	req.Header.Set(ChecksumHeader, bodyChecksum(body))
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, req)
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "neither a trace nor a crash marker") {
@@ -185,7 +185,7 @@ func TestChecksumMismatchRejectedBeforeDecode(t *testing.T) {
 
 	// The same body with the right checksum decodes fine.
 	req = httptest.NewRequest(http.MethodPost, PathStatus, bytes.NewReader(body))
-	req.Header.Set(ChecksumHeader, BodyChecksum(body))
+	req.Header.Set(ChecksumHeader, bodyChecksum(body))
 	rec = httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
@@ -207,7 +207,7 @@ func TestRequestBodyCap(t *testing.T) {
 		body := append([]byte(head), bytes.Repeat([]byte{'x'}, size-len(head)-2)...)
 		body = append(body, `"}`...)
 		req := httptest.NewRequest(http.MethodPost, PathUpload, bytes.NewReader(body))
-		req.Header.Set(ChecksumHeader, BodyChecksum(body))
+		req.Header.Set(ChecksumHeader, bodyChecksum(body))
 		resp, err := LoopbackTransport{Handler: s.Handler()}.RoundTrip(req)
 		if err != nil {
 			t.Fatalf("round trip: %v", err)
@@ -392,7 +392,7 @@ func TestFleetVanishesDegradesGracefully(t *testing.T) {
 	}
 	done := make(chan struct{})
 	go func() {
-		s.WaitCampaign("ghost", "pbzip2")
+		s.WaitCampaignSig("ghost", "pbzip2", "")
 		close(done)
 	}()
 	hang := time.After(time.Minute)
@@ -497,7 +497,7 @@ func TestClientCorruptionRejectedThenRetried(t *testing.T) {
 	reqKey := PathStatus + "#1"
 	seed := int64(-1)
 	for cand := int64(1); cand < 4096; cand++ {
-		inj := faults.NewInjector(faults.Transport(cand, 0.9))
+		inj := faults.NewInjector(faults.Config{Seed: cand, TransportRate: 0.9})
 		if inj.ForRequest("acme", "cli", reqKey, 0).Kind == faults.TransportCorrupt &&
 			inj.ForRequest("acme", "cli", reqKey, 1).Kind == faults.TransportNone {
 			seed = cand
@@ -514,7 +514,7 @@ func TestClientCorruptionRejectedThenRetried(t *testing.T) {
 		BaseURL:   "http://gist",
 		Tenant:    "acme",
 		Actor:     "cli",
-		Faults:    faults.Transport(seed, 0.9),
+		Faults:    faults.Config{Seed: seed, TransportRate: 0.9},
 		Transport: LoopbackTransport{Handler: s.Handler()},
 		Sleep:     func(time.Duration) {},
 	})

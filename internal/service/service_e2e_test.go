@@ -105,7 +105,7 @@ func serviceSketch(t *testing.T, bug string, rate float64, nAgents int, fcfg fau
 			Tenant:    "acme",
 			ID:        fmt.Sprintf("ep-%d", i),
 			Poll:      150 * time.Millisecond,
-			Faults:    faults.Transport(int64(1000+i), rate),
+			Faults:    faults.Config{Seed: int64(1000 + i), TransportRate: rate},
 			Transport: transport,
 			Sleep:     func(time.Duration) {},
 		})
@@ -127,7 +127,7 @@ func serviceSketch(t *testing.T, bug string, rate float64, nAgents int, fcfg fau
 		BaseURL:   "http://gist",
 		Tenant:    "acme",
 		Actor:     "cli",
-		Faults:    faults.Transport(77, rate),
+		Faults:    faults.Config{Seed: 77, TransportRate: rate},
 		Transport: transport,
 		Sleep:     func(time.Duration) {},
 	})
@@ -135,7 +135,7 @@ func serviceSketch(t *testing.T, bug string, rate float64, nAgents int, fcfg fau
 	if err := cli.Call(ctx, service.PathSubmit, &service.SubmitRequest{Tenant: "acme", Bug: bug}, &sub); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	if !srv.WaitCampaign("acme", bug) {
+	if !srv.WaitCampaignSig("acme", bug, "") {
 		t.Fatal("campaign vanished after submit")
 	}
 
@@ -294,7 +294,7 @@ func TestAgentDeathReassignsRuns(t *testing.T) {
 	defer wg.Wait()
 	defer cancel()
 
-	if !srv.WaitCampaign("acme", bug) {
+	if !srv.WaitCampaignSig("acme", bug, "") {
 		t.Fatal("campaign vanished")
 	}
 	var sk service.SketchResponse

@@ -63,7 +63,7 @@ func jsonHandler[Req, Resp any](s *Server, f func(*Req) (*Resp, error)) http.Han
 			return
 		}
 		if want := r.Header.Get(ChecksumHeader); want != "" {
-			if got := BodyChecksum(body); got != want {
+			if got := bodyChecksum(body); got != want {
 				s.metrics.add(func(m *Counters) { m.BadChecksum++ })
 				writeError(w, http.StatusBadRequest, "body checksum mismatch: have %s, header says %s", got, want)
 				return

@@ -79,8 +79,8 @@ const RetryAfterMsHeader = "X-Gist-Retry-After-Ms"
 
 var wireCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// BodyChecksum returns the wire checksum of a request body.
-func BodyChecksum(body []byte) string {
+// bodyChecksum returns the wire checksum of a request body.
+func bodyChecksum(body []byte) string {
 	return strconv.FormatUint(uint64(crc32.Checksum(body, wireCastagnoli)), 10)
 }
 

@@ -31,8 +31,8 @@ type Assignment struct {
 	DiscoveryRuns int               `json:"discovery_runs,omitempty"`
 }
 
-// Campaign is the assignment's fleet-wide file-safe name.
-func (a Assignment) Campaign() string { return CampaignName(a.Tenant, a.Key) }
+// campaign is the assignment's fleet-wide file-safe name.
+func (a Assignment) campaign() string { return CampaignName(a.Tenant, a.Key) }
 
 // DoneRecord is one finished diagnosis as published by the worker that
 // drove it to completion: the sketch bytes (byte-identical to a
@@ -76,7 +76,7 @@ func NewCoordinator(b store.Backend, root string, shards int, noFsync bool) (*Co
 	if shards <= 0 {
 		return nil, fmt.Errorf("shard: coordinator needs a positive shard count, got %d", shards)
 	}
-	for _, dir := range []string{AssignDir(root), LeaseDir(root), DoneDir(root), StateRoot(root)} {
+	for _, dir := range []string{assignDir(root), LeaseDir(root), doneDir(root), StateRoot(root)} {
 		if err := b.EnsureDir(dir); err != nil {
 			return nil, fmt.Errorf("shard: %w", err)
 		}
@@ -86,12 +86,6 @@ func NewCoordinator(b store.Backend, root string, shards int, noFsync bool) (*Co
 
 // Backend returns the shared medium the fleet runs over.
 func (c *Coordinator) Backend() store.Backend { return c.b }
-
-// Root returns the fleet root on the backend.
-func (c *Coordinator) Root() string { return c.root }
-
-// Shards returns the fleet's shard count.
-func (c *Coordinator) Shards() int { return c.shards }
 
 // CheckpointRoot is the state root workers checkpoint under — handed to
 // the service so its sketch-reload path reads the fleet's stores.
@@ -107,8 +101,8 @@ func (c *Coordinator) Assign(a Assignment) (Assignment, error) {
 	if a.Key == "" {
 		a.Key = a.Bug
 	}
-	a.Shard = Place(a.Tenant, a.Bug, a.Signature, c.shards)
-	if err := writeRecord(c.b, filepath.Join(AssignDir(c.root), a.Campaign()+".assign"), &a, c.noFsync); err != nil {
+	a.Shard = place(a.Tenant, a.Bug, a.Signature, c.shards)
+	if err := writeRecord(c.b, filepath.Join(assignDir(c.root), a.campaign()+".assign"), &a, c.noFsync); err != nil {
 		return a, err
 	}
 	return a, nil
@@ -120,10 +114,10 @@ func (c *Coordinator) Done(tenant, key string) (*DoneRecord, error) {
 	return ReadDone(c.b, c.root, CampaignName(tenant, key))
 }
 
-// Assignments lists every placed campaign, sorted by campaign name so
+// assignments lists every placed campaign, sorted by campaign name so
 // all workers walk the same order. Torn or foreign files are skipped.
-func Assignments(b store.Backend, root string) ([]Assignment, error) {
-	dir := AssignDir(root)
+func assignments(b store.Backend, root string) ([]Assignment, error) {
+	dir := assignDir(root)
 	names, err := b.ListFiles(dir)
 	if err != nil {
 		return nil, fmt.Errorf("shard: assignments: %w", err)
@@ -143,17 +137,17 @@ func Assignments(b store.Backend, root string) ([]Assignment, error) {
 	return out, nil
 }
 
-// WriteDone publishes a finished diagnosis. Written via atomic rename;
+// writeDone publishes a finished diagnosis. Written via atomic rename;
 // if a lease-handoff window ever lets two workers finish the same
 // campaign, both write the same sketch bytes, so last-write-wins is
 // benign.
-func WriteDone(b store.Backend, root string, rec *DoneRecord, noFsync bool) error {
-	return writeRecord(b, filepath.Join(DoneDir(root), CampaignName(rec.Tenant, rec.Key)+".done"), rec, noFsync)
+func writeDone(b store.Backend, root string, rec *DoneRecord, noFsync bool) error {
+	return writeRecord(b, filepath.Join(doneDir(root), CampaignName(rec.Tenant, rec.Key)+".done"), rec, noFsync)
 }
 
 // ReadDone returns a campaign's done record, or nil when none exists.
 func ReadDone(b store.Backend, root string, campaign string) (*DoneRecord, error) {
-	path := filepath.Join(DoneDir(root), campaign+".done")
+	path := filepath.Join(doneDir(root), campaign+".done")
 	if !b.Exists(path) {
 		return nil, nil
 	}

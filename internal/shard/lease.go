@@ -237,9 +237,9 @@ func (lt *LeaseTable) Release(campaign, worker string) {
 	}
 }
 
-// Owner returns the campaign's current owner, or nil when it is
+// owner returns the campaign's current owner, or nil when it is
 // unowned (no claims, or all claims expired).
-func (lt *LeaseTable) Owner(campaign string) (*Lease, error) {
+func (lt *LeaseTable) owner(campaign string) (*Lease, error) {
 	claims, _, err := lt.scan(campaign)
 	if err != nil {
 		return nil, err

@@ -173,7 +173,7 @@ func TestExpiredLeaseIsTakenOverAndCannotRenew(t *testing.T) {
 	if _, err := lt1.Renew("t__bug", "w1"); !errors.Is(err, ErrLeaseLost) {
 		t.Fatalf("renew of an expired, superseded lease: err = %v, want ErrLeaseLost", err)
 	}
-	owner, err := lt2.Owner("t__bug")
+	owner, err := lt2.owner("t__bug")
 	if err != nil || owner == nil || owner.Worker != "w2" {
 		t.Fatalf("owner after takeover = %+v, %v; want w2", owner, err)
 	}
@@ -191,7 +191,7 @@ func TestReleaseUnowns(t *testing.T) {
 		t.Fatalf("claim: won=%v err=%v", won, err)
 	}
 	lt.Release("t__bug", "w1")
-	owner, err := lt.Owner("t__bug")
+	owner, err := lt.owner("t__bug")
 	if err != nil || owner != nil {
 		t.Fatalf("owner after release = %+v, %v; want none", owner, err)
 	}

@@ -34,10 +34,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Place maps a campaign identity to a shard index in [0, shards). The
+// place maps a campaign identity to a shard index in [0, shards). The
 // hash is FNV-64a over the NUL-joined identity, so placement is stable
 // across processes, restarts, and Go versions.
-func Place(tenant, bug, sig string, shards int) int {
+func place(tenant, bug, sig string, shards int) int {
 	h := fnv.New64a()
 	h.Write([]byte(tenant))
 	h.Write([]byte{0})
@@ -49,14 +49,14 @@ func Place(tenant, bug, sig string, shards int) int {
 
 // Layout helpers: every process derives the same paths from the root.
 
-// AssignDir is where the coordinator's placement records live.
-func AssignDir(root string) string { return filepath.Join(root, "assign") }
+// assignDir is where the coordinator's placement records live.
+func assignDir(root string) string { return filepath.Join(root, "assign") }
 
 // LeaseDir is where workers' ownership claims live.
 func LeaseDir(root string) string { return filepath.Join(root, "lease") }
 
-// DoneDir is where finished diagnoses land.
-func DoneDir(root string) string { return filepath.Join(root, "done") }
+// doneDir is where finished diagnoses land.
+func doneDir(root string) string { return filepath.Join(root, "done") }
 
 // StateRoot is the checkpoint-store root workers open campaign stores
 // under (see OpenCampaignStore).

@@ -22,11 +22,11 @@ func TestPlaceIsStableAndInRange(t *testing.T) {
 			{"acme", "curl", ""},
 			{"globex", "pbzip2", ""},
 		} {
-			s := Place(id[0], id[1], id[2], shards)
+			s := place(id[0], id[1], id[2], shards)
 			if s < 0 || s >= shards {
 				t.Fatalf("Place(%v, %d) = %d out of range", id, shards, s)
 			}
-			if again := Place(id[0], id[1], id[2], shards); again != s {
+			if again := place(id[0], id[1], id[2], shards); again != s {
 				t.Fatalf("Place(%v, %d) unstable: %d then %d", id, shards, s, again)
 			}
 			seen[s] = true
@@ -36,7 +36,7 @@ func TestPlaceIsStableAndInRange(t *testing.T) {
 		}
 	}
 	// The NUL joiner keeps concatenation ambiguity out of the hash.
-	if Place("a", "bc", "", 1024) == Place("ab", "c", "", 1024) {
+	if place("a", "bc", "", 1024) == place("ab", "c", "", 1024) {
 		t.Fatalf("Place conflates (a, bc) with (ab, c)")
 	}
 }
@@ -47,15 +47,19 @@ func TestPlaceIsStableAndInRange(t *testing.T) {
 // name that goes with it.
 func TestCampaignNameMatchesServiceLayout(t *testing.T) {
 	const tenant, key = "acme corp", "pbzip2#sig/1"
-	st, err := OpenCampaignStore(store.NewMemBackend(), StateRoot("fleet"), tenant, key, true, nil)
+	b := store.NewMemBackend()
+	st, err := OpenCampaignStore(b, StateRoot("fleet"), tenant, key, true, nil)
 	if err != nil {
 		t.Fatalf("OpenCampaignStore: %v", err)
 	}
 	if got, want := st.Dir(), filepath.Join("fleet", "state", "acme_corp"); got != want {
 		t.Errorf("store dir = %q, want %q", got, want)
 	}
-	if got, want := st.Name(), "pbzip2_sig_1"; got != want {
-		t.Errorf("store name = %q, want %q", got, want)
+	if _, err := st.Save([]byte("snapshot")); err != nil {
+		t.Fatal(err)
+	}
+	if files, _ := b.ListFiles(st.Dir()); len(files) != 1 || !strings.HasPrefix(files[0], "pbzip2_sig_1.g") {
+		t.Errorf("store files = %q, want one pbzip2_sig_1 generation", files)
 	}
 	if got, want := CampaignName(tenant, key), "acme_corp__pbzip2_sig_1"; got != want {
 		t.Errorf("CampaignName = %q, want %q", got, want)

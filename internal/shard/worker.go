@@ -151,7 +151,7 @@ func NewWorker(o WorkerOptions) (*Worker, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, dir := range []string{AssignDir(o.Root), DoneDir(o.Root), StateRoot(o.Root)} {
+	for _, dir := range []string{assignDir(o.Root), doneDir(o.Root), StateRoot(o.Root)} {
 		if err := o.Backend.EnsureDir(dir); err != nil {
 			return nil, fmt.Errorf("shard: %w", err)
 		}
@@ -248,12 +248,12 @@ func (w *Worker) Run(ctx context.Context, idle time.Duration) error {
 // own: its own shard's campaigns immediately, foreign campaigns only
 // after they sit unowned long enough to conclude their worker is dead.
 func (w *Worker) adopt() error {
-	as, err := Assignments(w.o.Backend, w.o.Root)
+	as, err := assignments(w.o.Backend, w.o.Root)
 	if err != nil {
 		return err
 	}
 	for _, a := range as {
-		name := a.Campaign()
+		name := a.campaign()
 		if _, ok := w.held[name]; ok {
 			continue
 		}
@@ -264,7 +264,7 @@ func (w *Worker) adopt() error {
 		}
 		mine := a.Shard%w.o.Shards == w.o.Index
 		if !mine {
-			owner, err := w.leases.Owner(name)
+			owner, err := w.leases.owner(name)
 			if err != nil {
 				return err
 			}
@@ -297,7 +297,7 @@ func (w *Worker) adopt() error {
 			// left polling, and release the claim.
 			w.logf("enroll %s failed: %v", name, err)
 			rec := &DoneRecord{Tenant: a.Tenant, Bug: a.Bug, Key: a.Key, Worker: w.id, Err: err.Error()}
-			if werr := WriteDone(w.o.Backend, w.o.Root, rec, w.o.NoFsync); werr != nil {
+			if werr := writeDone(w.o.Backend, w.o.Root, rec, w.o.NoFsync); werr != nil {
 				return werr
 			}
 			w.leases.Release(name, w.id)
@@ -379,7 +379,7 @@ func (w *Worker) publish() error {
 		if rec.Sketch, rec.LowConfidence, err = out.SketchJSON(); err != nil {
 			rec.Err = err.Error()
 		}
-		if err := WriteDone(w.o.Backend, w.o.Root, rec, w.o.NoFsync); err != nil {
+		if err := writeDone(w.o.Backend, w.o.Root, rec, w.o.NoFsync); err != nil {
 			return err
 		}
 		w.leases.Release(oc.name, w.id)

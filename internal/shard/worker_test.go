@@ -89,12 +89,15 @@ func TestFleetMatchesSingleProcess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
+	placed := map[string]int{}
 	for _, fb := range fbs {
-		if _, err := coord.Assign(shard.Assignment{
+		a, err := coord.Assign(shard.Assignment{
 			Tenant: tenant, Bug: fb.name, Report: fb.report, DiscoveryRuns: fb.disc,
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatalf("Assign %s: %v", fb.name, err)
 		}
+		placed[fb.name] = a.Shard
 	}
 	workers := []*shard.Worker{
 		newTestWorker(t, b, 0, 2, 10*time.Second, fbs),
@@ -130,7 +133,7 @@ func TestFleetMatchesSingleProcess(t *testing.T) {
 		if rec.Err != "" {
 			t.Fatalf("%s failed on %s: %s", fb.name, rec.Worker, rec.Err)
 		}
-		wantWorker := fmt.Sprintf("w%d", shard.Place(tenant, fb.name, "", 2)+1)
+		wantWorker := fmt.Sprintf("w%d", placed[fb.name]+1)
 		if rec.Worker != wantWorker {
 			t.Errorf("%s diagnosed by %s, placement says %s", fb.name, rec.Worker, wantWorker)
 		}

@@ -49,9 +49,9 @@ func (s *Slice) Contains(id int) bool { return s.member[id] }
 // InstrCount returns the slice size in IR instructions.
 func (s *Slice) InstrCount() int { return len(s.IDs) }
 
-// SourceLines returns the distinct source lines of the slice in discovery
+// sourceLines returns the distinct source lines of the slice in discovery
 // order (closest to the failure first).
-func (s *Slice) SourceLines() []int {
+func (s *Slice) sourceLines() []int {
 	var lines []int
 	seen := make(map[int]bool)
 	for _, id := range s.Discovery {
@@ -65,14 +65,14 @@ func (s *Slice) SourceLines() []int {
 }
 
 // LineCount returns the slice size in source lines.
-func (s *Slice) LineCount() int { return len(s.SourceLines()) }
+func (s *Slice) LineCount() int { return len(s.sourceLines()) }
 
 // Window returns the instruction IDs of the first sigma source lines of
 // the slice in discovery order — the portion adaptive slice tracking
 // monitors at runtime (§3.2.1). The failing statement's line is always
 // part of the window.
 func (s *Slice) Window(sigma int) []int {
-	lines := s.SourceLines()
+	lines := s.sourceLines()
 	if sigma > len(lines) {
 		sigma = len(lines)
 	}
@@ -209,7 +209,7 @@ func (st *slicerState) buildIndexes() {
 					st.defs[f][in.Dst] = append(st.defs[f][in.Dst], in)
 				}
 				if in.Op == ir.OpStore {
-					root := st.RootOf(in)
+					root := st.root(in)
 					switch root.Kind {
 					case RootGlobal:
 						st.globalStores[root.Global] = append(st.globalStores[root.Global], in)
@@ -246,10 +246,10 @@ func (st *slicerState) buildCtrlDeps(f *ir.Func) {
 	}
 }
 
-// RootOf statically resolves the address operand of a Load/Store. The
+// root statically resolves the address operand of a Load/Store. The
 // address register is always a fresh temporary with a single definition
 // in our IR, so a one-step walk suffices.
-func (st *slicerState) RootOf(in *ir.Instr) AddrRoot {
+func (st *slicerState) root(in *ir.Instr) AddrRoot {
 	return rootOf(st.defs[in.Blk.Fn], in)
 }
 
@@ -319,12 +319,6 @@ func (r *Roots) SingleDef(fn *ir.Func, reg int) *ir.Instr {
 	return nil
 }
 
-// RootOf resolves one instruction's address root.
-func RootOf(g *cfg.TICFG, in *ir.Instr) AddrRoot {
-	var r Roots
-	return r.Of(in)
-}
-
 func (st *slicerState) push(item any) {
 	if st.inWork[item] {
 		return
@@ -362,7 +356,7 @@ func (st *slicerState) pushInstrDeps(in *ir.Instr) {
 	fn := in.Blk.Fn
 	switch in.Op {
 	case ir.OpLoad:
-		root := st.RootOf(in)
+		root := st.root(in)
 		switch root.Kind {
 		case RootGlobal:
 			st.push(globalItem{root.Global})
@@ -432,14 +426,7 @@ func (st *slicerState) processItem(item any) {
 	}
 }
 
-// SharedAccess reports whether a Load/Store instruction touches
-// potentially shared memory: a global, or anything reached through a
-// pointer (heap). Stack slots are excluded, as Gist never watches the
-// stack (§3.2.3, §6).
-func SharedAccess(g *cfg.TICFG, in *ir.Instr) bool {
-	return in.IsMemAccess() && RootOf(g, in).Shared()
-}
-
-// Shared reports whether the root is potentially shared memory (see
-// SharedAccess).
+// Shared reports whether the root is potentially shared memory: a
+// global, or anything reached through a pointer (heap). Stack slots are
+// excluded, as Gist never watches the stack (§3.2.3, §6).
 func (r AddrRoot) Shared() bool { return r.Kind != RootLocal }

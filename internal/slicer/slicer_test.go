@@ -6,7 +6,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/ir"
 	"repro/internal/vm"
-	"repro/internal/vm/interp"
+	"repro/internal/vm/bytecode"
 )
 
 // failingInstr runs the program until it fails and returns the failing
@@ -17,7 +17,7 @@ func failingInstr(t *testing.T, p *ir.Program, wl vm.Workload, seeds ...int64) i
 		seeds = []int64{1}
 	}
 	for _, seed := range seeds {
-		out := interp.Run(p, vm.Config{Seed: seed, PreemptMean: 3, MaxSteps: 100_000, Workload: wl})
+		out := bytecode.RunProgram(p, vm.Config{Seed: seed, PreemptMean: 3, MaxSteps: 100_000, Workload: wl})
 		if out.Failed {
 			return out.Report.InstrID
 		}
@@ -247,11 +247,11 @@ int main() {
 	return a + b + c;
 }`
 	p := ir.MustCompile("t.mc", src)
-	g := cfg.BuildTICFG(p)
+	var roots Roots // the planner's classification of watchable accesses
 	byLine := map[int][]bool{}
 	for _, in := range p.Instrs {
 		if in.IsMemAccess() {
-			byLine[in.Pos.Line] = append(byLine[in.Pos.Line], SharedAccess(g, in))
+			byLine[in.Pos.Line] = append(byLine[in.Pos.Line], roots.Of(in).Shared())
 		}
 	}
 	anyShared := func(line int) bool {

@@ -175,24 +175,3 @@ func TestPercentile(t *testing.T) {
 		}
 	}
 }
-
-func TestJainIndex(t *testing.T) {
-	cases := []struct {
-		name string
-		xs   []float64
-		want float64
-	}{
-		{"empty is vacuously fair", nil, 1},
-		{"all zero is vacuously fair", []float64{0, 0, 0}, 1},
-		{"equal shares", []float64{5, 5, 5, 5}, 1},
-		{"one tenant monopolizes", []float64{10, 0, 0, 0}, 0.25},
-		{"moderate skew", []float64{4, 2}, 0.9},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if got := JainIndex(c.xs); !almost(got, c.want) {
-				t.Errorf("JainIndex(%v) = %g, want %g", c.xs, got, c.want)
-			}
-		})
-	}
-}

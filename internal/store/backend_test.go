@@ -35,7 +35,7 @@ func TestMemBackendRoundTrip(t *testing.T) {
 		t.Errorf("latest payload = %q, want payload-4", latest.Payload)
 	}
 	// keep is 3: generations 0 and 1 are pruned.
-	if n := len(re.Generations()); n != keep {
+	if n := len(re.gens); n != keep {
 		t.Errorf("%d generations survived, want %d (pruned)", n, keep)
 	}
 	// A second name in the same directory is independent.
@@ -112,7 +112,7 @@ func TestMemBackendIsolatesTenants(t *testing.T) {
 // reported, never surfaced as a valid generation.
 func TestMemBackendSurvivesDiskFaults(t *testing.T) {
 	b := NewMemBackend()
-	inj := faults.NewInjector(faults.Disk(3, 1))
+	inj := faults.NewInjector(faults.Config{Seed: 3, DiskRate: 1})
 	s, err := Open("d", "bug", Options{Backend: b, Faults: inj})
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestMemBackendSurvivesDiskFaults(t *testing.T) {
 	}
 	// Every surviving generation must decode; corrupted ones must have
 	// been quarantined rather than returned.
-	for _, g := range re.Generations() {
+	for _, g := range re.gens {
 		if len(g.Payload) == 0 {
 			t.Errorf("gen %d: empty payload surfaced as valid", g.Gen)
 		}

@@ -228,7 +228,7 @@ func Open(dir, name string, opts Options) (*Store, error) {
 	// recoveries must stay burned too, or a fault decision could repeat.
 	// Quarantined copies may carry ".tmp" and a ".<n>" collision suffix
 	// after .ckpt, so cut each name there.
-	if qnames, err := b.ListFiles(s.QuarantineDir()); err == nil {
+	if qnames, err := b.ListFiles(s.quarantineDir()); err == nil {
 		for _, qn := range qnames {
 			if i := strings.LastIndex(qn, ".ckpt"); i >= 0 {
 				if gen, ok := s.parseGen(qn[:i], ""); ok {
@@ -266,7 +266,7 @@ func (s *Store) bumpGen(gen uint64) {
 // file is preserved (with a numeric suffix on name collisions), never
 // deleted: a corrupt checkpoint is evidence, not garbage.
 func (s *Store) quarantine(path string, reason error) {
-	qdir := s.QuarantineDir()
+	qdir := s.quarantineDir()
 	_ = s.b.EnsureDir(qdir)
 	dst := filepath.Join(qdir, filepath.Base(path))
 	for n := 1; s.b.Exists(dst); n++ {
@@ -285,17 +285,8 @@ func (s *Store) quarantine(path string, reason error) {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Name returns the checkpoint name the store serves.
-func (s *Store) Name() string { return s.name }
-
-// QuarantineDir is where damaged generations are preserved.
-func (s *Store) QuarantineDir() string { return filepath.Join(s.dir, "quarantine") }
-
-// Generations returns the valid generations found at Open, newest
-// first, minus any the caller has since Discarded.
-func (s *Store) Generations() []Generation {
-	return append([]Generation(nil), s.gens...)
-}
+// quarantineDir is where damaged generations are preserved.
+func (s *Store) quarantineDir() string { return filepath.Join(s.dir, "quarantine") }
 
 // Latest returns the newest valid generation, or nil when none
 // survived the scan.
@@ -325,9 +316,9 @@ func (s *Store) Discard(reason error) {
 	s.opts.Telemetry.Add("store.fallbacks", 1)
 }
 
-// ExpectedPath is the published path a given generation would live at;
+// expectedPath is the published path a given generation would live at;
 // used in error messages when no checkpoint exists.
-func (s *Store) ExpectedPath(gen uint64) string {
+func (s *Store) expectedPath(gen uint64) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%s.g%08d.ckpt", s.name, gen))
 }
 
@@ -354,7 +345,7 @@ func (s *Store) Save(payload []byte) (uint64, error) {
 	frame := EncodeFrame(payload)
 	dec := s.opts.Faults.ForCheckpoint(s.name, gen)
 
-	final := s.ExpectedPath(gen)
+	final := s.expectedPath(gen)
 	tmp := final + ".tmp"
 	data := frame
 	if dec.Kind == faults.DiskTorn {
@@ -414,7 +405,7 @@ func (s *Store) prune() {
 	}
 	sort.Slice(gens, func(i, j int) bool { return gens[i] > gens[j] })
 	for _, gen := range gens[keep:] {
-		if s.b.Remove(s.ExpectedPath(gen)) == nil {
+		if s.b.Remove(s.expectedPath(gen)) == nil {
 			s.opts.Telemetry.Add("store.pruned", 1)
 		}
 	}

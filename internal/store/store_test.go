@@ -133,7 +133,7 @@ func TestSaveLoadNewestAndPrune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gens := s2.Generations()
+	gens := s2.gens
 	if len(gens) != 3 {
 		t.Fatalf("%d generations after prune, want 3", len(gens))
 	}
@@ -195,7 +195,7 @@ func TestInjectedDiskFaults(t *testing.T) {
 	// is the injector's contract, exercised in internal/faults).
 	tel := telemetry.New()
 	dir := t.TempDir()
-	inj := faults.NewInjector(faults.Disk(42, 0.7))
+	inj := faults.NewInjector(faults.Config{Seed: 42, DiskRate: 0.7})
 	s, err := Open(dir, "bug", Options{Faults: inj, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +239,7 @@ func TestInjectedDiskFaults(t *testing.T) {
 		} else if latest == nil || string(latest.Payload) != newest {
 			t.Fatalf("save %d: recovered %+v, want newest intact %q", i, latest, newest)
 		}
-		for _, g := range s2.Generations() {
+		for _, g := range s2.gens {
 			if !intact[string(g.Payload)] {
 				t.Errorf("save %d: generation %d carries damaged payload %q", i, g.Gen, g.Payload)
 			}
@@ -251,10 +251,10 @@ func TestInjectedDiskFaults(t *testing.T) {
 	if quarantined == 0 {
 		t.Error("recovery scans quarantined nothing despite injected faults")
 	}
-	if tel.Counter("store.quarantined") == 0 {
+	if tel.Snapshot().Counters["store.quarantined"] == 0 {
 		t.Error("store.quarantined counter not advanced")
 	}
-	if tel.Counter("store.fsync_errors") == 0 {
+	if tel.Snapshot().Counters["store.fsync_errors"] == 0 {
 		t.Error("store.fsync_errors counter not advanced")
 	}
 }
@@ -292,7 +292,7 @@ func TestNamesAreIsolated(t *testing.T) {
 	if g := a2.Latest(); g == nil || string(g.Payload) != "A" {
 		t.Fatalf("alpha sees %+v", g)
 	}
-	if n := len(a2.Generations()); n != 1 {
+	if n := len(a2.gens); n != 1 {
 		t.Fatalf("alpha sees %d generations, want 1", n)
 	}
 }
@@ -335,7 +335,7 @@ func TestSealRefusesLaterSaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gens := s2.Generations(); len(gens) != 1 || string(gens[0].Payload) != "clean" || len(s2.Quarantined()) != 0 {
+	if gens := s2.gens; len(gens) != 1 || string(gens[0].Payload) != "clean" || len(s2.Quarantined()) != 0 {
 		t.Errorf("reopened store: %d generations, %d quarantined; want the one clean generation and no debris",
 			len(gens), len(s2.Quarantined()))
 	}

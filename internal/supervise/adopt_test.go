@@ -196,9 +196,9 @@ func TestRetireSlotStopsSteppingAndMarksReleased(t *testing.T) {
 		t.Fatalf("retired slot still stepped")
 	}
 	out, ok := sup.Settled(slot)
-	if !ok || tel.Counter("supervise.released") != 1 {
+	if !ok || tel.Snapshot().Counters["supervise.released"] != 1 {
 		t.Fatalf("slot not settled as released after RetireSlot: ok=%v released=%d %+v",
-			ok, tel.Counter("supervise.released"), out)
+			ok, tel.Snapshot().Counters["supervise.released"], out)
 	}
 	if out.BreakerTripped {
 		t.Fatalf("RetireSlot must not read as a breaker trip")

@@ -116,9 +116,9 @@ func TestRetireAndAdoptAcrossSupervisors(t *testing.T) {
 		}
 		// Retire on A: A's slot steps no more, even if A keeps running.
 		a.RetireSlot(slot)
-		if out, ok := a.Settled(slot); !ok || tel.Counter("supervise.released") != 1 {
+		if out, ok := a.Settled(slot); !ok || tel.Snapshot().Counters["supervise.released"] != 1 {
 			t.Fatalf("%s: slot not settled as released: ok=%v released=%d %+v",
-				fx.name, ok, tel.Counter("supervise.released"), out)
+				fx.name, ok, tel.Snapshot().Counters["supervise.released"], out)
 		}
 		if a.RunRound() != 0 {
 			t.Fatalf("%s: retired slot still stepped", fx.name)

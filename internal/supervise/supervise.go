@@ -198,12 +198,12 @@ func (s *Supervisor) find(id int) int {
 // decodes and restores.
 var ErrNoCheckpoint = errors.New("supervise: no valid checkpoint generation")
 
-// Resume restores a campaign from ckpt under the newest-valid-wins
+// resume restores a campaign from ckpt under the newest-valid-wins
 // rule: the newest generation whose payload decodes and restores under
 // cfg wins, and every newer one that does not is Discarded —
 // quarantined with the reason — on the way down. It returns
 // ErrNoCheckpoint when no generation survives (or ckpt is nil).
-func Resume(cfg core.Config, ckpt *store.Store) (*core.Campaign, error) {
+func resume(cfg core.Config, ckpt *store.Store) (*core.Campaign, error) {
 	if ckpt == nil {
 		return nil, ErrNoCheckpoint
 	}
@@ -220,12 +220,12 @@ func Resume(cfg core.Config, ckpt *store.Store) (*core.Campaign, error) {
 	return nil, ErrNoCheckpoint
 }
 
-// Checkpoint snapshots c, which must sit at an iteration boundary, and
+// checkpoint snapshots c, which must sit at an iteration boundary, and
 // saves the snapshot to ckpt as the next durable generation. saved is
 // false when there is no store or the save failed (fsync fault, full
 // disk, sealed store) — tolerated: the previous durable generation
 // stands. err means no snapshot could be taken.
-func Checkpoint(c *core.Campaign, ckpt *store.Store) (snap *core.CampaignSnapshot, saved bool, err error) {
+func checkpoint(c *core.Campaign, ckpt *store.Store) (snap *core.CampaignSnapshot, saved bool, err error) {
 	if snap, err = c.Snapshot(); err != nil || ckpt == nil {
 		return snap, false, err
 	}
@@ -262,7 +262,7 @@ func (s *Supervisor) Add(cfg core.Config, c *core.Campaign, ckpt *store.Store) (
 // fresh means resume or fail with ErrNoCheckpoint. It reports the slot
 // and whether a checkpoint was resumed.
 func (s *Supervisor) Adopt(cfg core.Config, ckpt *store.Store, fresh func() (*core.Campaign, error)) (int, bool, error) {
-	c, err := Resume(cfg, ckpt)
+	c, err := resume(cfg, ckpt)
 	resumed := err == nil
 	if !resumed {
 		if fresh == nil {
@@ -491,7 +491,7 @@ func (s *Supervisor) guardedStep(sl *slot) bool {
 // stands and the in-memory copy still powers in-process restarts. Only
 // a failed snapshot is an error.
 func (s *Supervisor) checkpoint(sl *slot) error {
-	snap, saved, err := Checkpoint(sl.camp, sl.ckpt)
+	snap, saved, err := checkpoint(sl.camp, sl.ckpt)
 	if err != nil {
 		return err
 	}

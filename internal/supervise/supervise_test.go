@@ -2,13 +2,13 @@ package supervise_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/bugs"
 	"repro/internal/core"
-	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/supervise"
 	"repro/internal/telemetry"
@@ -108,7 +108,7 @@ func TestSupervisedCleanMatchesSerial(t *testing.T) {
 			t.Errorf("%s: clean run recorded supervision events: %+v", fx.name, out)
 		}
 		// One checkpoint at enrollment plus one per completed round.
-		if saves, rounds := tels[i].Counter("store.saves"), len(out.RunsPerRound); saves != int64(rounds+1) {
+		if saves, rounds := tels[i].Snapshot().Counters["store.saves"], len(out.RunsPerRound); saves != int64(rounds+1) {
 			t.Errorf("%s: %d checkpoints for %d rounds", fx.name, saves, rounds)
 		}
 	}
@@ -150,7 +150,7 @@ func TestCrashAndHangRestartsAreByteIdentical(t *testing.T) {
 		outs := sup.Outcomes()
 		got := struct{ restarts0, restarts1, panics, trips int64 }{
 			int64(outs[0].Restarts), int64(outs[1].Restarts),
-			tel.Counter("supervise.panics"), tel.Counter("supervise.watchdog_trips"),
+			tel.Snapshot().Counters["supervise.panics"], tel.Snapshot().Counters["supervise.watchdog_trips"],
 		}
 		if got != want {
 			t.Errorf("after round %d: slot 0 restarts, slot 1 restarts, panics, watchdog trips = %v, want %v",
@@ -164,11 +164,11 @@ func TestCrashAndHangRestartsAreByteIdentical(t *testing.T) {
 			t.Errorf("%s: post-restart diagnosis diverged from serial:\n%s", fx.name, got)
 		}
 	}
-	if outs[0].Restarts != 1 || tel.Counter("supervise.panics") != 1 {
-		t.Errorf("slot 0: restarts=%d panics=%d, want 1/1", outs[0].Restarts, tel.Counter("supervise.panics"))
+	if outs[0].Restarts != 1 || tel.Snapshot().Counters["supervise.panics"] != 1 {
+		t.Errorf("slot 0: restarts=%d panics=%d, want 1/1", outs[0].Restarts, tel.Snapshot().Counters["supervise.panics"])
 	}
-	if outs[1].Restarts != 1 || tel.Counter("supervise.watchdog_trips") != 1 {
-		t.Errorf("slot 1: restarts=%d watchdog=%d, want 1/1", outs[1].Restarts, tel.Counter("supervise.watchdog_trips"))
+	if outs[1].Restarts != 1 || tel.Snapshot().Counters["supervise.watchdog_trips"] != 1 {
+		t.Errorf("slot 1: restarts=%d watchdog=%d, want 1/1", outs[1].Restarts, tel.Snapshot().Counters["supervise.watchdog_trips"])
 	}
 	if outs[2].Restarts != 0 {
 		t.Errorf("slot 2: healthy tenant restarted %d times", outs[2].Restarts)
@@ -279,7 +279,7 @@ func TestCrashLoopCannotStarveOthers(t *testing.T) {
 		}
 		shares = append(shares, float64(sum)/float64(len(out.RunsPerRound)))
 	}
-	if j := stats.JainIndex(shares); j < 0.6 {
+	if j := jainIndex(shares); j < 0.6 {
 		t.Errorf("Jain fairness index %.3f across healthy tenants, want >= 0.6 (shares %v)", j, shares)
 	}
 }
@@ -357,5 +357,45 @@ func TestDrainCheckpointsAndResumes(t *testing.T) {
 		if got := fingerprint(final.Result, final.Err); got != fx.serial {
 			t.Errorf("%s: drained-and-resumed diagnosis diverged from serial:\n%s", fx.name, got)
 		}
+	}
+}
+
+// jainIndex is Jain's fairness index (sum x)^2 / (n * sum x^2) over a
+// non-negative allocation vector: 1.0 for perfectly equal shares,
+// approaching 1/n as one tenant monopolizes. An empty or all-zero
+// vector is vacuously fair.
+func jainIndex(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 1
+	}
+	var sum, sq float64
+	for _, x := range xs {
+		sum += x
+		sq += x * x
+	}
+	if sq == 0 {
+		return 1
+	}
+	return sum * sum / (float64(len(xs)) * sq)
+}
+
+func TestJainIndex(t *testing.T) {
+	cases := []struct {
+		name string
+		xs   []float64
+		want float64
+	}{
+		{"empty is vacuously fair", nil, 1},
+		{"all zero is vacuously fair", []float64{0, 0, 0}, 1},
+		{"equal shares", []float64{5, 5, 5, 5}, 1},
+		{"one tenant monopolizes", []float64{10, 0, 0, 0}, 0.25},
+		{"moderate skew", []float64{4, 2}, 0.9},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := jainIndex(c.xs); math.Abs(got-c.want) > 1e-9 {
+				t.Errorf("jainIndex(%v) = %g, want %g", c.xs, got, c.want)
+			}
+		})
 	}
 }

@@ -34,7 +34,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"sync"
@@ -69,22 +68,21 @@ func (p PhaseStat) TotalMS() float64 { return float64(p.TotalNS) / 1e6 }
 
 // Tracer records spans and counters, optionally streaming each span as
 // one JSONL event. The zero value is NOT usable; construct with New or
-// NewWithWriter. A nil *Tracer disables everything.
+// OpenTrace. A nil *Tracer disables everything.
 type Tracer struct {
 	mu       sync.Mutex
 	start    time.Time
-	w        io.Writer // optional JSONL sink
-	werr     error     // first write error, reported by Err
+	w        *bufio.Writer // optional JSONL sink; it keeps the first write error
 	phases   map[string]*PhaseStat
 	counters map[string]int64
 }
 
 // New returns a Tracer that aggregates in memory only.
-func New() *Tracer { return NewWithWriter(nil) }
+func New() *Tracer { return newWithWriter(nil) }
 
-// NewWithWriter returns a Tracer that additionally streams one JSON
+// newWithWriter returns a Tracer that additionally streams one JSON
 // object per ended span to w. w may be nil.
-func NewWithWriter(w io.Writer) *Tracer {
+func newWithWriter(w *bufio.Writer) *Tracer {
 	return &Tracer{
 		start:    time.Now(),
 		w:        w,
@@ -95,14 +93,15 @@ func NewWithWriter(w io.Writer) *Tracer {
 
 // OpenTrace creates path and returns a Tracer streaming JSONL to it and
 // a close function that flushes and closes the file. The caller must
-// invoke close before reading metrics that depend on the file.
+// invoke close before reading metrics that depend on the file. The
+// buffered writer keeps the first write error, so close reports it.
 func OpenTrace(path string) (*Tracer, func() error, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	bw := bufio.NewWriter(f)
-	t := NewWithWriter(bw)
+	t := newWithWriter(bw)
 	closeFn := func() error {
 		t.mu.Lock()
 		ferr := bw.Flush()
@@ -149,8 +148,8 @@ func (s Span) End() {
 	ps.Count++
 	ps.TotalNS += d
 	ps.MaxNS = max(ps.MaxNS, d)
-	if t.w != nil && t.werr == nil {
-		_, t.werr = fmt.Fprintf(t.w, `{"ev":"span","name":%q,"t_us":%d,"dur_us":%d}`+"\n",
+	if t.w != nil { // a failed write sticks in t.w, and OpenTrace's close reports it
+		fmt.Fprintf(t.w, `{"ev":"span","name":%q,"t_us":%d,"dur_us":%d}`+"\n",
 			s.name, s.start.Sub(t.start).Microseconds(), d/1e3)
 	}
 	t.mu.Unlock()
@@ -164,26 +163,6 @@ func (t *Tracer) Add(name string, delta int64) {
 	t.mu.Lock()
 	t.counters[name] += delta
 	t.mu.Unlock()
-}
-
-// Counter returns the current value of a counter (0 on a nil Tracer).
-func (t *Tracer) Counter(name string) int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.counters[name]
-}
-
-// Err reports the first JSONL write error, if any.
-func (t *Tracer) Err() error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.werr
 }
 
 // RuntimeStats is the Go-runtime portion of a snapshot.

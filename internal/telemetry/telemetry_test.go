@@ -18,12 +18,6 @@ func TestNilTracerIsInert(t *testing.T) {
 	sp := tr.StartSpan(PhaseRank)
 	sp.End()
 	tr.Add("x", 1)
-	if tr.Counter("x") != 0 {
-		t.Fatal("nil tracer counter should read 0")
-	}
-	if err := tr.Err(); err != nil {
-		t.Fatal(err)
-	}
 	snap := tr.Snapshot()
 	if len(snap.Phases) != 0 || len(snap.Counters) != 0 {
 		t.Fatalf("nil snapshot not empty: %+v", snap)
@@ -63,7 +57,7 @@ func TestCountersAndGauges(t *testing.T) {
 	tr.Add("fleet.lost", 2)
 	tr.Add("fleet.lost", 3)
 	tr.Add("zero", 0) // no-op, should not materialize
-	if got := tr.Counter("fleet.lost"); got != 5 {
+	if got := tr.Snapshot().Counters["fleet.lost"]; got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
 	snap := tr.Snapshot()
@@ -75,10 +69,11 @@ func TestCountersAndGauges(t *testing.T) {
 // Every JSONL line must parse as a JSON object with the event schema.
 func TestJSONLWellFormed(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewWithWriter(&buf)
+	bw := bufio.NewWriter(&buf)
+	tr := newWithWriter(bw)
 	sp := tr.StartSpan(PhaseRank)
 	sp.End()
-	if err := tr.Err(); err != nil {
+	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	sc := bufio.NewScanner(&buf)
@@ -175,5 +170,22 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 	if snap.Counters["runs"] != workers*per {
 		t.Fatalf("counter = %d, want %d", snap.Counters["runs"], workers*per)
+	}
+}
+
+// A span line the trace file cannot take still surfaces: OpenTrace's
+// close returns the first write error the buffered writer kept.
+func TestTraceWriteFailureSurfaces(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	tr, closeTrace, err := OpenTrace("/dev/full")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := tr.StartSpan(PhaseRank)
+	sp.End()
+	if err := closeTrace(); err == nil {
+		t.Fatal("close of a trace written to a full device returned nil")
 	}
 }

@@ -15,7 +15,7 @@
 //
 //   - *ir.Instr pointer chasing: code is one flat []instr array indexed
 //     by program counter, and the pc of an instruction IS its ir.Instr.ID
-//     (Finalize assigns IDs in (function, block, index) order, and every
+//     (ir.Build assigns IDs in (function, block, index) order, and every
 //     IR instruction lowers to exactly one bytecode instruction), so
 //     jump targets, call entries and fall-throughs are plain int32
 //     indices and failure reports need no reverse mapping.
@@ -148,9 +148,6 @@ type Program struct {
 
 	pool sync.Pool // *Machine
 }
-
-// IR returns the source program.
-func (p *Program) IR() *ir.Program { return p.ir }
 
 // NumInstrs returns the flat code length (== len(ir.Program.Instrs)).
 func (p *Program) NumInstrs() int { return len(p.code) }

@@ -1,12 +1,19 @@
 package bytecode
 
-import "repro/internal/vm"
+import (
+	"repro/internal/ir"
+	"repro/internal/vm"
+)
 
 // Mem exposes the machine's address space to the differential tests,
 // which compare it with the interpreter's when a run ends. It is exact
 // for the globals, the heap and the stack of every thread without
 // credit; a stack whose thread still holds credit is ahead of the clock.
 func (m *Machine) Mem() *vm.Memory { return m.mem }
+
+// IR returns the source program, which the differential tests hand to
+// the interpreter.
+func (p *Program) IR() *ir.Program { return p.ir }
 
 // Credit reports how many steps thread tid has run ahead of the clock.
 func (m *Machine) Credit(tid int) int64 { return m.threads[tid].credit }

@@ -52,7 +52,7 @@ func fusedProgram(t *testing.T) (*ir.Program, *bytecode.Program, []int) {
 	header := false
 	for _, pc := range pairs {
 		la, ld := src.Instrs[pc], src.Instrs[pc+1]
-		if la.Op != ir.OpLocalAddr || ld.Op != ir.OpLoad || ld.A != ir.Reg(la.Dst) {
+		if la.Op != ir.OpLocalAddr || ld.Op != ir.OpLoad || ld.A != reg(la.Dst) {
 			t.Fatalf("fused at %d: %v; %v is not a LocalAddr and a load of its result", pc, la, ld)
 		}
 		header = header || la.Idx == 0 && len(la.Blk.Preds) > 1

@@ -78,11 +78,11 @@ func NewMachine(p *Program) *Machine {
 	return &Machine{prog: p, mem: vm.NewMemory(p.nGlobals)}
 }
 
-// Reset prepares the machine for a fresh run under cfg, producing a
+// reset prepares the machine for a fresh run under cfg, producing a
 // state indistinguishable from a newly built interpreter VM: zeroed
 // globals with initializers reapplied, the program string blob, workload
 // strings appended in order, the seeded RNG, and thread 0 entering main.
-func (m *Machine) Reset(cfg vm.Config) {
+func (m *Machine) reset(cfg vm.Config) {
 	m.cfg = cfg.Normalized()
 	m.rng.seed(cfg.Seed)
 	m.preempt = newIntn(2 * m.cfg.PreemptMean)
@@ -112,7 +112,7 @@ func (m *Machine) Reset(cfg vm.Config) {
 
 // Run resets the machine and executes to completion.
 func (m *Machine) Run(cfg vm.Config) *vm.Outcome {
-	m.Reset(cfg)
+	m.reset(cfg)
 	return m.run()
 }
 

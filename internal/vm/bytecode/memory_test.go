@@ -21,22 +21,32 @@ import (
 
 // asm assembles straight-line functions into a finalized program: the
 // stack-edge cases need addresses and access sizes MiniC cannot spell.
+// Each function is one block with no branches, so finalizing is just
+// numbering the instructions; there are no predecessors to link.
 func asm(funcs ...*ir.Func) *ir.Program {
 	p := &ir.Program{FuncByName: map[string]*ir.Func{}}
 	for i, f := range funcs {
 		f.ID = i
 		p.Funcs = append(p.Funcs, f)
 		p.FuncByName[f.Name] = f
+		b := f.Blocks[0]
+		for j, in := range b.Instrs {
+			in.ID, in.Blk, in.Idx = len(p.Instrs), b, j
+			p.Instrs = append(p.Instrs, in)
+		}
 	}
-	p.Finalize()
 	return p
 }
 
 func fn(name string, params, regs int, instrs ...*ir.Instr) *ir.Func {
 	f := &ir.Func{Name: name, Params: params, Locals: make([]ir.Local, params), NumRegs: regs}
-	f.NewBlock().Instrs = instrs
+	f.Blocks = []*ir.Block{{Fn: f, Instrs: instrs}}
 	return f
 }
+
+func konst(v int64) ir.Value    { return ir.Value{Kind: ir.ValConst, Int: v} }
+func reg(r int) ir.Value        { return ir.Value{Kind: ir.ValReg, Reg: r} }
+func fref(name string) ir.Value { return ir.Value{Kind: ir.ValFuncRef, Func: name} }
 
 func builtin(b sema.Builtin, dst int, args ...ir.Value) *ir.Instr {
 	return &ir.Instr{Op: ir.OpCallB, Builtin: b, Dst: dst, Args: args}
@@ -60,20 +70,20 @@ func TestOwnStackEdges(t *testing.T) {
 				for addr := end - 9; addr <= end+9; addr++ {
 					// probe(x): store val at addr, load it back, print it.
 					probe := fn("probe", 1, 1,
-						&ir.Instr{Op: ir.OpStore, Dst: -1, A: ir.ConstInt(addr), B: ir.ConstInt(val), Size: size},
-						&ir.Instr{Op: ir.OpLoad, Dst: 0, A: ir.ConstInt(addr), Size: size},
-						builtin(sema.BuiltinPrint, -1, ir.Reg(0)),
+						&ir.Instr{Op: ir.OpStore, Dst: -1, A: konst(addr), B: konst(val), Size: size},
+						&ir.Instr{Op: ir.OpLoad, Dst: 0, A: konst(addr), Size: size},
+						builtin(sema.BuiltinPrint, -1, reg(0)),
 						&ir.Instr{Op: ir.OpRet, Dst: -1},
 					)
 					// main: thread 1 exists either way; the prober is main
 					// itself (a call, so a second frame) or the spawned thread.
-					body := []*ir.Instr{builtin(sema.BuiltinSpawn, 0, ir.FuncRef("idle"), ir.ConstInt(0))}
+					body := []*ir.Instr{builtin(sema.BuiltinSpawn, 0, fref("idle"), konst(0))}
 					if tid == 1 {
-						body[0].Args[0] = ir.FuncRef("probe")
+						body[0].Args[0] = fref("probe")
 					} else {
-						body = append(body, &ir.Instr{Op: ir.OpCall, Dst: -1, Callee: "probe", Args: []ir.Value{ir.ConstInt(0)}})
+						body = append(body, &ir.Instr{Op: ir.OpCall, Dst: -1, Callee: "probe", Args: []ir.Value{konst(0)}})
 					}
-					body = append(body, builtin(sema.BuiltinJoin, -1, ir.Reg(0)), &ir.Instr{Op: ir.OpRet, Dst: -1, A: ir.ConstInt(0)})
+					body = append(body, builtin(sema.BuiltinJoin, -1, reg(0)), &ir.Instr{Op: ir.OpRet, Dst: -1, A: konst(0)})
 					prog := asm(fn("main", 0, 1, body...), probe, fn("idle", 1, 1, &ir.Instr{Op: ir.OpRet, Dst: -1}))
 					name := fmt.Sprintf("t%d/size%d/%#x", tid, size, addr)
 

@@ -242,7 +242,7 @@ func (m *Machine) rerun(c int64) {
 	cfg := m.cfg
 	silent := cfg
 	silent.Hooks = vm.Hooks{}
-	r.Reset(silent)
+	r.reset(silent)
 	r.cfg.MaxSteps, r.aheadCap = c, 0
 	r.run()
 	if c < cfg.MaxSteps && r.fault != nil && r.fault.Kind == vm.FaultHang {

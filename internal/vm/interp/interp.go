@@ -71,9 +71,10 @@ type VM struct {
 	cfg  vm.Config
 	rng  *rand.Rand
 
-	Threads []*Thread
-	cur     int // currently scheduled thread ID
-	quantum int
+	Threads  []*Thread
+	cur      int // currently scheduled thread ID
+	quantum  int
+	runnable []*Thread // schedule's scratch list, reused every step
 
 	Clock  int64
 	prints []string
@@ -275,19 +276,19 @@ func (v *VM) currentInstrOf(t *Thread) *ir.Instr {
 
 // schedule picks the thread to run next, honoring the preemption quantum.
 func (v *VM) schedule() *Thread {
-	var runnable []*Thread
+	if cur := v.Threads[v.cur]; cur.State == vm.ThreadRunnable && v.quantum > 0 {
+		v.quantum--
+		return cur
+	}
+	runnable := v.runnable[:0]
 	for _, t := range v.Threads {
 		if t.State == vm.ThreadRunnable {
 			runnable = append(runnable, t)
 		}
 	}
+	v.runnable = runnable
 	if len(runnable) == 0 {
 		return nil
-	}
-	cur := v.Threads[v.cur]
-	if cur.State == vm.ThreadRunnable && v.quantum > 0 {
-		v.quantum--
-		return cur
 	}
 	next := runnable[v.rng.Intn(len(runnable))]
 	v.quantum = 1 + v.rng.Intn(2*v.cfg.PreemptMean)

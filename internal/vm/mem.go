@@ -178,11 +178,11 @@ func IsStackAddr(addr int64) bool {
 	return addr >= StackBase && addr < HeapBase
 }
 
-// IsHeapAddr reports whether addr falls in the heap region.
-func IsHeapAddr(addr int64) bool { return addr >= HeapBase && addr < heapLimit }
+// isHeapAddr reports whether addr falls in the heap region.
+func isHeapAddr(addr int64) bool { return addr >= HeapBase && addr < heapLimit }
 
-// IsGlobalAddr reports whether addr falls in the globals region.
-func IsGlobalAddr(addr int64) bool { return addr >= GlobalsBase && addr < StringsBase }
+// isGlobalAddr reports whether addr falls in the globals region.
+func isGlobalAddr(addr int64) bool { return addr >= GlobalsBase && addr < StringsBase }
 
 // Malloc allocates size zeroed bytes and returns the base address.
 func (m *Memory) Malloc(size int64) (int64, *Fault) {
@@ -250,7 +250,7 @@ func (m *Memory) resolve(addr, size int64) ([]byte, int64, *Fault) {
 	switch {
 	case addr >= 0 && addr < NullPageSize:
 		return nil, 0, &Fault{Kind: FaultNullDeref, Addr: addr}
-	case IsGlobalAddr(addr):
+	case isGlobalAddr(addr):
 		off := addr - GlobalsBase
 		if off+size > int64(len(m.globals)) {
 			return nil, 0, &Fault{Kind: FaultOutOfBounds, Addr: addr, Msg: "past end of globals"}
@@ -272,7 +272,7 @@ func (m *Memory) resolve(addr, size int64) ([]byte, int64, *Fault) {
 			return nil, 0, &Fault{Kind: FaultStackOverflow, Addr: addr}
 		}
 		return st, off, nil
-	case IsHeapAddr(addr):
+	case isHeapAddr(addr):
 		a := m.findAlloc(addr)
 		if a == nil {
 			return nil, 0, &Fault{Kind: FaultOutOfBounds, Addr: addr, Msg: "unallocated heap address"}

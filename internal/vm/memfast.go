@@ -70,7 +70,7 @@ func (m *Memory) SetStringBlob(blob []byte) {
 // hit, so a cache hit and a cold resolve return identical results.
 func (m *Memory) fastResolve(addr, size int64) ([]byte, int64, *Fault) {
 	switch {
-	case IsHeapAddr(addr):
+	case isHeapAddr(addr):
 		a := m.cacheAlloc
 		if a == nil || addr < a.base || addr >= a.base+a.size {
 			a = m.findAlloc(addr)
@@ -145,7 +145,7 @@ func (m *Memory) regionSpan(addr int64) ([]byte, int64, int64, *Fault) {
 	switch {
 	case addr >= 0 && addr < NullPageSize:
 		return nil, 0, 0, &Fault{Kind: FaultNullDeref, Addr: addr}
-	case IsGlobalAddr(addr):
+	case isGlobalAddr(addr):
 		off := addr - GlobalsBase
 		if off+1 > int64(len(m.globals)) {
 			return nil, 0, 0, &Fault{Kind: FaultOutOfBounds, Addr: addr, Msg: "past end of globals"}
@@ -167,7 +167,7 @@ func (m *Memory) regionSpan(addr int64) ([]byte, int64, int64, *Fault) {
 			return nil, 0, 0, &Fault{Kind: FaultStackOverflow, Addr: addr}
 		}
 		return st, off, int64(len(st)) - off, nil
-	case IsHeapAddr(addr):
+	case isHeapAddr(addr):
 		a := m.findAlloc(addr)
 		if a == nil {
 			return nil, 0, 0, &Fault{Kind: FaultOutOfBounds, Addr: addr, Msg: "unallocated heap address"}

@@ -9,6 +9,8 @@ import (
 	"repro/internal/vm/interp"
 )
 
+// run executes src on the reference interpreter: these tests pin the
+// semantics that the differential suites then hold the bytecode engine to.
 func run(t *testing.T, src string, cfg vm.Config) *vm.Outcome {
 	t.Helper()
 	p, err := ir.Compile("t.mc", src)
