@@ -2,111 +2,128 @@
 // built on: dominator and postdominator trees for each function, and the
 // thread interprocedural control flow graph (TICFG) of §3.1 — the ICFG
 // augmented with thread creation and join edges — which the backward
-// slicer and the instrumentation planner both traverse.
+// slicer and the instrumentation planner both traverse. Both trees come
+// from one implementation of the Cooper–Harvey–Kennedy algorithm, run
+// forward from the entry and on the reverse CFG from a virtual exit.
 package cfg
 
 import "repro/internal/ir"
 
-// DomTree is a dominator tree for one function, computed with the
-// iterative algorithm of Cooper, Harvey and Kennedy over a reverse
-// postorder of the CFG.
+// DomTree is a dominator tree for one function.
 type DomTree struct {
 	fn   *ir.Func
 	idom []int // idom[block ID] = immediate dominator's block ID; entry maps to itself; -1 = unreachable
-	rpo  []int // rpo[block ID] = reverse-postorder number
+	rpo  []int // rpo[block ID] = reverse-postorder number; -1 = unreachable
 }
 
 // dominators computes the dominator tree of f.
 func dominators(f *ir.Func) *DomTree {
-	order := postorder(f.Entry(), func(b *ir.Block) []*ir.Block { return b.Succs() })
-	return &DomTree{fn: f, idom: buildIdom(len(f.Blocks), order, blockPreds)}
+	succs, preds := adjacency(f)
+	idom, rpo := idoms(f.Entry().ID, succs, preds)
+	return &DomTree{fn: f, idom: idom, rpo: rpo}
 }
 
-// blockPreds adapts ir.Block predecessor lists.
-func blockPreds(b *ir.Block) []*ir.Block { return b.Preds }
+// adjacency returns f's CFG as successor and predecessor lists indexed
+// by block ID, plus node len(f.Blocks): a virtual exit that every block
+// without successors flows into. The exit is a sink, so it changes no
+// block's dominator and no block's place in reverse postorder relative
+// to another; only the postdominator tree, rooted there, needs it.
+func adjacency(f *ir.Func) (succs, preds [][]int) {
+	n := len(f.Blocks)
+	succs = make([][]int, n+1)
+	preds = make([][]int, n+1)
+	for _, b := range f.Blocks {
+		ss := b.Succs()
+		if len(ss) == 0 {
+			succs[b.ID] = append(succs[b.ID], n)
+			preds[n] = append(preds[n], b.ID)
+		}
+		for _, s := range ss {
+			succs[b.ID] = append(succs[b.ID], s.ID)
+			preds[s.ID] = append(preds[s.ID], b.ID)
+		}
+	}
+	return succs, preds
+}
 
-// postorder returns blocks in postorder of the graph rooted at entry,
-// following succ for edges.
-func postorder(entry *ir.Block, succ func(*ir.Block) []*ir.Block) []*ir.Block {
-	var order []*ir.Block
-	seen := make(map[*ir.Block]bool)
-	var visit func(b *ir.Block)
-	visit = func(b *ir.Block) {
-		if seen[b] {
+// idoms runs the iterative dominator algorithm of Cooper, Harvey and
+// Kennedy over a reverse postorder of the graph rooted at root. It
+// returns each node's immediate dominator (root maps to itself) and
+// reverse-postorder number, both -1 for nodes root cannot reach.
+func idoms(root int, succs, preds [][]int) (idom, rpo []int) {
+	var order []int // postorder, root last
+	seen := make([]bool, len(succs))
+	var visit func(u int)
+	visit = func(u int) {
+		if seen[u] {
 			return
 		}
-		seen[b] = true
-		for _, s := range succ(b) {
+		seen[u] = true
+		for _, s := range succs[u] {
 			visit(s)
 		}
-		order = append(order, b)
+		order = append(order, u)
 	}
-	visit(entry)
-	return order
-}
+	visit(root)
 
-// buildIdom runs the CHK iterative dominator algorithm.
-// order is a postorder of reachable blocks (entry last).
-func buildIdom(numBlocks int, order []*ir.Block, preds func(*ir.Block) []*ir.Block) []int {
-	idom := make([]int, numBlocks)
+	idom = make([]int, len(succs))
+	rpo = make([]int, len(succs))
 	for i := range idom {
-		idom[i] = -1
+		idom[i], rpo[i] = -1, -1
 	}
-	if len(order) == 0 {
-		return idom
+	for i, u := range order {
+		rpo[u] = len(order) - 1 - i
 	}
-	// Reverse postorder numbering.
-	rpoNum := make([]int, numBlocks)
-	for i := range rpoNum {
-		rpoNum[i] = -1
-	}
-	for i, b := range order {
-		rpoNum[b.ID] = len(order) - 1 - i
-	}
-	entry := order[len(order)-1]
-	idom[entry.ID] = entry.ID
+	idom[root] = root
 
 	intersect := func(a, b int) int {
 		for a != b {
-			for rpoNum[a] > rpoNum[b] {
+			for rpo[a] > rpo[b] {
 				a = idom[a]
 			}
-			for rpoNum[b] > rpoNum[a] {
+			for rpo[b] > rpo[a] {
 				b = idom[b]
 			}
 		}
 		return a
 	}
-
-	changed := true
-	for changed {
+	for changed := true; changed; {
 		changed = false
-		// Process in reverse postorder (skip entry).
+		// Process in reverse postorder (skip root).
 		for i := len(order) - 2; i >= 0; i-- {
-			b := order[i]
+			u := order[i]
 			newIdom := -1
-			for _, p := range preds(b) {
-				if idom[p.ID] == -1 {
+			for _, p := range preds[u] {
+				if idom[p] == -1 {
 					continue // unreachable or not yet processed
 				}
 				if newIdom == -1 {
-					newIdom = p.ID
+					newIdom = p
 				} else {
-					newIdom = intersect(newIdom, p.ID)
+					newIdom = intersect(newIdom, p)
 				}
 			}
-			if newIdom != -1 && idom[b.ID] != newIdom {
-				idom[b.ID] = newIdom
+			if newIdom != -1 && idom[u] != newIdom {
+				idom[u] = newIdom
 				changed = true
 			}
 		}
 	}
-	return idom
+	return idom, rpo
+}
+
+// Order returns b's reverse-postorder number. Every unreachable block
+// gets the same number, after every reachable one.
+func (d *DomTree) Order(b *ir.Block) int {
+	if n := d.rpo[b.ID]; n >= 0 {
+		return n
+	}
+	return len(d.rpo)
 }
 
 // dominates reports whether a dominates b (reflexively).
 func (d *DomTree) dominates(a, b *ir.Block) bool {
-	if d.idom[b.ID] == -1 && b.ID != d.fn.Entry().ID {
+	if d.rpo[b.ID] == -1 {
 		return false // b unreachable
 	}
 	for {
@@ -146,96 +163,18 @@ type PostDomTree struct {
 	ipdom []int // ipdom[block ID] = immediate postdominator; -1 = virtual exit or unreachable
 }
 
-// postDominators computes the postdominator tree of f.
+// postDominators computes the postdominator tree of f: the dominator
+// tree of the reverse CFG, rooted at the virtual exit.
 func postDominators(f *ir.Func) *PostDomTree {
 	n := len(f.Blocks)
-	// Virtual exit is node n. Build reverse graph adjacency.
-	succs := make([][]int, n+1)
-	preds := make([][]int, n+1)
-	for _, b := range f.Blocks {
-		ss := b.Succs()
-		if len(ss) == 0 {
-			succs[b.ID] = append(succs[b.ID], n)
-			preds[n] = append(preds[n], b.ID)
-		}
-		for _, s := range ss {
-			succs[b.ID] = append(succs[b.ID], s.ID)
-			preds[s.ID] = append(preds[s.ID], b.ID)
+	succs, preds := adjacency(f)
+	idom, _ := idoms(n, preds, succs)
+	for i, id := range idom[:n] {
+		if id == n {
+			idom[i] = -1
 		}
 	}
-	// Postorder of the *reverse* graph rooted at virtual exit: edges are
-	// preds.
-	var order []int
-	seen := make([]bool, n+1)
-	var visit func(u int)
-	visit = func(u int) {
-		if seen[u] {
-			return
-		}
-		seen[u] = true
-		for _, p := range preds[u] {
-			visit(p)
-		}
-		order = append(order, u)
-	}
-	visit(n)
-
-	idom := make([]int, n+1)
-	for i := range idom {
-		idom[i] = -1
-	}
-	rpoNum := make([]int, n+1)
-	for i := range rpoNum {
-		rpoNum[i] = -1
-	}
-	for i, u := range order {
-		rpoNum[u] = len(order) - 1 - i
-	}
-	idom[n] = n
-	intersect := func(a, b int) int {
-		for a != b {
-			for rpoNum[a] > rpoNum[b] {
-				a = idom[a]
-			}
-			for rpoNum[b] > rpoNum[a] {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-	changed := true
-	for changed {
-		changed = false
-		for i := len(order) - 2; i >= 0; i-- {
-			u := order[i]
-			newIdom := -1
-			// "preds" in the reverse graph are the successors in the
-			// forward graph.
-			for _, s := range succs[u] {
-				if idom[s] == -1 {
-					continue
-				}
-				if newIdom == -1 {
-					newIdom = s
-				} else {
-					newIdom = intersect(newIdom, s)
-				}
-			}
-			if newIdom != -1 && idom[u] != newIdom {
-				idom[u] = newIdom
-				changed = true
-			}
-		}
-	}
-	pt := &PostDomTree{fn: f, ipdom: make([]int, n)}
-	for i := 0; i < n; i++ {
-		if idom[i] == -1 || idom[i] == n {
-			pt.ipdom[i] = -1
-		} else {
-			pt.ipdom[i] = idom[i]
-		}
-	}
-	return pt
+	return &PostDomTree{fn: f, ipdom: idom[:n]}
 }
 
 // IPDom returns the immediate postdominator block of b, or nil if it is

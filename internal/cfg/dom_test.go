@@ -186,8 +186,8 @@ func randomCFG(rng *rand.Rand, nBlocks int) *ir.Func {
 	return f
 }
 
-// reachable computes reachability from entry.
-func reachable(f *ir.Func) map[*ir.Block]bool {
+// reachable computes the blocks reachable from start.
+func reachable(start *ir.Block) map[*ir.Block]bool {
 	seen := make(map[*ir.Block]bool)
 	var visit func(b *ir.Block)
 	visit = func(b *ir.Block) {
@@ -199,7 +199,7 @@ func reachable(f *ir.Func) map[*ir.Block]bool {
 			visit(s)
 		}
 	}
-	visit(f.Entry())
+	visit(start)
 	return seen
 }
 
@@ -235,7 +235,7 @@ func TestDominatorsMatchBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		fn := randomCFG(rng, 2+rng.Intn(7))
-		reach := reachable(fn)
+		reach := reachable(fn.Entry())
 		d := dominators(fn)
 		for _, a := range fn.Blocks {
 			for _, b := range fn.Blocks {
@@ -257,29 +257,172 @@ func TestDominatorsMatchBruteForce(t *testing.T) {
 	}
 }
 
-// Property: ipdom is a strict postdominator of its block on random CFGs.
+// reachesExit reports, per block, whether some path leads from it to a
+// block without successors (a return) — to the virtual exit.
+func reachesExit(f *ir.Func) map[*ir.Block]bool {
+	exits := make(map[*ir.Block]bool)
+	for changed := true; changed; {
+		changed = false
+		for _, b := range f.Blocks {
+			if exits[b] {
+				continue
+			}
+			ss := b.Succs()
+			ok := len(ss) == 0
+			for _, s := range ss {
+				ok = ok || exits[s]
+			}
+			if ok {
+				exits[b] = true
+				changed = true
+			}
+		}
+	}
+	return exits
+}
+
+// postDominatesBrute checks "a postdom b" by exhaustive path
+// enumeration on the reverse graph: no path leads from b to the virtual
+// exit once a is removed. b must reach the exit.
+func postDominatesBrute(a, b *ir.Block) bool {
+	seen := make(map[*ir.Block]bool)
+	var visit func(x *ir.Block) bool // x reaches the exit avoiding a
+	visit = func(x *ir.Block) bool {
+		if x == a || seen[x] {
+			return false
+		}
+		seen[x] = true
+		ss := x.Succs()
+		if len(ss) == 0 {
+			return true
+		}
+		for _, s := range ss {
+			if visit(s) {
+				return true
+			}
+		}
+		return false
+	}
+	return a == b || !visit(b)
+}
+
+// Property: on random CFGs, the postdominator tree agrees with
+// brute-force path-based postdominance for every pair of blocks that
+// reach the exit, and ipdom(b) is immediate: a strict postdominator of
+// b that every other strict postdominator of b postdominates. A block
+// that cannot reach the exit has no ipdom.
 func TestIPDomIsPostDominator(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		fn := randomCFG(rng, 2+rng.Intn(7))
-		reach := reachable(fn)
+		exits := reachesExit(fn)
 		pd := postDominators(fn)
 		for _, b := range fn.Blocks {
-			if !reach[b] {
-				continue
-			}
 			ip := pd.IPDom(b)
-			if ip == nil {
+			if !exits[b] {
+				if ip != nil {
+					t.Logf("seed %d: bb%d cannot reach the exit, ipdom = bb%d", seed, b.ID, ip.ID)
+					return false
+				}
 				continue
 			}
-			if ip == b {
+			if ip == b || ip != nil && !postDominatesBrute(ip, b) {
+				t.Logf("seed %d: ipdom(bb%d) = bb%d is no strict postdominator", seed, b.ID, ip.ID)
 				return false
 			}
-			if !postDominates(pd, ip, b) {
-				return false
+			for _, a := range fn.Blocks {
+				if !exits[a] {
+					continue
+				}
+				want := postDominatesBrute(a, b)
+				if got := postDominates(pd, a, b); got != want {
+					t.Logf("seed %d: pdom(bb%d, bb%d) = %v, want %v", seed, a.ID, b.ID, got, want)
+					return false
+				}
+				if a != b && want && (ip == nil || !postDominatesBrute(a, ip)) {
+					t.Logf("seed %d: bb%d strictly postdominates bb%d but not its ipdom %v", seed, a.ID, b.ID, ip)
+					return false
+				}
 			}
 		}
 		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// reducible reports whether f's reachable CFG is acyclic once its back
+// edges (u→v where v dominates u) are removed: every loop is entered
+// through its header, as in every CFG MiniC's structured control flow
+// produces.
+func reducible(f *ir.Func, reach map[*ir.Block]bool) bool {
+	indeg := make(map[*ir.Block]int)
+	for b := range reach {
+		for _, s := range b.Succs() {
+			if !dominatesBrute(f, s, b) {
+				indeg[s]++
+			}
+		}
+	}
+	ready := []*ir.Block{f.Entry()}
+	n := 0
+	for ; len(ready) > 0; n++ {
+		b := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		for _, s := range b.Succs() {
+			if !dominatesBrute(f, s, b) {
+				if indeg[s]--; indeg[s] == 0 {
+					ready = append(ready, s)
+				}
+			}
+		}
+	}
+	return n == len(reach)
+}
+
+// Property: on random CFGs, Order gives the entry 0, every reachable
+// block its own number and every unreachable block a number after them
+// all, and it is a reverse postorder: an edge u→v with u not before v
+// closes a cycle (v reaches u), and on a reducible CFG it is a back edge
+// (v dominates u). The numbers need not be contiguous: the virtual exit
+// takes one of them.
+func TestOrderIsReversePostorder(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		fn := randomCFG(rng, 2+rng.Intn(7))
+		reach := reachable(fn.Entry())
+		red := reducible(fn, reach)
+		d := dominators(fn)
+		nums := make(map[int]*ir.Block)
+		last := -1
+		for _, u := range fn.Blocks {
+			if !reach[u] {
+				continue
+			}
+			if prev, dup := nums[d.Order(u)]; dup {
+				t.Logf("seed %d: bb%d and bb%d both order at %d", seed, prev.ID, u.ID, d.Order(u))
+				return false
+			}
+			nums[d.Order(u)] = u
+			last = max(last, d.Order(u))
+			for _, v := range u.Succs() {
+				if d.Order(u) < d.Order(v) {
+					continue
+				}
+				if !reachable(v)[u] || red && !dominatesBrute(fn, v, u) {
+					t.Logf("seed %d: edge bb%d→bb%d orders %d→%d", seed, u.ID, v.ID, d.Order(u), d.Order(v))
+					return false
+				}
+			}
+		}
+		for _, u := range fn.Blocks {
+			if !reach[u] && d.Order(u) <= last {
+				t.Logf("seed %d: unreachable bb%d orders at %d, not after reachable %d", seed, u.ID, d.Order(u), last)
+				return false
+			}
+		}
+		return d.Order(fn.Entry()) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

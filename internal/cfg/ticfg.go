@@ -86,18 +86,19 @@ func BuildTICFG(p *ir.Program) *TICFG {
 	return g
 }
 
+// ArgValue is one operand passed for a parameter, and the call or spawn
+// site that passes it.
+type ArgValue struct {
+	Site *ir.Instr
+	Val  ir.Value
+}
+
 // ArgValues returns, for parameter index argIdx of f, the operand passed
 // at every callsite (and spawn site) of f — the getArgValues step of
 // Algorithm 1. For spawn sites, parameter 0 of the start routine receives
 // the spawn call's second argument.
-func (g *TICFG) ArgValues(f *ir.Func, argIdx int) []struct {
-	Site *ir.Instr
-	Val  ir.Value
-} {
-	var out []struct {
-		Site *ir.Instr
-		Val  ir.Value
-	}
+func (g *TICFG) ArgValues(f *ir.Func, argIdx int) []ArgValue {
+	var out []ArgValue
 	for _, siteID := range g.Callsites[f] {
 		site := g.Prog.Instrs[siteID]
 		var v ir.Value
@@ -112,10 +113,7 @@ func (g *TICFG) ArgValues(f *ir.Func, argIdx int) []struct {
 			}
 		}
 		if !v.IsNil() {
-			out = append(out, struct {
-				Site *ir.Instr
-				Val  ir.Value
-			}{site, v})
+			out = append(out, ArgValue{site, v})
 		}
 	}
 	return out

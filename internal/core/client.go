@@ -277,17 +277,13 @@ func FinishRun(plan *Plan, rt *RunTrace, dec faults.Decision) {
 				// still parse and replay; only when nothing survives is
 				// the core's flow abandoned (DecodeErr tells the server
 				// to keep this run away from predictor extraction).
-				segs, sbranches, sdata, srep := pt.SalvageDecode(plan.Prog, buf, c.Wrapped)
+				sflow, sbranches, sdata, srep := pt.SalvageDecode(plan.Prog, buf, c.Wrapped)
 				if !srep.Recovered() {
 					rt.DecodeErr = err
 					continue
 				}
 				rt.SalvagedCores++
-				branches, data = sbranches, sdata
-				flow = make([]int, 0, srep.Instrs)
-				for _, seg := range segs {
-					flow = append(flow, seg.Instrs...)
-				}
+				flow, branches, data = sflow, sbranches, sdata
 			}
 			rt.Branches[c.Core] = branches
 			if len(flow) > 0 {

@@ -59,28 +59,12 @@ func (sk *Sketch) toJSON() SketchJSON {
 		out.Steps = append(out.Steps, row)
 	}
 	for _, r := range sk.Predictors {
-		var lines []int
-		seen := map[int]bool{}
-		for _, id := range r.InstrIDs {
-			ln := sk.Prog.Instrs[id].Pos.Line
-			if !seen[ln] {
-				seen[ln] = true
-				lines = append(lines, ln)
-			}
-		}
 		out.Predictors = append(out.Predictors, PredictorJSON{
 			Kind: r.Kind.String(), Desc: r.Desc, Pattern: r.Pattern,
-			Lines: lines, Precision: r.P, Recall: r.R, F: r.F,
+			Lines: sk.lines(r.InstrIDs), Precision: r.P, Recall: r.R, F: r.F,
 		})
 	}
-	seen := map[int]bool{}
-	for _, id := range sk.AddedByRefinement {
-		ln := sk.Prog.Instrs[id].Pos.Line
-		if !seen[ln] {
-			seen[ln] = true
-			out.Refined = append(out.Refined, ln)
-		}
-	}
+	out.Refined = sk.lines(sk.AddedByRefinement)
 	return out
 }
 

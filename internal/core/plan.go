@@ -126,15 +126,14 @@ func (p *Plan) planControlFlow(g *cfg.TICFG) {
 		byFn[in.Blk.Fn] = append(byFn[in.Blk.Fn], in)
 	}
 	for fn, instrs := range byFn {
-		rpo := blockRPO(fn)
+		dom := g.Dom[fn]
 		sort.Slice(instrs, func(i, j int) bool {
 			a, b := instrs[i], instrs[j]
 			if a.Blk != b.Blk {
-				return rpo[a.Blk.ID] < rpo[b.Blk.ID]
+				return dom.Order(a.Blk) < dom.Order(b.Blk)
 			}
 			return a.Idx < b.Idx
 		})
-		dom := g.Dom[fn]
 		for i, s := range instrs {
 			// Optimization I (sdom): if the previously processed tracked
 			// statement strictly dominates s, tracing — which only stops
@@ -269,30 +268,4 @@ func (p *Plan) groupOf(endpoint int) int {
 // on a plan with watch groups.
 func (p *Plan) watchRegister(id, grp int) uint32 {
 	return uint32(p.watchClass[id] - int32(grp*watch.NumRegisters))
-}
-
-// blockRPO numbers a function's blocks in reverse postorder.
-func blockRPO(fn *ir.Func) []int {
-	order := make([]int, len(fn.Blocks))
-	for i := range order {
-		order[i] = 1 << 30 // unreachable blocks sort last
-	}
-	var post []*ir.Block
-	seen := make(map[*ir.Block]bool)
-	var visit func(b *ir.Block)
-	visit = func(b *ir.Block) {
-		if seen[b] {
-			return
-		}
-		seen[b] = true
-		for _, s := range b.Succs() {
-			visit(s)
-		}
-		post = append(post, b)
-	}
-	visit(fn.Entry())
-	for i, b := range post {
-		order[b.ID] = len(post) - 1 - i
-	}
-	return order
 }

@@ -349,19 +349,28 @@ func (sk *Sketch) Render() string {
 			fmt.Fprintf(&b, "  %d. [%s] %s   (P=%.2f R=%.2f F=%.2f)\n", i+1, r.Kind, r.Desc, r.P, r.R, r.F)
 		}
 	}
-	if len(sk.AddedByRefinement) > 0 {
-		var lines []string
-		seen := map[int]bool{}
-		for _, id := range sk.AddedByRefinement {
-			ln := sk.Prog.Instrs[id].Pos.Line
-			if !seen[ln] {
-				seen[ln] = true
-				lines = append(lines, fmt.Sprintf("%d", ln))
-			}
+	if refined := sk.lines(sk.AddedByRefinement); len(refined) > 0 {
+		lines := make([]string, len(refined))
+		for i, ln := range refined {
+			lines[i] = fmt.Sprintf("%d", ln)
 		}
 		fmt.Fprintf(&b, "Statements discovered by data-flow refinement: lines %s\n", strings.Join(lines, ", "))
 	}
 	return b.String()
+}
+
+// lines maps instruction IDs to their source lines, each line once, in
+// first-seen order.
+func (sk *Sketch) lines(ids []int) []int {
+	var out []int
+	seen := map[int]bool{}
+	for _, id := range ids {
+		if ln := sk.Prog.Instrs[id].Pos.Line; !seen[ln] {
+			seen[ln] = true
+			out = append(out, ln)
+		}
+	}
+	return out
 }
 
 // IdealSketch is the hand-written ground truth for one bug, used by the

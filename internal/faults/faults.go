@@ -203,6 +203,30 @@ func NewInjector(cfg Config) *Injector {
 	return &Injector{cfg: cfg}
 }
 
+// stream returns the seeded random stream of one fault decision: its
+// identity, rendered with format and args, hashed with FNV-64a.
+func stream(format string, args ...any) *rand.Rand {
+	h := fnv.New64a()
+	fmt.Fprintf(h, format, args...)
+	return rand.New(rand.NewSource(int64(h.Sum64())))
+}
+
+// flipBytes flips between 1 and maxFlips bytes of a copy of buf, at
+// positions and with nonzero masks drawn from rng. Empty buffers pass
+// through untouched.
+func flipBytes(rng *rand.Rand, buf []byte, maxFlips int) []byte {
+	if len(buf) == 0 {
+		return buf
+	}
+	out := append([]byte(nil), buf...)
+	n := 1 + rng.Intn(maxFlips)
+	for k := 0; k < n; k++ {
+		pos := rng.Intn(len(out))
+		out[pos] ^= byte(1 + rng.Intn(255))
+	}
+	return out
+}
+
 // TruncateKind selects which RunTrace field a truncation fault eats.
 type TruncateKind int
 
@@ -251,9 +275,7 @@ func (i *Injector) ForRun(endpoint int, seed int64) Decision {
 	if i == nil {
 		return Decision{}
 	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%d", i.cfg.Seed, endpoint, seed)
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	rng := stream("%d|%d|%d", i.cfg.Seed, endpoint, seed)
 	d := Decision{
 		Crash:        rng.Float64() < i.cfg.CrashRate,
 		Hang:         rng.Float64() < i.cfg.HangRate,
@@ -279,20 +301,13 @@ func (d Decision) BufBytes(dflt int) int {
 	return dflt
 }
 
-// CorruptTrace flips a few bytes of a copy of buf, modeling in-flight
-// trace corruption. The number and positions of flipped bytes come from
-// the decision's seeded stream. Empty buffers pass through untouched.
+// CorruptTrace flips up to 8 bytes of a copy of buf (see flipBytes),
+// modeling in-flight trace corruption.
 func (d Decision) CorruptTrace(buf []byte) []byte {
-	if !d.Corrupt || len(buf) == 0 {
+	if !d.Corrupt {
 		return buf
 	}
-	out := append([]byte(nil), buf...)
-	n := 1 + d.rng.Intn(8)
-	for k := 0; k < n; k++ {
-		pos := d.rng.Intn(len(out))
-		out[pos] ^= byte(1 + d.rng.Intn(255))
-	}
-	return out
+	return flipBytes(d.rng, buf, 8)
 }
 
 // ApplyTraps degrades a trap log per the decision: dropped entries,
@@ -464,20 +479,10 @@ type TransportDecision struct {
 	rng  *rand.Rand
 }
 
-// CorruptBody flips a few bytes of a copy of body, modeling in-flight
-// damage the server-side checksum must catch. Empty bodies pass through
-// untouched.
+// CorruptBody flips up to 4 bytes of a copy of body (see flipBytes),
+// modeling in-flight damage the server-side checksum must catch.
 func (d TransportDecision) CorruptBody(body []byte) []byte {
-	if len(body) == 0 {
-		return body
-	}
-	out := append([]byte(nil), body...)
-	n := 1 + d.rng.Intn(4)
-	for k := 0; k < n; k++ {
-		pos := d.rng.Intn(len(out))
-		out[pos] ^= byte(1 + d.rng.Intn(255))
-	}
-	return out
+	return flipBytes(d.rng, body, 4)
 }
 
 // ForRequest derives the transport-fault decision for one RPC attempt,
@@ -489,9 +494,7 @@ func (i *Injector) ForRequest(tenant, agent, request string, attempt int) Transp
 	if i == nil || i.cfg.TransportRate <= 0 {
 		return TransportDecision{}
 	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "net|%d|%s|%s|%s|%d", i.cfg.Seed, tenant, agent, request, attempt)
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	rng := stream("net|%d|%s|%s|%s|%d", i.cfg.Seed, tenant, agent, request, attempt)
 	d := TransportDecision{rng: rng}
 	if rng.Float64() < i.cfg.TransportRate {
 		d.Kind = TransportKind(1 + rng.Intn(5))
@@ -518,9 +521,7 @@ func (i *Injector) ForSlowdown(tenant, agent string, taskID uint64) SlowDecision
 	if i == nil || i.cfg.SlowRate <= 0 {
 		return SlowDecision{}
 	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "slow|%d|%s|%s|%d", i.cfg.Seed, tenant, agent, taskID)
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	rng := stream("slow|%d|%s|%s|%d", i.cfg.Seed, tenant, agent, taskID)
 	d := SlowDecision{}
 	if rng.Float64() < i.cfg.SlowRate {
 		d.Slow = true
@@ -538,9 +539,7 @@ func (i *Injector) ForCheckpoint(name string, gen uint64) DiskDecision {
 	if i == nil || i.cfg.DiskRate <= 0 {
 		return DiskDecision{}
 	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "disk|%d|%s|%d", i.cfg.Seed, name, gen)
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	rng := stream("disk|%d|%s|%d", i.cfg.Seed, name, gen)
 	d := DiskDecision{rng: rng}
 	if rng.Float64() < i.cfg.DiskRate {
 		d.Kind = DiskKind(1 + rng.Intn(4))

@@ -7,13 +7,6 @@ import (
 	"repro/internal/ir"
 )
 
-// Segment is one contiguous traced region of a core's execution: the
-// program-wide instruction IDs in execution order between a PGE and the
-// matching PGD (or the end of the buffer).
-type Segment struct {
-	Instrs []int
-}
-
 // BranchObs is one conditional-branch outcome recovered from a TNT bit.
 type BranchObs struct {
 	IP    int
@@ -39,33 +32,28 @@ type DataObs struct {
 // starts at the first PSB sync point and the lost prefix is silently
 // dropped, exactly like a real PT decoder.
 //
-// The traced regions come back to back rather than cut into segments —
-// the endpoint client's RunTrace.Flow is exactly that — plus the
-// conditional-branch outcomes recovered from the TNT bits in
-// consumption order and the extended-PT data accesses. The flow is the
-// decoder's own exact-size array, not a concatenation of copies. The
-// outcomes are a byproduct of CFG replay: they carry strictly more
-// information than the flow alone when a trace stops right at a branch
-// (the successor is then not part of the flow but the outcome is still
-// known).
+// The traced regions (each the instructions between a PGE and its PGD,
+// or the end of the buffer) come back to back — the endpoint client's
+// RunTrace.Flow is exactly that — plus the conditional-branch outcomes
+// recovered from the TNT bits in consumption order and the extended-PT
+// data accesses. The flow is the decoder's own exact-size array, not a
+// concatenation of copies. The outcomes are a byproduct of CFG replay:
+// they carry strictly more information than the flow alone when a trace
+// stops right at a branch (the successor is then not part of the flow
+// but the outcome is still known).
 func DecodeFlow(prog *ir.Program, data []byte, wrapped bool) ([]int, []BranchObs, []DataObs, error) {
-	flow, _, branches, dobs, err := decodeBuffer(prog, data, wrapped)
-	return flow, branches, dobs, err
-}
-
-func decodeBuffer(prog *ir.Program, data []byte, wrapped bool) (flow, ends []int, branches []BranchObs, dobs []DataObs, err error) {
 	decodeCalls.Add(1)
 	decodedBytes.Add(int64(len(data)))
 	evs, err := parsePackets(data, !wrapped)
 	if err != nil {
 		decodeErrors.Add(1)
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
-	flow, ends, branches, dobs, err = decodeEvents(prog, evs)
+	flow, branches, dobs, err := decodeEvents(prog, evs)
 	if err != nil {
 		decodeErrors.Add(1)
 	}
-	return flow, ends, branches, dobs, err
+	return flow, branches, dobs, err
 }
 
 // flowPool recycles the scratch the CFG replay walks into. A decode
@@ -75,14 +63,13 @@ func decodeBuffer(prog *ir.Program, data []byte, wrapped bool) (flow, ends []int
 // result is copied out once, at its exact size.
 var flowPool = sync.Pool{New: func() any { return new([]int) }}
 
-// decodeEvents replays evs and returns the instructions of all segments
-// back to back (a private exact-size array) with each segment's end
-// offset.
-func decodeEvents(prog *ir.Program, evs []Event) (flow, ends []int, branches []BranchObs, data []DataObs, err error) {
+// decodeEvents replays evs and returns the instructions of all traced
+// regions back to back, in a private exact-size array.
+func decodeEvents(prog *ir.Program, evs []Event) (flow []int, branches []BranchObs, data []DataObs, err error) {
 	scratch := flowPool.Get().(*[]int)
 	d := &decoder{prog: prog, evs: evs, flow: (*scratch)[:0]}
 	err = d.run()
-	// After an error only the closed segments count; the one the replay
+	// After an error only the closed regions count; the one the replay
 	// was in the middle of is dropped.
 	if n := d.start; n > 0 {
 		flow = make([]int, n)
@@ -90,22 +77,7 @@ func decodeEvents(prog *ir.Program, evs []Event) (flow, ends []int, branches []B
 	}
 	*scratch = d.flow
 	flowPool.Put(scratch)
-	return flow, d.ends, d.branches, d.data, err
-}
-
-// segments cuts flow at ends. Each segment is capped at its own length,
-// so appending to one cannot run into the next.
-func segments(flow, ends []int) []Segment {
-	if len(ends) == 0 {
-		return nil
-	}
-	segs := make([]Segment, len(ends))
-	start := 0
-	for i, end := range ends {
-		segs[i].Instrs = flow[start:end:end]
-		start = end
-	}
-	return segs
+	return flow, d.branches, d.data, err
 }
 
 type decoder struct {
@@ -116,10 +88,9 @@ type decoder struct {
 	bits []bool    // TNT bits available for consumption
 	cur  *ir.Instr // nil = tracing off / waiting for PGE
 
-	// flow holds every segment's instructions back to back: ends[i] is
-	// where closed segment i stops, and the open segment is flow[start:].
+	// flow holds every region's instructions back to back; the open
+	// region is flow[start:].
 	flow  []int
-	ends  []int
 	start int
 
 	// straight counts the instructions replayed since the walk last
@@ -228,10 +199,7 @@ func (d *decoder) instrAt(ip int) (*ir.Instr, error) {
 }
 
 func (d *decoder) closeSegment() {
-	if len(d.flow) > d.start {
-		d.ends = append(d.ends, len(d.flow))
-		d.start = len(d.flow)
-	}
+	d.start = len(d.flow)
 	d.cur = nil
 	d.bits = d.bits[:0]
 }

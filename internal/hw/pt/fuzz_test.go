@@ -77,7 +77,7 @@ func decodeAllocBudget(prog *ir.Program, data []byte) uint64 {
 // FuzzPTDecode feeds arbitrary ring bytes to the decoders a diagnosis
 // server runs on agent uploads. Neither may panic or run away, both
 // must allocate within a bound set by the input, and on a buffer that
-// decodes cleanly salvage may recover nothing the clean decode does not.
+// decodes cleanly salvage returns exactly the clean decode.
 func FuzzPTDecode(f *testing.F) {
 	progs := suitePrograms()
 	which, data, wrapped := decodeSeeds(f)
@@ -91,50 +91,25 @@ func FuzzPTDecode(f *testing.F) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		flow, branches, dobs, err := pt.DecodeFlow(prog, data, wrapped)
-		segs, sbranches, sdobs, rep := pt.SalvageDecode(prog, data, wrapped)
+		sflow, sbranches, sdobs, rep := pt.SalvageDecode(prog, data, wrapped)
 		runtime.ReadMemStats(&after)
 		if got, budget := after.TotalAlloc-before.TotalAlloc, decodeAllocBudget(prog, data); got > budget {
 			t.Fatalf("decoding %d bytes allocated %d bytes, over the %d-byte budget", len(data), got, budget)
 		}
-
-		n := 0
-		for _, s := range segs {
-			n += len(s.Instrs)
-		}
-		if n != rep.Instrs {
-			t.Fatalf("salvage report counts %d instructions, segments hold %d", rep.Instrs, n)
+		if len(sflow) != rep.Instrs {
+			t.Fatalf("salvage report counts %d instructions, the flow holds %d", rep.Instrs, len(sflow))
 		}
 		if err != nil {
 			return
 		}
-		instrs := make(map[int]bool, len(flow))
-		for _, id := range flow {
-			instrs[id] = true
+		if !slices.Equal(sflow, flow) {
+			t.Fatalf("salvage recovered %d instructions, the clean decode %d: not the same flow", len(sflow), len(flow))
 		}
-		for _, s := range segs {
-			for _, id := range s.Instrs {
-				if !instrs[id] {
-					t.Fatalf("salvage recovered instruction %d, which the clean decode never replayed", id)
-				}
-			}
+		if !slices.Equal(sbranches, branches) {
+			t.Fatalf("salvage recovered %d branches, the clean decode %d: not the same outcomes", len(sbranches), len(branches))
 		}
-		seen := make(map[pt.BranchObs]bool, len(branches))
-		for _, b := range branches {
-			seen[b] = true
-		}
-		for _, b := range sbranches {
-			if !seen[b] {
-				t.Fatalf("salvage recovered branch %+v, which the clean decode never observed", b)
-			}
-		}
-		accesses := make(map[pt.DataObs]bool, len(dobs))
-		for _, d := range dobs {
-			accesses[d] = true
-		}
-		for _, d := range sdobs {
-			if !accesses[d] {
-				t.Fatalf("salvage recovered access %+v, which the clean decode never saw", d)
-			}
+		if !slices.Equal(sdobs, dobs) {
+			t.Fatalf("salvage recovered %d accesses, the clean decode %d: not the same accesses", len(sdobs), len(dobs))
 		}
 	})
 }
@@ -191,15 +166,15 @@ func TestFUPFloodDecodesInLinearTime(t *testing.T) {
 	}
 	start := time.Now()
 	got, _, _, err := pt.DecodeFlow(prog, flood, false)
-	segs, _, _, _ := pt.SalvageDecode(prog, flood, false)
+	salvaged, _, _, _ := pt.SalvageDecode(prog, flood, false)
 	if took := time.Since(start); took > 2*time.Second {
 		t.Errorf("decoding %d FUPs behind a %d-instruction segment took %v", floodFUPs, len(want), took)
 	}
 	if err != nil || !slices.Equal(got, want) {
 		t.Errorf("flooded buffer decodes to %d instructions (%v), want the open segment's %d", len(got), err, len(want))
 	}
-	if len(segs) != 1 || !slices.Equal(segs[0].Instrs, want) {
-		t.Errorf("salvage of the flooded buffer recovered %d segments, want the open segment", len(segs))
+	if !slices.Equal(salvaged, want) {
+		t.Errorf("salvage of the flooded buffer recovered %d instructions, want the open segment's %d", len(salvaged), len(want))
 	}
 }
 

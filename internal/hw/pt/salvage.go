@@ -4,7 +4,7 @@ import "repro/internal/ir"
 
 // Salvage support: decoding what remains of a damaged trace buffer.
 //
-// A clean decode (Decode, DecodeFlow) aborts at the first malformed packet. In a
+// A clean decode (DecodeFlow) aborts at the first malformed packet. In a
 // production fleet, trace buffers arrive with flipped bytes and torn
 // writes, and a single bad byte should not cost the whole buffer: real
 // PT decoders restart at the next PSB sync point, exactly as they do
@@ -35,16 +35,18 @@ func (r SalvageReport) Recovered() bool { return r.Instrs > 0 }
 // is parsed and CFG-replayed independently, chunks that error keep
 // their prefix up to the error, and the rest of the buffer continues at
 // the next PSB. wrapped has the same meaning as in DecodeFlow: the ring
-// buffer overflowed, so the bytes before the first PSB are skipped.
+// buffer overflowed, so the bytes before the first PSB are skipped. The
+// recovered flow comes back to back, chunk after chunk, as DecodeFlow
+// returns its traced regions.
 //
 // A buffer that decodes cleanly has nothing to salvage, and is returned
 // as the clean decode, one chunk: replaying its chunks apart would drop
 // the replay state a chunk inherits across a PSB (a paused walk, TNT
 // bits not yet consumed) and could recover flow the decoder never saw.
-func SalvageDecode(prog *ir.Program, data []byte, wrapped bool) ([]Segment, []BranchObs, []DataObs, SalvageReport) {
+func SalvageDecode(prog *ir.Program, data []byte, wrapped bool) ([]int, []BranchObs, []DataObs, SalvageReport) {
 	salvageCalls.Add(1)
 	var (
-		segs     []Segment
+		flow     []int
 		branches []BranchObs
 		dobs     []DataObs
 		rep      SalvageReport
@@ -54,9 +56,9 @@ func SalvageDecode(prog *ir.Program, data []byte, wrapped bool) ([]Segment, []Br
 		salvagedInstrs.Add(int64(rep.Instrs))
 	}()
 	if evs, err := parsePackets(data, !wrapped); err == nil {
-		if flow, ends, b, d, err := decodeEvents(prog, evs); err == nil {
-			rep = SalvageReport{Chunks: 1, Instrs: len(flow)}
-			return segments(flow, ends), b, d, rep
+		if f, b, d, err := decodeEvents(prog, evs); err == nil {
+			rep = SalvageReport{Chunks: 1, Instrs: len(f)}
+			return f, b, d, rep
 		}
 	}
 	start := 0
@@ -73,20 +75,17 @@ func SalvageDecode(prog *ir.Program, data []byte, wrapped bool) ([]Segment, []Br
 			rep.Resyncs++ // this chunk's PSB restarted decoding
 		}
 		evs, perr := parsePackets(chunk, true)
-		flow, ends, b, d, derr := decodeEvents(prog, evs)
-		s := segments(flow, ends)
+		f, b, d, derr := decodeEvents(prog, evs)
 		prevBad = perr != nil || derr != nil
 		if prevBad {
 			rep.BadChunks++
 		}
-		segs = append(segs, s...)
+		flow = append(flow, f...)
 		branches = append(branches, b...)
 		dobs = append(dobs, d...)
-		for _, sg := range s {
-			rep.Instrs += len(sg.Instrs)
-		}
 	}
-	return segs, branches, dobs, rep
+	rep.Instrs = len(flow)
+	return flow, branches, dobs, rep
 }
 
 // splitAtPSB cuts data into regions, each running up to (but not

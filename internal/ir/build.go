@@ -24,9 +24,7 @@ func Build(info *sema.Info, source string) (*Program, error) {
 		},
 		strIdx: make(map[string]int),
 	}
-	if err := b.buildGlobals(); err != nil {
-		return nil, err
-	}
+	b.buildGlobals()
 	for _, fd := range info.File.Funcs {
 		fi := info.Funcs[fd.Name]
 		f := &Func{Name: fd.Name, ID: len(b.prog.Funcs), Params: len(fd.Params), Ret: fi.Sig.Ret}
@@ -37,9 +35,6 @@ func Build(info *sema.Info, source string) (*Program, error) {
 		if err := b.buildFunc(fd); err != nil {
 			return nil, err
 		}
-	}
-	if _, ok := b.prog.FuncByName["main"]; !ok {
-		return nil, fmt.Errorf("%s: no main function", info.File.Name)
 	}
 	b.prog.finalize()
 	for _, in := range b.pendingSpawns {
@@ -104,7 +99,7 @@ type builder struct {
 	pendingSpawns []*Instr
 }
 
-func (b *builder) buildGlobals() error {
+func (b *builder) buildGlobals() {
 	for _, gd := range b.info.File.Globals {
 		var gi *sema.VarInfo
 		for _, v := range b.info.Globals {
@@ -125,20 +120,12 @@ func (b *builder) buildGlobals() error {
 				g.Init = 0
 			case *ast.StringLit:
 				g.InitStr = b.internString(init.Value)
-			case *ast.UnaryExpr:
-				lit, ok := init.X.(*ast.IntLit)
-				if init.Op == token.MINUS && ok {
-					g.Init = -lit.Value
-				} else {
-					return fmt.Errorf("%s: global initializer must be a constant", gd.Pos())
-				}
-			default:
-				return fmt.Errorf("%s: global initializer must be a constant", gd.Pos())
+			case *ast.UnaryExpr: // sema admits only a negated integer literal
+				g.Init = -init.X.(*ast.IntLit).Value
 			}
 		}
 		b.prog.Globals = append(b.prog.Globals, g)
 	}
-	return nil
 }
 
 func (b *builder) internString(s string) int {

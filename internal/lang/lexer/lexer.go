@@ -12,14 +12,6 @@ import (
 	"repro/internal/lang/token"
 )
 
-// Error is a lexical error with a source position.
-type Error struct {
-	Pos token.Position
-	Msg string
-}
-
-func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
-
 // Lexer scans MiniC source text into tokens.
 type Lexer struct {
 	file string
@@ -27,7 +19,7 @@ type Lexer struct {
 	off  int // byte offset of the next unread character
 	line int
 	col  int
-	errs []*Error
+	errs token.ErrorList
 }
 
 // New returns a lexer for src. file is used in positions and diagnostics.
@@ -36,10 +28,10 @@ func New(file, src string) *Lexer {
 }
 
 // Errors returns the lexical errors encountered so far.
-func (l *Lexer) Errors() []*Error { return l.errs }
+func (l *Lexer) Errors() token.ErrorList { return l.errs }
 
 func (l *Lexer) errorf(pos token.Position, format string, args ...any) {
-	l.errs = append(l.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+	l.errs = append(l.errs, &token.Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
 }
 
 func (l *Lexer) pos() token.Position {

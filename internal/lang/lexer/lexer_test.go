@@ -172,7 +172,7 @@ func fmtUint(v uint64) string {
 
 // scanAll scans the whole input the way the parser does, token by token,
 // and returns all tokens up to and including the EOF token.
-func scanAll(file, src string) ([]token.Token, []*Error) {
+func scanAll(file, src string) ([]token.Token, token.ErrorList) {
 	l := New(file, src)
 	var toks []token.Token
 	for {

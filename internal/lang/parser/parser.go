@@ -34,44 +34,25 @@ import (
 	"repro/internal/lang/token"
 )
 
-// Error is a syntax error with a source position.
-type Error struct {
-	Pos token.Position
-	Msg string
-}
-
-func (e *Error) Error() string { return fmt.Sprintf("%s: syntax error: %s", e.Pos, e.Msg) }
-
-// ErrorList is a list of syntax errors; it implements error.
-type ErrorList []*Error
-
-func (l ErrorList) Error() string {
-	switch len(l) {
-	case 0:
-		return "no errors"
-	case 1:
-		return l[0].Error()
-	default:
-		return fmt.Sprintf("%s (and %d more errors)", l[0], len(l)-1)
-	}
-}
+const syntaxError = "syntax error: "
 
 type parser struct {
 	lex  *lexer.Lexer
 	tok  token.Token // current token
 	next token.Token // one token of lookahead
-	errs ErrorList
+	errs token.ErrorList
 }
 
 // ParseFile parses a MiniC source file. On syntax errors it returns a
-// partial AST together with an ErrorList.
+// partial AST together with a token.ErrorList; every message, the
+// lexer's included, starts "syntax error: ".
 func ParseFile(filename, src string) (*ast.File, error) {
 	p := &parser{lex: lexer.New(filename, src)}
 	p.tok = p.lex.Next()
 	p.next = p.lex.Next()
 	f := p.parseFile(filename)
 	for _, le := range p.lex.Errors() {
-		p.errs = append(p.errs, &Error{Pos: le.Pos, Msg: le.Msg})
+		p.errs = append(p.errs, &token.Error{Pos: le.Pos, Msg: syntaxError + le.Msg})
 	}
 	if len(p.errs) > 0 {
 		return f, p.errs
@@ -87,7 +68,7 @@ func (p *parser) advance() {
 }
 
 func (p *parser) errorf(pos token.Position, format string, args ...any) {
-	p.errs = append(p.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+	p.errs = append(p.errs, &token.Error{Pos: pos, Msg: syntaxError + fmt.Sprintf(format, args...)})
 }
 
 func (p *parser) expect(k token.Kind) token.Token {
@@ -137,6 +118,8 @@ func (p *parser) parseFile(name string) *ast.File {
 		default:
 			p.errorf(p.tok.Pos, "expected declaration, found %s", p.tok)
 			p.sync()
+			// sync stops at a '}', and none starts a declaration.
+			p.accept(token.RBRACE)
 		}
 	}
 	return f

@@ -124,6 +124,7 @@ func TestParseErrors(t *testing.T) {
 		"int main() { if 1 { } }",  // missing parens
 		"int main() { x = ; }",     // missing RHS
 		"blah",                     // not a declaration
+		"x; }",                     // stray brace at top level
 		"int main() { (1+2)(3); }", // call of non-name
 		"global int;",              // missing name
 		"int f(int a,, int b) { }", // bad param list

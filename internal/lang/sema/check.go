@@ -7,28 +7,6 @@ import (
 	"repro/internal/lang/token"
 )
 
-// Error is a semantic error with a source position.
-type Error struct {
-	Pos token.Position
-	Msg string
-}
-
-func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
-
-// ErrorList is a list of semantic errors; it implements error.
-type ErrorList []*Error
-
-func (l ErrorList) Error() string {
-	switch len(l) {
-	case 0:
-		return "no errors"
-	case 1:
-		return l[0].Error()
-	default:
-		return fmt.Sprintf("%s (and %d more errors)", l[0], len(l)-1)
-	}
-}
-
 // VarInfo describes a resolved variable (global, parameter, or local).
 type VarInfo struct {
 	Name   string
@@ -90,7 +68,7 @@ func assignable(dst, src *Type) bool {
 
 type checker struct {
 	info   *Info
-	errs   ErrorList
+	errs   token.ErrorList
 	scopes []map[string]*VarInfo
 	cur    *FuncInfo
 	loops  int
@@ -114,6 +92,9 @@ func Check(f *ast.File) (*Info, error) {
 	for _, fn := range f.Funcs {
 		c.checkFunc(fn)
 	}
+	if _, ok := c.info.Funcs["main"]; !ok {
+		c.errorf(token.Position{File: f.Name, Line: 1, Col: 1}, "no main function")
+	}
 	if len(c.errs) > 0 {
 		return c.info, c.errs
 	}
@@ -121,7 +102,7 @@ func Check(f *ast.File) (*Info, error) {
 }
 
 func (c *checker) errorf(pos token.Position, format string, args ...any) {
-	c.errs = append(c.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+	c.errs = append(c.errs, &token.Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
 }
 
 func (c *checker) collectStructs(f *ast.File) {
@@ -171,12 +152,29 @@ func (c *checker) collectGlobals(f *ast.File) {
 		seen[g.Name] = true
 		c.info.Globals = append(c.info.Globals, &VarInfo{Name: g.Name, Type: t, Global: true})
 		if g.Init != nil {
+			if !constInit(g.Init) {
+				c.errorf(g.Pos(), "global initializer must be a constant")
+			}
 			it := c.checkExpr(g.Init)
 			if it != nil && !assignable(t, it) && !(t.isPointerLike() && isNull(g.Init)) {
 				c.errorf(g.Init.Pos(), "cannot initialize global %s (%s) with %s", g.Name, t, it)
 			}
 		}
 	}
+}
+
+// constInit reports whether e is a global initializer the IR lays out
+// statically: an integer, string or null literal, or a negated integer
+// literal.
+func constInit(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.IntLit, *ast.NullLit, *ast.StringLit:
+		return true
+	case *ast.UnaryExpr:
+		_, lit := e.X.(*ast.IntLit)
+		return e.Op == token.MINUS && lit
+	}
+	return false
 }
 
 func isNull(e ast.Expr) bool {
@@ -270,8 +268,8 @@ func (c *checker) lookup(name string) *VarInfo {
 
 func (c *checker) checkFunc(fn *ast.FuncDecl) {
 	fi, ok := c.info.Funcs[fn.Name]
-	if !ok {
-		return // duplicate, already reported
+	if !ok || fi.Decl != fn {
+		return // a builtin's name or a duplicate, already reported
 	}
 	c.cur = fi
 	c.pushScope()

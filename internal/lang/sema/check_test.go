@@ -118,7 +118,10 @@ func TestCheckErrors(t *testing.T) {
 		{"int main() { int x = 0; int x = 1; return x; }", "redeclared"},
 		{"struct s { int a; }; struct s { int b; }; int main() { return 0; }", "duplicate struct"},
 		{"global int g; global int g; int main() { return 0; }", "duplicate global"},
+		{"global int h = 1; global int g = h; int main() { return 0; }", "global initializer must be a constant"},
+		{"int f() { return 0; }", "no main function"},
 		{"int f() { return 0; } int f() { return 1; } int main() { return 0; }", "duplicate function"},
+		{"void f() {} void f(int a) {} int main() { return 0; }", "duplicate function"}, // the duplicate has more parameters
 		{"int main() { break; }", "break outside loop"},
 		{"int main() { continue; }", "continue outside loop"},
 		{"void main() { return 1; }", "unexpected return value"},

@@ -187,3 +187,25 @@ func (t Token) String() string {
 		return t.Kind.String()
 	}
 }
+
+// Error is a lexical, syntax or semantic error at a source position.
+type Error struct {
+	Pos Position
+	Msg string
+}
+
+func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
+
+// ErrorList is a list of front-end errors; it implements error.
+type ErrorList []*Error
+
+func (l ErrorList) Error() string {
+	switch len(l) {
+	case 0:
+		return "no errors"
+	case 1:
+		return l[0].Error()
+	default:
+		return fmt.Sprintf("%s (and %d more errors)", l[0], len(l)-1)
+	}
+}

@@ -5,7 +5,7 @@
 // transport.
 //
 // The server accepts failure reports, schedules one diagnosis campaign
-// per (tenant, bug) on the existing sched + supervise stack, streams
+// per (tenant, bug) under a supervise.Supervisor, streams
 // tracking plans to agents, collects run traces, and serves finished
 // sketches. Agents register, long-poll for work, record production runs
 // with core.RecordRun — the first half of the core.RunInstrumented path
