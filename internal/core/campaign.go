@@ -402,7 +402,7 @@ func (c *Campaign) Rank() {
 		}
 	}
 	sp = tel.StartSpan(telemetry.PhaseSketch)
-	sketch := buildSketch(cfg.Title, st.plan, basis, ranked, c.added)
+	sketch := buildSketch(cfg.Title, st.plan, basis, basis.flow(cfg.Prog), ranked, c.added)
 	sp.End()
 	sketch.LowConfidence = lowConf
 	c.res.Sketch = sketch

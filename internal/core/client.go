@@ -22,23 +22,25 @@ type RunSpec struct {
 }
 
 // RunTrace is one production run as the Gist server sees it: the run
-// outcome, the decoded control flow of the tracked regions, the
-// watchpoint trap log (values + total order of shared accesses), and the
-// overhead meter. The endpoint records the raw half (RecordRun: Spec,
-// Outcome, PT, the watch unit's Traps, Meter); FinishRun derives the rest
-// from it, so an upload ships only what the server cannot regenerate.
+// outcome, each core's PT ring buffer and the branch outcomes decoded
+// from it, the watchpoint trap log (values + total order of shared
+// accesses), and the overhead meter. The endpoint records the raw half
+// (RecordRun: Spec, Outcome, PT, the watch unit's Traps, Meter);
+// FinishRun derives Branches, the extended-PT trap log and the decode
+// accounting from it, so an upload ships only what the server cannot
+// regenerate. The decoded control flow is not kept: every run feeds
+// predictor ranking through its branches and traps, but a sketch is
+// drawn from one run's flow, which flow derives from PT on demand.
 type RunTrace struct {
 	Spec    RunSpec
 	Outcome *vm.Outcome
 
-	// PT holds each core's raw ring buffer, in tracer.Cores() order: the
-	// packets the hardware wrote, before any decoding.
+	// PT holds each core's ring buffer, in tracer.Cores() order: after
+	// RecordRun the packets the hardware wrote, after FinishRun the
+	// bytes it decoded (in-flight corruption applied).
 	PT []PTCore
-	// Flow holds, per thread (= per PT core), the decoded instruction
-	// sequences of the traced regions, concatenated in per-core order.
-	Flow map[int][]int
-	// Branches holds, per thread, the conditional-branch outcomes the
-	// decoder recovered from TNT bits.
+	// Branches holds, per thread (= per PT core), the conditional-branch
+	// outcomes the decoder recovered from TNT bits.
 	Branches map[int][]pt.BranchObs
 	// Traps is the watchpoint access log in global clock order.
 	Traps []watch.Trap
@@ -259,36 +261,31 @@ func RecordRun(plan *Plan, spec RunSpec, dec faults.Decision) *RunTrace {
 // FinishRun is the in-flight and server half of a production run: it
 // applies the decision's faults that draw from its seeded stream, in the
 // stream's order — trace corruption per core, then trap loss and
-// reordering, then truncation — decodes each core's ring buffer into
-// Flow and Branches (salvaging what a corrupt buffer still holds), and
-// turns extended-PT data packets into the trap log. The decision must be
+// reordering, then truncation — keeps the corrupted bytes on rt.PT,
+// decodes each core's buffer into Branches (salvaging what a corrupt
+// buffer still holds), and turns extended-PT data packets into the trap
+// log. It replays the packets without copying out the flow; flow does
+// that for the one run a sketch is drawn from. The decision must be
 // fresh: FinishRun consumes its stream.
 func FinishRun(plan *Plan, rt *RunTrace, dec faults.Decision) {
-	rt.Flow = make(map[int][]int)
 	rt.Branches = make(map[int][]pt.BranchObs)
 	if plan.Feats.ControlFlow {
 		decodeSpan := plan.Telemetry.StartSpan(telemetry.PhaseDecode)
 		var ptw []watch.Trap
-		for _, c := range rt.PT {
-			buf := dec.CorruptTrace(c.Data)
-			flow, branches, data, err := pt.DecodeFlow(plan.Prog, buf, c.Wrapped)
+		for i := range rt.PT {
+			c := &rt.PT[i]
+			c.Data = dec.CorruptTrace(c.Data)
+			_, branches, data, salvaged, err := decodeCore(plan.Prog, *c, false)
 			if err != nil {
-				// Corrupt trace: salvage the PSB-delimited chunks that
-				// still parse and replay; only when nothing survives is
-				// the core's flow abandoned (DecodeErr tells the server
-				// to keep this run away from predictor extraction).
-				sflow, sbranches, sdata, srep := pt.SalvageDecode(plan.Prog, buf, c.Wrapped)
-				if !srep.Recovered() {
-					rt.DecodeErr = err
-					continue
-				}
+				// Nothing survived: DecodeErr tells the server to keep
+				// this run away from predictor extraction.
+				rt.DecodeErr = err
+				continue
+			}
+			if salvaged {
 				rt.SalvagedCores++
-				flow, branches, data = sflow, sbranches, sdata
 			}
 			rt.Branches[c.Core] = branches
-			if len(flow) > 0 {
-				rt.Flow[c.Core] = flow
-			}
 			// Extended-PT data packets become the access log, exactly as
 			// watchpoint traps would (the TSC is the total order).
 			for _, d := range data {
@@ -309,6 +306,45 @@ func FinishRun(plan *Plan, rt *RunTrace, dec faults.Decision) {
 	watchSpan := plan.Telemetry.StartSpan(telemetry.PhaseWatch)
 	rt.applyTransitFaults(dec)
 	watchSpan.End()
+}
+
+// decodeCore is the server's rule for one core's buffer: a clean decode,
+// else the PSB-delimited chunks that still parse and replay
+// (pt.SalvageDecode, salvaged true). err is the clean decode's error
+// when nothing survives. Without wantFlow a clean decode copies out no
+// flow.
+func decodeCore(prog *ir.Program, c PTCore, wantFlow bool) (flow []int, branches []pt.BranchObs, data []pt.DataObs, salvaged bool, err error) {
+	if wantFlow {
+		flow, branches, data, err = pt.DecodeFlow(prog, c.Data, c.Wrapped)
+	} else {
+		branches, data, err = pt.DecodeBranches(prog, c.Data, c.Wrapped)
+	}
+	if err == nil {
+		return flow, branches, data, false, nil
+	}
+	sflow, sbranches, sdata, rep := pt.SalvageDecode(prog, c.Data, c.Wrapped)
+	if !rep.Recovered() {
+		return nil, nil, nil, false, err
+	}
+	return sflow, sbranches, sdata, true, nil
+}
+
+// flow decodes, per thread (= per PT core), the instruction sequences
+// of the traced regions, concatenated in per-core order, by the same
+// rule FinishRun decoded the branches with. A core whose flow is empty
+// has no entry, and a run FinishRun could not decode (DecodeErr) has no
+// flow at all.
+func (rt *RunTrace) flow(prog *ir.Program) map[int][]int {
+	flows := make(map[int][]int)
+	if rt.DecodeErr != nil {
+		return flows
+	}
+	for _, c := range rt.PT {
+		if flow, _, _, _, err := decodeCore(prog, c, true); err == nil && len(flow) > 0 {
+			flows[c.Core] = flow
+		}
+	}
+	return flows
 }
 
 // applyTransitFaults degrades the finished RunTrace the way the network
@@ -355,22 +391,4 @@ func (rt *RunTrace) filterTraps(isRelevant func(instrID int) bool) {
 		}
 	}
 	rt.Traps = kept
-}
-
-// branchOutcomes returns each traced conditional branch's observed
-// outcomes (a branch can take both arms in one run), straight from the
-// decoder's TNT consumption.
-func (rt *RunTrace) branchOutcomes() map[int]map[bool]bool {
-	out := make(map[int]map[bool]bool)
-	for _, obs := range rt.Branches {
-		for _, o := range obs {
-			m := out[o.IP]
-			if m == nil {
-				m = make(map[bool]bool)
-				out[o.IP] = m
-			}
-			m[o.Taken] = true
-		}
-	}
-	return out
 }

@@ -45,9 +45,9 @@ func clientPlan(t *testing.T, lines []int, feats Features) (*ir.Program, *Plan) 
 }
 
 // executed returns the instructions rt's decoded flow observed.
-func executed(rt *RunTrace) map[int]bool {
+func executed(prog *ir.Program, rt *RunTrace) map[int]bool {
 	seen := make(map[int]bool)
-	for _, flow := range rt.Flow {
+	for _, flow := range rt.flow(prog) {
 		for _, id := range flow {
 			seen[id] = true
 		}
@@ -66,7 +66,7 @@ func TestClientTracesOnlyPlannedRegions(t *testing.T) {
 	if rt.DecodeErr != nil {
 		t.Fatalf("decode: %v", rt.DecodeErr)
 	}
-	ran := executed(rt)
+	ran := executed(prog, rt)
 	if len(ran) == 0 {
 		t.Fatal("nothing traced")
 	}
@@ -108,10 +108,18 @@ func TestClientStopLandsAfterOwnPackets(t *testing.T) {
 		if rt.DecodeErr != nil {
 			t.Fatalf("%v: decode: %v", engine, rt.DecodeErr)
 		}
-		if !executed(rt)[last] {
-			t.Errorf("%v: the stop branch %%%d is missing from the decoded flow %v", engine, last, rt.Flow)
+		if !executed(prog, rt)[last] {
+			t.Errorf("%v: the stop branch %%%d is missing from the decoded flow %v", engine, last, rt.flow(prog))
 		}
-		if len(rt.branchOutcomes()[last]) != 1 {
+		outcomes := map[bool]bool{}
+		for _, obs := range rt.Branches {
+			for _, o := range obs {
+				if o.IP == last {
+					outcomes[o.Taken] = true
+				}
+			}
+		}
+		if len(outcomes) != 1 {
 			t.Errorf("%v: want exactly one recorded outcome for the stop branch %%%d, got branches %v", engine, last, rt.Branches)
 		}
 	}
@@ -144,9 +152,9 @@ func TestClientWatchGroupsRespected(t *testing.T) {
 }
 
 func TestClientStaticOnlyNoInstrumentation(t *testing.T) {
-	_, plan := clientPlan(t, []int{10, 12}, Features{Static: true})
+	prog, plan := clientPlan(t, []int{10, 12}, Features{Static: true})
 	rt := RunInstrumented(plan, RunSpec{Seed: 3, MaxSteps: 100_000})
-	if len(rt.Flow) != 0 || len(rt.Traps) != 0 {
+	if len(rt.PT) != 0 || len(rt.flow(prog)) != 0 || len(rt.Traps) != 0 {
 		t.Error("static-only run produced traces")
 	}
 	if _, extra := rt.Meter.MC(); extra != 0 {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/ir"
 	"repro/internal/vm/interp"
 )
 
@@ -13,12 +14,15 @@ import (
 func (c Config) OnInterp() Config { c.exec = interp.Run; return c }
 func (p *Plan) OnInterp() *Plan   { p.exec = interp.Run; return p }
 
+// Flow lets core_test read a run's flow the way a sketch does.
+func (rt *RunTrace) Flow(prog *ir.Program) map[int][]int { return rt.flow(prog) }
+
 // CampaignFingerprint lets core_test compare whole diagnoses.
 var CampaignFingerprint = campaignFingerprint
 
 func TestSketchJSONRoundTrip(t *testing.T) {
 	plan, failing, ranked := buildFixture(t)
-	sk := buildSketch("json fixture", plan, failing, ranked, nil)
+	sk := buildSketch("json fixture", plan, failing, failing.flow(plan.Prog), ranked, nil)
 	data, err := sk.MarshalIndentJSON()
 	if err != nil {
 		t.Fatal(err)

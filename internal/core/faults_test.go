@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cfg"
 	"repro/internal/faults"
 	"repro/internal/hw/pt"
 	"repro/internal/hw/watch"
@@ -180,25 +181,35 @@ func TestDecodeErrRunsContributeNoBranchData(t *testing.T) {
 			break
 		}
 	}
+	// The ring buffers of a real fully traced run, so the flow the
+	// quarantine must withhold is there to be withheld.
+	all := make([]int, len(prog.Instrs))
+	for i := range all {
+		all[i] = i
+	}
+	rec := RunInstrumented(BuildPlan(cfg.BuildTICFG(prog), all, AllFeatures()), RunSpec{Seed: 1, MaxSteps: 100_000})
+	if len(rec.flow(prog)) == 0 {
+		t.Fatal("the traced run decodes to no flow")
+	}
 	rt := &RunTrace{
+		PT:        rec.PT,
 		Branches:  map[int][]pt.BranchObs{0: {{IP: branchID, Taken: true}}},
 		Traps:     []watch.Trap{{InstrID: 1, Addr: 8, Val: 3}, {InstrID: 1 << 20, Addr: 8}},
 		DecodeErr: errors.New("simulated corruption"),
 	}
-	preds := extractPredicates(prog, rt)
-	for key, p := range preds {
-		if p.Kind == PredBranch {
-			t.Errorf("DecodeErr run leaked branch predictor %s", key)
+	extractPredicates(prog, rt, func(k predKey) {
+		if k.kind == PredBranch {
+			t.Errorf("DecodeErr run leaked branch predictor %+v", k)
 		}
-		for _, id := range p.InstrIDs {
+		for _, id := range k.ids[:k.n] {
 			if id < 0 || id >= len(prog.Instrs) {
-				t.Errorf("predictor %s names wild instruction %d", key, id)
+				t.Errorf("predictor %+v names wild instruction %d", k, id)
 			}
 		}
-	}
+	})
 
 	quarantineTraceData(rt)
-	if len(rt.Flow) != 0 || rt.Branches != nil {
+	if len(rt.flow(prog)) != 0 || rt.Branches != nil {
 		t.Error("quarantineTraceData left control-flow payload behind")
 	}
 	if len(rt.Traps) == 0 {

@@ -127,12 +127,11 @@ func validateTrace(rt *RunTrace, maxID int) (quarantine bool, repaired int) {
 	return false, repaired
 }
 
-// quarantineTraceData strips the control-flow payload of a run whose
-// trace could not be decoded (or failed validation) so that predictor
-// extraction never sees corrupt flow or branch data. The run outcome —
-// which travels in the report header, not the trace — stays usable for
-// the failing/successful populations.
+// quarantineTraceData strips the branch outcomes of a run whose trace
+// could not be decoded so that predictor extraction never sees corrupt
+// branch data; its DecodeErr already keeps RunTrace.flow from deriving
+// any flow. The run outcome — which travels in the report header, not
+// the trace — stays usable for the failing/successful populations.
 func quarantineTraceData(rt *RunTrace) {
-	rt.Flow = make(map[int][]int)
 	rt.Branches = nil
 }

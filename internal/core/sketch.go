@@ -83,14 +83,15 @@ type sketchEvent struct {
 }
 
 // buildSketch assembles a failure sketch from the tracked window, the
-// failing run's traces, and the ranked predictors.
+// failing run's traces and decoded flow (RunTrace.flow), and the ranked
+// predictors.
 //
 // Per-thread statement order comes from the decoded PT flow; cross-thread
 // order comes only from watchpoint trap clocks (PT is per-core), exactly
 // the partial order the paper's design can honestly produce. Unanchored
 // statements stay in thread order, placed after their thread's latest
 // anchored event.
-func buildSketch(title string, plan *Plan, failing *RunTrace, ranked []Ranked, added []int) *Sketch {
+func buildSketch(title string, plan *Plan, failing *RunTrace, flows map[int][]int, ranked []Ranked, added []int) *Sketch {
 	prog := plan.Prog
 	sk := &Sketch{
 		Title:       title,
@@ -117,7 +118,7 @@ func buildSketch(title string, plan *Plan, failing *RunTrace, ranked []Ranked, a
 	for _, id := range added {
 		ran[id] = true
 	}
-	for _, flow := range failing.Flow {
+	for _, flow := range flows {
 		for _, id := range flow {
 			ran[id] = true
 		}
@@ -134,7 +135,7 @@ func buildSketch(title string, plan *Plan, failing *RunTrace, ranked []Ranked, a
 	}
 
 	// Collect per-(thread, line) events.
-	events := sk.collectEvents(plan, failing, include, executed, lastTrap, lastVal)
+	events := sk.collectEvents(plan, failing, flows, include, executed, lastTrap, lastVal)
 
 	// Effective clocks: anchored events keep their trap clock; unanchored
 	// events inherit the last anchored clock seen in their thread.
@@ -207,7 +208,7 @@ func buildSketch(title string, plan *Plan, failing *RunTrace, ranked []Ranked, a
 // trapKey identifies the last trap of one instruction on one thread.
 type trapKey struct{ thread, instr int }
 
-func (sk *Sketch) collectEvents(plan *Plan, failing *RunTrace,
+func (sk *Sketch) collectEvents(plan *Plan, failing *RunTrace, flows map[int][]int,
 	include map[int]bool, executed func(int) bool,
 	lastTrap, lastVal map[trapKey]int64) []sketchEvent {
 
@@ -247,8 +248,8 @@ func (sk *Sketch) collectEvents(plan *Plan, failing *RunTrace,
 		}
 	}
 
-	if plan.Feats.ControlFlow && len(failing.Flow) > 0 {
-		for tid, flow := range failing.Flow {
+	if plan.Feats.ControlFlow && len(flows) > 0 {
+		for tid, flow := range flows {
 			for pos, id := range flow {
 				if include[id] && executed(id) {
 					note(tid, prog.Instrs[id].Pos.Line, pos, id)

@@ -42,7 +42,7 @@ func buildFixture(t *testing.T) (*Plan, *RunTrace, []Ranked) {
 
 func TestSketchStepInvariants(t *testing.T) {
 	plan, failing, ranked := buildFixture(t)
-	sk := buildSketch("fixture", plan, failing, ranked, nil)
+	sk := buildSketch("fixture", plan, failing, failing.flow(plan.Prog), ranked, nil)
 
 	if len(sk.Steps) == 0 {
 		t.Fatal("empty sketch")
@@ -82,7 +82,7 @@ func TestSketchStepInvariants(t *testing.T) {
 
 func TestSketchCrossThreadOrderFromTraps(t *testing.T) {
 	plan, failing, ranked := buildFixture(t)
-	sk := buildSketch("fixture", plan, failing, ranked, nil)
+	sk := buildSketch("fixture", plan, failing, failing.flow(plan.Prog), ranked, nil)
 
 	// In a failing run the null store (main) must be ordered before the
 	// consumer's unlock — the WR race the watchpoints witnessed.
@@ -105,7 +105,7 @@ func TestSketchCrossThreadOrderFromTraps(t *testing.T) {
 
 func TestSketchValueAnnotations(t *testing.T) {
 	plan, failing, ranked := buildFixture(t)
-	sk := buildSketch("fixture", plan, failing, ranked, nil)
+	sk := buildSketch("fixture", plan, failing, failing.flow(plan.Prog), ranked, nil)
 	if len(failing.Traps) == 0 {
 		t.Fatal("fixture has no traps")
 	}
@@ -127,7 +127,7 @@ func TestSketchValueAnnotations(t *testing.T) {
 
 func TestSketchRenderLayout(t *testing.T) {
 	plan, failing, ranked := buildFixture(t)
-	sk := buildSketch("fixture title", plan, failing, ranked, nil)
+	sk := buildSketch("fixture title", plan, failing, failing.flow(plan.Prog), ranked, nil)
 	out := sk.Render()
 	lines := strings.Split(out, "\n")
 	if !strings.HasPrefix(lines[0], "Failure Sketch for fixture title") {
@@ -154,7 +154,7 @@ func TestSketchRenderLayout(t *testing.T) {
 
 func TestAccuracyBoundsAndMonotonicity(t *testing.T) {
 	plan, failing, ranked := buildFixture(t)
-	sk := buildSketch("fixture", plan, failing, ranked, nil)
+	sk := buildSketch("fixture", plan, failing, failing.flow(plan.Prog), ranked, nil)
 
 	// Perfect ideal = the sketch's own lines with no order constraints.
 	var own IdealSketch
@@ -207,7 +207,7 @@ func TestStaticOnlySketchSingleColumn(t *testing.T) {
 	if failing == nil {
 		t.Fatal("no failing run")
 	}
-	sk := buildSketch("static", plan, failing, nil, nil)
+	sk := buildSketch("static", plan, failing, failing.flow(plan.Prog), nil, nil)
 	if len(sk.Threads) != 1 {
 		t.Errorf("static-only sketch should have one column, got %v", sk.Threads)
 	}

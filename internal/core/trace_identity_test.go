@@ -22,9 +22,10 @@ import (
 
 // TestRunTraceIdenticalAcrossEngines runs every suite bug under every
 // tracking configuration on both engines and requires deep-equal
-// RunTraces — Flow and Branches with their key sets (a thread that never
-// traced still has its nil Branches entry), Traps, Meter, SalvagedCores,
-// DecodeErr — and byte-equal wire encodings.
+// RunTraces — the decoded ring bytes, Branches with its key set (a
+// thread that never traced still has its empty PT core and its nil
+// Branches entry), Traps, Meter, SalvagedCores, DecodeErr — and
+// byte-equal wire encodings.
 func TestRunTraceIdenticalAcrossEngines(t *testing.T) {
 	feats := []struct {
 		name string
@@ -96,8 +97,8 @@ func TestRunTraceIdenticalAcrossEngines(t *testing.T) {
 								if got.DecodeErr != nil || got.SalvagedCores > 0 || dec.Truncate != faults.TruncateNone {
 									damaged.Add(1)
 								}
-								for core := range got.Branches {
-									if _, traced := got.Flow[core]; !traced {
+								for _, c := range got.PT {
+									if _, decoded := got.Branches[c.Core]; decoded && len(c.Data) == 0 {
 										untracedCores.Add(1)
 									}
 								}

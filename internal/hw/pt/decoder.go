@@ -2,6 +2,7 @@ package pt
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/ir"
@@ -33,51 +34,120 @@ type DataObs struct {
 // dropped, exactly like a real PT decoder.
 //
 // The traced regions (each the instructions between a PGE and its PGD,
-// or the end of the buffer) come back to back — the endpoint client's
-// RunTrace.Flow is exactly that — plus the conditional-branch outcomes
-// recovered from the TNT bits in consumption order and the extended-PT
-// data accesses. The flow is the decoder's own exact-size array, not a
-// concatenation of copies. The outcomes are a byproduct of CFG replay:
-// they carry strictly more information than the flow alone when a trace
-// stops right at a branch (the successor is then not part of the flow
-// but the outcome is still known).
+// or the end of the buffer) come back to back, plus the conditional-
+// branch outcomes recovered from the TNT bits in consumption order and
+// the extended-PT data accesses. The outcomes are a byproduct of CFG
+// replay: they carry strictly more information than the flow alone when
+// a trace stops right at a branch (the successor is then not part of
+// the flow but the outcome is still known). Every slice returned is the
+// caller's own, copied out of the decoder's scratch once.
+//
+// A diagnosis server needs the flow of one run per iteration, the one
+// its sketch is drawn from, and the outcomes and accesses of every run:
+// core.FinishRun decodes each upload with DecodeBranches, and the
+// sketch's run is decoded again with DecodeFlow when it is chosen.
 func DecodeFlow(prog *ir.Program, data []byte, wrapped bool) ([]int, []BranchObs, []DataObs, error) {
+	return decode(prog, data, wrapped, true)
+}
+
+// DecodeBranches is DecodeFlow without the flow: the same replay, with
+// the same branch outcomes, data accesses and error, that copies no
+// instruction sequence out.
+func DecodeBranches(prog *ir.Program, data []byte, wrapped bool) ([]BranchObs, []DataObs, error) {
+	_, branches, dobs, err := decode(prog, data, wrapped, false)
+	return branches, dobs, err
+}
+
+func decode(prog *ir.Program, data []byte, wrapped, wantFlow bool) ([]int, []BranchObs, []DataObs, error) {
 	decodeCalls.Add(1)
 	decodedBytes.Add(int64(len(data)))
-	evs, err := parsePackets(data, !wrapped)
-	if err != nil {
+	s := getScratch()
+	defer putScratch(s)
+	if err := s.parse(data, !wrapped); err != nil {
 		decodeErrors.Add(1)
 		return nil, nil, nil, err
 	}
-	flow, branches, dobs, err := decodeEvents(prog, evs)
+	flow, branches, dobs, err := s.replay(prog, wantFlow)
 	if err != nil {
 		decodeErrors.Add(1)
 	}
 	return flow, branches, dobs, err
 }
 
-// flowPool recycles the scratch the CFG replay walks into. A decode
-// cannot know its output size up front, and growing a fresh slice by
-// doubling for every core of every run was most of a diagnosis's
-// allocated bytes; the walk appends into pooled scratch instead and the
-// result is copied out once, at its exact size.
-var flowPool = sync.Pool{New: func() any { return new([]int) }}
+// scratch is one decode's working memory: the parsed packets, the
+// replayed flow (open region included), the branch outcomes and the TNT
+// bits not yet consumed. A decode cannot know its output sizes up front,
+// and growing fresh slices by doubling for every core of every run was
+// most of a diagnosis's allocated bytes; a decode appends into kept
+// scratch instead and copies out, once and at exact size, what its
+// caller keeps.
+type scratch struct {
+	evs      []Event
+	flow     []int
+	branches []BranchObs
+	bits     []bool
+}
 
-// decodeEvents replays evs and returns the instructions of all traced
-// regions back to back, in a private exact-size array.
-func decodeEvents(prog *ir.Program, evs []Event) (flow []int, branches []BranchObs, data []DataObs, err error) {
-	scratch := flowPool.Get().(*[]int)
-	d := &decoder{prog: prog, evs: evs, flow: (*scratch)[:0]}
+// spare holds the scratch of finished decodes for the next one. It is a
+// list, not a sync.Pool: a pool drops what two GCs in a row find in it
+// and strands what sits in another processor's private slot when the
+// decoding goroutine moves, and a diagnosis collects garbage often
+// enough that pooled scratch was regrown for most decodes. The list
+// holds at most as many scratches as decodes ever ran at once.
+var spare struct {
+	sync.Mutex
+	list []*scratch
+}
+
+// maxSpareLen bounds the scratch spare keeps: one huge (or hostile)
+// buffer's working memory goes back to the GC rather than staying
+// pinned for the life of the process.
+const maxSpareLen = 1 << 16
+
+func getScratch() *scratch {
+	spare.Lock()
+	defer spare.Unlock()
+	n := len(spare.list)
+	if n == 0 {
+		return new(scratch)
+	}
+	s := spare.list[n-1]
+	spare.list = spare.list[:n-1]
+	return s
+}
+
+func putScratch(s *scratch) {
+	if cap(s.evs) > maxSpareLen || cap(s.flow) > maxSpareLen {
+		return
+	}
+	spare.Lock()
+	spare.list = append(spare.list, s)
+	spare.Unlock()
+}
+
+// parse replaces s.evs with the packets of data; on an error the events
+// before the bad packet are kept.
+func (s *scratch) parse(data []byte, synced bool) (err error) {
+	s.evs, err = parsePackets(s.evs[:0], data, synced)
+	return err
+}
+
+// replay replays s.evs against prog. It returns the instructions of all
+// traced regions back to back (only if wantFlow), the branch outcomes
+// and the data accesses; the slices are the caller's own.
+func (s *scratch) replay(prog *ir.Program, wantFlow bool) (flow []int, branches []BranchObs, data []DataObs, err error) {
+	d := &decoder{prog: prog, evs: s.evs, flow: s.flow[:0], branches: s.branches[:0], bits: s.bits[:0]}
 	err = d.run()
 	// After an error only the closed regions count; the one the replay
 	// was in the middle of is dropped.
-	if n := d.start; n > 0 {
-		flow = make([]int, n)
-		copy(flow, d.flow)
+	if wantFlow && d.start > 0 {
+		flow = slices.Clone(d.flow[:d.start])
 	}
-	*scratch = d.flow
-	flowPool.Put(scratch)
-	return flow, d.branches, d.data, err
+	if len(d.branches) > 0 {
+		branches = slices.Clone(d.branches)
+	}
+	s.flow, s.branches, s.bits = d.flow, d.branches, d.bits
+	return flow, branches, d.data, err
 }
 
 type decoder struct {
@@ -85,8 +155,10 @@ type decoder struct {
 	evs  []Event
 	pos  int // next event index
 
-	bits []bool    // TNT bits available for consumption
-	cur  *ir.Instr // nil = tracing off / waiting for PGE
+	// bits[nextBit:] are the TNT bits available for consumption.
+	bits    []bool
+	nextBit int
+	cur     *ir.Instr // nil = tracing off / waiting for PGE
 
 	// flow holds every region's instructions back to back; the open
 	// region is flow[start:].
@@ -141,7 +213,7 @@ func (d *decoder) run() error {
 			// redundant and skipped.
 		case EvTNT:
 			d.pos++
-			d.bits = append(d.bits, ev.Bits...)
+			d.pushBits(ev)
 			if err := d.walk(); err != nil {
 				return err
 			}
@@ -201,7 +273,17 @@ func (d *decoder) instrAt(ip int) (*ir.Instr, error) {
 func (d *decoder) closeSegment() {
 	d.start = len(d.flow)
 	d.cur = nil
-	d.bits = d.bits[:0]
+	d.bits, d.nextBit = d.bits[:0], 0
+}
+
+// pushBits queues a TNT event's outcomes for consumption.
+func (d *decoder) pushBits(ev *Event) {
+	if d.nextBit == len(d.bits) {
+		d.bits, d.nextBit = d.bits[:0], 0
+	}
+	for k := 0; k < int(ev.NBits); k++ {
+		d.bits = append(d.bits, ev.taken(k))
+	}
 }
 
 // walk replays straight-line control flow from d.cur, consuming TNT bits
@@ -222,7 +304,7 @@ func (d *decoder) walk() error {
 		}
 		switch in.Op {
 		case ir.OpBr:
-			if len(d.bits) == 0 {
+			if d.nextBit == len(d.bits) {
 				// Need more TNT material; if the next event is a TNT we
 				// could continue, but run() will re-enter walk after
 				// pulling it. Rewind the emission of this instruction so
@@ -230,7 +312,7 @@ func (d *decoder) walk() error {
 				d.flow = d.flow[:len(d.flow)-1]
 				d.straight--
 				if ev := d.peek(); ev != nil && ev.Kind == EvTNT {
-					d.bits = append(d.bits, ev.Bits...)
+					d.pushBits(ev)
 					d.pos++
 					continue
 				}
@@ -238,8 +320,8 @@ func (d *decoder) walk() error {
 				// walk, and d.cur keeps the walker's position.
 				return nil
 			}
-			taken := d.bits[0]
-			d.bits = d.bits[1:]
+			taken := d.bits[d.nextBit]
+			d.nextBit++
 			d.straight = 0
 			d.branches = append(d.branches, BranchObs{IP: in.ID, Taken: taken})
 			if taken {

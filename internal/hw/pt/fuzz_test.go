@@ -2,6 +2,7 @@ package pt_test
 
 import (
 	"encoding/binary"
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -69,15 +70,17 @@ func decodeSeeds(t testing.TB) (which []uint8, data [][]byte, wrapped []bool) {
 // decodeAllocBudget bounds what decoding data may allocate: a fixed
 // slack plus, per input byte, a program-sized stretch of replayed flow
 // (the decoder's runaway bound) and its packet events, for the clean
-// decode and the salvage decode together.
+// decode, the flowless replay and the salvage decode together.
 func decodeAllocBudget(prog *ir.Program, data []byte) uint64 {
 	return 1<<20 + 64*uint64(len(data)+1)*uint64(len(prog.Instrs)+64)
 }
 
 // FuzzPTDecode feeds arbitrary ring bytes to the decoders a diagnosis
-// server runs on agent uploads. Neither may panic or run away, both
-// must allocate within a bound set by the input, and on a buffer that
-// decodes cleanly salvage returns exactly the clean decode.
+// server runs on agent uploads. None may panic or run away, together
+// they must allocate within a bound set by the input, the flowless
+// replay must return exactly the clean decode's branches, accesses and
+// error, and on a buffer that decodes cleanly salvage returns exactly
+// the clean decode.
 func FuzzPTDecode(f *testing.F) {
 	progs := suitePrograms()
 	which, data, wrapped := decodeSeeds(f)
@@ -91,10 +94,15 @@ func FuzzPTDecode(f *testing.F) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		flow, branches, dobs, err := pt.DecodeFlow(prog, data, wrapped)
+		bbranches, bdobs, berr := pt.DecodeBranches(prog, data, wrapped)
 		sflow, sbranches, sdobs, rep := pt.SalvageDecode(prog, data, wrapped)
 		runtime.ReadMemStats(&after)
 		if got, budget := after.TotalAlloc-before.TotalAlloc, decodeAllocBudget(prog, data); got > budget {
 			t.Fatalf("decoding %d bytes allocated %d bytes, over the %d-byte budget", len(data), got, budget)
+		}
+		if !slices.Equal(bbranches, branches) || !slices.Equal(bdobs, dobs) || fmt.Sprint(berr) != fmt.Sprint(err) {
+			t.Fatalf("the flowless replay returned %d branches, %d accesses and error %v; the clean decode %d, %d and %v",
+				len(bbranches), len(bdobs), berr, len(branches), len(dobs), err)
 		}
 		if len(sflow) != rep.Instrs {
 			t.Fatalf("salvage report counts %d instructions, the flow holds %d", rep.Instrs, len(sflow))

@@ -61,16 +61,23 @@ const (
 // Event is one decoded packet.
 type Event struct {
 	Kind EventKind
-	IP   int    // EvPGE, EvTIP, EvPTW
-	Bits []bool // EvTNT, up to 5 branch outcomes in execution order
+	IP   int // EvPGE, EvTIP, EvFUP, EvPTW
 
 	// EvPTW payload: one data access with its TSC timestamp.
 	Addr    int64
 	Val     int64
 	Size    int64
-	IsWrite bool
 	TSC     int64
+	IsWrite bool
+
+	// EvTNT: NBits (1..5) branch outcomes in execution order, the k-th
+	// in bit k of Bits — the packet's own payload, so parsing a TNT
+	// allocates nothing.
+	Bits, NBits uint8
 }
+
+// taken returns the k-th branch outcome of an EvTNT event.
+func (e *Event) taken(k int) bool { return e.Bits>>k&1 != 0 }
 
 // appendUvarint appends v in unsigned varint encoding.
 func appendUvarint(dst []byte, v uint64) []byte {
@@ -139,18 +146,19 @@ func encodePTW(dst []byte, ip int, addr, val, size int64, isWrite bool, tsc int6
 	return appendUvarint(dst, uint64(tsc))
 }
 
-// parsePackets decodes a raw packet byte stream into events. If synced is
-// false (the buffer wrapped and its head may be mid-packet), parsing
-// starts at the first PSB magic; everything before it is lost.
-func parsePackets(data []byte, synced bool) ([]Event, error) {
+// parsePackets decodes a raw packet byte stream into events, appended to
+// evs. If synced is false (the buffer wrapped and its head may be
+// mid-packet), parsing starts at the first PSB magic; everything before
+// it is lost. On an error the events before the bad packet come back
+// with it.
+func parsePackets(evs []Event, data []byte, synced bool) ([]Event, error) {
 	i := 0
 	if !synced {
 		i = indexOfPSB(data)
 		if i < 0 {
-			return nil, nil // no sync point survived: whole buffer lost
+			return evs, nil // no sync point survived: whole buffer lost
 		}
 	}
-	var evs []Event
 	for i < len(data) {
 		switch data[i] {
 		case psbByte:
@@ -178,11 +186,7 @@ func parsePackets(data []byte, synced bool) ([]Event, error) {
 			if n == 0 || n > 5 {
 				return evs, fmt.Errorf("pt: bad TNT count %d at offset %d", n, i)
 			}
-			bits := make([]bool, n)
-			for k := 0; k < n; k++ {
-				bits[k] = b&(1<<(3+k)) != 0
-			}
-			evs = append(evs, Event{Kind: EvTNT, Bits: bits})
+			evs = append(evs, Event{Kind: EvTNT, Bits: b >> 3 & (1<<n - 1), NBits: uint8(n)})
 			i += 2
 		case pktTIP:
 			ip, n := binary.Uvarint(data[i+1:])

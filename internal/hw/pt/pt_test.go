@@ -248,16 +248,20 @@ func TestTNTRoundTripProperty(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		evs, err := parsePackets(buf, true)
+		evs, err := parsePackets(nil, buf, true)
 		if err != nil {
 			return false
 		}
 		var got []bool
 		for _, e := range evs {
-			if e.Kind != EvTNT {
+			// Each packet packs its 1..5 outcomes into the low NBits
+			// bits of Bits, and nothing above them.
+			if e.Kind != EvTNT || e.NBits == 0 || e.NBits > 5 || e.Bits>>e.NBits != 0 {
 				return false
 			}
-			got = append(got, e.Bits...)
+			for k := 0; k < int(e.NBits); k++ {
+				got = append(got, e.taken(k))
+			}
 		}
 		if len(got) != len(raw) {
 			return false
@@ -275,12 +279,13 @@ func TestTNTRoundTripProperty(t *testing.T) {
 }
 
 // Property: the packet parser never panics on arbitrary bytes and either
-// errors or returns well-formed events.
+// errors or returns well-formed events; a TNT count of 0 or above 5 is
+// a parse error.
 func TestParseArbitraryBytes(t *testing.T) {
 	f := func(data []byte, synced bool) bool {
-		evs, _ := parsePackets(data, synced)
+		evs, _ := parsePackets(nil, data, synced)
 		for _, e := range evs {
-			if e.Kind == EvTNT && (len(e.Bits) == 0 || len(e.Bits) > 5) {
+			if e.Kind == EvTNT && (e.NBits == 0 || e.NBits > 5 || e.Bits>>e.NBits != 0) {
 				return false
 			}
 		}
@@ -289,6 +294,11 @@ func TestParseArbitraryBytes(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
 	}
+	for _, n := range []byte{0, 6, 7} {
+		if evs, err := parsePackets(nil, []byte{pktTNT, 0xF8 | n}, true); err == nil || len(evs) != 0 {
+			t.Errorf("TNT count %d: %d events, error %v; want a parse error and no event", n, len(evs), err)
+		}
+	}
 }
 
 func TestVarintPacketsRoundTrip(t *testing.T) {
@@ -296,7 +306,7 @@ func TestVarintPacketsRoundTrip(t *testing.T) {
 		buf := encodePGE(nil, int(ip))
 		buf = encodeTIP(buf, int(ip)+1)
 		buf = encodeFUP(buf, int(ip)+2)
-		evs, err := parsePackets(buf, true)
+		evs, err := parsePackets(nil, buf, true)
 		if err != nil || len(evs) != 3 {
 			return false
 		}
@@ -320,7 +330,7 @@ func TestEnableDisableIdempotent(t *testing.T) {
 	if wrapped {
 		t.Fatal("tiny trace should not wrap")
 	}
-	evs, err := parsePackets(data, true)
+	evs, err := parsePackets(nil, data, true)
 	if err != nil {
 		t.Fatal(err)
 	}

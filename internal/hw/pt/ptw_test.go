@@ -28,7 +28,7 @@ func TestPTWRoundTripProperty(t *testing.T) {
 			size = 1
 		}
 		buf := encodePTW(nil, int(ip), int64(addr), val, size, isWrite, int64(tsc))
-		evs, err := parsePackets(buf, true)
+		evs, err := parsePackets(nil, buf, true)
 		if err != nil || len(evs) != 1 {
 			return false
 		}
@@ -52,7 +52,7 @@ func TestDataPacketsInterleaveWithControlFlow(t *testing.T) {
 	if wrapped {
 		t.Fatal("unexpected wrap")
 	}
-	evs, err := parsePackets(buf, true)
+	evs, err := parsePackets(nil, buf, true)
 	if err != nil {
 		t.Fatal(err)
 	}

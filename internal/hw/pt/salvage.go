@@ -55,8 +55,10 @@ func SalvageDecode(prog *ir.Program, data []byte, wrapped bool) ([]int, []Branch
 		salvagedChunks.Add(int64(rep.Chunks - rep.BadChunks))
 		salvagedInstrs.Add(int64(rep.Instrs))
 	}()
-	if evs, err := parsePackets(data, !wrapped); err == nil {
-		if f, b, d, err := decodeEvents(prog, evs); err == nil {
+	s := getScratch()
+	defer putScratch(s)
+	if s.parse(data, !wrapped) == nil {
+		if f, b, d, err := s.replay(prog, true); err == nil {
 			rep = SalvageReport{Chunks: 1, Instrs: len(f)}
 			return f, b, d, rep
 		}
@@ -74,8 +76,8 @@ func SalvageDecode(prog *ir.Program, data []byte, wrapped bool) ([]int, []Branch
 		if prevBad {
 			rep.Resyncs++ // this chunk's PSB restarted decoding
 		}
-		evs, perr := parsePackets(chunk, true)
-		f, b, d, derr := decodeEvents(prog, evs)
+		perr := s.parse(chunk, true)
+		f, b, d, derr := s.replay(prog, true)
 		prevBad = perr != nil || derr != nil
 		if prevBad {
 			rep.BadChunks++

@@ -8,6 +8,8 @@ import (
 	"repro/internal/bugs"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/hw/pt"
+	"repro/internal/ir"
 	"repro/internal/slicer"
 )
 
@@ -67,7 +69,7 @@ func TestRunSurvivesTheWire(t *testing.T) {
 					continue
 				}
 				clean := core.RunInstrumented(plan, spec)
-				if len(clean.Traps) < 2 || len(clean.Flow) == 0 {
+				if len(clean.Traps) < 2 || !tracesFlow(plan.Prog, clean) {
 					continue // the fault would have nothing to act on
 				}
 				want := core.RunInstrumentedFaults(plan, spec, inj.ForRun(spec.EndpointID, spec.Seed))
@@ -97,13 +99,24 @@ func TestRunSurvivesTheWire(t *testing.T) {
 	}
 }
 
+// tracesFlow reports whether some core of a clean run decodes to a
+// non-empty flow.
+func tracesFlow(prog *ir.Program, rt *core.RunTrace) bool {
+	for _, c := range rt.PT {
+		if flow, _, _, err := pt.DecodeFlow(prog, c.Data, c.Wrapped); err == nil && len(flow) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // TestUploadShipsNoDecodedTrace pins what leaves the endpoint: raw ring
 // bytes and the trap log, never the decoded flow.
 func TestUploadShipsNoDecodedTrace(t *testing.T) {
 	plan, cfg := wirePlan(t, core.AllFeatures())
 	rt := core.RecordRun(plan, core.RunSpec{EndpointID: 1, Seed: 3, PreemptMean: cfg.PreemptMean, MaxSteps: 200_000}, faults.Decision{})
-	if len(rt.PT) == 0 || rt.Flow != nil || rt.Branches != nil {
-		t.Fatalf("RecordRun: %d PT cores, flow %v, branches %v; want raw cores and nothing decoded", len(rt.PT), rt.Flow, rt.Branches)
+	if len(rt.PT) == 0 || rt.Branches != nil {
+		t.Fatalf("RecordRun: %d PT cores, branches %v; want raw cores and nothing decoded", len(rt.PT), rt.Branches)
 	}
 	data, err := json.Marshal(EncodeTrace(rt))
 	if err != nil {

@@ -73,9 +73,10 @@ type Machine struct {
 	fault         *vm.FailureReport
 }
 
-// NewMachine returns a cold machine for p.
+// NewMachine returns a cold machine for p. Its address space comes
+// with its first run (vm.AcquireMemory).
 func NewMachine(p *Program) *Machine {
-	return &Machine{prog: p, mem: vm.NewMemory(p.nGlobals)}
+	return &Machine{prog: p}
 }
 
 // reset prepares the machine for a fresh run under cfg, producing a
@@ -86,7 +87,11 @@ func (m *Machine) reset(cfg vm.Config) {
 	m.cfg = cfg.Normalized()
 	m.rng.seed(cfg.Seed)
 	m.preempt = newIntn(2 * m.cfg.PreemptMean)
-	m.mem.Reset(m.prog.nGlobals)
+	if m.mem == nil {
+		m.mem = vm.AcquireMemory(m.prog.nGlobals)
+	} else {
+		m.mem.Reset(m.prog.nGlobals)
+	}
 	m.mem.SetStringBlob(m.prog.strBlob)
 	m.workloadAddrs = m.workloadAddrs[:0]
 	for _, s := range cfg.Workload.Strs {
@@ -937,8 +942,18 @@ func (p *Program) Run(cfg vm.Config) (*vm.Outcome, bool) {
 		reused = false
 	}
 	out := m.Run(cfg)
-	p.pool.Put(m)
+	m.release()
 	return out, reused
+}
+
+// release hands the machine's address space back (vm.Memory.Release)
+// and the machine to p's pool: an idle machine holds no address space,
+// so the memory a GC-emptied pool would have dropped goes to the next
+// run of any program instead.
+func (m *Machine) release() {
+	m.mem.Release()
+	m.mem = nil
+	m.prog.pool.Put(m)
 }
 
 // RunProgram compiles prog and executes one run — the convenience path

@@ -9,7 +9,9 @@ package bytecode_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/bugs"
@@ -221,29 +223,90 @@ func TestWarmRunAllocations(t *testing.T) {
 	}
 }
 
+// allocatedBytes is what f allocates: the MemStats.TotalAlloc delta.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // TestInstrumentedRunAllocations puts a ceiling on what one run under a
-// tracking plan allocates, decode included. The ceilings sit about 15 %
-// above the counts measured when the plan became dense tables and the
-// decoder stopped copying its output (38–103 per run); every cell is
-// below what the same run allocated before that (56–368).
+// tracking plan allocates, decode included: how many times, and how
+// many bytes, averaged over 16 runs. The ceilings sit about 15 % above
+// what was measured once the decoder stopped copying out the flow of
+// every run, parsed packets into kept scratch and the machines' address
+// spaces outlived their pool: 27–52 allocations and 1.3–4.2 KB per run,
+// where the same runs allocated 36–90 times and 3.1–33 KB before.
 func TestInstrumentedRunAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds entries under the race detector; the counts need warm pools")
 	}
-	ceilings := map[string]float64{
-		"pbzip2/sigma=2": 62, "pbzip2/sigma=8": 68, "pbzip2/sigma=32": 68,
-		"curl/sigma=2": 46, "curl/sigma=8": 92, "curl/sigma=32": 108,
-		"apache-3/sigma=2": 112, "apache-3/sigma=8": 118, "apache-3/sigma=32": 118,
-		"memcached/sigma=2": 74, "memcached/sigma=8": 74, "memcached/sigma=32": 74,
+	type ceiling struct {
+		allocs float64
+		bytes  uint64
+	}
+	ceilings := map[string]ceiling{
+		"pbzip2/sigma=2": {50, 2700}, "pbzip2/sigma=8": {50, 2950}, "pbzip2/sigma=32": {50, 2950},
+		"curl/sigma=2": {32, 1600}, "curl/sigma=8": {33, 2950}, "curl/sigma=32": {34, 3200},
+		"apache-3/sigma=2": {59, 3700}, "apache-3/sigma=8": {60, 4750}, "apache-3/sigma=32": {60, 4800},
+		"memcached/sigma=2": {55, 3800}, "memcached/sigma=8": {55, 3800}, "memcached/sigma=32": {55, 3800},
 	}
 	for _, c := range instrumentedCases(t, []string{"pbzip2", "curl", "apache-3", "memcached"}, []int{2, 8, 32}) {
 		seed := 0
-		got := testing.AllocsPerRun(16, func() {
+		run := func() {
 			seed++
 			core.RunInstrumented(c.plan, c.specs[seed%8])
-		})
-		if got > ceilings[c.name] {
-			t.Errorf("%s: an instrumented run allocates %.0f times, ceiling %.0f", c.name, got, ceilings[c.name])
+		}
+		want := ceilings[c.name]
+		if got := testing.AllocsPerRun(16, run); got > want.allocs {
+			t.Errorf("%s: an instrumented run allocates %.0f times, ceiling %.0f", c.name, got, want.allocs)
+		}
+		got := allocatedBytes(func() {
+			for i := 0; i < 16; i++ {
+				run()
+			}
+		}) / 16
+		if got > want.bytes {
+			t.Errorf("%s: an instrumented run allocates %d bytes, ceiling %d", c.name, got, want.bytes)
+		}
+	}
+}
+
+// TestDiagnosisAllocations puts a ceiling on the bytes one whole
+// diagnosis allocates (core.RunFromReport, the benchmark's local_serial
+// operation), about 15 % above what was measured once a diagnosis
+// decoded the flow of only the runs its sketches are drawn from and
+// counted predicates by key: curl 86 KB and apache-3 220 KB, where they
+// allocated 239 KB and 691 KB before. A GC in the middle of a diagnosis
+// empties the machine pool, so the figure is the least of three
+// diagnoses after a warm-up one.
+func TestDiagnosisAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries under the race detector; the counts need warm pools")
+	}
+	ceilings := map[string]uint64{"curl": 99_000, "apache-3": 253_000}
+	for _, name := range []string{"curl", "apache-3"} {
+		b := bugs.ByName(name)
+		cfg := b.GistConfig()
+		cfg.StopWhen = bugs.DeveloperOracle(b)
+		report, disc, err := core.FirstFailure(cfg)
+		if err != nil {
+			t.Fatalf("%s: discovery: %v", name, err)
+		}
+		diagnose := func() {
+			if _, err := core.RunFromReport(cfg, report, disc); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		diagnose()
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			least = min(least, allocatedBytes(diagnose))
+		}
+		if least > ceilings[name] {
+			t.Errorf("%s: a diagnosis allocates %d bytes, ceiling %d", name, least, ceilings[name])
 		}
 	}
 }

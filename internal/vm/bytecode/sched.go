@@ -230,7 +230,7 @@ func (m *Machine) stale(addr, n int64) bool {
 // effect holds credit. It runs the same run again on a pooled machine,
 // silently (no hooks) and never ahead, to clock c, takes over its state —
 // with the Traced bits this run's consumer set, which credit never
-// crosses a change of — and hands the old state back to the pool. A
+// crosses a change of — and hands the old state back (release). A
 // re-run that stops at c short of the step limit has executed step c-1
 // and reports a hang that is not one; it is dropped, and a fault of step
 // c-1 itself is kept.
@@ -253,5 +253,5 @@ func (m *Machine) rerun(c int64) {
 	}
 	*m, *r = *r, *m
 	m.cfg, m.aheadCap = cfg, aheadMax
-	m.prog.pool.Put(r)
+	r.release()
 }

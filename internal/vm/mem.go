@@ -107,7 +107,8 @@ type Memory struct {
 
 	// stackPool holds zeroed stack regions recycled by Reset; EnsureStack
 	// prefers them over fresh allocations so a reused Memory (bytecode
-	// engine) does not pay a 64 KiB allocation per thread per run.
+	// engine, through AcquireMemory) does not pay a 64 KiB allocation
+	// per thread per run.
 	stackPool [][]byte
 
 	// cacheAlloc is a one-entry cache for the bytecode engine's word-sized
