@@ -121,8 +121,8 @@ func Slice(p *ir.Program, failingID int) *slicer.Slice {
 // Bytecode returns the memoized bytecode compilation of p, building it
 // on first use, and reports whether this call hit the cache. The
 // returned program is shared safely across goroutines: its instruction
-// stream is immutable after compilation and each Run draws a private
-// pooled machine. Every fleet worker, scheduler lane, and service agent
+// stream is immutable after compilation and each Run takes a spare
+// machine of its own. Every fleet worker, scheduler lane, and service agent
 // executing the same *ir.Program therefore pays compilation exactly
 // once per process.
 func Bytecode(p *ir.Program) (*bytecode.Program, bool) {

@@ -238,8 +238,8 @@ func RecordRun(plan *Plan, spec RunSpec, dec faults.Decision) *RunTrace {
 			}
 			rt.PT[i].Core = core
 		}
-		// The ring buffers go back to the pool for the next run on this
-		// worker, so the trace keeps a copy, all cores in one array.
+		// The ring buffers go back to the spare list for the next run,
+		// so the trace keeps a copy, all cores in one array.
 		raw := make([]byte, 0, tracer.BufferedBytes())
 		for i := range rt.PT {
 			buf, wrapped := tracer.CoreBytes(rt.PT[i].Core)

@@ -12,7 +12,7 @@ type execFunc func(*ir.Program, vm.Config) *vm.Outcome
 
 // exec runs one production run. Every binary executes bytecode: the
 // program is compiled at most once per process (single-flight via
-// analysis.Bytecode) and the run executes on a pooled machine; the
+// analysis.Bytecode) and the run executes on a spare machine; the
 // vm.compile_cache_hit and vm.state_reuse counters record how often the
 // fleet actually rode the warm paths. The counters track physical
 // executions (including speculatively dispatched runs a campaign later

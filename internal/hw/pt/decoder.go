@@ -3,9 +3,9 @@ package pt
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/ir"
+	"repro/internal/spare"
 )
 
 // BranchObs is one conditional-branch outcome recovered from a TNT bit.
@@ -88,41 +88,26 @@ type scratch struct {
 	bits     []bool
 }
 
-// spare holds the scratch of finished decodes for the next one. It is a
-// list, not a sync.Pool: a pool drops what two GCs in a row find in it
-// and strands what sits in another processor's private slot when the
-// decoding goroutine moves, and a diagnosis collects garbage often
-// enough that pooled scratch was regrown for most decodes. The list
-// holds at most as many scratches as decodes ever ran at once.
-var spare struct {
-	sync.Mutex
-	list []*scratch
-}
+// scratches holds the scratch of finished decodes for the next one.
+var scratches spare.List[*scratch]
 
-// maxSpareLen bounds the scratch spare keeps: one huge (or hostile)
+// maxSpareLen bounds the scratch putScratch keeps: one huge (or hostile)
 // buffer's working memory goes back to the GC rather than staying
 // pinned for the life of the process.
 const maxSpareLen = 1 << 16
 
 func getScratch() *scratch {
-	spare.Lock()
-	defer spare.Unlock()
-	n := len(spare.list)
-	if n == 0 {
-		return new(scratch)
+	if s, ok := scratches.Get(); ok {
+		return s
 	}
-	s := spare.list[n-1]
-	spare.list = spare.list[:n-1]
-	return s
+	return new(scratch)
 }
 
 func putScratch(s *scratch) {
 	if cap(s.evs) > maxSpareLen || cap(s.flow) > maxSpareLen {
 		return
 	}
-	spare.Lock()
-	spare.list = append(spare.list, s)
-	spare.Unlock()
+	scratches.Put(s)
 }
 
 // parse replaces s.evs with the packets of data; on an error the events

@@ -1,9 +1,8 @@
 package pt
 
 import (
-	"sync"
-
 	"repro/internal/cost"
+	"repro/internal/spare"
 )
 
 // Mode selects the cost model of the tracer.
@@ -71,11 +70,11 @@ func NewTracer(cfg Config, meter *cost.Meter) *Tracer {
 	return &Tracer{cfg: cfg.withDefaults(), meter: meter}
 }
 
-// bufPool recycles per-core ring buffers across runs. A fleet executes
+// bufs holds per-core ring buffers across runs. A fleet executes
 // thousands of runs, each of which would otherwise grow a fresh trace
 // buffer (up to BufBytes) per thread; a released buffer keeps its
 // capacity and the next run's encoder appends into it allocation-free.
-var bufPool sync.Pool
+var bufs spare.List[[]byte]
 
 func (t *Tracer) core(id int) *coreTrace {
 	if id < len(t.cores) {
@@ -91,22 +90,22 @@ func (t *Tracer) addCore(id int) *coreTrace {
 		t.cores = append(t.cores, nil)
 	}
 	c := &coreTrace{}
-	if b, ok := bufPool.Get().([]byte); ok {
+	if b, ok := bufs.Get(); ok {
 		c.buf = b[:0]
 	}
 	t.cores[id] = c
 	return c
 }
 
-// Release parks every core's trace buffer on the package pool and
-// detaches it from the tracer. Callers must be completely done with the
-// run's trace data — including slices returned by CoreBytes — before
-// releasing; the endpoint client calls it after the decode phase (decoded
-// flow, branches and data never alias the ring buffers).
+// Release hands every core's trace buffer on to the next run's tracer
+// and detaches it from this one. Callers must be completely done with
+// the run's trace data — including slices returned by CoreBytes — before
+// releasing; the endpoint client copies the ring bytes out and releases
+// before the run is decoded.
 func (t *Tracer) Release() {
 	for _, c := range t.cores {
 		if c != nil && cap(c.buf) > 0 {
-			bufPool.Put(c.buf[:0])
+			bufs.Put(c.buf[:0])
 		}
 	}
 	t.cores = nil

@@ -17,9 +17,9 @@ package watch
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/cost"
+	"repro/internal/spare"
 )
 
 // NumRegisters is the number of hardware watchpoint slots (x86 has 4).
@@ -71,16 +71,16 @@ type Unit struct {
 	meter *cost.Meter
 }
 
-// trapPool recycles trap-log backing arrays across runs; a data-flow
-// heavy run can log thousands of traps, and the fleet executes runs by
-// the thousand.
-var trapPool sync.Pool
+// trapLogs holds trap-log backing arrays across runs; a data-flow heavy
+// run can log thousands of traps, and the fleet executes runs by the
+// thousand.
+var trapLogs spare.List[[]Trap]
 
 // NewUnit returns a unit charging costs to meter (which may be nil).
-// The trap log starts on a pooled backing array when one is available.
+// The trap log starts on a spare backing array when one is available.
 func NewUnit(meter *cost.Meter) *Unit {
 	u := &Unit{meter: meter}
-	if t, ok := trapPool.Get().([]Trap); ok {
+	if t, ok := trapLogs.Get(); ok {
 		u.traps = t[:0]
 	}
 	return u
@@ -91,7 +91,7 @@ func NewUnit(meter *cost.Meter) *Unit {
 // copies, so previously returned logs stay valid.
 func (u *Unit) Release() {
 	if cap(u.traps) > 0 {
-		trapPool.Put(u.traps[:0])
+		trapLogs.Put(u.traps[:0])
 	}
 	u.traps = nil
 }

@@ -39,11 +39,11 @@ package bytecode
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/ir"
 	"repro/internal/lang/sema"
 	"repro/internal/lang/token"
+	"repro/internal/spare"
 	"repro/internal/vm"
 )
 
@@ -131,7 +131,7 @@ type globalInit struct {
 }
 
 // Program is a compiled program. It is immutable after Compile and safe
-// for concurrent Run calls; per-run state lives in pooled Machines.
+// for concurrent Run calls; per-run state lives in spare Machines.
 type Program struct {
 	ir       *ir.Program
 	code     []instr
@@ -145,12 +145,45 @@ type Program struct {
 	failMsgs []string
 	nGlobals int
 	zeroMask []uint8 // all-zero Hooks.StepMask, for runs whose consumer set none
-
-	pool sync.Pool // *Machine
 }
 
 // NumInstrs returns the flat code length (== len(ir.Program.Instrs)).
 func (p *Program) NumInstrs() int { return len(p.code) }
+
+// machines holds the machines of finished runs for the next run of any
+// program. Until reset sizes it for a program, a machine is scratch no
+// program owns — threads, registers, scheduler constants, its address
+// space — so one list serves every program, and it never holds more
+// machines than runs were in flight at once: a run, plus a second
+// machine while that run re-runs part of itself silently (rerun).
+var machines spare.List[*Machine]
+
+// acquire returns a machine for a run of p, and whether it ran before.
+func acquire(p *Program) (*Machine, bool) {
+	m, ok := machines.Get()
+	if !ok {
+		m = new(Machine)
+	}
+	m.prog = p
+	return m, ok
+}
+
+// release hands the machine, address space included, on to the next
+// run of any program; it lets go of the program and the hooks it ran.
+func (m *Machine) release() {
+	m.prog, m.cfg = nil, vm.Config{}
+	machines.Put(m)
+}
+
+// Run executes one run on a spare machine and reports whether the
+// machine state was reused from a previous run (the vm.state_reuse
+// telemetry signal).
+func (p *Program) Run(cfg vm.Config) (*vm.Outcome, bool) {
+	m, reused := acquire(p)
+	out := m.Run(cfg)
+	m.release()
+	return out, reused
+}
 
 type compiler struct {
 	src      *ir.Program

@@ -32,3 +32,20 @@ func (p *Program) FusedPairs() []int {
 	}
 	return pcs
 }
+
+// SpareMachines counts the machines on the spare list by draining it
+// and putting them back in the same order.
+func SpareMachines() int {
+	var held []*Machine
+	for {
+		m, ok := machines.Get()
+		if !ok {
+			break
+		}
+		held = append(held, m)
+	}
+	for i := len(held) - 1; i >= 0; i-- {
+		machines.Put(held[i])
+	}
+	return len(held)
+}

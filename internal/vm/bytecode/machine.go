@@ -42,7 +42,7 @@ type thread struct {
 }
 
 // Machine executes one run at a time of a compiled program. It is NOT
-// safe for concurrent use; Program.Run hands each caller a pooled
+// safe for concurrent use; Program.Run hands each caller a spare
 // Machine. All per-run state is reset, not reallocated, so a warm
 // Machine's hot loop allocates only what the program itself demands
 // (heap growth, print strings).
@@ -74,7 +74,7 @@ type Machine struct {
 }
 
 // NewMachine returns a cold machine for p. Its address space comes
-// with its first run (vm.AcquireMemory).
+// with its first run, and it keeps it for the next.
 func NewMachine(p *Program) *Machine {
 	return &Machine{prog: p}
 }
@@ -88,7 +88,7 @@ func (m *Machine) reset(cfg vm.Config) {
 	m.rng.seed(cfg.Seed)
 	m.preempt = newIntn(2 * m.cfg.PreemptMean)
 	if m.mem == nil {
-		m.mem = vm.AcquireMemory(m.prog.nGlobals)
+		m.mem = vm.NewMemory(m.prog.nGlobals)
 	} else {
 		m.mem.Reset(m.prog.nGlobals)
 	}
@@ -929,31 +929,6 @@ func b2i(b bool) int64 {
 		return 1
 	}
 	return 0
-}
-
-// Run executes one run on a pooled machine and reports whether the
-// machine state was reused from a previous run (the vm.state_reuse
-// telemetry signal).
-func (p *Program) Run(cfg vm.Config) (*vm.Outcome, bool) {
-	reused := true
-	m, ok := p.pool.Get().(*Machine)
-	if !ok {
-		m = NewMachine(p)
-		reused = false
-	}
-	out := m.Run(cfg)
-	m.release()
-	return out, reused
-}
-
-// release hands the machine's address space back (vm.Memory.Release)
-// and the machine to p's pool: an idle machine holds no address space,
-// so the memory a GC-emptied pool would have dropped goes to the next
-// run of any program instead.
-func (m *Machine) release() {
-	m.mem.Release()
-	m.mem = nil
-	m.prog.pool.Put(m)
 }
 
 // RunProgram compiles prog and executes one run — the convenience path

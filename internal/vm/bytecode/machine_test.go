@@ -12,6 +12,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/bugs"
@@ -201,8 +202,58 @@ func TestMachineReuse(t *testing.T) {
 	}
 }
 
-// TestWarmRunAllocations pins what the machine pool buys: a run on a
-// pooled machine allocates fewer times than one on a fresh machine, and
+// TestSpareMachinesBounded: the machines kept for the next run, and with
+// them their address spaces, are bounded by how many runs were in flight
+// at once, not by how many programs ran. Every suite program runs round
+// after round, with a GC between rounds as between two diagnoses, on one
+// goroutine and then on three at once. A goroutine has at most two runs
+// in flight — its own and, while that run re-runs part of itself
+// silently, a second machine's — so beyond what earlier tests of the
+// process left, at most two spare machines per goroutine may ever be
+// kept.
+func TestSpareMachinesBounded(t *testing.T) {
+	var progs []*bytecode.Program
+	var suite []*bugs.Bug
+	for _, b := range bugs.All() {
+		progs = append(progs, bytecode.Compile(b.Program()))
+		suite = append(suite, b)
+	}
+	round := func() {
+		for i, prog := range progs {
+			b := suite[i]
+			for seed := int64(0); seed < 4; seed++ {
+				cfg := vm.Config{Seed: seed, MaxSteps: 200_000, PreemptMean: b.PreemptMean}
+				if n := len(b.Workloads); n > 0 {
+					cfg.Workload = b.Workloads[int(seed)%n]
+				}
+				prog.Run(cfg)
+			}
+		}
+	}
+	kept := bytecode.SpareMachines()
+	for _, workers := range []int{1, 3} {
+		bound := max(kept, 2*workers)
+		for r := 0; r < 4; r++ {
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					round()
+				}()
+			}
+			wg.Wait()
+			runtime.GC()
+			runtime.GC()
+			if n := bytecode.SpareMachines(); n == 0 || n > bound {
+				t.Fatalf("%d goroutines, round %d: %d spare machines, want 1..%d", workers, r, n, bound)
+			}
+		}
+	}
+}
+
+// TestWarmRunAllocations pins what spare machines buy: a run on a spare
+// machine allocates fewer times than one on a fresh machine, and
 // less than a tenth of what the tree-walking interpreter allocates for
 // the same run. Speed is BenchmarkVM*'s business; allocation counts are
 // exact, so they can gate.
@@ -237,12 +288,9 @@ func allocatedBytes(f func()) uint64 {
 // many bytes, averaged over 16 runs. The ceilings sit about 15 % above
 // what was measured once the decoder stopped copying out the flow of
 // every run, parsed packets into kept scratch and the machines' address
-// spaces outlived their pool: 27–52 allocations and 1.3–4.2 KB per run,
+// spaces outlived the GC: 27–52 allocations and 1.3–4.2 KB per run,
 // where the same runs allocated 36–90 times and 3.1–33 KB before.
 func TestInstrumentedRunAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool sheds entries under the race detector; the counts need warm pools")
-	}
 	type ceiling struct {
 		allocs float64
 		bytes  uint64
@@ -279,13 +327,14 @@ func TestInstrumentedRunAllocations(t *testing.T) {
 // operation), about 15 % above what was measured once a diagnosis
 // decoded the flow of only the runs its sketches are drawn from and
 // counted predicates by key: curl 86 KB and apache-3 220 KB, where they
-// allocated 239 KB and 691 KB before. A GC in the middle of a diagnosis
-// empties the machine pool, so the figure is the least of three
+// allocated 239 KB and 691 KB before. What a run leaves behind outlives
+// the GC, but the runs of a diagnosis on two or more workers interleave
+// differently each time, and with them which spare ring buffer, trap log
+// or decode scratch a run takes and whether it must grow it: 2 of 45
+// single curl diagnoses read 94 and 100 KB at GOMAXPROCS=2, and at
+// GOMAXPROCS=1 every one read 85 KB. The figure is the least of three
 // diagnoses after a warm-up one.
 func TestDiagnosisAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool sheds entries under the race detector; the counts need warm pools")
-	}
 	ceilings := map[string]uint64{"curl": 99_000, "apache-3": 253_000}
 	for _, name := range []string{"curl", "apache-3"} {
 		b := bugs.ByName(name)

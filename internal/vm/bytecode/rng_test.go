@@ -42,7 +42,7 @@ func intn(g *alfg, c *intnConsts) int {
 // reciprocal modulo must match bit for bit, draw for draw, for every
 // preemption mean and runnable count the fleet can configure — on a
 // fresh generator and on a used one that is seeded again, which is what
-// every run on a pooled machine does. Decisions charged to credit must
+// every run on a spare machine does. Decisions charged to credit must
 // be the interpreter's too, and leave the generator where a rand.Rand
 // that made the same decisions stands.
 func TestDrawsMatchMathRand(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"sync"
 
 	"repro/internal/vm"
 )
@@ -26,20 +25,17 @@ import (
 // alfg is math/rand's additive lagged-Fibonacci generator,
 // x[n] = x[n-607] + x[n-273] mod 2^64, held in the machine. x[n] lives
 // in ring[n mod 1024], so a step needs no wrap-around test; at is where
-// the latest x is.
+// the latest x is. src is the math/rand source seed reads a state from.
 type alfg struct {
 	ring [alfgRing]uint64
 	at   uint32
+	src  rand.Source64
 }
 
 const (
 	alfgLong, alfgShort = 607, 273
 	alfgRing            = 1024 // a power of two with room for the long lag
 )
-
-// seeders lends out the math/rand sources seed reads a state from; a
-// machine needs one only while it resets.
-var seeders = sync.Pool{New: func() any { return rand.NewSource(0) }}
 
 // seed puts g in the state of rand.NewSource(s). math/rand stays the
 // only authority on seeding, and its table of 607 additive constants is
@@ -48,12 +44,13 @@ var seeders = sync.Pool{New: func() any { return rand.NewSource(0) }}
 // them, x[n-607] = x[n] - x[n-273] for n = 606 down to 0, yields the 607
 // values before them — the state the source was seeded with.
 func (g *alfg) seed(s int64) {
-	src := seeders.Get().(rand.Source64)
-	src.Seed(s)
-	for n := 0; n < alfgLong; n++ {
-		g.ring[n] = src.Uint64()
+	if g.src == nil {
+		g.src = rand.NewSource(0).(rand.Source64)
 	}
-	seeders.Put(src)
+	g.src.Seed(s)
+	for n := 0; n < alfgLong; n++ {
+		g.ring[n] = g.src.Uint64()
+	}
 	for n := alfgLong - 1; n >= 0; n-- {
 		g.ring[(n-alfgLong)&(alfgRing-1)] = g.ring[n] - g.ring[(n-alfgShort)&(alfgRing-1)]
 	}
@@ -227,7 +224,7 @@ func (m *Machine) stale(addr, n int64) bool {
 // rerun makes the machine exact at clock c, for the two cases where
 // credit would show: a public access to the stack of a thread holding
 // credit, at step c-1, and the step limit c reached while the thread in
-// effect holds credit. It runs the same run again on a pooled machine,
+// effect holds credit. It runs the same run again on a spare machine,
 // silently (no hooks) and never ahead, to clock c, takes over its state —
 // with the Traced bits this run's consumer set, which credit never
 // crosses a change of — and hands the old state back (release). A
@@ -235,10 +232,7 @@ func (m *Machine) stale(addr, n int64) bool {
 // and reports a hang that is not one; it is dropped, and a fault of step
 // c-1 itself is kept.
 func (m *Machine) rerun(c int64) {
-	r, ok := m.prog.pool.Get().(*Machine)
-	if !ok {
-		r = NewMachine(m.prog)
-	}
+	r, _ := acquire(m.prog)
 	cfg := m.cfg
 	silent := cfg
 	silent.Hooks = vm.Hooks{}

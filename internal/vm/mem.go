@@ -106,8 +106,8 @@ type Memory struct {
 	allocIndex map[int64]*alloc
 
 	// stackPool holds zeroed stack regions recycled by Reset; EnsureStack
-	// prefers them over fresh allocations so a reused Memory (bytecode
-	// engine, through AcquireMemory) does not pay a 64 KiB allocation
+	// prefers them over fresh allocations so a reused Memory (a bytecode
+	// machine keeps its own across runs) does not pay a 64 KiB allocation
 	// per thread per run.
 	stackPool [][]byte
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sync"
 )
 
 // This file is the reuse-and-speed surface the bytecode engine
@@ -21,44 +20,6 @@ import (
 // executed it. TestDifferentialOutcomes and TestDifferentialHookStream
 // in internal/vm/bytecode and TestEngineDifferential in
 // internal/core hold both engines to that.
-
-// spare holds the address spaces of finished runs for the next run of
-// any program. It is a list, not a sync.Pool: the bytecode engine's
-// machines are pooled per program, a GC empties that pool between two
-// diagnoses of the same bug, and a fresh machine with a fresh address
-// space pays again for a 64 KiB stack per thread and the heap's and the
-// string region's first arrays. An address space is the same for every
-// program up to its globals, which Reset sizes, so one list serves them
-// all, and it holds at most as many address spaces as runs were ever in
-// flight at once.
-var spare struct {
-	sync.Mutex
-	list []*Memory
-}
-
-// AcquireMemory returns an address space in its post-NewMemory state for
-// nGlobals global words: a released one, reset, when one is spare.
-func AcquireMemory(nGlobals int) *Memory {
-	spare.Lock()
-	n := len(spare.list)
-	if n == 0 {
-		spare.Unlock()
-		return NewMemory(nGlobals)
-	}
-	m := spare.list[n-1]
-	spare.list = spare.list[:n-1]
-	spare.Unlock()
-	m.Reset(nGlobals)
-	return m
-}
-
-// Release hands a finished run's address space on to AcquireMemory; the
-// caller must not touch m again.
-func (m *Memory) Release() {
-	spare.Lock()
-	spare.list = append(spare.list, m)
-	spare.Unlock()
-}
 
 // Reset returns the memory to its post-NewMemory state for nGlobals
 // global words, recycling every internal buffer: globals are zeroed in
