@@ -98,7 +98,7 @@ func (m *Machine) reset(cfg vm.Config) {
 		m.workloadAddrs = append(m.workloadAddrs, m.mem.AddString(s))
 	}
 	for _, gi := range m.prog.inits {
-		if f := m.mem.StoreWord(gi.addr, gi.val); f != nil {
+		if f := m.mem.Store(gi.addr, 8, gi.val); f != nil {
 			panic(fmt.Sprintf("global init: %v", f))
 		}
 	}
@@ -159,7 +159,7 @@ func (m *Machine) spawnThread(fnIdx int32, arg *int64, parent int) *thread {
 	fi := &m.prog.funcs[fnIdx]
 	if arg != nil && fi.params > 0 {
 		addr := vm.StackAddr(tid, 0, 0)
-		if f := m.mem.StoreWord(addr, *arg); f != nil {
+		if f := m.mem.Store(addr, 8, *arg); f != nil {
 			panic(fmt.Sprintf("spawn arg store: %v", f))
 		}
 	}
@@ -438,7 +438,8 @@ frame:
 		// A load or store inside [stackLo, stackLo+len(stack)) is the
 		// running thread's own and goes straight to the slice; anything
 		// else — other threads' stacks, shared memory, every faulting
-		// access — resolves through mem as before.
+		// access — goes through mem's Load and Store, as the
+		// interpreter's every access does.
 		stack, stackLo := t.stack, vm.StackAddr(t.ID, 0, 0)
 		traced := t.stepBit(always, masked)
 		retrying := t.retrying
@@ -522,12 +523,7 @@ frame:
 						return
 					}
 					var f *vm.Fault
-					if in.sz == 8 {
-						val, f = mem.LoadWord(addr)
-					} else {
-						val, f = mem.LoadByte(addr)
-					}
-					if f != nil {
+					if val, f = mem.Load(addr, int64(in.sz)); f != nil {
 						m.failAt(t, ip, f)
 						goto done
 					}
@@ -555,13 +551,7 @@ frame:
 						m.rerun(clk)
 						return
 					}
-					var f *vm.Fault
-					if in.sz == 8 {
-						f = mem.StoreWord(addr, val)
-					} else {
-						f = mem.StoreByte(addr, val)
-					}
-					if f != nil {
+					if f := mem.Store(addr, int64(in.sz), val); f != nil {
 						m.failAt(t, ip, f)
 						goto done
 					}
@@ -695,7 +685,7 @@ frame:
 				newBase := t.frames[len(t.frames)-1].memBase
 				for k := 0; k < argN; k++ {
 					addr := vm.StackAddr(t.ID, int(newBase), k)
-					if f := mem.StoreWord(addr, args[k]); f != nil {
+					if f := mem.Store(addr, 8, args[k]); f != nil {
 						m.failAt(t, ip, f)
 						goto done
 					}
@@ -762,7 +752,7 @@ frame:
 					m.rerun(clk)
 					return
 				}
-				owner, f := mem.LoadWord(addr)
+				owner, f := mem.Load(addr, 8)
 				if f != nil {
 					m.failAt(t, ip, f)
 					goto done
@@ -774,7 +764,7 @@ frame:
 					m.park(t)
 					goto blocked
 				}
-				if f := mem.StoreWord(addr, int64(t.ID)+1); f != nil {
+				if f := mem.Store(addr, 8, int64(t.ID)+1); f != nil {
 					m.failAt(t, ip, f)
 					goto done
 				}
@@ -787,11 +777,11 @@ frame:
 					m.rerun(clk)
 					return
 				}
-				if _, f := mem.LoadWord(addr); f != nil {
+				if _, f := mem.Load(addr, 8); f != nil {
 					m.failAt(t, ip, f)
 					goto done
 				}
-				if f := mem.StoreWord(addr, 0); f != nil {
+				if f := mem.Store(addr, 8, 0); f != nil {
 					m.failAt(t, ip, f)
 					goto done
 				}
@@ -823,7 +813,7 @@ frame:
 					goto public
 				}
 				addr := opVal(win, consts, in.a)
-				s, f := mem.LoadCStringFast(addr)
+				s, f := mem.LoadCString(addr)
 				// The bytes the scan looked at, or, when it faulted, any up
 				// to its 64 KiB bound.
 				span := int64(len(s)) + 1

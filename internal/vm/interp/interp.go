@@ -1,8 +1,10 @@
 // Package interp is the tree-walking reference interpreter for MiniC IR:
 // the oracle the bytecode engine (internal/vm/bytecode) is differentially
-// tested against. It deliberately stays on vm.Memory's plain Load/Store
-// byte loops and ignores Hooks.StepMask. Only _test.go files import it; no
-// production binary links it (CI checks both).
+// tested against for scheduling, clocks, hooks and frames. Both engines
+// reach vm.Memory through the same Load, Store and LoadCString, whose
+// oracle is vm's FuzzMemory, so of memory it checks only the bytecode
+// engine's own-stack path. It ignores Hooks.StepMask. Only _test.go files import it; no production binary
+// links it (CI checks both).
 package interp
 
 import (

@@ -4,7 +4,9 @@
 // layout, a heap with double-free and use-after-free detection, and the
 // fault kinds (segfaults, assertion violations, deadlocks, hangs). The
 // engines (threads, seeded preemptive scheduler, mutexes) are
-// internal/vm/bytecode and the reference internal/vm/interp.
+// internal/vm/bytecode and the reference internal/vm/interp; both reach
+// memory through the same Load, Store and LoadCString, which map an
+// address to its region or fault in one place (resolve).
 //
 // Executions play the role of the paper's "production runs": a fleet of
 // runs with different seeds and workloads yields failing and successful
@@ -15,6 +17,8 @@
 package vm
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sort"
 )
@@ -93,51 +97,87 @@ type alloc struct {
 	freed bool
 }
 
+// contains reports whether addr lies in the allocation's bytes.
+func (a *alloc) contains(addr int64) bool { return addr >= a.base && addr < a.base+a.size }
+
 // Memory is the VM's address space.
 type Memory struct {
 	globals []byte
 	strs    []byte
-	strsLen int64
 	stacks  [][]byte // indexed by thread ID; nil = no such thread
 	heap    []byte
 	heapLen int64
 
-	allocs     []*alloc // sorted by base
-	allocIndex map[int64]*alloc
+	// allocs is in base order because Malloc only bumps. hint is the
+	// index of the allocation resolve last found; it is rechecked against
+	// the address on every use, so a stale hint only costs a search.
+	allocs []alloc
+	hint   int
 
 	// stackPool holds zeroed stack regions recycled by Reset; EnsureStack
 	// prefers them over fresh allocations so a reused Memory (a bytecode
 	// machine keeps its own across runs) does not pay a 64 KiB allocation
 	// per thread per run.
 	stackPool [][]byte
-
-	// cacheAlloc is a one-entry cache for the bytecode engine's word-sized
-	// fast path (memfast.go): the last heap allocation touched. It is
-	// revalidated on every use and invalidated by Reset, so it is
-	// invisible to fault semantics. The interpreter's byte-loop path
-	// never consults it.
-	cacheAlloc *alloc
 }
 
 // NewMemory returns an empty address space with room for nGlobals global
 // words.
 func NewMemory(nGlobals int) *Memory {
 	return &Memory{
-		globals:    make([]byte, nGlobals*8),
-		strs:       make([]byte, 0, 4096),
-		heap:       make([]byte, 0, 1<<16),
-		allocIndex: make(map[int64]*alloc),
+		globals: make([]byte, nGlobals*8),
+		strs:    make([]byte, 0, 4096),
+		heap:    make([]byte, 0, 1<<16),
 	}
+}
+
+// Reset returns the memory to its post-NewMemory state for nGlobals
+// global words, recycling every internal buffer: globals are zeroed in
+// place, the string region is emptied, per-thread stacks are zeroed and
+// parked on a free list for the next EnsureStack, and the heap is
+// emptied without releasing its backing array (Malloc re-zeroes each
+// allocation's bytes, and red-zone bytes are unreadable by
+// construction, so stale heap bytes can never be observed).
+func (m *Memory) Reset(nGlobals int) {
+	need := nGlobals * 8
+	if cap(m.globals) >= need {
+		m.globals = m.globals[:need]
+		clear(m.globals)
+	} else {
+		m.globals = make([]byte, need)
+	}
+	m.strs = m.strs[:0]
+	for _, st := range m.stacks {
+		if st != nil {
+			clear(st)
+			m.stackPool = append(m.stackPool, st)
+		}
+	}
+	m.stacks = m.stacks[:0]
+	// Keep len(m.heap): Malloc zeroes [heapLen, heapLen+size) itself and
+	// its grow loop then no-ops, which is what makes reuse cheaper than a
+	// fresh address space.
+	m.heapLen = 0
+	m.allocs = m.allocs[:0]
 }
 
 // AddString places a NUL-terminated string in the read-only string region
 // and returns its address.
 func (m *Memory) AddString(s string) int64 {
-	addr := StringsBase + m.strsLen
+	addr := StringsBase + int64(len(m.strs))
 	m.strs = append(m.strs, s...)
 	m.strs = append(m.strs, 0)
-	m.strsLen += int64(len(s)) + 1
 	return addr
+}
+
+// SetStringBlob installs blob as the entire string-pool region. The
+// bytecode engine precomputes the concatenated NUL-terminated program
+// strings once at compile time; a run reset is then a single copy, and
+// per-run workload strings are appended with AddString afterwards —
+// producing byte- and address-identical string pools to a fresh
+// interpreter VM.
+func (m *Memory) SetStringBlob(blob []byte) {
+	m.strs = append(m.strs[:0], blob...)
 }
 
 // EnsureStack creates (or returns) the stack region for a thread,
@@ -168,6 +208,15 @@ func (m *Memory) Stack(tid int) []byte {
 	return m.stacks[tid]
 }
 
+// ZeroStackWords zeroes n word slots starting at frame-base fb of
+// thread tid's stack — the frame-push local zeroing, done as one memclr
+// instead of n full Store round trips. Callers must have performed the
+// frame-overflow check first (as pushFrame does), so the range is
+// always in bounds.
+func (m *Memory) ZeroStackWords(tid, fb, n int) {
+	clear(m.stacks[tid][fb*8 : (fb+n)*8])
+}
+
 // StackAddr returns the address of word slot idx of frame-base fb in
 // thread tid's stack.
 func StackAddr(tid int, frameBase int, slot int) int64 {
@@ -178,12 +227,6 @@ func StackAddr(tid int, frameBase int, slot int) int64 {
 func IsStackAddr(addr int64) bool {
 	return addr >= StackBase && addr < HeapBase
 }
-
-// isHeapAddr reports whether addr falls in the heap region.
-func isHeapAddr(addr int64) bool { return addr >= HeapBase && addr < heapLimit }
-
-// isGlobalAddr reports whether addr falls in the globals region.
-func isGlobalAddr(addr int64) bool { return addr >= GlobalsBase && addr < StringsBase }
 
 // Malloc allocates size zeroed bytes and returns the base address.
 func (m *Memory) Malloc(size int64) (int64, *Fault) {
@@ -204,13 +247,9 @@ func (m *Memory) Malloc(size int64) (int64, *Fault) {
 	for int64(len(m.heap)) < need {
 		m.heap = append(m.heap, make([]byte, need-int64(len(m.heap)))...)
 	}
-	for i := m.heapLen; i < m.heapLen+size; i++ {
-		m.heap[i] = 0
-	}
+	clear(m.heap[m.heapLen : m.heapLen+size])
 	m.heapLen = need
-	a := &alloc{base: base, size: size}
-	m.allocs = append(m.allocs, a)
-	m.allocIndex[base] = a
+	m.allocs = append(m.allocs, alloc{base: base, size: size})
 	return base, nil
 }
 
@@ -221,8 +260,8 @@ func (m *Memory) Free(addr int64) *Fault {
 	if addr == 0 {
 		return nil // free(NULL) is a no-op, as in C
 	}
-	a, ok := m.allocIndex[addr]
-	if !ok {
+	a := m.findAlloc(addr)
+	if a == nil || a.base != addr {
 		return &Fault{Kind: FaultInvalidFree, Addr: addr, Msg: fmt.Sprintf("free of non-allocation address %#x", addr)}
 	}
 	if a.freed {
@@ -232,110 +271,114 @@ func (m *Memory) Free(addr int64) *Fault {
 	return nil
 }
 
-// findAlloc returns the allocation containing addr, if any.
+// findAlloc returns the allocation containing addr, freed or not, if
+// any: the hinted one if it does, else the one a binary search finds,
+// which becomes the hint.
 func (m *Memory) findAlloc(addr int64) *alloc {
-	i := sort.Search(len(m.allocs), func(i int) bool { return m.allocs[i].base > addr })
-	if i == 0 {
+	if h := m.hint; h < len(m.allocs) && m.allocs[h].contains(addr) {
+		return &m.allocs[h]
+	}
+	i := sort.Search(len(m.allocs), func(i int) bool { return m.allocs[i].base > addr }) - 1
+	if i < 0 || !m.allocs[i].contains(addr) {
 		return nil
 	}
-	a := m.allocs[i-1]
-	if addr >= a.base && addr < a.base+a.size {
-		return a
-	}
-	return nil
+	m.hint = i
+	return &m.allocs[i]
 }
 
-// resolve maps an address to the backing byte slice and offset, checking
-// bounds and allocation state.
-func (m *Memory) resolve(addr, size int64) ([]byte, int64, *Fault) {
+// resolve is the one place an address meets the layout: it returns the
+// bytes from addr to the last accessible byte of addr's region (for the
+// heap, the end of the containing allocation), or the fault a size-byte
+// access at addr raises.
+func (m *Memory) resolve(addr, size int64) ([]byte, *Fault) {
 	switch {
 	case addr >= 0 && addr < NullPageSize:
-		return nil, 0, &Fault{Kind: FaultNullDeref, Addr: addr}
-	case isGlobalAddr(addr):
-		off := addr - GlobalsBase
-		if off+size > int64(len(m.globals)) {
-			return nil, 0, &Fault{Kind: FaultOutOfBounds, Addr: addr, Msg: "past end of globals"}
+		return nil, &Fault{Kind: FaultNullDeref, Addr: addr}
+	case addr >= GlobalsBase && addr < StringsBase:
+		if off := addr - GlobalsBase; off+size <= int64(len(m.globals)) {
+			return m.globals[off:], nil
 		}
-		return m.globals, off, nil
+		return nil, &Fault{Kind: FaultOutOfBounds, Addr: addr, Msg: "past end of globals"}
 	case addr >= StringsBase && addr < StackBase:
-		off := addr - StringsBase
-		if off+size > m.strsLen {
-			return nil, 0, &Fault{Kind: FaultOutOfBounds, Addr: addr, Msg: "past end of string pool"}
+		if off := addr - StringsBase; off+size <= int64(len(m.strs)) {
+			return m.strs[off:], nil
 		}
-		return m.strs, off, nil
+		return nil, &Fault{Kind: FaultOutOfBounds, Addr: addr, Msg: "past end of string pool"}
 	case IsStackAddr(addr):
 		st := m.Stack(int((addr - StackBase) / StackStride))
 		if st == nil {
-			return nil, 0, &Fault{Kind: FaultOutOfBounds, Addr: addr, Msg: "stack of dead thread"}
+			return nil, &Fault{Kind: FaultOutOfBounds, Addr: addr, Msg: "stack of dead thread"}
 		}
-		off := (addr - StackBase) % StackStride
-		if off+size > int64(len(st)) {
-			return nil, 0, &Fault{Kind: FaultStackOverflow, Addr: addr}
+		if off := (addr - StackBase) % StackStride; off+size <= int64(len(st)) {
+			return st[off:], nil
 		}
-		return st, off, nil
-	case isHeapAddr(addr):
+		return nil, &Fault{Kind: FaultStackOverflow, Addr: addr}
+	case addr >= HeapBase && addr < heapLimit:
 		a := m.findAlloc(addr)
 		if a == nil {
-			return nil, 0, &Fault{Kind: FaultOutOfBounds, Addr: addr, Msg: "unallocated heap address"}
+			return nil, &Fault{Kind: FaultOutOfBounds, Addr: addr, Msg: "unallocated heap address"}
 		}
 		if a.freed {
-			return nil, 0, &Fault{Kind: FaultUseAfterFree, Addr: addr, Msg: fmt.Sprintf("access to freed allocation %#x", a.base)}
+			return nil, &Fault{Kind: FaultUseAfterFree, Addr: addr, Msg: fmt.Sprintf("access to freed allocation %#x", a.base)}
 		}
-		if addr+size > a.base+a.size {
-			return nil, 0, &Fault{Kind: FaultOutOfBounds, Addr: addr, Msg: "past end of allocation"}
+		if end := a.base + a.size; addr+size <= end {
+			return m.heap[addr-HeapBase : end-HeapBase], nil
 		}
-		return m.heap, addr - HeapBase, nil
+		return nil, &Fault{Kind: FaultOutOfBounds, Addr: addr, Msg: "past end of allocation"}
 	default:
-		return nil, 0, &Fault{Kind: FaultOutOfBounds, Addr: addr, Msg: "wild address"}
+		return nil, &Fault{Kind: FaultOutOfBounds, Addr: addr, Msg: "wild address"}
 	}
 }
 
 // Load reads size bytes (1 or 8) at addr, little-endian.
 func (m *Memory) Load(addr, size int64) (int64, *Fault) {
-	buf, off, f := m.resolve(addr, size)
+	b, f := m.resolve(addr, size)
 	if f != nil {
 		return 0, f
 	}
 	if size == 1 {
-		return int64(buf[off]), nil
+		return int64(b[0]), nil
 	}
-	var v uint64
-	for i := int64(0); i < 8; i++ {
-		v |= uint64(buf[off+i]) << (8 * i)
-	}
-	return int64(v), nil
+	return int64(binary.LittleEndian.Uint64(b)), nil
 }
 
 // Store writes size bytes (1 or 8) at addr, little-endian.
 func (m *Memory) Store(addr, size, val int64) *Fault {
-	buf, off, f := m.resolve(addr, size)
+	b, f := m.resolve(addr, size)
 	if f != nil {
 		return f
 	}
 	if size == 1 {
-		buf[off] = byte(val)
-		return nil
-	}
-	v := uint64(val)
-	for i := int64(0); i < 8; i++ {
-		buf[off+i] = byte(v >> (8 * i))
+		b[0] = byte(val)
+	} else {
+		binary.LittleEndian.PutUint64(b, uint64(val))
 	}
 	return nil
 }
 
-// LoadCString reads the NUL-terminated byte string at addr (bounded at
-// 64 KiB to keep runaway reads finite).
+// LoadCString reads the NUL-terminated byte string at addr, bounded at
+// 64 KiB to keep runaway reads finite. It scans a region at a time, so a
+// string may run from one thread's stack into the next live thread's,
+// and a scan that runs off readable memory returns the fault a
+// byte-by-byte Load would meet first. A string inside one region is
+// returned without an intermediate copy.
 func (m *Memory) LoadCString(addr int64) (string, *Fault) {
+	const maxLen = 1 << 16
 	var out []byte
-	for i := int64(0); i < 1<<16; i++ {
-		b, f := m.Load(addr+i, 1)
+	for read := int64(0); read < maxLen; {
+		b, f := m.resolve(addr+read, 1)
 		if f != nil {
 			return "", f
 		}
-		if b == 0 {
-			return string(out), nil
+		b = b[:min(int64(len(b)), maxLen-read)]
+		if i := bytes.IndexByte(b, 0); i >= 0 {
+			if read == 0 {
+				return string(b[:i]), nil
+			}
+			return string(append(out, b[:i]...)), nil
 		}
-		out = append(out, byte(b))
+		out = append(out, b...)
+		read += int64(len(b))
 	}
 	return "", &Fault{Kind: FaultOutOfBounds, Addr: addr, Msg: "unterminated string"}
 }

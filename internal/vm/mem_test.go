@@ -271,11 +271,19 @@ func TestFreePoisonProperty(t *testing.T) {
 	}
 }
 
+// Every kind has its own human-readable name: none falls back to
+// "fault(N)", and no two share one.
 func TestFaultKindStrings(t *testing.T) {
+	seen := map[string]FaultKind{}
 	for k := FaultNone; k <= FaultStackOverflow; k++ {
-		if k.String() == "" || k.String()[0] == 'f' && k != FaultNone {
-			// Every kind has a human-readable name.
+		name, ok := faultNames[k]
+		if !ok || name == "" {
+			t.Errorf("kind %d has no name; it renders as %q", int(k), k)
 		}
+		if other, dup := seen[name]; dup {
+			t.Errorf("kinds %d and %d share the name %q", int(other), int(k), name)
+		}
+		seen[name] = k
 	}
 	if FaultDoubleFree.String() != "double free" {
 		t.Errorf("double free name: %q", FaultDoubleFree)
