@@ -27,7 +27,7 @@ func Build(info *sema.Info, source string) (*Program, error) {
 	b.buildGlobals()
 	for _, fd := range info.File.Funcs {
 		fi := info.Funcs[fd.Name]
-		f := &Func{Name: fd.Name, ID: len(b.prog.Funcs), Params: len(fd.Params), Ret: fi.Sig.Ret}
+		f := &Func{Name: fd.Name, ID: len(b.prog.Funcs), Params: len(fd.Params), Slots: fi.Slots, Ret: fi.Sig.Ret}
 		b.prog.Funcs = append(b.prog.Funcs, f)
 		b.prog.FuncByName[fd.Name] = f
 	}
@@ -88,10 +88,9 @@ type builder struct {
 	prog   *Program
 	strIdx map[string]int
 
-	fn     *Func
-	cur    *Block
-	scopes []map[string]int // variable name -> frame slot
-	loops  []loopCtx
+	fn    *Func
+	cur   *Block
+	loops []loopCtx
 
 	// pendingSpawns collects spawn call instructions; their program-wide
 	// IDs are only known after finalize, at which point Build records them
@@ -99,30 +98,14 @@ type builder struct {
 	pendingSpawns []*Instr
 }
 
+// buildGlobals lays out the globals. A file that checked declares no
+// global twice, so info.Globals[i] is File.Globals[i].
 func (b *builder) buildGlobals() {
-	for _, gd := range b.info.File.Globals {
-		var gi *sema.VarInfo
-		for _, v := range b.info.Globals {
-			if v.Name == gd.Name {
-				gi = v
-				break
-			}
-		}
-		if gi == nil {
-			continue
-		}
-		g := &Global{Name: gd.Name, Index: len(b.prog.Globals), Type: gi.Type, InitStr: -1}
-		if gd.Init != nil {
-			switch init := gd.Init.(type) {
-			case *ast.IntLit:
-				g.Init = init.Value
-			case *ast.NullLit:
-				g.Init = 0
-			case *ast.StringLit:
-				g.InitStr = b.internString(init.Value)
-			case *ast.UnaryExpr: // sema admits only a negated integer literal
-				g.Init = -init.X.(*ast.IntLit).Value
-			}
+	for i, gd := range b.info.File.Globals {
+		gi := b.info.Globals[i]
+		g := &Global{Name: gi.Name, Index: gi.Slot, Type: gi.Type, Init: b.info.ConstValues[gd.Init], InitStr: -1}
+		if s, ok := gd.Init.(*ast.StringLit); ok {
+			g.InitStr = b.internString(s.Value)
 		}
 		b.prog.Globals = append(b.prog.Globals, g)
 	}
@@ -154,51 +137,21 @@ func (b *builder) emit(in *Instr) *Instr {
 	return in
 }
 
-func (b *builder) pushScope() { b.scopes = append(b.scopes, make(map[string]int)) }
-func (b *builder) popScope()  { b.scopes = b.scopes[:len(b.scopes)-1] }
-
-func (b *builder) declareLocal(name string, t *sema.Type) int {
-	slot := len(b.fn.Locals)
-	b.fn.Locals = append(b.fn.Locals, Local{Name: name, Type: t})
-	b.scopes[len(b.scopes)-1][name] = slot
-	return slot
-}
-
-// lookupLocal returns the frame slot of name, or -1 if name is not a local.
-func (b *builder) lookupLocal(name string) int {
-	for i := len(b.scopes) - 1; i >= 0; i-- {
-		if s, ok := b.scopes[i][name]; ok {
-			return s
-		}
-	}
-	return -1
-}
-
 func (b *builder) buildFunc(fd *ast.FuncDecl) error {
 	b.fn = b.prog.FuncByName[fd.Name]
-	b.fn.Blocks = nil
-	b.fn.NumRegs = 0
-	b.fn.Locals = nil
 	b.cur = b.fn.newBlock()
-	b.scopes = nil
 	b.loops = nil
-	b.pushScope()
-	fi := b.info.Funcs[fd.Name]
-	for i, p := range fd.Params {
-		b.declareLocal(p.Name, fi.Sig.Params[i])
-	}
 	if err := b.stmt(fd.Body); err != nil {
 		return err
 	}
 	if b.cur.Terminator() == nil {
 		pos := fd.Pos()
-		if fi.Sig.Ret.Kind == sema.KindVoid {
+		if b.fn.Ret.Kind == sema.KindVoid {
 			b.emit(&Instr{Op: OpRet, Dst: -1, A: Nil, Pos: pos})
 		} else {
 			b.emit(&Instr{Op: OpRet, Dst: -1, A: constInt(0), Pos: pos})
 		}
 	}
-	b.popScope()
 	return nil
 }
 
@@ -207,30 +160,25 @@ func (b *builder) buildFunc(fd *ast.FuncDecl) error {
 func (b *builder) stmt(s ast.Stmt) error {
 	switch s := s.(type) {
 	case *ast.BlockStmt:
-		b.pushScope()
 		for _, st := range s.List {
 			if err := b.stmt(st); err != nil {
 				return err
 			}
 		}
-		b.popScope()
 		return nil
 	case *ast.DeclStmt:
-		var init Value
-		if s.Init != nil {
-			v, err := b.expr(s.Init)
-			if err != nil {
-				return err
-			}
-			init = v
+		// The slot is zeroed on function entry; only an initializer
+		// stores.
+		if s.Init == nil {
+			return nil
 		}
-		t := b.localDeclType(s)
-		slot := b.declareLocal(s.Name, t)
-		if s.Init != nil {
-			addr := b.newReg()
-			b.emit(&Instr{Op: OpLocalAddr, Dst: addr, Slot: slot, Pos: s.Pos()})
-			b.emit(&Instr{Op: OpStore, Dst: -1, A: reg(addr), B: init, Size: sema.WordSize, Pos: s.Pos()})
+		init, err := b.expr(s.Init)
+		if err != nil {
+			return err
 		}
+		addr := b.newReg()
+		b.emit(&Instr{Op: OpLocalAddr, Dst: addr, Slot: b.info.Decls[s].Slot, Pos: s.Pos()})
+		b.emit(&Instr{Op: OpStore, Dst: -1, A: reg(addr), B: init, Size: sema.WordSize, Pos: s.Pos()})
 		return nil
 	case *ast.ExprStmt:
 		_, err := b.expr(s.X)
@@ -299,7 +247,6 @@ func (b *builder) stmt(s ast.Stmt) error {
 		b.cur = endBlk
 		return nil
 	case *ast.ForStmt:
-		b.pushScope()
 		if s.Init != nil {
 			if err := b.stmt(s.Init); err != nil {
 				return err
@@ -344,7 +291,6 @@ func (b *builder) stmt(s ast.Stmt) error {
 			}
 		}
 		b.cur = endBlk
-		b.popScope()
 		return nil
 	case *ast.ReturnStmt:
 		if s.X == nil {
@@ -366,36 +312,6 @@ func (b *builder) stmt(s ast.Stmt) error {
 	default:
 		return fmt.Errorf("%s: unhandled statement %T", s.Pos(), s)
 	}
-}
-
-func (b *builder) localDeclType(s *ast.DeclStmt) *sema.Type {
-	// Re-resolve the declared type from the checker's viewpoint: the
-	// checker already validated it, so errors cannot occur here. We map
-	// the syntax to a resolved type using the struct table.
-	var resolve func(t ast.TypeExpr) *sema.Type
-	resolve = func(t ast.TypeExpr) *sema.Type {
-		switch t := t.(type) {
-		case *ast.NamedType:
-			switch t.Name {
-			case "string":
-				return sema.TypeString
-			case "void":
-				return sema.TypeVoid
-			default:
-				return sema.TypeInt
-			}
-		case *ast.StructRef:
-			if si, ok := b.info.Structs[t.Name]; ok {
-				return &sema.Type{Kind: sema.KindStruct, Struct: si}
-			}
-			return sema.TypeInt
-		case *ast.PointerType:
-			return sema.PointerTo(resolve(t.Elem))
-		default:
-			return sema.TypeInt
-		}
-	}
-	return resolve(s.Type)
 }
 
 // ---------------------------------------------------------------- exprs
@@ -584,17 +500,16 @@ func (b *builder) call(e *ast.CallExpr) (Value, error) {
 func (b *builder) addrOf(e ast.Expr) (Value, int64, error) {
 	switch e := e.(type) {
 	case *ast.Ident:
-		if slot := b.lookupLocal(e.Name); slot >= 0 {
-			dst := b.newReg()
-			b.emit(&Instr{Op: OpLocalAddr, Dst: dst, Slot: slot, Pos: e.Pos()})
-			return reg(dst), sema.WordSize, nil
-		}
-		g := b.prog.globalByName(e.Name)
-		if g == nil {
-			return Nil, 0, fmt.Errorf("%s: unknown variable %s", e.Pos(), e.Name)
+		v := b.info.Uses[e]
+		if v == nil {
+			return Nil, 0, fmt.Errorf("%s: unresolved variable %s", e.Pos(), e.Name)
 		}
 		dst := b.newReg()
-		b.emit(&Instr{Op: OpGlobalAddr, Dst: dst, Global: g.Index, Pos: e.Pos()})
+		if v.Global {
+			b.emit(&Instr{Op: OpGlobalAddr, Dst: dst, Global: v.Slot, Pos: e.Pos()})
+		} else {
+			b.emit(&Instr{Op: OpLocalAddr, Dst: dst, Slot: v.Slot, Pos: e.Pos()})
+		}
 		return reg(dst), sema.WordSize, nil
 	case *ast.UnaryExpr:
 		if e.Op != token.STAR {

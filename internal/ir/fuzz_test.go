@@ -12,10 +12,11 @@ import (
 
 // FuzzCompile feeds arbitrary source text to the MiniC front end — the
 // lexer, parser and type checker — and the IR builder behind it. None
-// may panic, and a source that does not compile is refused with a
-// token.ErrorList whose every position lies inside that source. The seed
-// corpus is the 12 suite programs, each whole and cut short at a few
-// points.
+// may panic. A source that compiles gives well-formed IR (see
+// checkWellFormed); one that does not is refused with a token.ErrorList
+// whose every position lies inside that source. The seed corpus is the
+// 12 suite programs, each whole and cut short at a few points, and
+// short-circuit and arithmetic expressions over three locals.
 func FuzzCompile(f *testing.F) {
 	for _, b := range bugs.All() {
 		src := b.Source
@@ -23,12 +24,19 @@ func FuzzCompile(f *testing.F) {
 			f.Add(src[:cut])
 		}
 	}
+	for _, e := range []string{
+		"a + b * c", "a && (b || c)", "!(a - b)", "-(a % (b + 1))",
+		"a == b", "(a < b) != (b >= c)", "a && b && c", "a || b || c",
+	} {
+		f.Add("int main() { int a = 1; int b = 2; int c = 3; int r = " + e + "; return r; }")
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := ir.Compile("f.mc", src)
 		if err == nil {
 			if p == nil {
 				t.Fatal("no program and no error")
 			}
+			checkWellFormed(t, p)
 			return
 		}
 		var list token.ErrorList
@@ -42,4 +50,38 @@ func FuzzCompile(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkWellFormed requires every block to end in a terminator, every
+// register operand and destination to lie below the function's NumRegs,
+// every frame slot below its Slots (which holds at least the
+// parameters), and every global index below len(Globals).
+func checkWellFormed(t *testing.T, p *ir.Program) {
+	t.Helper()
+	for _, fn := range p.Funcs {
+		if fn.Params > fn.Slots {
+			t.Fatalf("%s: %d params but %d slots", fn.Name, fn.Params, fn.Slots)
+		}
+		for _, b := range fn.Blocks {
+			if b.Terminator() == nil {
+				t.Fatalf("%s bb%d lacks a terminator", fn.Name, b.ID)
+			}
+			for _, in := range b.Instrs {
+				for _, v := range append([]ir.Value{in.A, in.B}, in.Args...) {
+					if v.Kind == ir.ValReg && (v.Reg < 0 || v.Reg >= fn.NumRegs) {
+						t.Fatalf("%s: %s reads r%d of %d registers", fn.Name, in, v.Reg, fn.NumRegs)
+					}
+				}
+				if in.Dst >= fn.NumRegs {
+					t.Fatalf("%s: %s writes r%d of %d registers", fn.Name, in, in.Dst, fn.NumRegs)
+				}
+				if in.Op == ir.OpLocalAddr && (in.Slot < 0 || in.Slot >= fn.Slots) {
+					t.Fatalf("%s: %s addresses a slot outside its %d", fn.Name, in, fn.Slots)
+				}
+				if in.Op == ir.OpGlobalAddr && (in.Global < 0 || in.Global >= len(p.Globals)) {
+					t.Fatalf("%s: %s addresses a global outside the %d", fn.Name, in, len(p.Globals))
+				}
+			}
+		}
+	}
 }

@@ -1,7 +1,7 @@
 // Package ir defines the intermediate representation that the
 // failure-sketching pipeline analyzes and executes.
 //
-// The IR is deliberately shaped like LLVM IR before mem2run promotion:
+// The IR is deliberately shaped like LLVM IR before mem2reg promotion:
 // every named variable (global or local) lives in memory and is accessed
 // through explicit Load/Store instructions, while temporaries live in
 // per-frame virtual registers. That shape is what makes the paper's
@@ -17,6 +17,10 @@
 // Each instruction records the source position of the statement it was
 // generated from; failure sketches are rendered by mapping slice
 // instructions back to source lines.
+//
+// Lowering reads names only through sema.Info: the checker binds each
+// identifier, numbers the frame slots and folds global initializers, so
+// the builder keeps no scope of its own.
 package ir
 
 import (
@@ -245,18 +249,12 @@ func (b *Block) Succs() []*Block {
 	}
 }
 
-// Local is a named stack slot (parameter or local variable).
-type Local struct {
-	Name string
-	Type *sema.Type
-}
-
 // Func is a function in IR form.
 type Func struct {
 	Name    string
 	ID      int
 	Params  int // the first Params slots hold the arguments
-	Locals  []Local
+	Slots   int // frame slots: parameters, then locals
 	Blocks  []*Block
 	NumRegs int
 	Ret     *sema.Type
@@ -302,16 +300,6 @@ type Program struct {
 	// SpawnTargets maps each spawn call instruction ID to the statically
 	// known thread start routine (the TICFG thread-creation edges).
 	SpawnTargets map[int]string
-}
-
-// globalByName returns the named global, or nil.
-func (p *Program) globalByName(name string) *Global {
-	for _, g := range p.Globals {
-		if g.Name == name {
-			return g
-		}
-	}
-	return nil
 }
 
 // finalize assigns program-wide instruction IDs, block back-references and
@@ -361,7 +349,7 @@ func (p *Program) String() string {
 		fmt.Fprintf(&b, "string s%d = %q\n", i, s)
 	}
 	for _, f := range p.Funcs {
-		fmt.Fprintf(&b, "\nfunc %s (params=%d, slots=%d, regs=%d):\n", f.Name, f.Params, len(f.Locals), f.NumRegs)
+		fmt.Fprintf(&b, "\nfunc %s (params=%d, slots=%d, regs=%d):\n", f.Name, f.Params, f.Slots, f.NumRegs)
 		for _, blk := range f.Blocks {
 			fmt.Fprintf(&b, "bb%d:\n", blk.ID)
 			for _, in := range blk.Instrs {

@@ -3,7 +3,6 @@ package ir
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/lang/token"
 )
@@ -259,44 +258,5 @@ func TestProgramStringRendering(t *testing.T) {
 		if !strings.Contains(out, frag) {
 			t.Errorf("IR dump missing %q:\n%s", frag, out)
 		}
-	}
-}
-
-// Property: for arbitrary small expression trees over declared ints, the
-// builder produces a program whose every block is well terminated and
-// whose register references are in range.
-func TestBuilderWellFormedProperty(t *testing.T) {
-	exprs := []string{
-		"a + b * c", "a && (b || c)", "!(a - b)", "-(a % (b + 1))",
-		"a == b", "(a < b) != (b >= c)", "a && b && c", "a || b || c",
-	}
-	f := func(pick uint8) bool {
-		e := exprs[int(pick)%len(exprs)]
-		src := "int main() { int a = 1; int b = 2; int c = 3; int r = " + e + "; return r; }"
-		p, err := Compile("t.mc", src)
-		if err != nil {
-			return false
-		}
-		for _, fn := range p.Funcs {
-			for _, b := range fn.Blocks {
-				if b.Terminator() == nil {
-					return false
-				}
-				for _, in := range b.Instrs {
-					for _, v := range []Value{in.A, in.B} {
-						if v.Kind == ValReg && (v.Reg < 0 || v.Reg >= fn.NumRegs) {
-							return false
-						}
-					}
-					if in.Dst >= fn.NumRegs {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -12,12 +12,18 @@ type VarInfo struct {
 	Name   string
 	Type   *Type
 	Global bool
+	// Slot is a global's index in Info.Globals, or a parameter's or
+	// local's frame slot: parameters first, then locals in declaration
+	// order.
+	Slot int
 }
 
-// FuncInfo is a resolved function: its declaration and signature.
+// FuncInfo is a resolved function: its declaration, signature and the
+// number of frame slots its parameters and locals take.
 type FuncInfo struct {
-	Decl *ast.FuncDecl
-	Sig  *FuncSig
+	Decl  *ast.FuncDecl
+	Sig   *FuncSig
+	Slots int
 }
 
 // Info is the result of type-checking a file. It is a side table keyed by
@@ -32,19 +38,22 @@ type Info struct {
 	ExprTypes map[ast.Expr]*Type
 	// Uses resolves identifier expressions to variables.
 	Uses map[*ast.Ident]*VarInfo
+	// Decls records the local each declaration statement declares.
+	Decls map[*ast.DeclStmt]*VarInfo
 	// SpawnTargets records, for each spawn(...) call, the statically known
 	// thread start routine. This is the information the paper recovers with
 	// data structure analysis to build the TICFG.
 	SpawnTargets map[*ast.CallExpr]string
 	// CallSigs records the resolved callee signature of every call.
 	CallSigs map[*ast.CallExpr]*FuncSig
-	// ConstValues records expressions folded to constants (sizeof).
+	// ConstValues records expressions folded to constants: sizeof calls
+	// and every global initializer but a string literal.
 	ConstValues map[ast.Expr]int64
 }
 
 // anyPtr is the wildcard pointer type (malloc's return type): assignable to
 // and from every pointer-like type, like void* in C.
-var anyPtr = PointerTo(TypeVoid)
+var anyPtr = pointerTo(TypeVoid)
 
 func isAnyPtr(t *Type) bool { return t.Kind == KindPointer && t.Elem.Kind == KindVoid }
 
@@ -82,6 +91,7 @@ func Check(f *ast.File) (*Info, error) {
 		Funcs:        make(map[string]*FuncInfo),
 		ExprTypes:    make(map[ast.Expr]*Type),
 		Uses:         make(map[*ast.Ident]*VarInfo),
+		Decls:        make(map[*ast.DeclStmt]*VarInfo),
 		SpawnTargets: make(map[*ast.CallExpr]string),
 		CallSigs:     make(map[*ast.CallExpr]*FuncSig),
 		ConstValues:  make(map[ast.Expr]int64),
@@ -150,10 +160,12 @@ func (c *checker) collectGlobals(f *ast.File) {
 			continue
 		}
 		seen[g.Name] = true
-		c.info.Globals = append(c.info.Globals, &VarInfo{Name: g.Name, Type: t, Global: true})
+		c.info.Globals = append(c.info.Globals, &VarInfo{Name: g.Name, Type: t, Global: true, Slot: len(c.info.Globals)})
 		if g.Init != nil {
-			if !constInit(g.Init) {
+			if v, ok := constInit(g.Init); !ok {
 				c.errorf(g.Pos(), "global initializer must be a constant")
+			} else if _, str := g.Init.(*ast.StringLit); !str {
+				c.info.ConstValues[g.Init] = v
 			}
 			it := c.checkExpr(g.Init)
 			if it != nil && !assignable(t, it) && !(t.isPointerLike() && isNull(g.Init)) {
@@ -164,17 +176,20 @@ func (c *checker) collectGlobals(f *ast.File) {
 }
 
 // constInit reports whether e is a global initializer the IR lays out
-// statically: an integer, string or null literal, or a negated integer
-// literal.
-func constInit(e ast.Expr) bool {
+// statically — an integer, string or null literal, or a negated integer
+// literal — and returns its value (0 for a string).
+func constInit(e ast.Expr) (int64, bool) {
 	switch e := e.(type) {
-	case *ast.IntLit, *ast.NullLit, *ast.StringLit:
-		return true
+	case *ast.IntLit:
+		return e.Value, true
+	case *ast.NullLit, *ast.StringLit:
+		return 0, true
 	case *ast.UnaryExpr:
-		_, lit := e.X.(*ast.IntLit)
-		return e.Op == token.MINUS && lit
+		if lit, ok := e.X.(*ast.IntLit); ok && e.Op == token.MINUS {
+			return -lit.Value, true
+		}
 	}
-	return false
+	return 0, false
 }
 
 func isNull(e ast.Expr) bool {
@@ -230,7 +245,7 @@ func (c *checker) resolveType(t ast.TypeExpr) *Type {
 		}
 		return &Type{Kind: KindStruct, Struct: si}
 	case *ast.PointerType:
-		return PointerTo(c.resolveType(t.Elem))
+		return pointerTo(c.resolveType(t.Elem))
 	default:
 		return TypeInt
 	}
@@ -248,6 +263,14 @@ func (c *checker) declare(pos token.Position, v *VarInfo) {
 		return
 	}
 	top[v.Name] = v
+}
+
+// newLocal gives a parameter or local of the current function the next
+// frame slot.
+func (c *checker) newLocal(name string, t *Type) *VarInfo {
+	v := &VarInfo{Name: name, Type: t, Slot: c.cur.Slots}
+	c.cur.Slots++
+	return v
 }
 
 func (c *checker) lookup(name string) *VarInfo {
@@ -274,7 +297,7 @@ func (c *checker) checkFunc(fn *ast.FuncDecl) {
 	c.cur = fi
 	c.pushScope()
 	for i, p := range fn.Params {
-		c.declare(p.Pos(), &VarInfo{Name: p.Name, Type: fi.Sig.Params[i]})
+		c.declare(p.Pos(), c.newLocal(p.Name, fi.Sig.Params[i]))
 	}
 	c.checkStmt(fn.Body)
 	c.popScope()
@@ -301,7 +324,9 @@ func (c *checker) checkStmt(s ast.Stmt) {
 				c.errorf(s.Init.Pos(), "cannot initialize %s (%s) with %s", s.Name, t, it)
 			}
 		}
-		c.declare(s.Pos(), &VarInfo{Name: s.Name, Type: t})
+		v := c.newLocal(s.Name, t)
+		c.info.Decls[s] = v
+		c.declare(s.Pos(), v)
 	case *ast.ExprStmt:
 		c.checkExpr(s.X)
 	case *ast.AssignStmt:
@@ -455,13 +480,13 @@ func (c *checker) checkUnary(e *ast.UnaryExpr) *Type {
 		switch x := e.X.(type) {
 		case *ast.Ident:
 			t := c.checkExpr(x)
-			return PointerTo(t)
+			return pointerTo(t)
 		case *ast.FieldExpr:
 			t := c.checkExpr(x)
-			return PointerTo(t)
+			return pointerTo(t)
 		case *ast.IndexExpr:
 			t := c.checkExpr(x)
-			return PointerTo(t)
+			return pointerTo(t)
 		default:
 			c.errorf(e.Pos(), "cannot take address of %s", ast.PrintExpr(e.X))
 			c.checkExpr(e.X)

@@ -220,8 +220,8 @@ func TestVariadicPrint(t *testing.T) {
 func TestAssignabilityMatrix(t *testing.T) {
 	intT := TypeInt
 	strT := TypeString
-	pInt := PointerTo(TypeInt)
-	pp := PointerTo(pInt)
+	pInt := pointerTo(TypeInt)
+	pp := pointerTo(pInt)
 	cases := []struct {
 		dst, src *Type
 		want     bool
@@ -235,7 +235,7 @@ func TestAssignabilityMatrix(t *testing.T) {
 		{pInt, pp, false},
 		{strT, anyPtr, true},
 		{strT, intT, false},
-		{pp, PointerTo(PointerTo(TypeInt)), true},
+		{pp, pointerTo(pointerTo(TypeInt)), true},
 	}
 	for _, c := range cases {
 		if got := assignable(c.dst, c.src); got != c.want {

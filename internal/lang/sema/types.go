@@ -2,6 +2,12 @@
 // a small nominal type system, struct layout, and the builtin function
 // catalogue shared with the VM.
 //
+// Sema is the front end's only resolver. It binds every identifier to
+// its variable, numbers each function's frame slots (parameters first,
+// then locals in declaration order, one slot per declaration) and folds
+// each global initializer to the value the IR lays out, so lowering
+// never looks a name up.
+//
 // All MiniC values are 64-bit machine words: ints, pointers, and strings
 // (a string value is a pointer to NUL-terminated bytes). Struct fields
 // occupy one word each, so field offsets are 8*index. This mirrors the
@@ -44,8 +50,8 @@ var (
 	TypeVoid   = &Type{Kind: KindVoid}
 )
 
-// PointerTo returns the type *elem.
-func PointerTo(elem *Type) *Type { return &Type{Kind: KindPointer, Elem: elem} }
+// pointerTo returns the type *elem.
+func pointerTo(elem *Type) *Type { return &Type{Kind: KindPointer, Elem: elem} }
 
 // equal reports structural type equality (nominal for structs).
 func (t *Type) equal(u *Type) bool {
@@ -170,7 +176,7 @@ const (
 // Builtins maps MiniC names to signatures. sizeof is special-cased by the
 // checker (its argument is a type name) and never reaches the VM.
 var Builtins = map[string]*FuncSig{
-	"malloc":    {Name: "malloc", Params: []*Type{TypeInt}, Ret: PointerTo(TypeVoid), Builtin: BuiltinMalloc},
+	"malloc":    {Name: "malloc", Params: []*Type{TypeInt}, Ret: pointerTo(TypeVoid), Builtin: BuiltinMalloc},
 	"free":      {Name: "free", Params: []*Type{nil}, Ret: TypeVoid, Builtin: BuiltinFree},
 	"spawn":     {Name: "spawn", Params: []*Type{nil, TypeInt}, Ret: TypeInt, Builtin: BuiltinSpawn},
 	"join":      {Name: "join", Params: []*Type{TypeInt}, Ret: TypeVoid, Builtin: BuiltinJoin},

@@ -293,7 +293,7 @@ func Compile(p *ir.Program) *Program {
 		out.funcs = append(out.funcs, funcInfo{
 			entry:   int32(f.Entry().Instrs[0].ID),
 			numRegs: int32(f.NumRegs),
-			nLocals: int32(len(f.Locals)),
+			nLocals: int32(f.Slots),
 			params:  int32(f.Params),
 			name:    f.Name,
 			ir:      f,

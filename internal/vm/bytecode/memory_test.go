@@ -39,7 +39,7 @@ func asm(funcs ...*ir.Func) *ir.Program {
 }
 
 func fn(name string, params, regs int, instrs ...*ir.Instr) *ir.Func {
-	f := &ir.Func{Name: name, Params: params, Locals: make([]ir.Local, params), NumRegs: regs}
+	f := &ir.Func{Name: name, Params: params, Slots: params, NumRegs: regs}
 	f.Blocks = []*ir.Block{{Fn: f, Instrs: instrs}}
 	return f
 }

@@ -156,7 +156,7 @@ func (v *VM) spawnThread(fn *ir.Func, arg *int64, parent int) *Thread {
 }
 
 func (v *VM) pushFrame(t *Thread, fn *ir.Func, callSite *ir.Instr, retPC PC, retDst int) *vm.Fault {
-	if (t.stackTop+len(fn.Locals)+8)*8 >= vm.StackStride {
+	if (t.stackTop+fn.Slots+8)*8 >= vm.StackStride {
 		return &vm.Fault{Kind: vm.FaultStackOverflow}
 	}
 	fr := &Frame{
@@ -168,13 +168,13 @@ func (v *VM) pushFrame(t *Thread, fn *ir.Func, callSite *ir.Instr, retPC PC, ret
 		CallSite: callSite,
 	}
 	// Zero the slots: freshly pushed frames see deterministic locals.
-	for i := range fn.Locals {
+	for i := range fn.Slots {
 		addr := vm.StackAddr(t.ID, fr.Base, i)
 		if f := v.Mem.Store(addr, 8, 0); f != nil {
 			return f
 		}
 	}
-	t.stackTop += len(fn.Locals)
+	t.stackTop += fn.Slots
 	t.Frames = append(t.Frames, fr)
 	t.PC = PC{Fn: fn, Blk: fn.Entry(), Idx: 0}
 	return nil
