@@ -6,7 +6,9 @@ package bytecode_test
 // diagnosis. Run with -bench 'VM(Interp|Bytecode)' -benchmem; the
 // benchmark reports the bytecode side of the same runs as
 // vm.bytecode.raw_run_us_p50, vm.bytecode.msteps_per_sec (Msteps/s here)
-// and vm.bytecode.allocs_per_run.
+// and vm.bytecode.allocs_per_run. Msteps/s counts Outcome.Steps, and so
+// the steps of pure calls the machine skipped (leaf.go) as well as the
+// ones it executed.
 
 import (
 	"fmt"
@@ -55,7 +57,8 @@ func BenchmarkVMBytecode(b *testing.B) {
 // BenchmarkVMPreempt prices scheduling in a raw run: the same runs at the
 // bug's own preemption mean, where a decision falls every few
 // instructions, and at 10⁶, where preemption is all but off. ns/step is
-// wall time over Outcome.Steps; the gap between the two is the switch tax.
+// wall time over Outcome.Steps, skipped pure calls' steps included; the
+// gap between the two is the switch tax.
 func BenchmarkVMPreempt(b *testing.B) {
 	for _, name := range []string{"pbzip2", "apache-3"} {
 		bug := bugs.ByName(name)

@@ -30,6 +30,11 @@
 //     own opcode.
 //   - a dispatch per instruction: LocalAddr+Load retires in one, yet
 //     fusion keeps one bytecode instruction per IR ID.
+//   - the bodies of pure leaf calls: a function that touches only its own
+//     frame runs once per (program, callee, arguments), and a later call
+//     that nothing watches inside the callee takes the recorded return
+//     value and frame bytes and banks the callee's steps as run-ahead
+//     credit (leaf.go).
 //
 // Programs that the interpreter would fault at runtime with "bad
 // opcode" / "bad binary op" / "bad builtin" compile to an opFail
@@ -116,6 +121,8 @@ type instr struct {
 // funcInfo is the compiled view of one ir.Func.
 type funcInfo struct {
 	entry   int32 // code index of the first instruction
+	end     int32 // code index past the last one
+	pure    bool  // touches only its own frame (see isPure)
 	numRegs int32
 	nLocals int32
 	params  int32
@@ -130,8 +137,9 @@ type globalInit struct {
 	val  int64
 }
 
-// Program is a compiled program. It is immutable after Compile and safe
-// for concurrent Run calls; per-run state lives in spare Machines.
+// Program is a compiled program. It is safe for concurrent Run calls:
+// per-run state lives in spare Machines, and the one part that changes
+// after Compile, the record of pure calls, is guarded and only grows.
 type Program struct {
 	ir       *ir.Program
 	code     []instr
@@ -145,6 +153,7 @@ type Program struct {
 	failMsgs []string
 	nGlobals int
 	zeroMask []uint8 // all-zero Hooks.StepMask, for runs whose consumer set none
+	leaves   leaves  // what calls of pure functions did (see leaf.go)
 }
 
 // NumInstrs returns the flat code length (== len(ir.Program.Instrs)).
@@ -290,8 +299,13 @@ func Compile(p *ir.Program) *Program {
 		if len(f.Blocks) == 0 || len(f.Entry().Instrs) == 0 {
 			panic(fmt.Sprintf("bytecode: function %s has no entry code", f.Name))
 		}
+		end := f.Entry().Instrs[0].ID
+		for _, b := range f.Blocks {
+			end += len(b.Instrs)
+		}
 		out.funcs = append(out.funcs, funcInfo{
 			entry:   int32(f.Entry().Instrs[0].ID),
+			end:     int32(end),
 			numRegs: int32(f.NumRegs),
 			nLocals: int32(f.Slots),
 			params:  int32(f.Params),
@@ -324,28 +338,38 @@ func Compile(p *ir.Program) *Program {
 			la.op = opLocalLoad
 		}
 	}
+	for i := range out.funcs {
+		fi := &out.funcs[i]
+		fi.pure = isPure(out.code[fi.entry:fi.end], fi.numRegs, fi.nLocals)
+	}
 	out.zeroMask = make([]uint8, len(out.code))
 	return out
 }
 
-// emit lowers one IR instruction; the result lands at code index in.ID.
+// emit lowers one IR instruction; the result lands at code index in.ID
+// and writes the register in.Dst names, none when it is -1.
 func (c *compiler) emit(in *ir.Instr) instr {
-	d := int32(in.Dst)
+	bi := c.lower(in)
+	bi.dst = int32(in.Dst)
+	return bi
+}
+
+func (c *compiler) lower(in *ir.Instr) instr {
 	switch in.Op {
 	case ir.OpMov:
-		return instr{op: opMov, dst: d, a: c.ref(in.A)}
+		return instr{op: opMov, a: c.ref(in.A)}
 	case ir.OpLocalAddr:
-		return instr{op: opLocalAddr, dst: d, imm: int64(in.Slot)}
+		return instr{op: opLocalAddr, imm: int64(in.Slot)}
 	case ir.OpGlobalAddr:
-		return instr{op: opMov, dst: d, a: c.constRef(vm.GlobalsBase + int64(in.Global)*8)}
+		return instr{op: opMov, a: c.constRef(vm.GlobalsBase + int64(in.Global)*8)}
 	case ir.OpStrAddr:
-		return instr{op: opMov, dst: d, a: c.constRef(c.out.strAddrs[in.Str])}
+		return instr{op: opMov, a: c.constRef(c.out.strAddrs[in.Str])}
 	case ir.OpFieldAddr:
-		return instr{op: opFieldAddr, dst: d, a: c.ref(in.A), imm: in.Offset}
+		return instr{op: opFieldAddr, a: c.ref(in.A), imm: in.Offset}
 	case ir.OpIndexAddr:
-		return instr{op: opIndexAddr, dst: d, a: c.ref(in.A), b: c.ref(in.B), imm: in.ElemSz}
+		return instr{op: opIndexAddr, a: c.ref(in.A), b: c.ref(in.B), imm: in.ElemSz}
 	case ir.OpLoad:
-		return instr{op: opLoad, dst: d, a: c.ref(in.A), sz: uint8(in.Size)}
+		return instr{op: opLoad, a: c.ref(in.A), sz: uint8(in.Size)}
 	case ir.OpStore:
 		return instr{op: opStore, a: c.ref(in.A), b: c.ref(in.B), sz: uint8(in.Size)}
 	case ir.OpBin:
@@ -353,11 +377,11 @@ func (c *compiler) emit(in *ir.Instr) instr {
 		if !ok {
 			return c.failInstr(fmt.Sprintf("bad binary op %s", in.BinOp))
 		}
-		return instr{op: op, dst: d, a: c.ref(in.A), b: c.ref(in.B)}
+		return instr{op: op, a: c.ref(in.A), b: c.ref(in.B)}
 	case ir.OpNot:
-		return instr{op: opNot, dst: d, a: c.ref(in.A)}
+		return instr{op: opNot, a: c.ref(in.A)}
 	case ir.OpNeg:
-		return instr{op: opNeg, dst: d, a: c.ref(in.A)}
+		return instr{op: opNeg, a: c.ref(in.A)}
 	case ir.OpBr:
 		return instr{op: opBr, a: c.ref(in.A), p: entryOf(in.Then), q: entryOf(in.Else)}
 	case ir.OpJmp:
@@ -378,19 +402,19 @@ func (c *compiler) emit(in *ir.Instr) instr {
 		for _, a := range in.Args {
 			c.out.argRefs = append(c.out.argRefs, c.ref(a))
 		}
-		return instr{op: opCall, dst: d, p: callee, q: off, imm: int64(len(in.Args))}
+		return instr{op: opCall, p: callee, q: off, imm: int64(len(in.Args))}
 	case ir.OpCallB:
-		return c.emitBuiltin(in, d)
+		return c.emitBuiltin(in)
 	default:
 		return c.failInstr(fmt.Sprintf("bad opcode %s", in.Op))
 	}
 }
 
-func (c *compiler) emitBuiltin(in *ir.Instr, d int32) instr {
+func (c *compiler) emitBuiltin(in *ir.Instr) instr {
 	arg := func(i int) int32 { return c.ref(in.Args[i]) }
 	switch in.Builtin {
 	case sema.BuiltinMalloc:
-		return instr{op: opMalloc, dst: d, a: arg(0)}
+		return instr{op: opMalloc, a: arg(0)}
 	case sema.BuiltinFree:
 		return instr{op: opFree, a: arg(0)}
 	case sema.BuiltinSpawn:
@@ -398,7 +422,7 @@ func (c *compiler) emitBuiltin(in *ir.Instr, d int32) instr {
 		if !ok {
 			panic(fmt.Sprintf("bytecode: spawn of unknown function %s", in.Args[0].Func))
 		}
-		return instr{op: opSpawn, dst: d, p: fn, a: arg(1)}
+		return instr{op: opSpawn, p: fn, a: arg(1)}
 	case sema.BuiltinJoin:
 		return instr{op: opJoin, a: arg(0)}
 	case sema.BuiltinLock:
@@ -416,11 +440,11 @@ func (c *compiler) emitBuiltin(in *ir.Instr, d int32) instr {
 	case sema.BuiltinPrints:
 		return instr{op: opPrints, a: arg(0)}
 	case sema.BuiltinStrlen:
-		return instr{op: opStrlen, dst: d, a: arg(0)}
+		return instr{op: opStrlen, a: arg(0)}
 	case sema.BuiltinInput:
-		return instr{op: opInput, dst: d, a: arg(0)}
+		return instr{op: opInput, a: arg(0)}
 	case sema.BuiltinInputStr:
-		return instr{op: opInputStr, dst: d, a: arg(0)}
+		return instr{op: opInputStr, a: arg(0)}
 	case sema.BuiltinYield:
 		return instr{op: opYield}
 	default:

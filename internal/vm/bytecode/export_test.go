@@ -49,3 +49,27 @@ func SpareMachines() int {
 	}
 	return len(held)
 }
+
+// Skips counts the calls of pure functions the machine's last run took
+// as recorded instead of executing them.
+func (m *Machine) Skips() int { return m.skips }
+
+// Dsts lists each instruction's destination register by code index.
+func (p *Program) Dsts() []int {
+	dsts := make([]int, len(p.code))
+	for pc, in := range p.code {
+		dsts[pc] = int(in.dst)
+	}
+	return dsts
+}
+
+// PureFuncs maps each pure function's name to its code range [entry, end).
+func (p *Program) PureFuncs() map[string][2]int {
+	pure := map[string][2]int{}
+	for _, fi := range p.funcs {
+		if fi.pure {
+			pure[fi.name] = [2]int{int(fi.entry), int(fi.end)}
+		}
+	}
+	return pure
+}

@@ -1,6 +1,7 @@
 package bytecode_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -16,11 +17,13 @@ import (
 // and the OnSchedule, OnSpawn, OnLoad, OnStore and OnStep streams, clocks
 // included, must be equal. Then the machine runs again twice where its
 // threads run ahead: without a step hook, where LocalAddr+Load pairs also
-// retire in one dispatch, and the final globals must match too; and under
-// maskedTracker, whose masked run must deliver the interpreter's relevant
-// events. The corpus starts from every bug at four seeds under its own
-// preemption mean, plus step limits that stop a run while a decision is
-// being charged to credit and right after a fused LocalAddr.
+// retire in one dispatch and calls of pure functions are skipped, and the
+// final globals must match too, as must the stack of every thread that
+// holds no credit; and under maskedTracker, whose masked run must deliver
+// the interpreter's relevant events. The corpus starts from every bug at
+// four seeds under its own preemption mean, plus step limits that stop a
+// run while a decision is being charged to credit, right after a fused
+// LocalAddr and inside a warm-up call that would be skipped.
 //
 //	go test -run '^$' -fuzz FuzzEngineDifferential -fuzztime 30s ./internal/vm/bytecode/
 func FuzzEngineDifferential(f *testing.F) {
@@ -35,10 +38,11 @@ func FuzzEngineDifferential(f *testing.F) {
 	}
 	for i, b := range all {
 		if name := b.Name; name == "pbzip2" || name == "apache-3" || name == "deadlock" {
-			midCredit, afterLocalAddr := edgeLimits(progs[i], bugVMConfig(b, 1))
+			midCredit, afterLocalAddr, inPure := edgeLimits(progs[i], bugVMConfig(b, 1))
 			own := uint8(bugVMConfig(b, 0).PreemptMean - 1)
 			f.Add(uint8(i), int64(1), own, uint32(midCredit-1))
 			f.Add(uint8(i), int64(1), own, uint32(afterLocalAddr-1))
+			f.Add(uint8(i), int64(1), own, uint32(inPure-1))
 		}
 	}
 	f.Fuzz(func(t *testing.T, bug uint8, seed int64, preemptMean uint8, maxSteps uint32) {
@@ -76,6 +80,11 @@ func FuzzEngineDifferential(f *testing.F) {
 			t.Fatalf("%s seed %d, no step hook: %s", name, seed, d)
 		}
 		globalsEqual(t, name+"/no-step-hook", b.Program(), oracle.Mem, m.Mem())
+		for tid := range oracle.Threads {
+			if m.Credit(tid) == 0 && !bytes.Equal(oracle.Mem.Stack(tid), m.Mem().Stack(tid)) {
+				t.Fatalf("%s seed %d, no step hook: thread %d holds no credit and its stack differs between the engines", name, seed, tid)
+			}
+		}
 
 		plain, masked := newMaskedTracker(b.Program()), newMaskedTracker(b.Program())
 		c.Hooks = plain.hooks(false)
@@ -128,13 +137,18 @@ func globalsEqual(t *testing.T, name string, prog *ir.Program, want, got *vm.Mem
 	}
 }
 
-// edgeLimits returns two step limits for a run of prog under cfg: one
-// that stops it while a decision is being charged to credit, and one
-// that stops it right after a fused LocalAddr, before its load.
-func edgeLimits(prog *bytecode.Program, cfg vm.Config) (midCredit, afterLocalAddr int64) {
+// edgeLimits returns three step limits for a run of prog under cfg: one
+// that stops it while a decision is being charged to credit, one that
+// stops it right after a fused LocalAddr, before its load, and one that
+// stops it 100 steps into the first call of a pure function.
+func edgeLimits(prog *bytecode.Program, cfg vm.Config) (midCredit, afterLocalAddr, inPure int64) {
 	fused := map[int]bool{}
 	for _, pc := range prog.FusedPairs() {
 		fused[pc] = true
+	}
+	entries := map[int]bool{}
+	for _, r := range prog.PureFuncs() {
+		entries[r[0]] = true
 	}
 	m := bytecode.NewMachine(prog)
 	cfg.Hooks.OnSchedule = func(from, to int, clock int64) {
@@ -147,7 +161,10 @@ func edgeLimits(prog *bytecode.Program, cfg vm.Config) (midCredit, afterLocalAdd
 		if afterLocalAddr == 0 && clock > 1000 && fused[in.ID] {
 			afterLocalAddr = clock + 1
 		}
+		if inPure == 0 && entries[in.ID] {
+			inPure = clock + 100
+		}
 	}}
 	m.Run(cfg)
-	return midCredit, afterLocalAddr
+	return midCredit, afterLocalAddr, inPure
 }

@@ -71,6 +71,7 @@ type Machine struct {
 	workloadAddrs []int64
 	args          []int64 // call-argument scratch (consumed before any reentry)
 	fault         *vm.FailureReport
+	skips         int // calls of pure functions this run did not execute (skipCall)
 }
 
 // NewMachine returns a cold machine for p. Its address space comes
@@ -82,8 +83,9 @@ func NewMachine(p *Program) *Machine {
 // reset prepares the machine for a fresh run under cfg, producing a
 // state indistinguishable from a newly built interpreter VM: zeroed
 // globals with initializers reapplied, the program string blob, workload
-// strings appended in order, the seeded RNG, and thread 0 entering main.
-func (m *Machine) reset(cfg vm.Config) {
+// strings appended in order, the seeded RNG, and thread 0 entering
+// funcs[entry] — main, except in a recording of a pure call.
+func (m *Machine) reset(cfg vm.Config, entry int32) {
 	m.cfg = cfg.Normalized()
 	m.rng.seed(cfg.Seed)
 	m.preempt = newIntn(2 * m.cfg.PreemptMean)
@@ -112,12 +114,13 @@ func (m *Machine) reset(cfg vm.Config) {
 	m.aheadCap = aheadMax
 	m.prints = m.prints[:0]
 	m.fault = nil
-	m.spawnThread(m.prog.mainIdx, nil, -1)
+	m.skips = 0
+	m.spawnThread(entry, nil, -1)
 }
 
 // Run resets the machine and executes to completion.
 func (m *Machine) Run(cfg vm.Config) *vm.Outcome {
-	m.reset(cfg)
+	m.reset(cfg, m.prog.mainIdx)
 	return m.run()
 }
 
@@ -169,11 +172,17 @@ func (m *Machine) spawnThread(fnIdx int32, arg *int64, parent int) *thread {
 	return t
 }
 
-// pushFrame enters funcs[fnIdx] on t. The overflow pre-check mirrors the
-// interpreter's and guarantees the local-zeroing cannot fault.
+// frameFits is the interpreter's overflow pre-check: whether a frame of
+// nLocals slots fits on a stack stackTop words deep.
+func frameFits(stackTop, nLocals int32) bool {
+	return (int(stackTop)+int(nLocals)+8)*8 < vm.StackStride
+}
+
+// pushFrame enters funcs[fnIdx] on t. The overflow pre-check guarantees
+// the local-zeroing cannot fault.
 func (m *Machine) pushFrame(t *thread, fnIdx, callSite, retPC, retDst int32) *vm.Fault {
 	fi := &m.prog.funcs[fnIdx]
-	if (int(t.stackTop)+int(fi.nLocals)+8)*8 >= vm.StackStride {
+	if !frameFits(t.stackTop, fi.nLocals) {
 		return &vm.Fault{Kind: vm.FaultStackOverflow}
 	}
 	base := t.regsTop
@@ -394,6 +403,12 @@ func opVal(win, consts []int64, ref int32) int64 {
 // clock on, charging credit, and the first one that t's credit does not
 // cover in full either picks t again — its pending step then runs at
 // exactly the interpreter's clock — or switches to another thread.
+//
+// A call of a pure function that nothing watches inside the callee is
+// taken whole (skipCall): clk and left move by the callee's recorded
+// steps at once, so left may fall below zero and the credit banked pass
+// aheadMax. Its bound is the step limit: a skip keeps the clock plus all
+// credit below it.
 //
 // A public access that lands in the stack of a thread holding credit
 // would see, or overwrite, bytes ahead of the clock; the machine then
@@ -675,6 +690,19 @@ frame:
 					args = append(args, opVal(win, consts, m.prog.argRefs[int(in.q)+k]))
 				}
 				m.args = args
+				if traced == 0 && ind == nil && (masked || onBranch == nil) {
+					// Nothing sees inside the callee: if it is pure, its
+					// steps are taken as recorded, and the checks below
+					// bank what passes the decision's end as credit.
+					if steps, ret, ok := m.skipCall(t, in.p, args, clk, stepMask); ok {
+						if in.dst >= 0 {
+							win[in.dst] = ret
+						}
+						clk += steps
+						left -= int(steps)
+						break
+					}
+				}
 				if f := m.pushFrame(t, in.p, ip, pc, in.dst); f != nil {
 					if left < room {
 						goto public

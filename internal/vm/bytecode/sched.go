@@ -193,10 +193,12 @@ func (m *Machine) schedule() *thread {
 	return next
 }
 
-// aheadMax caps one thread's credit. A run that ends — 62 % of the
-// fleet's fail — throws away the credit its threads hold, so the cap
-// bounds that waste; beyond it a thread's run-ahead gains little, as the
-// decisions it covers cost the same either way.
+// aheadMax caps the credit one thread earns step by step. A run that
+// ends — 62 % of the fleet's fail — throws away the credit its threads
+// hold, so the cap bounds that waste; beyond it a thread's run-ahead
+// gains little, as the decisions it covers cost the same either way. A
+// skipped pure call (skipCall) is not stepped and may bank more: it
+// costs nothing to throw away, and only the step limit bounds it.
 const aheadMax = 512
 
 // aheadRoom is the credit a thread whose decision ends at clock end may
@@ -236,7 +238,7 @@ func (m *Machine) rerun(c int64) {
 	cfg := m.cfg
 	silent := cfg
 	silent.Hooks = vm.Hooks{}
-	r.reset(silent)
+	r.reset(silent, m.prog.mainIdx)
 	r.cfg.MaxSteps, r.aheadCap = c, 0
 	r.run()
 	if c < cfg.MaxSteps && r.fault != nil && r.fault.Kind == vm.FaultHang {
@@ -246,6 +248,6 @@ func (m *Machine) rerun(c int64) {
 		r.threads[i].Traced = th.Traced
 	}
 	*m, *r = *r, *m
-	m.cfg, m.aheadCap = cfg, aheadMax
+	m.cfg, m.aheadCap, m.skips = cfg, aheadMax, r.skips
 	r.release()
 }
