@@ -28,8 +28,6 @@
 //     addresses are compile-time constants of the address-space layout.
 //   - generic switches: each binary operator and each builtin gets its
 //     own opcode.
-//   - a dispatch per instruction: LocalAddr+Load retires in one, yet
-//     fusion keeps one bytecode instruction per IR ID.
 //   - the bodies of pure leaf calls: a function that touches only its own
 //     frame runs once per (program, callee, arguments), and a later call
 //     that nothing watches inside the callee takes the recorded return
@@ -92,8 +90,7 @@ const (
 	opInput
 	opInputStr
 	opYield
-	opFail      // compile-time-known runtime fault (bad opcode/binop/builtin)
-	opLocalLoad // opLocalAddr whose result the next instruction, an opLoad, reads
+	opFail // compile-time-known runtime fault (bad opcode/binop/builtin)
 )
 
 // instr is one fixed-width bytecode instruction. Field meaning varies by
@@ -105,7 +102,7 @@ const (
 //	       func index / argRefs offset; opSpawn: callee func index;
 //	       opPrint: argRefs offset / arg count; opFail: failMsgs index
 //	sz     opLoad/opStore: access size (1 or 8); opRet: 1 = has value
-//	imm    opLocalAddr, opLocalLoad: slot; opFieldAddr: offset;
+//	imm    opLocalAddr: slot; opFieldAddr: offset;
 //	       opIndexAddr: elem size; opCall: arg count
 type instr struct {
 	op  opcode
@@ -327,15 +324,6 @@ func Compile(p *ir.Program) *Program {
 				}
 				out.code = append(out.code, c.emit(in))
 			}
-		}
-	}
-	// A local's address loaded from at once — the commonest pair the
-	// programs retire — becomes one opLocalLoad; the opLoad stays in place
-	// and runs alone wherever the pair cannot retire together.
-	for pc := 0; pc+1 < len(out.code); pc++ {
-		la, ld := &out.code[pc], &out.code[pc+1]
-		if la.op == opLocalAddr && la.dst >= 0 && ld.op == opLoad && ld.a == la.dst {
-			la.op = opLocalLoad
 		}
 	}
 	for i := range out.funcs {

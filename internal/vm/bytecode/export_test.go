@@ -18,21 +18,6 @@ func (p *Program) IR() *ir.Program { return p.ir }
 // Credit reports how many steps thread tid has run ahead of the clock.
 func (m *Machine) Credit(tid int) int64 { return m.threads[tid].credit }
 
-// AheadMax is the cap on one thread's credit.
-const AheadMax = aheadMax
-
-// FusedPairs lists the code indices — IR IDs — of the LocalAddr+Load
-// pairs that can retire in one dispatch.
-func (p *Program) FusedPairs() []int {
-	var pcs []int
-	for pc, in := range p.code {
-		if in.op == opLocalLoad {
-			pcs = append(pcs, pc)
-		}
-	}
-	return pcs
-}
-
 // SpareMachines counts the machines on the spare list by draining it
 // and putting them back in the same order.
 func SpareMachines() int {

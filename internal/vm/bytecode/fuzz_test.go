@@ -15,34 +15,53 @@ import (
 // FuzzEngineDifferential runs a suite bug on both engines at a fuzzed
 // seed, preemption mean (1..24) and step limit (1..200 000). The outcomes
 // and the OnSchedule, OnSpawn, OnLoad, OnStore and OnStep streams, clocks
-// included, must be equal. Then the machine runs again twice where its
-// threads run ahead: without a step hook, where LocalAddr+Load pairs also
-// retire in one dispatch and calls of pure functions are skipped, and the
-// final globals must match too, as must the stack of every thread that
-// holds no credit; and under maskedTracker, whose masked run must deliver
-// the interpreter's relevant events. The corpus starts from every bug at
-// four seeds under its own preemption mean, plus step limits that stop a
-// run while a decision is being charged to credit, right after a fused
-// LocalAddr and inside a warm-up call that would be skipped.
+// included, must be equal. Then the machine runs again where calls of
+// pure functions are skipped and threads hold their steps as credit:
+// without a step hook, where the final globals must match too, as must
+// the stack of every thread that holds no credit; and under two
+// maskedTrackers, one flagging every function and one leaving pure
+// callees unflagged (skipMask), whose masked runs must deliver the
+// interpreter's relevant events. The corpus starts from every bug at four
+// seeds under its own preemption mean, plus step limits that stop a
+// concurrency bug's run while a decision is being charged to credit, and
+// three bugs' runs inside a warm-up call that would be skipped. A corpus
+// entry that is not stopped inside a warm-up call must skip one under
+// skipMask.
 //
 //	go test -run '^$' -fuzz FuzzEngineDifferential -fuzztime 30s ./internal/vm/bytecode/
 func FuzzEngineDifferential(f *testing.F) {
+	type input struct {
+		bug, mean uint8
+		seed      int64
+		limit     uint32
+	}
+	mustSkip := map[input]bool{}
+	add := func(in input, skips bool) {
+		f.Add(in.bug, in.seed, in.mean, in.limit)
+		mustSkip[in] = skips
+	}
 	all := bugs.All()
 	progs := make([]*bytecode.Program, len(all))
+	skipMasks := make([][]uint8, len(all))
 	for i, b := range all {
 		progs[i] = bytecode.Compile(b.Program())
+		skipMasks[i] = skipMask(b.Program(), progs[i])
 		own := bugVMConfig(b, 0).PreemptMean
 		for seed := int64(0); seed < 4; seed++ {
-			f.Add(uint8(i), seed, uint8(own-1), uint32(200_000-1))
+			add(input{uint8(i), uint8(own - 1), seed, 200_000 - 1}, true)
 		}
 	}
 	for i, b := range all {
+		midCredit, inPure := edgeLimits(progs[i], bugVMConfig(b, 1))
+		own := uint8(bugVMConfig(b, 0).PreemptMean - 1)
+		if b.Concurrency {
+			if midCredit == 0 {
+				f.Fatalf("%s: no step limit stops its run while a decision is charged to credit", b.Name)
+			}
+			add(input{uint8(i), own, 1, uint32(midCredit - 1)}, true)
+		}
 		if name := b.Name; name == "pbzip2" || name == "apache-3" || name == "deadlock" {
-			midCredit, afterLocalAddr, inPure := edgeLimits(progs[i], bugVMConfig(b, 1))
-			own := uint8(bugVMConfig(b, 0).PreemptMean - 1)
-			f.Add(uint8(i), int64(1), own, uint32(midCredit-1))
-			f.Add(uint8(i), int64(1), own, uint32(afterLocalAddr-1))
-			f.Add(uint8(i), int64(1), own, uint32(inPure-1))
+			add(input{uint8(i), own, 1, uint32(inPure - 1)}, false)
 		}
 	}
 	f.Fuzz(func(t *testing.T, bug uint8, seed int64, preemptMean uint8, maxSteps uint32) {
@@ -86,14 +105,21 @@ func FuzzEngineDifferential(f *testing.F) {
 			}
 		}
 
-		plain, masked := newMaskedTracker(b.Program()), newMaskedTracker(b.Program())
-		c.Hooks = plain.hooks(false)
-		ref = interp.Run(b.Program(), c)
-		c.Hooks = masked.hooks(true)
-		out, _ = progs[i].Run(c)
-		outcomesEqual(t, name+"/masked", seed, ref, out)
-		if d := firstDiff(masked.delivered, plain.relevant); d != "" {
-			t.Fatalf("%s seed %d, masked: %s", name, seed, d)
+		for _, v := range []struct {
+			name string
+			mask []uint8
+		}{{"masked", newMaskedTracker(b.Program()).mask}, {"skipMask", skipMasks[i]}} {
+			plain, masked := trackerWithMask(v.mask), trackerWithMask(v.mask)
+			c.Hooks = plain.hooks(false)
+			ref = interp.Run(b.Program(), c)
+			c.Hooks = masked.hooks(true)
+			outcomesEqual(t, name+"/"+v.name, seed, ref, m.Run(c))
+			if d := firstDiff(masked.delivered, plain.relevant); d != "" {
+				t.Fatalf("%s seed %d, %s: %s", name, seed, v.name, d)
+			}
+		}
+		if mustSkip[input{bug, preemptMean, seed, maxSteps}] && m.Skips() == 0 {
+			t.Fatalf("%s seed %d: no call skipped under skipMask", name, seed)
 		}
 	})
 }
@@ -137,34 +163,61 @@ func globalsEqual(t *testing.T, name string, prog *ir.Program, want, got *vm.Mem
 	}
 }
 
-// edgeLimits returns three step limits for a run of prog under cfg: one
-// that stops it while a decision is being charged to credit, one that
-// stops it right after a fused LocalAddr, before its load, and one that
-// stops it 100 steps into the first call of a pure function.
-func edgeLimits(prog *bytecode.Program, cfg vm.Config) (midCredit, afterLocalAddr, inPure int64) {
-	fused := map[int]bool{}
-	for _, pc := range prog.FusedPairs() {
-		fused[pc] = true
+// edgeLimits returns two step limits for a run of prog under cfg: one
+// that stops it while a decision is being charged to credit, or 0 if
+// there is none, and one that stops it 100 steps into the first call of a
+// pure function.
+//
+// A skip keeps the clock plus all credit below the step limit, so a limit
+// that stops a run mid-credit lies past that sum at every skip before it.
+// The run without a limit proposes the clocks of decisions charged to
+// credit that lie past the sum as the last decision before the last skip
+// read it (it only grows), and a run with the limit confirms one.
+func edgeLimits(prog *bytecode.Program, cfg vm.Config) (midCredit, inPure int64) {
+	m := bytecode.NewMachine(prog)
+	threads, skips := 1, 0
+	var horizon, last int64 // the clock plus all credit: before the last skip, at the last decision
+	var proposed []int64
+	c := cfg
+	c.Hooks = vm.Hooks{
+		OnSpawn: func(_, child int, _ *ir.Func, _ int64) { threads = child + 1 },
+		OnSchedule: func(from, to int, clock int64) {
+			h := clock
+			for tid := 0; tid < threads; tid++ {
+				h += m.Credit(tid)
+			}
+			if m.Skips() != skips {
+				skips, horizon = m.Skips(), last
+			}
+			last = h
+			if clock >= horizon && m.Credit(to) > 1 && len(proposed) < 16 {
+				proposed = append(proposed, clock+1)
+			}
+		},
 	}
+	m.Run(c)
+	for _, limit := range proposed {
+		c := cfg
+		c.MaxSteps = limit
+		c.Hooks = vm.Hooks{OnSchedule: func(from, to int, clock int64) {
+			if clock == limit-1 && m.Credit(to) > 1 {
+				midCredit = limit
+			}
+		}}
+		if m.Run(c); midCredit != 0 {
+			break
+		}
+	}
+
 	entries := map[int]bool{}
 	for _, r := range prog.PureFuncs() {
 		entries[r[0]] = true
 	}
-	m := bytecode.NewMachine(prog)
-	cfg.Hooks.OnSchedule = func(from, to int, clock int64) {
-		if midCredit == 0 && clock > 1000 && m.Credit(to) > 1 {
-			midCredit = clock + 1
-		}
-	}
-	m.Run(cfg)
-	cfg.Hooks = vm.Hooks{OnStep: func(t *vm.Thread, in *ir.Instr, clock int64) {
-		if afterLocalAddr == 0 && clock > 1000 && fused[in.ID] {
-			afterLocalAddr = clock + 1
-		}
+	c.Hooks = vm.Hooks{OnStep: func(t *vm.Thread, in *ir.Instr, clock int64) {
 		if inPure == 0 && entries[in.ID] {
 			inPure = clock + 100
 		}
 	}}
-	m.Run(cfg)
-	return midCredit, afterLocalAddr, inPure
+	m.Run(c)
+	return midCredit, inPure
 }

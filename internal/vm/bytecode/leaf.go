@@ -51,7 +51,7 @@ type leaves struct {
 // isPure reports whether code, one function's, touches nothing but its
 // own frame of nLocals slots: it calls nothing and uses no builtin, and
 // every load and store is addressed by a register that only LocalAddr
-// (or LocalLoad) writes, with a slot inside the frame, and that nothing
+// writes, with a slot inside the frame, and that nothing
 // else reads — so no slot's address is stored, compared, computed with
 // or returned, and the frame's bytes are the same at any base. Division
 // by zero is left to the recording.
@@ -61,7 +61,7 @@ func isPure(code []instr, numRegs, nLocals int32) bool {
 	}
 	slot := make([]bool, numRegs) // the register holds a slot's address
 	for _, in := range code {
-		if in.op == opLocalAddr || in.op == opLocalLoad {
+		if in.op == opLocalAddr {
 			if in.imm < 0 || in.imm >= int64(nLocals) || in.dst >= numRegs {
 				return false
 			}
@@ -73,7 +73,7 @@ func isPure(code []instr, numRegs, nLocals int32) bool {
 	isSlot := func(ref int32) bool { return ref >= 0 && ref < numRegs && slot[ref] }
 	for _, in := range code {
 		switch in.op {
-		case opLocalAddr, opLocalLoad:
+		case opLocalAddr:
 			continue
 		case opLoad:
 			if !isSlot(in.a) {
@@ -110,14 +110,15 @@ func isPure(code []instr, numRegs, nLocals int32) bool {
 // executing the callee, where nothing can tell: the callee is pure, the
 // thread's step test is clear (the caller checks that, and that no
 // OnBranch or OnIndirect consumer is installed unless a mask silences
-// them), no mask flag falls inside the callee, the run is not a silent
-// re-run (which never runs ahead), the frame fits, and the callee's steps
-// keep the clock plus all credit below the step limit. It writes the
-// callee's frame bytes where its frame would be and returns the callee's
-// steps and return value; ok is false when the call must execute.
+// them), no mask flag falls inside the callee, the run is neither a
+// silent re-run nor a recording (which never run ahead), the frame fits,
+// and the callee's steps keep the clock plus all credit below the step
+// limit. It writes the callee's frame bytes where its frame would be and
+// returns the callee's steps and return value; ok is false when the call
+// must execute.
 func (m *Machine) skipCall(t *thread, fn int32, args []int64, clk int64, stepMask []uint8) (steps, ret int64, ok bool) {
 	fi := &m.prog.funcs[fn]
-	if !fi.pure || m.aheadCap == 0 || len(args) > leafArgs || len(args) > int(fi.params) ||
+	if !fi.pure || m.noSkip || len(args) > leafArgs || len(args) > int(fi.params) ||
 		!frameFits(t.stackTop, fi.nLocals) ||
 		slices.ContainsFunc(stepMask[fi.entry:fi.end], func(f uint8) bool { return f != 0 }) {
 		return 0, 0, false
@@ -164,7 +165,7 @@ func (p *Program) record(fn int32, args []int64) *leafRun {
 	r, _ := acquire(p)
 	defer r.release()
 	r.reset(vm.Config{MaxSteps: leafSteps, PreemptMean: leafSteps}, fn)
-	r.aheadCap = 0
+	r.noSkip = true
 	stack := r.mem.Stack(0)
 	for k, a := range args {
 		binary.LittleEndian.PutUint64(stack[k*8:], uint64(a))

@@ -346,8 +346,8 @@ func TestPureCallEdges(t *testing.T) {
 }
 
 // rerunsForced counts the runs of the rerun program in which main's
-// foreign read comes while spin holds more credit than stepping earns,
-// so a skipped call's, each run compared with the interpreter.
+// foreign read comes while spin holds a skipped call's steps as credit,
+// each run compared with the interpreter.
 func rerunsForced(t *testing.T, e *edgeRunner, text string) int {
 	t.Helper()
 	line := strings.Count(text[:strings.Index(text, "int v = *cell;")], "\n") + 1
@@ -367,7 +367,7 @@ func rerunsForced(t *testing.T, e *edgeRunner, text string) int {
 			held := false
 			cfg.Hooks = vm.Hooks{StepMask: mask, OnStep: func(th *vm.Thread, in *ir.Instr, clock int64) {
 				th.Traced = false
-				held = held || in.ID == read && e.m.Credit(1) > bytecode.AheadMax
+				held = held || in.ID == read && e.m.Credit(1) > 0
 			}}
 			outcomesEqual(t, "rerun/probe", seed, ref, e.m.Run(cfg))
 			if held {

@@ -65,7 +65,7 @@ type Machine struct {
 	quantum    int // the interpreter's quantum: steps of cur's decision after the next
 	clock      int64
 	ahead      int64 // the threads' credit, summed
-	aheadCap   int   // aheadMax, or 0 in a silent re-run
+	noSkip     bool  // a silent re-run or a recording: never skip
 
 	prints        []string
 	workloadAddrs []int64
@@ -111,7 +111,7 @@ func (m *Machine) reset(cfg vm.Config, entry int32) {
 	m.quantum = 0
 	m.clock = 0
 	m.ahead = 0
-	m.aheadCap = aheadMax
+	m.noSkip = false
 	m.prints = m.prints[:0]
 	m.fault = nil
 	m.skips = 0
@@ -390,25 +390,18 @@ func opVal(win, consts []int64, ref int32) int64 {
 // through the Machine (spawnThread consults m.clock for OnSpawn) get an
 // explicit flush first.
 //
-// Run-ahead: when t's decision is spent, t keeps going while its next
-// step is private — no OnStep due, and an instruction that touches only
-// t's registers and t's own stack, calls no hook and cannot fault — and
-// banks the steps as credit, with clk running ahead of the clock by as
-// much. left counts down the steps t may still take after the current
-// one: the interpreter's quantum plus room, the credit t may earn, which
-// is at most aheadMax and keeps the clock plus all credit below the step
-// limit. So t is ahead exactly when left < room, and every public step
-// checks that and stops t in front of itself unexecuted (the public
-// label). Then schedule() draws the decisions from the interpreter's
-// clock on, charging credit, and the first one that t's credit does not
-// cover in full either picks t again — its pending step then runs at
-// exactly the interpreter's clock — or switches to another thread.
-//
-// A call of a pure function that nothing watches inside the callee is
-// taken whole (skipCall): clk and left move by the callee's recorded
-// steps at once, so left may fall below zero and the credit banked pass
-// aheadMax. Its bound is the step limit: a skip keeps the clock plus all
-// credit below it.
+// left counts down the steps of t's decision after the current one, and
+// t stops when it is spent. Run-ahead: a call of a pure function that
+// nothing watches inside the callee is taken whole (skipCall), so clk and
+// left move by the callee's recorded steps at once. When that passes the
+// decision's end, left falls below zero, t stops right after the call
+// and banks -left steps as credit, with clk ahead of the clock by as
+// much; a skip keeps the clock plus all credit below the step limit.
+// Then schedule() draws the decisions from the interpreter's clock on,
+// charging credit, and the first one that t's credit does not cover in
+// full either picks t again — its next step then runs at exactly the
+// interpreter's clock — or switches to another thread. Every other step
+// runs at the interpreter's clock.
 //
 // A public access that lands in the stack of a thread holding credit
 // would see, or overwrite, bytes ahead of the clock; the machine then
@@ -439,8 +432,7 @@ func (m *Machine) runThread(t *thread) {
 	maxSteps := m.cfg.MaxSteps
 	pc := t.pc
 	clk := m.clock
-	room := m.aheadRoom(clk + int64(m.quantum) + 1)
-	left := m.quantum + room
+	left := m.quantum
 frame:
 	// One activation of one thread at a time: what this loop loads is
 	// invariant in the instruction loop inside it, which carries only pc,
@@ -462,10 +454,6 @@ frame:
 		for {
 			if !retrying {
 				if stepMask[pc]|traced != 0 {
-					if left < room {
-						left++ // OnStep is due: a public step t stops in front of
-						break
-					}
 					onStep(&t.Thread, irInstrs[pc], clk)
 					traced = t.stepBit(always, masked)
 				}
@@ -487,31 +475,6 @@ frame:
 				if in.dst >= 0 {
 					win[in.dst] = locals + in.imm*8
 				}
-			case opLocalLoad:
-				// opLocalAddr, and the opLoad after it retired in the same
-				// dispatch when the loop between the two would only count:
-				// the decision or the run-ahead and the step limit go on,
-				// OnStep does not see the load, and it reads the thread's own
-				// stack.
-				addr := locals + in.imm*8
-				win[in.dst] = addr
-				if left > 0 && clk < maxSteps && stepMask[pc]|traced == 0 {
-					ld := &code[pc]
-					if off, n := uint64(addr-stackLo), uint64(len(stack)); off < n && off+uint64(ld.sz) <= n {
-						var val int64
-						if ld.sz == 8 {
-							val = int64(binary.LittleEndian.Uint64(stack[off:]))
-						} else {
-							val = int64(stack[off])
-						}
-						if ld.dst >= 0 {
-							win[ld.dst] = val
-						}
-						left--
-						clk++
-						pc++
-					}
-				}
 			case opFieldAddr:
 				if in.dst >= 0 {
 					win[in.dst] = opVal(win, consts, in.a) + in.imm
@@ -530,9 +493,6 @@ frame:
 						val = int64(stack[off])
 					}
 				} else {
-					if left < room {
-						goto public
-					}
 					if m.stale(addr, int64(in.sz)) {
 						m.rerun(clk)
 						return
@@ -559,9 +519,6 @@ frame:
 						stack[off] = byte(val)
 					}
 				} else {
-					if left < room {
-						goto public
-					}
 					if m.stale(addr, int64(in.sz)) {
 						m.rerun(clk)
 						return
@@ -589,9 +546,6 @@ frame:
 			case opDiv:
 				b := opVal(win, consts, in.b)
 				if b == 0 {
-					if left < room {
-						goto public
-					}
 					m.failAt(t, ip, &vm.Fault{Kind: vm.FaultDivZero})
 					goto done
 				}
@@ -601,9 +555,6 @@ frame:
 			case opMod:
 				b := opVal(win, consts, in.b)
 				if b == 0 {
-					if left < room {
-						goto public
-					}
 					m.failAt(t, ip, &vm.Fault{Kind: vm.FaultDivZero})
 					goto done
 				}
@@ -645,9 +596,6 @@ frame:
 			case opBr:
 				taken := opVal(win, consts, in.a) != 0
 				if onBranch != nil && (traced != 0 || !masked) {
-					if left < room {
-						goto public
-					}
 					onBranch(&t.Thread, irInstrs[ip], taken, clk)
 				}
 				if taken {
@@ -661,9 +609,6 @@ frame:
 				ind := onIndirect
 				if masked && traced == 0 {
 					ind = nil
-				}
-				if left < room && (len(t.frames) == 1 || ind != nil) {
-					goto public
 				}
 				m.doRet(t, ip, in, ind, clk)
 				if len(t.frames) == 0 {
@@ -680,9 +625,6 @@ frame:
 				ind := onIndirect
 				if masked && traced == 0 {
 					ind = nil
-				}
-				if left < room && ind != nil {
-					goto public
 				}
 				argN := int(in.imm)
 				args := m.args[:0]
@@ -704,9 +646,6 @@ frame:
 					}
 				}
 				if f := m.pushFrame(t, in.p, ip, pc, in.dst); f != nil {
-					if left < room {
-						goto public
-					}
 					m.failAt(t, ip, f)
 					goto done
 				}
@@ -727,9 +666,6 @@ frame:
 					continue frame
 				}
 			case opMalloc:
-				if left < room {
-					goto public
-				}
 				addr, f := mem.Malloc(opVal(win, consts, in.a))
 				if f != nil {
 					m.failAt(t, ip, f)
@@ -739,17 +675,11 @@ frame:
 					win[in.dst] = addr
 				}
 			case opFree:
-				if left < room {
-					goto public
-				}
 				if f := mem.Free(opVal(win, consts, in.a)); f != nil {
 					m.failAt(t, ip, f)
 					goto done
 				}
 			case opSpawn:
-				if left < room {
-					goto public
-				}
 				arg := opVal(win, consts, in.a)
 				m.clock = clk // spawnThread's OnSpawn hook reads m.clock
 				child := m.spawnThread(in.p, &arg, t.ID)
@@ -760,9 +690,6 @@ frame:
 					onIndirect(&t.Thread, irInstrs[ip], irInstrs[m.prog.funcs[in.p].entry], clk)
 				}
 			case opJoin:
-				if left < room {
-					goto public
-				}
 				tid := int(opVal(win, consts, in.a))
 				if tid >= 0 && tid < len(m.threads) && m.threads[tid].state != vm.ThreadDone {
 					t.state = vm.ThreadBlocked
@@ -772,9 +699,6 @@ frame:
 					goto blocked
 				}
 			case opLock:
-				if left < room {
-					goto public
-				}
 				addr := opVal(win, consts, in.a)
 				if m.stale(addr, 8) {
 					m.rerun(clk)
@@ -797,9 +721,6 @@ frame:
 					goto done
 				}
 			case opUnlock:
-				if left < room {
-					goto public
-				}
 				addr := opVal(win, consts, in.a)
 				if m.stale(addr, 8) {
 					m.rerun(clk)
@@ -820,16 +741,10 @@ frame:
 				}
 			case opAssert:
 				if opVal(win, consts, in.a) == 0 {
-					if left < room {
-						goto public
-					}
 					m.failAt(t, ip, &vm.Fault{Kind: vm.FaultAssert, Msg: "assert failed"})
 					goto done
 				}
 			case opPrint:
-				if left < room {
-					goto public
-				}
 				argN := int(in.q)
 				parts := make([]string, argN)
 				for k := 0; k < argN; k++ {
@@ -837,9 +752,6 @@ frame:
 				}
 				m.prints = append(m.prints, strings.Join(parts, " "))
 			case opPrints, opStrlen:
-				if left < room {
-					goto public
-				}
 				addr := opVal(win, consts, in.a)
 				s, f := mem.LoadCString(addr)
 				// The bytes the scan looked at, or, when it faulted, any up
@@ -880,35 +792,24 @@ frame:
 					win[in.dst] = addr
 				}
 			case opYield:
-				if left < room {
-					goto public
-				}
-				left, room = 0, 0 // the decision ends here, and t runs no further
+				left = 0 // the decision ends here
 			case opFail:
-				if left < room {
-					goto public
-				}
 				m.failAt(t, ip, &vm.Fault{Kind: vm.FaultOutOfBounds, Msg: m.prog.failMsgs[in.p]})
 				goto done
 			}
 			if clk >= maxSteps {
 				goto done
 			}
-			if left > 0 {
-				left--
-				continue
+			if left <= 0 {
+				break
 			}
-			break
-		public:
-			// The step at ip is public and t is ahead of the clock: it
-			// stops in front of the step, which has not happened.
-			pc, clk, left = ip, clk-1, left+1
-			break
+			left--
 		}
-		// t's decision is spent and it has run ahead as far as it may:
-		// bank the credit and let the scheduler catch the clock up.
+		// t's decision is spent, and a skipped call may have carried it
+		// past the end: bank that as credit and let the scheduler catch
+		// the clock up.
 		t.pc = pc
-		t.credit = int64(room - left)
+		t.credit = int64(-left)
 		m.ahead += t.credit
 		m.clock = clk - t.credit
 		m.quantum = 0
@@ -916,9 +817,7 @@ frame:
 		if m.clock >= maxSteps {
 			return
 		}
-		pc, clk = next.pc, m.clock
-		room = m.aheadRoom(clk + int64(m.quantum) + 1)
-		left = m.quantum + room
+		pc, clk, left = next.pc, m.clock, m.quantum
 		t = next
 	}
 blocked:
@@ -929,7 +828,7 @@ done:
 	// the clock. A quantum left over is the interpreter's.
 	t.pc = pc
 	m.clock = clk
-	m.quantum = left - room
+	m.quantum = left
 }
 
 // stepBit is what t's Traced bit adds to runThread's step test: always

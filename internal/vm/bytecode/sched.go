@@ -16,11 +16,10 @@ import (
 // quantum expiry. This engine makes the same draws from its own copy of
 // the generator, one decision at a time and in the interpreter's order,
 // and picks from a list it keeps up to date. What it does not do is
-// switch threads at every decision: a thread whose quantum ends keeps
-// executing private steps — steps no hook and no other thread can
-// observe — and banks them as credit (see runThread), and a decision
-// that picks a thread holding enough credit is charged against it
-// instead of running anything.
+// switch threads at every decision: a thread whose skipped pure call
+// (skipCall) carries it past its decision's end banks the steps past it
+// as credit (see runThread), and a decision that picks a thread holding
+// enough credit is charged against it instead of running anything.
 
 // alfg is math/rand's additive lagged-Fibonacci generator,
 // x[n] = x[n-607] + x[n-273] mod 2^64, held in the machine. x[n] lives
@@ -34,7 +33,7 @@ type alfg struct {
 
 const (
 	alfgLong, alfgShort = 607, 273
-	alfgRing            = 1024 // a power of two with room for the long lag
+	alfgRing            = 1024 // a power of two above the long lag
 )
 
 // seed puts g in the state of rand.NewSource(s). math/rand stays the
@@ -137,10 +136,10 @@ func (m *Machine) wakeJoiners(tid int) {
 // runnable. A quantum left in m.quantum is the interpreter's: the thread
 // in effect, still runnable, takes the next step. Otherwise it draws:
 // Intn(runnable) for the pick and 1+Intn(2*PreemptMean) for a quantum, so
-// the decision covers g = 2+Intn steps of the picked thread. Steps the
-// thread has already run ahead are charged — its credit, and the clock,
-// move by up to g — and a decision charged in full is followed by the
-// next one. The thread returned has no credit left and m.quantum steps of
+// the decision covers g = 2+Intn steps of the picked thread. Its credit,
+// the steps of a skipped call that ran past an earlier decision's end, is
+// charged — the credit, and the clock, move by up to g — and a decision
+// charged in full is followed by the next one. The thread returned has no credit left and m.quantum steps of
 // its decision after the next one. Charging stops at the step limit, with
 // the clock there; callers check it first.
 func (m *Machine) schedule() *thread {
@@ -193,21 +192,6 @@ func (m *Machine) schedule() *thread {
 	return next
 }
 
-// aheadMax caps the credit one thread earns step by step. A run that
-// ends — 62 % of the fleet's fail — throws away the credit its threads
-// hold, so the cap bounds that waste; beyond it a thread's run-ahead
-// gains little, as the decisions it covers cost the same either way. A
-// skipped pure call (skipCall) is not stepped and may bank more: it
-// costs nothing to throw away, and only the step limit bounds it.
-const aheadMax = 512
-
-// aheadRoom is the credit a thread whose decision ends at clock end may
-// earn: at most aheadCap, and at most what keeps the clock plus all
-// credit below the step limit.
-func (m *Machine) aheadRoom(end int64) int {
-	return int(max(0, min(int64(m.aheadCap), m.cfg.MaxSteps-end-m.ahead-1)))
-}
-
 // stale reports whether the n bytes at addr reach into the stack of a
 // thread holding credit, whose bytes are ahead of the clock.
 func (m *Machine) stale(addr, n int64) bool {
@@ -239,7 +223,7 @@ func (m *Machine) rerun(c int64) {
 	silent := cfg
 	silent.Hooks = vm.Hooks{}
 	r.reset(silent, m.prog.mainIdx)
-	r.cfg.MaxSteps, r.aheadCap = c, 0
+	r.cfg.MaxSteps, r.noSkip = c, true
 	r.run()
 	if c < cfg.MaxSteps && r.fault != nil && r.fault.Kind == vm.FaultHang {
 		r.fault = nil
@@ -248,6 +232,6 @@ func (m *Machine) rerun(c int64) {
 		r.threads[i].Traced = th.Traced
 	}
 	*m, *r = *r, *m
-	m.cfg, m.aheadCap, m.skips = cfg, aheadMax, r.skips
+	m.cfg, m.noSkip, m.skips = cfg, false, r.skips
 	r.release()
 }

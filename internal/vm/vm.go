@@ -110,10 +110,10 @@ type Hooks struct {
 	// they fire on". The tree-walking interpreter ignores the mask and
 	// always calls: under the promise above the extra calls are no-ops,
 	// which is what lets it stay the oracle for the engine that skips
-	// them. The bytecode engine runs a thread's private steps — those no
-	// hook sees, touching only its own registers and stack — ahead of the
-	// schedule; every hook still fires at the interpreter's clock and sees
-	// shared memory as of that clock.
+	// them. The bytecode engine takes a call of a pure function — one
+	// that touches only its own frame — whole where no hook sees inside
+	// it, running its thread ahead of the schedule; every hook still fires
+	// at the interpreter's clock and sees shared memory as of that clock.
 	StepMask []uint8
 	// OnBranch fires at every conditional branch with its outcome.
 	OnBranch func(t *Thread, in *ir.Instr, taken bool, clock int64)
