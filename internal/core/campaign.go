@@ -814,17 +814,7 @@ func pushFleetCounters(tel *telemetry.Tracer, h FleetHealth) {
 	if tel == nil {
 		return
 	}
-	tel.Add("fleet.dispatched", int64(h.Dispatched))
-	tel.Add("fleet.arrived", int64(h.Arrived))
-	tel.Add("fleet.lost", int64(h.Lost))
-	tel.Add("fleet.deadlined", int64(h.Deadlined))
-	tel.Add("fleet.decode_errs", int64(h.DecodeErrs))
-	tel.Add("fleet.salvaged", int64(h.Salvaged))
-	tel.Add("fleet.quarantined", int64(h.Quarantined))
-	tel.Add("fleet.repaired", int64(h.Repaired))
-	tel.Add("fleet.traps_dropped", int64(h.TrapsDropped))
-	tel.Add("fleet.retries", int64(h.Retries))
-	tel.Add("fleet.reseeded", int64(h.Reseeded))
-	tel.Add("fleet.backoff_batches", int64(h.BackoffBatches))
-	tel.Add("fleet.low_confidence_iters", int64(h.LowConfidenceIters))
+	for _, c := range h.counts() {
+		tel.Add("fleet."+c.name, int64(*c.n))
+	}
 }

@@ -50,21 +50,32 @@ type FleetHealth struct {
 	LowConfidenceIters int
 }
 
+// fleetCount is one FleetHealth counter and its name.
+type fleetCount struct {
+	name string
+	n    *int
+}
+
+// counts lists h's counters in field order: the one list Merge, String
+// and the fleet.* telemetry counters walk.
+func (h *FleetHealth) counts() [13]fleetCount {
+	return [13]fleetCount{
+		{"dispatched", &h.Dispatched}, {"arrived", &h.Arrived},
+		{"lost", &h.Lost}, {"deadlined", &h.Deadlined},
+		{"decode_errs", &h.DecodeErrs}, {"salvaged", &h.Salvaged},
+		{"quarantined", &h.Quarantined}, {"repaired", &h.Repaired},
+		{"traps_dropped", &h.TrapsDropped}, {"retries", &h.Retries},
+		{"reseeded", &h.Reseeded}, {"backoff_batches", &h.BackoffBatches},
+		{"low_confidence_iters", &h.LowConfidenceIters},
+	}
+}
+
 // Merge accumulates another health summary into h.
 func (h *FleetHealth) Merge(o FleetHealth) {
-	h.Dispatched += o.Dispatched
-	h.Arrived += o.Arrived
-	h.Lost += o.Lost
-	h.Deadlined += o.Deadlined
-	h.DecodeErrs += o.DecodeErrs
-	h.Salvaged += o.Salvaged
-	h.Quarantined += o.Quarantined
-	h.Repaired += o.Repaired
-	h.TrapsDropped += o.TrapsDropped
-	h.Retries += o.Retries
-	h.Reseeded += o.Reseeded
-	h.BackoffBatches += o.BackoffBatches
-	h.LowConfidenceIters += o.LowConfidenceIters
+	oc := o.counts()
+	for i, c := range h.counts() {
+		*c.n += *oc[i].n
+	}
 }
 
 // Degraded reports whether the fleet lost or damaged anything.
@@ -77,22 +88,12 @@ func (h FleetHealth) Degraded() bool {
 // String renders the summary on one line, omitting zero fields.
 func (h FleetHealth) String() string {
 	parts := []string{fmt.Sprintf("dispatched=%d arrived=%d", h.Dispatched, h.Arrived)}
-	add := func(name string, v int) {
-		if v > 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", name, v))
+	cs := h.counts()
+	for _, c := range cs[2:] {
+		if *c.n > 0 {
+			parts = append(parts, fmt.Sprintf("%s=%d", strings.ReplaceAll(c.name, "_", "-"), *c.n))
 		}
 	}
-	add("lost", h.Lost)
-	add("deadlined", h.Deadlined)
-	add("decode-errs", h.DecodeErrs)
-	add("salvaged", h.Salvaged)
-	add("quarantined", h.Quarantined)
-	add("repaired", h.Repaired)
-	add("traps-dropped", h.TrapsDropped)
-	add("retries", h.Retries)
-	add("reseeded", h.Reseeded)
-	add("backoff-batches", h.BackoffBatches)
-	add("low-confidence-iters", h.LowConfidenceIters)
 	return strings.Join(parts, " ")
 }
 

@@ -96,7 +96,8 @@ const (
 // instr is one fixed-width bytecode instruction. Field meaning varies by
 // opcode:
 //
-//	dst    destination register, -1 if none (as in ir.Instr)
+//	dst    destination register: ir.Instr's, or the function's sink
+//	       register where the IR names none
 //	a, b   operand refs: >= 0 frame register, < 0 constant consts[^ref]
 //	p, q   opBr: then/else code index; opJmp: target; opCall: callee
 //	       func index / argRefs offset; opSpawn: callee func index;
@@ -120,11 +121,10 @@ type funcInfo struct {
 	entry   int32 // code index of the first instruction
 	end     int32 // code index past the last one
 	pure    bool  // touches only its own frame (see isPure)
-	numRegs int32
+	numRegs int32 // the IR's registers, then the sink
 	nLocals int32
 	params  int32
-	name    string
-	ir      *ir.Func // for OnSpawn hooks
+	ir      *ir.Func // its name, and what OnSpawn hooks see
 }
 
 // globalInit is one non-zero global initializer (index pre-multiplied
@@ -303,10 +303,9 @@ func Compile(p *ir.Program) *Program {
 		out.funcs = append(out.funcs, funcInfo{
 			entry:   int32(f.Entry().Instrs[0].ID),
 			end:     int32(end),
-			numRegs: int32(f.NumRegs),
+			numRegs: int32(f.NumRegs) + 1,
 			nLocals: int32(f.Slots),
 			params:  int32(f.Params),
-			name:    f.Name,
 			ir:      f,
 		})
 		c.fnIdx[f.Name] = int32(i)
@@ -322,7 +321,7 @@ func Compile(p *ir.Program) *Program {
 				if in.ID != len(out.code) {
 					panic("bytecode: program not finalized (instruction IDs not dense)")
 				}
-				out.code = append(out.code, c.emit(in))
+				out.code = append(out.code, c.emit(in, int32(f.NumRegs)))
 			}
 		}
 	}
@@ -335,10 +334,14 @@ func Compile(p *ir.Program) *Program {
 }
 
 // emit lowers one IR instruction; the result lands at code index in.ID
-// and writes the register in.Dst names, none when it is -1.
-func (c *compiler) emit(in *ir.Instr) instr {
+// and writes the register in.Dst names or, where that is -1, sink: a
+// register of its own that nothing reads, so every write is unguarded.
+func (c *compiler) emit(in *ir.Instr, sink int32) instr {
 	bi := c.lower(in)
 	bi.dst = int32(in.Dst)
+	if in.Dst < 0 {
+		bi.dst = sink
+	}
 	return bi
 }
 

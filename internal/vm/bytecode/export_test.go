@@ -48,12 +48,36 @@ func (p *Program) Dsts() []int {
 	return dsts
 }
 
+// Reads lists the operand refs each instruction reads, by code index:
+// a register where >= 0, a constant where < 0.
+func (p *Program) Reads() [][]int32 {
+	reads := make([][]int32, len(p.code))
+	for pc, in := range p.code {
+		switch in.op {
+		case opLocalAddr, opJmp, opYield, opFail:
+		case opRet:
+			if in.sz == 1 {
+				reads[pc] = []int32{in.a}
+			}
+		case opCall:
+			reads[pc] = p.argRefs[in.q : in.q+int32(in.imm)]
+		case opPrint:
+			reads[pc] = p.argRefs[in.p : in.p+in.q]
+		case opIndexAddr, opStore, opAdd, opSub, opMul, opDiv, opMod, opEq, opNe, opLt, opLe, opGt, opGe:
+			reads[pc] = []int32{in.a, in.b}
+		default:
+			reads[pc] = []int32{in.a}
+		}
+	}
+	return reads
+}
+
 // PureFuncs maps each pure function's name to its code range [entry, end).
 func (p *Program) PureFuncs() map[string][2]int {
 	pure := map[string][2]int{}
 	for _, fi := range p.funcs {
 		if fi.pure {
-			pure[fi.name] = [2]int{int(fi.entry), int(fi.end)}
+			pure[fi.ir.Name] = [2]int{int(fi.entry), int(fi.end)}
 		}
 	}
 	return pure

@@ -65,9 +65,7 @@ func isPure(code []instr, numRegs, nLocals int32) bool {
 			if in.imm < 0 || in.imm >= int64(nLocals) || in.dst >= numRegs {
 				return false
 			}
-			if in.dst >= 0 {
-				slot[in.dst] = true
-			}
+			slot[in.dst] = true
 		}
 	}
 	isSlot := func(ref int32) bool { return ref >= 0 && ref < numRegs && slot[ref] }

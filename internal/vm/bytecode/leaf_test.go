@@ -23,16 +23,34 @@ import (
 	"repro/internal/vm/interp"
 )
 
-// TestDstMatchesIR: every instruction names the IR's destination
-// register, -1 where it writes none. Purity reads it: a 0 left there
-// would be a write to register 0.
+// TestDstMatchesIR: every instruction writes the IR's destination
+// register or, where the IR names none, its function's sink (register
+// NumRegs), and no operand reads a sink. Purity and the unguarded writes
+// rely on both: a 0 there would be a write to register 0.
 func TestDstMatchesIR(t *testing.T) {
+	progs := map[string]*ir.Program{}
 	for _, b := range bugs.All() {
-		src := b.Program()
-		dsts := bytecode.Compile(src).Dsts()
+		progs[b.Name] = b.Program()
+	}
+	for _, c := range scopeCases {
+		progs["scope/"+c.name] = ir.MustCompile("scope.mc", c.src)
+	}
+	for name, src := range progs {
+		prog := bytecode.Compile(src)
+		dsts, reads := prog.Dsts(), prog.Reads()
 		for pc, in := range src.Instrs {
-			if dsts[pc] != in.Dst {
-				t.Errorf("%s: instruction %d (%s) writes r%d, the IR says r%d", b.Name, pc, in.Op, dsts[pc], in.Dst)
+			sink := in.Blk.Fn.NumRegs
+			want := in.Dst
+			if want < 0 {
+				want = sink
+			}
+			if dsts[pc] != want {
+				t.Errorf("%s: instruction %d (%s) writes r%d, want r%d (IR r%d, sink r%d)", name, pc, in.Op, dsts[pc], want, in.Dst, sink)
+			}
+			for _, ref := range reads[pc] {
+				if int(ref) >= sink {
+					t.Errorf("%s: instruction %d (%s) reads r%d, at or past its function's sink r%d", name, pc, in.Op, ref, sink)
+				}
 			}
 		}
 	}

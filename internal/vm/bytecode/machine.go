@@ -12,14 +12,15 @@ import (
 
 // frame is one activation record. Registers live in the thread's flat
 // regs array at [base, base+numRegs); locals live in the thread's stack
-// memory at word [memBase, memBase+nLocals).
+// memory at word [memBase, memBase+nLocals). callSite is the code index
+// (== ir.Instr.ID) of the call, -1 for the bottom frame: a call is never
+// a terminator, so the caller resumes at callSite+1, and the return
+// value goes to code[callSite].dst.
 type frame struct {
 	fn       int32
 	base     int32
 	memBase  int32
-	retPC    int32
-	retDst   int32
-	callSite int32 // ir.Instr.ID of the call, -1 for the bottom frame
+	callSite int32
 }
 
 // thread is one VM thread. All slices are reused across runs: a reset
@@ -139,26 +140,21 @@ func (m *Machine) getThread() *thread {
 func (m *Machine) spawnThread(fnIdx int32, arg *int64, parent int) *thread {
 	t := m.getThread()
 	tid := len(m.threads)
-	t.Thread = vm.Thread{ID: tid, Traced: true} // first step always reaches OnStep
-	t.state = vm.ThreadRunnable
-	t.blockMutex = 0
-	t.blockJoin = -1
-	t.pc = 0
-	t.frames = t.frames[:0]
-	t.regs = t.regs[:0]
-	t.regsTop = 0
-	t.stackTop = 0
-	t.result = 0
-	t.retrying = false
-	t.credit = 0
 	m.mem.EnsureStack(tid)
-	t.stack = m.mem.Stack(tid)
+	*t = thread{
+		Thread:    vm.Thread{ID: tid, Traced: true}, // first step always reaches OnStep
+		state:     vm.ThreadRunnable,
+		blockJoin: -1,
+		frames:    t.frames[:0],
+		regs:      t.regs[:0],
+		stack:     m.mem.Stack(tid),
+	}
 	m.threads = append(m.threads, t)
 	m.runnable = append(m.runnable, t) // the highest ID so far
 	if len(m.pick) < len(m.threads) {
 		m.pick = append(m.pick, newIntn(len(m.threads)))
 	}
-	m.pushFrame(t, fnIdx, -1, 0, -1)
+	m.pushFrame(t, fnIdx, -1)
 	fi := &m.prog.funcs[fnIdx]
 	if arg != nil && fi.params > 0 {
 		addr := vm.StackAddr(tid, 0, 0)
@@ -180,7 +176,7 @@ func frameFits(stackTop, nLocals int32) bool {
 
 // pushFrame enters funcs[fnIdx] on t. The overflow pre-check guarantees
 // the local-zeroing cannot fault.
-func (m *Machine) pushFrame(t *thread, fnIdx, callSite, retPC, retDst int32) *vm.Fault {
+func (m *Machine) pushFrame(t *thread, fnIdx, callSite int32) *vm.Fault {
 	fi := &m.prog.funcs[fnIdx]
 	if !frameFits(t.stackTop, fi.nLocals) {
 		return &vm.Fault{Kind: vm.FaultStackOverflow}
@@ -199,21 +195,10 @@ func (m *Machine) pushFrame(t *thread, fnIdx, callSite, retPC, retDst int32) *vm
 	if fi.nLocals > 0 {
 		m.mem.ZeroStackWords(t.ID, int(t.stackTop), int(fi.nLocals))
 	}
-	t.frames = append(t.frames, frame{
-		fn: fnIdx, base: base, memBase: t.stackTop,
-		retPC: retPC, retDst: retDst, callSite: callSite,
-	})
+	t.frames = append(t.frames, frame{fn: fnIdx, base: base, memBase: t.stackTop, callSite: callSite})
 	t.stackTop += fi.nLocals
 	t.pc = fi.entry
 	return nil
-}
-
-// val resolves an operand reference against a frame-register window.
-func (m *Machine) val(t *thread, base, ref int32) int64 {
-	if ref >= 0 {
-		return t.regs[base+ref]
-	}
-	return m.prog.consts[^ref]
 }
 
 // stackTrace is nil, as on the interpreter, for a thread with no frames:
@@ -226,7 +211,7 @@ func (m *Machine) stackTrace(t *thread) []vm.StackEntry {
 	for i := len(t.frames) - 1; i >= 0; i-- {
 		fr := &t.frames[i]
 		out = append(out, vm.StackEntry{
-			Fn: m.prog.funcs[fr.fn].name, CallSiteID: int(fr.callSite),
+			Fn: m.prog.funcs[fr.fn].ir.Name, CallSiteID: int(fr.callSite),
 		})
 	}
 	return out
@@ -338,7 +323,7 @@ func (m *Machine) doRet(t *thread, pc int32, in *instr, onIndirect func(*vm.Thre
 	fr := t.frames[len(t.frames)-1]
 	ret := int64(0)
 	if in.sz == 1 {
-		ret = m.val(t, fr.base, in.a)
+		ret = opVal(t.regs[fr.base:], m.prog.consts, in.a)
 	}
 	t.frames = t.frames[:len(t.frames)-1]
 	t.stackTop = fr.memBase
@@ -351,16 +336,11 @@ func (m *Machine) doRet(t *thread, pc int32, in *instr, onIndirect func(*vm.Thre
 		m.wakeJoiners(t.ID)
 		return
 	}
-	// Non-bottom frames always have a valid return site: calls are never
-	// block terminators, so the instruction after the call exists.
+	t.pc = fr.callSite + 1
 	if onIndirect != nil {
-		onIndirect(&t.Thread, m.prog.ir.Instrs[pc], m.prog.ir.Instrs[fr.retPC], clock)
+		onIndirect(&t.Thread, m.prog.ir.Instrs[pc], m.prog.ir.Instrs[t.pc], clock)
 	}
-	t.pc = fr.retPC
-	if fr.retDst >= 0 {
-		parent := &t.frames[len(t.frames)-1]
-		t.regs[parent.base+fr.retDst] = ret
-	}
+	t.regs[t.frames[len(t.frames)-1].base+m.prog.code[fr.callSite].dst] = ret
 }
 
 // opVal resolves an operand reference: a register of the current frame's
@@ -468,21 +448,13 @@ frame:
 			pc++
 			switch in.op {
 			case opMov:
-				if in.dst >= 0 {
-					win[in.dst] = opVal(win, consts, in.a)
-				}
+				win[in.dst] = opVal(win, consts, in.a)
 			case opLocalAddr:
-				if in.dst >= 0 {
-					win[in.dst] = locals + in.imm*8
-				}
+				win[in.dst] = locals + in.imm*8
 			case opFieldAddr:
-				if in.dst >= 0 {
-					win[in.dst] = opVal(win, consts, in.a) + in.imm
-				}
+				win[in.dst] = opVal(win, consts, in.a) + in.imm
 			case opIndexAddr:
-				if in.dst >= 0 {
-					win[in.dst] = opVal(win, consts, in.a) + opVal(win, consts, in.b)*in.imm
-				}
+				win[in.dst] = opVal(win, consts, in.a) + opVal(win, consts, in.b)*in.imm
 			case opLoad:
 				addr := opVal(win, consts, in.a)
 				var val int64
@@ -506,9 +478,7 @@ frame:
 						onLoad(&t.Thread, irInstrs[ip], addr, val, int64(in.sz), clk)
 					}
 				}
-				if in.dst >= 0 {
-					win[in.dst] = val
-				}
+				win[in.dst] = val
 			case opStore:
 				addr := opVal(win, consts, in.a)
 				val := opVal(win, consts, in.b)
@@ -532,67 +502,41 @@ frame:
 					}
 				}
 			case opAdd:
-				if in.dst >= 0 {
-					win[in.dst] = opVal(win, consts, in.a) + opVal(win, consts, in.b)
-				}
+				win[in.dst] = opVal(win, consts, in.a) + opVal(win, consts, in.b)
 			case opSub:
-				if in.dst >= 0 {
-					win[in.dst] = opVal(win, consts, in.a) - opVal(win, consts, in.b)
-				}
+				win[in.dst] = opVal(win, consts, in.a) - opVal(win, consts, in.b)
 			case opMul:
-				if in.dst >= 0 {
-					win[in.dst] = opVal(win, consts, in.a) * opVal(win, consts, in.b)
-				}
+				win[in.dst] = opVal(win, consts, in.a) * opVal(win, consts, in.b)
 			case opDiv:
 				b := opVal(win, consts, in.b)
 				if b == 0 {
 					m.failAt(t, ip, &vm.Fault{Kind: vm.FaultDivZero})
 					goto done
 				}
-				if in.dst >= 0 {
-					win[in.dst] = opVal(win, consts, in.a) / b
-				}
+				win[in.dst] = opVal(win, consts, in.a) / b
 			case opMod:
 				b := opVal(win, consts, in.b)
 				if b == 0 {
 					m.failAt(t, ip, &vm.Fault{Kind: vm.FaultDivZero})
 					goto done
 				}
-				if in.dst >= 0 {
-					win[in.dst] = opVal(win, consts, in.a) % b
-				}
+				win[in.dst] = opVal(win, consts, in.a) % b
 			case opEq:
-				if in.dst >= 0 {
-					win[in.dst] = b2i(opVal(win, consts, in.a) == opVal(win, consts, in.b))
-				}
+				win[in.dst] = b2i(opVal(win, consts, in.a) == opVal(win, consts, in.b))
 			case opNe:
-				if in.dst >= 0 {
-					win[in.dst] = b2i(opVal(win, consts, in.a) != opVal(win, consts, in.b))
-				}
+				win[in.dst] = b2i(opVal(win, consts, in.a) != opVal(win, consts, in.b))
 			case opLt:
-				if in.dst >= 0 {
-					win[in.dst] = b2i(opVal(win, consts, in.a) < opVal(win, consts, in.b))
-				}
+				win[in.dst] = b2i(opVal(win, consts, in.a) < opVal(win, consts, in.b))
 			case opLe:
-				if in.dst >= 0 {
-					win[in.dst] = b2i(opVal(win, consts, in.a) <= opVal(win, consts, in.b))
-				}
+				win[in.dst] = b2i(opVal(win, consts, in.a) <= opVal(win, consts, in.b))
 			case opGt:
-				if in.dst >= 0 {
-					win[in.dst] = b2i(opVal(win, consts, in.a) > opVal(win, consts, in.b))
-				}
+				win[in.dst] = b2i(opVal(win, consts, in.a) > opVal(win, consts, in.b))
 			case opGe:
-				if in.dst >= 0 {
-					win[in.dst] = b2i(opVal(win, consts, in.a) >= opVal(win, consts, in.b))
-				}
+				win[in.dst] = b2i(opVal(win, consts, in.a) >= opVal(win, consts, in.b))
 			case opNot:
-				if in.dst >= 0 {
-					win[in.dst] = b2i(opVal(win, consts, in.a) == 0)
-				}
+				win[in.dst] = b2i(opVal(win, consts, in.a) == 0)
 			case opNeg:
-				if in.dst >= 0 {
-					win[in.dst] = -opVal(win, consts, in.a)
-				}
+				win[in.dst] = -opVal(win, consts, in.a)
 			case opBr:
 				taken := opVal(win, consts, in.a) != 0
 				if onBranch != nil && (traced != 0 || !masked) {
@@ -637,15 +581,13 @@ frame:
 					// steps are taken as recorded, and the checks below
 					// bank what passes the decision's end as credit.
 					if steps, ret, ok := m.skipCall(t, in.p, args, clk, stepMask); ok {
-						if in.dst >= 0 {
-							win[in.dst] = ret
-						}
+						win[in.dst] = ret
 						clk += steps
 						left -= int(steps)
 						break
 					}
 				}
-				if f := m.pushFrame(t, in.p, ip, pc, in.dst); f != nil {
+				if f := m.pushFrame(t, in.p, ip); f != nil {
 					m.failAt(t, ip, f)
 					goto done
 				}
@@ -671,9 +613,7 @@ frame:
 					m.failAt(t, ip, f)
 					goto done
 				}
-				if in.dst >= 0 {
-					win[in.dst] = addr
-				}
+				win[in.dst] = addr
 			case opFree:
 				if f := mem.Free(opVal(win, consts, in.a)); f != nil {
 					m.failAt(t, ip, f)
@@ -683,9 +623,7 @@ frame:
 				arg := opVal(win, consts, in.a)
 				m.clock = clk // spawnThread's OnSpawn hook reads m.clock
 				child := m.spawnThread(in.p, &arg, t.ID)
-				if in.dst >= 0 {
-					win[in.dst] = int64(child.ID)
-				}
+				win[in.dst] = int64(child.ID)
 				if onIndirect != nil && (traced != 0 || !masked) {
 					onIndirect(&t.Thread, irInstrs[ip], irInstrs[m.prog.funcs[in.p].entry], clk)
 				}
@@ -770,7 +708,7 @@ frame:
 				}
 				if in.op == opPrints {
 					m.prints = append(m.prints, s)
-				} else if in.dst >= 0 {
+				} else {
 					win[in.dst] = int64(len(s))
 				}
 			case opInput:
@@ -779,18 +717,14 @@ frame:
 				if i >= 0 && i < len(m.cfg.Workload.Ints) {
 					val = m.cfg.Workload.Ints[i]
 				}
-				if in.dst >= 0 {
-					win[in.dst] = val
-				}
+				win[in.dst] = val
 			case opInputStr:
 				i := int(opVal(win, consts, in.a))
 				var addr int64
 				if i >= 0 && i < len(m.workloadAddrs) {
 					addr = m.workloadAddrs[i]
 				}
-				if in.dst >= 0 {
-					win[in.dst] = addr
-				}
+				win[in.dst] = addr
 			case opYield:
 				left = 0 // the decision ends here
 			case opFail:
