@@ -203,20 +203,17 @@ func RecordRun(plan *Plan, spec RunSpec, dec faults.Decision) *RunTrace {
 			}
 		}
 	}
-	// OnLoad and OnStore share one closure: the instruction says which of
-	// the two it is.
 	if plan.Feats.DataFlow && plan.Feats.ExtendedPT && plan.Feats.ControlFlow {
 		// Extended-PT data flow (§6): every shared access inside a traced
 		// region becomes a PTW packet; no debug registers, no groups.
-		data := func(t *vm.Thread, in *ir.Instr, addr, val, size int64, clock int64) {
-			tracer.Data(t.ID, in.ID, addr, val, size, in.Op == ir.OpStore, clock)
+		hooks.OnAccess = func(t *vm.Thread, in *ir.Instr, addr, val, size int64, write bool, clock int64) {
+			tracer.Data(t.ID, in.ID, addr, val, size, write, clock)
 		}
-		hooks.OnLoad, hooks.OnStore = data, data
 	} else if grp := key.group; plan.Feats.DataFlow && grp >= 0 {
 		// Without watch groups nothing is ever armed, so no access can trap
-		// and the hooks stay nil.
+		// and the hook stays nil.
 		var armedClass [watch.NumRegisters]bool
-		access := func(t *vm.Thread, in *ir.Instr, addr, val, size int64, clock int64) {
+		hooks.OnAccess = func(t *vm.Thread, in *ir.Instr, addr, val, size int64, write bool, clock int64) {
 			// Arm a watchpoint the first time a tracked access touches its
 			// location class (conceptually inserted right before the
 			// access, so the triggering access itself traps too). One
@@ -231,9 +228,8 @@ func RecordRun(plan *Plan, spec RunSpec, dec faults.Decision) *RunTrace {
 					armedClass[k] = true
 				}
 			}
-			unit.CheckAccess(t.ID, in.ID, addr, size, val, in.Op == ir.OpStore, clock)
+			unit.CheckAccess(t.ID, in.ID, addr, size, val, write, clock)
 		}
-		hooks.OnLoad, hooks.OnStore = access, access
 	}
 
 	execSpan := plan.Telemetry.StartSpan(telemetry.PhaseRunExec)

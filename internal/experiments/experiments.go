@@ -516,8 +516,7 @@ func rrRecord(prog *ir.Program, cfg vm.Config) *cost.Meter {
 				meter.AddExtra(cost.RRSerializeMC)
 			}
 		},
-		OnLoad:     func(*vm.Thread, *ir.Instr, int64, int64, int64, int64) { event() },
-		OnStore:    func(*vm.Thread, *ir.Instr, int64, int64, int64, int64) { event() },
+		OnAccess:   func(*vm.Thread, *ir.Instr, int64, int64, int64, bool, int64) { event() },
 		OnSchedule: func(int, int, int64) { event() },
 		OnSpawn:    func(int, int, *ir.Func, int64) { event() },
 	}

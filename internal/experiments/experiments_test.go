@@ -173,8 +173,7 @@ func TestRRRecordMeter(t *testing.T) {
 	count := func(prog *ir.Program, cfg vm.Config) (steps, events int64) {
 		event := func() { events++ }
 		cfg.Hooks = vm.Hooks{
-			OnLoad:     func(*vm.Thread, *ir.Instr, int64, int64, int64, int64) { event() },
-			OnStore:    func(*vm.Thread, *ir.Instr, int64, int64, int64, int64) { event() },
+			OnAccess:   func(*vm.Thread, *ir.Instr, int64, int64, int64, bool, int64) { event() },
 			OnSchedule: func(int, int, int64) { event() },
 			OnSpawn:    func(int, int, *ir.Func, int64) { event() },
 		}

@@ -152,9 +152,9 @@ func (u *Unit) slotFor(addr, size int64, anyKind bool) int {
 }
 
 // CheckAccess is called by the client runtime on every data memory access
-// (wired to the VM's OnLoad/OnStore hooks). If the access overlaps an
-// armed watchpoint of a matching kind, a trap is recorded and true is
-// returned.
+// (wired to the VM's OnAccess hook, which says whether the access wrote).
+// If the access overlaps an armed watchpoint of a matching kind, a trap is
+// recorded and true is returned.
 func (u *Unit) CheckAccess(thread, instrID int, addr, size, val int64, isWrite bool, clock int64) bool {
 	var slot int
 	if isWrite {

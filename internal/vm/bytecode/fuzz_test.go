@@ -14,7 +14,7 @@ import (
 
 // FuzzEngineDifferential runs a suite bug on both engines at a fuzzed
 // seed, preemption mean (1..24) and step limit (1..200 000). The outcomes
-// and the OnSchedule, OnSpawn, OnLoad, OnStore and OnStep streams, clocks
+// and the OnSchedule, OnSpawn, OnAccess and OnStep streams, clocks
 // included, must be equal. Then the machine runs again where calls of
 // pure functions are skipped and threads hold their steps as credit:
 // without a step hook, where the final globals must match too, as must
@@ -124,23 +124,19 @@ func FuzzEngineDifferential(f *testing.F) {
 	})
 }
 
-// streamHooks records OnSchedule, OnSpawn, OnLoad and OnStore, and OnStep
-// if steps is set.
+// streamHooks records OnSchedule, OnSpawn and OnAccess, and OnStep if
+// steps is set. An access is tagged 'w' or 'l' by the hook's write flag,
+// so an engine that reports a store as a load, or a load as a store,
+// leaves a stream unlike the other engine's.
 func streamHooks(into *[]hookEvent, steps bool) vm.Hooks {
-	data := func(t *vm.Thread, in *ir.Instr, addr, val, size, clock int64) {
-		kind := byte('l')
-		if in.Op == ir.OpStore {
-			kind = 'w'
-		}
-		*into = append(*into, hookEvent{kind: kind, tid: t.ID, id: in.ID, a: addr, b: val<<8 | size, clock: clock})
-	}
 	h := vm.Hooks{
 		OnSchedule: scheduleRecorder(into),
 		OnSpawn: func(parent, child int, fn *ir.Func, clock int64) {
 			*into = append(*into, hookEvent{kind: 'p', tid: parent, id: child, a: int64(fn.ID), clock: clock})
 		},
-		OnLoad:  data,
-		OnStore: data,
+		OnAccess: func(t *vm.Thread, in *ir.Instr, addr, val, size int64, write bool, clock int64) {
+			*into = append(*into, accessEvent(t, in, addr, val, size, write, clock))
+		},
 	}
 	if steps {
 		h.OnStep = func(t *vm.Thread, in *ir.Instr, clock int64) {

@@ -149,8 +149,8 @@ func skipMask(src *ir.Program, prog *bytecode.Program) []uint8 {
 }
 
 // skipPasses runs cfg on e's machine and on the interpreter twice: with
-// the clocked OnSchedule, OnSpawn, OnLoad and OnStore stream but no step
-// hook, comparing the outcome, the stream and the memory, and under a
+// the clocked OnSchedule, OnSpawn and OnAccess stream but no step hook,
+// comparing the outcome, the stream and the memory, and under a
 // maskedTracker with skipMask, comparing the outcome and the delivered
 // events with the interpreter's relevant ones. It returns the skips of
 // each machine run.

@@ -394,7 +394,7 @@ func (m *Machine) runThread(t *thread) {
 	irInstrs := m.prog.ir.Instrs
 	mem := m.mem
 	onStep, onBranch, onIndirect := m.cfg.Hooks.OnStep, m.cfg.Hooks.OnBranch, m.cfg.Hooks.OnIndirect
-	onLoad, onStore := m.cfg.Hooks.OnLoad, m.cfg.Hooks.OnStore
+	onAccess := m.cfg.Hooks.OnAccess
 	// "Does OnStep see this step" is one load and one branch,
 	// stepMask[pc]|traced != 0: without a consumer mask the program's
 	// all-zero one stands in and traced alone decides — always 0 with no
@@ -474,8 +474,8 @@ frame:
 						m.failAt(t, ip, f)
 						goto done
 					}
-					if onLoad != nil && !vm.IsStackAddr(addr) {
-						onLoad(&t.Thread, irInstrs[ip], addr, val, int64(in.sz), clk)
+					if onAccess != nil && !vm.IsStackAddr(addr) {
+						onAccess(&t.Thread, irInstrs[ip], addr, val, int64(in.sz), false, clk)
 					}
 				}
 				win[in.dst] = val
@@ -497,8 +497,8 @@ frame:
 						m.failAt(t, ip, f)
 						goto done
 					}
-					if onStore != nil && !vm.IsStackAddr(addr) {
-						onStore(&t.Thread, irInstrs[ip], addr, val, int64(in.sz), clk)
+					if onAccess != nil && !vm.IsStackAddr(addr) {
+						onAccess(&t.Thread, irInstrs[ip], addr, val, int64(in.sz), true, clk)
 					}
 				}
 			case opAdd:

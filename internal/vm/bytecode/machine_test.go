@@ -167,11 +167,12 @@ func recordingHooks(events *[]string, runnable func() int) vm.Hooks {
 		OnIndirect: func(t *vm.Thread, in *ir.Instr, target *ir.Instr, clock int64) {
 			add("indirect t%d %%%d -> %%%d @%d", t.ID, in.ID, target.ID, clock)
 		},
-		OnLoad: func(t *vm.Thread, in *ir.Instr, addr, val, size, clock int64) {
-			add("load t%d %%%d [%#x]=%d sz%d @%d", t.ID, in.ID, addr, val, size, clock)
-		},
-		OnStore: func(t *vm.Thread, in *ir.Instr, addr, val, size, clock int64) {
-			add("store t%d %%%d [%#x]=%d sz%d @%d", t.ID, in.ID, addr, val, size, clock)
+		OnAccess: func(t *vm.Thread, in *ir.Instr, addr, val, size int64, write bool, clock int64) {
+			op := "load"
+			if write {
+				op = "store"
+			}
+			add("%s t%d %%%d [%#x]=%d sz%d @%d", op, t.ID, in.ID, addr, val, size, clock)
 		},
 		OnSchedule: func(from, to int, clock int64) {
 			add("sched %d->%d @%d", from, to, clock)
@@ -375,6 +376,16 @@ type hookEvent struct {
 	clock   int64
 }
 
+// accessEvent is one OnAccess call as a hookEvent, a load or a write as
+// the hook's write flag says.
+func accessEvent(t *vm.Thread, in *ir.Instr, addr, val, size int64, write bool, clock int64) hookEvent {
+	kind := byte('l')
+	if write {
+		kind = 'w'
+	}
+	return hookEvent{kind: kind, tid: t.ID, id: in.ID, a: addr, b: val<<8 | size, clock: clock}
+}
+
 // maskedTracker is a hook consumer of the kind Hooks.StepMask is for: a
 // per-thread on/off tracker driven by start and stop-after flags on
 // instructions, whose OnStep does nothing at an unflagged instruction of
@@ -460,11 +471,8 @@ func (m *maskedTracker) hooks(withMask bool) vm.Hooks {
 		OnIndirect: func(t *vm.Thread, in *ir.Instr, target *ir.Instr, clock int64) {
 			m.flow(hookEvent{kind: 'i', tid: t.ID, id: in.ID, a: int64(target.ID), clock: clock})
 		},
-		OnLoad: func(t *vm.Thread, in *ir.Instr, addr, val, size, clock int64) {
-			m.both(hookEvent{kind: 'l', tid: t.ID, id: in.ID, a: addr, b: val<<8 | size, clock: clock})
-		},
-		OnStore: func(t *vm.Thread, in *ir.Instr, addr, val, size, clock int64) {
-			m.both(hookEvent{kind: 'w', tid: t.ID, id: in.ID, a: addr, b: val<<8 | size, clock: clock})
+		OnAccess: func(t *vm.Thread, in *ir.Instr, addr, val, size int64, write bool, clock int64) {
+			m.both(accessEvent(t, in, addr, val, size, write, clock))
 		},
 		OnSchedule: func(from, to int, clock int64) {
 			m.both(hookEvent{kind: 'c', tid: from, id: to, clock: clock})

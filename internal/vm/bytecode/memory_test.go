@@ -2,7 +2,7 @@ package bytecode_test
 
 // The engine reads and writes the running thread's own stack without
 // asking vm.Memory, keeps its own list of runnable threads, and — like
-// the interpreter — reports only shared memory to OnLoad/OnStore. These
+// the interpreter — reports only shared memory to OnAccess. These
 // tests hold the three to the interpreter where they could come apart:
 // at the ends of a stack region, on another thread's stack, when threads
 // block and wake out of ID order, and in what the data hooks are handed.
@@ -198,7 +198,7 @@ int main() {
 	}
 }
 
-// access is one OnLoad or OnStore call.
+// access is one OnAccess call.
 type access struct {
 	store           bool
 	tid, id         int
@@ -206,14 +206,15 @@ type access struct {
 	clock           int64
 }
 
-// TestDataHooksReportSharedMemoryOnly pins the OnLoad/OnStore contract on
-// both engines, on the whole suite and on a program whose threads touch
-// each other's stacks: no stack address is ever delivered, and what is
+// TestDataHooksReportSharedMemoryOnly pins the OnAccess contract on both
+// engines, on the whole suite and on a program whose threads touch each
+// other's stacks: no stack address is ever delivered, and what is
 // delivered is exactly the run's successful accesses with the stack ones
-// taken out. The full stream is rebuilt without any data hook: from inside
+// taken out, each flagged a write exactly when its instruction is a
+// store. The full stream is rebuilt without any data hook: from inside
 // the interpreter's OnStep, just before a load or store executes, its
 // address and value are read out of the interpreter's own registers and
-// memory.
+// memory, and whether it writes out of the IR.
 func TestDataHooksReportSharedMemoryOnly(t *testing.T) {
 	for _, b := range bugs.All() {
 		b := b
@@ -235,10 +236,9 @@ func sharedAccessesOnly(t *testing.T, prog *bytecode.Program, cfg vm.Config) {
 	t.Helper()
 	seed := cfg.Seed
 	collect := func(into *[]access) vm.Hooks {
-		hook := func(t *vm.Thread, in *ir.Instr, addr, val, size, clock int64) {
-			*into = append(*into, access{store: in.Op == ir.OpStore, tid: t.ID, id: in.ID, addr: addr, val: val, size: size, clock: clock})
-		}
-		return vm.Hooks{OnLoad: hook, OnStore: hook}
+		return vm.Hooks{OnAccess: func(t *vm.Thread, in *ir.Instr, addr, val, size int64, write bool, clock int64) {
+			*into = append(*into, access{store: write, tid: t.ID, id: in.ID, addr: addr, val: val, size: size, clock: clock})
+		}}
 	}
 
 	var all, fromInterp, fromMachine []access

@@ -6,9 +6,9 @@ package bytecode_test
 // everything that could tell: a foreign-stack access into it, the step
 // limit, main returning, and every instruction that changes the runnable
 // set or ends a quantum early — and hold the engine to the interpreter
-// there under three hook sets: none, the clocked OnSchedule, OnSpawn,
-// OnLoad and OnStore stream, and a maskedTracker that leaves pure
-// callees unflagged. A fourth, masked probe set sees the edges themselves
+// there under three hook sets: none, the clocked OnSchedule, OnSpawn
+// and OnAccess stream, and a maskedTracker that leaves pure callees
+// unflagged. A fourth, masked probe set sees the edges themselves
 // and counts the ones reached while another thread held credit.
 
 import (

@@ -355,8 +355,8 @@ func (v *VM) step(t *Thread) {
 			return
 		}
 		v.setReg(t, in.Dst, val)
-		if v.cfg.Hooks.OnLoad != nil && !vm.IsStackAddr(addr) {
-			v.cfg.Hooks.OnLoad(&t.Thread, in, addr, val, in.Size, v.Clock)
+		if v.cfg.Hooks.OnAccess != nil && !vm.IsStackAddr(addr) {
+			v.cfg.Hooks.OnAccess(&t.Thread, in, addr, val, in.Size, false, v.Clock)
 		}
 	case ir.OpStore:
 		addr := v.eval(t, in.A)
@@ -365,8 +365,8 @@ func (v *VM) step(t *Thread) {
 			v.failAt(t, in, f)
 			return
 		}
-		if v.cfg.Hooks.OnStore != nil && !vm.IsStackAddr(addr) {
-			v.cfg.Hooks.OnStore(&t.Thread, in, addr, val, in.Size, v.Clock)
+		if v.cfg.Hooks.OnAccess != nil && !vm.IsStackAddr(addr) {
+			v.cfg.Hooks.OnAccess(&t.Thread, in, addr, val, in.Size, true, v.Clock)
 		}
 	case ir.OpBin:
 		res, f := v.binop(in.BinOp, v.eval(t, in.A), v.eval(t, in.B))

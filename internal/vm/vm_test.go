@@ -350,20 +350,20 @@ func TestDeterminism(t *testing.T) {
 
 func TestHooksFire(t *testing.T) {
 	var steps, branches, loads, stores, scheds, spawns, stack int
-	data := func(n *int) func(*vm.Thread, *ir.Instr, int64, int64, int64, int64) {
-		return func(_ *vm.Thread, _ *ir.Instr, addr, _, _, _ int64) {
-			*n++
+	cfg := vm.Config{Seed: 3, PreemptMean: 2}
+	cfg.Hooks = vm.Hooks{
+		OnStep:   func(*vm.Thread, *ir.Instr, int64) { steps++ },
+		OnBranch: func(_ *vm.Thread, _ *ir.Instr, _ bool, _ int64) { branches++ },
+		OnAccess: func(_ *vm.Thread, _ *ir.Instr, addr, _, _ int64, write bool, _ int64) {
+			if write {
+				stores++
+			} else {
+				loads++
+			}
 			if vm.IsStackAddr(addr) {
 				stack++
 			}
-		}
-	}
-	cfg := vm.Config{Seed: 3, PreemptMean: 2}
-	cfg.Hooks = vm.Hooks{
-		OnStep:     func(*vm.Thread, *ir.Instr, int64) { steps++ },
-		OnBranch:   func(_ *vm.Thread, _ *ir.Instr, _ bool, _ int64) { branches++ },
-		OnLoad:     data(&loads),
-		OnStore:    data(&stores),
+		},
 		OnSchedule: func(_, _ int, _ int64) { scheds++ },
 		OnSpawn:    func(_, _ int, _ *ir.Func, _ int64) { spawns++ },
 	}
@@ -375,10 +375,10 @@ func TestHooksFire(t *testing.T) {
 	if int64(steps) != out.Steps {
 		t.Errorf("OnStep count %d != Steps %d", steps, out.Steps)
 	}
-	// The data hooks report shared memory only; pbzipLike's threads keep
+	// OnAccess reports shared memory only; pbzipLike's threads keep
 	// locals, so stack accesses did happen.
 	if stack != 0 {
-		t.Errorf("OnLoad/OnStore were handed %d stack accesses, want none", stack)
+		t.Errorf("OnAccess was handed %d stack accesses, want none", stack)
 	}
 }
 
