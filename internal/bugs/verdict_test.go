@@ -109,12 +109,8 @@ func TestVerdictTable(t *testing.T) {
 		for i, b := range all {
 			t.Run(b.Name, func(t *testing.T) {
 				t.Parallel()
-				var wide verdictRow
 				rows[i], digests[i][0] = verdict(t, b, widths[0])
-				wide, digests[i][1] = verdict(t, b, widths[1])
-				if fmt.Sprint(wide) != fmt.Sprint(rows[i]) {
-					t.Errorf("Workers %d row %v, Workers 1 row %v", widths[1], wide, rows[i])
-				}
+				_, digests[i][1] = verdict(t, b, widths[1])
 			})
 		}
 	})
