@@ -99,30 +99,12 @@ func RunInstrumentedFaults(plan *Plan, spec RunSpec, dec faults.Decision) *RunTr
 // here (crash, a forced-tiny ring buffer); a crashed endpoint returns
 // nil. Everything that draws from the decision's stream happens in
 // FinishRun.
-//
-// A run that never spawns is stored in the plan's run memo (memo.go),
-// and a later run with the same workload, watch group, ring size and
-// scheduler limits executes nothing: it gets a copy of the stored record
-// stamped with its own Spec, counted in vm.run_memo_hit. Its PT bytes,
-// Outcome and trap log are shared with the memo and must not be written.
 func RecordRun(plan *Plan, spec RunSpec, dec faults.Decision) *RunTrace {
 	if dec.Crash {
 		return nil
 	}
-	key := memoKey{
-		workload:    spec.Workload,
-		group:       plan.groupOf(spec.EndpointID),
-		bufBytes:    dec.BufBytes(0),
-		preemptMean: spec.PreemptMean,
-		maxSteps:    spec.MaxSteps,
-	}
-	if rt := plan.memo.lookup(&key, spec); rt != nil {
-		plan.Telemetry.StartSpan(telemetry.PhaseRunExec).End()
-		plan.Telemetry.Add("vm.run_memo_hit", 1)
-		return rt
-	}
 	rt := &RunTrace{Spec: spec}
-	tracer := pt.NewTracer(pt.Config{BufBytes: key.bufBytes}, &rt.Meter)
+	tracer := pt.NewTracer(pt.Config{BufBytes: dec.BufBytes(0)}, &rt.Meter)
 	unit := watch.NewUnit(&rt.Meter)
 
 	// threads is the client's per-thread tracking state, indexed by thread
@@ -144,8 +126,7 @@ func RecordRun(plan *Plan, spec RunSpec, dec faults.Decision) *RunTrace {
 		return &threads[tid]
 	}
 
-	spawned := false
-	hooks := vm.Hooks{OnSpawn: func(int, int, *ir.Func, int64) { spawned = true }}
+	var hooks vm.Hooks
 	if plan.Feats.ControlFlow {
 		if plan.Feats.ExtendedPT {
 			// In the §6 extended-PT mode, tracing is simply always on: the
@@ -209,7 +190,7 @@ func RecordRun(plan *Plan, spec RunSpec, dec faults.Decision) *RunTrace {
 		hooks.OnAccess = func(t *vm.Thread, in *ir.Instr, addr, val, size int64, write bool, clock int64) {
 			tracer.Data(t.ID, in.ID, addr, val, size, write, clock)
 		}
-	} else if grp := key.group; plan.Feats.DataFlow && grp >= 0 {
+	} else if grp := plan.groupOf(spec.EndpointID); plan.Feats.DataFlow && grp >= 0 {
 		// Without watch groups nothing is ever armed, so no access can trap
 		// and the hook stays nil.
 		var armedClass [watch.NumRegisters]bool
@@ -270,9 +251,6 @@ func RecordRun(plan *Plan, spec RunSpec, dec faults.Decision) *RunTrace {
 		rt.Traps = unit.Traps()
 	}
 	unit.Release()
-	if !spawned {
-		plan.memo.store(&key, rt)
-	}
 	return rt
 }
 

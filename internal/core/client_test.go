@@ -101,11 +101,8 @@ func TestClientStopLandsAfterOwnPackets(t *testing.T) {
 	if prog.Instrs[last].Op != ir.OpBr || plan.stepFlags[last]&planStopAfter == 0 {
 		t.Fatalf("test needs the window to stop after a branch; last tracked is %v, stops %v", prog.Instrs[last].Op, flagged(plan, planStopAfter))
 	}
-	// Both engines: where a stop lands is engine-visible, so the oracle must
-	// agree. Each engine gets its own plan: a plan's run memo would serve
-	// the second engine what the first one recorded.
+	// Both engines: where a stop lands is engine-visible, so the oracle must agree.
 	for engine, run := range map[string]execFunc{"bytecode": nil, "interp": interp.Run} {
-		plan := BuildPlan(cfg.BuildTICFG(prog), tracked, AllFeatures())
 		plan.exec = run
 		rt := RunInstrumented(plan, RunSpec{Seed: 3, MaxSteps: 100_000})
 		if rt.DecodeErr != nil {

@@ -16,8 +16,7 @@ type execFunc func(*ir.Program, vm.Config) *vm.Outcome
 // vm.compile_cache_hit and vm.state_reuse counters record how often the
 // fleet actually rode the warm paths. The counters track physical
 // executions (including speculatively dispatched runs a campaign later
-// discards, and not the runs RecordRun served from a plan's run memo),
-// so they are observability-only and not width-stable.
+// discards), so they are observability-only and not width-stable.
 //
 // oracle is the one engine seam: Config.exec / Plan.exec, unexported and
 // set only by export_test.go, through which the differential suites run

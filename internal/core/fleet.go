@@ -14,12 +14,9 @@ import (
 // worker pool.
 //
 // Determinism contract: every production run is a pure function of
-// (plan, spec, fault decision) — each run owns its VM, PT tracer,
-// watchpoint unit, and fault RNG, and the plan's only mutable part is
-// its run memo, which holds only what a fresh execution returns (a
-// spawn-free run's record, served to later runs with the same key; see
-// RecordRun), so which run fills it cannot show. The server binds seeds
-// to runs at job-creation time (in
+// (plan, spec, fault decision) — the plan is read-only during
+// execution, and each run owns its VM, PT tracer, watchpoint unit, and
+// fault RNG. The server binds seeds to runs at job-creation time (in
 // dispatch order, before any parallelism starts) and admits results
 // strictly in dispatch order, so every sketch, predictor ranking, and
 // FleetHealth counter is byte-identical for any worker count, including

@@ -98,13 +98,11 @@ func (h FleetHealth) String() string {
 }
 
 // validateTrace is the server's admission check for an arrived RunTrace.
-// It repairs what can be repaired (out-of-order trap logs are re-sorted,
-// entries naming unknown instructions are dropped) and reports whether
-// the run must be quarantined entirely (no usable outcome). The repaired
-// return counts applied repairs. maxID is the program's instruction
-// count (IDs at or above it are corrupt). A repair goes into a copy of
-// the trap log: the caller's array, which a run memo may share with
-// other runs, is never written, and a clean log is kept as it is.
+// It repairs what can be repaired in place (out-of-order trap logs are
+// re-sorted, entries naming unknown instructions are dropped) and
+// reports whether the run must be quarantined entirely (no usable
+// outcome). The repaired return counts applied repairs. maxID is the
+// program's instruction count (IDs at or above it are corrupt).
 func validateTrace(rt *RunTrace, maxID int) (quarantine bool, repaired int) {
 	if rt.Outcome == nil || (rt.Outcome.Failed && rt.Outcome.Report == nil) {
 		// Truncated header: without an outcome the run can be matched
@@ -113,16 +111,11 @@ func validateTrace(rt *RunTrace, maxID int) (quarantine bool, repaired int) {
 	}
 	// Traps must name known instructions and be in clock order.
 	wild := func(tr watch.Trap) bool { return tr.InstrID < 0 || (maxID > 0 && tr.InstrID >= maxID) }
-	if slices.ContainsFunc(rt.Traps, wild) {
-		kept := slices.DeleteFunc(slices.Clone(rt.Traps), wild)
-		repaired = len(rt.Traps) - len(kept)
-		rt.Traps = kept
-	}
+	n := len(rt.Traps)
+	rt.Traps = slices.DeleteFunc(rt.Traps, wild)
+	repaired = n - len(rt.Traps)
 	byClock := func(a, b watch.Trap) int { return cmp.Compare(a.Clock, b.Clock) }
 	if !slices.IsSortedFunc(rt.Traps, byClock) {
-		if repaired == 0 {
-			rt.Traps = slices.Clone(rt.Traps)
-		}
 		slices.SortStableFunc(rt.Traps, byClock)
 		repaired++
 	}

@@ -49,10 +49,8 @@ type Features struct {
 func AllFeatures() Features { return Features{Static: true, ControlFlow: true, DataFlow: true} }
 
 // Plan is the instrumentation a client applies to one production run.
-// Runs share a plan across goroutines; its only mutable part is the run
-// memo, which holds only what a fresh execution returns (see RecordRun),
-// so a plan lives as long as its memo should: one AsT iteration of a
-// campaign, one window on an agent.
+// Runs share a plan across goroutines, and it is read-only once
+// BuildPlan returns.
 type Plan struct {
 	Prog    *ir.Program
 	Feats   Features
@@ -95,9 +93,6 @@ type Plan struct {
 	// exec is Config.exec, copied here by the campaign: the test-only
 	// engine seam (see exec in engine.go).
 	exec execFunc
-
-	// memo holds the spawn-free runs executed under this plan.
-	memo runMemo
 }
 
 // stepFlags bits.

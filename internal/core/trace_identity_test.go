@@ -8,19 +8,16 @@ package core_test
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"reflect"
 	"slices"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/bugs"
-	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/service"
 	"repro/internal/slicer"
-	"repro/internal/telemetry"
 )
 
 // TestRunTraceIdenticalAcrossEngines runs every suite bug under every
@@ -117,88 +114,5 @@ func TestRunTraceIdenticalAcrossEngines(t *testing.T) {
 	t.Logf("%d runs per engine, %d damaged traces, %d never-traced cores", runs.Load(), damaged.Load(), untracedCores.Load())
 	if damaged.Load() == 0 || untracedCores.Load() == 0 {
 		t.Errorf("want damaged traces and never-traced cores among the runs")
-	}
-}
-
-// memoChecker is a Runner that executes each job under the campaign's
-// plan, memo on, and again on a fresh plan of the same window, memo
-// empty, with a fresh copy of the job's fault decision: the two traces
-// must deep-equal, Spec included.
-type memoChecker struct {
-	t        *testing.T
-	name     string
-	g        *cfg.TICFG
-	onInterp bool
-	inj      *faults.Injector
-	tel      *telemetry.Tracer
-	runs     int
-	hits     int64
-}
-
-func (m *memoChecker) RunBatch(plan *core.Plan, jobs []core.RunJob) []*core.RunTrace {
-	hits := func() int64 { return m.tel.Snapshot().Counters["vm.run_memo_hit"] }
-	out := make([]*core.RunTrace, len(jobs))
-	for i, job := range jobs {
-		before := hits()
-		out[i] = core.RunInstrumentedFaults(plan, job.Spec, job.Dec)
-		hit := hits() - before
-		fresh := core.BuildPlan(m.g, plan.Tracked, plan.Feats)
-		if m.onInterp {
-			fresh.OnInterp()
-		}
-		want := core.RunInstrumentedFaults(fresh, job.Spec, m.inj.ForRun(job.Spec.EndpointID, job.Spec.Seed))
-		if !reflect.DeepEqual(out[i], want) {
-			m.t.Fatalf("%s: endpoint %d seed %d (memo hit: %v): the run differs from a fresh execution\ngot:  %+v\nwant: %+v",
-				m.name, job.Spec.EndpointID, job.Spec.Seed, hit == 1, out[i], want)
-		}
-		m.runs++
-		m.hits += hit
-	}
-	return out
-}
-
-// TestRunMemoMatchesExecution runs every suite bug's first AsT iteration
-// on both engines, with a reliable fleet and at fault rate 0.3, and
-// requires each run, memo hit or not, to equal a fresh execution after
-// FinishRun. Admission runs on the served traces in between, so a later
-// hit would also show whatever admission wrote into a shared trace. The
-// single-threaded bugs must hit, and no other bug may.
-func TestRunMemoMatchesExecution(t *testing.T) {
-	spawnFree := map[string]bool{"curl": true, "cppcheck-1": true, "cppcheck-2": true}
-	for _, b := range bugs.All() {
-		t.Run(b.Name, func(t *testing.T) {
-			t.Parallel()
-			base := b.GistConfig()
-			report, disc, err := core.FirstFailure(base)
-			if err != nil {
-				t.Fatalf("discovery: %v", err)
-			}
-			for _, rate := range []float64{0, 0.3} {
-				for _, onInterp := range []bool{false, true} {
-					c := base
-					if rate > 0 {
-						c.Faults = faults.Composite(faults.ChaosSeed, rate)
-					}
-					name := fmt.Sprintf("bytecode rate %.1f", rate)
-					if onInterp {
-						c = c.OnInterp()
-						name = fmt.Sprintf("interp rate %.1f", rate)
-					}
-					c.Telemetry = telemetry.New()
-					camp, err := core.NewCampaign(c, report, disc)
-					if err != nil {
-						t.Fatal(err)
-					}
-					check := &memoChecker{t: t, name: name, g: c.BuildGraph(), onInterp: onInterp, inj: faults.NewInjector(c.Faults), tel: c.Telemetry}
-					camp.UseRunner(check)
-					camp.Plan()
-					camp.Dispatch()
-					camp.Admit()
-					if spawnFree[b.Name] != (check.hits > 0) {
-						t.Errorf("%s: %d of %d runs served from the memo; spawn-free bug: %v", name, check.hits, check.runs, spawnFree[b.Name])
-					}
-				}
-			}
-		})
 	}
 }

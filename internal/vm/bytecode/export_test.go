@@ -18,6 +18,15 @@ func (p *Program) IR() *ir.Program { return p.ir }
 // Credit reports how many steps thread tid has run ahead of the clock.
 func (m *Machine) Credit(tid int) int64 { return m.threads[tid].credit }
 
+// Owed reports the clock from which the run's lone thread owes its
+// scheduler decisions (settle), or -1 once the run has spawned.
+func (m *Machine) Owed() int64 {
+	if len(m.threads) > 1 {
+		return -1
+	}
+	return m.lone
+}
+
 // SpareMachines counts the machines on the spare list by draining it
 // and putting them back in the same order.
 func SpareMachines() int {

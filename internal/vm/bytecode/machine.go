@@ -63,7 +63,8 @@ type Machine struct {
 	threadPool []*thread
 	runnable   []*thread // the runnable threads, by ascending ID
 	cur        int
-	quantum    int // the interpreter's quantum: steps of cur's decision after the next
+	quantum    int   // the interpreter's quantum: steps of cur's decision after the next
+	lone       int64 // while the run has one thread: the clock its undrawn decisions start at
 	clock      int64
 	ahead      int64 // the threads' credit, summed
 	noSkip     bool  // a silent re-run or a recording: never skip
@@ -84,11 +85,11 @@ func NewMachine(p *Program) *Machine {
 // reset prepares the machine for a fresh run under cfg, producing a
 // state indistinguishable from a newly built interpreter VM: zeroed
 // globals with initializers reapplied, the program string blob, workload
-// strings appended in order, the seeded RNG, and thread 0 entering
-// funcs[entry] — main, except in a recording of a pure call.
+// strings appended in order, and thread 0 entering funcs[entry] — main,
+// except in a recording of a pure call. The RNG is seeded at the run's
+// first draw (settle).
 func (m *Machine) reset(cfg vm.Config, entry int32) {
 	m.cfg = cfg.Normalized()
-	m.rng.seed(cfg.Seed)
 	m.preempt = newIntn(2 * m.cfg.PreemptMean)
 	if m.mem == nil {
 		m.mem = vm.NewMemory(m.prog.nGlobals)
@@ -383,6 +384,11 @@ func opVal(win, consts []int64, ref int32) int64 {
 // interpreter's clock — or switches to another thread. Every other step
 // runs at the interpreter's clock.
 //
+// A lone thread's decision has no end (schedule), so left never runs
+// out before the thread spawns or yields; there settle draws what the
+// thread owes, and a spawn takes the steps left of the decision that
+// holds it.
+//
 // A public access that lands in the stack of a thread holding credit
 // would see, or overwrite, bytes ahead of the clock; the machine then
 // makes itself exact by a silent re-run (rerun) and returns. runThread
@@ -620,6 +626,9 @@ frame:
 					goto done
 				}
 			case opSpawn:
+				if len(m.threads) == 1 {
+					left = m.settle(clk - 1)
+				}
 				arg := opVal(win, consts, in.a)
 				m.clock = clk // spawnThread's OnSpawn hook reads m.clock
 				child := m.spawnThread(in.p, &arg, t.ID)
@@ -726,6 +735,9 @@ frame:
 				}
 				win[in.dst] = addr
 			case opYield:
+				if len(m.threads) == 1 {
+					m.settle(clk - 1)
+				}
 				left = 0 // the decision ends here
 			case opFail:
 				m.failAt(t, ip, &vm.Fault{Kind: vm.FaultOutOfBounds, Msg: m.prog.failMsgs[in.p]})

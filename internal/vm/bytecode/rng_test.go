@@ -3,6 +3,7 @@ package bytecode
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/vm"
@@ -42,9 +43,10 @@ func intn(g *alfg, c *intnConsts) int {
 // reciprocal modulo must match bit for bit, draw for draw, for every
 // preemption mean and runnable count the fleet can configure — on a
 // fresh generator and on a used one that is seeded again, which is what
-// every run on a spare machine does. Decisions charged to credit must
-// be the interpreter's too, and leave the generator where a rand.Rand
-// that made the same decisions stands.
+// every run that draws does on a spare machine. Decisions charged to
+// credit, and those a lone thread settles, must be the interpreter's
+// too, and leave the generator where a rand.Rand that made the same
+// decisions stands.
 func TestDrawsMatchMathRand(t *testing.T) {
 	seeds := drawSeeds()
 	var m Machine // one machine throughout: every seeding but the first re-seeds a used generator
@@ -77,6 +79,37 @@ func TestDrawsMatchMathRand(t *testing.T) {
 		for n := 1; n <= 3; n++ {
 			checkChargedDecisions(t, seed, n, 1+i%6)
 		}
+		checkSettle(t, &m, seed, 1+i%24)
+	}
+}
+
+// checkSettle lets a lone thread on m settle its decisions at a run of
+// steps, each a yield, so that the next decision starts right after it.
+// The steps left of each settled decision, and the generator after the
+// last settle, must be what a rand.Rand making the interpreter's
+// decisions yields. m's generator was left by another seed: the first
+// settle must seed it with the run's.
+func checkSettle(t *testing.T, m *Machine, seed int64, mean int) {
+	t.Helper()
+	m.cfg.Seed, m.preempt, m.lone = seed, newIntn(2*mean), 0
+	ref := rand.New(rand.NewSource(seed))
+	var start int64 // where the interpreter's next decision starts
+	for _, c := range []int64{0, 1, 2, 30, 31, 500, 4000} {
+		end := start
+		for end <= c {
+			ref.Intn(1)
+			end += int64(2 + ref.Intn(2*mean))
+		}
+		if got, want := m.settle(c), int(end-1-c); got != want {
+			t.Fatalf("seed=%d mean=%d: settle(%d) from %d leaves %d steps, rand says %d", seed, mean, c, start, got, want)
+		}
+		start = c + 1
+		m.lone = start // what schedule() notes after the yield
+	}
+	for i := 0; i < 3*alfgLong; i++ {
+		if got, want := int32(m.rng.int31()), ref.Int31(); got != want {
+			t.Fatalf("seed=%d mean=%d: value %d after the settles is %d, rand.Int31=%d", seed, mean, i, got, want)
+		}
 	}
 }
 
@@ -100,7 +133,13 @@ func checkChargedDecisions(t *testing.T, seed int64, n, mean int) {
 		m.ahead += credit[id]
 		m.pick = append(m.pick, newIntn(id+1))
 	}
-	m.runnable = m.threads
+	m.runnable = slices.Clone(m.threads)
+	if n == 1 {
+		// A second thread, blocked: a run that has had one thread draws
+		// nothing (settle), and the charge loop's one-runnable case is
+		// this one.
+		m.threads = append(m.threads, &thread{Thread: vm.Thread{ID: 1}, state: vm.ThreadBlocked})
+	}
 	next := m.schedule()
 
 	ref := rand.New(rand.NewSource(seed))
@@ -122,7 +161,7 @@ func checkChargedDecisions(t *testing.T, seed int64, n, mean int) {
 		}
 	}
 	var sum int64
-	for id, th := range m.threads {
+	for id, th := range m.runnable {
 		sum += th.credit
 		if th.credit != left[id] {
 			t.Fatalf("seed=%d n=%d: thread %d holds %d credit, rand says %d", seed, n, id, th.credit, left[id])

@@ -10,6 +10,13 @@ package bytecode_test
 // and OnAccess stream, and a maskedTracker that leaves pure callees
 // unflagged. A fourth, masked probe set sees the edges themselves
 // and counts the ones reached while another thread held credit.
+//
+// A lone thread draws no decisions until it spawns or yields, and its
+// skipped calls bank no credit. The lone programs run a long prefix of
+// skipped calls in main alone and then end it each way there is: a
+// spawn, a yield and then a spawn, the step limit, and a deadlock on a
+// lock main holds. The probe counts those reached while more than one
+// decision was still owed.
 
 import (
 	"bytes"
@@ -156,11 +163,87 @@ int main() {
 	join(c);
 	return total + w;
 }`},
+	// main spawns after a prefix alone; the worker races it on total.
+	{"lone-spawn", `
+global int total = 0;
+int sum(int n) {
+	int s = 0;
+	for (int i = 0; i < n; i++) { s = s + i; }
+	return s;
 }
+void work(int n) {
+	total = total + sum(n);
+}
+int main() {
+	int s = 0;
+	for (int i = 0; i < 20; i++) { s = s + sum(10 + i); }
+	int t = spawn(work, 25);
+	s = s + sum(30);
+	total = total + 1;
+	join(t);
+	return s + total;
+}`},
+	// main yields alone, runs alone again, and then spawns.
+	{"lone-yield", `
+global int total = 0;
+int sum(int n) {
+	int s = 0;
+	for (int i = 0; i < n; i++) { s = s + i; }
+	return s;
+}
+void work(int n) {
+	total = total + sum(n);
+}
+int main() {
+	int s = 0;
+	for (int i = 0; i < 20; i++) { s = s + sum(10 + i); }
+	yield();
+	for (int i = 0; i < 7; i++) { s = s + sum(i); }
+	int t = spawn(work, 25);
+	total = total + 1;
+	join(t);
+	return s + total;
+}`},
+	// main never spawns and runs into the step limit (see loneLimit).
+	{"lone-limit", `
+global int total = 0;
+int sum(int n) {
+	int s = 0;
+	for (int i = 0; i < n; i++) { s = s + i; }
+	return s;
+}
+int main() {
+	int s = 0;
+	for (int i = 0; i < 1000000; i++) { s = s + sum(i % 40); total = s; }
+	return s;
+}`},
+	// main takes a lock it already holds.
+	{"lone-deadlock", `
+global int* mu;
+int sum(int n) {
+	int s = 0;
+	for (int i = 0; i < n; i++) { s = s + i; }
+	return s;
+}
+int main() {
+	mu = malloc(8);
+	int s = 0;
+	for (int i = 0; i < 20; i++) { s = s + sum(10 + i); }
+	lock(mu);
+	s = s + sum(12);
+	lock(mu);
+	return s;
+}`},
+}
+
+// loneLimit is lone-limit's step limit at seed: it lands anywhere in a
+// call and in a decision.
+func loneLimit(seed int64) int64 { return 1500 + 97*seed }
 
 // TestRunAheadEdges runs every edge program at 32 seeds and preemption
 // means 1..6, then sweeps step limits over the compute workers, and
-// requires each edge to have been reached while a thread held credit.
+// requires each edge to have been reached while a thread held credit,
+// and each lone edge while decisions were owed.
 func TestRunAheadEdges(t *testing.T) {
 	reached := map[string]int{}
 	for _, p := range runAheadPrograms {
@@ -168,7 +251,11 @@ func TestRunAheadEdges(t *testing.T) {
 		e := newEdgeRunner(src, p.src)
 		for seed := int64(0); seed < 32; seed++ {
 			for mean := 1; mean <= 6; mean++ {
-				e.check(t, fmt.Sprintf("%s/mean=%d", p.name, mean), vm.Config{Seed: seed, PreemptMean: mean}, reached)
+				cfg := vm.Config{Seed: seed, PreemptMean: mean}
+				if p.name == "lone-limit" {
+					cfg.MaxSteps = loneLimit(seed)
+				}
+				e.check(t, fmt.Sprintf("%s/mean=%d", p.name, mean), cfg, reached)
 			}
 		}
 		if p.name != "compute" {
@@ -190,6 +277,11 @@ func TestRunAheadEdges(t *testing.T) {
 	} {
 		if reached[edge] == 0 {
 			t.Errorf("no run reached a %s while a thread held credit", edge)
+		}
+	}
+	for _, edge := range []string{"lone spawn", "lone yield", "lone spawn after yield", "lone step limit", "lone deadlock"} {
+		if reached[edge] == 0 {
+			t.Errorf("no run reached a %s while decisions were owed", edge)
 		}
 	}
 }
@@ -300,7 +392,15 @@ func (e *edgeRunner) check(t *testing.T, name string, cfg vm.Config, reached map
 
 	// The probe: OnStep at the sites only. A site counts when another
 	// thread holds credit as it steps, and, if it is one that changes the
-	// runnable set, when the set has changed by the next site.
+	// runnable set, when the set has changed by the next site. A lone
+	// thread's spawn or yield, and the step limit or deadlock a lone run
+	// ends in, count when the step lies past the first decision owed (a
+	// decision covers at most 2*PreemptMean+1 steps); a spawn after a
+	// yield owes decisions from past the yield.
+	owes := func(clock int64) (bool, int64) {
+		owed := e.m.Owed()
+		return owed >= 0 && clock-owed > 2*int64(cfg.PreemptMean), owed
+	}
 	var pending string
 	var sign, before int
 	threads := 1
@@ -314,6 +414,11 @@ func (e *edgeRunner) check(t *testing.T, name string, cfg vm.Config, reached map
 		site := e.sites[in.ID]
 		if site == "" {
 			return
+		}
+		if ok, owed := owes(clock); ok && site == "spawn" && owed > 0 {
+			reached["lone spawn after yield"]++
+		} else if ok && (site == "spawn" || site == "yield") {
+			reached["lone "+site]++
 		}
 		held := false
 		for tid := 0; tid < threads; tid++ {
@@ -333,6 +438,14 @@ func (e *edgeRunner) check(t *testing.T, name string, cfg vm.Config, reached map
 		before = e.m.RunnableThreads()
 	}
 	outcomesEqual(t, name+"/probe", seed, ref, e.m.Run(c))
+	if ok, _ := owes(ref.Steps); ok && ref.Failed {
+		switch ref.Report.Kind {
+		case vm.FaultHang:
+			reached["lone step limit"]++
+		case vm.FaultDeadlock:
+			reached["lone deadlock"]++
+		}
+	}
 	return ref
 }
 

@@ -20,6 +20,13 @@ import (
 // (skipCall) carries it past its decision's end banks the steps past it
 // as credit (see runThread), and a decision that picks a thread holding
 // enough credit is charged against it instead of running anything.
+//
+// While a run has only ever had one thread, every decision picks it and
+// nothing observes any of them: the thread runs with no end to its
+// quantum, and the decisions it owes are drawn only when it spawns or
+// yields (settle), where the next decisions start to depend on them. A
+// run that never spawns draws nothing, and seeds nothing: the generator
+// is seeded at its first draw.
 
 // alfg is math/rand's additive lagged-Fibonacci generator,
 // x[n] = x[n-607] + x[n-273] mod 2^64, held in the machine. x[n] lives
@@ -141,7 +148,9 @@ func (m *Machine) wakeJoiners(tid int) {
 // charged — the credit, and the clock, move by up to g — and a decision
 // charged in full is followed by the next one. The thread returned has no credit left and m.quantum steps of
 // its decision after the next one. Charging stops at the step limit, with
-// the clock there; callers check it first.
+// the clock there; callers check it first. A lone thread is returned
+// with no end to its quantum and nothing drawn, and m.lone notes the
+// clock its undrawn decisions start at.
 func (m *Machine) schedule() *thread {
 	if t := m.threads[m.cur]; t.state == vm.ThreadRunnable && m.quantum > 0 {
 		m.quantum--
@@ -150,6 +159,10 @@ func (m *Machine) schedule() *thread {
 	n := len(m.runnable)
 	if n == 0 {
 		return nil
+	}
+	if len(m.threads) == 1 {
+		m.lone, m.quantum = m.clock, math.MaxInt
+		return m.runnable[0]
 	}
 	// The runnable set cannot change while decisions are charged, so the
 	// loop carries only the generator's position, the clock, the thread
@@ -190,6 +203,30 @@ func (m *Machine) schedule() *thread {
 	}
 	m.rng.at, m.clock, m.cur, m.ahead = at, clock, cur, ahead
 	return next
+}
+
+// settle draws the decisions a lone thread owes, from the one at clock
+// m.lone through the one that holds step c, the way schedule() draws
+// them — Intn(1) for the pick, then the quantum — and returns how many
+// steps of that decision come after step c. Every run starts alone at
+// clock 0, so a settle from m.lone == 0 makes the run's first draw and
+// seeds the generator.
+func (m *Machine) settle(c int64) int {
+	if m.lone == 0 {
+		m.rng.seed(m.cfg.Seed)
+	}
+	at, end := m.rng.at, m.lone
+	for end <= c {
+		at, _ = m.rng.step(at) // Intn(1): one draw, which nothing rejects
+		var w uint32
+		at, w = m.rng.step(at)
+		for w > m.preempt.max {
+			at, w = m.rng.step(at)
+		}
+		end += int64(2 + m.preempt.mod(w))
+	}
+	m.rng.at = at
+	return int(end - 1 - c)
 }
 
 // stale reports whether the n bytes at addr reach into the stack of a
