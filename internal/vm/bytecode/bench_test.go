@@ -58,9 +58,10 @@ func BenchmarkVMBytecode(b *testing.B) {
 // bug's own preemption mean, where a decision falls every few
 // instructions, and at 10⁶, where preemption is all but off. ns/step is
 // wall time over Outcome.Steps, skipped pure calls' steps included; the
-// gap between the two is the switch tax.
+// gap between the two is the switch tax. All of memcached's and sqlite's
+// threads bank credit, so most of their decisions are charged in runs.
 func BenchmarkVMPreempt(b *testing.B) {
-	for _, name := range []string{"pbzip2", "apache-3"} {
+	for _, name := range []string{"pbzip2", "apache-3", "memcached", "sqlite"} {
 		bug := bugs.ByName(name)
 		prog := bytecode.Compile(bug.Program())
 		for _, mean := range []int{0, 1e6} { // 0: the bug's own

@@ -55,9 +55,12 @@ type Machine struct {
 	// The scheduler's randomness and the constants of its two draws (see
 	// sched.go): Intn(2*PreemptMean) for a quantum, and pick[n-1] for the
 	// Intn(n) among n runnable threads, for every n this machine has seen.
+	// charge[k] sums what a run of decisions charges the k-th runnable
+	// thread (chargeRun), zero between runs.
 	rng     alfg
 	preempt intnConsts
 	pick    []intnConsts
+	charge  []int64
 
 	threads    []*thread
 	threadPool []*thread
@@ -154,6 +157,7 @@ func (m *Machine) spawnThread(fnIdx int32, arg *int64, parent int) *thread {
 	m.runnable = append(m.runnable, t) // the highest ID so far
 	if len(m.pick) < len(m.threads) {
 		m.pick = append(m.pick, newIntn(len(m.threads)))
+		m.charge = append(m.charge, 0)
 	}
 	m.pushFrame(t, fnIdx, -1)
 	fi := &m.prog.funcs[fnIdx]

@@ -13,20 +13,28 @@ import (
 // Intn(2*PreemptMean) per scheduling decision, drawn the way
 // rand.(*Rand).Intn draws them — is part of the determinism contract with
 // the interpreter, which draws through a rand.Rand and decides at every
-// quantum expiry. This engine makes the same draws from its own copy of
-// the generator, one decision at a time and in the interpreter's order,
-// and picks from a list it keeps up to date. What it does not do is
+// quantum expiry. This engine makes the same draws, in the interpreter's
+// order, from its own copy of the generator, and picks from a list of
+// the runnable threads it keeps up to date. What it does not do is
 // switch threads at every decision: a thread whose skipped pure call
 // (skipCall) carries it past its decision's end banks the steps past it
 // as credit (see runThread), and a decision that picks a thread holding
 // enough credit is charged against it instead of running anything.
 //
+// Nearly every decision is charged in full, so a decision costs what
+// drawing it costs. No quantum is longer than gmax = 2*PreemptMean+1
+// steps: while every runnable thread holds b·gmax credit and the step
+// limit is b·gmax steps away, the next b decisions are charged in full
+// whatever they pick. decide draws such runs in a loop (alfg.charges)
+// that tests nothing but the draws' rejection bounds and touches no
+// thread, and tests decisions one at a time only after the last run.
+//
 // While a run has only ever had one thread, every decision picks it and
 // nothing observes any of them: the thread runs with no end to its
 // quantum, and the decisions it owes are drawn only when it spawns or
-// yields (settle), where the next decisions start to depend on them. A
-// run that never spawns draws nothing, and seeds nothing: the generator
-// is seeded at its first draw.
+// yields (settle, decide's one-thread case), where the next decisions
+// start to depend on them. A run that never spawns draws nothing, and
+// seeds nothing: the generator is seeded at its first draw.
 
 // alfg is math/rand's additive lagged-Fibonacci generator,
 // x[n] = x[n-607] + x[n-273] mod 2^64, held in the machine. x[n] lives
@@ -141,33 +149,53 @@ func (m *Machine) wakeJoiners(tid int) {
 // schedule makes the interpreter's scheduling decisions from m.clock on
 // and returns the thread that runs the next step, or nil when nothing is
 // runnable. A quantum left in m.quantum is the interpreter's: the thread
-// in effect, still runnable, takes the next step. Otherwise it draws:
-// Intn(runnable) for the pick and 1+Intn(2*PreemptMean) for a quantum, so
-// the decision covers g = 2+Intn steps of the picked thread. Its credit,
-// the steps of a skipped call that ran past an earlier decision's end, is
-// charged — the credit, and the clock, move by up to g — and a decision
-// charged in full is followed by the next one. The thread returned has no credit left and m.quantum steps of
-// its decision after the next one. Charging stops at the step limit, with
-// the clock there; callers check it first. A lone thread is returned
-// with no end to its quantum and nothing drawn, and m.lone notes the
-// clock its undrawn decisions start at.
+// in effect, still runnable, takes the next step. A lone thread is
+// returned with no end to its quantum and nothing drawn, and m.lone notes
+// the clock its undrawn decisions start at. Otherwise decide draws.
 func (m *Machine) schedule() *thread {
 	if t := m.threads[m.cur]; t.state == vm.ThreadRunnable && m.quantum > 0 {
 		m.quantum--
 		return t
 	}
-	n := len(m.runnable)
-	if n == 0 {
+	if len(m.runnable) == 0 {
 		return nil
 	}
 	if len(m.threads) == 1 {
 		m.lone, m.quantum = m.clock, math.MaxInt
 		return m.runnable[0]
 	}
+	return m.decide()
+}
+
+// decide draws decisions from m.clock on: Intn(runnable) for the pick
+// and 1+Intn(2*PreemptMean) for a quantum, so a decision covers g =
+// 2+Intn steps of the picked thread. Its credit, the steps of a skipped
+// call that ran past an earlier decision's end, is charged — the credit,
+// and the clock, move by up to g — and a decision charged in full is
+// followed by the next one. The thread returned has no credit left and
+// m.quantum steps of its decision after the next one. Charging stops at
+// the step limit, with the clock there and nil returned; callers check
+// it first.
+//
+// The decisions that the runnable threads' credit and the step limit
+// cover whatever they pick go in runs (chargeRun); the ones after the
+// last run go one at a time, each tested.
+func (m *Machine) decide() *thread {
+	gmax := int64(m.preempt.n) + 1
+	for {
+		b := m.cfg.MaxSteps - m.clock
+		for _, t := range m.runnable {
+			b = min(b, t.credit)
+		}
+		if b < gmax {
+			break
+		}
+		m.chargeRun(b / gmax)
+	}
 	// The runnable set cannot change while decisions are charged, so the
 	// loop carries only the generator's position, the clock, the thread
 	// in effect and the sum of credit, and stores them when it is done.
-	pick, onSchedule, limit := &m.pick[n-1], m.cfg.Hooks.OnSchedule, m.cfg.MaxSteps
+	pick, onSchedule, limit := &m.pick[len(m.runnable)-1], m.cfg.Hooks.OnSchedule, m.cfg.MaxSteps
 	at, clock, cur, ahead := m.rng.at, m.clock, m.cur, m.ahead
 	var next *thread
 	for clock < limit {
@@ -205,28 +233,93 @@ func (m *Machine) schedule() *thread {
 	return next
 }
 
+// chargeRun makes the next b decisions, each of which decide has made
+// sure is charged in full whatever it picks. alfg.charges draws them and
+// sums each runnable slot's charges in m.charge, and the threads'
+// credit, its sum, the clock and the thread in effect take them when the
+// run ends. With OnSchedule set the run goes one decision at a time, and
+// the hook fires between them with decide's (from, to, clock); it sees
+// the machine as it stood before the run.
+func (m *Machine) chargeRun(b int64) {
+	n := len(m.runnable)
+	charge, onSchedule := m.charge[:n], m.cfg.Hooks.OnSchedule
+	at, clock, cur := m.rng.at, m.clock, m.cur
+	for b > 0 {
+		run := b
+		if onSchedule != nil {
+			run = 1
+		}
+		b -= run
+		var g int64
+		var k int
+		at, g, k = m.rng.charges(at, run, m.pick[n-1], m.preempt, charge)
+		to := m.runnable[k].ID
+		if onSchedule != nil && to != cur {
+			onSchedule(cur, to, clock)
+		}
+		cur, clock = to, clock+g
+	}
+	for i, t := range m.runnable {
+		t.credit -= charge[i]
+		charge[i] = 0
+	}
+	m.ahead -= clock - m.clock
+	m.rng.at, m.clock, m.cur = at, clock, cur
+}
+
+// charges draws b decisions from position at the way decide's loop does
+// — Intn(pick.n) for the runnable slot k, then Intn(preempt.n) for the
+// quantum, each drawn again while it exceeds its bound — and adds each
+// decision's g = 2+Intn to charge[k]. It returns the new position, the
+// g summed and the last slot picked. It tests nothing else per decision,
+// and holds the ring and both constants in locals: the stores into the
+// ring and into charge would make it reload anything read through m.
+func (g *alfg) charges(at uint32, b int64, pick, preempt intnConsts, charge []int64) (uint32, int64, int) {
+	r := &g.ring
+	var sum int64
+	var k int
+	for ; b > 0; b-- {
+		var v, w uint32
+		for {
+			at = (at + 1) % alfgRing
+			x := r[(at-alfgLong)%alfgRing] + r[(at-alfgShort)%alfgRing]
+			r[at] = x
+			if v = uint32(x << 1 >> 33); v <= pick.max {
+				break
+			}
+		}
+		for {
+			at = (at + 1) % alfgRing
+			x := r[(at-alfgLong)%alfgRing] + r[(at-alfgShort)%alfgRing]
+			r[at] = x
+			if w = uint32(x << 1 >> 33); w <= preempt.max {
+				break
+			}
+		}
+		k = pick.mod(v)
+		q := int64(2 + preempt.mod(w))
+		charge[k] += q
+		sum += q
+	}
+	return at, sum, k
+}
+
 // settle draws the decisions a lone thread owes, from the one at clock
-// m.lone through the one that holds step c, the way schedule() draws
-// them — Intn(1) for the pick, then the quantum — and returns how many
-// steps of that decision come after step c. Every run starts alone at
-// clock 0, so a settle from m.lone == 0 makes the run's first draw and
-// seeds the generator.
+// m.lone through the one that holds step c, and returns how many steps
+// of that decision come after step c. They are decide's decisions with
+// one thread runnable — Intn(1) for the pick, which nothing rejects, then
+// the quantum — charged to the c-m.lone steps the thread ran alone.
+// Every run starts alone at clock 0, so a settle from m.lone == 0 makes
+// the run's first draw and seeds the generator. The clock is left at c;
+// runThread sets it after the step.
 func (m *Machine) settle(c int64) int {
 	if m.lone == 0 {
 		m.rng.seed(m.cfg.Seed)
 	}
-	at, end := m.rng.at, m.lone
-	for end <= c {
-		at, _ = m.rng.step(at) // Intn(1): one draw, which nothing rejects
-		var w uint32
-		at, w = m.rng.step(at)
-		for w > m.preempt.max {
-			at, w = m.rng.step(at)
-		}
-		end += int64(2 + m.preempt.mod(w))
-	}
-	m.rng.at = at
-	return int(end - 1 - c)
+	owed := c - m.lone
+	m.threads[0].credit, m.ahead, m.clock = owed, owed, m.lone
+	m.decide()
+	return m.quantum
 }
 
 // stale reports whether the n bytes at addr reach into the stack of a
