@@ -113,11 +113,41 @@ type MemBackend struct {
 	mu    sync.Mutex
 	files map[string][]byte
 	dirs  map[string]bool
+	// byDir holds each file's path under filepath.Dir of it, so that a
+	// listing costs its own directory and not every file a long-lived
+	// server has written.
+	byDir map[string]map[string]struct{}
 }
 
 // NewMemBackend returns an empty in-memory backend.
 func NewMemBackend() *MemBackend {
-	return &MemBackend{files: map[string][]byte{}, dirs: map[string]bool{}}
+	return &MemBackend{
+		files: map[string][]byte{},
+		dirs:  map[string]bool{},
+		byDir: map[string]map[string]struct{}{},
+	}
+}
+
+// put stores data at path and indexes a path new to m.
+func (m *MemBackend) put(path string, data []byte) {
+	if _, ok := m.files[path]; !ok {
+		dir := filepath.Dir(path)
+		if m.byDir[dir] == nil {
+			m.byDir[dir] = map[string]struct{}{}
+		}
+		m.byDir[dir][path] = struct{}{}
+	}
+	m.files[path] = data
+}
+
+// drop deletes path, which m holds, and its index entry.
+func (m *MemBackend) drop(path string) {
+	delete(m.files, path)
+	dir := filepath.Dir(path)
+	delete(m.byDir[dir], path)
+	if len(m.byDir[dir]) == 0 {
+		delete(m.byDir, dir)
+	}
 }
 
 // EnsureDir implements Backend.
@@ -138,10 +168,8 @@ func (m *MemBackend) ListFiles(dir string) ([]string, error) {
 		return nil, &os.PathError{Op: "open", Path: dir, Err: os.ErrNotExist}
 	}
 	var names []string
-	for path := range m.files {
-		if filepath.Dir(path) == dir {
-			names = append(names, filepath.Base(path))
-		}
+	for path := range m.byDir[dir] {
+		names = append(names, filepath.Base(path))
 	}
 	sort.Strings(names)
 	return names, nil
@@ -162,7 +190,7 @@ func (m *MemBackend) ReadFile(path string) ([]byte, error) {
 func (m *MemBackend) WriteFile(path string, data []byte, sync bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.files[path] = append([]byte(nil), data...)
+	m.put(path, append([]byte(nil), data...))
 	return nil
 }
 
@@ -174,8 +202,8 @@ func (m *MemBackend) Rename(oldPath, newPath string) error {
 	if !ok {
 		return &os.PathError{Op: "rename", Path: oldPath, Err: os.ErrNotExist}
 	}
-	m.files[newPath] = data
-	delete(m.files, oldPath)
+	m.put(newPath, data)
+	m.drop(oldPath)
 	return nil
 }
 
@@ -186,7 +214,7 @@ func (m *MemBackend) Remove(path string) error {
 	if _, ok := m.files[path]; !ok {
 		return &os.PathError{Op: "remove", Path: path, Err: os.ErrNotExist}
 	}
-	delete(m.files, path)
+	m.drop(path)
 	return nil
 }
 

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -140,6 +141,29 @@ func TestBackendConformance(t *testing.T) {
 			}
 			if err := b.Remove(path("c.ckpt")); err == nil {
 				t.Fatalf("Remove of a missing file succeeded")
+			}
+
+			// A rename across directories shows in both listings.
+			other := filepath.Join(root, "other")
+			if err := b.EnsureDir(other); err != nil {
+				t.Fatalf("EnsureDir other: %v", err)
+			}
+			if err := b.Rename(path("a.ckpt"), filepath.Join(other, "a.ckpt")); err != nil {
+				t.Fatalf("Rename across directories: %v", err)
+			}
+			if names, err := b.ListFiles(dir); err != nil || fmt.Sprint(names) != "[b.ckpt]" {
+				t.Fatalf("ListFiles(source dir) = %v, %v; want [b.ckpt]", names, err)
+			}
+			if names, err := b.ListFiles(other); err != nil || fmt.Sprint(names) != "[a.ckpt]" {
+				t.Fatalf("ListFiles(target dir) = %v, %v; want [a.ckpt]", names, err)
+			}
+
+			// A directory whose files were all removed lists empty.
+			if err := b.Remove(filepath.Join(other, "a.ckpt")); err != nil {
+				t.Fatalf("Remove: %v", err)
+			}
+			if names, err := b.ListFiles(other); err != nil || len(names) != 0 {
+				t.Fatalf("ListFiles(emptied dir) = %v, %v; want empty, no error", names, err)
 			}
 
 			// SyncDir on an existing directory succeeds.

@@ -298,3 +298,15 @@ func TestRejectedDrawInChargeRun(t *testing.T) {
 		}
 	}
 }
+
+// seeded is BenchmarkSeed's generator, kept where the compiler cannot
+// drop the seeding.
+var seeded alfg
+
+// BenchmarkSeed prices seeding the scheduler's generator, which every
+// run that spawns does once, at its first draw (settle).
+func BenchmarkSeed(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		seeded.seed(int64(i) * 7919)
+	}
+}

@@ -39,36 +39,90 @@ import (
 // alfg is math/rand's additive lagged-Fibonacci generator,
 // x[n] = x[n-607] + x[n-273] mod 2^64, held in the machine. x[n] lives
 // in ring[n mod 1024], so a step needs no wrap-around test; at is where
-// the latest x is. src is the math/rand source seed reads a state from.
+// the latest x is.
 type alfg struct {
 	ring [alfgRing]uint64
 	at   uint32
-	src  rand.Source64
 }
 
 const (
 	alfgLong, alfgShort = 607, 273
 	alfgRing            = 1024 // a power of two above the long lag
+
+	lehmerMod = 1<<31 - 1 // the modulus of math/rand's seeding generator
+	lehmerMul = 48271     // and its multiplier
 )
 
-// seed puts g in the state of rand.NewSource(s). math/rand stays the
-// only authority on seeding, and its table of 607 additive constants is
-// not copied: a freshly seeded source's first 607 outputs x[0..606] are
-// a whole generator state, and running the recurrence backwards over
-// them, x[n-607] = x[n] - x[n-273] for n = 606 down to 0, yields the 607
-// values before them — the state the source was seeded with.
+// seed puts g in the state of rand.NewSource(s). The source reduces s to
+// a residue l₀ of 2³¹−1 and steps the Lehmer generator l ↦ 48271·l mod
+// 2³¹−1 from it; each of the 607 words of its state is three consecutive
+// l's, shifted and XORed, XORed with an additive constant. The k-th step
+// is l₀ times the k-th power of 48271, so seed makes each l with one
+// multiply from a table (seedWords) instead of stepping 1,841 times.
 func (g *alfg) seed(s int64) {
-	if g.src == nil {
-		g.src = rand.NewSource(0).(rand.Source64)
+	s %= lehmerMod // as rngSource.Seed reduces it
+	if s < 0 {
+		s += lehmerMod
 	}
-	g.src.Seed(s)
+	if s == 0 {
+		s = 89482311
+	}
+	l, r := uint64(s), (*[alfgLong]uint64)(g.ring[alfgRing-alfgLong:])
+	for j := range seedWords {
+		w := &seedWords[j]
+		r[j] = lehmer(l*w.pow[0])<<40 ^ lehmer(l*w.pow[1])<<20 ^ lehmer(l*w.pow[2]) ^ w.cooked
+	}
+	g.at = alfgRing - 1 // x[-1]: the next step makes x[0]
+}
+
+// lehmer is v mod 2³¹−1 for v < 2⁶², by two folds of the Mersenne
+// modulus.
+func lehmer(v uint64) uint64 {
+	v = v&lehmerMod + v>>31
+	v = v&lehmerMod + v>>31 // at most 2³¹: 2³¹−1 and 2³¹ are 0 and 1
+	return (v + (v+1)>>31) & lehmerMod
+}
+
+// seedWord is what x[j-607], the j-th word of a freshly seeded state,
+// is made of: the powers of 48271 that give its three Lehmer values, and
+// math/rand's additive constant.
+type seedWord struct {
+	pow    [3]uint64
+	cooked uint64
+}
+
+var seedWords = seedTable()
+
+// seedTable derives seed's table from math/rand, which stays the only
+// authority on seeding: its table of additive constants is not copied.
+// rngSource.Seed writes its word i from the 21+3i-th to 23+3i-th Lehmer
+// values, and its first output is word 333 plus word 606, so word i is
+// x[-274-i] (mod 607, in -607..-1). A freshly seeded source's first 607
+// outputs x[0..606] are a whole generator state, and running the
+// recurrence backwards over them, x[n-607] = x[n] - x[n-273] for n = 606
+// down to 0, yields the 607 values before them: the seeded state. Seeded
+// with 1, whose Lehmer values are the powers themselves, XORing those
+// out of each word leaves its constant.
+func seedTable() (words [alfgLong]seedWord) {
+	var pow [21 + 3*alfgLong]uint64 // pow[k] = 48271^k mod 2³¹−1
+	pow[0] = 1
+	for k := 1; k < len(pow); k++ {
+		pow[k] = pow[k-1] * lehmerMul % lehmerMod
+	}
+	var g alfg
+	src := rand.NewSource(1).(rand.Source64)
 	for n := 0; n < alfgLong; n++ {
-		g.ring[n] = g.src.Uint64()
+		g.ring[n] = src.Uint64()
 	}
 	for n := alfgLong - 1; n >= 0; n-- {
 		g.ring[(n-alfgLong)&(alfgRing-1)] = g.ring[n] - g.ring[(n-alfgShort)&(alfgRing-1)]
 	}
-	g.at = alfgRing - 1 // x[-1]: the next step makes x[0]
+	for i := 0; i < alfgLong; i++ {
+		j := (alfgLong - alfgShort - 1 - i + alfgLong) % alfgLong // x[j-607] is word i
+		p := [3]uint64{pow[21+3*i], pow[22+3*i], pow[23+3*i]}
+		words[j] = seedWord{p, g.ring[alfgRing-alfgLong+j] ^ p[0]<<40 ^ p[1]<<20 ^ p[2]}
+	}
+	return words
 }
 
 // step is rand.(*Rand).Int31 on a rand.NewSource: one step of the
