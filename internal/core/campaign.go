@@ -73,11 +73,10 @@ type Campaign struct {
 // flight. It is rebuilt by Plan every iteration and never serialized:
 // checkpoints happen only at iteration boundaries.
 type iterState struct {
-	limit     int
-	effSigma  int
-	window    []int
-	windowSet map[int]bool
-	plan      *Plan
+	limit    int
+	effSigma int
+	window   []int
+	plan     *Plan
 
 	failing    []*RunTrace
 	successful []*RunTrace
@@ -247,9 +246,9 @@ func (c *Campaign) admit(job RunJob, rt *RunTrace) {
 	if cfg.Features.ExtendedPT {
 		// The extended-PT trace logs every shared access; keep only
 		// those on addresses the tracked slice touches, the same set
-		// hardware watchpoints would have trapped on.
-		sl, windowSet := c.sl, st.windowSet
-		rt.filterTraps(func(id int) bool { return sl.Contains(id) || windowSet[id] })
+		// hardware watchpoints would have trapped on. The window is
+		// drawn from the slice, so the slice covers it.
+		rt.filterTraps(c.sl.Contains)
 	}
 	c.overheads = append(c.overheads, rt.Meter.OverheadPct())
 	if rt.Outcome.Failed && rt.Outcome.Report.ID() == c.report.ID() {
@@ -278,10 +277,6 @@ func (c *Campaign) Plan() {
 	sp.End()
 	st.plan.Telemetry = cfg.Telemetry
 	st.plan.exec = cfg.exec
-	st.windowSet = make(map[int]bool, len(st.window))
-	for _, id := range st.window {
-		st.windowSet[id] = true
-	}
 	st.iterStart = len(c.overheads)
 }
 

@@ -52,7 +52,7 @@ type RunTrace struct {
 	// predictor extraction.
 	DecodeErr error
 	// SalvagedCores counts cores whose corrupt trace was partially
-	// recovered by PSB resynchronization (SalvageDecode).
+	// recovered by PSB resynchronization (pt.Decode's salvage).
 	SalvagedCores int
 	// DroppedTraps counts trap records lost in flight, for fleet-health
 	// accounting.
@@ -271,14 +271,14 @@ func FinishRun(plan *Plan, rt *RunTrace, dec faults.Decision) {
 		for i := range rt.PT {
 			c := &rt.PT[i]
 			c.Data = dec.CorruptTrace(c.Data)
-			_, branches, data, salvaged, err := decodeCore(plan.Prog, *c, false)
+			_, branches, data, rep, err := pt.Decode(plan.Prog, c.Data, c.Wrapped, false)
 			if err != nil {
-				// Nothing survived: DecodeErr tells the server to keep
-				// this run away from predictor extraction.
-				rt.DecodeErr = err
-				continue
-			}
-			if salvaged {
+				if !rep.Recovered() {
+					// Nothing survived: DecodeErr tells the server to keep
+					// this run away from predictor extraction.
+					rt.DecodeErr = err
+					continue
+				}
 				rt.SalvagedCores++
 			}
 			rt.Branches[c.Core] = branches
@@ -304,27 +304,6 @@ func FinishRun(plan *Plan, rt *RunTrace, dec faults.Decision) {
 	watchSpan.End()
 }
 
-// decodeCore is the server's rule for one core's buffer: a clean decode,
-// else the PSB-delimited chunks that still parse and replay
-// (pt.SalvageDecode, salvaged true). err is the clean decode's error
-// when nothing survives. Without wantFlow a clean decode copies out no
-// flow.
-func decodeCore(prog *ir.Program, c PTCore, wantFlow bool) (flow []int, branches []pt.BranchObs, data []pt.DataObs, salvaged bool, err error) {
-	if wantFlow {
-		flow, branches, data, err = pt.DecodeFlow(prog, c.Data, c.Wrapped)
-	} else {
-		branches, data, err = pt.DecodeBranches(prog, c.Data, c.Wrapped)
-	}
-	if err == nil {
-		return flow, branches, data, false, nil
-	}
-	sflow, sbranches, sdata, rep := pt.SalvageDecode(prog, c.Data, c.Wrapped)
-	if !rep.Recovered() {
-		return nil, nil, nil, false, err
-	}
-	return sflow, sbranches, sdata, true, nil
-}
-
 // flow decodes, per thread (= per PT core), the instruction sequences
 // of the traced regions, concatenated in per-core order, by the same
 // rule FinishRun decoded the branches with. A core whose flow is empty
@@ -336,7 +315,7 @@ func (rt *RunTrace) flow(prog *ir.Program) map[int][]int {
 		return flows
 	}
 	for _, c := range rt.PT {
-		if flow, _, _, _, err := decodeCore(prog, c, true); err == nil && len(flow) > 0 {
+		if flow, _, _, _, _ := pt.Decode(prog, c.Data, c.Wrapped, true); len(flow) > 0 {
 			flows[c.Core] = flow
 		}
 	}

@@ -12,19 +12,16 @@ import (
 	"repro/internal/slicer"
 )
 
-// decoderFlow is the flow of a run's ring buffers by the decoders
-// alone: per core the clean decode, else what salvage recovers. ok is
+// decoderFlow is the flow of a run's ring buffers by pt.Decode alone:
+// per core the clean replay, else what salvage recovers. ok is
 // false when some core yields nothing either way, and the run then has
 // no flow at all.
 func decoderFlow(prog *ir.Program, cores []core.PTCore) (flows map[int][]int, ok bool) {
 	flows = make(map[int][]int)
 	for _, c := range cores {
-		flow, _, _, err := pt.DecodeFlow(prog, c.Data, c.Wrapped)
-		if err != nil {
-			var rep pt.SalvageReport
-			if flow, _, _, rep = pt.SalvageDecode(prog, c.Data, c.Wrapped); !rep.Recovered() {
-				return map[int][]int{}, false
-			}
+		flow, _, _, rep, err := pt.Decode(prog, c.Data, c.Wrapped, true)
+		if err != nil && !rep.Recovered() {
+			return map[int][]int{}, false
 		}
 		if len(flow) > 0 {
 			flows[c.Core] = flow

@@ -1,30 +1,19 @@
 package core
 
-// Window-merge helpers shared by the campaign engine and the discovery
-// wrappers. Adaptive slice tracking takes the first sigma source lines
-// of the slice and merges in every statement runtime refinement has
-// discovered so far (§3.2.3); the merge semantics — append-preserving,
-// first-occurrence dedup against the growing window — determine the
-// plan's tracked set and therefore the diagnosis output, so exactly one
-// implementation may exist.
-
-// containsInt reports whether v occurs in xs.
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
+import "slices"
 
 // mergeWindow appends to window every id of added that the window does
 // not already contain, in added order, deduplicating against the window
 // as it grows. It returns the (possibly reallocated) window; callers
 // must use the return value.
+//
+// Adaptive slice tracking takes the first sigma source lines of the
+// slice and merges in every statement runtime refinement has discovered
+// so far (§3.2.3): these merge semantics determine the plan's tracked
+// set and therefore the diagnosis output.
 func mergeWindow(window, added []int) []int {
 	for _, id := range added {
-		if !containsInt(window, id) {
+		if !slices.Contains(window, id) {
 			window = append(window, id)
 		}
 	}

@@ -5,18 +5,6 @@ import (
 	"testing"
 )
 
-func TestContainsInt(t *testing.T) {
-	if containsInt(nil, 1) {
-		t.Error("empty slice contains nothing")
-	}
-	if !containsInt([]int{3, 1, 2}, 1) {
-		t.Error("1 is present")
-	}
-	if containsInt([]int{3, 1, 2}, 4) {
-		t.Error("4 is absent")
-	}
-}
-
 func TestMergeWindow(t *testing.T) {
 	cases := []struct {
 		name          string

@@ -25,7 +25,7 @@ type DataObs struct {
 	TSC     int64
 }
 
-// DecodeFlow reconstructs the executed instruction sequence of one core
+// Decode reconstructs the executed instruction sequence of one core
 // from its raw packet buffer, against the program's CFG — the offline
 // side of control-flow tracking: packets only say "taken/not-taken/
 // target", and the decoder replays the CFG to recover which statements
@@ -34,30 +34,35 @@ type DataObs struct {
 // dropped, exactly like a real PT decoder.
 //
 // The traced regions (each the instructions between a PGE and its PGD,
-// or the end of the buffer) come back to back, plus the conditional-
-// branch outcomes recovered from the TNT bits in consumption order and
-// the extended-PT data accesses. The outcomes are a byproduct of CFG
-// replay: they carry strictly more information than the flow alone when
-// a trace stops right at a branch (the successor is then not part of
-// the flow but the outcome is still known). Every slice returned is the
-// caller's own, copied out of the decoder's scratch once.
+// or the end of the buffer) come back to back as flow, only if
+// wantFlow, plus the conditional-branch outcomes recovered from the TNT
+// bits in consumption order and the extended-PT data accesses. The
+// outcomes are a byproduct of CFG replay: they carry strictly more
+// information than the flow alone when a trace stops right at a branch
+// (the successor is then not part of the flow but the outcome is still
+// known). Every slice returned is the caller's own.
 //
-// A diagnosis server needs the flow of one run per iteration, the one
-// its sketch is drawn from, and the outcomes and accesses of every run:
-// core.FinishRun decodes each upload with DecodeBranches, and the
-// sketch's run is decoded again with DecodeFlow when it is chosen.
-func DecodeFlow(prog *ir.Program, data []byte, wrapped bool) ([]int, []BranchObs, []DataObs, error) {
-	return decode(prog, data, wrapped, true)
+// The buffer is replayed once, cleanly. If that replay fails, err is
+// its error and the results are what salvage recovers from the same
+// bytes, accounted in rep (see salvage.go); rep is zero after a clean
+// decode. A diagnosis server needs the flow of one run per iteration,
+// the one its sketch is drawn from, and the outcomes and accesses of
+// every run: core.FinishRun decodes each upload without the flow, and
+// the sketch's run is decoded again with it when it is chosen.
+func Decode(prog *ir.Program, data []byte, wrapped, wantFlow bool) (flow []int, branches []BranchObs, dobs []DataObs, rep SalvageReport, err error) {
+	flow, branches, dobs, err = decode(prog, data, wrapped, wantFlow)
+	if err == nil {
+		return flow, branches, dobs, rep, nil
+	}
+	flow, branches, dobs, rep = salvage(prog, data, wrapped)
+	if !wantFlow {
+		flow = nil
+	}
+	return flow, branches, dobs, rep, err
 }
 
-// DecodeBranches is DecodeFlow without the flow: the same replay, with
-// the same branch outcomes, data accesses and error, that copies no
-// instruction sequence out.
-func DecodeBranches(prog *ir.Program, data []byte, wrapped bool) ([]BranchObs, []DataObs, error) {
-	_, branches, dobs, err := decode(prog, data, wrapped, false)
-	return branches, dobs, err
-}
-
+// decode is Decode's clean replay: it stops with an error at the first
+// malformed packet or impossible replay step.
 func decode(prog *ir.Program, data []byte, wrapped, wantFlow bool) ([]int, []BranchObs, []DataObs, error) {
 	decodeCalls.Add(1)
 	decodedBytes.Add(int64(len(data)))

@@ -70,17 +70,18 @@ func decodeSeeds(t testing.TB) (which []uint8, data [][]byte, wrapped []bool) {
 // decodeAllocBudget bounds what decoding data may allocate: a fixed
 // slack plus, per input byte, a program-sized stretch of replayed flow
 // (the decoder's runaway bound) and its packet events, for the clean
-// decode, the flowless replay and the salvage decode together.
+// replay and Decode with and without the flow together.
 func decodeAllocBudget(prog *ir.Program, data []byte) uint64 {
 	return 1<<20 + 64*uint64(len(data)+1)*uint64(len(prog.Instrs)+64)
 }
 
-// FuzzPTDecode feeds arbitrary ring bytes to the decoders a diagnosis
-// server runs on agent uploads. None may panic or run away, together
-// they must allocate within a bound set by the input, the flowless
-// replay must return exactly the clean decode's branches, accesses and
-// error, and on a buffer that decodes cleanly salvage returns exactly
-// the clean decode.
+// FuzzPTDecode feeds arbitrary ring bytes to Decode, the one decoder a
+// diagnosis server runs on agent uploads. It may not panic or run away,
+// and together with the clean replay it must allocate within a bound
+// set by the input. Decode without the flow must return exactly the
+// branches, accesses, report and error Decode with it returns; Decode's
+// error must be the clean replay's; and a buffer the clean replay
+// accepts must come back as exactly that replay, with a zero report.
 func FuzzPTDecode(f *testing.F) {
 	progs := suitePrograms()
 	which, data, wrapped := decodeSeeds(f)
@@ -93,31 +94,37 @@ func FuzzPTDecode(f *testing.F) {
 		prog := progs[int(which)%len(progs)]
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		flow, branches, dobs, err := pt.DecodeFlow(prog, data, wrapped)
-		bbranches, bdobs, berr := pt.DecodeBranches(prog, data, wrapped)
-		sflow, sbranches, sdobs, rep := pt.SalvageDecode(prog, data, wrapped)
+		cflow, cbranches, cdobs, cerr := pt.CleanDecode(prog, data, wrapped, true)
+		flow, branches, dobs, rep, err := pt.Decode(prog, data, wrapped, true)
+		bflow, bbranches, bdobs, brep, berr := pt.Decode(prog, data, wrapped, false)
 		runtime.ReadMemStats(&after)
 		if got, budget := after.TotalAlloc-before.TotalAlloc, decodeAllocBudget(prog, data); got > budget {
 			t.Fatalf("decoding %d bytes allocated %d bytes, over the %d-byte budget", len(data), got, budget)
 		}
-		if !slices.Equal(bbranches, branches) || !slices.Equal(bdobs, dobs) || fmt.Sprint(berr) != fmt.Sprint(err) {
-			t.Fatalf("the flowless replay returned %d branches, %d accesses and error %v; the clean decode %d, %d and %v",
-				len(bbranches), len(bdobs), berr, len(branches), len(dobs), err)
+		if bflow != nil || !slices.Equal(bbranches, branches) || !slices.Equal(bdobs, dobs) || brep != rep || fmt.Sprint(berr) != fmt.Sprint(err) {
+			t.Fatalf("without the flow Decode returned %d instructions, %d branches, %d accesses, report %+v and error %v; with it %d, %d, %+v and %v",
+				len(bflow), len(bbranches), len(bdobs), brep, berr, len(branches), len(dobs), rep, err)
 		}
-		if len(sflow) != rep.Instrs {
-			t.Fatalf("salvage report counts %d instructions, the flow holds %d", rep.Instrs, len(sflow))
+		if fmt.Sprint(err) != fmt.Sprint(cerr) {
+			t.Fatalf("Decode returned error %v, the clean replay %v", err, cerr)
 		}
 		if err != nil {
+			if len(flow) != rep.Instrs {
+				t.Fatalf("salvage report counts %d instructions, the flow holds %d", rep.Instrs, len(flow))
+			}
 			return
 		}
-		if !slices.Equal(sflow, flow) {
-			t.Fatalf("salvage recovered %d instructions, the clean decode %d: not the same flow", len(sflow), len(flow))
+		if rep != (pt.SalvageReport{}) {
+			t.Fatalf("a clean decode reports salvage %+v", rep)
 		}
-		if !slices.Equal(sbranches, branches) {
-			t.Fatalf("salvage recovered %d branches, the clean decode %d: not the same outcomes", len(sbranches), len(branches))
+		if !slices.Equal(flow, cflow) {
+			t.Fatalf("Decode returned %d instructions, the clean replay %d: not the same flow", len(flow), len(cflow))
 		}
-		if !slices.Equal(sdobs, dobs) {
-			t.Fatalf("salvage recovered %d accesses, the clean decode %d: not the same accesses", len(sdobs), len(dobs))
+		if !slices.Equal(branches, cbranches) {
+			t.Fatalf("Decode returned %d branches, the clean replay %d: not the same outcomes", len(branches), len(cbranches))
+		}
+		if !slices.Equal(dobs, cdobs) {
+			t.Fatalf("Decode returned %d accesses, the clean replay %d: not the same accesses", len(dobs), len(cdobs))
 		}
 	})
 }
@@ -163,26 +170,27 @@ func fupFlood(tb testing.TB) (which uint8, open, flood []byte) {
 }
 
 // TestFUPFloodDecodesInLinearTime: FUP packets behind a long open
-// segment cost the decoders time linear in the buffer, and a FUP naming
+// segment cost the decoder time linear in the buffer, cleanly and when
+// a bad byte after them sends the buffer to salvage, and a FUP naming
 // no replayed instruction truncates nothing.
 func TestFUPFloodDecodesInLinearTime(t *testing.T) {
 	which, open, flood := fupFlood(t)
 	prog := suitePrograms()[which]
-	want, _, _, err := pt.DecodeFlow(prog, open, false)
+	want, _, _, _, err := pt.Decode(prog, open, false, true)
 	if err != nil || len(want) < 100_000 {
 		t.Fatalf("open segment decodes to %d instructions (%v), want a long clean flow", len(want), err)
 	}
 	start := time.Now()
-	got, _, _, err := pt.DecodeFlow(prog, flood, false)
-	salvaged, _, _, _ := pt.SalvageDecode(prog, flood, false)
+	got, _, _, _, err := pt.Decode(prog, flood, false, true)
+	_, _, _, rep, serr := pt.Decode(prog, append(flood, 0xEE), false, true)
 	if took := time.Since(start); took > 2*time.Second {
 		t.Errorf("decoding %d FUPs behind a %d-instruction segment took %v", floodFUPs, len(want), took)
 	}
 	if err != nil || !slices.Equal(got, want) {
 		t.Errorf("flooded buffer decodes to %d instructions (%v), want the open segment's %d", len(got), err, len(want))
 	}
-	if !slices.Equal(salvaged, want) {
-		t.Errorf("salvage of the flooded buffer recovered %d instructions, want the open segment's %d", len(salvaged), len(want))
+	if serr == nil || rep.Chunks == 0 {
+		t.Errorf("a bad byte after the flood: error %v, salvage report %+v; want a failed replay, then salvage", serr, rep)
 	}
 }
 
@@ -194,7 +202,7 @@ func TestSeedsDecodeLikeTheClient(t *testing.T) {
 	which, data, wrapped := decodeSeeds(t)
 	clean, squeezed := 0, 0
 	for i := 0; i < len(data); i += 2 {
-		if _, _, _, err := pt.DecodeFlow(progs[which[i]], data[i], wrapped[i]); err != nil {
+		if _, _, _, _, err := pt.Decode(progs[which[i]], data[i], wrapped[i], true); err != nil {
 			t.Fatalf("seed %d (%d bytes, bug %d): %v", i, len(data[i]), which[i], err)
 		}
 		clean++
@@ -227,7 +235,7 @@ func TestDecoderRunawayBounded(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	flow, _, _, err := pt.DecodeFlow(prog, data, false)
+	flow, _, _, _, err := pt.Decode(prog, data, false, true)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatalf("decoding a packet-free loop succeeded with %d instructions", len(flow))

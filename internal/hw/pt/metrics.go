@@ -17,9 +17,9 @@ var (
 
 // Metrics is a snapshot of the package's decode counters.
 type Metrics struct {
-	// DecodeCalls counts full-trace decode attempts (one per traced
-	// core per run); DecodeErrors counts the attempts that failed and
-	// fell through to salvage.
+	// DecodeCalls counts Decode's clean replays (one per call);
+	// DecodeErrors counts the replays that failed and fell through to
+	// salvage.
 	DecodeCalls, DecodeErrors int64
 	// DecodedBytes is the total raw trace bytes handed to the decoder.
 	DecodedBytes int64

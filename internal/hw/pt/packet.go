@@ -16,10 +16,16 @@
 //     packets are lost and the decoder resynchronizes at the next PSB
 //     sync point.
 //
+// Decode is the offline half, and the package's one decoder: it replays
+// a core's buffer against the program's CFG, and when damaged bytes stop
+// that replay it resynchronizes at the PSB sync points after them, as it
+// does after an overflow (salvage.go).
+//
 // Instruction "IPs" are program-wide IR instruction IDs.
 package pt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -154,7 +160,7 @@ func encodePTW(dst []byte, ip int, addr, val, size int64, isWrite bool, tsc int6
 func parsePackets(evs []Event, data []byte, synced bool) ([]Event, error) {
 	i := 0
 	if !synced {
-		i = indexOfPSB(data)
+		i = bytes.Index(data, psbMagic)
 		if i < 0 {
 			return evs, nil // no sync point survived: whole buffer lost
 		}
@@ -162,7 +168,7 @@ func parsePackets(evs []Event, data []byte, synced bool) ([]Event, error) {
 	for i < len(data) {
 		switch data[i] {
 		case psbByte:
-			if i+len(psbMagic) > len(data) || !matchPSB(data[i:]) {
+			if !bytes.HasPrefix(data[i:], psbMagic) {
 				return evs, fmt.Errorf("pt: corrupt PSB at offset %d", i)
 			}
 			evs = append(evs, Event{Kind: EvPSB})
@@ -232,23 +238,4 @@ func parsePackets(evs []Event, data []byte, synced bool) ([]Event, error) {
 		}
 	}
 	return evs, nil
-}
-
-func matchPSB(data []byte) bool {
-	for i, m := range psbMagic {
-		if data[i] != m {
-			return false
-		}
-	}
-	return true
-}
-
-// indexOfPSB returns the offset of the first full PSB magic, or -1.
-func indexOfPSB(data []byte) int {
-	for i := 0; i+len(psbMagic) <= len(data); i++ {
-		if matchPSB(data[i:]) {
-			return i
-		}
-	}
-	return -1
 }

@@ -47,7 +47,7 @@ func fullTraceRun(t *testing.T, prog *ir.Program, seed int64, cfg Config) (*Trac
 func decodeAll(t *testing.T, prog *ir.Program, tr *Tracer, core int) []int {
 	t.Helper()
 	data, wrapped := tr.CoreBytes(core)
-	all, _, _, err := DecodeFlow(prog, data, wrapped)
+	all, _, _, err := decode(prog, data, wrapped, true)
 	if err != nil {
 		t.Fatalf("decode core %d: %v", core, err)
 	}
@@ -159,7 +159,7 @@ func TestRingBufferWrapResyncs(t *testing.T) {
 	if len(data) > wrapBufBytes {
 		t.Fatalf("ring exceeded capacity: %d", len(data))
 	}
-	got, _, _, err := DecodeFlow(prog, data, wrapped)
+	got, _, _, err := decode(prog, data, wrapped, true)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}

@@ -95,7 +95,7 @@ func TestDecodeFullSeparatesStreams(t *testing.T) {
 	tr.Data(0, 4, 0x1008, 2, 8, false, 2)
 	tr.Disable(0, 4)
 	buf, wrapped := tr.CoreBytes(0)
-	_, _, data, err := DecodeFlow(prog, buf, wrapped)
+	_, _, data, err := decode(prog, buf, wrapped, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package pt
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/ir"
@@ -20,8 +21,8 @@ int main() {
 // psbOffsets returns the offsets of every PSB magic in data.
 func psbOffsets(data []byte) []int {
 	var offs []int
-	for i := 0; i+len(psbMagic) <= len(data); i++ {
-		if matchPSB(data[i:]) {
+	for i := range data {
+		if bytes.HasPrefix(data[i:], psbMagic) {
 			offs = append(offs, i)
 		}
 	}
@@ -32,10 +33,11 @@ func psbOffsets(data []byte) []int {
 // times, yet wide enough to keep a few sync points.
 const wrapBufBytes = 2048
 
-// TestSalvageDecodeTable drives SalvageDecode through the fault shapes
-// the fleet produces: ring-buffer wrap, a corrupted PSB sync point,
+// TestSalvageDecodeTable drives Decode through the fault shapes the
+// fleet produces: ring-buffer wrap, a corrupted PSB sync point,
 // corruption in a packet body, and a buffer with no surviving sync
-// point at all.
+// point at all. The clean replay fails exactly on the shapes that lose
+// chunks, and only those are salvaged.
 func TestSalvageDecodeTable(t *testing.T) {
 	prog := ir.MustCompile("s.mc", salvageProg)
 
@@ -57,10 +59,13 @@ func TestSalvageDecodeTable(t *testing.T) {
 		// mutate damages the raw trace; nil leaves it clean.
 		mutate func([]byte) []byte
 
+		// wantRecovered asserts some flow survives.
 		wantRecovered bool
-		// wantFullMatch asserts salvage recovers exactly what a clean
+		// wantFullMatch asserts Decode returns exactly what a clean
 		// decode of the unmutated buffer yields.
 		wantFullMatch bool
+		// wantBadChunks asserts the clean replay fails and salvage
+		// loses chunks.
 		wantBadChunks bool
 		wantResyncs   bool
 	}{
@@ -126,7 +131,7 @@ func TestSalvageDecodeTable(t *testing.T) {
 			if tc.cfg.BufBytes > 0 && !wrapped {
 				t.Fatalf("buffer should have wrapped (len=%d)", len(data))
 			}
-			clean, _, _, err := DecodeFlow(prog, data, wrapped)
+			clean, _, _, err := decode(prog, data, wrapped, true)
 			if err != nil {
 				t.Fatalf("clean decode: %v", err)
 			}
@@ -135,13 +140,19 @@ func TestSalvageDecodeTable(t *testing.T) {
 			if tc.mutate != nil {
 				mutated = tc.mutate(data)
 			}
-			got, _, _, rep := SalvageDecode(prog, mutated, wrapped)
+			got, _, _, rep, err := Decode(prog, mutated, wrapped, true)
 
-			if rep.Recovered() != tc.wantRecovered {
-				t.Fatalf("Recovered() = %v, want %v (report %+v)", rep.Recovered(), tc.wantRecovered, rep)
+			if (err != nil) != tc.wantBadChunks {
+				t.Fatalf("Decode error %v; want one: %v", err, tc.wantBadChunks)
 			}
-			if rep.Instrs != len(got) {
+			if err == nil && rep != (SalvageReport{}) {
+				t.Fatalf("a clean decode reports salvage %+v", rep)
+			}
+			if err != nil && rep.Instrs != len(got) {
 				t.Fatalf("report counts %d instrs, the flow holds %d", rep.Instrs, len(got))
+			}
+			if recovered := len(got) > 0; recovered != tc.wantRecovered {
+				t.Fatalf("recovered %d instrs, want some: %v (report %+v)", len(got), tc.wantRecovered, rep)
 			}
 			if tc.wantFullMatch {
 				if len(got) != len(clean) {
@@ -194,4 +205,23 @@ func adjacentPairs(stream []int) map[[2]int]bool {
 		pairs[[2]int{stream[i-1], stream[i]}] = true
 	}
 	return pairs
+}
+
+// TestDecodeCountsOneReplay pins the counters a corrupt buffer moves:
+// one clean replay, which fails, then one salvage pass.
+func TestDecodeCountsOneReplay(t *testing.T) {
+	prog := ir.MustCompile("s.mc", salvageProg)
+	tr, _, _ := fullTraceRun(t, prog, 1, Config{})
+	data, wrapped := tr.CoreBytes(0)
+	data = append([]byte(nil), data...)
+	data[psbOffsets(data)[2]] = 0xEE
+	before := Snapshot()
+	if _, _, _, rep, err := Decode(prog, data, wrapped, false); err == nil || !rep.Recovered() {
+		t.Fatalf("Decode error %v, report %+v; want a failed replay and a salvage", err, rep)
+	}
+	after := Snapshot()
+	got := [3]int64{after.DecodeCalls - before.DecodeCalls, after.DecodeErrors - before.DecodeErrors, after.SalvageCalls - before.SalvageCalls}
+	if got != [3]int64{1, 1, 1} {
+		t.Fatalf("decode calls, errors and salvage calls moved by %v, want [1 1 1]", got)
+	}
 }

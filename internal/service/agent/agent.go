@@ -104,19 +104,12 @@ type Agent struct {
 	client *service.Client
 	lease  time.Duration
 
-	mu     sync.Mutex
-	graphs map[string]*plannedBug
-}
-
-// plannedBug caches one bug's compiled program and graph so repeated
-// tasks against the same bug do not recompile.
-type plannedBug struct {
-	cfg core.Config
-	// plan is the plan of the last task run for this bug. The ~40 tasks
-	// of a diagnosis share two or three windows, mostly back to back, and
-	// a plan is read-only once built, so one entry saves nearly every
-	// rebuild.
-	plan *core.Plan
+	// plans holds, per bug, the plan of the last task run for it. The
+	// ~40 tasks of a diagnosis share two or three windows, mostly back
+	// to back, and a plan is read-only once built, so one entry saves
+	// nearly every rebuild.
+	mu    sync.Mutex
+	plans map[string]*core.Plan
 }
 
 // New returns an agent; call Run to start it.
@@ -128,7 +121,7 @@ func New(cfg Config) (*Agent, error) {
 	return &Agent{
 		cfg:    cfg,
 		client: service.NewClient(cfg.client()),
-		graphs: make(map[string]*plannedBug),
+		plans:  make(map[string]*core.Plan),
 	}, nil
 }
 
@@ -240,42 +233,27 @@ func (a *Agent) runTask(task *service.WireTask) (rt *core.RunTrace, err error) {
 			err = fmt.Errorf("run panicked: %v", r)
 		}
 	}()
-	pb, err := a.bugConfig(task.Bug)
-	if err != nil {
-		return nil, err
+	b := bugs.ByName(task.Bug)
+	if b == nil {
+		return nil, fmt.Errorf("unknown bug %q", task.Bug)
 	}
-	plan := a.planFor(pb, task.Window, task.Feats)
+	plan := a.planFor(task.Bug, b.GistConfig(), task.Window, task.Feats)
 	dec := faults.NewInjector(task.Faults).ForRun(task.Spec.EndpointID, task.Spec.Seed)
 	return core.RecordRun(plan, task.Spec, dec), nil
 }
 
-// planFor returns the plan for (window, feats), rebuilding only when the
-// task's window or features differ from the previous task's.
-func (a *Agent) planFor(pb *plannedBug, window []int, feats core.Features) *core.Plan {
+// planFor returns bug's plan for (window, feats), rebuilding only when
+// the task's window or features differ from the previous task's for
+// the same bug.
+func (a *Agent) planFor(bug string, cfg core.Config, window []int, feats core.Features) *core.Plan {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if p := pb.plan; p == nil || p.Feats != feats || !slices.Equal(p.Tracked, window) {
-		pb.plan = core.BuildPlan(pb.cfg.BuildGraph(), window, feats)
+	p := a.plans[bug]
+	if p == nil || p.Feats != feats || !slices.Equal(p.Tracked, window) {
+		p = core.BuildPlan(cfg.BuildGraph(), window, feats)
+		a.plans[bug] = p
 	}
-	return pb.plan
-}
-
-func (a *Agent) bugConfig(name string) (*plannedBug, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if pb, ok := a.graphs[name]; ok {
-		return pb, nil
-	}
-	b := bugs.ByName(name)
-	if b == nil {
-		return nil, fmt.Errorf("unknown bug %q", name)
-	}
-	pb := &plannedBug{cfg: b.GistConfig()}
-	// Warm the memoized graph while holding the lock so concurrent
-	// tasks against a fresh bug compile once.
-	pb.cfg.BuildGraph()
-	a.graphs[name] = pb
-	return pb, nil
+	return p
 }
 
 // startHeartbeats renews this agent's leases every lease/3 until the

@@ -103,7 +103,7 @@ func TestRunSurvivesTheWire(t *testing.T) {
 // non-empty flow.
 func tracesFlow(prog *ir.Program, rt *core.RunTrace) bool {
 	for _, c := range rt.PT {
-		if flow, _, _, err := pt.DecodeFlow(prog, c.Data, c.Wrapped); err == nil && len(flow) > 0 {
+		if flow, _, _, _, err := pt.Decode(prog, c.Data, c.Wrapped, true); err == nil && len(flow) > 0 {
 			return true
 		}
 	}

@@ -202,6 +202,9 @@ func (m *MemBackend) Rename(oldPath, newPath string) error {
 	if !ok {
 		return &os.PathError{Op: "rename", Path: oldPath, Err: os.ErrNotExist}
 	}
+	if newPath == oldPath {
+		return nil // as os.Rename: the file stays where it is
+	}
 	m.put(newPath, data)
 	m.drop(oldPath)
 	return nil

@@ -126,6 +126,18 @@ func TestBackendConformance(t *testing.T) {
 				t.Fatalf("Rename over existing = %q, want charlie-2", got)
 			}
 
+			// A rename onto the source's own path leaves the file in
+			// place, listed once.
+			if err := b.Rename(path("c.ckpt"), path("c.ckpt")); err != nil {
+				t.Fatalf("Rename onto itself: %v", err)
+			}
+			if got, err := b.ReadFile(path("c.ckpt")); err != nil || !bytes.Equal(got, []byte("charlie-2")) {
+				t.Fatalf("after a self-rename ReadFile = %q, %v; want charlie-2", got, err)
+			}
+			if names, err := b.ListFiles(dir); err != nil || fmt.Sprint(names) != "[a.ckpt b.ckpt c.ckpt]" {
+				t.Fatalf("after a self-rename ListFiles = %v, %v; want [a.ckpt b.ckpt c.ckpt]", names, err)
+			}
+
 			// Renaming a missing source is an error.
 			if err := b.Rename(path("ghost"), path("g.ckpt")); err == nil {
 				t.Fatalf("Rename of a missing source succeeded")
