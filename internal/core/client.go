@@ -109,22 +109,23 @@ func RecordRun(plan *Plan, spec RunSpec, dec faults.Decision) *RunTrace {
 
 	// threads is the client's per-thread tracking state, indexed by thread
 	// ID. Every thread's first step reaches OnStep (see vm.Hooks.StepMask),
-	// which is where its entry is made.
+	// which is where its entry is made. on mirrors the tracer's enabled
+	// bit for the thread's core, and while the run executes only OnStep
+	// flips either, so a traced step asks the tracer nothing:
+	// Tracer.InstrRetired is free in hardware mode, the only mode an
+	// endpoint runs.
 	type threadState struct {
 		// pendingStop is the instruction after which tracing must be
-		// disabled, or -1; the disable is performed when the thread takes
-		// its next step so that the instruction's own packets are recorded
-		// first.
+		// disabled, or noStop; the disable is performed when the thread
+		// takes its next step so that the instruction's own packets are
+		// recorded first. unseen marks a thread whose first step has not
+		// come yet.
 		pendingStop int
-		lastTraced  int
+		lastTraced  int32
+		on          bool
 	}
+	const noStop, unseen = -1, -2
 	var threads []threadState
-	thread := func(tid int) *threadState {
-		for tid >= len(threads) {
-			threads = append(threads, threadState{pendingStop: -1})
-		}
-		return &threads[tid]
-	}
 
 	var hooks vm.Hooks
 	if plan.Feats.ControlFlow {
@@ -134,11 +135,15 @@ func RecordRun(plan *Plan, spec RunSpec, dec faults.Decision) *RunTrace {
 			// to keep PT running, with data packets making watchpoints
 			// unnecessary. No step mask: every step must reach the hook.
 			hooks.OnStep = func(t *vm.Thread, in *ir.Instr, clock int64) {
-				if !tracer.Enabled(t.ID) {
-					tracer.Enable(t.ID, in.ID)
+				for t.ID >= len(threads) {
+					threads = append(threads, threadState{pendingStop: unseen})
 				}
-				tracer.InstrRetired(t.ID)
-				thread(t.ID).lastTraced = in.ID
+				st := &threads[t.ID]
+				if !st.on {
+					tracer.Enable(t.ID, in.ID)
+					st.on = true
+				}
+				st.lastTraced = int32(in.ID)
 			}
 		} else {
 			// The hook does nothing at an instruction without a flag on a
@@ -149,25 +154,31 @@ func RecordRun(plan *Plan, spec RunSpec, dec faults.Decision) *RunTrace {
 			// that retires an instruction its (possibly empty) PT core.
 			hooks.StepMask = plan.stepFlags
 			hooks.OnStep = func(t *vm.Thread, in *ir.Instr, clock int64) {
-				st := thread(t.ID)
-				if st.pendingStop >= 0 {
-					tracer.Disable(t.ID, st.pendingStop)
-					st.pendingStop = -1
+				for t.ID >= len(threads) {
+					threads = append(threads, threadState{pendingStop: unseen})
+				}
+				st := &threads[t.ID]
+				if st.pendingStop != noStop {
+					if st.pendingStop == unseen {
+						tracer.Enabled(t.ID) // makes the core
+					} else {
+						tracer.Disable(t.ID, st.pendingStop)
+						st.on = false
+					}
+					st.pendingStop = noStop
 				}
 				flags := plan.stepFlags[in.ID]
-				on := tracer.Enabled(t.ID)
-				if !on && flags&planStart != 0 {
+				if !st.on && flags&planStart != 0 {
 					tracer.Enable(t.ID, in.ID)
-					on = true
+					st.on = true
 				}
-				if on {
-					tracer.InstrRetired(t.ID)
-					st.lastTraced = in.ID
+				if st.on {
+					st.lastTraced = int32(in.ID)
 					if flags&planStopAfter != 0 {
 						st.pendingStop = in.ID
 					}
 				}
-				t.Traced = on
+				t.Traced = st.on
 			}
 		}
 		// Branch and TIP return early on a core that is not tracing, and
@@ -230,7 +241,7 @@ func RecordRun(plan *Plan, spec RunSpec, dec faults.Decision) *RunTrace {
 		rt.PT = make([]PTCore, len(cores))
 		for i, core := range cores {
 			if tracer.Enabled(core) {
-				tracer.Disable(core, thread(core).lastTraced)
+				tracer.Disable(core, int(threads[core].lastTraced))
 			}
 			rt.PT[i].Core = core
 		}

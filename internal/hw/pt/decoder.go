@@ -33,6 +33,10 @@ type DataObs struct {
 // starts at the first PSB sync point and the lost prefix is silently
 // dropped, exactly like a real PT decoder.
 //
+// The replay steps a block at a time, as libipt's block decoder does:
+// between two control transfers nothing emits a packet, so it moves
+// from its position to the next br, jmp, call or ret (ir.Instr.NextCtl)
+// in one step, and its cost follows the packets, not the instructions.
 // The traced regions (each the instructions between a PGE and its PGD,
 // or the end of the buffer) come back to back as flow, only if
 // wantFlow, plus the conditional-branch outcomes recovered from the TNT
@@ -40,7 +44,9 @@ type DataObs struct {
 // outcomes are a byproduct of CFG replay: they carry strictly more
 // information than the flow alone when a trace stops right at a branch
 // (the successor is then not part of the flow but the outcome is still
-// known). Every slice returned is the caller's own.
+// known). wantFlow only decides whether the replayed IDs are written
+// out; both modes run the same walk. Every slice returned is the
+// caller's own.
 //
 // The buffer is replayed once, cleanly. If that replay fails, err is
 // its error and the results are what salvage recovers from the same
@@ -54,10 +60,7 @@ func Decode(prog *ir.Program, data []byte, wrapped, wantFlow bool) (flow []int, 
 	if err == nil {
 		return flow, branches, dobs, rep, nil
 	}
-	flow, branches, dobs, rep = salvage(prog, data, wrapped)
-	if !wantFlow {
-		flow = nil
-	}
+	flow, branches, dobs, rep = salvage(prog, data, wrapped, wantFlow)
 	return flow, branches, dobs, rep, err
 }
 
@@ -72,7 +75,7 @@ func decode(prog *ir.Program, data []byte, wrapped, wantFlow bool) ([]int, []Bra
 		decodeErrors.Add(1)
 		return nil, nil, nil, err
 	}
-	flow, branches, dobs, err := s.replay(prog, wantFlow)
+	flow, branches, dobs, _, err := s.replay(prog, wantFlow)
 	if err != nil {
 		decodeErrors.Add(1)
 	}
@@ -80,17 +83,18 @@ func decode(prog *ir.Program, data []byte, wrapped, wantFlow bool) ([]int, []Bra
 }
 
 // scratch is one decode's working memory: the parsed packets, the
-// replayed flow (open region included), the branch outcomes and the TNT
-// bits not yet consumed. A decode cannot know its output sizes up front,
-// and growing fresh slices by doubling for every core of every run was
-// most of a diagnosis's allocated bytes; a decode appends into kept
-// scratch instead and copies out, once and at exact size, what its
-// caller keeps.
+// replayed flow (open region included), the branch outcomes, the TNT
+// bits not yet consumed and the FUP window. A decode cannot know its
+// output sizes up front, and growing fresh slices by doubling for every
+// core of every run was most of a diagnosis's allocated bytes; a decode
+// appends into kept scratch instead and copies out, once and at exact
+// size, what its caller keeps.
 type scratch struct {
 	evs      []Event
 	flow     []int
 	branches []BranchObs
 	bits     []bool
+	window   []span
 }
 
 // scratches holds the scratch of finished decodes for the next one.
@@ -109,7 +113,7 @@ func getScratch() *scratch {
 }
 
 func putScratch(s *scratch) {
-	if cap(s.evs) > maxSpareLen || cap(s.flow) > maxSpareLen {
+	if cap(s.evs) > maxSpareLen || cap(s.flow) > maxSpareLen || cap(s.window) > maxSpareLen {
 		return
 	}
 	scratches.Put(s)
@@ -123,22 +127,26 @@ func (s *scratch) parse(data []byte, synced bool) (err error) {
 }
 
 // replay replays s.evs against prog. It returns the instructions of all
-// traced regions back to back (only if wantFlow), the branch outcomes
-// and the data accesses; the slices are the caller's own.
-func (s *scratch) replay(prog *ir.Program, wantFlow bool) (flow []int, branches []BranchObs, data []DataObs, err error) {
-	d := &decoder{prog: prog, evs: s.evs, flow: s.flow[:0], branches: s.branches[:0], bits: s.bits[:0]}
+// traced regions back to back (only if wantFlow), the branch outcomes,
+// the data accesses and how many instructions the traced regions hold;
+// the slices are the caller's own. After an error only the closed
+// regions count: the one the replay was in the middle of is dropped.
+func (s *scratch) replay(prog *ir.Program, wantFlow bool) (flow []int, branches []BranchObs, data []DataObs, instrs int, err error) {
+	d := &decoder{prog: prog, evs: s.evs, wantFlow: wantFlow, flow: s.flow[:0], window: s.window[:0], branches: s.branches[:0], bits: s.bits[:0]}
 	err = d.run()
-	// After an error only the closed regions count; the one the replay
-	// was in the middle of is dropped.
 	if wantFlow && d.start > 0 {
 		flow = slices.Clone(d.flow[:d.start])
 	}
 	if len(d.branches) > 0 {
 		branches = slices.Clone(d.branches)
 	}
-	s.flow, s.branches, s.bits = d.flow, d.branches, d.bits
-	return flow, branches, d.data, err
+	s.flow, s.window, s.branches, s.bits = d.flow, d.window, d.branches, d.bits
+	return flow, branches, d.data, d.start, err
 }
+
+// span is the run of consecutive instruction IDs lo..hi: a stretch of
+// one block, which ir.Program numbers consecutively.
+type span struct{ lo, hi int }
 
 type decoder struct {
 	prog *ir.Program
@@ -150,22 +158,26 @@ type decoder struct {
 	nextBit int
 	cur     *ir.Instr // nil = tracing off / waiting for PGE
 
-	// flow holds every region's instructions back to back; the open
-	// region is flow[start:].
-	flow  []int
-	start int
+	// n counts the instructions replayed, every region back to back;
+	// the closed regions hold the first start of them and the open
+	// region the rest. flow holds their IDs, only if wantFlow.
+	wantFlow bool
+	flow     []int
+	n, start int
 
 	// straight counts the instructions replayed since the walk last
 	// consumed packet material (a TNT bit, a TIP, a PGE anchor), for the
-	// runaway guard and the FUP scan.
+	// runaway guard and the FUP scan. window holds the open region's
+	// last straight+1 instructions (all of it, if shorter), oldest span
+	// first: the stretch a FUP can name.
 	straight int
+	window   []span
 	branches []BranchObs
 	data     []DataObs
 }
 
-// next returns the next event, or nil.
+// peek returns the next event without consuming it, or nil.
 func (d *decoder) peek() *Event {
-	// Coalesce: TNT bits are pulled eagerly into d.bits by advanceEvents.
 	if d.pos >= len(d.evs) {
 		return nil
 	}
@@ -193,6 +205,13 @@ func (d *decoder) run() error {
 				return err
 			}
 			if d.cur == nil {
+				// The count restarts at the anchor, so the FUP window
+				// shrinks to the open region's last instruction, if the
+				// region (left open by a FUP or an untargeted call or
+				// ret) has one.
+				if k := len(d.window); k > 0 {
+					d.anchor(d.window[k-1].hi)
+				}
 				d.cur = in
 				d.straight = 0
 				if err := d.walk(); err != nil {
@@ -220,19 +239,12 @@ func (d *decoder) run() error {
 			// emits a stop's FUP before any packet of a later
 			// instruction, so the stop is one of the d.straight
 			// instructions replayed since the walk last consumed packet
-			// material, or the one that consumed it. The scan looks no
-			// further back, which keeps a run of FUPs linear in the
-			// buffer.
+			// material, or the one that consumed it: the window. The
+			// scan looks no further back, which keeps a run of FUPs
+			// linear in the buffer.
 			d.pos++
-			if d.cur != nil || len(d.flow) > d.start {
-				lo := max(d.start, len(d.flow)-d.straight-1)
-				for i := len(d.flow) - 1; i >= lo; i-- {
-					if d.flow[i] == ev.IP {
-						d.straight -= len(d.flow) - (i + 1)
-						d.flow = d.flow[:i+1]
-						break
-					}
-				}
+			if d.cur != nil || d.n > d.start {
+				d.truncate(ev.IP)
 				d.cur = nil
 			}
 		case EvTIP:
@@ -261,7 +273,8 @@ func (d *decoder) instrAt(ip int) (*ir.Instr, error) {
 }
 
 func (d *decoder) closeSegment() {
-	d.start = len(d.flow)
+	d.start = d.n
+	d.window = d.window[:0]
 	d.cur = nil
 	d.bits, d.nextBit = d.bits[:0], 0
 }
@@ -276,51 +289,101 @@ func (d *decoder) pushBits(ev *Event) {
 	}
 }
 
-// walk replays straight-line control flow from d.cur, consuming TNT bits
-// at conditional branches and TIP targets at calls/returns, until it runs
-// out of packet material.
+// replayed appends instructions lo..hi, one stretch of a block, to the
+// open region.
+func (d *decoder) replayed(lo, hi int) {
+	if hi < lo {
+		return
+	}
+	d.n += hi - lo + 1
+	d.straight += hi - lo + 1
+	if k := len(d.window); k > 0 && d.window[k-1].hi+1 == lo {
+		d.window[k-1].hi = hi
+	} else {
+		d.window = append(d.window, span{lo, hi})
+	}
+	if d.wantFlow {
+		for id := lo; id <= hi; id++ {
+			d.flow = append(d.flow, id)
+		}
+	}
+}
+
+// anchor records that the walk consumed packet material at instruction
+// id, the open region's last: the FUP window shrinks to it.
+func (d *decoder) anchor(id int) {
+	d.straight = 0
+	d.window = append(d.window[:0], span{id, id})
+}
+
+// truncate ends the open region just after the last occurrence of ip in
+// the window, if it has one.
+func (d *decoder) truncate(ip int) {
+	cut := 0
+	for k := len(d.window) - 1; k >= 0; k-- {
+		w := &d.window[k]
+		if w.lo <= ip && ip <= w.hi {
+			cut += w.hi - ip
+			w.hi = ip
+			d.window = d.window[:k+1]
+			d.n -= cut
+			d.straight -= cut
+			if d.wantFlow {
+				d.flow = d.flow[:d.n]
+			}
+			return
+		}
+		cut += w.hi - w.lo + 1
+	}
+}
+
+// walk replays control flow from d.cur, a block stretch at a time,
+// consuming TNT bits at conditional branches and TIP targets at
+// calls/returns, until it runs out of packet material.
 func (d *decoder) walk() error {
 	for d.cur != nil {
 		in := d.cur
-		d.flow = append(d.flow, in.ID)
+		ctl := d.prog.Instrs[in.NextCtl]
 		// A traced unconditional-jump loop produces no packets. Between
 		// two packets the replay is a function of the current
 		// instruction alone, so once it has replayed more instructions
 		// than the program holds it is going round such a loop and
 		// would never stop; the bound also keeps a hostile buffer's
-		// output within a program-size multiple of its packets.
-		if d.straight++; d.straight > len(d.prog.Instrs) {
-			return fmt.Errorf("pt: decoder runaway at instruction %d (untraceable unconditional loop?)", in.ID)
+		// output within a program-size multiple of its packets. The
+		// error names the instruction the count crosses at, the
+		// stretch's terminator included even if the walk would pause
+		// there.
+		if over := d.straight + ctl.ID - in.ID + 1 - len(d.prog.Instrs); over > 0 {
+			return fmt.Errorf("pt: decoder runaway at instruction %d (untraceable unconditional loop?)", ctl.ID-over+1)
 		}
-		switch in.Op {
-		case ir.OpBr:
-			if d.nextBit == len(d.bits) {
-				// Need more TNT material; if the next event is a TNT we
-				// could continue, but run() will re-enter walk after
-				// pulling it. Rewind the emission of this instruction so
-				// it is not recorded twice.
-				d.flow = d.flow[:len(d.flow)-1]
-				d.straight--
-				if ev := d.peek(); ev != nil && ev.Kind == EvTNT {
-					d.pushBits(ev)
-					d.pos++
-					continue
-				}
-				// Pause mid-block waiting for more events; run() re-enters
-				// walk, and d.cur keeps the walker's position.
-				return nil
+		if ctl.Op == ir.OpBr && d.nextBit == len(d.bits) {
+			// Need more TNT material: replay up to the branch and
+			// pause there. If the next event is a TNT we can continue;
+			// otherwise run() re-enters walk, and d.cur keeps the
+			// walker's position.
+			d.replayed(in.ID, ctl.ID-1)
+			d.cur = ctl
+			if ev := d.peek(); ev != nil && ev.Kind == EvTNT {
+				d.pushBits(ev)
+				d.pos++
+				continue
 			}
+			return nil
+		}
+		d.replayed(in.ID, ctl.ID)
+		switch ctl.Op {
+		case ir.OpBr:
 			taken := d.bits[d.nextBit]
 			d.nextBit++
-			d.straight = 0
-			d.branches = append(d.branches, BranchObs{IP: in.ID, Taken: taken})
+			d.anchor(ctl.ID)
+			d.branches = append(d.branches, BranchObs{IP: ctl.ID, Taken: taken})
 			if taken {
-				d.cur = in.Then.Instrs[0]
+				d.cur = ctl.Then.Instrs[0]
 			} else {
-				d.cur = in.Else.Instrs[0]
+				d.cur = ctl.Else.Instrs[0]
 			}
 		case ir.OpJmp:
-			d.cur = in.Then.Instrs[0]
+			d.cur = ctl.Then.Instrs[0]
 		case ir.OpCall, ir.OpRet:
 			ev := d.peek()
 			if ev == nil || ev.Kind != EvTIP {
@@ -335,12 +398,7 @@ func (d *decoder) walk() error {
 				return err
 			}
 			d.cur = target
-			d.straight = 0
-		default:
-			// Straight-line: next instruction in the block. Every block
-			// ends in a terminator, so Idx+1 is always in range for
-			// non-terminators.
-			d.cur = in.Blk.Instrs[in.Idx+1]
+			d.anchor(ctl.ID)
 		}
 	}
 	return nil

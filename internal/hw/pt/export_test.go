@@ -1,5 +1,5 @@
 package pt
 
-// CleanDecode is Decode's clean replay alone, for tests that hold
-// Decode to it.
-var CleanDecode = decode
+// ReferenceDecode is Decode as the per-instruction reference decoder
+// (reference_test.go) computes it, for tests that hold Decode to it.
+var ReferenceDecode = refDecode

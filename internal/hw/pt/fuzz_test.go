@@ -69,19 +69,18 @@ func decodeSeeds(t testing.TB) (which []uint8, data [][]byte, wrapped []bool) {
 
 // decodeAllocBudget bounds what decoding data may allocate: a fixed
 // slack plus, per input byte, a program-sized stretch of replayed flow
-// (the decoder's runaway bound) and its packet events, for the clean
-// replay and Decode with and without the flow together.
+// (the decoder's runaway bound) and its packet events, for Decode with
+// and without the flow together.
 func decodeAllocBudget(prog *ir.Program, data []byte) uint64 {
 	return 1<<20 + 64*uint64(len(data)+1)*uint64(len(prog.Instrs)+64)
 }
 
 // FuzzPTDecode feeds arbitrary ring bytes to Decode, the one decoder a
 // diagnosis server runs on agent uploads. It may not panic or run away,
-// and together with the clean replay it must allocate within a bound
-// set by the input. Decode without the flow must return exactly the
-// branches, accesses, report and error Decode with it returns; Decode's
-// error must be the clean replay's; and a buffer the clean replay
-// accepts must come back as exactly that replay, with a zero report.
+// and with and without the flow together it must allocate within a
+// bound set by the input. In both modes it must return exactly what the
+// per-instruction reference decoder (reference_test.go) returns: flow,
+// branches, accesses, salvage report and error text.
 func FuzzPTDecode(f *testing.F) {
 	progs := suitePrograms()
 	which, data, wrapped := decodeSeeds(f)
@@ -94,39 +93,42 @@ func FuzzPTDecode(f *testing.F) {
 		prog := progs[int(which)%len(progs)]
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		cflow, cbranches, cdobs, cerr := pt.CleanDecode(prog, data, wrapped, true)
-		flow, branches, dobs, rep, err := pt.Decode(prog, data, wrapped, true)
-		bflow, bbranches, bdobs, brep, berr := pt.Decode(prog, data, wrapped, false)
+		var got [2]decoded
+		for i, wantFlow := range []bool{true, false} {
+			got[i] = decodeWith(pt.Decode, prog, data, wrapped, wantFlow)
+		}
 		runtime.ReadMemStats(&after)
-		if got, budget := after.TotalAlloc-before.TotalAlloc, decodeAllocBudget(prog, data); got > budget {
-			t.Fatalf("decoding %d bytes allocated %d bytes, over the %d-byte budget", len(data), got, budget)
+		if used, budget := after.TotalAlloc-before.TotalAlloc, decodeAllocBudget(prog, data); used > budget {
+			t.Fatalf("decoding %d bytes allocated %d bytes, over the %d-byte budget", len(data), used, budget)
 		}
-		if bflow != nil || !slices.Equal(bbranches, branches) || !slices.Equal(bdobs, dobs) || brep != rep || fmt.Sprint(berr) != fmt.Sprint(err) {
-			t.Fatalf("without the flow Decode returned %d instructions, %d branches, %d accesses, report %+v and error %v; with it %d, %d, %+v and %v",
-				len(bflow), len(bbranches), len(bdobs), brep, berr, len(branches), len(dobs), rep, err)
-		}
-		if fmt.Sprint(err) != fmt.Sprint(cerr) {
-			t.Fatalf("Decode returned error %v, the clean replay %v", err, cerr)
-		}
-		if err != nil {
-			if len(flow) != rep.Instrs {
-				t.Fatalf("salvage report counts %d instructions, the flow holds %d", rep.Instrs, len(flow))
+		for i, wantFlow := range []bool{true, false} {
+			if want := decodeWith(pt.ReferenceDecode, prog, data, wrapped, wantFlow); !got[i].equal(want) {
+				t.Fatalf("with wantFlow %v Decode returned %v; the reference %v", wantFlow, got[i], want)
 			}
-			return
-		}
-		if rep != (pt.SalvageReport{}) {
-			t.Fatalf("a clean decode reports salvage %+v", rep)
-		}
-		if !slices.Equal(flow, cflow) {
-			t.Fatalf("Decode returned %d instructions, the clean replay %d: not the same flow", len(flow), len(cflow))
-		}
-		if !slices.Equal(branches, cbranches) {
-			t.Fatalf("Decode returned %d branches, the clean replay %d: not the same outcomes", len(branches), len(cbranches))
-		}
-		if !slices.Equal(dobs, cdobs) {
-			t.Fatalf("Decode returned %d accesses, the clean replay %d: not the same accesses", len(dobs), len(cdobs))
 		}
 	})
+}
+
+// decoded is one decode's results, the error as its text.
+type decoded struct {
+	flow     []int
+	branches []pt.BranchObs
+	dobs     []pt.DataObs
+	rep      pt.SalvageReport
+	err      string
+}
+
+func decodeWith(decode func(*ir.Program, []byte, bool, bool) ([]int, []pt.BranchObs, []pt.DataObs, pt.SalvageReport, error), prog *ir.Program, data []byte, wrapped, wantFlow bool) decoded {
+	flow, branches, dobs, rep, err := decode(prog, data, wrapped, wantFlow)
+	return decoded{flow, branches, dobs, rep, fmt.Sprint(err)}
+}
+
+func (a decoded) equal(b decoded) bool {
+	return slices.Equal(a.flow, b.flow) && slices.Equal(a.branches, b.branches) && slices.Equal(a.dobs, b.dobs) && a.rep == b.rep && a.err == b.err
+}
+
+func (a decoded) String() string {
+	return fmt.Sprintf("%d instructions, %d branches, %d accesses, report %+v, error %s", len(a.flow), len(a.branches), len(a.dobs), a.rep, a.err)
 }
 
 // floodFUPs is how many FUP packets fupFlood appends.
@@ -242,5 +244,40 @@ func TestDecoderRunawayBounded(t *testing.T) {
 	}
 	if got, budget := after.TotalAlloc-before.TotalAlloc, decodeAllocBudget(prog, data); got > budget {
 		t.Fatalf("runaway decode allocated %d bytes, over the %d-byte budget", got, budget)
+	}
+}
+
+// TestRunawayNamesTheReferenceInstruction: the block-stepping walk
+// counts a whole block stretch at once, but its runaway error still
+// names the instruction at which the per-instruction count crosses the
+// program's size, as the reference does, for a PGE anchor at every
+// instruction of a packet-free loop whose body is a long straight
+// block. From the body's first instruction the count crosses inside
+// the body, not at its terminator.
+func TestRunawayNamesTheReferenceInstruction(t *testing.T) {
+	prog := ir.MustCompile("spin.mc", `int main() { int s = 0; int t = 1; for (;;) { s = s + 1; t = t * 2 + s; } return s + t; }`)
+	var body *ir.Instr // the first instruction of the longest block
+	for _, in := range prog.Instrs {
+		if in.Idx == 0 && (body == nil || len(in.Blk.Instrs) > len(body.Blk.Instrs)) {
+			body = in
+		}
+	}
+	for _, in := range prog.Instrs {
+		data := binary.AppendUvarint([]byte{0x02}, uint64(in.ID)) // PGE, as in packet.go
+		for _, wantFlow := range []bool{true, false} {
+			got := decodeWith(pt.Decode, prog, data, false, wantFlow)
+			if want := decodeWith(pt.ReferenceDecode, prog, data, false, wantFlow); !got.equal(want) {
+				t.Fatalf("PGE at %d, wantFlow %v: Decode returned %v; the reference %v", in.ID, wantFlow, got, want)
+			}
+		}
+	}
+	data := binary.AppendUvarint([]byte{0x02}, uint64(body.ID))
+	_, _, _, _, err := pt.Decode(prog, data, false, false)
+	var at int
+	if _, serr := fmt.Sscanf(fmt.Sprint(err), "pt: decoder runaway at instruction %d", &at); serr != nil {
+		t.Fatalf("PGE at the loop body (%d): error %v, want a runaway", body.ID, err)
+	}
+	if in := prog.Instrs[at]; in.Blk != body.Blk || in.NextCtl == in.ID {
+		t.Fatalf("the runaway from %d crosses at %d (%v), want a straight instruction of the body", body.ID, at, in.Op)
 	}
 }

@@ -46,8 +46,9 @@ func (r SalvageReport) Recovered() bool { return r.Instrs > 0 }
 // and the rest of the buffer continues at the next PSB. wrapped has the
 // same meaning as in Decode: the bytes before the first PSB are
 // skipped. The recovered flow comes back to back, chunk after chunk, as
-// Decode returns its traced regions.
-func salvage(prog *ir.Program, data []byte, wrapped bool) (flow []int, branches []BranchObs, dobs []DataObs, rep SalvageReport) {
+// Decode returns its traced regions, and only if wantFlow; rep counts
+// the recovered instructions either way.
+func salvage(prog *ir.Program, data []byte, wrapped, wantFlow bool) (flow []int, branches []BranchObs, dobs []DataObs, rep SalvageReport) {
 	salvageCalls.Add(1)
 	defer func() {
 		salvagedChunks.Add(int64(rep.Chunks - rep.BadChunks))
@@ -68,7 +69,7 @@ func salvage(prog *ir.Program, data []byte, wrapped bool) (flow []int, branches 
 			rep.Resyncs++ // this chunk's PSB restarted decoding
 		}
 		perr := s.parse(chunk, true)
-		f, b, d, derr := s.replay(prog, true)
+		f, b, d, n, derr := s.replay(prog, wantFlow)
 		prevBad = perr != nil || derr != nil
 		if prevBad {
 			rep.BadChunks++
@@ -76,8 +77,8 @@ func salvage(prog *ir.Program, data []byte, wrapped bool) (flow []int, branches 
 		flow = append(flow, f...)
 		branches = append(branches, b...)
 		dobs = append(dobs, d...)
+		rep.Instrs += n
 	}
-	rep.Instrs = len(flow)
 	return flow, branches, dobs, rep
 }
 

@@ -246,7 +246,9 @@ func (t *Tracer) Data(core, ip int, addr, val, size int64, isWrite bool, tsc int
 
 // InstrRetired accounts one retired instruction on core while tracing is
 // enabled. In hardware mode this is free; in software mode every
-// instruction pays the instrumentation tax.
+// instruction pays the instrumentation tax. Only software-mode callers
+// (internal/experiments, tests) need it: core.RecordRun, which traces in
+// hardware mode, never calls it.
 func (t *Tracer) InstrRetired(core int) {
 	c := t.core(core)
 	if !c.enabled {

@@ -52,10 +52,43 @@ func FuzzCompile(f *testing.F) {
 	})
 }
 
+// TestNextCtl: in each of the 12 suite programs, every instruction's
+// NextCtl is the first control transfer at or after it in its block.
+func TestNextCtl(t *testing.T) {
+	for _, b := range bugs.All() {
+		checkNextCtl(t, b.Program())
+	}
+}
+
+// checkNextCtl requires every instruction's NextCtl to name a br, jmp,
+// call or ret of its own block, at or after it, with no control
+// transfer in between.
+func checkNextCtl(t *testing.T, p *ir.Program) {
+	t.Helper()
+	isCtl := func(in *ir.Instr) bool {
+		return in.Op == ir.OpBr || in.Op == ir.OpJmp || in.Op == ir.OpCall || in.Op == ir.OpRet
+	}
+	for _, in := range p.Instrs {
+		if in.NextCtl < in.ID || in.NextCtl >= len(p.Instrs) {
+			t.Fatalf("%s: %%%d has NextCtl %d", p.Name, in.ID, in.NextCtl)
+		}
+		ctl := p.Instrs[in.NextCtl]
+		if ctl.Blk != in.Blk || !isCtl(ctl) {
+			t.Fatalf("%s: %%%d has NextCtl %%%d (%v), not a control transfer of its block", p.Name, in.ID, ctl.ID, ctl.Op)
+		}
+		for _, mid := range p.Instrs[in.ID:ctl.ID] {
+			if isCtl(mid) {
+				t.Fatalf("%s: %%%d has NextCtl %%%d past the control transfer %%%d", p.Name, in.ID, ctl.ID, mid.ID)
+			}
+		}
+	}
+}
+
 // checkWellFormed requires every block to end in a terminator, every
 // register operand and destination to lie below the function's NumRegs,
 // every frame slot below its Slots (which holds at least the
-// parameters), and every global index below len(Globals).
+// parameters), every global index below len(Globals), and each
+// instruction's NextCtl to be its block's next control transfer.
 func checkWellFormed(t *testing.T, p *ir.Program) {
 	t.Helper()
 	for _, fn := range p.Funcs {
@@ -84,4 +117,5 @@ func checkWellFormed(t *testing.T, p *ir.Program) {
 			}
 		}
 	}
+	checkNextCtl(t, p)
 }

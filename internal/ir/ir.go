@@ -151,6 +151,11 @@ type Instr struct {
 
 	Blk *Block // owning block (set by finalize)
 	Idx int    // index within owning block (set by finalize)
+	// NextCtl is the ID of the first br, jmp, call or ret at or after
+	// this instruction in its block (set by finalize): a PT decoder
+	// steps from here to there in one move, since nothing in between
+	// transfers control or emits a packet.
+	NextCtl int
 }
 
 // isTerminator reports whether the instruction ends a basic block.
@@ -302,9 +307,10 @@ type Program struct {
 	SpawnTargets map[int]string
 }
 
-// finalize assigns program-wide instruction IDs, block back-references and
-// predecessor lists. It must be called once after construction and before
-// any analysis.
+// finalize assigns program-wide instruction IDs, block back-references,
+// each instruction's next control transfer and predecessor lists. It must
+// be called once after construction and before any analysis. A block's
+// instructions get consecutive IDs.
 func (p *Program) finalize() {
 	p.Instrs = p.Instrs[:0]
 	id := 0
@@ -321,6 +327,14 @@ func (p *Program) finalize() {
 				in.Idx = i
 				p.Instrs = append(p.Instrs, in)
 				id++
+			}
+			next := -1
+			for i := len(b.Instrs) - 1; i >= 0; i-- {
+				in := b.Instrs[i]
+				if in.Op == OpBr || in.Op == OpJmp || in.Op == OpCall || in.Op == OpRet {
+					next = in.ID
+				}
+				in.NextCtl = next
 			}
 		}
 		for _, b := range f.Blocks {
