@@ -678,9 +678,11 @@ func (s *CampaignSnapshot) fits(prog *ir.Program) error {
 	return nil
 }
 
-// Encode renders the snapshot as indented JSON with a trailing newline.
+// Encode renders the snapshot as compact JSON with a trailing newline.
+// DecodeCampaignSnapshot reads either form, so the indented generations
+// earlier builds wrote still resume.
 func (s *CampaignSnapshot) Encode() ([]byte, error) {
-	data, err := json.MarshalIndent(s, "", "  ")
+	data, err := json.Marshal(s)
 	if err != nil {
 		return nil, err
 	}

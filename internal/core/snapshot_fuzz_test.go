@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/bugs"
@@ -38,6 +40,27 @@ func snapshotSeeds(tb testing.TB, cfgs []core.Config) (which []uint8, data [][]b
 		}
 	}
 	return which, data
+}
+
+// TestSnapshotEncodeCompact: a checkpoint is compact JSON ending in one
+// newline, for every snapshotBugs campaign at its first three boundaries
+// (fewer for a campaign that finishes sooner). That encoding survives a
+// decode byte for byte is TestCampaignSnapshotRoundTrip's.
+func TestSnapshotEncodeCompact(t *testing.T) {
+	cfgs := make([]core.Config, len(snapshotBugs))
+	for i, name := range snapshotBugs {
+		cfgs[i] = bugs.ByName(name).GistConfig()
+	}
+	which, data := snapshotSeeds(t, cfgs)
+	for i, enc := range data {
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, enc); err != nil {
+			t.Fatalf("%s #%d: %v", snapshotBugs[which[i]], i, err)
+		}
+		if !bytes.HasSuffix(enc, []byte("}\n")) || !bytes.Equal(compact.Bytes(), enc[:len(enc)-1]) {
+			t.Fatalf("%s #%d: checkpoint is not compact JSON and one newline:\n%.200s", snapshotBugs[which[i]], i, enc)
+		}
+	}
 }
 
 // FuzzCampaignSnapshot feeds arbitrary checkpoint bytes down the path a

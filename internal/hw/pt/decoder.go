@@ -78,8 +78,17 @@ func decode(prog *ir.Program, data []byte, wrapped, wantFlow bool) ([]int, []Bra
 	flow, branches, dobs, _, err := s.replay(prog, wantFlow)
 	if err != nil {
 		decodeErrors.Add(1)
+		return nil, nil, nil, err
 	}
-	return flow, branches, dobs, err
+	return own(flow), own(branches), dobs, nil
+}
+
+// own copies a scratch slice out at exact size; an empty one is nil.
+func own[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return slices.Clone(s)
 }
 
 // scratch is one decode's working memory: the parsed packets, the
@@ -128,20 +137,19 @@ func (s *scratch) parse(data []byte, synced bool) (err error) {
 
 // replay replays s.evs against prog. It returns the instructions of all
 // traced regions back to back (only if wantFlow), the branch outcomes,
-// the data accesses and how many instructions the traced regions hold;
-// the slices are the caller's own. After an error only the closed
-// regions count: the one the replay was in the middle of is dropped.
+// the data accesses and how many instructions the traced regions hold.
+// The data accesses are the caller's own; flow and branches are s's,
+// valid until its next replay, for the caller to copy what it keeps.
+// After an error only the closed regions count: the one the replay was
+// in the middle of is dropped.
 func (s *scratch) replay(prog *ir.Program, wantFlow bool) (flow []int, branches []BranchObs, data []DataObs, instrs int, err error) {
 	d := &decoder{prog: prog, evs: s.evs, wantFlow: wantFlow, flow: s.flow[:0], window: s.window[:0], branches: s.branches[:0], bits: s.bits[:0]}
 	err = d.run()
-	if wantFlow && d.start > 0 {
-		flow = slices.Clone(d.flow[:d.start])
-	}
-	if len(d.branches) > 0 {
-		branches = slices.Clone(d.branches)
+	if wantFlow {
+		flow = d.flow[:d.start]
 	}
 	s.flow, s.window, s.branches, s.bits = d.flow, d.window, d.branches, d.bits
-	return flow, branches, d.data, d.start, err
+	return flow, d.branches, d.data, d.start, err
 }
 
 // span is the run of consecutive instruction IDs lo..hi: a stretch of

@@ -225,3 +225,34 @@ func TestDecodeCountsOneReplay(t *testing.T) {
 		t.Fatalf("decode calls, errors and salvage calls moved by %v, want [1 1 1]", got)
 	}
 }
+
+// TestSalvageCopiesOnce bounds what Decode allocates on a corrupt
+// buffer of three PSB chunks, the middle one damaged: the failed clean
+// replay keeps nothing, and salvage copies each chunk's flow and
+// branches once, from the scratch into its own slices.
+func TestSalvageCopiesOnce(t *testing.T) {
+	prog := ir.MustCompile("s.mc", salvageProg)
+	tr, _, _ := fullTraceRun(t, prog, 1, Config{})
+	data, wrapped := tr.CoreBytes(0)
+	offs := psbOffsets(data)
+	if wrapped || len(offs) < 3 {
+		t.Fatalf("trace (wrapped %v) has PSBs at %v; want three at least", wrapped, offs)
+	}
+	// The synced head, then two PSB chunks; damage the first of these.
+	buf := append([]byte(nil), data[:offs[2]]...)
+	buf[(offs[0]+offs[1])/2] = 0xEE
+	Decode(prog, buf, false, true) // warm the scratch
+	var rep SalvageReport
+	allocs := testing.AllocsPerRun(100, func() {
+		_, _, _, rep, _ = Decode(prog, buf, false, true)
+	})
+	if rep.Chunks != 3 || rep.BadChunks != 1 {
+		t.Fatalf("report %+v; want 3 chunks, 1 bad", rep)
+	}
+	// 15 when each chunk is copied once (16 under the race detector,
+	// whose sync.Pools drop items); 21 when the clean replay's partial
+	// results and every chunk are cloned before salvage appends.
+	if allocs > 17 {
+		t.Fatalf("Decode of a 3-chunk corrupt buffer made %.0f allocations, want at most 17", allocs)
+	}
+}

@@ -74,6 +74,7 @@ func salvage(prog *ir.Program, data []byte, wrapped, wantFlow bool) (flow []int,
 		if prevBad {
 			rep.BadChunks++
 		}
+		// f and b are the scratch's: appending is their one copy.
 		flow = append(flow, f...)
 		branches = append(branches, b...)
 		dobs = append(dobs, d...)

@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -33,8 +35,9 @@ type ClientOptions struct {
 	// Faults injects transport chaos at the codec boundary; the zero
 	// value is a clean wire.
 	Faults faults.Config
-	// Transport overrides the HTTP transport; nil means the default.
-	// Tests and the load bench pass a LoopbackTransport.
+	// Transport overrides the HTTP transport; nil means
+	// http.DefaultTransport. Tests and the load bench pass a
+	// LoopbackTransport.
 	Transport http.RoundTripper
 	// Sleep overrides the backoff sleep; nil means time.Sleep.
 	Sleep func(time.Duration)
@@ -60,6 +63,9 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	}
 	if o.Sleep == nil {
 		o.Sleep = time.Sleep
+	}
+	if o.Transport == nil {
+		o.Transport = http.DefaultTransport
 	}
 	return o
 }
@@ -103,12 +109,18 @@ func (e *StatusError) Error() string {
 // transport chaos at the codec boundary — requests dropped before the
 // server, responses discarded after it, duplicated deliveries, and
 // corrupted bodies the server's checksum rejects.
+//
+// It sends through its RoundTripper directly, not an http.Client: the
+// service never redirects and sets no cookies, and the client's
+// per-call header copier and request clone are most of what a small
+// RPC allocates.
 type Client struct {
 	opts ClientOptions
-	hc   *http.Client
 	inj  *faults.Injector
 	seq  atomic.Uint64
 
+	// jit is the jitter stream, built at the first backoff: a clean
+	// wire never backs off, and the generator is about 5 KiB.
 	jmu sync.Mutex
 	jit *rand.Rand
 }
@@ -116,14 +128,7 @@ type Client struct {
 // NewClient returns a client for the given options.
 func NewClient(opts ClientOptions) *Client {
 	opts = opts.withDefaults()
-	h := fnv.New64a()
-	fmt.Fprintf(h, "jitter|%s|%s", opts.Tenant, opts.Actor)
-	return &Client{
-		opts: opts,
-		hc:   &http.Client{Transport: opts.Transport},
-		inj:  faults.NewInjector(opts.Faults),
-		jit:  rand.New(rand.NewSource(int64(h.Sum64()))),
-	}
+	return &Client{opts: opts, inj: faults.NewInjector(opts.Faults)}
 }
 
 // Call performs one RPC: marshal in, POST to path, unmarshal the reply
@@ -228,12 +233,13 @@ func (c *Client) post(ctx context.Context, path string, body []byte, sum string)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(ChecksumHeader, sum)
-	resp, err := c.hc.Do(req)
+	resp, err := c.opts.Transport.RoundTrip(req)
 	if err != nil {
-		return nil, err
+		// Worded as http.Client words it: Post "url": cause.
+		return nil, &url.Error{Op: "Post", URL: req.URL.Redacted(), Err: err}
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp.Body, resp.ContentLength, math.MaxInt64) // replies have no cap
 	if err != nil {
 		return nil, err
 	}
@@ -276,6 +282,11 @@ func (c *Client) backoff(n int) time.Duration {
 		d = backoffCap
 	}
 	c.jmu.Lock()
+	if c.jit == nil {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "jitter|%s|%s", c.opts.Tenant, c.opts.Actor)
+		c.jit = rand.New(rand.NewSource(int64(h.Sum64())))
+	}
 	f := 0.5 + c.jit.Float64()
 	c.jmu.Unlock()
 	return time.Duration(float64(d) * f)

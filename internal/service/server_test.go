@@ -195,18 +195,21 @@ func TestChecksumMismatchRejectedBeforeDecode(t *testing.T) {
 
 // TestRequestBodyCap: a body one byte over maxBodyBytes is answered 413
 // with an ErrorResponse and changes nothing, although it is a well-formed,
-// correctly checksummed upload the server would otherwise admit; the same
-// upload at exactly the cap goes through.
+// correctly checksummed upload the server would otherwise admit; so it is
+// when its Content-Length lies low or is unknown (-1). The same upload at
+// exactly the cap goes through, whatever length it declares: the
+// declared length only sizes the server's read buffer.
 func TestRequestBodyCap(t *testing.T) {
 	s := NewServer(Options{})
 	defer s.Close()
 	tk := enqueueTask(s, "acme", "pbzip2")
-	post := func(size int) *http.Response {
+	post := func(size int, declared int64) *http.Response {
 		t.Helper()
 		head := fmt.Sprintf(`{"tenant":"acme","agent":"a1","task_id":%d,"crashed":true,"pad":"`, tk.id)
 		body := append([]byte(head), bytes.Repeat([]byte{'x'}, size-len(head)-2)...)
 		body = append(body, `"}`...)
 		req := httptest.NewRequest(http.MethodPost, PathUpload, bytes.NewReader(body))
+		req.ContentLength = declared
 		req.Header.Set(ChecksumHeader, bodyChecksum(body))
 		resp, err := LoopbackTransport{Handler: s.Handler()}.RoundTrip(req)
 		if err != nil {
@@ -215,23 +218,28 @@ func TestRequestBodyCap(t *testing.T) {
 		return resp
 	}
 
-	resp := post(maxBodyBytes + 1)
-	var er ErrorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Err == "" {
-		t.Errorf("oversized body: reply is not an ErrorResponse (err=%v, %+v)", err, er)
-	}
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body got %d, want 413", resp.StatusCode)
-	}
-	s.mu.Lock()
-	done, campaigns, tasks := tk.done, len(s.tenants["acme"].campaigns), len(s.tasks)
-	s.mu.Unlock()
-	if c, _ := s.Snapshot(); done || campaigns != 0 || tasks != 1 || c.Uploads != 0 || c.BadChecksum != 0 {
-		t.Fatalf("oversized body changed state: task done=%v, %d campaigns, %d tasks, counters %+v", done, campaigns, tasks, c)
+	for _, declared := range []int64{maxBodyBytes + 1, 100, -1} {
+		resp := post(maxBodyBytes+1, declared)
+		var er ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Err == "" {
+			t.Errorf("oversized body declaring %d: reply is not an ErrorResponse (err=%v, %+v)", declared, err, er)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("oversized body declaring %d got %d, want 413", declared, resp.StatusCode)
+		}
+		s.mu.Lock()
+		done, campaigns, tasks := tk.done, len(s.tenants["acme"].campaigns), len(s.tasks)
+		s.mu.Unlock()
+		if c, _ := s.Snapshot(); done || campaigns != 0 || tasks != 1 || c.Uploads != 0 || c.BadChecksum != 0 {
+			t.Fatalf("oversized body declaring %d changed state: task done=%v, %d campaigns, %d tasks, counters %+v", declared, done, campaigns, tasks, c)
+		}
 	}
 
-	if resp := post(maxBodyBytes); resp.StatusCode != http.StatusOK {
-		t.Fatalf("body at the cap got %d, want 200", resp.StatusCode)
+	// Honest, then lying high and low; the later deliveries are duplicates.
+	for _, declared := range []int64{maxBodyBytes, maxBodyBytes + 1, 100} {
+		if resp := post(maxBodyBytes, declared); resp.StatusCode != http.StatusOK {
+			t.Fatalf("body at the cap declaring %d got %d, want 200", declared, resp.StatusCode)
+		}
 	}
 	select {
 	case <-tk.doneCh:

@@ -53,7 +53,7 @@ func jsonHandler[Req, Resp any](s *Server, f func(*Req) (*Resp, error)) http.Han
 			writeError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
+		body, err := readBody(r.Body, r.ContentLength, maxBodyBytes+1)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "read body: %v", err)
 			return
@@ -99,6 +99,42 @@ func jsonHandler[Req, Resp any](s *Server, f func(*Req) (*Resp, error)) http.Han
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
 		w.Write(data)
+	}
+}
+
+// firstBodyRead caps the buffer a declared length buys before any body
+// byte arrives. It is several times the largest body the diagnoses were
+// seen to send (a 17.7 KB sketch reply), and a peer that declares 16 MiB
+// and sends nothing holds 64 KiB, not 16 MiB.
+const firstBodyRead = 64 << 10
+
+// readBody returns what io.ReadAll(io.LimitReader(r, limit)) returns,
+// the same bytes and the same error, sizing its first buffer from the
+// declared length (Content-Length, or -1 when unknown) when that is
+// within limit: a body as long as it says, short of firstBodyRead, then
+// costs one buffer of its own size plus the byte where EOF is found.
+// The declared length only sizes that first buffer: a body shorter or
+// longer than declared reads as it would without it, a longer one
+// grows as io.ReadAll grows, and a length over limit is not trusted.
+func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
+	size := int64(512) // io.ReadAll's first buffer
+	if declared >= 0 && declared <= limit {
+		size = min(declared+1, firstBodyRead)
+	}
+	lr := io.LimitedReader{R: r, N: limit}
+	b := make([]byte, 0, size)
+	for {
+		n, err := lr.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)] // grow as io.ReadAll grows
+		}
 	}
 }
 
