@@ -689,21 +689,22 @@ func (s *CampaignSnapshot) Encode() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// DecodeCampaignSnapshot parses a checkpoint, rejecting unknown schema
-// versions before looking at anything else.
+// DecodeCampaignSnapshot parses a checkpoint in one pass, refusing
+// malformed JSON first, then an unknown schema version, before any
+// other complaint: json.Unmarshal checks the syntax before it decodes,
+// and a field of the wrong type leaves the rest (version included)
+// decoded.
 func DecodeCampaignSnapshot(data []byte) (*CampaignSnapshot, error) {
-	var probe struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
+	var snap CampaignSnapshot
+	err := json.Unmarshal(data, &snap)
+	if _, ok := err.(*json.SyntaxError); ok {
 		return nil, fmt.Errorf("gist: checkpoint is not valid JSON: %w", err)
 	}
-	if probe.Version != CampaignSnapshotVersion {
+	if snap.Version != CampaignSnapshotVersion {
 		return nil, fmt.Errorf("gist: checkpoint version %d not supported (this build reads version %d)",
-			probe.Version, CampaignSnapshotVersion)
+			snap.Version, CampaignSnapshotVersion)
 	}
-	var snap CampaignSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("gist: checkpoint: %w", err)
 	}
 	if snap.Report == nil {

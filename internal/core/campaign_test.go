@@ -186,6 +186,8 @@ func TestCampaignSnapshotVersioning(t *testing.T) {
 		{"zero version", `{"version": 0}`, "version 0 not supported"},
 		{"not json", `garbage`, "not valid JSON"},
 		{"no report", `{"version": 1}`, "no failure report"},
+		{"unknown version, bad field", `{"version": 99, "iter": "x"}`, "version 99 not supported"},
+		{"bad field", `{"version": 1, "iter": "x"}`, "gist: checkpoint: "},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

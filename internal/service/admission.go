@@ -78,7 +78,6 @@ func (s *Server) readiness() HealthResponse {
 		QueuedLaunches:    s.launchQ,
 		MaxQueuedLaunches: s.maxLaunchQ,
 		QueuedTasks:       queued,
-		DoneTasks:         len(s.doneTasks),
 		Fleet:             s.health,
 	}
 	s.mu.Unlock()
@@ -97,11 +96,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "encode health: %v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	code := http.StatusOK
 	if !h.Ready {
-		w.WriteHeader(http.StatusServiceUnavailable)
+		code = http.StatusServiceUnavailable
 	}
-	w.Write(data)
+	writeJSON(w, code, data)
 }
 
 // ---- drain ------------------------------------------------------------

@@ -7,7 +7,10 @@ import (
 	"errors"
 	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/iotest"
 	"time"
@@ -135,5 +138,36 @@ func TestRPCAllocations(t *testing.T) {
 	}
 	if poll > 52 {
 		t.Errorf("an empty poll made %.0f allocations, want at most 52", poll)
+	}
+}
+
+// TestRepliesDeclareTheirLength: a JSON reply too long for the HTTP
+// server to size by itself crosses a real socket with its length
+// declared, not chunked, so the client reads it into one buffer. The
+// 5,000-byte bug name comes back in the 400's error text.
+func TestRepliesDeclareTheirLength(t *testing.T) {
+	s := NewServer(Options{})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body, err := json.Marshal(&SubmitRequest{Tenant: "acme", Bug: strings.Repeat("b", 5000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+PathSubmit, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	reply, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || len(reply) < 5000 {
+		t.Fatalf("submit naming a 5,000-byte bug got %d with %d bytes, want a 400 echoing the name", resp.StatusCode, len(reply))
+	}
+	if resp.ContentLength != int64(len(reply)) || resp.TransferEncoding != nil {
+		t.Fatalf("%d-byte reply arrived with ContentLength %d, TransferEncoding %v; want its length declared, unchunked",
+			len(reply), resp.ContentLength, resp.TransferEncoding)
 	}
 }

@@ -307,10 +307,6 @@ func (r *remoteRunner) RunBatch(plan *core.Plan, jobs []core.RunJob) []*core.Run
 		if !tk.lost && !tk.crashed {
 			out[i] = tk.trace
 		}
-		// The batch has consumed the task; drop the trace bytes but
-		// keep the entry so late duplicate uploads still answer
-		// idempotently.
-		tk.trace = nil
 		r.s.mu.Unlock()
 		// The agent shipped what it recorded; decoding, and the faults
 		// the decision injects in flight, happen here, from the job's

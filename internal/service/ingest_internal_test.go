@@ -79,142 +79,57 @@ func TestSubmitSignatureDedup(t *testing.T) {
 	}
 }
 
-// TestDoneTaskEviction is the regression test for unbounded
-// idempotency-key growth: churn 10k completed tasks through a server
-// whose fake clock moves a millisecond per task, so the retention TTL
-// (doneTaskLeases lease TTLs, 100ms here) keeps about 100 keys, and
-// check (a) memory stays bounded, (b) every task admits exactly once,
-// (c) a live task is never evicted no matter how much completed churn
-// surrounds it.
-func TestDoneTaskEviction(t *testing.T) {
-	const (
-		churn  = 10_000
-		lease  = 25 * time.Millisecond
-		tick   = time.Millisecond
-		keyCap = int(doneTaskLeases*lease/tick) + 1
-	)
-	clk := newFakeClock()
-	s := NewServer(Options{LeaseTTL: lease, Now: clk.Now})
+// TestSettledTasksLeaveTheTable: churn settled tasks past one that
+// stays live, and check that the task table holds only the live one,
+// that every retry of a settled task is an accepted duplicate that
+// admits nothing, that an ID above the highest issued one is an
+// unaccepted duplicate, and that the live task still admits once.
+func TestSettledTasksLeaveTheTable(t *testing.T) {
+	const churn = 10_000
+	// A frozen clock: the reaper never writes the live task off.
+	s := NewServer(Options{Now: newFakeClock().Now})
 	defer s.Close()
-
-	// A live task that must survive the whole churn.
 	live := enqueueTask(s, "acme", "pbzip2")
+	upload := func(tk *task) (*UploadResponse, error) {
+		return s.handleUpload(&UploadRequest{Tenant: "acme", Agent: "a", TaskID: tk.id, Trace: &WireTrace{Spec: tk.spec}})
+	}
 
-	var firstEvicted *task
 	for i := 0; i < churn; i++ {
 		tk := enqueueTask(s, "acme", "pbzip2")
-		if firstEvicted == nil {
-			firstEvicted = tk
-		}
-		resp, err := s.handleUpload(&UploadRequest{Tenant: "acme", Agent: "a", TaskID: tk.id, Trace: &WireTrace{Spec: tk.spec}})
-		if err != nil || !resp.Accepted || resp.Duplicate {
+		if resp, err := upload(tk); err != nil || !resp.Accepted || resp.Duplicate {
 			t.Fatalf("upload %d: %+v, %v", i, resp, err)
 		}
-		// Exactly-once: an immediate retry is a duplicate, not a
-		// readmission.
-		resp, err = s.handleUpload(&UploadRequest{Tenant: "acme", Agent: "a", TaskID: tk.id, Trace: &WireTrace{Spec: tk.spec}})
-		if err != nil || !resp.Duplicate {
-			t.Fatalf("retry %d not deduped: %+v, %v", i, resp, err)
+		if resp, err := upload(tk); err != nil || !resp.Accepted || !resp.Duplicate {
+			t.Fatalf("retry %d = %+v, %v; want an accepted duplicate", i, resp, err)
 		}
-		// Evict deterministically instead of waiting on the reaper tick.
-		clk.Advance(tick)
-		s.mu.Lock()
-		s.evictDoneTasks(clk.Now())
-		s.mu.Unlock()
 	}
 
 	s.mu.Lock()
-	retainedDone := len(s.doneTasks)
-	total := len(s.tasks)
-	_, liveRetained := s.tasks[live.id]
-	_, firstStillPresent := s.tasks[firstEvicted.id]
+	_, liveHeld := s.tasks[live.id]
+	held, next := len(s.tasks), s.nextTask
 	s.mu.Unlock()
-	if retainedDone > keyCap {
-		t.Errorf("retained %d done keys, the TTL allows %d", retainedDone, keyCap)
+	if held != 1 || !liveHeld {
+		t.Fatalf("task table holds %d tasks (live task held: %v) after %d settled, want only the live one", held, liveHeld, churn)
 	}
-	if total > keyCap+1 {
-		t.Errorf("task table holds %d entries after churn, want <= cap+1", total)
-	}
-	if !liveRetained {
-		t.Fatal("live task was evicted")
-	}
-	if firstStillPresent {
-		t.Error("oldest churned key survived a full churn cycle")
+	if c, _ := s.Snapshot(); c.Uploads != churn {
+		t.Fatalf("Uploads = %d after the churn, want %d", c.Uploads, churn)
 	}
 
-	// An upload for an evicted key is acknowledged as a duplicate —
-	// never readmitted.
-	resp, err := s.handleUpload(&UploadRequest{Tenant: "acme", Agent: "a", TaskID: firstEvicted.id, Trace: &WireTrace{Spec: firstEvicted.spec}})
-	if err != nil || !resp.Duplicate {
-		t.Fatalf("evicted-key upload: %+v, %v", resp, err)
+	resp, err := s.handleUpload(&UploadRequest{Tenant: "acme", Agent: "a", TaskID: next + 1, Crashed: true})
+	if err != nil || resp.Accepted || !resp.Duplicate {
+		t.Fatalf("upload of never-issued task %d = %+v, %v; want an unaccepted duplicate", next+1, resp, err)
 	}
 
-	// The live task still admits exactly once after all that churn.
-	resp, err = s.handleUpload(&UploadRequest{Tenant: "acme", Agent: "a", TaskID: live.id, Trace: &WireTrace{Spec: live.spec}})
-	if err != nil || !resp.Accepted || resp.Duplicate {
+	if resp, err := upload(live); err != nil || !resp.Accepted || resp.Duplicate {
 		t.Fatalf("live upload: %+v, %v", resp, err)
 	}
-
-	c, _ := s.Snapshot()
-	if c.Uploads != churn+1 {
-		t.Errorf("Uploads = %d, want %d (exactly-once admission)", c.Uploads, churn+1)
+	if resp, err := upload(live); err != nil || !resp.Accepted || !resp.Duplicate {
+		t.Fatalf("live retry = %+v, %v; want an accepted duplicate", resp, err)
 	}
-	if c.EvictedTasks == 0 {
-		t.Error("no keys were ever evicted")
-	}
-}
-
-// TestDoneTaskTTLEviction pins the time-based half of the eviction
-// policy: a key goes once it is older than doneTaskLeases lease TTLs,
-// even when the size cap has room, and not a moment before.
-func TestDoneTaskTTLEviction(t *testing.T) {
-	clk := newFakeClock()
-	s := NewServer(Options{Now: clk.Now})
-	defer s.Close()
-	tk := enqueueTask(s, "acme", "pbzip2")
-	if _, err := s.handleUpload(&UploadRequest{Tenant: "acme", Agent: "a", TaskID: tk.id, Trace: &WireTrace{Spec: tk.spec}}); err != nil {
-		t.Fatal(err)
-	}
-	present := func(at time.Time) bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.evictDoneTasks(at)
-		_, ok := s.tasks[tk.id]
-		return ok
-	}
-	ttl := doneTaskLeases * s.opts.LeaseTTL
-	if !present(clk.Now().Add(ttl)) {
-		t.Fatal("key evicted at exactly the TTL")
-	}
-	if present(clk.Now().Add(ttl + time.Millisecond)) {
-		t.Fatal("expired key not evicted")
-	}
-}
-
-// TestDoneTaskSizeCap pins the size half of the eviction policy: with
-// the clock frozen, nothing is past the TTL, and one key over
-// maxDoneTasks evicts exactly the oldest completion.
-func TestDoneTaskSizeCap(t *testing.T) {
-	clk := newFakeClock()
-	s := NewServer(Options{Now: clk.Now})
-	defer s.Close()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	done := make([]*task, maxDoneTasks+1)
-	for i := range done {
-		s.nextTask++
-		done[i] = &task{id: s.nextTask, doneCh: make(chan struct{})}
-		s.tasks[done[i].id] = done[i]
-		s.markDone(done[i])
-	}
-	s.evictDoneTasks(clk.Now())
-	if len(s.doneTasks) != maxDoneTasks {
-		t.Fatalf("retained %d done keys, want the cap %d", len(s.doneTasks), maxDoneTasks)
-	}
-	if _, ok := s.tasks[done[0].id]; ok {
-		t.Error("the oldest completion survived the size cap")
-	}
-	if _, ok := s.tasks[done[1].id]; !ok {
-		t.Error("the size cap evicted more than the oldest completion")
+	held = len(s.tasks)
+	s.mu.Unlock()
+	if c, _ := s.Snapshot(); c.Uploads != churn+1 || held != 0 {
+		t.Fatalf("Uploads = %d, table holds %d; want %d and 0 (exactly-once admission)", c.Uploads, held, churn+1)
 	}
 }

@@ -22,9 +22,6 @@ type Counters struct {
 	// FoldedReports counts submits deduped into a live one.
 	NovelSignatures int64
 	FoldedReports   int64
-	// EvictedTasks counts completed-task idempotency keys dropped by
-	// TTL/size-capped eviction.
-	EvictedTasks int64
 	// SketchReloads counts sketch fetches re-rendered from the
 	// checkpoint store after LRU eviction.
 	SketchReloads int64

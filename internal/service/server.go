@@ -184,13 +184,6 @@ const (
 	// campaign degrade to a low-confidence sketch instead of hanging
 	// when the whole fleet vanishes.
 	noAgentLeases = 4
-	// doneTaskLeases is how many lease TTLs a completed task's
-	// idempotency key is retained for duplicate-upload detection before
-	// eviction. Live tasks are never evicted.
-	doneTaskLeases = 4
-	// maxDoneTasks caps retained completed-task keys regardless of age
-	// (FIFO by completion).
-	maxDoneTasks = 65536
 	// placePoll is how often a coordinator-mode campaign polls the fleet
 	// for its done record.
 	placePoll = 150 * time.Millisecond
@@ -205,13 +198,12 @@ type Server struct {
 	front *ingest.Frontend
 	cache *ingest.SketchCache
 
-	mu       sync.Mutex
-	tenants  map[string]*tenantState
+	mu      sync.Mutex
+	tenants map[string]*tenantState
+	// tasks holds the unsettled tasks; nextTask is the highest ID issued,
+	// so an ID at most nextTask that tasks lacks was settled here.
 	tasks    map[uint64]*task
 	nextTask uint64
-	// doneTasks holds completed tasks in completion order, the eviction
-	// queue for idempotency keys (guarded by mu).
-	doneTasks []*task
 	// Admission state (guarded by mu): inflight campaigns hold a slot
 	// in slotCh, launchQ counts admitted novel signatures parked behind
 	// the cap, maxLaunchQ is its high-water mark, draining stops new
@@ -284,9 +276,7 @@ func (s *Server) Close() {
 		close(s.closed)
 		s.mu.Lock()
 		for _, tk := range s.tasks {
-			if !tk.done {
-				s.markLost(tk)
-			}
+			s.markLost(tk)
 		}
 		s.mu.Unlock()
 	})

@@ -36,7 +36,6 @@ type task struct {
 	hedged bool
 
 	done    bool
-	doneAt  time.Time // when done became true; drives idempotency-key eviction
 	lost    bool
 	crashed bool
 	trace   *core.RunTrace
@@ -150,14 +149,15 @@ func (s *Server) lease(tk *task, agent string) {
 	tk.leaseUntil = now.Add(s.opts.LeaseTTL)
 }
 
-// markDone completes a task exactly once: flips the idempotency flag,
-// stamps the completion time, wakes the batch waiter, and queues the
-// key for TTL/size-capped eviction. Caller holds mu.
+// markDone settles a task exactly once: flips the done flag (a queue
+// still holding it skips it), wakes the batch waiter, and takes the task
+// out of the table. A late upload for it then finds no entry and an ID
+// at most nextTask, which handleUpload answers as an accepted duplicate.
+// Caller holds mu.
 func (s *Server) markDone(tk *task) {
 	tk.done = true
-	tk.doneAt = s.now()
 	close(tk.doneCh)
-	s.doneTasks = append(s.doneTasks, tk)
+	delete(s.tasks, tk.id)
 }
 
 // markLost writes a task off: the campaign sees a nil trace, which its
@@ -166,29 +166,6 @@ func (s *Server) markLost(tk *task) {
 	tk.lost = true
 	s.markDone(tk)
 	s.metrics.add(func(m *Counters) { m.LostTasks++ })
-}
-
-// evictDoneTasks drops completed-task idempotency keys that are past
-// the retention TTL or over the size cap (FIFO by completion). Only
-// done tasks are ever in the queue, so a live task can never be evicted
-// and exactly-once admission is preserved: an upload for an evicted key
-// hits the unknown-task path, which acknowledges it as a duplicate
-// without admitting anything. Caller holds mu.
-func (s *Server) evictDoneTasks(now time.Time) {
-	cutoff := now.Add(-doneTaskLeases * s.opts.LeaseTTL)
-	evicted := int64(0)
-	for len(s.doneTasks) > 0 {
-		tk := s.doneTasks[0]
-		if len(s.doneTasks) <= maxDoneTasks && !tk.doneAt.Before(cutoff) {
-			break
-		}
-		s.doneTasks = s.doneTasks[1:]
-		delete(s.tasks, tk.id)
-		evicted++
-	}
-	if evicted > 0 {
-		s.metrics.add(func(m *Counters) { m.EvictedTasks += evicted })
-	}
 }
 
 // reap is the lease reaper loop; reapOnce holds the logic. The tick
@@ -219,17 +196,14 @@ func (s *Server) reap() {
 // tasks and campaigns are written off, expired leases send tasks back
 // to the queue for reassignment (or write them off past the attempt
 // budget), over-threshold leased tasks are hedged to a second agent,
-// queued tasks with no live fleet are written off after noAgentLeases
-// lease TTLs, and stale idempotency keys are evicted. Tests drive it
-// directly with an injected clock instead of sleeping through wall time.
+// and queued tasks with no live fleet are written off after
+// noAgentLeases lease TTLs. Tests drive it directly with an injected
+// clock instead of sleeping through wall time.
 func (s *Server) reapOnce(now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	hedgeTh := s.hedgeThreshold()
 	for _, tk := range s.tasks {
-		if tk.done {
-			continue
-		}
 		t := s.tenant(tk.tenant)
 		if !tk.deadline.IsZero() && now.After(tk.deadline) {
 			s.logf("task %d (%s/%s) written off: deadline exceeded", tk.id, tk.tenant, tk.bug)
@@ -283,7 +257,6 @@ func (s *Server) reapOnce(now time.Time) {
 			}
 		}
 	}
-	s.evictDoneTasks(now)
 }
 
 // hedgeThreshold is the leased runtime above which a task is hedged:

@@ -96,9 +96,7 @@ func jsonHandler[Req, Resp any](s *Server, f func(*Req) (*Resp, error)) http.Han
 			writeError(w, http.StatusInternalServerError, "encode response: %v", err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(data)
+		writeJSON(w, http.StatusOK, data)
 	}
 }
 
@@ -139,9 +137,16 @@ func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
 	data, _ := json.Marshal(ErrorResponse{Err: fmt.Sprintf(format, args...)})
+	writeJSON(w, code, data)
+}
+
+// writeJSON sends one JSON reply with its length declared, so a real
+// socket carries it unchunked and the client reads it into one buffer.
+func writeJSON(w http.ResponseWriter, code int, data []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+	w.WriteHeader(code)
 	w.Write(data)
 }
 
@@ -396,7 +401,7 @@ func (s *Server) handleHeartbeat(req *HeartbeatRequest) (*HeartbeatResponse, err
 	now := s.now()
 	t.touch(req.Agent, now)
 	for _, tk := range s.tasks {
-		if !tk.done && tk.tenant == req.Tenant && tk.agent == req.Agent && !tk.leaseUntil.IsZero() {
+		if tk.tenant == req.Tenant && tk.agent == req.Agent && !tk.leaseUntil.IsZero() {
 			tk.leaseUntil = now.Add(s.opts.LeaseTTL)
 		}
 	}
@@ -417,18 +422,13 @@ func (s *Server) handleUpload(req *UploadRequest) (*UploadResponse, error) {
 	t.touch(req.Agent, s.now())
 	tk := s.tasks[req.TaskID]
 	if tk == nil || tk.tenant != req.Tenant {
-		// Unknown task: a retry that outlived its campaign (or a
-		// restarted server). Acknowledge as a duplicate so the agent
-		// moves on.
+		// No live task of this tenant. An ID at most nextTask was issued
+		// here and is settled (admitted or written off): a retry or a
+		// duplicated delivery, admitted no second time. A higher one was
+		// never issued here, say a retry that outlived a restarted
+		// server. Either way the agent moves on.
 		s.metrics.add(func(m *Counters) { m.DuplicateUploads++ })
-		return &UploadResponse{Duplicate: true}, nil
-	}
-	if tk.done {
-		// The idempotency key already admitted this task (a retried
-		// upload, a duplicated delivery, or a run the reaper wrote
-		// off). Exactly-once admission means this delivery is a no-op.
-		s.metrics.add(func(m *Counters) { m.DuplicateUploads++ })
-		return &UploadResponse{Accepted: true, Duplicate: true}, nil
+		return &UploadResponse{Accepted: tk == nil && req.TaskID <= s.nextTask, Duplicate: true}, nil
 	}
 	if w := req.Trace; !req.Crashed && (w.Spec.EndpointID != tk.spec.EndpointID || w.Spec.Seed != tk.spec.Seed) {
 		// Task IDs restart at 1 with every server process while agents

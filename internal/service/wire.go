@@ -253,8 +253,11 @@ type UploadRequest struct {
 }
 
 // UploadResponse acknowledges an upload. Duplicate marks a delivery
-// the idempotency key already admitted (or a task the server had
-// already written off); the agent treats both as success.
+// that admitted nothing: with Accepted, the task ID was issued here and
+// is already settled (admitted once, or written off); without it, the
+// ID names no task of this tenant that this server can take (never
+// issued here, or another run's). The agent treats every reply as
+// success.
 type UploadResponse struct {
 	Accepted  bool `json:"accepted"`
 	Duplicate bool `json:"duplicate,omitempty"`
@@ -283,11 +286,9 @@ type HealthResponse struct {
 	InflightCampaigns int `json:"inflight_campaigns"`
 	QueuedLaunches    int `json:"queued_launches"`
 	MaxQueuedLaunches int `json:"max_queued_launches"`
-	// QueuedTasks is the sum of all tenants' dispatch queues; DoneTasks
-	// the retained idempotency keys (both bounded: tasks by the
-	// in-flight cap, keys by TTL + maxDoneTasks).
+	// QueuedTasks is the sum of all tenants' dispatch queues, bounded
+	// by the in-flight cap (a settled task leaves the task table).
 	QueuedTasks int `json:"queued_tasks"`
-	DoneTasks   int `json:"done_tasks"`
 	// Counters are the server's scalar health counters, shed and hedge
 	// counters included.
 	Counters Counters `json:"counters"`
